@@ -8,11 +8,11 @@ only through the pair (a_bar, B_bar) = (<C, W>, A(W)) unless materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ConstraintOperator, svec_indices, tri_dim
+from .linalg import ConstraintOperator, svec_indices
 
 UNIT_NORM_TOL = 1e-6
 

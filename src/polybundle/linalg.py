@@ -326,10 +326,12 @@ def extreme_eigs(s, r: int, which: str = "smallest",
         return EigenResult(vals.copy(), vecs.copy())
 
     ncv = min(max(4 * r, 20), n)
+    # a fixed start vector makes repeated calls, and so whole solves, repeat
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
     try:
         vals, vecs = spla.eigsh(
             mat, k=r, which="SA" if which == "smallest" else "LA",
-            ncv=ncv, maxiter=LANCZOS_MAX_RESTARTS * n, tol=0,
+            ncv=ncv, v0=v0, maxiter=LANCZOS_MAX_RESTARTS * n, tol=0,
         )
     except spla.ArpackNoConvergence as exc:
         best = None

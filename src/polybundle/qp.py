@@ -9,7 +9,7 @@ residual.  The candidate point is z = y + t(b - B u).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg

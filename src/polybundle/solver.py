@@ -8,7 +8,7 @@ adaptive step sizes, optional rank prediction, and relative KKT termination.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +28,6 @@ from .problems import SdpProblem
 STATUS_CONVERGED = "Converged"
 STATUS_ITER_LIMIT = "IterLimit"
 STATUS_TIME_LIMIT = "TimeLimit"
-STATUS_TIME = STATUS_TIME_LIMIT
 STATUS_SUBPROBLEM_FAILURE = "SubproblemFailure"
 
 LMAX_PRESETS = ("half", "sq", "2sq", "5sq")
@@ -123,21 +122,15 @@ class IterationRecord:
 class IterationInfo:
     """Snapshot handed to the per-iteration callback (model audit hooks)."""
 
-    k: int
-    y: np.ndarray             # center before the descent decision
-    z: np.ndarray
+    y: np.ndarray             # center the subproblem was solved at
+    z: np.ndarray             # candidate
     t: float                  # step used by this iteration's subproblem
-    u: np.ndarray
-    a_pre: np.ndarray
-    B_pre: np.ndarray
-    a_post: np.ndarray
+    a_post: np.ndarray        # model (a, B) after the bundle update
     B_post: np.ndarray
-    F_y: float
     F_z: float
     model_z: float
     lam_max_z: float          # lambda_max(A'z - C)
     v_min: np.ndarray         # eigenvector of lambda_min(C - A'z)
-    bundle: BundleState
 
 
 @dataclass
@@ -301,58 +294,30 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
           callback=None, y0: np.ndarray | None = None) -> SolveResult:
     """Run the full bundle method on a standard-form SDP.
 
-    ``y0`` sets the starting dual center (default: the origin).
+    ``y0`` sets the starting dual center (default: the origin).  ``callback``,
+    if given, receives an ``IterationInfo`` after every iteration.
     """
     params = params or SolverParams()
     params.validate()
-    rho = params.rho
-    if rho is None:
-        if problem.known_trace is None:
-            raise ValueError(
-                "rho not set and the instance carries no known primal trace"
-            )
-        rho = 2.0 * problem.known_trace + 1.0
-
-    predicting = params.predict_rank
-    if predicting:
-        r_iter = params.prior_rank
-    else:
-        r_iter = params.rank if params.rank is not None else problem.known_rank
-        if r_iter is None:
-            raise ValueError("rank not set; supply params.rank or enable predict_rank")
-    if r_iter < 1:
-        raise ValueError("rank must be at least 1")
+    rho, r_iter = _rho_and_rank(problem, params)
     l_max = lmax_from_policy(params.l_max, r_iter)
+    pred = (RankPrediction(r_iter, params.predcountmax)
+            if params.predict_rank else None)
+    y = np.zeros(problem.m) if y0 is None else np.array(y0, dtype=np.float64)
+    if y.shape != (problem.m,) or not np.all(np.isfinite(y)):
+        raise ValueError("y0 must be a finite length-m vector")
 
-    n, m = problem.n, problem.m
     b = problem.b
-    t = min(max(params.t0, params.t_min), params.t_max)
     start = time.perf_counter()
-
-    if y0 is None:
-        y = np.zeros(m)
-    else:
-        y = np.asarray(y0, dtype=np.float64).copy()
-        if y.shape != (m,):
-            raise ValueError("y0 must be a length-m vector")
-    extra = 1 if predicting else 0
-    f_y, lam_max_y, v0, _ = penalty_eval(problem, y, r_iter, rho, r_iter + extra)
-    lam_min_center = -lam_max_y
-    _, a0, b0 = pvec_generate(v0, problem.op, problem.cvec)
-    bundle = BundleState(
-        P=v0, a_hat=a0, B_hat=b0, a_bar=0.0, B_bar=np.zeros(m),
-        W=np.zeros((n, n)) if params.materialize_w else None,
-    )
-    pred = RankPrediction(r_iter, params.predcountmax) if predicting else None
-
-    nullcount = 0
-    warm = None
-    trace: list[IterationRecord] = []
-    status = STATUS_ITER_LIMIT
+    n_eigs = r_iter + 1 if params.predict_rank else r_iter
+    f_y, lam_max_y, v, _ = penalty_eval(problem, y, r_iter, rho, n_eigs)
+    _, a_new, b_new = pvec_generate(v, problem.op, problem.cvec)
+    bundle = solved_on = _fresh_bundle(problem, params, v, a_new, b_new)
     u = np.zeros(1 + bundle.l)
-    a = b_mat = None
-    recover_state = bundle
-    deltas = (np.inf, np.inf, np.inf, np.inf)
+    t, nullcount, warm = params.t0, 0, None
+    trace: list[IterationRecord] = []
+    deltas = [np.inf] * 4
+    status = STATUS_ITER_LIMIT
 
     for k in range(1, params.maxiter + 1):
         a, b_mat = bundle.model_arrays()
@@ -360,112 +325,135 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                                      xi=params.xi, rho=rho)
         try:
             sol = qp_mod.solve_subproblem(data, warm_start=warm)
-        except qp_mod.SingularSubproblem as exc:
-            wall = time.perf_counter() - start
-            s_final = SymMatrix.from_dense(_dual_slack_dense(problem, y))
-            return SolveResult(
-                status=STATUS_SUBPROBLEM_FAILURE, y=y, S=s_final, u=u,
-                objective_dual=float(b @ y), objective_primal=float("nan"),
-                X=None, delta1=deltas[0], delta4=deltas[1], delta5=deltas[2],
-                delta6=deltas[3], iterations=k - 1, wall_secs=wall,
-                trace=trace, rank_used=r_iter, rho=rho,
-            )
-        u, z = sol.u, sol.z
+        except qp_mod.SingularSubproblem:
+            status = STATUS_SUBPROBLEM_FAILURE
+            break
+        u, z, solved_on = sol.u, sol.z, bundle
         model_z = model_eval(z, a, b_mat, rho, b)
-        f_z, lam_max_z, v_new, eigs_z = penalty_eval(
-            problem, z, r_iter, rho, r_iter + extra if pred and pred.active else r_iter
-        )
-        norms = np.linalg.norm(v_new, axis=0)
-        v_new = v_new / np.where(norms == 0.0, 1.0, norms)
-        _, a_new, b_new = pvec_generate(v_new, problem.op, problem.cvec)
+        f_z, lam_max_z, v_new, eigs_z, a_new, b_new = _oracle(
+            problem, z, r_iter, rho, pred is not None and pred.active)
+        bundle, warm = _update_bundle(bundle, sol, v_new, a_new, b_new,
+                                      r_iter, l_max, params)
 
-        eta, x = float(u[0]), u[1:]
-        p_bar, p_hat = select_aggregation(x, bundle.l, r_iter, l_max,
-                                          params.gamma1, params.gamma2)
-        recover_state = bundle
-        bundle = bundle_mod.aggregate_and_append(
-            bundle, eta, x, v_new, a_new, b_new, p_bar, p_hat, l_max
-        )
-        warm = _warm_start_mask(sol, p_hat, r_iter)
-
-        delta_pred = f_y - model_z
-        delta_true = f_y - f_z
-        f_y_pre = f_y
-        y_pre = y
+        # the descent test moves the center; F_y stays the pre-step value
+        # for the termination test and the trace
         accept, t, nullcount = descent_decision(f_y, f_z, model_z, t,
                                                 nullcount, params)
         if accept:
-            y, f_y, lam_min_center = z, f_z, -lam_max_z
-
-        d1, d4, d5, d6, done = termination_check(
-            b, u, a, b_mat, y, lam_min_center, f_y_pre, model_z, params.eps
-        )
-        deltas = (d1, d4, d5, d6)
+            y, lam_max_y = z, lam_max_z
+        *deltas, done = termination_check(b, u, a, b_mat, y, -lam_max_y, f_y,
+                                          model_z, params.eps)
         elapsed = time.perf_counter() - start
         trace.append(IterationRecord(
-            k=k, step_type="descent" if accept else "null", F_y=f_y_pre,
-            F_z=f_z, model_value=model_z, delta_pred=delta_pred,
-            delta_true=delta_true, t=t, l=bundle.l, delta1=d1, delta4=d4,
-            delta5=d5, delta6=d6, eig_min_S=-lam_max_z, elapsed_secs=elapsed,
-        ))
+            k=k, step_type="descent" if accept else "null", F_y=f_y, F_z=f_z,
+            model_value=model_z, delta_pred=f_y - model_z,
+            delta_true=f_y - f_z, t=t, l=bundle.l, delta1=deltas[0],
+            delta4=deltas[1], delta5=deltas[2], delta6=deltas[3],
+            eig_min_S=-lam_max_z, elapsed_secs=elapsed))
         if callback is not None:
             a_post, b_post = bundle.model_arrays()
             callback(IterationInfo(
-                k=k, y=y_pre, z=z, t=data.t, u=u, a_pre=a, B_pre=b_mat,
-                a_post=a_post, B_post=b_post, F_y=f_y_pre, F_z=f_z,
-                model_z=model_z, lam_max_z=lam_max_z, v_min=v_new[:, 0],
-                bundle=bundle,
-            ))
+                y=data.y, z=z, t=data.t, a_post=a_post, B_post=b_post, F_z=f_z,
+                model_z=model_z, lam_max_z=lam_max_z, v_min=v_new[:, 0]))
+        if accept:
+            f_y = f_z
         if done:
             status = STATUS_CONVERGED
             break
         if pred is not None and pred.active:
             finalize, r_pred = rank_predict_step(bundle.P, eigs_z, pred)
-            if finalize:
+            if finalize:  # restart at the candidate with the predicted rank
+                y, f_y, lam_max_y = z, f_z, lam_max_z
                 t = max(0.5 * t, params.t_min)
-                y, f_y, lam_min_center = z, f_z, -lam_max_z
-                r_iter = r_pred
-                l_max = lmax_from_policy(params.l_max, r_iter)
-                bundle = BundleState(
-                    P=v_new[:, :r_pred],
-                    a_hat=a_new[:r_pred],
-                    B_hat=b_new[:, :r_pred],
-                    a_bar=0.0, B_bar=np.zeros(m),
-                    W=np.zeros((n, n)) if params.materialize_w else None,
-                )
-                recover_state = bundle
+                r_iter, l_max = r_pred, lmax_from_policy(params.l_max, r_pred)
+                bundle = _fresh_bundle(problem, params, v_new[:, :r_pred],
+                                       a_new[:r_pred], b_new[:, :r_pred])
                 warm = None
-                extra = 0
         if params.time_limit_secs is not None and elapsed > params.time_limit_secs:
             status = STATUS_TIME_LIMIT
             break
 
     wall = time.perf_counter() - start
-    x_primal = None
-    if params.materialize_w and recover_state.W is not None \
-            and u.size == 1 + recover_state.l:
-        x_primal = recover_primal(recover_state, u)
-    s_final = SymMatrix.from_dense(_dual_slack_dense(problem, y))
+    s_final = SymMatrix.from_dense(smat_dense(problem.cvec - problem.op.avec @ y))
+    # u and its primal quantities refer to the bundle u was solved on
+    failed = status == STATUS_SUBPROBLEM_FAILURE
     return SolveResult(
         status=status, y=y, S=s_final, u=u,
         objective_dual=float(b @ y),
-        objective_primal=float(a @ u) if a is not None else float("nan"),
-        X=x_primal, delta1=deltas[0], delta4=deltas[1], delta5=deltas[2],
+        objective_primal=(float("nan") if failed
+                          else float(solved_on.model_arrays()[0] @ u)),
+        X=(recover_primal(solved_on, u)
+           if params.materialize_w and not failed else None),
+        delta1=deltas[0], delta4=deltas[1], delta5=deltas[2],
         delta6=deltas[3], iterations=len(trace), wall_secs=wall, trace=trace,
         rank_used=r_iter, rho=rho,
     )
 
 
-def _dual_slack_dense(problem: SdpProblem, y: np.ndarray) -> np.ndarray:
-    s = dual_slack(problem, y)
-    return s.toarray() if sp.issparse(s) else s
+def _rho_and_rank(problem: SdpProblem, params: SolverParams):
+    """Penalty weight and starting rank, from the params or the instance.
+
+    rho defaults to 2*trace+1 for the instance's known primal trace; the rank
+    is the prior under rank prediction, else params.rank or the known rank.
+    """
+    rho = params.rho
+    if rho is None:
+        if problem.known_trace is None:
+            raise ValueError(
+                "rho not set and the instance carries no known primal trace"
+            )
+        rho = 2.0 * problem.known_trace + 1.0
+    if params.predict_rank:
+        r = params.prior_rank
+    else:
+        r = params.rank if params.rank is not None else problem.known_rank
+        if r is None:
+            raise ValueError("rank not set; supply params.rank or enable predict_rank")
+    if r < 1:
+        raise ValueError("rank must be at least 1")
+    return rho, r
 
 
-def _warm_start_mask(sol, p_hat: np.ndarray, r: int) -> np.ndarray:
-    """Map the previous active set onto the updated bundle layout."""
-    prev_active = np.zeros(sol.u.size, dtype=bool)
-    prev_active[sol.active_set] = True
-    mask = np.zeros(1 + p_hat.size + r, dtype=bool)
-    mask[0] = prev_active[0]
-    mask[1:1 + p_hat.size] = prev_active[1 + p_hat]
-    return mask
+def _oracle(problem: SdpProblem, z: np.ndarray, r: int, rho: float,
+            extra_eig: bool):
+    """Penalty value at the candidate plus the bundle columns of its bottom
+    r eigenvectors, rescaled to unit norm.
+
+    Returns (F, lam_max, V, eigvals, a, B) as ``penalty_eval`` and
+    ``pvec_generate`` give them; ``extra_eig`` asks for eigenvalue r+1 too,
+    whose gap rank prediction reads.
+    """
+    f, lam_max, v, eigs = penalty_eval(problem, z, r, rho,
+                                       r + 1 if extra_eig else r)
+    norms = np.linalg.norm(v, axis=0)
+    v = v / np.where(norms == 0.0, 1.0, norms)
+    _, a, b_mat = pvec_generate(v, problem.op, problem.cvec)
+    return f, lam_max, v, eigs, a, b_mat
+
+
+def _fresh_bundle(problem: SdpProblem, params: SolverParams, v: np.ndarray,
+                  a: np.ndarray, b_mat: np.ndarray) -> BundleState:
+    """Bundle of the columns v alone, with an empty aggregate."""
+    w = np.zeros((problem.n, problem.n)) if params.materialize_w else None
+    return BundleState(P=v, a_hat=a, B_hat=b_mat, a_bar=0.0,
+                       B_bar=np.zeros(problem.m), W=w)
+
+
+def _update_bundle(bundle: BundleState, sol, v_new: np.ndarray,
+                   a_new: np.ndarray, b_new: np.ndarray, r: int, l_max: int,
+                   params: SolverParams):
+    """Aggregate the low-weight columns and append the new block.
+
+    Returns the new bundle and the QP warm start: the previous active set
+    mapped onto the new layout, with the appended columns inactive.
+    """
+    eta, x = float(sol.u[0]), sol.u[1:]
+    p_bar, p_hat = select_aggregation(x, bundle.l, r, l_max,
+                                      params.gamma1, params.gamma2)
+    bundle = bundle_mod.aggregate_and_append(
+        bundle, eta, x, v_new, a_new, b_new, p_bar, p_hat, l_max
+    )
+    active = np.zeros(sol.u.size, dtype=bool)
+    active[sol.active_set] = True
+    warm = np.concatenate([active[:1], active[1 + p_hat], np.zeros(r, dtype=bool)])
+    return bundle, warm

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from polybundle.cli import main
-from polybundle.problems import generate_random_sdp, write_manifest, write_sdpa
 
 
 @pytest.fixture(scope="module")

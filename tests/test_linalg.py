@@ -4,9 +4,7 @@ import scipy.sparse as sp
 
 from polybundle.linalg import (
     ConstraintOperator,
-    EigenConvergenceError,
     SymMatrix,
-    SvecVector,
     apply_A,
     apply_At,
     apply_At_dense,
@@ -210,6 +208,17 @@ class TestExtremeEigs:
             v = res.vectors[:, i]
             resid = np.linalg.norm(a @ v - res.values[i] * v)
             assert resid <= 1e-9 * (1 + abs(res.values[i]))
+
+    def test_sparse_path_repeats(self):
+        # ARPACK starts from a fixed vector, so repeated calls agree bit for bit
+        rng = np.random.default_rng(16)
+        d = sp.random(500, 500, density=0.01, random_state=17,
+                      data_rvs=rng.standard_normal)
+        a = ((d + d.T) / 2).tocsr()
+        first = extreme_eigs(a, 4, which="smallest")
+        again = extreme_eigs(a, 4, which="smallest")
+        assert np.array_equal(first.values, again.values)
+        assert np.array_equal(first.vectors, again.vectors)
 
     def test_values_sorted_ascending(self):
         rng = np.random.default_rng(15)

@@ -5,7 +5,6 @@ from polybundle.linalg import apply_A, apply_At, svec
 from polybundle.problems import (
     GraphInstance,
     ParseError,
-    SdpProblem,
     UnsupportedFormat,
     build_maxcut_sdp,
     generate_random_sdp,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from polybundle.qp import (
-    QP_TOL_BASE,
     SingularSubproblem,
     SubproblemData,
     kkt_residual,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polybundle.linalg import apply_A
+from polybundle.linalg import apply_A, svec
 from polybundle.problems import generate_random_sdp
 from polybundle.solver import (
     STATUS_CONVERGED,
@@ -254,6 +254,11 @@ class TestSolveEndToEnd:
         problem, _ = small_problem
         with pytest.raises(ValueError, match="y0"):
             solve(problem, SolverParams(), y0=np.zeros(5))
+        for bad in (np.nan, np.inf, -np.inf):
+            y0 = np.zeros(problem.m)
+            y0[3] = bad
+            with pytest.raises(ValueError, match="y0"):
+                solve(problem, SolverParams(), y0=y0)
 
 
 class TestRecoverPrimal:
@@ -299,3 +304,49 @@ class TestRecoverPrimal:
         assert d1 <= 1e-4
         evals = np.linalg.eigvalsh(res.X.to_dense())
         assert evals.min() >= -1e-9
+
+    @pytest.mark.parametrize("maxiter", [14, 15, 16])
+    def test_primal_after_rank_restart_matches_objective(self, maxiter):
+        # at maxiter=15 the rank prediction restarts the bundle in the last
+        # iteration; X must still come from the bundle u was solved on
+        problem, _ = generate_random_sdp(100, 100, 5, 1e-2, 1.0, 0)
+        res = solve(problem, SolverParams(predict_rank=True, prior_rank=10,
+                                          materialize_w=True, maxiter=maxiter))
+        assert res.X is not None
+        cx = float(problem.cvec @ svec(res.X).values)
+        obj = res.objective_primal
+        assert abs(cx - obj) <= 1e-10 * (1 + abs(obj))
+
+
+class TestTrajectories:
+    """Pinned runs of the whole loop: status, iterations, steps and F_y."""
+
+    @staticmethod
+    def steps(res):
+        return "".join(rec.step_type[0] for rec in res.trace)
+
+    def test_default_params(self):
+        problem, _ = generate_random_sdp(50, 50, 3, 0.1, 1.0, 3)
+        res = solve(problem, SolverParams())
+        assert res.status == STATUS_CONVERGED
+        assert res.iterations == 45
+        assert self.steps(res) == \
+            "ddddddnddddddddndndnnddndndnnndndnndndnndndnd"
+        assert res.trace[-1].F_y == pytest.approx(11.153339589292603, rel=1e-9)
+
+    def test_rank_prediction(self):
+        problem, _ = generate_random_sdp(100, 100, 5, 1e-2, 1.0, 0)
+        res = solve(problem, SolverParams(predict_rank=True, prior_rank=10,
+                                          maxiter=500))
+        assert res.status == STATUS_CONVERGED
+        assert res.iterations == 38
+        assert res.rank_used == 5
+        assert self.steps(res).count("d") == 31
+        assert res.trace[-1].F_y == pytest.approx(14.056958954948422, rel=1e-9)
+
+    def test_subproblem_failure(self):
+        problem, _ = generate_random_sdp(3, 3, 2, 0.5, 1.0, 0)
+        res = solve(problem, SolverParams(xi=0.0))
+        assert res.status == STATUS_SUBPROBLEM_FAILURE
+        assert res.iterations == 3
+        assert np.isnan(res.objective_primal)
