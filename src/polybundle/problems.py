@@ -7,8 +7,10 @@ builder, the Gset plain-text graph format, single-block SDPA sparse files
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,104 +272,102 @@ def load_gset(path: str) -> GraphInstance:
 # (the classical SDPA convention phrases the same data as a dual
 # maximization; the matrices and vector are stored verbatim either way).
 
+_ENTRY = np.dtype("i8,i8,i8,i8,f8")  # matno blkno i j value
+_CHUNK = 8192  # entry lines formatted or parsed at a time
+_SKIP = re.compile(r'\s*(["*]|$)').match  # blank and comment lines
+
+
 def write_sdpa(problem: SdpProblem, path: str):
     """Write a single-block SDPA sparse file; roundtrips bit-for-bit."""
-    def entry_lines(matno: int, mat: SymMatrix):
-        # stored lower triangle (row >= col) -> 1-based upper triangle (i <= j)
-        for rr, cc, vv in zip(mat.rows, mat.cols, mat.vals):
-            yield f"{matno} 1 {cc + 1} {rr + 1} {float(vv)!r}\n"
-
+    c, a = problem.C, problem.op.avec.T.tocoo()
+    a.sum_duplicates()  # sorted, repeats summed: the columns constraint_matrix gives
+    rows, cols, scale = svec_indices(problem.n)
+    vals = a.data / scale[a.col]
+    keep = vals != 0.0  # the entries smat keeps
+    matno = np.concatenate([np.zeros(c.nnz, dtype=np.int64), a.row[keep] + 1])
+    pos = np.concatenate([svec_position(problem.n, c.rows, c.cols), a.col[keep]])
+    vals = np.concatenate([c.vals, vals[keep]])
+    # stored lower triangle (row >= col) -> 1-based upper triangle (i <= j)
+    i, j = cols[pos] + 1, rows[pos] + 1
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write('"single-block SDPA sparse; matno 0 is C of min <C,X>, A(X)=b, X>=0\n')
-        fh.write(f"{problem.m}\n1\n{problem.n}\n")
-        fh.write(" ".join(repr(float(v)) for v in problem.b) + "\n")
-        fh.writelines(entry_lines(0, problem.C))
-        for i in range(problem.m):
-            fh.writelines(entry_lines(i + 1, problem.op.constraint_matrix(i)))
+        fh.write('"single-block SDPA sparse; matno 0 is C of min <C,X>, A(X)=b, X>=0\n'
+                 f"{problem.m}\n1\n{problem.n}\n" + " ".join(map(repr, problem.b.tolist())) + "\n")
+        for s in range(0, vals.size, _CHUNK):
+            chunk = (x[s:s + _CHUNK].tolist() for x in (matno, i, j, vals))
+            fh.write("".join(map("{} 1 {} {} {!r}\n".format, *chunk)))
 
 
 def load_sdpa(path: str) -> SdpProblem:
-    """Read a single-block SDPA sparse file written by write_sdpa (or
-    any conforming single-block .dat-s file)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    it = iter(enumerate(lines, start=1))
+    """Read any conforming single-block SDPA sparse file (.dat-s)."""
+    def fail(data_line, msg, cls=ParseError):  # data_line counts from 0, comments skipped
+        with open(path, encoding="utf-8") as fh:
+            numbered = (no for no, line in enumerate(fh, start=1) if not _SKIP(line))
+            return cls(f"{path}:{next(itertools.islice(numbered, data_line, None))}: {msg}")
 
-    def next_data():
-        for lineno, raw in it:
-            stripped = raw.strip()
-            if stripped and not stripped.startswith(('"', '*')):
-                return lineno, stripped
+    def header(k, what, parse):
+        for line in lines:
+            try:
+                return parse(line)
+            except (ValueError, IndexError) as exc:
+                raise fail(k, f"bad {what}") from exc
         raise ParseError(f"{path}: unexpected end of file")
 
-    lineno, tok = next_data()
     try:
-        m = int(tok.split()[0])
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: bad constraint count") from exc
-    if m < 1:
-        raise ParseError(f"{path}:{lineno}: need at least one constraint")
-    lineno, tok = next_data()
-    try:
-        nblocks = int(tok.split()[0])
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: bad block count") from exc
-    if nblocks != 1:
-        raise UnsupportedFormat(f"{path}:{lineno}: only single-block files supported")
-    lineno, tok = next_data()
-    sizes = tok.replace(",", " ").replace("(", " ").replace(")", " ").replace("{", " ").replace("}", " ").split()
-    try:
-        n = int(sizes[0])
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"{path}:{lineno}: bad block size") from exc
-    if n < 0:
-        raise UnsupportedFormat(f"{path}:{lineno}: diagonal blocks not supported")
-    lineno, tok = next_data()
-    try:
-        b = np.array([float(v) for v in tok.replace(",", " ").split()])
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: bad right-hand-side vector") from exc
-    if b.size != m:
-        raise ParseError(f"{path}:{lineno}: expected {m} right-hand-side values")
+        with open(path, encoding="utf-8") as fh:
+            lines = itertools.filterfalse(_SKIP, fh)
+            m = header(0, "constraint count", lambda t: int(t.split()[0]))
+            if m < 1:
+                raise fail(0, "need at least one constraint")
+            if header(1, "block count", lambda t: int(t.split()[0])) != 1:
+                raise fail(1, "only single-block files supported", UnsupportedFormat)
+            n = header(2, "block size",
+                       lambda t: int(t.translate(str.maketrans(",(){}", "     ")).split()[0]))
+            if n < 1:
+                raise (fail(2, "diagonal blocks not supported", UnsupportedFormat) if n < 0
+                       else fail(2, "block size must be positive"))
+            b = header(3, "right-hand-side vector",
+                       lambda t: np.array([float(v) for v in t.replace(",", " ").split()]))
+            if b.size != m:
+                raise fail(3, f"expected {m} right-hand-side values")
+            parts, step, malformed = [np.zeros(0, dtype=_ENTRY)], _CHUNK, None
+            while chunk := list(itertools.islice(lines, step)):
+                try:
+                    parts.append(np.loadtxt(chunk, dtype=_ENTRY, comments=None, ndmin=1))
+                except ValueError:
+                    if step == 1:
+                        malformed = ("malformed entry" if len(chunk[0].split()) == 5
+                                     else "expected 'matno blkno i j value'")
+                        break
+                    lines, step = itertools.chain(chunk, lines), 1  # again line by line
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text") from exc
 
-    entries: list[dict] = [dict() for _ in range(m + 1)]
-    for lineno, raw in it:
-        stripped = raw.strip()
-        if not stripped or stripped.startswith(('"', '*')):
-            continue
-        toks = stripped.split()
-        if len(toks) != 5:
-            raise ParseError(f"{path}:{lineno}: expected 'matno blkno i j value'")
-        try:
-            matno, blkno, i, j = (int(t) for t in toks[:4])
-            val = float(toks[4])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: malformed entry") from exc
-        if not 0 <= matno <= m:
-            raise ParseError(f"{path}:{lineno}: matrix index {matno} out of range")
-        if blkno != 1:
-            raise UnsupportedFormat(f"{path}:{lineno}: only block 1 supported")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ParseError(f"{path}:{lineno}: entry index out of range")
-        row, col = max(i, j) - 1, min(i, j) - 1
-        if (row, col) in entries[matno]:
-            raise ParseError(f"{path}:{lineno}: duplicate entry ({i},{j})")
-        entries[matno][(row, col)] = val
+    matno, blkno, i, j, val = (np.concatenate([p[f] for p in parts]) for f in _ENTRY.names)
+    row, col = np.maximum(i, j) - 1, np.minimum(i, j) - 1
+    pos = svec_position(n, row, col)
+    key = matno * tri_dim(n) + pos
+    order = np.argsort(key, kind="stable")
+    bad = np.flatnonzero
+    checks = [(bad((matno < 0) | (matno > m)), ParseError, "matrix index {} out of range"),
+              (bad(blkno != 1), UnsupportedFormat, "only block 1 supported"),
+              (bad((col < 0) | (row >= n)), ParseError, "entry index out of range"),
+              (order[1:][np.diff(key[order]) == 0], ParseError, "duplicate entry ({1},{2})")]
+    # the earliest bad line reports its first failed check; values come last
+    if failed := [(rows.min(), c) for c, (rows, _, _) in enumerate(checks) if rows.size]:
+        k, c = min(failed)
+        raise fail(4 + k, checks[c][2].format(matno[k], i[k], j[k]), checks[c][1])
+    if malformed:  # on the line after the last entry parsed
+        raise fail(4 + matno.size, malformed)
+    if not np.all(np.isfinite(b)):
+        raise fail(3, "non-finite right-hand-side value")
+    if not np.all(np.isfinite(val)):
+        raise fail(4 + int(np.argmin(np.isfinite(val))), "non-finite entry value")
 
-    def to_symmatrix(d: dict) -> SymMatrix:
-        if not d:
-            return SymMatrix(n=n, rows=np.zeros(0, dtype=np.int64),
-                             cols=np.zeros(0, dtype=np.int64), vals=np.zeros(0))
-        rows = np.array([k[0] for k in d], dtype=np.int64)
-        cols = np.array([k[1] for k in d], dtype=np.int64)
-        vals = np.array(list(d.values()))
-        return SymMatrix(n=n, rows=rows, cols=cols, vals=vals)
-
-    c = to_symmatrix(entries[0])
-    op = ConstraintOperator.from_matrices(
-        n, [to_symmatrix(entries[i + 1]) for i in range(m)]
-    )
-    return SdpProblem(n=n, m=m, C=c, op=op, b=b,
+    a = matno > 0
+    _, _, scale = svec_indices(n)
+    avec = sp.csc_matrix((val[a] * scale[pos[a]], (pos[a], matno[a] - 1)), shape=(tri_dim(n), m))
+    return SdpProblem(n=n, m=m, C=SymMatrix(n=n, rows=row[~a], cols=col[~a], vals=val[~a]),
+                      op=ConstraintOperator(n=n, m=m, avec=avec), b=b,
                       name=os.path.splitext(os.path.basename(path))[0])
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polybundle
 from polybundle.cli import main
 
 
@@ -158,3 +163,24 @@ class TestMaxcutCommand:
         g.write_text("2 1\n1 5 1\n")
         code = main(["maxcut", str(g)])
         assert code == 1
+
+
+class TestMalformedSdpa:
+    @pytest.mark.parametrize("content", [
+        b"1\n1\n2\n1.0\n1 1 1 1 nan\n",
+        b"1\n1\n2\ninf\n1 1 1 1 1.0\n",
+        b"1\n1\n0\n1.0\n",
+        b"1\n1\n2\n1.0\n\xff\n",
+    ], ids=["nan-entry", "inf-rhs", "zero-block", "not-utf8"])
+    def test_solve_exit_1_without_traceback(self, tmp_path, content):
+        path = tmp_path / "bad.dat-s"
+        path.write_bytes(content)
+        proc = subprocess.run(
+            [sys.executable, "-m", "polybundle.cli", "solve", str(path), "--rank", "1"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(Path(polybundle.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {path}")
+        assert "Traceback" not in proc.stderr
