@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ConstraintOperator, svec_indices
+from .linalg import ConstraintOperator, svec_rank_one
 
 UNIT_NORM_TOL = 1e-6
 
@@ -60,8 +60,7 @@ def pvec_generate(p: np.ndarray, op: ConstraintOperator, cvec: np.ndarray):
     norms = np.linalg.norm(p, axis=0)
     if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
         raise ValueError("bundle columns must be unit-norm")
-    rows, cols, scale = svec_indices(p.shape[0])
-    pvec = p[rows, :] * p[cols, :] * scale[:, None]
+    pvec = svec_rank_one(p)
     a = pvec.T @ np.asarray(cvec, dtype=np.float64)
     b = op.avec.T @ pvec
     return pvec, a, np.asarray(b)

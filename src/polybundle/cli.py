@@ -15,7 +15,13 @@ import sys
 import numpy as np
 
 from . import problems, solver
-from .linalg import EigenConvergenceError
+from .linalg import EigenConvergenceError, apply_A
+
+
+def _error(message) -> int:
+    """Report a usage or input error on stderr; returns its exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def _lmax_arg(text: str):
@@ -121,13 +127,11 @@ def _load_instance(path: str):
 
 def _run_solver(problem, params, args) -> int:
     if args.trace != "none" and not args.trace_out:
-        print("error: --trace requires --trace-out", file=sys.stderr)
-        return 1
+        return _error("--trace requires --trace-out")
     try:
         result = solver.solve(problem, params)
     except (ValueError, EigenConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     if args.trace != "none":
         _write_trace(result.trace, args.trace, args.trace_out)
     _emit(_report(result, problem, params), args.out)
@@ -142,14 +146,12 @@ def cmd_solve(args) -> int:
     try:
         problem = _load_instance(args.input)
     except (OSError, problems.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     try:
         params = _params_from_args(args)
         params.validate()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     return _run_solver(problem, params, args)
 
 
@@ -159,8 +161,7 @@ def cmd_generate(args) -> int:
             args.n, args.m, args.r, args.sparsity, args.s, args.seed
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, problem.name)
     instance_path = stem + ".dat-s"
@@ -178,16 +179,14 @@ def cmd_maxcut(args) -> int:
         graph = problems.load_gset(args.input)
         problem = problems.build_maxcut_sdp(graph, sense=args.sense)
     except (OSError, problems.ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     try:
         params = _params_from_args(args)
         if params.rank is None and not params.predict_rank:
             params.rank = max(1, int(round(np.sqrt(2.0 * problem.n))))
         params.validate()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     return _run_solver(problem, params, args)
 
 
@@ -196,34 +195,36 @@ def cmd_check(args) -> int:
         problem = _load_instance(args.input)
         with open(args.solution, encoding="utf-8") as fh:
             sol = json.load(fh)
-    except (OSError, problems.ParseError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    y = np.asarray(sol.get("y", sol.get("y_star")), dtype=np.float64)
-    if y.ndim != 1 or y.size != problem.m:
-        print(f"error: solution y has size {y.size}, expected {problem.m}",
-              file=sys.stderr)
-        return 1
+    except (OSError, problems.ParseError) as exc:
+        return _error(exc)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return _error(f"{args.solution}: invalid JSON: {exc}")
+    if not isinstance(sol, dict):
+        return _error(f"{args.solution}: solution is not a JSON object")
+    try:
+        y = np.asarray(sol.get("y", sol.get("y_star")), dtype=np.float64)
+        x = sol.get("X")
+        x = None if x is None else np.asarray(x, dtype=np.float64)
+        au = sol.get("objective_primal", sol.get("planted_objective"))
+        au = None if au is None else float(au)
+    except (TypeError, ValueError) as exc:
+        return _error(f"{args.solution}: non-numeric solution field: {exc}")
+    if y.ndim != 1 or y.size != problem.m or not np.all(np.isfinite(y)):
+        return _error(f"solution y must be a finite vector of size {problem.m}")
     _, lam_max, _, _ = solver.penalty_eval(problem, y, 1, rho=1.0)
     delta4 = max(lam_max, 0.0)
     by = float(problem.b @ y)
     doc = {"delta4": delta4}
     deltas = [delta4]
-    x = sol.get("X")
     if x is not None:
-        x = np.asarray(x, dtype=np.float64)
         if x.shape != (problem.n, problem.n):
-            print(f"error: solution X has shape {x.shape}, expected "
-                  f"({problem.n}, {problem.n})", file=sys.stderr)
-            return 1
-        from .linalg import apply_A
+            return _error(f"solution X has shape {x.shape}, expected "
+                          f"({problem.n}, {problem.n})")
         resid = apply_A(problem.op, x) - problem.b
         doc["delta1"] = float(np.linalg.norm(resid)) \
             / (1.0 + float(np.linalg.norm(problem.b)))
         deltas.append(doc["delta1"])
-    primal_obj = sol.get("objective_primal", sol.get("planted_objective"))
-    if primal_obj is not None:
-        au = float(primal_obj)
+    if au is not None:
         delta5 = abs(au - by) / (1.0 + abs(au) + abs(by))
         doc["delta5"] = delta5
         deltas.append(delta5)

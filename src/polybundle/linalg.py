@@ -99,7 +99,7 @@ class SymMatrix:
         object.__setattr__(self, "vals", vals[order])
 
     @classmethod
-    def from_dense(cls, a: np.ndarray, keep_zeros: bool = False) -> "SymMatrix":
+    def from_dense(cls, a: np.ndarray) -> "SymMatrix":
         a = np.asarray(a, dtype=np.float64)
         n = a.shape[0]
         if a.shape != (n, n):
@@ -109,10 +109,13 @@ class SymMatrix:
                 raise ValueError("matrix is not symmetric")
         rows, cols, _ = svec_indices(n)
         vals = a[rows, cols]
-        if not keep_zeros:
-            nz = vals != 0.0
-            rows, cols, vals = rows[nz], cols[nz], vals[nz]
-        return cls(n, rows.copy(), cols.copy(), vals)
+        nz = vals != 0.0
+        return cls(n, rows[nz], cols[nz], vals[nz])
+
+    @classmethod
+    def from_svec(cls, values: np.ndarray) -> "SymMatrix":
+        """The nonzero entries of a scaled svec array, with no svec companion."""
+        return cls(*_svec_entries(np.asarray(values, dtype=np.float64)))
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
@@ -121,11 +124,7 @@ class SymMatrix:
         return a
 
     def to_csr(self) -> sp.csr_matrix:
-        off = self.rows != self.cols
-        r = np.concatenate([self.rows, self.cols[off]])
-        c = np.concatenate([self.cols, self.rows[off]])
-        v = np.concatenate([self.vals, self.vals[off]])
-        return sp.csr_matrix((v, (r, c)), shape=(self.n, self.n))
+        return _mirror_csr(self.n, self.rows, self.cols, self.vals)
 
     @property
     def nnz(self) -> int:
@@ -153,10 +152,6 @@ class SvecVector:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "n", tri_order(values.size))
 
-    @property
-    def dim(self) -> int:
-        return self.values.size
-
 
 def svec(m: SymMatrix | np.ndarray) -> SvecVector:
     """Column-wise lower-triangle stacking with sqrt(2) on off-diagonals."""
@@ -164,12 +159,9 @@ def svec(m: SymMatrix | np.ndarray) -> SvecVector:
         if m.svec_cache is not None:
             return SvecVector(m.svec_cache.copy())
         _, _, scale = svec_indices(m.n)
-        out = np.zeros(tri_dim(m.n))
         raw = np.zeros(tri_dim(m.n))
-        pos = svec_position(m.n, m.rows, m.cols)
-        raw[pos] = m.vals
-        out[pos] = m.vals * scale[pos]
-        return SvecVector(out, raw=raw)
+        raw[svec_position(m.n, m.rows, m.cols)] = m.vals
+        return SvecVector(raw * scale, raw=raw)
     a = np.asarray(m, dtype=np.float64)
     rows, cols, scale = svec_indices(a.shape[0])
     raw = a[rows, cols]
@@ -182,12 +174,7 @@ def smat(v: SvecVector | np.ndarray) -> SymMatrix:
         values, raw = v.values, v.raw
     else:
         values, raw = np.atleast_1d(np.asarray(v, dtype=np.float64)), None
-    n = tri_order(values.size)
-    rows, cols, scale = svec_indices(n)
-    entries = raw if raw is not None else values / scale
-    nz = entries != 0.0
-    return SymMatrix(n, rows[nz].copy(), cols[nz].copy(), entries[nz],
-                     svec_cache=values.copy())
+    return SymMatrix(*_svec_entries(values, raw), svec_cache=values.copy())
 
 
 def smat_dense(values: np.ndarray) -> np.ndarray:
@@ -200,6 +187,38 @@ def smat_dense(values: np.ndarray) -> np.ndarray:
     a[rows, cols] = entries
     a[cols, rows] = entries
     return a
+
+
+def smat_csr(values: np.ndarray) -> sp.csr_matrix:
+    """Sparse n x n matrix (both triangles) from a scaled svec array."""
+    return _mirror_csr(*_svec_entries(np.asarray(values, dtype=np.float64)))
+
+
+def svec_rank_one(p: np.ndarray) -> np.ndarray:
+    """Column i is svec(p_i p_i') for column p_i of the n x l matrix p."""
+    rows, cols, scale = svec_indices(p.shape[0])
+    return p[rows, :] * p[cols, :] * scale[:, None]
+
+
+def _svec_entries(values: np.ndarray, raw: np.ndarray | None = None):
+    """(n, rows, cols, vals): the nonzero lower-triangle entries of a scaled
+    svec array, unscaled exactly through ``raw`` when it is given."""
+    n = tri_order(values.size)
+    rows, cols, scale = svec_indices(n)
+    entries = raw if raw is not None else values / scale
+    nz = entries != 0.0
+    return n, rows[nz], cols[nz], entries[nz]
+
+
+def _mirror_csr(n: int, rows: np.ndarray, cols: np.ndarray,
+                vals: np.ndarray) -> sp.csr_matrix:
+    """Symmetric CSR matrix from lower-triangle coordinates."""
+    off = rows != cols
+    return sp.csr_matrix(
+        (np.concatenate([vals, vals[off]]),
+         (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]))),
+        shape=(n, n),
+    )
 
 
 @dataclass(frozen=True)
@@ -219,22 +238,39 @@ class ConstraintOperator:
             raise ValueError("avec shape does not match (n, m)")
 
     @classmethod
+    def from_entries(cls, n: int, m: int, k, rows, cols, vals) -> "ConstraintOperator":
+        """Operator whose A_{k+1} has the entry vals at (rows, cols), row >= col.
+
+        Repeated (k, row, col) entries are summed.
+        """
+        _, _, scale = svec_indices(n)
+        pos = svec_position(n, rows, cols)
+        avec = sp.csc_matrix((vals * scale[pos], (pos, k)), shape=(tri_dim(n), m))
+        return cls(n, m, avec)
+
+    @classmethod
     def from_matrices(cls, n: int, mats) -> "ConstraintOperator":
-        cols = []
-        for a in mats:
-            if isinstance(a, SymMatrix):
-                if a.n != n:
-                    raise ValueError("constraint matrix dimension mismatch")
-                _, _, scale = svec_indices(n)
-                pos = svec_position(n, a.rows, a.cols)
-                col = sp.csc_matrix(
-                    (a.vals * scale[pos], (pos, np.zeros(pos.size, dtype=np.int64))),
-                    shape=(tri_dim(n), 1),
-                )
-            else:
-                col = sp.csc_matrix(svec(a).values.reshape(-1, 1))
-            cols.append(col)
-        return cls(n, len(cols), sp.hstack(cols, format="csc"))
+        mats = [a if isinstance(a, SymMatrix) else SymMatrix.from_dense(a) for a in mats]
+        if any(a.n != n for a in mats):
+            raise ValueError("constraint matrix dimension mismatch")
+        k = np.repeat(np.arange(len(mats)), [a.nnz for a in mats])
+        rows, cols, vals = (np.concatenate([getattr(a, f) for a in mats])
+                            for f in ("rows", "cols", "vals"))
+        return cls.from_entries(n, len(mats), k, rows, cols, vals)
+
+    def entries(self):
+        """(k, rows, cols, vals) with A_{k+1}[rows, cols] = vals, row >= col.
+
+        Sorted by constraint and svec position, repeats summed, values
+        unscaled; entries that are zero after unscaling are left out.
+        """
+        a = self.avec.T.tocoo()
+        a.sum_duplicates()
+        rows, cols, scale = svec_indices(self.n)
+        vals = a.data / scale[a.col]
+        keep = vals != 0.0
+        pos = a.col[keep]
+        return a.row[keep], rows[pos], cols[pos], vals[keep]
 
     def constraint_matrix(self, i: int) -> SymMatrix:
         return smat(np.asarray(self.avec[:, i].todense()).ravel())
@@ -271,18 +307,10 @@ def apply_A(op: ConstraintOperator, x) -> np.ndarray:
 
 def apply_At(op: ConstraintOperator, y: np.ndarray) -> SymMatrix:
     """Adjoint A^T y = sum_i y_i A_i as a SymMatrix."""
-    return smat(apply_At_svec(op, y))
-
-
-def apply_At_svec(op: ConstraintOperator, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.size != op.m:
         raise ValueError("dimension mismatch in apply_At")
-    return op.avec @ y
-
-
-def apply_At_dense(op: ConstraintOperator, y: np.ndarray) -> np.ndarray:
-    return smat_dense(apply_At_svec(op, y))
+    return smat(op.avec @ y)
 
 
 @dataclass(frozen=True)
@@ -294,8 +322,6 @@ class EigenResult:
 
 
 def _as_operator(s):
-    if isinstance(s, SymMatrix):
-        return s.to_csr(), s.n
     if sp.issparse(s):
         return s.tocsr(), s.shape[0]
     a = np.asarray(s, dtype=np.float64)

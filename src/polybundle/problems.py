@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linalg import (
     ConstraintOperator,
@@ -147,33 +146,23 @@ def generate_random_sdp(n: int, m: int, r: int, sparsity: float, s: float,
     kappa_x = float(shifted[-1] / shifted[n - r])
     kappa_s = float(shifted[n - r - 1] / shifted[0])
 
-    nt = tri_dim(n)
-    all_rows, all_cols, scale = svec_indices(n)
-    a_cols_idx = []
-    a_cols_val = []
-    for _ in range(m):
+    entries = []  # (k, rows, cols, vals) of each A_{k+1}
+    for k in range(m):
         ar, ac, av = _sparse_symmetric_lower(rng, n, sparsity,
                                              ensure_nonzero=True)
         diag = ar == ac
         ndiag = int(np.count_nonzero(diag))
         if ndiag > 0:
-            av = av.copy()
             av[diag] -= av[diag].sum() / ndiag
-        pos = svec_position(n, ar, ac)
-        a_cols_idx.append(pos)
-        a_cols_val.append(s * av * scale[pos])
-    indptr = np.concatenate([[0], np.cumsum([p.size for p in a_cols_idx])])
-    avec = sp.csc_matrix(
-        (np.concatenate(a_cols_val), np.concatenate(a_cols_idx), indptr),
-        shape=(nt, m),
-    )
-    op = ConstraintOperator(n=n, m=m, avec=avec)
+        entries.append((np.full(ar.size, k), ar, ac, s * av))
+    k, rows, cols, vals = map(np.concatenate, zip(*entries))
+    del entries  # a second copy of every entry would set the generator's peak memory
+    op = ConstraintOperator.from_entries(n, m, k, rows, cols, vals)
 
     y_star = rng.standard_normal(m)
     s_star = SymMatrix.from_dense(s_star_dense)
     x_star = SymMatrix.from_dense(x_star_dense)
-    cvec = svec(s_star).values + avec @ y_star
-    c = _symmatrix_from_svec_values(n, cvec)
+    c = SymMatrix.from_svec(svec(s_star).values + op.avec @ y_star)
     b = apply_A(op, x_star)
 
     problem = SdpProblem(
@@ -184,13 +173,6 @@ def generate_random_sdp(n: int, m: int, r: int, sparsity: float, s: float,
     planted = PlantedSolution(X_star=x_star, y_star=y_star, S_star=s_star,
                               kappa_X=kappa_x, kappa_S=kappa_s)
     return problem, planted
-
-
-def _symmatrix_from_svec_values(n: int, values: np.ndarray) -> SymMatrix:
-    rows, cols, scale = svec_indices(n)
-    entries = values / scale
-    nz = entries != 0.0
-    return SymMatrix(n=n, rows=rows[nz], cols=cols[nz], vals=entries[nz])
 
 
 def build_maxcut_sdp(g: GraphInstance, sense: str = "paper") -> SdpProblem:
@@ -221,11 +203,8 @@ def build_maxcut_sdp(g: GraphInstance, sense: str = "paper") -> SdpProblem:
         cols=np.asarray(lcols, dtype=np.int64)[keep],
         vals=vals[keep],
     )
-    diag_pos = svec_position(n, np.arange(n), np.arange(n))
-    avec = sp.csc_matrix(
-        (np.ones(n), diag_pos, np.arange(n + 1)), shape=(tri_dim(n), n)
-    )
-    op = ConstraintOperator(n=n, m=n, avec=avec)
+    diag = np.arange(n)
+    op = ConstraintOperator.from_entries(n, n, diag, diag, diag, np.ones(n))
     return SdpProblem(n=n, m=n, C=c, op=op, b=np.ones(n),
                       name=f"maxcut-n{n}-{sense}", known_trace=float(n))
 
@@ -279,16 +258,12 @@ _SKIP = re.compile(r'\s*(["*]|$)').match  # blank and comment lines
 
 def write_sdpa(problem: SdpProblem, path: str):
     """Write a single-block SDPA sparse file; roundtrips bit-for-bit."""
-    c, a = problem.C, problem.op.avec.T.tocoo()
-    a.sum_duplicates()  # sorted, repeats summed: the columns constraint_matrix gives
-    rows, cols, scale = svec_indices(problem.n)
-    vals = a.data / scale[a.col]
-    keep = vals != 0.0  # the entries smat keeps
-    matno = np.concatenate([np.zeros(c.nnz, dtype=np.int64), a.row[keep] + 1])
-    pos = np.concatenate([svec_position(problem.n, c.rows, c.cols), a.col[keep]])
-    vals = np.concatenate([c.vals, vals[keep]])
+    c = problem.C
+    k, rows, cols, vals = problem.op.entries()
+    matno = np.concatenate([np.zeros(c.nnz, dtype=np.int64), k + 1])
+    vals = np.concatenate([c.vals, vals])
     # stored lower triangle (row >= col) -> 1-based upper triangle (i <= j)
-    i, j = cols[pos] + 1, rows[pos] + 1
+    i, j = np.concatenate([c.cols, cols]) + 1, np.concatenate([c.rows, rows]) + 1
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('"single-block SDPA sparse; matno 0 is C of min <C,X>, A(X)=b, X>=0\n'
                  f"{problem.m}\n1\n{problem.n}\n" + " ".join(map(repr, problem.b.tolist())) + "\n")
@@ -343,6 +318,7 @@ def load_sdpa(path: str) -> SdpProblem:
         raise ParseError(f"{path}: not UTF-8 text") from exc
 
     matno, blkno, i, j, val = (np.concatenate([p[f] for p in parts]) for f in _ENTRY.names)
+    del parts  # a second copy of every entry would set the reader's peak memory
     row, col = np.maximum(i, j) - 1, np.minimum(i, j) - 1
     pos = svec_position(n, row, col)
     key = matno * tri_dim(n) + pos
@@ -364,11 +340,9 @@ def load_sdpa(path: str) -> SdpProblem:
         raise fail(4 + int(np.argmin(np.isfinite(val))), "non-finite entry value")
 
     a = matno > 0
-    _, _, scale = svec_indices(n)
-    avec = sp.csc_matrix((val[a] * scale[pos[a]], (pos[a], matno[a] - 1)), shape=(tri_dim(n), m))
+    op = ConstraintOperator.from_entries(n, m, matno[a] - 1, row[a], col[a], val[a])
     return SdpProblem(n=n, m=m, C=SymMatrix(n=n, rows=row[~a], cols=col[~a], vals=val[~a]),
-                      op=ConstraintOperator(n=n, m=m, avec=avec), b=b,
-                      name=os.path.splitext(os.path.basename(path))[0])
+                      op=op, b=b, name=os.path.splitext(os.path.basename(path))[0])
 
 
 def write_manifest(path: str, problem: SdpProblem, planted: PlantedSolution,
@@ -402,18 +376,29 @@ def load_manifest(path: str) -> tuple[SdpProblem, dict]:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ParseError(f"{path}: invalid JSON manifest") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: manifest is not a JSON object")
     for key in ("instance", "n", "m", "r"):
         if key not in doc:
             raise ParseError(f"{path}: manifest missing field {key!r}")
-    inst = os.path.join(os.path.dirname(os.path.abspath(path)), doc["instance"])
+    try:
+        inst = os.path.join(os.path.dirname(os.path.abspath(path)), doc["instance"])
+        if "\0" in inst:
+            raise ValueError("instance file name holds a NUL character")
+        rank = int(doc["r"])
+        trace_x = None if doc.get("trace_X") is None else float(doc["trace_X"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: bad manifest field: {exc}") from exc
+    if trace_x is not None and not np.isfinite(trace_x):
+        raise ParseError(f"{path}: manifest field 'trace_X' is not finite")
     problem = load_sdpa(inst)
     if problem.n != doc["n"] or problem.m != doc["m"]:
         raise ParseError(f"{path}: manifest dimensions do not match instance")
-    problem.known_rank = int(doc["r"])
-    if doc.get("trace_X") is not None:
-        problem.known_trace = float(doc["trace_X"])
+    problem.known_rank = rank
+    if trace_x is not None:
+        problem.known_trace = trace_x
     if doc.get("name"):
         problem.name = doc["name"]
     return problem, doc

@@ -11,18 +11,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import bundle as bundle_mod
 from . import qp as qp_mod
 from .bundle import BundleState, model_eval, pvec_generate, select_aggregation
-from .linalg import (
-    DENSE_EIG_CUTOFF,
-    SymMatrix,
-    extreme_eigs,
-    smat_dense,
-    svec_indices,
-)
+from .linalg import DENSE_EIG_CUTOFF, SymMatrix, extreme_eigs, smat_csr, smat_dense
 from .problems import SdpProblem
 
 STATUS_CONVERGED = "Converged"
@@ -137,7 +130,6 @@ class IterationInfo:
 class SolveResult:
     status: str
     y: np.ndarray
-    S: SymMatrix
     u: np.ndarray
     objective_dual: float
     objective_primal: float
@@ -160,18 +152,7 @@ class SolveResult:
 def dual_slack(problem: SdpProblem, y: np.ndarray):
     """S = C - A'y, dense for small n, sparse CSR above the dense cutoff."""
     svals = problem.cvec - problem.op.avec @ y
-    if problem.n <= DENSE_EIG_CUTOFF:
-        return smat_dense(svals)
-    rows, cols, scale = svec_indices(problem.n)
-    entries = svals / scale
-    nz = entries != 0.0
-    r, c, v = rows[nz], cols[nz], entries[nz]
-    off = r != c
-    return sp.csr_matrix(
-        (np.concatenate([v, v[off]]),
-         (np.concatenate([r, c[off]]), np.concatenate([c, r[off]]))),
-        shape=(problem.n, problem.n),
-    )
+    return smat_dense(svals) if problem.n <= DENSE_EIG_CUTOFF else smat_csr(svals)
 
 
 def penalty_eval(problem: SdpProblem, y: np.ndarray, r: int, rho: float,
@@ -325,7 +306,8 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                                      xi=params.xi, rho=rho)
         try:
             sol = qp_mod.solve_subproblem(data, warm_start=warm)
-        except qp_mod.SingularSubproblem:
+        except (qp_mod.SingularSubproblem, qp_mod.NonConvergence,
+                np.linalg.LinAlgError):
             status = STATUS_SUBPROBLEM_FAILURE
             break
         u, z, solved_on = sol.u, sol.z, bundle
@@ -374,11 +356,10 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
             break
 
     wall = time.perf_counter() - start
-    s_final = SymMatrix.from_dense(smat_dense(problem.cvec - problem.op.avec @ y))
     # u and its primal quantities refer to the bundle u was solved on
     failed = status == STATUS_SUBPROBLEM_FAILURE
     return SolveResult(
-        status=status, y=y, S=s_final, u=u,
+        status=status, y=y, u=u,
         objective_dual=float(b @ y),
         objective_primal=(float("nan") if failed
                           else float(solved_on.model_arrays()[0] @ u)),

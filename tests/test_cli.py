@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import polybundle
+from polybundle import qp
 from polybundle.cli import main
 
 
@@ -106,6 +107,28 @@ class TestSolve:
         assert lines[0].startswith("k,step_type,F_y")
         assert len(lines) > 1
 
+    @pytest.mark.parametrize("exc", [
+        qp.NonConvergence("active-set iteration cap exceeded", np.zeros(1), 1.0),
+        np.linalg.LinAlgError("matrix not positive definite"),
+    ], ids=["non-convergence", "lin-alg-error"])
+    def test_qp_failure_exit_3(self, generated, capsys, monkeypatch, exc):
+        _, man = generated
+        k, real = 3, qp.solve_subproblem
+        calls = []
+
+        def failing(data, warm_start=None):
+            calls.append(1)
+            if len(calls) == k:
+                raise exc
+            return real(data, warm_start=warm_start)
+
+        monkeypatch.setattr(qp, "solve_subproblem", failing)
+        code = main(["solve", str(man)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert report["status"] == "SubproblemFailure"
+        assert report["iterations"] == k - 1
+
     def test_solve_raw_sdpa_needs_rank(self, generated, tmp_path, capsys):
         dat, _ = generated
         # raw .dat-s has no metadata: rank and rho must come from flags
@@ -165,6 +188,19 @@ class TestMaxcutCommand:
         assert code == 1
 
 
+def run_cli(*args):
+    """The CLI in a fresh interpreter, so that a traceback shows on stderr."""
+    return subprocess.run(
+        [sys.executable, "-m", "polybundle.cli", *map(str, args)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(polybundle.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])},
+    )
+
+
+TINY_SDPA = b"1\n1\n2\n1.0\n1 1 1 1 1.0\n"
+
+
 class TestMalformedSdpa:
     @pytest.mark.parametrize("content", [
         b"1\n1\n2\n1.0\n1 1 1 1 nan\n",
@@ -175,12 +211,49 @@ class TestMalformedSdpa:
     def test_solve_exit_1_without_traceback(self, tmp_path, content):
         path = tmp_path / "bad.dat-s"
         path.write_bytes(content)
-        proc = subprocess.run(
-            [sys.executable, "-m", "polybundle.cli", "solve", str(path), "--rank", "1"],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                [str(Path(polybundle.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])},
-        )
+        proc = run_cli("solve", path, "--rank", "1")
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: {path}")
+        assert "Traceback" not in proc.stderr
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("content", [
+        b'{"instance": "tiny.dat-s", "n": 2, "m": 1, "r": "abc"}',
+        b'{"instance": "tiny.dat-s", "n": 2, "m": 1, "r": 1}\xff',
+        b'{"instance": "tiny.dat-s", "n": 2, "m": 1, "r": 1, "trace_X": "x"}',
+        b'{"instance": "tiny.dat-s", "n": 2, "m": 1, "r": 1, "trace_X": NaN}',
+        b'{"instance": 5, "n": 2, "m": 1, "r": 1}',
+        b'{"instance": "tiny.dat-s\\u0000", "n": 2, "m": 1, "r": 1}',
+        b'["tiny.dat-s", 2, 1, 1]',
+    ], ids=["rank-not-int", "not-utf8", "trace-not-float", "trace-nan",
+            "instance-not-str", "instance-nul", "json-list"])
+    def test_solve_exit_1_without_traceback(self, tmp_path, content):
+        (tmp_path / "tiny.dat-s").write_bytes(TINY_SDPA)
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        proc = run_cli("solve", path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {path}")
+        assert "Traceback" not in proc.stderr
+
+
+class TestMalformedSolution:
+    @pytest.mark.parametrize("content", [
+        b'{"y": "abc"}',
+        b'[1.0]',
+        b'{"y": [1.0]}\xff',
+        b'{"y": [NaN]}',
+        b'{"y": [1.0], "X": [["a", "b"], ["c", "d"]]}',
+        b'{"y": [1.0], "objective_primal": "x"}',
+    ], ids=["y-not-numeric", "json-list", "not-utf8", "y-nan", "X-not-numeric",
+            "objective-not-numeric"])
+    def test_check_exit_1_without_traceback(self, tmp_path, content):
+        instance = tmp_path / "tiny.dat-s"
+        instance.write_bytes(TINY_SDPA)
+        path = tmp_path / "sol.json"
+        path.write_bytes(content)
+        proc = run_cli("check", instance, path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr

@@ -1,8 +1,13 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no function
+assigns a local it never reads.
 
-A stand-in for a linter's unused-import rule: a name bound by an import
-counts as used when it appears anywhere in the module as a bare name or the
-root of an attribute chain, or is listed in ``__all__``.
+Stand-ins for a linter's unused-import and unused-variable rules.  A name
+bound by an import counts as used when it appears anywhere in the module as
+a bare name or the root of an attribute chain, or is listed in ``__all__``.
+A name a function binds (by assignment, a loop, ``with``, ``except ... as``
+or a walrus) counts as read when any code in the function, nested functions
+included, loads it; names starting with ``_`` and names declared ``global``
+or ``nonlocal`` are exempt.
 """
 
 import ast
@@ -32,6 +37,25 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def unused_locals(source: str) -> list[str]:
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        nodes = list(ast.walk(fn))
+        exempt = {name for n in nodes if isinstance(n, (ast.Global, ast.Nonlocal))
+                  for name in n.names}
+        read = {n.id for n in nodes
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        bound = [(n.lineno, n.id) for n in nodes
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        bound += [(n.lineno, n.name) for n in nodes
+                  if isinstance(n, ast.ExceptHandler) and n.name]
+        found.update((line, name) for line, name in bound
+                     if name not in read | exempt and not name.startswith("_"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -44,3 +68,31 @@ def test_checker_flags_unused_and_honours_all():
               "__all__ = ['smat']\n"
               "x = np.zeros(1)\n")
     assert unused_imports(source) == ["line 1: dataclass", "line 1: field"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text(encoding="utf-8")) == []
+
+
+def test_local_checker_flags_assigned_but_never_read():
+    source = ("def f(xs, g):\n"
+              "    a, b = g()\n"            # b is never read
+              "    _c, *rest = xs\n"        # _c exempt; rest never read
+              "    for i, x in enumerate(xs):\n"  # i never read
+              "        a += x\n"
+              "    try:\n"
+              "        g()\n"
+              "    except ValueError as exc:\n"  # exc never read
+              "        pass\n"
+              "    total = 0\n"
+              "    def inner():\n"
+              "        nonlocal total\n"
+              "        total += 1\n"
+              "        kept = (y := 2)\n"   # kept and y never read
+              "    if (n := len(xs)) > 1:\n"
+              "        return lambda: [k for k in range(n)]\n"
+              "    return a\n")
+    assert unused_locals(source) == [
+        "line 2: b", "line 3: rest", "line 4: i", "line 8: exc",
+        "line 14: kept", "line 14: y"]

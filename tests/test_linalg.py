@@ -7,7 +7,6 @@ from polybundle.linalg import (
     SymMatrix,
     apply_A,
     apply_At,
-    apply_At_dense,
     extreme_eigs,
     smat,
     smat_dense,
@@ -153,13 +152,6 @@ class TestConstraintOperator:
         for i, a in enumerate(mats):
             assert np.allclose(op.constraint_matrix(i).to_dense(),
                                a.to_dense(), atol=1e-14)
-
-    def test_apply_At_dense(self):
-        rng = np.random.default_rng(8)
-        op, mats = self.make_op(rng)
-        y = rng.standard_normal(4)
-        want = sum(y[i] * a.to_dense() for i, a in enumerate(mats))
-        assert np.allclose(apply_At_dense(op, y), want, atol=1e-12)
 
     def test_norm_estimate(self):
         rng = np.random.default_rng(9)

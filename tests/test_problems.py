@@ -1,3 +1,4 @@
+import hashlib
 import os
 import tempfile
 
@@ -83,6 +84,57 @@ class TestGenerator:
             generate_random_sdp(5, 5, 2, 0.0, 1.0, 0)
         with pytest.raises(ValueError):
             generate_random_sdp(5, 5, 2, 0.5, -1.0, 0)
+
+
+class TestOperatorEntries:
+    """The entry-based constraint builders against the operators they build."""
+
+    @pytest.fixture(params=["generated", "maxcut", "sdpa-loaded"])
+    def op(self, request, tmp_path):
+        if request.param == "maxcut":
+            rng = np.random.default_rng(4)
+            edges = [(i + 1, j + 1, float(rng.integers(1, 4))) for i in range(30)
+                     for j in range(i + 1, 30) if rng.random() < 0.2]
+            return build_maxcut_sdp(GraphInstance(30, edges)).op
+        problem, _ = generate_random_sdp(30, 25, 3, 0.1, 1.5, 12)
+        if request.param == "sdpa-loaded":
+            write_sdpa(problem, str(tmp_path / "p.dat-s"))
+            problem = load_sdpa(str(tmp_path / "p.dat-s"))
+        return problem.op
+
+    def test_entries_rebuild_avec_bit_for_bit(self, op):
+        # entries() leaves out stored zeros, as the SDPA writer does; the
+        # generator stores one where the trace-free shift zeroes the only
+        # diagonal entry of a constraint
+        want = op.avec.copy()
+        want.eliminate_zeros()
+        back = ConstraintOperator.from_entries(op.n, op.m, *op.entries()).avec
+        assert back.shape == want.shape
+        assert np.array_equal(bits(back.data), bits(want.data))
+        assert np.array_equal(back.indices, want.indices)
+        assert np.array_equal(back.indptr, want.indptr)
+
+    def test_entries_are_the_unscaled_lower_triangles(self, op):
+        k, rows, cols, vals = op.entries()
+        assert np.all(rows >= cols) and np.all(vals != 0.0)
+        for i in (0, op.m - 1):
+            want = op.constraint_matrix(i)
+            mine = k == i
+            assert np.array_equal(rows[mine], want.rows)
+            assert np.array_equal(cols[mine], want.cols)
+            assert np.array_equal(bits(vals[mine]), bits(want.vals))
+
+    def test_generated_avec_checksum(self):
+        # taken before the generator built avec through from_entries; the
+        # draws involve no LAPACK call, so the bits do not depend on the BLAS
+        avec = generate_random_sdp(30, 30, 3, 0.1, 1.0, 7)[0].op.avec
+        digest = hashlib.sha256()
+        for a in (avec.data.astype("<f8"), avec.indices.astype("<i8"),
+                  avec.indptr.astype("<i8")):
+            digest.update(a.tobytes())
+        assert avec.nnz == 1380
+        assert digest.hexdigest() == \
+            "26598696d63e3e73f65af9b77a2a328a3cdb0c1434f0f297bd1994153e7f6dad"
 
 
 class TestMaxcut:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from polybundle.linalg import apply_A, svec
+from polybundle import qp
+from polybundle.linalg import DENSE_EIG_CUTOFF, apply_A, smat_dense, svec
 from polybundle.problems import generate_random_sdp
 from polybundle.solver import (
     STATUS_CONVERGED,
@@ -80,6 +82,20 @@ class TestPenaltyEval:
         # S* is PSD so the penalty term vanishes exactly at y*
         assert lam_max <= 1e-9
         assert f == pytest.approx(-problem.b @ planted.y_star, abs=1e-8)
+
+
+class TestDualSlack:
+    def test_sparse_path_equals_csr_of_dense_slack(self):
+        n = 450
+        assert n > DENSE_EIG_CUTOFF
+        problem, _ = generate_random_sdp(n, 20, 3, 1e-2, 1.0, 5)
+        y = np.random.default_rng(0).standard_normal(problem.m)
+        s = dual_slack(problem, y)
+        want = sp.csr_matrix(smat_dense(problem.cvec - problem.op.avec @ y))
+        assert sp.issparse(s) and s.format == "csr" and s.shape == (n, n)
+        assert np.array_equal(s.data.view(np.uint64), want.data.view(np.uint64))
+        assert np.array_equal(s.indices, want.indices)
+        assert np.array_equal(s.indptr, want.indptr)
 
 
 class TestDescentDecision:
@@ -229,6 +245,28 @@ class TestSolveEndToEnd:
         problem, _ = generate_random_sdp(3, 3, 2, 0.5, 1.0, 0)
         res = solve(problem, SolverParams(xi=0.0, eps=1e-4, maxiter=500))
         assert res.status == STATUS_SUBPROBLEM_FAILURE
+
+    @pytest.mark.parametrize("exc", [
+        qp.NonConvergence("active-set iteration cap exceeded", np.zeros(1), 1.0),
+        np.linalg.LinAlgError("matrix not positive definite"),
+        qp.SingularSubproblem("degenerate simplex working set"),
+    ], ids=["non-convergence", "lin-alg-error", "singular"])
+    def test_qp_failure_ends_run_with_status(self, small_problem, monkeypatch, exc):
+        problem, _ = small_problem
+        k, centers, real = 4, [], qp.solve_subproblem
+
+        def failing(data, warm_start=None):
+            centers.append(data.y.copy())
+            if len(centers) == k:
+                raise exc
+            return real(data, warm_start=warm_start)
+
+        monkeypatch.setattr(qp, "solve_subproblem", failing)
+        res = solve(problem, SolverParams(eps=1e-14, maxiter=50))
+        assert res.status == STATUS_SUBPROBLEM_FAILURE
+        assert res.iterations == len(res.trace) == k - 1
+        assert np.array_equal(res.y, centers[-1])
+        assert np.isnan(res.objective_primal)
 
     def test_rho_required_without_known_trace(self, small_problem):
         problem, _ = small_problem
