@@ -11,6 +11,7 @@ from .bundle import (
 from .linalg import (
     ConstraintOperator,
     EigenConvergenceError,
+    SvecSupport,
     SymMatrix,
     SvecVector,
     apply_A,
@@ -54,7 +55,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BundleCapError", "BundleState", "aggregate_and_append", "model_eval",
     "pvec_generate", "select_aggregation", "ConstraintOperator",
-    "EigenConvergenceError", "SymMatrix", "SvecVector", "apply_A", "apply_At",
+    "EigenConvergenceError", "SvecSupport", "SymMatrix", "SvecVector",
+    "apply_A", "apply_At",
     "extreme_eigs", "smat", "svec", "GraphInstance", "ParseError",
     "PlantedSolution", "SdpProblem", "UnsupportedFormat", "build_maxcut_sdp",
     "generate_random_sdp", "load_gset", "load_manifest", "load_sdpa",

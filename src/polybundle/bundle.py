@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ConstraintOperator, svec_rank_one
+from .linalg import ConstraintOperator, SvecSupport
 
 UNIT_NORM_TOL = 1e-6
 
@@ -47,12 +47,14 @@ class BundleState:
         return a, b
 
 
-def pvec_generate(p: np.ndarray, op: ConstraintOperator, cvec: np.ndarray):
-    """svec the rank-one outer products of the columns of p.
+def pvec_generate(p: np.ndarray, op: ConstraintOperator, support: SvecSupport):
+    """Bundle columns of the rank-one matrices p_i p_i' for the columns of p.
 
-    Returns (Pvec, a, B) with Pvec[:, i] = svec(p_i p_i'), a = Pvec' cvec and
-    B = avec' Pvec.  The sparse avec product makes the cost nnz(avec)*l plus
-    the dense n^2 l of forming Pvec.
+    ``support`` is ``SvecSupport.of(op, cvec)``, taken once per solve.
+    Returns (Pvec, a, B) with Pvec[:, i] = svec(p_i p_i') at the support's
+    positions, a = Pvec' cvec = <C, p_i p_i'> and B = avec' Pvec =
+    A(p_i p_i').  The cost is the support size times l to form Pvec plus
+    nnz(avec)*l for B.
     """
     p = np.atleast_2d(np.asarray(p, dtype=np.float64))
     if p.ndim != 2:
@@ -60,9 +62,11 @@ def pvec_generate(p: np.ndarray, op: ConstraintOperator, cvec: np.ndarray):
     norms = np.linalg.norm(p, axis=0)
     if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
         raise ValueError("bundle columns must be unit-norm")
-    pvec = svec_rank_one(p)
-    a = pvec.T @ np.asarray(cvec, dtype=np.float64)
-    b = op.avec.T @ pvec
+    if support.avec.shape[1] != op.m:
+        raise ValueError("support was taken from another operator")
+    pvec = support.rank_one(p)
+    a = pvec.T @ support.cvec
+    b = support.avec.T @ pvec
     return pvec, a, np.asarray(b)
 
 

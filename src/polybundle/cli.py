@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import problems, solver
-from .linalg import EigenConvergenceError, apply_A
+from .linalg import apply_A
 
 
 def _error(message) -> int:
@@ -130,7 +130,7 @@ def _run_solver(problem, params, args) -> int:
         return _error("--trace requires --trace-out")
     try:
         result = solver.solve(problem, params)
-    except (ValueError, EigenConvergenceError) as exc:
+    except ValueError as exc:
         return _error(exc)
     if args.trace != "none":
         _write_trace(result.trace, args.trace, args.trace_out)
@@ -139,6 +139,8 @@ def _run_solver(problem, params, args) -> int:
         return 0
     if result.status == solver.STATUS_SUBPROBLEM_FAILURE:
         return 3
+    if result.status == solver.STATUS_EIGEN_FAILURE:
+        return 4
     return 2
 
 

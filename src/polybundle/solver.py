@@ -15,13 +15,22 @@ import numpy as np
 from . import bundle as bundle_mod
 from . import qp as qp_mod
 from .bundle import BundleState, model_eval, pvec_generate, select_aggregation
-from .linalg import DENSE_EIG_CUTOFF, SymMatrix, extreme_eigs, smat_csr, smat_dense
+from .linalg import (
+    DENSE_EIG_CUTOFF,
+    EigenConvergenceError,
+    SvecSupport,
+    SymMatrix,
+    extreme_eigs,
+    smat_csr,
+    smat_dense,
+)
 from .problems import SdpProblem
 
 STATUS_CONVERGED = "Converged"
 STATUS_ITER_LIMIT = "IterLimit"
 STATUS_TIME_LIMIT = "TimeLimit"
 STATUS_SUBPROBLEM_FAILURE = "SubproblemFailure"
+STATUS_EIGEN_FAILURE = "EigenFailure"
 
 LMAX_PRESETS = ("half", "sq", "2sq", "5sq")
 
@@ -290,74 +299,81 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
 
     b = problem.b
     start = time.perf_counter()
-    n_eigs = r_iter + 1 if params.predict_rank else r_iter
-    f_y, lam_max_y, v, _ = penalty_eval(problem, y, r_iter, rho, n_eigs)
-    _, a_new, b_new = pvec_generate(v, problem.op, problem.cvec)
-    bundle = solved_on = _fresh_bundle(problem, params, v, a_new, b_new)
-    u = np.zeros(1 + bundle.l)
+    support = SvecSupport.of(problem.op, problem.cvec)
+    u = np.zeros(1)
     t, nullcount, warm = params.t0, 0, None
     trace: list[IterationRecord] = []
     deltas = [np.inf] * 4
     status = STATUS_ITER_LIMIT
 
-    for k in range(1, params.maxiter + 1):
-        a, b_mat = bundle.model_arrays()
-        data = qp_mod.SubproblemData(B=b_mat, a=a, y=y, b=b, t=t,
-                                     xi=params.xi, rho=rho)
-        try:
-            sol = qp_mod.solve_subproblem(data, warm_start=warm)
-        except (qp_mod.SingularSubproblem, qp_mod.NonConvergence,
-                np.linalg.LinAlgError):
-            status = STATUS_SUBPROBLEM_FAILURE
-            break
-        u, z, solved_on = sol.u, sol.z, bundle
-        model_z = model_eval(z, a, b_mat, rho, b)
-        f_z, lam_max_z, v_new, eigs_z, a_new, b_new = _oracle(
-            problem, z, r_iter, rho, pred is not None and pred.active)
-        bundle, warm = _update_bundle(bundle, sol, v_new, a_new, b_new,
-                                      r_iter, l_max, params)
+    try:
+        n_eigs = r_iter + 1 if params.predict_rank else r_iter
+        f_y, lam_max_y, v, _ = penalty_eval(problem, y, r_iter, rho, n_eigs)
+        _, a_new, b_new = pvec_generate(v, problem.op, support)
+        bundle = solved_on = _fresh_bundle(problem, params, v, a_new, b_new)
+        u = np.zeros(1 + bundle.l)
+        for k in range(1, params.maxiter + 1):
+            a, b_mat = bundle.model_arrays()
+            data = qp_mod.SubproblemData(B=b_mat, a=a, y=y, b=b, t=t,
+                                         xi=params.xi, rho=rho)
+            try:
+                sol = qp_mod.solve_subproblem(data, warm_start=warm)
+            except (qp_mod.SingularSubproblem, qp_mod.NonConvergence,
+                    np.linalg.LinAlgError):
+                status = STATUS_SUBPROBLEM_FAILURE
+                break
+            u, z, solved_on = sol.u, sol.z, bundle
+            model_z = model_eval(z, a, b_mat, rho, b)
+            f_z, lam_max_z, v_new, eigs_z, a_new, b_new = _oracle(
+                problem, support, z, r_iter, rho, pred is not None and pred.active)
+            bundle, warm = _update_bundle(bundle, sol, v_new, a_new, b_new,
+                                          r_iter, l_max, params)
 
-        # the descent test moves the center; F_y stays the pre-step value
-        # for the termination test and the trace
-        accept, t, nullcount = descent_decision(f_y, f_z, model_z, t,
-                                                nullcount, params)
-        if accept:
-            y, lam_max_y = z, lam_max_z
-        *deltas, done = termination_check(b, u, a, b_mat, y, -lam_max_y, f_y,
-                                          model_z, params.eps)
-        elapsed = time.perf_counter() - start
-        trace.append(IterationRecord(
-            k=k, step_type="descent" if accept else "null", F_y=f_y, F_z=f_z,
-            model_value=model_z, delta_pred=f_y - model_z,
-            delta_true=f_y - f_z, t=t, l=bundle.l, delta1=deltas[0],
-            delta4=deltas[1], delta5=deltas[2], delta6=deltas[3],
-            eig_min_S=-lam_max_z, elapsed_secs=elapsed))
-        if callback is not None:
-            a_post, b_post = bundle.model_arrays()
-            callback(IterationInfo(
-                y=data.y, z=z, t=data.t, a_post=a_post, B_post=b_post, F_z=f_z,
-                model_z=model_z, lam_max_z=lam_max_z, v_min=v_new[:, 0]))
-        if accept:
-            f_y = f_z
-        if done:
-            status = STATUS_CONVERGED
-            break
-        if pred is not None and pred.active:
-            finalize, r_pred = rank_predict_step(bundle.P, eigs_z, pred)
-            if finalize:  # restart at the candidate with the predicted rank
-                y, f_y, lam_max_y = z, f_z, lam_max_z
-                t = max(0.5 * t, params.t_min)
-                r_iter, l_max = r_pred, lmax_from_policy(params.l_max, r_pred)
-                bundle = _fresh_bundle(problem, params, v_new[:, :r_pred],
-                                       a_new[:r_pred], b_new[:, :r_pred])
-                warm = None
-        if params.time_limit_secs is not None and elapsed > params.time_limit_secs:
-            status = STATUS_TIME_LIMIT
-            break
+            # the descent test moves the center; F_y stays the pre-step value
+            # for the termination test and the trace
+            accept, t, nullcount = descent_decision(f_y, f_z, model_z, t,
+                                                    nullcount, params)
+            if accept:
+                y, lam_max_y = z, lam_max_z
+            *deltas, done = termination_check(b, u, a, b_mat, y, -lam_max_y, f_y,
+                                              model_z, params.eps)
+            elapsed = time.perf_counter() - start
+            trace.append(IterationRecord(
+                k=k, step_type="descent" if accept else "null", F_y=f_y, F_z=f_z,
+                model_value=model_z, delta_pred=f_y - model_z,
+                delta_true=f_y - f_z, t=t, l=bundle.l, delta1=deltas[0],
+                delta4=deltas[1], delta5=deltas[2], delta6=deltas[3],
+                eig_min_S=-lam_max_z, elapsed_secs=elapsed))
+            if callback is not None:
+                a_post, b_post = bundle.model_arrays()
+                callback(IterationInfo(
+                    y=data.y, z=z, t=data.t, a_post=a_post, B_post=b_post, F_z=f_z,
+                    model_z=model_z, lam_max_z=lam_max_z, v_min=v_new[:, 0]))
+            if accept:
+                f_y = f_z
+            if done:
+                status = STATUS_CONVERGED
+                break
+            if pred is not None and pred.active:
+                finalize, r_pred = rank_predict_step(bundle.P, eigs_z, pred)
+                if finalize:  # restart at the candidate with the predicted rank
+                    y, f_y, lam_max_y = z, f_z, lam_max_z
+                    t = max(0.5 * t, params.t_min)
+                    r_iter, l_max = r_pred, lmax_from_policy(params.l_max, r_pred)
+                    bundle = _fresh_bundle(problem, params, v_new[:, :r_pred],
+                                           a_new[:r_pred], b_new[:, :r_pred])
+                    warm = None
+            if params.time_limit_secs is not None and elapsed > params.time_limit_secs:
+                status = STATUS_TIME_LIMIT
+                break
+    except EigenConvergenceError:
+        # the eigensolve at the start or at a candidate failed; y is the
+        # last center and the trace ends with the last full iteration
+        status = STATUS_EIGEN_FAILURE
 
     wall = time.perf_counter() - start
     # u and its primal quantities refer to the bundle u was solved on
-    failed = status == STATUS_SUBPROBLEM_FAILURE
+    failed = status in (STATUS_SUBPROBLEM_FAILURE, STATUS_EIGEN_FAILURE)
     return SolveResult(
         status=status, y=y, u=u,
         objective_dual=float(b @ y),
@@ -395,8 +411,8 @@ def _rho_and_rank(problem: SdpProblem, params: SolverParams):
     return rho, r
 
 
-def _oracle(problem: SdpProblem, z: np.ndarray, r: int, rho: float,
-            extra_eig: bool):
+def _oracle(problem: SdpProblem, support: SvecSupport, z: np.ndarray, r: int,
+            rho: float, extra_eig: bool):
     """Penalty value at the candidate plus the bundle columns of its bottom
     r eigenvectors, rescaled to unit norm.
 
@@ -408,7 +424,7 @@ def _oracle(problem: SdpProblem, z: np.ndarray, r: int, rho: float,
                                        r + 1 if extra_eig else r)
     norms = np.linalg.norm(v, axis=0)
     v = v / np.where(norms == 0.0, 1.0, norms)
-    _, a, b_mat = pvec_generate(v, problem.op, problem.cvec)
+    _, a, b_mat = pvec_generate(v, problem.op, support)
     return f, lam_max, v, eigs, a, b_mat
 
 

@@ -9,7 +9,23 @@ from polybundle.bundle import (
     pvec_generate,
     select_aggregation,
 )
-from polybundle.linalg import ConstraintOperator, SymMatrix, svec
+from polybundle.linalg import (
+    ConstraintOperator,
+    SvecSupport,
+    SymMatrix,
+    svec,
+    svec_indices,
+    svec_rank_one,
+    svec_position,
+    tri_dim,
+)
+from polybundle.problems import (
+    GraphInstance,
+    build_maxcut_sdp,
+    generate_random_sdp,
+    load_sdpa,
+    write_sdpa,
+)
 
 
 def random_setup(rng, n=5, m=4, l=3):
@@ -32,7 +48,7 @@ class TestPvecGenerate:
         op = ConstraintOperator.from_matrices(2, [a1])
         c = np.array([[3.0, -1.0], [-1.0, 5.0]])
         p = np.array([[1.0], [0.0]])
-        pvec, a, b = pvec_generate(p, op, svec(c).values)
+        pvec, a, b = pvec_generate(p, op, SvecSupport.of(op, svec(c).values))
         assert np.allclose(pvec[:, 0], [1.0, 0.0, 0.0])
         assert a[0] == pytest.approx(3.0)
         assert b[0, 0] == pytest.approx(2.0)
@@ -43,13 +59,13 @@ class TestPvecGenerate:
             2, [SymMatrix.from_dense(np.eye(2))]
         )
         p = np.eye(2)
-        _, a, _ = pvec_generate(p, op, svec(c).values)
+        _, a, _ = pvec_generate(p, op, SvecSupport.of(op, svec(c).values))
         assert np.allclose(a, [4.0, 7.0])
 
     def test_matches_outer_product_oracle(self):
         rng = np.random.default_rng(0)
         op, c, cvec, p, mats = random_setup(rng)
-        pvec, a, b = pvec_generate(p, op, cvec)
+        pvec, a, b = pvec_generate(p, op, SvecSupport.of(op, cvec))
         for i in range(p.shape[1]):
             outer = np.outer(p[:, i], p[:, i])
             assert np.allclose(pvec[:, i], svec(outer).values, atol=1e-12)
@@ -61,7 +77,110 @@ class TestPvecGenerate:
         rng = np.random.default_rng(1)
         op, _, cvec, p, _ = random_setup(rng)
         with pytest.raises(ValueError, match="unit"):
-            pvec_generate(2.0 * p, op, cvec)
+            pvec_generate(2.0 * p, op, SvecSupport.of(op, cvec))
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def hand_built():
+    """C has entries outside every A_i, the A_i have entries outside C, and
+    A_2 stores an explicit zero at a position nothing else uses."""
+    n = 6
+    c = SymMatrix(n, [0, 3, 5], [0, 1, 4], [1.5, -2.0, 0.25])
+    op = ConstraintOperator.from_entries(
+        n, 2, np.array([0, 0, 1, 1, 1]), np.array([0, 2, 4, 1, 5]),
+        np.array([0, 2, 3, 0, 5]), np.array([1.0, -3.0, 0.5, 2.0, 0.0]))
+    return op, svec(c).values
+
+
+class TestSupportColumns:
+    """Column generation on the support against the dense svec_rank_one path."""
+
+    @pytest.fixture(params=["generated", "generated-full", "maxcut",
+                            "sdpa-loaded", "hand-built"])
+    def problem(self, request, tmp_path):
+        """(op, cvec, whether the support is every position)."""
+        if request.param == "hand-built":
+            return (*hand_built(), False)
+        if request.param == "maxcut":
+            rng = np.random.default_rng(4)
+            edges = [(i + 1, j + 1, float(rng.integers(1, 4))) for i in range(30)
+                     for j in range(i + 1, 30) if rng.random() < 0.2]
+            problem = build_maxcut_sdp(GraphInstance(30, edges))
+        elif request.param == "generated-full":
+            problem, _ = generate_random_sdp(30, 25, 3, 0.1, 1.5, 12)
+        else:
+            problem, _ = generate_random_sdp(40, 40, 3, 0.02, 1.0, 1)
+            if request.param == "sdpa-loaded":
+                write_sdpa(problem, str(tmp_path / "p.dat-s"))
+                problem = load_sdpa(str(tmp_path / "p.dat-s"))
+        return problem.op, problem.cvec, request.param == "generated-full"
+
+    @staticmethod
+    def columns(rng, n, l=4):
+        q, _ = np.linalg.qr(rng.standard_normal((n, l)))
+        return q
+
+    def test_support_is_every_position_c_or_some_a_i_uses(self, problem):
+        op, cvec, full = problem
+        support = SvecSupport.of(op, cvec)
+        assert isinstance(support.pos, slice) == full
+        # a stored zero counts as used
+        stored = np.isin(np.arange(tri_dim(op.n)), op.avec.tocoo().row)
+        want = np.flatnonzero((cvec != 0.0) | stored)
+        got = np.arange(tri_dim(op.n))[support.pos]
+        assert np.array_equal(got, want)
+        rows, cols, scale = svec_indices(op.n)
+        assert np.array_equal(support.rows, rows[want])
+        assert np.array_equal(support.cols, cols[want])
+        assert np.array_equal(support.scale, scale[want])
+        assert np.array_equal(support.cvec, cvec[want])
+        assert np.array_equal(support.avec.toarray(), op.avec.toarray()[want])
+
+    def test_matches_dense_pvec_path(self, problem):
+        op, cvec, _ = problem
+        support = SvecSupport.of(op, cvec)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            p = self.columns(rng, op.n)
+            want_pvec = svec_rank_one(p)
+            want_a = want_pvec.T @ cvec
+            want_b = np.asarray(op.avec.T @ want_pvec)
+            pvec, a, b = pvec_generate(p, op, support)
+            assert np.array_equal(bits(pvec), bits(want_pvec[support.pos]))
+            assert np.array_equal(bits(b), bits(want_b))
+            assert np.max(np.abs(a - want_a)) <= 1e-13 * np.max(np.abs(want_a))
+
+    def test_full_support_uses_the_arrays_as_they_are(self):
+        problem, _ = generate_random_sdp(30, 25, 3, 0.1, 1.5, 12)
+        op, cvec = problem.op, problem.cvec
+        support = SvecSupport.of(op, cvec)
+        assert support.pos == slice(None)
+        assert support.avec is op.avec and support.cvec is cvec
+        assert all(mine is full for mine, full in zip(
+            (support.rows, support.cols, support.scale), svec_indices(op.n)))
+        p = self.columns(np.random.default_rng(8), op.n)
+        pvec = svec_rank_one(p)
+        _, a, b = pvec_generate(p, op, support)
+        assert np.array_equal(bits(a), bits(pvec.T @ cvec))
+        assert np.array_equal(bits(b), bits(op.avec.T @ pvec))
+
+    def test_hand_built_support(self):
+        op, cvec = hand_built()
+        support = SvecSupport.of(op, cvec)
+        want = svec_position(6, np.array([0, 1, 2, 3, 4, 5, 5]),
+                             np.array([0, 0, 2, 1, 3, 4, 5]))
+        assert np.array_equal(support.pos, np.sort(want))
+
+    def test_rejects_support_of_another_operator(self):
+        op, cvec = hand_built()
+        k = np.arange(3)
+        other = ConstraintOperator.from_entries(6, 3, k, k, k, np.ones(3))
+        p = np.eye(6)[:, :2]
+        with pytest.raises(ValueError, match="another operator"):
+            pvec_generate(p, other, SvecSupport.of(op, cvec))
 
 
 class TestModelEval:
@@ -142,7 +261,7 @@ class TestSelectAggregation:
 class TestAggregateAndAppend:
     def make_state(self, rng, n=5, m=4, l=3, with_w=True):
         op, c, cvec, p, _ = random_setup(rng, n=n, m=m, l=l)
-        _, a_hat, b_hat = pvec_generate(p, op, cvec)
+        _, a_hat, b_hat = pvec_generate(p, op, SvecSupport.of(op, cvec))
         w = np.zeros((n, n)) if with_w else None
         state = BundleState(P=p, a_hat=a_hat, B_hat=b_hat, a_bar=0.0,
                             B_bar=np.zeros(m), W=w)
@@ -151,7 +270,7 @@ class TestAggregateAndAppend:
     def new_block(self, rng, op, cvec, n, r):
         v = rng.standard_normal((n, r))
         v /= np.linalg.norm(v, axis=0)
-        _, a_new, b_new = pvec_generate(v, op, cvec)
+        _, a_new, b_new = pvec_generate(v, op, SvecSupport.of(op, cvec))
         return v, a_new, b_new
 
     def test_zero_mass_zeroes_aggregate(self):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import polybundle
-from polybundle import qp
+from polybundle import qp, solver
+from polybundle.linalg import EigenConvergenceError
 from polybundle.cli import main
 
 
@@ -128,6 +129,24 @@ class TestSolve:
         assert code == 3
         assert report["status"] == "SubproblemFailure"
         assert report["iterations"] == k - 1
+
+    def test_eigen_failure_exit_4(self, generated, capsys, monkeypatch):
+        _, man = generated
+        k, real = 3, solver.extreme_eigs
+        calls = []
+
+        def failing(s, r, which="smallest"):
+            calls.append(1)
+            if len(calls) == k:
+                raise EigenConvergenceError("injected", best_residual=1.0)
+            return real(s, r, which=which)
+
+        monkeypatch.setattr(solver, "extreme_eigs", failing)
+        code = main(["solve", str(man)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 4
+        assert report["status"] == "EigenFailure"
+        assert report["iterations"] == k - 2
 
     def test_solve_raw_sdpa_needs_rank(self, generated, tmp_path, capsys):
         dat, _ = generated

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from polybundle import linalg
 from polybundle.linalg import (
+    DENSE_EIG_CUTOFF,
     ConstraintOperator,
+    EigenConvergenceError,
     SymMatrix,
     apply_A,
     apply_At,
@@ -217,3 +220,83 @@ class TestExtremeEigs:
         a = random_sym(rng, 25)
         res = extreme_eigs(a, 5, which="smallest")
         assert np.all(np.diff(res.values) >= 0)
+
+
+def separated(rng, n):
+    """Symmetric matrix whose eigenvalues lie at least 0.1 apart in [-3, 3]."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    vals = np.linspace(-3.0, 3.0, n) + rng.uniform(-0.02, 0.02, n)
+    a = (q * vals) @ q.T
+    return (a + a.T) / 2
+
+
+class TestSubsetEigensolve:
+    """The dense branch's subset solve against a full np.linalg.eigh."""
+
+    @pytest.mark.parametrize("which", ["smallest", "largest"])
+    @pytest.mark.parametrize("n, r", [
+        (40, "1"), (40, "n-1"), (40, "n"),
+        # above the cutoff only nearly full spectra take the dense branch
+        (DENSE_EIG_CUTOFF + 1, "n-1"), (DENSE_EIG_CUTOFF + 1, "n"),
+    ])
+    def test_matches_full_eigh(self, which, n, r):
+        r = {"1": 1, "n-1": n - 1, "n": n}[r]
+        a = separated(np.random.default_rng(n + r), n)
+        vals, vecs = np.linalg.eigh(a)
+        if which == "largest":
+            vals, vecs = vals[::-1], vecs[:, ::-1]
+        res = extreme_eigs(a, r, which=which)
+        assert res.values.shape == (r,) and res.vectors.shape == (n, r)
+        assert np.max(np.abs(res.values - vals[:r])) <= 1e-12
+        for i in range(r):
+            v, w = res.vectors[:, i], vecs[:, i]
+            assert np.max(np.abs(np.outer(v, v) - np.outer(w, w))) <= 1e-10
+
+    def test_csr_input_below_cutoff(self):
+        a = random_sym(np.random.default_rng(21), 60, density=0.1)
+        dense = extreme_eigs(a, 4, which="smallest")
+        res = extreme_eigs(sp.csr_matrix(a), 4, which="smallest")
+        assert np.array_equal(res.values, dense.values)
+        assert np.array_equal(res.vectors, dense.vectors)
+        assert np.max(np.abs(res.values - np.linalg.eigvalsh(a)[:4])) <= 1e-12
+
+    def test_residual_check_rejects_wrong_pairs(self, monkeypatch):
+        a = separated(np.random.default_rng(22), 30)
+        real = linalg.sla.eigh
+
+        def perturbed(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            return vals, vecs + 1e-6
+        monkeypatch.setattr(linalg.sla, "eigh", perturbed)
+        with pytest.raises(EigenConvergenceError) as err:
+            extreme_eigs(a, 3, which="smallest")
+        assert 1e-7 < err.value.best_residual < 1e-4
+
+    def test_residual_bound_applies_to_dense_branch(self):
+        a = separated(np.random.default_rng(23), 30)
+        with pytest.raises(EigenConvergenceError) as err:
+            extreme_eigs(a, 3, which="smallest", eig_tol=1e-30)
+        assert 0.0 < err.value.best_residual < 1e-12
+
+    def test_lapack_failure_raises_eigen_error(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+        monkeypatch.setattr(linalg.sla, "eigh", failing)
+        with pytest.raises(EigenConvergenceError, match="LAPACK"):
+            extreme_eigs(np.eye(5), 2, which="smallest")
+
+
+class TestSmatDense:
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    def test_matches_two_index_scatter(self, n):
+        # the scatter through two 2-D fancy indexes that the flat fill replaced
+        values = np.random.default_rng(n).standard_normal(tri_dim(n))
+        values[::5] = 0.0
+        values[1::7] = -0.0
+        rows, cols, scale = svec_indices(n)
+        want = np.zeros((n, n))
+        want[rows, cols] = values / scale
+        want[cols, rows] = values / scale
+        got = smat_dense(values)
+        assert got.shape == (n, n) and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -2,11 +2,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from polybundle import qp
-from polybundle.linalg import DENSE_EIG_CUTOFF, apply_A, smat_dense, svec
+from polybundle import qp, solver
+from polybundle.linalg import (
+    DENSE_EIG_CUTOFF,
+    EigenConvergenceError,
+    apply_A,
+    smat_dense,
+    svec,
+)
 from polybundle.problems import generate_random_sdp
 from polybundle.solver import (
     STATUS_CONVERGED,
+    STATUS_EIGEN_FAILURE,
     STATUS_ITER_LIMIT,
     STATUS_SUBPROBLEM_FAILURE,
     RankPrediction,
@@ -268,6 +275,33 @@ class TestSolveEndToEnd:
         assert np.array_equal(res.y, centers[-1])
         assert np.isnan(res.objective_primal)
 
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_eigen_failure_ends_run_with_status(self, small_problem, monkeypatch, k):
+        # call 1 is the eigensolve at y0; call j + 1 is that of iteration j
+        problem, _ = small_problem
+        params = SolverParams(eps=1e-14, maxiter=50)
+        done = solve(problem, SolverParams(eps=1e-14, maxiter=max(k - 2, 1)))
+        calls, real = [], solver.extreme_eigs
+
+        def failing(s, r, which="smallest"):
+            calls.append(1)
+            if len(calls) == k:
+                raise EigenConvergenceError("injected", best_residual=1.0)
+            return real(s, r, which=which)
+
+        monkeypatch.setattr(solver, "extreme_eigs", failing)
+        res = solve(problem, params)
+        assert res.status == STATUS_EIGEN_FAILURE
+        assert res.iterations == len(res.trace) == max(k - 2, 0)
+        assert len(calls) == k
+        # the center is the one the failed iteration started from: y0, or
+        # where an undisturbed run stopped after the completed iterations
+        want_y = np.zeros(problem.m) if k <= 2 else done.y
+        assert np.array_equal(res.y, want_y)
+        assert [r.F_y for r in res.trace] == [r.F_y for r in done.trace[:k - 2]]
+        assert np.isnan(res.objective_primal)
+        assert res.X is None
+
     def test_rho_required_without_known_trace(self, small_problem):
         problem, _ = small_problem
         trace = problem.known_trace
@@ -380,7 +414,7 @@ class TestTrajectories:
         assert res.iterations == 38
         assert res.rank_used == 5
         assert self.steps(res).count("d") == 31
-        assert res.trace[-1].F_y == pytest.approx(14.056958954948422, rel=1e-9)
+        assert res.trace[-1].F_y == pytest.approx(14.056958630315805, rel=1e-9)
 
     def test_subproblem_failure(self):
         problem, _ = generate_random_sdp(3, 3, 2, 0.5, 1.0, 0)
