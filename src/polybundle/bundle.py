@@ -51,10 +51,10 @@ def pvec_generate(p: np.ndarray, op: ConstraintOperator, support: SvecSupport):
     """Bundle columns of the rank-one matrices p_i p_i' for the columns of p.
 
     ``support`` is ``SvecSupport.of(op, cvec)``, taken once per solve.
-    Returns (Pvec, a, B) with Pvec[:, i] = svec(p_i p_i') at the support's
-    positions, a = Pvec' cvec = <C, p_i p_i'> and B = avec' Pvec =
-    A(p_i p_i').  The cost is the support size times l to form Pvec plus
-    nnz(avec)*l for B.
+    Returns (a, B) with a_i = <C, p_i p_i'> and B[:, i] = A(p_i p_i'), both
+    from Pvec[:, i] = svec(p_i p_i') at the support's positions:
+    a = Pvec' cvec and B = avec' Pvec.  The cost is the support size times l
+    to form Pvec plus nnz(avec)*l for B.
     """
     p = np.atleast_2d(np.asarray(p, dtype=np.float64))
     if p.ndim != 2:
@@ -65,9 +65,7 @@ def pvec_generate(p: np.ndarray, op: ConstraintOperator, support: SvecSupport):
     if support.avec.shape[1] != op.m:
         raise ValueError("support was taken from another operator")
     pvec = support.rank_one(p)
-    a = pvec.T @ support.cvec
-    b = support.avec.T @ pvec
-    return pvec, a, np.asarray(b)
+    return pvec.T @ support.cvec, np.asarray(support.avec.T @ pvec)
 
 
 def model_eval(y: np.ndarray, a: np.ndarray, b_mat: np.ndarray,

@@ -308,16 +308,15 @@ class ConstraintOperator:
 
 @dataclass(frozen=True)
 class SvecSupport:
-    """The svec positions ``pos`` where C or some A_i has a stored entry,
-    with the data there: ``cvec[pos]`` and the rows ``pos`` of ``avec``.
+    """The svec positions where C or some A_i has a stored entry, as their
+    ``rows``, ``cols`` and ``scale`` from ``svec_indices``, with the data
+    there: the entries of ``cvec`` and the rows of ``avec``.
 
     No other position enters <C, X> or A(X).  When the support is every
-    position, ``pos`` is ``slice(None)`` and ``rows``, ``cols``, ``scale``,
-    ``cvec`` and ``avec`` are ``svec_indices(n)`` and the problem's own
+    position, the fields are ``svec_indices(n)`` and the problem's own
     arrays, not copies.
     """
 
-    pos: slice | np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     scale: np.ndarray
@@ -331,7 +330,7 @@ class SvecSupport:
         used[op.avec.indices] = True
         rows, cols, scale = svec_indices(op.n)
         if used.all():
-            return cls(slice(None), rows, cols, scale, cvec, op.avec)
+            return cls(rows, cols, scale, cvec, op.avec)
         pos = np.flatnonzero(used)
         # renumber the stored rows of avec in order, so each column keeps
         # its entry order and A(X) its summation order
@@ -339,10 +338,10 @@ class SvecSupport:
         avec = sp.csc_matrix(
             (op.avec.data, renumber[op.avec.indices], op.avec.indptr),
             shape=(pos.size, op.m))
-        return cls(pos, rows[pos], cols[pos], scale[pos], cvec[pos], avec)
+        return cls(rows[pos], cols[pos], scale[pos], cvec[pos], avec)
 
     def rank_one(self, p: np.ndarray) -> np.ndarray:
-        """Column i is svec(p_i p_i') at the positions ``pos``.
+        """Column i is svec(p_i p_i') at the support's positions.
 
         One column at a time: gathering from a contiguous vector and
         multiplying in place is two to three times faster than gathering
@@ -415,10 +414,14 @@ def extreme_eigs(s, r: int, which: str = "smallest",
         lo = 0 if which == "smallest" else n - r
         try:
             vals, vecs = sla.eigh(dense, subset_by_index=[lo, lo + r - 1],
-                                  driver="evr")
+                                  driver="evr", check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise EigenConvergenceError(
                 f"LAPACK failed to compute {r} {which} eigenpairs") from exc
+        if vals.size != r:
+            # dsyevr returns no pairs for a matrix with a NaN or an inf
+            raise EigenConvergenceError(
+                f"LAPACK returned {vals.size} of {r} {which} eigenpairs")
         if which == "largest":
             vals, vecs = vals[::-1], vecs[:, ::-1]
         return _certified(dense, vals, vecs, eig_tol)

@@ -309,7 +309,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     try:
         n_eigs = r_iter + 1 if params.predict_rank else r_iter
         f_y, lam_max_y, v, _ = penalty_eval(problem, y, r_iter, rho, n_eigs)
-        _, a_new, b_new = pvec_generate(v, problem.op, support)
+        a_new, b_new = pvec_generate(v, problem.op, support)
         bundle = solved_on = _fresh_bundle(problem, params, v, a_new, b_new)
         u = np.zeros(1 + bundle.l)
         for k in range(1, params.maxiter + 1):
@@ -424,7 +424,7 @@ def _oracle(problem: SdpProblem, support: SvecSupport, z: np.ndarray, r: int,
                                        r + 1 if extra_eig else r)
     norms = np.linalg.norm(v, axis=0)
     v = v / np.where(norms == 0.0, 1.0, norms)
-    _, a, b_mat = pvec_generate(v, problem.op, support)
+    a, b_mat = pvec_generate(v, problem.op, support)
     return f, lam_max, v, eigs, a, b_mat
 
 

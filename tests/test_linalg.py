@@ -278,6 +278,15 @@ class TestSubsetEigensolve:
             extreme_eigs(a, 3, which="smallest", eig_tol=1e-30)
         assert 0.0 < err.value.best_residual < 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["smallest", "largest"])
+    def test_non_finite_matrix_raises_eigen_error(self, bad, which):
+        # LAPACK returns no pairs for it rather than failing
+        a = separated(np.random.default_rng(24), 30)
+        a[3, 7] = a[7, 3] = bad
+        with pytest.raises(EigenConvergenceError, match="returned 0 of 3"):
+            extreme_eigs(a, 3, which=which)
+
     def test_lapack_failure_raises_eigen_error(self, monkeypatch):
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")

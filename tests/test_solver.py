@@ -302,6 +302,14 @@ class TestSolveEndToEnd:
         assert np.isnan(res.objective_primal)
         assert res.X is None
 
+    def test_non_finite_slack_ends_run_as_eigen_failure(self):
+        problem, _ = generate_random_sdp(20, 20, 2, 0.1, 1.0, 3)
+        problem.cvec[0] = np.nan
+        res = solve(problem, SolverParams(eps=1e-4, maxiter=50))
+        assert res.status == STATUS_EIGEN_FAILURE
+        assert res.iterations == 0 and res.trace == []
+        assert np.array_equal(res.y, np.zeros(problem.m))
+
     def test_rho_required_without_known_trace(self, small_problem):
         problem, _ = small_problem
         trace = problem.known_trace
