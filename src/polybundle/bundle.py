@@ -3,7 +3,7 @@
 The model at iteration k is
     F_k(y) = -b'y + max <eta*W + P diag(x) P', A'y - C>
 over eta >= 0, x >= 0, eta + 1'x <= rho.  The aggregate matrix W is carried
-only through the pair (a_bar, B_bar) = (<C, W>, A(W)) unless materialized.
+only through its model column (<C, W>, A(W)) unless materialized.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import numpy as np
 from .linalg import ConstraintOperator, SvecSupport
 
 UNIT_NORM_TOL = 1e-6
+GAMMA1 = 1e-6  # aggregation threshold on a weight while the bundle has room
+GAMMA2 = 1e-7  # aggregation threshold on a weight once the cap forces room
 
 
 class BundleCapError(RuntimeError):
@@ -23,28 +25,29 @@ class BundleCapError(RuntimeError):
 
 @dataclass
 class BundleState:
-    """Active bundle columns plus the scalar/vector aggregate pair."""
+    """Active bundle columns and the model arrays the QP reads.
+
+    Entry and column 0 of (a, B) belong to the aggregate W; entry and column
+    i belong to the bundle column p_i = P[:, i-1].
+    """
 
     P: np.ndarray          # n x l, unit-norm columns
-    a_hat: np.ndarray      # l,   <C, p_i p_i'>
-    B_hat: np.ndarray      # m x l, A(p_i p_i')
-    a_bar: float = 0.0     # <C, W>
-    B_bar: np.ndarray = None  # m,  A(W)
+    a: np.ndarray          # l+1: <C, W>, then <C, p_i p_i'>
+    B: np.ndarray          # m x (l+1): A(W), then A(p_i p_i')
     W: np.ndarray | None = None  # optional materialized aggregate (dense n x n)
 
-    def __post_init__(self):
-        if self.B_bar is None:
-            self.B_bar = np.zeros(self.B_hat.shape[0])
+    @classmethod
+    def fresh(cls, p: np.ndarray, a: np.ndarray, b_mat: np.ndarray,
+              materialize_w: bool) -> BundleState:
+        """Bundle of the columns p alone, with an empty aggregate."""
+        n = p.shape[0]
+        return cls(P=p, a=np.concatenate([[0.0], a]),
+                   B=np.column_stack([np.zeros(b_mat.shape[0]), b_mat]),
+                   W=np.zeros((n, n)) if materialize_w else None)
 
     @property
     def l(self) -> int:
         return self.P.shape[1]
-
-    def model_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(a, B) with the aggregate as entry/column 0."""
-        a = np.concatenate([[self.a_bar], self.a_hat])
-        b = np.column_stack([self.B_bar, self.B_hat])
-        return a, b
 
 
 def pvec_generate(p: np.ndarray, op: ConstraintOperator, support: SvecSupport):
@@ -79,12 +82,11 @@ def model_eval(y: np.ndarray, a: np.ndarray, b_mat: np.ndarray,
     return float(-(b @ y) + rho * max(float(coeffs.max(initial=0.0)), 0.0))
 
 
-def select_aggregation(x: np.ndarray, l: int, r: int, l_max: int,
-                       gamma1: float, gamma2: float):
+def select_aggregation(x: np.ndarray, l: int, r: int, l_max: int):
     """Split bundle indices into (p_bar to aggregate, p_hat to keep).
 
-    When there is room for the r new columns, only weights below gamma1 are
-    aggregated; otherwise the below-gamma2 weights plus however many smallest
+    When there is room for the r new columns, only weights below GAMMA1 are
+    aggregated; otherwise the below-GAMMA2 weights plus however many smallest
     weights are needed so that |p_hat| + r <= l_max.  Ties among smallest
     weights break toward the lower column index.
     """
@@ -94,9 +96,9 @@ def select_aggregation(x: np.ndarray, l: int, r: int, l_max: int,
     if l_max < r:
         raise ValueError("l_max must be at least the appended rank")
     if l <= l_max - r:
-        mask = x <= gamma1
+        mask = x <= GAMMA1
     else:
-        mask = x <= gamma2
+        mask = x <= GAMMA2
         forced = l - (l_max - r)
         order = np.argsort(x, kind="stable")
         mask = mask.copy()
@@ -115,10 +117,10 @@ def aggregate_and_append(state: BundleState, eta: float, x: np.ndarray,
     x_bar = x[p_bar]
     mass = eta + x_bar.sum()
     if mass > 0.0:
-        a_bar = (eta * state.a_bar + state.a_hat[p_bar] @ x_bar) / mass
-        b_bar = (eta * state.B_bar + state.B_hat[:, p_bar] @ x_bar) / mass
+        a_bar = (eta * state.a[0] + state.a[1 + p_bar] @ x_bar) / mass
+        b_bar = (eta * state.B[:, 0] + state.B[:, 1 + p_bar] @ x_bar) / mass
     else:
-        a_bar, b_bar = 0.0, np.zeros_like(state.B_bar)
+        a_bar, b_bar = 0.0, np.zeros(state.B.shape[0])
 
     w = None
     if state.W is not None:
@@ -129,11 +131,10 @@ def aggregate_and_append(state: BundleState, eta: float, x: np.ndarray,
             w = np.zeros_like(state.W)
 
     p = np.column_stack([state.P[:, p_hat], v_new])
-    a_hat = np.concatenate([state.a_hat[p_hat], np.atleast_1d(a_new)])
-    b_hat = np.column_stack([state.B_hat[:, p_hat], b_new])
     if p.shape[1] > l_max:
         raise BundleCapError(
             f"bundle count {p.shape[1]} exceeds cap {l_max} after update"
         )
-    return BundleState(P=p, a_hat=a_hat, B_hat=b_hat,
-                       a_bar=float(a_bar), B_bar=b_bar, W=w)
+    a = np.concatenate([[a_bar], state.a[1 + p_hat], np.atleast_1d(a_new)])
+    b_mat = np.column_stack([b_bar, state.B[:, 1 + p_hat], b_new])
+    return BundleState(P=p, a=a, B=b_mat, W=w)

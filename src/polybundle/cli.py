@@ -1,13 +1,14 @@
 """Command-line interface: solve, generate, maxcut, check.
 
 Exit codes: 0 success/Converged, 1 usage or parse error, 2 iteration or
-time limit reached, 3 subproblem failure.
+time limit reached, 3 subproblem failure, 4 eigensolver failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -50,13 +51,11 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--eps", type=float, default=d.eps)
     p.add_argument("--maxiter", type=int, default=d.maxiter)
     p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--nullmax", type=int, default=d.nullmax)
-    p.add_argument("--prior-rank", type=int, default=None)
-    p.add_argument("--predict-rank", action="store_true")
-    p.add_argument("--trace", choices=("jsonl", "csv", "none"), default="none")
+    p.add_argument("--prior-rank", type=int, default=None,
+                   help="predict the rank, starting from this one")
     p.add_argument("--trace-out", default=None,
-                   help="trace file path (default: stderr is not used; "
-                        "required when --trace is not 'none')")
+                   help="write the per-iteration trace here: CSV if the name "
+                        "ends in .csv, else JSON lines")
     p.add_argument("--out", default=None, help="write the run report here "
                                                "instead of stdout")
 
@@ -66,8 +65,7 @@ def _params_from_args(args) -> solver.SolverParams:
         t0=args.t0, t_min=args.tmin, t_max=args.tmax, beta1=args.beta1,
         beta2=args.beta2, beta3=args.beta3, xi=args.xi, rho=args.rho,
         rank=args.rank, l_max=args.lmax, eps=args.eps, maxiter=args.maxiter,
-        time_limit_secs=args.time_limit, nullmax=args.nullmax,
-        predict_rank=args.predict_rank, prior_rank=args.prior_rank,
+        time_limit_secs=args.time_limit, prior_rank=args.prior_rank,
     )
 
 
@@ -75,18 +73,18 @@ TRACE_FIELDS = ("k", "step_type", "F_y", "delta1", "delta4", "delta5",
                 "delta6", "t", "l", "elapsed_secs")
 
 
-def _write_trace(records, fmt: str, path: str):
-    if fmt == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps({f: getattr(rec, f) for f in TRACE_FIELDS}))
-                fh.write("\n")
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+def _write_trace(records, path: str):
+    """CSV when the path ends in .csv, JSON lines otherwise."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if path.endswith(".csv"):
             w = csv.writer(fh)
             w.writerow(TRACE_FIELDS)
             for rec in records:
                 w.writerow([getattr(rec, f) for f in TRACE_FIELDS])
+        else:
+            for rec in records:
+                fh.write(json.dumps({f: getattr(rec, f) for f in TRACE_FIELDS}))
+                fh.write("\n")
 
 
 def _report(result: solver.SolveResult, problem, params) -> dict:
@@ -126,14 +124,12 @@ def _load_instance(path: str):
 
 
 def _run_solver(problem, params, args) -> int:
-    if args.trace != "none" and not args.trace_out:
-        return _error("--trace requires --trace-out")
     try:
         result = solver.solve(problem, params)
     except ValueError as exc:
         return _error(exc)
-    if args.trace != "none":
-        _write_trace(result.trace, args.trace, args.trace_out)
+    if args.trace_out:
+        _write_trace(result.trace, args.trace_out)
     _emit(_report(result, problem, params), args.out)
     if result.status == solver.STATUS_CONVERGED:
         return 0
@@ -184,7 +180,7 @@ def cmd_maxcut(args) -> int:
         return _error(exc)
     try:
         params = _params_from_args(args)
-        if params.rank is None and not params.predict_rank:
+        if params.rank is None and params.prior_rank is None:
             params.rank = max(1, int(round(np.sqrt(2.0 * problem.n))))
         params.validate()
     except ValueError as exc:
@@ -238,15 +234,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polybundle",
         description="Polyhedral bundle method for standard-form SDP",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations: a removed flag must not be read as a prefix of another
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_solve = sub.add_parser("solve", help="solve an SDPA or manifest instance")
+    p_solve = add_command("solve", help="solve an SDPA or manifest instance")
     p_solve.add_argument("input")
     _add_solver_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
-    p_gen = sub.add_parser("generate", help="generate a planted random instance")
+    p_gen = add_command("generate", help="generate a planted random instance")
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--m", type=int, required=True)
     p_gen.add_argument("--r", type=int, required=True)
@@ -256,13 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", default=".")
     p_gen.set_defaults(func=cmd_generate)
 
-    p_mc = sub.add_parser("maxcut", help="solve the Max-Cut relaxation of a Gset graph")
+    p_mc = add_command("maxcut", help="solve the Max-Cut relaxation of a Gset graph")
     p_mc.add_argument("input")
     p_mc.add_argument("--sense", choices=("paper", "maximize"), default="paper")
     _add_solver_flags(p_mc)
     p_mc.set_defaults(func=cmd_maxcut)
 
-    p_chk = sub.add_parser("check", help="verify a solution file against an instance")
+    p_chk = add_command("check", help="verify a solution file against an instance")
     p_chk.add_argument("input")
     p_chk.add_argument("solution")
     p_chk.add_argument("--eps", type=float, default=1e-4)
@@ -271,7 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which it has
+        # already reported; 2 here means an iteration or time limit
+        return 0 if exc.code == 0 else 1
     return args.func(args)
 
 

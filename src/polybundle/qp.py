@@ -16,6 +16,7 @@ import scipy.linalg
 
 QP_TOL_BASE = 1e-10
 ITER_CAP_FACTOR = 50
+REFINE_STEPS = 2  # iterative-refinement passes per working-set solve
 
 
 class SingularSubproblem(RuntimeError):
@@ -79,8 +80,7 @@ def _factor(h: np.ndarray, xi: float):
 
 
 def _eqp_solve(h: np.ndarray, q: np.ndarray, free: np.ndarray,
-               simplex_active: bool, rho: float, xi: float,
-               refine: int = 2):
+               simplex_active: bool, rho: float, xi: float):
     """Minimizer on the current working set; returns (u_hat, mu).
 
     Iterative refinement counters the ill-conditioning the tiny-xi
@@ -97,7 +97,7 @@ def _eqp_solve(h: np.ndarray, q: np.ndarray, free: np.ndarray,
 
     if not simplex_active:
         x = scipy.linalg.cho_solve(c, -qf, check_finite=False)
-        for _ in range(refine):
+        for _ in range(REFINE_STEPS):
             r = -qf - hff @ x
             x = x + scipy.linalg.cho_solve(c, r, check_finite=False)
         u[free] = x
@@ -112,7 +112,7 @@ def _eqp_solve(h: np.ndarray, q: np.ndarray, free: np.ndarray,
     hq = scipy.linalg.cho_solve(c, -qf, check_finite=False)
     mu = (hq.sum() - rho) / denom
     x = hq - mu * h1
-    for _ in range(refine):
+    for _ in range(REFINE_STEPS):
         r1 = -qf - hff @ x - mu
         r2 = rho - x.sum()
         s1 = scipy.linalg.cho_solve(c, r1, check_finite=False)

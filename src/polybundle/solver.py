@@ -7,6 +7,7 @@ adaptive step sizes, optional rank prediction, and relative KKT termination.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ STATUS_SUBPROBLEM_FAILURE = "SubproblemFailure"
 STATUS_EIGEN_FAILURE = "EigenFailure"
 
 LMAX_PRESETS = ("half", "sq", "2sq", "5sq")
+NULLMAX = 5  # bad null steps in a row before the step size is halved
 
 
 def lmax_from_policy(policy, r: int) -> int:
@@ -67,17 +69,12 @@ class SolverParams:
     beta3: float = 0.001
     xi: float = 1e-8
     rho: float | None = None
-    gamma1: float = 1e-6
-    gamma2: float = 1e-7
     rank: int | None = None
     l_max: int | str = "half"
     eps: float = 1e-4
     maxiter: int = 500
     time_limit_secs: float | None = None
-    nullmax: int = 5
-    predict_rank: bool = False
-    prior_rank: int | None = None
-    predcountmax: int = 10
+    prior_rank: int | None = None  # set: predict the rank, starting from this one
     materialize_w: bool = False
 
     def validate(self):
@@ -87,16 +84,17 @@ class SolverParams:
             raise ValueError("need 0 < t_min <= t_max")
         if not self.t_min <= self.t0 <= self.t_max:
             raise ValueError("t0 must lie in [t_min, t_max]")
-        if self.xi < 0:
-            raise ValueError("xi must be nonnegative")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 <= self.xi < math.inf:
+            raise ValueError("xi must be finite and nonnegative")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be finite and positive")
+        if self.rho is not None and not 0 < self.rho < math.inf:
+            raise ValueError("rho must be finite and positive")
+        limit = self.time_limit_secs
+        if limit is not None and not 0 < limit < math.inf:
+            raise ValueError("time_limit_secs must be finite and positive")
         if self.maxiter < 1:
             raise ValueError("maxiter must be at least 1")
-        if self.nullmax < 0:
-            raise ValueError("nullmax must be nonnegative")
-        if self.predict_rank and self.prior_rank is None:
-            raise ValueError("prior_rank required when predict_rank is set")
         if isinstance(self.l_max, str) and self.l_max not in LMAX_PRESETS:
             raise ValueError(f"l_max preset must be one of {LMAX_PRESETS}")
 
@@ -197,7 +195,7 @@ def descent_decision(f_y: float, f_z: float, model_z: float, t: float,
         return True, t_new, 0
     nullcount += 1
     t_new = t
-    if params.beta3 * delta_pred >= delta_true and nullcount >= params.nullmax:
+    if params.beta3 * delta_pred >= delta_true and nullcount >= NULLMAX:
         t_new = max(0.5 * t, params.t_min)
         nullcount = 0
     return False, t_new, nullcount
@@ -227,7 +225,7 @@ class RankPrediction:
     """State of the rank-prediction phase."""
 
     prior_rank: int
-    predcountmax: int
+    predcountmax: int = 10
     r_prev: int = 0
     predcount: int = 0
     active: bool = True
@@ -291,8 +289,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     params.validate()
     rho, r_iter = _rho_and_rank(problem, params)
     l_max = lmax_from_policy(params.l_max, r_iter)
-    pred = (RankPrediction(r_iter, params.predcountmax)
-            if params.predict_rank else None)
+    pred = RankPrediction(r_iter) if params.prior_rank is not None else None
     y = np.zeros(problem.m) if y0 is None else np.array(y0, dtype=np.float64)
     if y.shape != (problem.m,) or not np.all(np.isfinite(y)):
         raise ValueError("y0 must be a finite length-m vector")
@@ -307,13 +304,13 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     status = STATUS_ITER_LIMIT
 
     try:
-        n_eigs = r_iter + 1 if params.predict_rank else r_iter
+        n_eigs = r_iter + 1 if pred is not None else r_iter
         f_y, lam_max_y, v, _ = penalty_eval(problem, y, r_iter, rho, n_eigs)
         a_new, b_new = pvec_generate(v, problem.op, support)
-        bundle = solved_on = _fresh_bundle(problem, params, v, a_new, b_new)
+        bundle = solved_on = BundleState.fresh(v, a_new, b_new, params.materialize_w)
         u = np.zeros(1 + bundle.l)
         for k in range(1, params.maxiter + 1):
-            a, b_mat = bundle.model_arrays()
+            a, b_mat = bundle.a, bundle.B
             data = qp_mod.SubproblemData(B=b_mat, a=a, y=y, b=b, t=t,
                                          xi=params.xi, rho=rho)
             try:
@@ -327,7 +324,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
             f_z, lam_max_z, v_new, eigs_z, a_new, b_new = _oracle(
                 problem, support, z, r_iter, rho, pred is not None and pred.active)
             bundle, warm = _update_bundle(bundle, sol, v_new, a_new, b_new,
-                                          r_iter, l_max, params)
+                                          r_iter, l_max)
 
             # the descent test moves the center; F_y stays the pre-step value
             # for the termination test and the trace
@@ -345,10 +342,10 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                 delta4=deltas[1], delta5=deltas[2], delta6=deltas[3],
                 eig_min_S=-lam_max_z, elapsed_secs=elapsed))
             if callback is not None:
-                a_post, b_post = bundle.model_arrays()
                 callback(IterationInfo(
-                    y=data.y, z=z, t=data.t, a_post=a_post, B_post=b_post, F_z=f_z,
-                    model_z=model_z, lam_max_z=lam_max_z, v_min=v_new[:, 0]))
+                    y=data.y, z=z, t=data.t, a_post=bundle.a, B_post=bundle.B,
+                    F_z=f_z, model_z=model_z, lam_max_z=lam_max_z,
+                    v_min=v_new[:, 0]))
             if accept:
                 f_y = f_z
             if done:
@@ -360,8 +357,8 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                     y, f_y, lam_max_y = z, f_z, lam_max_z
                     t = max(0.5 * t, params.t_min)
                     r_iter, l_max = r_pred, lmax_from_policy(params.l_max, r_pred)
-                    bundle = _fresh_bundle(problem, params, v_new[:, :r_pred],
-                                           a_new[:r_pred], b_new[:, :r_pred])
+                    bundle = BundleState.fresh(v_new[:, :r_pred], a_new[:r_pred],
+                                               b_new[:, :r_pred], params.materialize_w)
                     warm = None
             if params.time_limit_secs is not None and elapsed > params.time_limit_secs:
                 status = STATUS_TIME_LIMIT
@@ -378,7 +375,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
         status=status, y=y, u=u,
         objective_dual=float(b @ y),
         objective_primal=(float("nan") if failed
-                          else float(solved_on.model_arrays()[0] @ u)),
+                          else float(solved_on.a @ u)),
         X=(recover_primal(solved_on, u)
            if params.materialize_w and not failed else None),
         delta1=deltas[0], delta4=deltas[1], delta5=deltas[2],
@@ -391,7 +388,8 @@ def _rho_and_rank(problem: SdpProblem, params: SolverParams):
     """Penalty weight and starting rank, from the params or the instance.
 
     rho defaults to 2*trace+1 for the instance's known primal trace; the rank
-    is the prior under rank prediction, else params.rank or the known rank.
+    is the prior when one is set (rank prediction), else params.rank or the
+    known rank.
     """
     rho = params.rho
     if rho is None:
@@ -400,12 +398,12 @@ def _rho_and_rank(problem: SdpProblem, params: SolverParams):
                 "rho not set and the instance carries no known primal trace"
             )
         rho = 2.0 * problem.known_trace + 1.0
-    if params.predict_rank:
+    if params.prior_rank is not None:
         r = params.prior_rank
     else:
         r = params.rank if params.rank is not None else problem.known_rank
         if r is None:
-            raise ValueError("rank not set; supply params.rank or enable predict_rank")
+            raise ValueError("rank not set; supply params.rank or params.prior_rank")
     if r < 1:
         raise ValueError("rank must be at least 1")
     return rho, r
@@ -428,25 +426,15 @@ def _oracle(problem: SdpProblem, support: SvecSupport, z: np.ndarray, r: int,
     return f, lam_max, v, eigs, a, b_mat
 
 
-def _fresh_bundle(problem: SdpProblem, params: SolverParams, v: np.ndarray,
-                  a: np.ndarray, b_mat: np.ndarray) -> BundleState:
-    """Bundle of the columns v alone, with an empty aggregate."""
-    w = np.zeros((problem.n, problem.n)) if params.materialize_w else None
-    return BundleState(P=v, a_hat=a, B_hat=b_mat, a_bar=0.0,
-                       B_bar=np.zeros(problem.m), W=w)
-
-
 def _update_bundle(bundle: BundleState, sol, v_new: np.ndarray,
-                   a_new: np.ndarray, b_new: np.ndarray, r: int, l_max: int,
-                   params: SolverParams):
+                   a_new: np.ndarray, b_new: np.ndarray, r: int, l_max: int):
     """Aggregate the low-weight columns and append the new block.
 
     Returns the new bundle and the QP warm start: the previous active set
     mapped onto the new layout, with the appended columns inactive.
     """
     eta, x = float(sol.u[0]), sol.u[1:]
-    p_bar, p_hat = select_aggregation(x, bundle.l, r, l_max,
-                                      params.gamma1, params.gamma2)
+    p_bar, p_hat = select_aggregation(x, bundle.l, r, l_max)
     bundle = bundle_mod.aggregate_and_append(
         bundle, eta, x, v_new, a_new, b_new, p_bar, p_hat, l_max
     )

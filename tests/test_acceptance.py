@@ -109,7 +109,6 @@ def test_c06_rank_prediction():
             problem, _ = pb.generate_random_sdp(100, 100, 5, 1e-2, 1.0, seed)
             known = solve(problem, SolverParams(eps=1e-4, maxiter=500))
             pred = solve(problem, SolverParams(eps=1e-4, maxiter=500,
-                                               predict_rank=True,
                                                prior_rank=prior))
             if pred.status == "Converged" and pred.rank_used == 5:
                 correct += 1

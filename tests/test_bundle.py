@@ -223,36 +223,31 @@ class TestModelEval:
 class TestSelectAggregation:
     def test_roomy_case_thresholds_gamma1(self):
         x = np.array([0.5, 1e-7, 0.3, 1e-9])
-        p_bar, p_hat = select_aggregation(x, l=4, r=2, l_max=10,
-                                          gamma1=1e-6, gamma2=1e-7)
+        p_bar, p_hat = select_aggregation(x, l=4, r=2, l_max=10)
         assert sorted(p_bar) == [1, 3]
         assert sorted(p_hat) == [0, 2]
 
     def test_tight_case_forces_smallest(self):
         # l = 6, l_max = 7, r = 3: at least 6 - (7 - 3) = 2 must go
         x = np.array([0.5, 0.4, 0.01, 0.02, 0.3, 0.6])
-        p_bar, p_hat = select_aggregation(x, l=6, r=3, l_max=7,
-                                          gamma1=1e-6, gamma2=1e-7)
+        p_bar, p_hat = select_aggregation(x, l=6, r=3, l_max=7)
         assert sorted(p_bar) == [2, 3]
         assert len(p_hat) + 3 <= 7
 
     def test_tight_case_includes_gamma2(self):
         x = np.array([0.5, 1e-8, 0.4, 0.3, 0.2, 0.1])
-        p_bar, p_hat = select_aggregation(x, l=6, r=3, l_max=7,
-                                          gamma1=1e-6, gamma2=1e-7)
+        p_bar, p_hat = select_aggregation(x, l=6, r=3, l_max=7)
         assert 1 in p_bar
         assert len(p_bar) >= 2
 
     def test_tie_break_by_lower_index(self):
         x = np.array([0.2, 0.2, 0.2, 0.2])
-        p_bar, _ = select_aggregation(x, l=4, r=2, l_max=5,
-                                      gamma1=1e-6, gamma2=1e-7)
+        p_bar, _ = select_aggregation(x, l=4, r=2, l_max=5)
         assert sorted(p_bar) == [0]
 
     def test_keep_all_when_roomy_and_heavy(self):
         x = np.array([0.5, 0.4])
-        p_bar, p_hat = select_aggregation(x, l=2, r=2, l_max=10,
-                                          gamma1=1e-6, gamma2=1e-7)
+        p_bar, p_hat = select_aggregation(x, l=2, r=2, l_max=10)
         assert p_bar.size == 0
         assert sorted(p_hat) == [0, 1]
 
@@ -260,10 +255,8 @@ class TestSelectAggregation:
 class TestAggregateAndAppend:
     def make_state(self, rng, n=5, m=4, l=3, with_w=True):
         op, c, cvec, p, _ = random_setup(rng, n=n, m=m, l=l)
-        a_hat, b_hat = pvec_generate(p, op, SvecSupport.of(op, cvec))
-        w = np.zeros((n, n)) if with_w else None
-        state = BundleState(P=p, a_hat=a_hat, B_hat=b_hat, a_bar=0.0,
-                            B_bar=np.zeros(m), W=w)
+        a, b_mat = pvec_generate(p, op, SvecSupport.of(op, cvec))
+        state = BundleState.fresh(p, a, b_mat, materialize_w=with_w)
         return state, op, c, cvec
 
     def new_block(self, rng, op, cvec, n, r):
@@ -280,12 +273,12 @@ class TestAggregateAndAppend:
         p_hat = np.arange(3)
         out = aggregate_and_append(state, 0.0, np.array([0.2, 0.3, 0.1]),
                                    v, a_new, b_new, p_bar, p_hat, l_max=10)
-        assert out.a_bar == 0.0
-        assert np.all(out.B_bar == 0.0)
+        assert out.a[0] == 0.0
+        assert np.all(out.B[:, 0] == 0.0)
         assert out.l == 5
 
     def test_aggregate_consistency_with_w(self):
-        # after aggregation a_bar = <C, W> and B_bar = A(W)
+        # after aggregation the model column 0 is (<C, W>, A(W))
         rng = np.random.default_rng(4)
         state, op, c, cvec = self.make_state(rng)
         v, a_new, b_new = self.new_block(rng, op, cvec, 5, 2)
@@ -295,9 +288,9 @@ class TestAggregateAndAppend:
         out = aggregate_and_append(state, 0.5, x, v, a_new, b_new,
                                    p_bar, p_hat, l_max=10)
         assert out.W is not None
-        assert out.a_bar == pytest.approx(np.trace(c @ out.W), abs=1e-10)
+        assert out.a[0] == pytest.approx(np.trace(c @ out.W), abs=1e-10)
         from polybundle.linalg import apply_A
-        assert np.allclose(out.B_bar, apply_A(op, out.W), atol=1e-10)
+        assert np.allclose(out.B[:, 0], apply_A(op, out.W), atol=1e-10)
         evals = np.linalg.eigvalsh(out.W)
         assert evals.min() >= -1e-9
         assert np.trace(out.W) <= 1.0 + 1e-9
@@ -312,7 +305,10 @@ class TestAggregateAndAppend:
                                    v, a_new, b_new, p_bar, p_hat, l_max=10)
         assert np.array_equal(out.P[:, :2], state.P[:, [1, 2]])
         assert np.array_equal(out.P[:, 2:], v)
-        assert np.array_equal(out.a_hat[:2], state.a_hat[[1, 2]])
+        assert np.array_equal(out.a[1:3], state.a[[2, 3]])
+        assert np.array_equal(out.B[:, 1:3], state.B[:, [2, 3]])
+        assert np.array_equal(out.a[3:], a_new)
+        assert np.array_equal(out.B[:, 3:], b_new)
 
     def test_cap_violation_raises(self):
         rng = np.random.default_rng(6)
@@ -325,10 +321,14 @@ class TestAggregateAndAppend:
                                  v, a_new, b_new, p_bar, p_hat, l_max=4)
 
     def test_model_arrays_layout(self):
+        # a fresh bundle's model arrays: the empty aggregate, then the columns
         rng = np.random.default_rng(7)
-        state, _, _, _ = self.make_state(rng)
-        a, b_mat = state.model_arrays()
-        assert a.shape == (4,)
-        assert b_mat.shape == (4, 4)
-        assert a[0] == state.a_bar
-        assert np.array_equal(b_mat[:, 0], state.B_bar)
+        op, _, cvec, p, _ = random_setup(rng, n=5, m=4, l=3)
+        a, b_mat = pvec_generate(p, op, SvecSupport.of(op, cvec))
+        state = BundleState.fresh(p, a, b_mat, materialize_w=False)
+        assert state.a.shape == (4,)
+        assert state.B.shape == (4, 4)
+        assert state.a[0] == 0.0 and np.all(state.B[:, 0] == 0.0)
+        assert np.array_equal(state.a[1:], a)
+        assert np.array_equal(state.B[:, 1:], b_mat)
+        assert state.W is None

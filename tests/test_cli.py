@@ -85,11 +85,47 @@ class TestSolve:
         code = main(["solve", str(man), "--beta1", "0.9"])
         assert code == 1
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--eps", "nan"), ("--eps", "inf"),
+        ("--rho", "nan"), ("--rho", "inf"), ("--rho", "0"),
+        ("--xi", "nan"), ("--xi", "inf"),
+        ("--time-limit", "nan"), ("--time-limit", "inf"),
+        ("--time-limit", "0"), ("--time-limit", "-1"),
+    ])
+    def test_non_finite_or_out_of_range_setting_exit_1(self, generated, capsys,
+                                                       flag, value):
+        _, man = generated
+        code = main(["solve", str(man), f"{flag}={value}"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_time_limit_exit_2(self, generated, tmp_path, capsys):
+        _, man = generated
+        trace = tmp_path / "trace.jsonl"
+        code = main(["solve", str(man), "--time-limit", "1e-9",
+                     "--trace-out", str(trace)])
+        assert code == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "TimeLimit"
+        assert report["iterations"] == 1
+        rows = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert [r["k"] for r in rows] == [1]
+
+    def test_prior_rank_alone_predicts_the_rank(self, generated, capsys):
+        dat, _ = generated
+        # the prior stands in for --rank; prediction finds the planted rank
+        code = main(["solve", str(dat), "--rho", "100", "--prior-rank", "6"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["params"]["prior_rank"] == 6
+        assert report["rank_used"] == 3
+
     def test_jsonl_trace(self, generated, tmp_path, capsys):
         _, man = generated
         trace = tmp_path / "trace.jsonl"
-        code = main(["solve", str(man), "--trace", "jsonl",
-                     "--trace-out", str(trace)])
+        code = main(["solve", str(man), "--trace-out", str(trace)])
         assert code == 0
         rows = [json.loads(line) for line in trace.read_text().splitlines()]
         ks = [r["k"] for r in rows]
@@ -101,8 +137,7 @@ class TestSolve:
     def test_csv_trace(self, generated, tmp_path, capsys):
         _, man = generated
         trace = tmp_path / "trace.csv"
-        code = main(["solve", str(man), "--trace", "csv",
-                     "--trace-out", str(trace)])
+        code = main(["solve", str(man), "--trace-out", str(trace)])
         assert code == 0
         lines = trace.read_text().splitlines()
         assert lines[0].startswith("k,step_type,F_y")
@@ -153,6 +188,40 @@ class TestSolve:
         # raw .dat-s has no metadata: rank and rho must come from flags
         code = main(["solve", str(dat), "--rank", "3", "--rho", "100"])
         assert code in (0, 2)
+
+
+class TestUsage:
+    @pytest.mark.parametrize("args", [
+        ["--lmax", "foo"],
+        ["--bogus"],
+        ["--trace", "jsonl"],          # removed; not a prefix of --trace-out
+        ["--trace-o", "trace.jsonl"],  # no abbreviations
+        ["--predict-rank"],            # removed
+        ["--nullmax", "3"],            # removed
+    ], ids=["bad-lmax", "unknown-flag", "trace", "abbreviation",
+            "predict-rank", "nullmax"])
+    def test_usage_error_exit_1(self, generated, tmp_path, monkeypatch, capsys,
+                                args):
+        _, man = generated
+        monkeypatch.chdir(tmp_path)
+        code = main(["solve", str(man), *args])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_input_argument_exit_1(self, capsys):
+        assert main(["solve"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exit_0(self, capsys):
+        assert main(["-h"]) == 0
+        assert main(["solve", "-h"]) == 0
+        assert "--trace-out" in capsys.readouterr().out
+
+    def test_usage_error_process_exit_1(self):
+        proc = run_cli("solve", "--bogus")
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr
 
 
 class TestCheck:

@@ -16,6 +16,7 @@ from polybundle.solver import (
     STATUS_EIGEN_FAILURE,
     STATUS_ITER_LIMIT,
     STATUS_SUBPROBLEM_FAILURE,
+    STATUS_TIME_LIMIT,
     RankPrediction,
     SolverParams,
     descent_decision,
@@ -50,9 +51,16 @@ class TestParams:
         with pytest.raises(ValueError):
             SolverParams(t0=10.0, t_max=1.0).validate()
 
-    def test_prior_rank_required_for_prediction(self):
-        with pytest.raises(ValueError):
-            SolverParams(predict_rank=True).validate()
+    @pytest.mark.parametrize("field,value", [
+        ("eps", np.nan), ("eps", np.inf), ("eps", 0.0),
+        ("xi", np.nan), ("xi", np.inf), ("xi", -1e-8),
+        ("rho", np.nan), ("rho", np.inf), ("rho", 0.0),
+        ("time_limit_secs", np.nan), ("time_limit_secs", np.inf),
+        ("time_limit_secs", 0.0), ("time_limit_secs", -1.0),
+    ])
+    def test_non_finite_or_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverParams(**{field: value}).validate()
 
     def test_lmax_presets(self):
         assert lmax_from_policy("half", 5) == 20
@@ -248,6 +256,14 @@ class TestSolveEndToEnd:
         assert res.status == STATUS_ITER_LIMIT
         assert res.iterations == 3
 
+    def test_time_limit_status(self, small_problem):
+        problem, _ = small_problem
+        res = solve(problem, SolverParams(time_limit_secs=1e-9))
+        assert res.status == STATUS_TIME_LIMIT
+        assert res.iterations == 1 and len(res.trace) == 1
+        assert res.trace[0].k == 1
+        assert res.y.shape == (problem.m,) and np.all(np.isfinite(res.y))
+
     def test_subproblem_failure_with_zero_xi(self):
         problem, _ = generate_random_sdp(3, 3, 2, 0.5, 1.0, 0)
         res = solve(problem, SolverParams(xi=0.0, eps=1e-4, maxiter=500))
@@ -330,6 +346,19 @@ class TestSolveEndToEnd:
         finally:
             problem.known_rank = rank
 
+    def test_prior_rank_alone_predicts_the_rank(self, small_problem):
+        # the prior replaces a rank the run would otherwise need, and the
+        # prediction restarts the run below it
+        problem, _ = small_problem
+        rank = problem.known_rank
+        problem.known_rank = None
+        try:
+            res = solve(problem, SolverParams(prior_rank=6))
+        finally:
+            problem.known_rank = rank
+        assert res.status == STATUS_CONVERGED
+        assert res.rank_used < 6
+
     def test_bad_y0_rejected(self, small_problem):
         problem, _ = small_problem
         with pytest.raises(ValueError, match="y0"):
@@ -349,8 +378,8 @@ class TestRecoverPrimal:
         from polybundle.bundle import BundleState
         n, m = problem.n, problem.m
         p = np.eye(n)[:, :2]
-        state = BundleState(P=p, a_hat=np.zeros(2), B_hat=np.zeros((m, 2)),
-                            a_bar=0.0, B_bar=np.zeros(m), W=np.zeros((n, n)))
+        state = BundleState.fresh(p, np.zeros(2), np.zeros((m, 2)),
+                                  materialize_w=True)
         x = recover_primal(state, np.zeros(3))
         assert np.all(x.to_dense() == 0.0)
 
@@ -359,17 +388,16 @@ class TestRecoverPrimal:
         n = 4
         p = np.zeros((n, 1))
         p[1, 0] = 1.0
-        state = BundleState(P=p, a_hat=np.zeros(1), B_hat=np.zeros((2, 1)),
-                            a_bar=0.0, B_bar=np.zeros(2), W=np.zeros((n, n)))
+        state = BundleState.fresh(p, np.zeros(1), np.zeros((2, 1)),
+                                  materialize_w=True)
         x = recover_primal(state, np.array([0.0, 0.7]))
         want = 0.7 * np.outer(p[:, 0], p[:, 0])
         assert np.allclose(x.to_dense(), want, atol=1e-15)
 
     def test_requires_materialized_w(self):
         from polybundle.bundle import BundleState
-        state = BundleState(P=np.ones((2, 1)) / np.sqrt(2),
-                            a_hat=np.zeros(1), B_hat=np.zeros((2, 1)),
-                            a_bar=0.0, B_bar=np.zeros(2), W=None)
+        state = BundleState.fresh(np.ones((2, 1)) / np.sqrt(2), np.zeros(1),
+                                  np.zeros((2, 1)), materialize_w=False)
         with pytest.raises(ValueError, match="materialize"):
             recover_primal(state, np.zeros(2))
 
@@ -390,7 +418,7 @@ class TestRecoverPrimal:
         # at maxiter=15 the rank prediction restarts the bundle in the last
         # iteration; X must still come from the bundle u was solved on
         problem, _ = generate_random_sdp(100, 100, 5, 1e-2, 1.0, 0)
-        res = solve(problem, SolverParams(predict_rank=True, prior_rank=10,
+        res = solve(problem, SolverParams(prior_rank=10,
                                           materialize_w=True, maxiter=maxiter))
         assert res.X is not None
         cx = float(problem.cvec @ svec(res.X).values)
@@ -416,7 +444,7 @@ class TestTrajectories:
 
     def test_rank_prediction(self):
         problem, _ = generate_random_sdp(100, 100, 5, 1e-2, 1.0, 0)
-        res = solve(problem, SolverParams(predict_rank=True, prior_rank=10,
+        res = solve(problem, SolverParams(prior_rank=10,
                                           maxiter=500))
         assert res.status == STATUS_CONVERGED
         assert res.iterations == 38
