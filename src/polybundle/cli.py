@@ -7,6 +7,7 @@ time limit reached, 3 subproblem failure, 4 eigensolver failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -39,11 +40,6 @@ def _lmax_arg(text: str):
 def _add_solver_flags(p: argparse.ArgumentParser):
     d = solver.SolverParams()
     p.add_argument("--t0", type=float, default=d.t0)
-    p.add_argument("--tmin", type=float, default=d.t_min)
-    p.add_argument("--tmax", type=float, default=d.t_max)
-    p.add_argument("--beta1", type=float, default=d.beta1)
-    p.add_argument("--beta2", type=float, default=d.beta2)
-    p.add_argument("--beta3", type=float, default=d.beta3)
     p.add_argument("--xi", type=float, default=d.xi)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--rank", type=int, default=None)
@@ -62,10 +58,9 @@ def _add_solver_flags(p: argparse.ArgumentParser):
 
 def _params_from_args(args) -> solver.SolverParams:
     return solver.SolverParams(
-        t0=args.t0, t_min=args.tmin, t_max=args.tmax, beta1=args.beta1,
-        beta2=args.beta2, beta3=args.beta3, xi=args.xi, rho=args.rho,
-        rank=args.rank, l_max=args.lmax, eps=args.eps, maxiter=args.maxiter,
-        time_limit_secs=args.time_limit, prior_rank=args.prior_rank,
+        t0=args.t0, xi=args.xi, rho=args.rho, rank=args.rank, l_max=args.lmax,
+        eps=args.eps, maxiter=args.maxiter, time_limit_secs=args.time_limit,
+        prior_rank=args.prior_rank,
     )
 
 
@@ -73,18 +68,17 @@ TRACE_FIELDS = ("k", "step_type", "F_y", "delta1", "delta4", "delta5",
                 "delta6", "t", "l", "elapsed_secs")
 
 
-def _write_trace(records, path: str):
-    """CSV when the path ends in .csv, JSON lines otherwise."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if path.endswith(".csv"):
-            w = csv.writer(fh)
-            w.writerow(TRACE_FIELDS)
-            for rec in records:
-                w.writerow([getattr(rec, f) for f in TRACE_FIELDS])
-        else:
-            for rec in records:
-                fh.write(json.dumps({f: getattr(rec, f) for f in TRACE_FIELDS}))
-                fh.write("\n")
+def _write_trace(records, fh):
+    """CSV when the file's name ends in .csv, JSON lines otherwise."""
+    if fh.name.endswith(".csv"):
+        w = csv.writer(fh)
+        w.writerow(TRACE_FIELDS)
+        for rec in records:
+            w.writerow([getattr(rec, f) for f in TRACE_FIELDS])
+    else:
+        for rec in records:
+            fh.write(json.dumps({f: getattr(rec, f) for f in TRACE_FIELDS}))
+            fh.write("\n")
 
 
 def _report(result: solver.SolveResult, problem, params) -> dict:
@@ -107,15 +101,6 @@ def _report(result: solver.SolveResult, problem, params) -> dict:
     }
 
 
-def _emit(doc: dict, out_path: str | None):
-    text = json.dumps(doc, indent=2)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
 def _load_instance(path: str):
     if path.endswith(".json"):
         problem, _ = problems.load_manifest(path)
@@ -124,13 +109,22 @@ def _load_instance(path: str):
 
 
 def _run_solver(problem, params, args) -> int:
-    try:
-        result = solver.solve(problem, params)
-    except ValueError as exc:
-        return _error(exc)
-    if args.trace_out:
-        _write_trace(result.trace, args.trace_out)
-    _emit(_report(result, problem, params), args.out)
+    with contextlib.ExitStack() as files:
+        # opened before the solve, so that a bad path costs no solve
+        try:
+            trace_fh, out_fh = [
+                files.enter_context(open(path, "w", newline="", encoding="utf-8"))
+                if path else None for path in (args.trace_out, args.out)]
+        except OSError as exc:
+            return _error(exc)
+        try:
+            result = solver.solve(problem, params)
+        except ValueError as exc:
+            return _error(exc)
+        if trace_fh:
+            _write_trace(result.trace, trace_fh)
+        report = json.dumps(_report(result, problem, params), indent=2)
+        print(report, file=out_fh)  # stdout without --out
     if result.status == solver.STATUS_CONVERGED:
         return 0
     if result.status == solver.STATUS_SUBPROBLEM_FAILURE:
@@ -155,18 +149,18 @@ def cmd_solve(args) -> int:
 
 def cmd_generate(args) -> int:
     try:
+        os.makedirs(args.out, exist_ok=True)
         problem, planted = problems.generate_random_sdp(
             args.n, args.m, args.r, args.sparsity, args.s, args.seed
         )
-    except ValueError as exc:
+        stem = os.path.join(args.out, problem.name)
+        instance_path = stem + ".dat-s"
+        manifest_path = stem + ".json"
+        problems.write_sdpa(problem, instance_path)
+        problems.write_manifest(manifest_path, problem, planted, instance_path,
+                                args.r, args.sparsity, args.s, args.seed)
+    except (OSError, ValueError) as exc:
         return _error(exc)
-    os.makedirs(args.out, exist_ok=True)
-    stem = os.path.join(args.out, problem.name)
-    instance_path = stem + ".dat-s"
-    manifest_path = stem + ".json"
-    problems.write_sdpa(problem, instance_path)
-    problems.write_manifest(manifest_path, problem, planted, instance_path,
-                            args.r, args.sparsity, args.s, args.seed)
     print(instance_path)
     print(manifest_path)
     return 0

@@ -209,7 +209,8 @@ def smat_csr(values: np.ndarray) -> sp.csr_matrix:
 def svec_rank_one(p: np.ndarray) -> np.ndarray:
     """Column i is svec(p_i p_i') for column p_i of the n x l matrix p.
 
-    The reference for ``SvecSupport.rank_one``, which gives the same bits.
+    The bit reference for ``SvecSupport.rank_one`` in ``TestSupportColumns``;
+    no solver code calls it.
     """
     rows, cols, scale = svec_indices(p.shape[0])
     return p[rows, :] * p[cols, :] * scale[:, None]
@@ -288,10 +289,12 @@ class ConstraintOperator:
         return a.row[keep], rows[pos], cols[pos], vals[keep]
 
     def constraint_matrix(self, i: int) -> SymMatrix:
+        """A_{i+1}; for c08 and ``tests/sdpa_reference.py``, not the solver."""
         return smat(np.asarray(self.avec[:, i].todense()).ravel())
 
     def norm_estimate(self, iters: int = 100, seed: int = 0) -> float:
-        """Operator norm of A (= largest singular value of avec) by power iteration."""
+        """Operator norm of A (= largest singular value of avec) by power
+        iteration; for c09's Lipschitz bound, not the solver."""
         rng = np.random.default_rng(seed)
         g = self.avec.T @ self.avec  # m x m
         y = rng.standard_normal(self.m)
@@ -372,7 +375,8 @@ def apply_A(op: ConstraintOperator, x) -> np.ndarray:
 
 
 def apply_At(op: ConstraintOperator, y: np.ndarray) -> SymMatrix:
-    """Adjoint A^T y = sum_i y_i A_i as a SymMatrix."""
+    """Adjoint A^T y = sum_i y_i A_i as a SymMatrix; for the adjoint and
+    generator tests, not the solver."""
     y = np.asarray(y, dtype=np.float64)
     if y.size != op.m:
         raise ValueError("dimension mismatch in apply_At")
@@ -381,7 +385,7 @@ def apply_At(op: ConstraintOperator, y: np.ndarray) -> SymMatrix:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """r extreme eigenpairs; values ascending for smallest, descending for largest."""
+    """The r smallest eigenpairs, values ascending."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -394,45 +398,39 @@ def _as_operator(s):
     return a, a.shape[0]
 
 
-def extreme_eigs(s, r: int, which: str = "smallest",
-                 eig_tol: float = EIG_TOL) -> EigenResult:
-    """r extreme eigenpairs of a symmetric matrix.
+def extreme_eigs(s, r: int) -> EigenResult:
+    """The r smallest eigenpairs of a symmetric matrix, values ascending.
 
     For n <= 400 (or nearly full spectra) LAPACK computes just the r wanted
     pairs of the dense matrix; thick restarted Lanczos (ARPACK) otherwise.
-    Every returned pair satisfies ||S v - lambda v|| <= eig_tol * (1 + |lambda|),
+    Every returned pair satisfies ||S v - lambda v|| <= EIG_TOL * (1 + |lambda|),
     or EigenConvergenceError is raised.
     """
-    if which not in ("smallest", "largest"):
-        raise ValueError("which must be 'smallest' or 'largest'")
     mat, n = _as_operator(s)
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
 
     if n <= DENSE_EIG_CUTOFF or r > n - 2:
         dense = mat.toarray() if sp.issparse(mat) else mat
-        lo = 0 if which == "smallest" else n - r
         try:
-            vals, vecs = sla.eigh(dense, subset_by_index=[lo, lo + r - 1],
+            vals, vecs = sla.eigh(dense, subset_by_index=[0, r - 1],
                                   driver="evr", check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise EigenConvergenceError(
-                f"LAPACK failed to compute {r} {which} eigenpairs") from exc
+                f"LAPACK failed to compute {r} smallest eigenpairs") from exc
         if vals.size != r:
             # dsyevr returns no pairs for a matrix with a NaN or an inf
             raise EigenConvergenceError(
-                f"LAPACK returned {vals.size} of {r} {which} eigenpairs")
-        if which == "largest":
-            vals, vecs = vals[::-1], vecs[:, ::-1]
-        return _certified(dense, vals, vecs, eig_tol)
+                f"LAPACK returned {vals.size} of {r} smallest eigenpairs")
+        return _certified(dense, vals, vecs)
 
     ncv = min(max(4 * r, 20), n)
     # a fixed start vector makes repeated calls, and so whole solves, repeat
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
     try:
         vals, vecs = spla.eigsh(
-            mat, k=r, which="SA" if which == "smallest" else "LA",
-            ncv=ncv, v0=v0, maxiter=LANCZOS_MAX_RESTARTS * n, tol=0,
+            mat, k=r, which="SA", ncv=ncv, v0=v0,
+            maxiter=LANCZOS_MAX_RESTARTS * n, tol=0,
         )
     except spla.ArpackNoConvergence as exc:
         best = None
@@ -440,20 +438,17 @@ def extreme_eigs(s, r: int, which: str = "smallest",
             res = mat @ exc.eigenvectors - exc.eigenvectors * exc.eigenvalues
             best = float(np.linalg.norm(res, axis=0).max())
         raise EigenConvergenceError(
-            f"Lanczos failed to converge for {r} {which} eigenpairs",
+            f"Lanczos failed to converge for {r} smallest eigenpairs",
             best_residual=best,
         ) from exc
     order = np.argsort(vals)
-    if which == "largest":
-        order = order[::-1]
-    return _certified(mat, vals[order], vecs[:, order], eig_tol)
+    return _certified(mat, vals[order], vecs[:, order])
 
 
-def _certified(mat, vals: np.ndarray, vecs: np.ndarray,
-               eig_tol: float) -> EigenResult:
+def _certified(mat, vals: np.ndarray, vecs: np.ndarray) -> EigenResult:
     """The pairs, once each meets the residual bound of ``extreme_eigs``."""
     res = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
-    if not np.all(res <= eig_tol * (1.0 + np.abs(vals))):
+    if not np.all(res <= EIG_TOL * (1.0 + np.abs(vals))):
         raise EigenConvergenceError(
             "eigenpair residual above tolerance", best_residual=float(res.max())
         )

@@ -35,6 +35,10 @@ STATUS_EIGEN_FAILURE = "EigenFailure"
 
 LMAX_PRESETS = ("half", "sq", "2sq", "5sq")
 NULLMAX = 5  # bad null steps in a row before the step size is halved
+T_MIN, T_MAX = 1e-3, 1.0  # bounds of the step size t
+# descent when F(y) - F(z) >= BETA1 (F(y) - model(z)); t doubles from BETA2
+# on; a null step at BETA3 or below counts as bad
+BETA1, BETA2, BETA3 = 0.05, 0.65, 0.001
 
 
 def lmax_from_policy(policy, r: int) -> int:
@@ -62,11 +66,6 @@ class SolverParams:
     """Tunable knobs of the bundle method; defaults follow the low-condition regime."""
 
     t0: float = 1e-2
-    t_min: float = 1e-3
-    t_max: float = 1.0
-    beta1: float = 0.05
-    beta2: float = 0.65
-    beta3: float = 0.001
     xi: float = 1e-8
     rho: float | None = None
     rank: int | None = None
@@ -78,12 +77,8 @@ class SolverParams:
     materialize_w: bool = False
 
     def validate(self):
-        if not 0 < self.beta3 < self.beta1 < self.beta2 < 1:
-            raise ValueError("need 0 < beta3 < beta1 < beta2 < 1")
-        if not 0 < self.t_min <= self.t_max:
-            raise ValueError("need 0 < t_min <= t_max")
-        if not self.t_min <= self.t0 <= self.t_max:
-            raise ValueError("t0 must lie in [t_min, t_max]")
+        if not T_MIN <= self.t0 <= T_MAX:
+            raise ValueError(f"t0 must lie in [{T_MIN:g}, {T_MAX:g}]")
         if not 0 <= self.xi < math.inf:
             raise ValueError("xi must be finite and nonnegative")
         if not 0 < self.eps < math.inf:
@@ -174,29 +169,29 @@ def penalty_eval(problem: SdpProblem, y: np.ndarray, r: int, rho: float,
         raise ValueError("r must be at least 1")
     k = max(r, n_eigs or r)
     s = dual_slack(problem, y)
-    eig = extreme_eigs(s, min(k, problem.n), which="smallest")
+    eig = extreme_eigs(s, min(k, problem.n))
     lam_max = -float(eig.values[0])
     f = -float(problem.b @ y) + rho * max(lam_max, 0.0)
     return f, lam_max, eig.vectors[:, :r], eig.values
 
 
 def descent_decision(f_y: float, f_z: float, model_z: float, t: float,
-                     nullcount: int, params: SolverParams):
+                     nullcount: int):
     """Accept/reject the candidate and adapt the step size.
 
     Returns (accept, t_new, nullcount_new).
     """
     delta_pred = f_y - model_z
     delta_true = f_y - f_z
-    if params.beta1 * delta_pred <= delta_true:
+    if BETA1 * delta_pred <= delta_true:
         t_new = t
-        if params.beta2 * delta_pred <= delta_true:
-            t_new = min(2.0 * t, params.t_max)
+        if BETA2 * delta_pred <= delta_true:
+            t_new = min(2.0 * t, T_MAX)
         return True, t_new, 0
     nullcount += 1
     t_new = t
-    if params.beta3 * delta_pred >= delta_true and nullcount >= NULLMAX:
-        t_new = max(0.5 * t, params.t_min)
+    if BETA3 * delta_pred >= delta_true and nullcount >= NULLMAX:
+        t_new = max(0.5 * t, T_MIN)
         nullcount = 0
     return False, t_new, nullcount
 
@@ -279,20 +274,18 @@ def recover_primal(state: BundleState, u: np.ndarray) -> SymMatrix:
 
 
 def solve(problem: SdpProblem, params: SolverParams | None = None,
-          callback=None, y0: np.ndarray | None = None) -> SolveResult:
-    """Run the full bundle method on a standard-form SDP.
+          callback=None) -> SolveResult:
+    """Run the full bundle method on a standard-form SDP from y = 0.
 
-    ``y0`` sets the starting dual center (default: the origin).  ``callback``,
-    if given, receives an ``IterationInfo`` after every iteration.
+    ``callback``, if given, receives an ``IterationInfo`` after every
+    iteration.
     """
     params = params or SolverParams()
     params.validate()
     rho, r_iter = _rho_and_rank(problem, params)
     l_max = lmax_from_policy(params.l_max, r_iter)
     pred = RankPrediction(r_iter) if params.prior_rank is not None else None
-    y = np.zeros(problem.m) if y0 is None else np.array(y0, dtype=np.float64)
-    if y.shape != (problem.m,) or not np.all(np.isfinite(y)):
-        raise ValueError("y0 must be a finite length-m vector")
+    y = np.zeros(problem.m)
 
     b = problem.b
     start = time.perf_counter()
@@ -329,7 +322,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
             # the descent test moves the center; F_y stays the pre-step value
             # for the termination test and the trace
             accept, t, nullcount = descent_decision(f_y, f_z, model_z, t,
-                                                    nullcount, params)
+                                                    nullcount)
             if accept:
                 y, lam_max_y = z, lam_max_z
             *deltas, done = termination_check(b, u, a, b_mat, y, -lam_max_y, f_y,
@@ -355,7 +348,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                 finalize, r_pred = rank_predict_step(bundle.P, eigs_z, pred)
                 if finalize:  # restart at the candidate with the predicted rank
                     y, f_y, lam_max_y = z, f_z, lam_max_z
-                    t = max(0.5 * t, params.t_min)
+                    t = max(0.5 * t, T_MIN)
                     r_iter, l_max = r_pred, lmax_from_policy(params.l_max, r_pred)
                     bundle = BundleState.fresh(v_new[:, :r_pred], a_new[:r_pred],
                                                b_new[:, :r_pred], params.materialize_w)
@@ -404,8 +397,8 @@ def _rho_and_rank(problem: SdpProblem, params: SolverParams):
         r = params.rank if params.rank is not None else problem.known_rank
         if r is None:
             raise ValueError("rank not set; supply params.rank or params.prior_rank")
-    if r < 1:
-        raise ValueError("rank must be at least 1")
+    if not 1 <= r <= problem.n:
+        raise ValueError(f"rank must lie in [1, n = {problem.n}], got {r}")
     return rho, r
 
 

@@ -54,6 +54,19 @@ class TestGenerate:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_out_is_a_file_exit_1_before_generating(self, tmp_path, capsys,
+                                                     monkeypatch):
+        calls = []
+        monkeypatch.setattr(polybundle.problems, "generate_random_sdp",
+                            lambda *a, **k: calls.append(1))
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["generate", "--n", "30", "--m", "30", "--r", "3",
+                     "--sparsity", "0.1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
+
 
 class TestSolve:
     def test_converged_run_exit_0(self, generated, capsys, tmp_path):
@@ -82,10 +95,11 @@ class TestSolve:
 
     def test_bad_params_exit_1(self, generated, capsys):
         _, man = generated
-        code = main(["solve", str(man), "--beta1", "0.9"])
+        code = main(["solve", str(man), "--t0", "10"])
         assert code == 1
 
     @pytest.mark.parametrize("flag,value", [
+        ("--t0", "nan"), ("--t0", "inf"),
         ("--eps", "nan"), ("--eps", "inf"),
         ("--rho", "nan"), ("--rho", "inf"), ("--rho", "0"),
         ("--xi", "nan"), ("--xi", "inf"),
@@ -170,11 +184,11 @@ class TestSolve:
         k, real = 3, solver.extreme_eigs
         calls = []
 
-        def failing(s, r, which="smallest"):
+        def failing(s, r):
             calls.append(1)
             if len(calls) == k:
                 raise EigenConvergenceError("injected", best_residual=1.0)
-            return real(s, r, which=which)
+            return real(s, r)
 
         monkeypatch.setattr(solver, "extreme_eigs", failing)
         code = main(["solve", str(man)])
@@ -189,6 +203,34 @@ class TestSolve:
         code = main(["solve", str(dat), "--rank", "3", "--rho", "100"])
         assert code in (0, 2)
 
+    @pytest.mark.parametrize("flag", ["--rank", "--prior-rank"])
+    def test_rank_above_n_exit_1(self, generated, capsys, flag):
+        _, man = generated
+        code = main(["solve", str(man), flag, "31"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: rank")
+
+    @pytest.mark.parametrize("command", ["solve", "maxcut"])
+    @pytest.mark.parametrize("flag", ["--out", "--trace-out"])
+    def test_unwritable_output_exit_1_before_solving(self, generated, tmp_path,
+                                                     capsys, monkeypatch,
+                                                     command, flag):
+        _, man = generated
+        graph = tmp_path / "graph.txt"
+        graph.write_text("3 2\n1 2 1\n2 3 1\n")
+        calls = []
+        monkeypatch.setattr(solver, "solve", lambda *a, **k: calls.append(1))
+        target = man if command == "solve" else graph
+        code = main([command, str(target), flag,
+                     str(tmp_path / "missing" / "out.json")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert calls == []
+
 
 class TestUsage:
     @pytest.mark.parametrize("args", [
@@ -198,8 +240,10 @@ class TestUsage:
         ["--trace-o", "trace.jsonl"],  # no abbreviations
         ["--predict-rank"],            # removed
         ["--nullmax", "3"],            # removed
+        ["--tmax", "1"],               # removed
+        ["--beta1", "0.05"],           # removed
     ], ids=["bad-lmax", "unknown-flag", "trace", "abbreviation",
-            "predict-rank", "nullmax"])
+            "predict-rank", "nullmax", "tmax", "beta1"])
     def test_usage_error_exit_1(self, generated, tmp_path, monkeypatch, capsys,
                                 args):
         _, man = generated

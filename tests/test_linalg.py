@@ -175,7 +175,7 @@ class TestExtremeEigs:
     def test_dense_path_smallest(self):
         rng = np.random.default_rng(11)
         a = random_sym(rng, 40)
-        res = extreme_eigs(a, 3, which="smallest")
+        res = extreme_eigs(a, 3)
         want = np.sort(np.linalg.eigvalsh(a))[:3]
         assert np.allclose(res.values, want, atol=1e-10)
         for i in range(3):
@@ -183,20 +183,13 @@ class TestExtremeEigs:
             resid = np.linalg.norm(a @ v - res.values[i] * v)
             assert resid <= 1e-9 * (1 + abs(res.values[i]))
 
-    def test_dense_path_largest(self):
-        rng = np.random.default_rng(12)
-        a = random_sym(rng, 30)
-        res = extreme_eigs(a, 2, which="largest")
-        want = np.sort(np.linalg.eigvalsh(a))[::-1][:2]
-        assert np.allclose(res.values, want, atol=1e-10)
-
     def test_sparse_path_residuals(self):
         rng = np.random.default_rng(13)
         n = 500
         d = sp.random(n, n, density=0.01, random_state=14,
                       data_rvs=rng.standard_normal)
         a = ((d + d.T) / 2).tocsr()
-        res = extreme_eigs(a, 4, which="smallest")
+        res = extreme_eigs(a, 4)
         dense_vals = np.sort(np.linalg.eigvalsh(a.toarray()))[:4]
         assert np.allclose(res.values, dense_vals, atol=1e-7)
         for i in range(4):
@@ -210,15 +203,15 @@ class TestExtremeEigs:
         d = sp.random(500, 500, density=0.01, random_state=17,
                       data_rvs=rng.standard_normal)
         a = ((d + d.T) / 2).tocsr()
-        first = extreme_eigs(a, 4, which="smallest")
-        again = extreme_eigs(a, 4, which="smallest")
+        first = extreme_eigs(a, 4)
+        again = extreme_eigs(a, 4)
         assert np.array_equal(first.values, again.values)
         assert np.array_equal(first.vectors, again.vectors)
 
     def test_values_sorted_ascending(self):
         rng = np.random.default_rng(15)
         a = random_sym(rng, 25)
-        res = extreme_eigs(a, 5, which="smallest")
+        res = extreme_eigs(a, 5)
         assert np.all(np.diff(res.values) >= 0)
 
 
@@ -233,19 +226,16 @@ def separated(rng, n):
 class TestSubsetEigensolve:
     """The dense branch's subset solve against a full np.linalg.eigh."""
 
-    @pytest.mark.parametrize("which", ["smallest", "largest"])
     @pytest.mark.parametrize("n, r", [
         (40, "1"), (40, "n-1"), (40, "n"),
         # above the cutoff only nearly full spectra take the dense branch
         (DENSE_EIG_CUTOFF + 1, "n-1"), (DENSE_EIG_CUTOFF + 1, "n"),
     ])
-    def test_matches_full_eigh(self, which, n, r):
+    def test_matches_full_eigh(self, n, r):
         r = {"1": 1, "n-1": n - 1, "n": n}[r]
         a = separated(np.random.default_rng(n + r), n)
         vals, vecs = np.linalg.eigh(a)
-        if which == "largest":
-            vals, vecs = vals[::-1], vecs[:, ::-1]
-        res = extreme_eigs(a, r, which=which)
+        res = extreme_eigs(a, r)
         assert res.values.shape == (r,) and res.vectors.shape == (n, r)
         assert np.max(np.abs(res.values - vals[:r])) <= 1e-12
         for i in range(r):
@@ -254,8 +244,8 @@ class TestSubsetEigensolve:
 
     def test_csr_input_below_cutoff(self):
         a = random_sym(np.random.default_rng(21), 60, density=0.1)
-        dense = extreme_eigs(a, 4, which="smallest")
-        res = extreme_eigs(sp.csr_matrix(a), 4, which="smallest")
+        dense = extreme_eigs(a, 4)
+        res = extreme_eigs(sp.csr_matrix(a), 4)
         assert np.array_equal(res.values, dense.values)
         assert np.array_equal(res.vectors, dense.vectors)
         assert np.max(np.abs(res.values - np.linalg.eigvalsh(a)[:4])) <= 1e-12
@@ -269,30 +259,30 @@ class TestSubsetEigensolve:
             return vals, vecs + 1e-6
         monkeypatch.setattr(linalg.sla, "eigh", perturbed)
         with pytest.raises(EigenConvergenceError) as err:
-            extreme_eigs(a, 3, which="smallest")
+            extreme_eigs(a, 3)
         assert 1e-7 < err.value.best_residual < 1e-4
 
-    def test_residual_bound_applies_to_dense_branch(self):
+    def test_residual_bound_applies_to_dense_branch(self, monkeypatch):
         a = separated(np.random.default_rng(23), 30)
+        monkeypatch.setattr(linalg, "EIG_TOL", 1e-30)
         with pytest.raises(EigenConvergenceError) as err:
-            extreme_eigs(a, 3, which="smallest", eig_tol=1e-30)
+            extreme_eigs(a, 3)
         assert 0.0 < err.value.best_residual < 1e-12
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("which", ["smallest", "largest"])
-    def test_non_finite_matrix_raises_eigen_error(self, bad, which):
+    def test_non_finite_matrix_raises_eigen_error(self, bad):
         # LAPACK returns no pairs for it rather than failing
         a = separated(np.random.default_rng(24), 30)
         a[3, 7] = a[7, 3] = bad
         with pytest.raises(EigenConvergenceError, match="returned 0 of 3"):
-            extreme_eigs(a, 3, which=which)
+            extreme_eigs(a, 3)
 
     def test_lapack_failure_raises_eigen_error(self, monkeypatch):
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
         monkeypatch.setattr(linalg.sla, "eigh", failing)
         with pytest.raises(EigenConvergenceError, match="LAPACK"):
-            extreme_eigs(np.eye(5), 2, which="smallest")
+            extreme_eigs(np.eye(5), 2)
 
 
 class TestSmatDense:
