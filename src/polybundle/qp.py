@@ -4,7 +4,9 @@ Solves
     min  1/2 u'(t B'B + xi I)u + (a - B'(y + t b))'u
     s.t. u >= 0,  1'u <= rho
 with a primal active-set method, and certifies the result through a KKT
-residual.  The candidate point is z = y + t(b - B u).
+residual.  The candidate point is z = y + t(b - B u).  Each working-set
+system is factored with LAPACK ``dpotrf`` and solved with ``dpotrs``,
+followed by ``REFINE_STEPS`` passes of iterative refinement.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 QP_TOL_BASE = 1e-10
 ITER_CAP_FACTOR = 50
@@ -24,7 +26,8 @@ class SingularSubproblem(RuntimeError):
 
 
 class NonConvergence(RuntimeError):
-    """Active-set iteration cap exceeded; carries the best iterate."""
+    """Active-set iteration cap exceeded, or a KKT residual above its
+    certificate; carries the last iterate and its residual."""
 
     def __init__(self, message: str, u: np.ndarray, residual: float):
         super().__init__(message)
@@ -68,15 +71,22 @@ class QpSolution:
     objective: float
 
 
-def _factor(h: np.ndarray, xi: float):
-    try:
-        return scipy.linalg.cho_factor(h, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+def _factor(h: np.ndarray, xi: float) -> np.ndarray:
+    """Lower Cholesky factor of h (upper triangle left as it was)."""
+    c, info = dpotrf(h, lower=1, clean=0)
+    if info > 0:
         if xi == 0.0:
-            raise SingularSubproblem(
-                "t B'B singular and xi = 0; increase xi"
-            ) from exc
-        raise
+            raise SingularSubproblem("t B'B singular and xi = 0; increase xi")
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor is not positive definite")
+    return c
+
+
+def _solve(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    x, info = dpotrs(c, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
 
 
 def _eqp_solve(h: np.ndarray, q: np.ndarray, free: np.ndarray,
@@ -87,39 +97,38 @@ def _eqp_solve(h: np.ndarray, q: np.ndarray, free: np.ndarray,
     regularization leaves in the working-set system; a bare solve would cap
     the certifiable KKT residual near 1e-8.
     """
-    p = q.size
-    u = np.zeros(p)
-    if not free.any():
+    u = np.zeros(q.size)
+    idx = free.nonzero()[0]
+    if idx.size == 0:
         return u, 0.0
-    hff = h[np.ix_(free, free)]
-    qf = q[free]
+    hff = h.take(idx, 0).take(idx, 1)
+    qf = q.take(idx)
     c = _factor(hff, xi)
 
     if not simplex_active:
-        x = scipy.linalg.cho_solve(c, -qf, check_finite=False)
+        x = _solve(c, -qf)
         for _ in range(REFINE_STEPS):
             r = -qf - hff @ x
-            x = x + scipy.linalg.cho_solve(c, r, check_finite=False)
-        u[free] = x
+            x = x + _solve(c, r)
+        u[idx] = x
         return u, 0.0
 
     # block elimination of the augmented system [H 1; 1' 0][u; mu] = [-q; rho]
-    ones = np.ones(int(free.sum()))
-    h1 = scipy.linalg.cho_solve(c, ones, check_finite=False)
+    h1 = _solve(c, np.ones(idx.size))
     denom = h1.sum()
     if abs(denom) < 1e-300:
         raise SingularSubproblem("degenerate simplex working set")
-    hq = scipy.linalg.cho_solve(c, -qf, check_finite=False)
+    hq = _solve(c, -qf)
     mu = (hq.sum() - rho) / denom
     x = hq - mu * h1
     for _ in range(REFINE_STEPS):
         r1 = -qf - hff @ x - mu
         r2 = rho - x.sum()
-        s1 = scipy.linalg.cho_solve(c, r1, check_finite=False)
+        s1 = _solve(c, r1)
         dmu = (s1.sum() - r2) / denom
         x = x + s1 - dmu * h1
         mu = mu + dmu
-    u[free] = x
+    u[idx] = x
     return u, float(mu)
 
 
@@ -127,8 +136,11 @@ def solve_subproblem(d: SubproblemData,
                      warm_start: np.ndarray | None = None) -> QpSolution:
     """Primal active-set method for the simplex-constrained QP.
 
-    ``warm_start`` is a boolean mask of bound constraints to start active;
-    the iterate always starts at the feasible point u = 0.
+    ``warm_start`` is a boolean mask, one entry per column of ``B``, of bound
+    constraints to start active; without it every bound starts active.  The
+    iterate always starts at the feasible point u = 0.  Raises
+    ``NonConvergence`` when the iteration cap is hit or the KKT residual of
+    the result exceeds its certificate ``qp_tolerance``.
     """
     h = d.hessian()
     q = d.linear()
@@ -136,10 +148,13 @@ def solve_subproblem(d: SubproblemData,
     scale = 1.0 + float(np.abs(q).max(initial=0.0))
     tol = QP_TOL_BASE * scale
 
-    if warm_start is not None and warm_start.size == p:
-        bound_active = warm_start.astype(bool).copy()
-    else:
+    if warm_start is None:
         bound_active = np.ones(p, dtype=bool)
+    elif warm_start.size == p:
+        bound_active = warm_start.astype(bool)
+    else:
+        raise ValueError(f"warm-start mask has {warm_start.size} entries, "
+                         f"expected {p}")
     simplex_active = False
     u = np.zeros(p)
     mu = 0.0
@@ -150,11 +165,14 @@ def solve_subproblem(d: SubproblemData,
         u_hat, mu = _eqp_solve(h, q, free, simplex_active, d.rho, d.xi)
         step = u_hat - u
         if np.abs(step).max(initial=0.0) <= 1e-14 * (1.0 + np.abs(u).max(initial=0.0)):
-            # at the working-set minimizer; check multipliers
+            # at the working-set minimizer; the most negative multiplier below
+            # -tol leaves the working set (ties to the lowest index)
             g = h @ u + q
             lam = g + (mu if simplex_active else 0.0)
             worst_idx, worst = -1, -tol
-            for i in np.flatnonzero(bound_active):
+            active = bound_active.nonzero()[0]
+            if active.size:
+                i = active[lam.take(active).argmin()]
                 if lam[i] < worst:
                     worst, worst_idx = lam[i], i
             if simplex_active and mu < worst:
@@ -166,14 +184,15 @@ def solve_subproblem(d: SubproblemData,
             else:
                 bound_active[worst_idx] = False
             continue
-        # longest feasible step toward u_hat
+        # longest feasible step toward u_hat; ties to the lowest index
         alpha = 1.0
         block_bound, block_simplex = -1, False
-        neg = free & (step < 0)
-        for i in np.flatnonzero(neg):
-            cand = -u[i] / step[i]
-            if cand < alpha:
-                alpha, block_bound = cand, i
+        neg = (free & (step < 0)).nonzero()[0]
+        if neg.size:
+            ratios = -u.take(neg) / step.take(neg)
+            j = ratios.argmin()
+            if ratios[j] < alpha:
+                alpha, block_bound = ratios[j], neg[j]
         if not simplex_active:
             sd = step.sum()
             if sd > 1e-16:
@@ -193,8 +212,11 @@ def solve_subproblem(d: SubproblemData,
         raise NonConvergence("active-set iteration cap exceeded", u, res)
 
     u = np.where(np.abs(u) < 1e-300, 0.0, u)
-    z = d.y + d.t * (d.b - d.B @ u)
     res = kkt_residual(d, u)
+    if res > tol:
+        raise NonConvergence(
+            f"KKT residual {res:.3g} above its certificate {tol:.3g}", u, res)
+    z = d.y + d.t * (d.b - d.B @ u)
     return QpSolution(
         u=u, z=z, kkt_residual=res,
         active_set=np.flatnonzero(bound_active),
