@@ -1,7 +1,7 @@
 """Command-line interface: solve, generate, maxcut, check.
 
-Exit codes: 0 success/Converged, 1 usage or parse error, 2 iteration or
-time limit reached, 3 subproblem failure, 4 eigensolver failure.
+Exit codes: 1 on a usage or parse error; otherwise ``EXIT_CODES`` of the
+run's status for solve and maxcut, and 0 or 2 for check.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import problems, solver
-from .linalg import apply_A
+from .linalg import SymMatrix, apply_A
 
 
 def _error(message) -> int:
@@ -26,29 +27,39 @@ def _error(message) -> int:
     return 1
 
 
+EXIT_CODES = {
+    solver.STATUS_CONVERGED: 0,
+    solver.STATUS_ITER_LIMIT: 2,
+    solver.STATUS_TIME_LIMIT: 2,
+    solver.STATUS_SUBPROBLEM_FAILURE: 3,
+    solver.STATUS_EIGEN_FAILURE: 4,
+}
+PARAM_FIELDS = {f.name for f in dataclasses.fields(solver.SolverParams)}
+
+
 def _lmax_arg(text: str):
-    if text in solver.LMAX_PRESETS:
-        return text
+    """An integer cap; other text is a preset name, which validate() checks."""
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--lmax must be an integer or one of {solver.LMAX_PRESETS}"
-        )
+        return text
 
 
 def _add_solver_flags(p: argparse.ArgumentParser):
-    d = solver.SolverParams()
-    p.add_argument("--t0", type=float, default=d.t0)
-    p.add_argument("--xi", type=float, default=d.xi)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--lmax", type=_lmax_arg, default=d.l_max)
-    p.add_argument("--eps", type=float, default=d.eps)
-    p.add_argument("--maxiter", type=int, default=d.maxiter)
-    p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--prior-rank", type=int, default=None,
-                   help="predict the rank, starting from this one")
+    """Each setting's dest is its SolverParams field; an absent flag leaves
+    the field's default."""
+    setting = functools.partial(p.add_argument, default=argparse.SUPPRESS)
+    setting("--t0", type=float)
+    setting("--xi", type=float)
+    setting("--rho", type=float)
+    setting("--rank", type=int)
+    setting("--lmax", dest="l_max", type=_lmax_arg,
+            help=f"an integer, or one of {', '.join(solver.LMAX_PRESETS)}")
+    setting("--eps", type=float)
+    setting("--maxiter", type=int)
+    setting("--time-limit", dest="time_limit_secs", type=float)
+    setting("--prior-rank", type=int,
+            help="predict the rank, starting from this one")
     p.add_argument("--trace-out", default=None,
                    help="write the per-iteration trace here: CSV if the name "
                         "ends in .csv, else JSON lines")
@@ -58,10 +69,7 @@ def _add_solver_flags(p: argparse.ArgumentParser):
 
 def _params_from_args(args) -> solver.SolverParams:
     return solver.SolverParams(
-        t0=args.t0, xi=args.xi, rho=args.rho, rank=args.rank, l_max=args.lmax,
-        eps=args.eps, maxiter=args.maxiter, time_limit_secs=args.time_limit,
-        prior_rank=args.prior_rank,
-    )
+        **{k: v for k, v in vars(args).items() if k in PARAM_FIELDS})
 
 
 TRACE_FIELDS = ("k", "step_type", "F_y", "delta1", "delta4", "delta5",
@@ -108,7 +116,20 @@ def _load_instance(path: str):
     return problems.load_sdpa(path)
 
 
-def _run_solver(problem, params, args) -> int:
+def _run_solver(args, load) -> int:
+    """Load, validate the settings, solve, report. ``load()`` returns the
+    problem and the rank used when neither --rank nor --prior-rank is set."""
+    try:
+        problem, default_rank = load()
+    except (OSError, ValueError) as exc:  # ParseError is a ValueError
+        return _error(exc)
+    try:
+        params = _params_from_args(args)
+        if params.rank is None and params.prior_rank is None:
+            params.rank = default_rank
+        params.validate()
+    except ValueError as exc:
+        return _error(exc)
     with contextlib.ExitStack() as files:
         # opened before the solve, so that a bad path costs no solve
         try:
@@ -125,26 +146,11 @@ def _run_solver(problem, params, args) -> int:
             _write_trace(result.trace, trace_fh)
         report = json.dumps(_report(result, problem, params), indent=2)
         print(report, file=out_fh)  # stdout without --out
-    if result.status == solver.STATUS_CONVERGED:
-        return 0
-    if result.status == solver.STATUS_SUBPROBLEM_FAILURE:
-        return 3
-    if result.status == solver.STATUS_EIGEN_FAILURE:
-        return 4
-    return 2
+    return EXIT_CODES[result.status]
 
 
 def cmd_solve(args) -> int:
-    try:
-        problem = _load_instance(args.input)
-    except (OSError, problems.ParseError) as exc:
-        return _error(exc)
-    try:
-        params = _params_from_args(args)
-        params.validate()
-    except ValueError as exc:
-        return _error(exc)
-    return _run_solver(problem, params, args)
+    return _run_solver(args, lambda: (_load_instance(args.input), None))
 
 
 def cmd_generate(args) -> int:
@@ -167,19 +173,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_maxcut(args) -> int:
-    try:
+    def load():
         graph = problems.load_gset(args.input)
         problem = problems.build_maxcut_sdp(graph, sense=args.sense)
-    except (OSError, problems.ParseError, ValueError) as exc:
-        return _error(exc)
-    try:
-        params = _params_from_args(args)
-        if params.rank is None and params.prior_rank is None:
-            params.rank = max(1, int(round(np.sqrt(2.0 * problem.n))))
-        params.validate()
-    except ValueError as exc:
-        return _error(exc)
-    return _run_solver(problem, params, args)
+        return problem, max(1, int(round(np.sqrt(2.0 * problem.n))))
+    return _run_solver(args, load)
 
 
 def cmd_check(args) -> int:
@@ -203,15 +201,22 @@ def cmd_check(args) -> int:
         return _error(f"{args.solution}: non-numeric solution field: {exc}")
     if y.ndim != 1 or y.size != problem.m or not np.all(np.isfinite(y)):
         return _error(f"solution y must be a finite vector of size {problem.m}")
+    if au is not None and not np.isfinite(au):
+        return _error("solution objective must be finite")
+    if x is not None:
+        n = problem.n
+        if x.shape != (n, n) or not np.all(np.isfinite(x)):
+            return _error(f"solution X must be a finite {n} x {n} matrix")
+        try:
+            x = SymMatrix.from_dense(x)
+        except ValueError as exc:
+            return _error(f"solution X: {exc}")
     _, lam_max, _, _ = solver.penalty_eval(problem, y, 1, rho=1.0)
     delta4 = max(lam_max, 0.0)
     by = float(problem.b @ y)
     doc = {"delta4": delta4}
     deltas = [delta4]
     if x is not None:
-        if x.shape != (problem.n, problem.n):
-            return _error(f"solution X has shape {x.shape}, expected "
-                          f"({problem.n}, {problem.n})")
         resid = apply_A(problem.op, x) - problem.b
         doc["delta1"] = float(np.linalg.norm(resid)) \
             / (1.0 + float(np.linalg.norm(problem.b)))

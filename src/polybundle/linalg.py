@@ -364,8 +364,6 @@ def apply_A(op: ConstraintOperator, x) -> np.ndarray:
     """A(X) for X given as a SymMatrix, dense matrix, or svec array."""
     if isinstance(x, SymMatrix):
         vec = svec(x).values
-    elif isinstance(x, SvecVector):
-        vec = x.values
     else:
         x = np.asarray(x, dtype=np.float64)
         vec = svec(x).values if x.ndim == 2 else x

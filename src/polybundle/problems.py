@@ -70,6 +70,9 @@ class PlantedSolution:
     kappa_S: float
 
 
+_LABEL_TYPES = (int, np.integer)  # vertex labels; built once, checked per edge
+
+
 @dataclass
 class GraphInstance:
     """Undirected weighted graph with 1-based vertex labels."""
@@ -78,8 +81,12 @@ class GraphInstance:
     edges: list[tuple[int, int, float]]
 
     def __post_init__(self):
+        if self.n_vertices < 1:
+            raise ValueError(f"{self.n_vertices} vertices; need at least 1")
         seen = set()
         for i, j, w in self.edges:
+            if not (isinstance(i, _LABEL_TYPES) and isinstance(j, _LABEL_TYPES)):
+                raise ValueError(f"edge ({i},{j}) has a non-integer vertex label")
             if not (1 <= i <= self.n_vertices and 1 <= j <= self.n_vertices):
                 raise ValueError(f"edge ({i},{j}) out of range")
             if i == j:
@@ -226,6 +233,9 @@ def load_gset(path: str) -> GraphInstance:
                 header = (int(toks[0]), int(toks[1]))
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-integer header") from exc
+            if header[0] < 1 or header[1] < 0:
+                raise ParseError(f"{path}:{lineno}: need at least one vertex "
+                                 f"and a nonnegative edge count")
             continue
         if len(toks) != 3:
             raise ParseError(f"{path}:{lineno}: expected 'i j w'")

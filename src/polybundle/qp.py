@@ -145,8 +145,7 @@ def solve_subproblem(d: SubproblemData,
     h = d.hessian()
     q = d.linear()
     p = q.size
-    scale = 1.0 + float(np.abs(q).max(initial=0.0))
-    tol = QP_TOL_BASE * scale
+    tol = _tolerance(q)
 
     if warm_start is None:
         bound_active = np.ones(p, dtype=bool)
@@ -235,11 +234,11 @@ def kkt_residual(d: SubproblemData, u: np.ndarray) -> float:
     h = d.hessian()
     q = d.linear()
     g = h @ u + q
-    scale = 1.0 + float(np.abs(q).max(initial=0.0))
+    tol = _tolerance(q)
     slack = d.rho - u.sum()
     mu = 0.0
-    if slack <= QP_TOL_BASE * scale * 10 + 1e-12 * d.rho:
-        free = u > QP_TOL_BASE * scale
+    if slack <= tol * 10 + 1e-12 * d.rho:
+        free = u > tol
         if free.any():
             mu = max(0.0, float(-g[free].mean()))
     parts = [
@@ -252,5 +251,10 @@ def kkt_residual(d: SubproblemData, u: np.ndarray) -> float:
 
 
 def qp_tolerance(d: SubproblemData) -> float:
-    """Certification threshold 1e-10 * (1 + ||q||_inf)."""
-    return QP_TOL_BASE * (1.0 + float(np.abs(d.linear()).max(initial=0.0)))
+    """Certification threshold of the KKT residual."""
+    return _tolerance(d.linear())
+
+
+def _tolerance(q: np.ndarray) -> float:
+    """QP_TOL_BASE * (1 + ||q||_inf), for the linear term q."""
+    return QP_TOL_BASE * (1.0 + float(np.abs(q).max(initial=0.0)))

@@ -33,7 +33,13 @@ STATUS_TIME_LIMIT = "TimeLimit"
 STATUS_SUBPROBLEM_FAILURE = "SubproblemFailure"
 STATUS_EIGEN_FAILURE = "EigenFailure"
 
-LMAX_PRESETS = ("half", "sq", "2sq", "5sq")
+# bundle-cap presets: the cap for per-iteration rank r
+LMAX_PRESETS = {
+    "half": lambda r: r * (r + 1) // 2 + r,
+    "sq": lambda r: r * r,
+    "2sq": lambda r: 2 * r * r,
+    "5sq": lambda r: 5 * r * r,
+}
 NULLMAX = 5  # bad null steps in a row before the step size is halved
 T_MIN, T_MAX = 1e-3, 1.0  # bounds of the step size t
 # descent when F(y) - F(z) >= BETA1 (F(y) - model(z)); t doubles from BETA2
@@ -44,16 +50,10 @@ BETA1, BETA2, BETA3 = 0.05, 0.65, 0.001
 def lmax_from_policy(policy, r: int) -> int:
     """Bundle cap from a preset name or an explicit integer."""
     if isinstance(policy, str):
-        if policy == "half":
-            val = r * (r + 1) // 2 + r
-        elif policy == "sq":
-            val = r * r
-        elif policy == "2sq":
-            val = 2 * r * r
-        elif policy == "5sq":
-            val = 5 * r * r
-        else:
-            raise ValueError(f"unknown l_max preset {policy!r}")
+        if policy not in LMAX_PRESETS:
+            raise ValueError(f"l_max must be an integer or one of "
+                             f"{', '.join(LMAX_PRESETS)}, not {policy!r}")
+        val = LMAX_PRESETS[policy](r)
     else:
         val = int(policy)
     if val < r:
@@ -90,8 +90,8 @@ class SolverParams:
             raise ValueError("time_limit_secs must be finite and positive")
         if self.maxiter < 1:
             raise ValueError("maxiter must be at least 1")
-        if isinstance(self.l_max, str) and self.l_max not in LMAX_PRESETS:
-            raise ValueError(f"l_max preset must be one of {LMAX_PRESETS}")
+        if isinstance(self.l_max, str):
+            lmax_from_policy(self.l_max, 0)  # raises on an unknown preset
 
 
 @dataclass

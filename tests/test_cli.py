@@ -319,6 +319,14 @@ class TestMaxcutCommand:
         code = main(["maxcut", str(g)])
         assert code == 1
 
+    @pytest.mark.parametrize("header", ["0 0", "-2 0"])
+    def test_graph_without_vertices_names_file_and_line(self, tmp_path, capsys,
+                                                        header):
+        g = tmp_path / "empty.txt"
+        g.write_text(header + "\n")
+        assert main(["maxcut", str(g)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {g}:1: ")
+
 
 def run_cli(*args):
     """The CLI in a fresh interpreter, so that a traceback shows on stderr."""
@@ -389,3 +397,37 @@ class TestMalformedSolution:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+
+class TestCheckSolutionValues:
+    """y = 0 is dual optimal on TINY_SDPA and X = E11 primal optimal, so a
+    check passes unless the solution file itself is bad."""
+
+    def check(self, tmp_path, solution):
+        instance = tmp_path / "tiny.dat-s"
+        instance.write_bytes(TINY_SDPA)
+        path = tmp_path / "sol.json"
+        path.write_text(solution)
+        return main(["check", str(instance), str(path)])
+
+    def test_optimal_pair_passes(self, tmp_path, capsys):
+        code = self.check(tmp_path, '{"y": [0.0], "X": [[1.0, 0.0], [0.0, 0.0]], '
+                                    '"objective_primal": 0.0}')
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"delta4": 0.0, "delta1": 0.0, "delta5": 0.0}
+
+    @pytest.mark.parametrize("fields", [
+        '"X": [[NaN, NaN], [NaN, NaN]]',
+        '"X": [[1.0, 0.0], [0.0, Infinity]]',
+        '"X": [[1.0, 5.0], [0.0, 0.0]]',
+        '"objective_primal": NaN',
+        '"objective_primal": -Infinity',
+    ], ids=["X-nan", "X-inf", "X-upper-triangular", "objective-nan",
+            "objective-inf"])
+    def test_bad_value_exit_1(self, tmp_path, capsys, fields):
+        code = self.check(tmp_path, f'{{"y": [0.0], {fields}}}')
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: solution")

@@ -180,6 +180,16 @@ class TestMaxcut:
             GraphInstance(2, [(1, 1, 1.0)])
         with pytest.raises(ValueError, match="duplicate"):
             GraphInstance(3, [(1, 2, 1.0), (2, 1, 2.0)])
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="at least 1"):
+                GraphInstance(n, [])
+        for edge in ((1.5, 2, 1.0), (1, 2.0, 1.0), ("1", 2, 1.0)):
+            with pytest.raises(ValueError, match="non-integer vertex label"):
+                GraphInstance(3, [edge])
+
+    def test_numpy_integer_labels_accepted(self):
+        g = GraphInstance(np.int64(3), [(np.int64(1), np.int32(3), 1.0)])
+        assert build_maxcut_sdp(g).n == 3
 
 
 class TestGset:
@@ -212,6 +222,13 @@ class TestGset:
         f = tmp_path / "g.txt"
         f.write_text("")
         with pytest.raises(ParseError, match="empty"):
+            load_gset(str(f))
+
+    @pytest.mark.parametrize("header", ["0 0", "-2 0", "3 -1"])
+    def test_degenerate_header_reports_line_1(self, tmp_path, header):
+        f = tmp_path / "g.txt"
+        f.write_text(header + "\n")
+        with pytest.raises(ParseError, match=f"{f}:1: need at least one vertex"):
             load_gset(str(f))
 
 
