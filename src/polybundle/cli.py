@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 
@@ -72,41 +73,35 @@ def _params_from_args(args) -> solver.SolverParams:
         **{k: v for k, v in vars(args).items() if k in PARAM_FIELDS})
 
 
-TRACE_FIELDS = ("k", "step_type", "F_y", "delta1", "delta4", "delta5",
-                "delta6", "t", "l", "elapsed_secs")
+# the field annotations that _scalars writes to the report and the trace
+SCALAR_TYPES = {"int", "float", "str", "bool", "None"}
+
+
+def _json_value(value):
+    """None (JSON null) for a non-finite float: strict JSON has no NaN or inf."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _scalars(obj) -> dict:
+    """The fields of a dataclass whose annotation is a scalar type, by name."""
+    return {f.name: _json_value(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+            if set(f.type.split(" | ")) <= SCALAR_TYPES}
 
 
 def _write_trace(records, fh):
-    """CSV when the file's name ends in .csv, JSON lines otherwise."""
+    """Every IterationRecord field, one row per iteration: CSV when the
+    file's name ends in .csv, JSON lines otherwise."""
+    rows = map(_scalars, records)
     if fh.name.endswith(".csv"):
-        w = csv.writer(fh)
-        w.writerow(TRACE_FIELDS)
-        for rec in records:
-            w.writerow([getattr(rec, f) for f in TRACE_FIELDS])
+        w = csv.DictWriter(fh, [f.name for f in
+                                dataclasses.fields(solver.IterationRecord)])
+        w.writeheader()
+        w.writerows(rows)
     else:
-        for rec in records:
-            fh.write(json.dumps({f: getattr(rec, f) for f in TRACE_FIELDS}))
+        for row in rows:
+            fh.write(json.dumps(row, allow_nan=False))
             fh.write("\n")
-
-
-def _report(result: solver.SolveResult, problem, params) -> dict:
-    return {
-        "status": result.status,
-        "iterations": result.iterations,
-        "wall_secs": result.wall_secs,
-        "delta1": result.delta1,
-        "delta4": result.delta4,
-        "delta5": result.delta5,
-        "delta6": result.delta6,
-        "objective_primal": result.objective_primal,
-        "objective_dual": result.objective_dual,
-        "rank_used": result.rank_used,
-        "rho": result.rho,
-        "instance": {"name": problem.name, "n": problem.n, "m": problem.m,
-                     "known_rank": problem.known_rank,
-                     "known_trace": problem.known_trace},
-        "params": {k: v for k, v in vars(params).items()},
-    }
 
 
 def _load_instance(path: str):
@@ -144,7 +139,9 @@ def _run_solver(args, load) -> int:
             return _error(exc)
         if trace_fh:
             _write_trace(result.trace, trace_fh)
-        report = json.dumps(_report(result, problem, params), indent=2)
+        report = json.dumps({**_scalars(result), "instance": _scalars(problem),
+                             "params": _scalars(params)},
+                            indent=2, allow_nan=False)
         print(report, file=out_fh)  # stdout without --out
     return EXIT_CODES[result.status]
 
@@ -212,21 +209,15 @@ def cmd_check(args) -> int:
         except ValueError as exc:
             return _error(f"solution X: {exc}")
     _, lam_max, _, _ = solver.penalty_eval(problem, y, 1, rho=1.0)
-    delta4 = max(lam_max, 0.0)
-    by = float(problem.b @ y)
-    doc = {"delta4": delta4}
-    deltas = [delta4]
+    doc = {"delta4": max(lam_max, 0.0)}
     if x is not None:
-        resid = apply_A(problem.op, x) - problem.b
-        doc["delta1"] = float(np.linalg.norm(resid)) \
-            / (1.0 + float(np.linalg.norm(problem.b)))
-        deltas.append(doc["delta1"])
+        doc["delta1"] = solver.primal_infeasibility(apply_A(problem.op, x),
+                                                    problem.b)
     if au is not None:
-        delta5 = abs(au - by) / (1.0 + abs(au) + abs(by))
-        doc["delta5"] = delta5
-        deltas.append(delta5)
-    print(json.dumps(doc, indent=2))
-    return 0 if max(deltas) <= args.eps else 2
+        doc["delta5"] = solver.duality_gap(au, float(problem.b @ y))
+    print(json.dumps({k: _json_value(v) for k, v in doc.items()}, indent=2,
+                     allow_nan=False))
+    return 0 if max(doc.values()) <= args.eps else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

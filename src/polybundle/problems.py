@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -91,7 +92,7 @@ class GraphInstance:
                 raise ValueError(f"edge ({i},{j}) out of range")
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
-            if not np.isfinite(w):
+            if not math.isfinite(w):
                 raise ValueError(f"non-finite weight on edge ({i},{j})")
             key = (min(i, j), max(i, j))
             if key in seen:

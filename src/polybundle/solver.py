@@ -49,13 +49,13 @@ BETA1, BETA2, BETA3 = 0.05, 0.65, 0.001
 
 def lmax_from_policy(policy, r: int) -> int:
     """Bundle cap from a preset name or an explicit integer."""
-    if isinstance(policy, str):
-        if policy not in LMAX_PRESETS:
-            raise ValueError(f"l_max must be an integer or one of "
-                             f"{', '.join(LMAX_PRESETS)}, not {policy!r}")
+    if isinstance(policy, str) and policy in LMAX_PRESETS:
         val = LMAX_PRESETS[policy](r)
+    elif isinstance(policy, int) and not isinstance(policy, bool):
+        val = policy
     else:
-        val = int(policy)
+        raise ValueError(f"l_max must be an integer or one of "
+                         f"{', '.join(LMAX_PRESETS)}, not {policy!r}")
     if val < r:
         raise ValueError("l_max must be at least the per-iteration rank")
     return val
@@ -90,41 +90,39 @@ class SolverParams:
             raise ValueError("time_limit_secs must be finite and positive")
         if self.maxiter < 1:
             raise ValueError("maxiter must be at least 1")
-        if isinstance(self.l_max, str):
-            lmax_from_policy(self.l_max, 0)  # raises on an unknown preset
+        lmax_from_policy(self.l_max, 0)  # raises unless a preset or an int
 
 
 @dataclass
 class IterationRecord:
+    """One iteration, as the trace and each --trace-out row report it."""
+
     k: int
     step_type: str            # "descent" | "null"
-    F_y: float
-    F_z: float
-    model_value: float
-    delta_pred: float
-    delta_true: float
-    t: float
+    F_y: float                # penalty value at the center, before the step
+    F_z: float                # penalty value at the candidate
+    model_value: float        # model value at the candidate
+    t: float                  # step size after adaptation
     l: int
     delta1: float
     delta4: float
     delta5: float
     delta6: float
-    eig_min_S: float
+    eig_min_S: float          # lambda_min(C - A'z)
     elapsed_secs: float
 
 
 @dataclass
 class IterationInfo:
-    """Snapshot handed to the per-iteration callback (model audit hooks)."""
+    """Snapshot handed to the per-iteration callback (model audit hooks):
+    the iteration's record plus the arrays a record does not hold."""
 
+    record: IterationRecord
     y: np.ndarray             # center the subproblem was solved at
     z: np.ndarray             # candidate
     t: float                  # step used by this iteration's subproblem
     a_post: np.ndarray        # model (a, B) after the bundle update
     B_post: np.ndarray
-    F_z: float
-    model_z: float
-    lam_max_z: float          # lambda_max(A'z - C)
     v_min: np.ndarray         # eigenvector of lambda_min(C - A'z)
 
 
@@ -196,6 +194,16 @@ def descent_decision(f_y: float, f_z: float, model_z: float, t: float,
     return False, t_new, nullcount
 
 
+def primal_infeasibility(a_x: np.ndarray, b: np.ndarray) -> float:
+    """delta1 = ||A(X) - b|| / (1 + ||b||), for A(X) given as ``a_x``."""
+    return float(np.linalg.norm(a_x - b)) / (1.0 + float(np.linalg.norm(b)))
+
+
+def duality_gap(primal: float, dual: float) -> float:
+    """delta5 = |a'u - b'y| / (1 + |a'u| + |b'y|)."""
+    return abs(primal - dual) / (1.0 + abs(primal) + abs(dual))
+
+
 def termination_check(b: np.ndarray, u: np.ndarray, a: np.ndarray,
                       b_mat: np.ndarray, y: np.ndarray, lambda_min_s: float,
                       f_y: float, model_z: float, eps: float):
@@ -204,12 +212,9 @@ def termination_check(b: np.ndarray, u: np.ndarray, a: np.ndarray,
     delta2 and delta3 vanish by construction (X >= 0 on the model side and
     S = C - A'y exactly) and are not computed.
     """
-    norm_b = float(np.linalg.norm(b))
-    delta1 = float(np.linalg.norm(b_mat @ u - b)) / (1.0 + norm_b)
+    delta1 = primal_infeasibility(b_mat @ u, b)
     delta4 = max(-lambda_min_s, 0.0)
-    au = float(a @ u)
-    by = float(b @ y)
-    delta5 = abs(au - by) / (1.0 + abs(au) + abs(by))
+    delta5 = duality_gap(float(a @ u), float(b @ y))
     delta6 = abs(f_y - model_z) / (1.0 + abs(f_y))
     done = max(delta1, delta4, delta5, delta6) <= eps
     return delta1, delta4, delta5, delta6, done
@@ -330,15 +335,13 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
             elapsed = time.perf_counter() - start
             trace.append(IterationRecord(
                 k=k, step_type="descent" if accept else "null", F_y=f_y, F_z=f_z,
-                model_value=model_z, delta_pred=f_y - model_z,
-                delta_true=f_y - f_z, t=t, l=bundle.l, delta1=deltas[0],
+                model_value=model_z, t=t, l=bundle.l, delta1=deltas[0],
                 delta4=deltas[1], delta5=deltas[2], delta6=deltas[3],
                 eig_min_S=-lam_max_z, elapsed_secs=elapsed))
             if callback is not None:
                 callback(IterationInfo(
-                    y=data.y, z=z, t=data.t, a_post=bundle.a, B_post=bundle.B,
-                    F_z=f_z, model_z=model_z, lam_max_z=lam_max_z,
-                    v_min=v_new[:, 0]))
+                    record=trace[-1], y=data.y, z=z, t=data.t, a_post=bundle.a,
+                    B_post=bundle.B, v_min=v_new[:, 0]))
             if accept:
                 f_y = f_z
             if done:

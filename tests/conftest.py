@@ -1,3 +1,10 @@
+import os
+
+# Iteration counts depend on the OpenBLAS thread count, so the suite runs at
+# one thread unless the environment says otherwise; this must run before
+# numpy is first imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 CRITERIA = {
     "test_c01_end_to_end_convergence": "criterion 01 end-to-end convergence",
     "test_c02_planted_optimum_agreement": "criterion 02 planted-optimum agreement",

@@ -60,13 +60,13 @@ def test_c03_model_invariant_suite():
             f_y, _, _, _ = penalty_eval(problem, y, 1, rho)
             m_post = model_eval(y, info.a_post, info.B_post, rho, problem.b)
             worst[0] = max(worst[0], m_post - f_y)
-            if info.lam_max_z > 0:
+            if info.record.eig_min_S < 0:
                 vv = np.outer(info.v_min, info.v_min)
                 g = -problem.b + rho * apply_A(problem.op, vv)
             else:
                 g = -problem.b
-            worst[1] = max(worst[1], info.F_z + g @ (y - info.z) - m_post)
-            lin = info.model_z + ((info.y - info.z) / info.t) @ (y - info.z)
+            worst[1] = max(worst[1], info.record.F_z + g @ (y - info.z) - m_post)
+            lin = info.record.model_value + ((info.y - info.z) / info.t) @ (y - info.z)
             worst[2] = max(worst[2], lin - m_post)
 
     result = solve(problem, SolverParams(eps=1e-6, maxiter=120),

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import polybundle
-from polybundle import qp, solver
+from polybundle import cli, qp, solver
 from polybundle.linalg import EigenConvergenceError
 from polybundle.cli import main
 
@@ -68,13 +70,35 @@ class TestGenerate:
         assert calls == []
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, as a strict parser does."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def read_trace(path):
+    """The rows of a --trace-out file, CSV or JSON lines."""
+    if path.suffix == ".csv":
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.DictReader(fh))
+    return [strict_json(line) for line in path.read_text().splitlines()]
+
+
 class TestSolve:
     def test_converged_run_exit_0(self, generated, capsys, tmp_path):
         _, man = generated
         out = tmp_path / "report.json"
         code = main(["solve", str(man), "--out", str(out)])
         assert code == 0
-        report = json.loads(out.read_text())
+        report = strict_json(out.read_text())
+        assert set(report) == {
+            "status", "iterations", "wall_secs", "delta1", "delta4", "delta5",
+            "delta6", "objective_primal", "objective_dual", "rank_used", "rho",
+            "instance", "params"}
+        assert set(report["instance"]) == {"name", "n", "m", "known_rank",
+                                           "known_trace"}
+        assert set(report["params"]) == cli.PARAM_FIELDS
         assert report["status"] == "Converged"
         assert max(report["delta1"], report["delta4"], report["delta5"],
                    report["delta6"]) <= 1e-4
@@ -147,6 +171,51 @@ class TestSolve:
         elapsed = [r["elapsed_secs"] for r in rows]
         assert all(b >= a for a, b in zip(elapsed, elapsed[1:]))
         assert rows[0]["step_type"] in ("descent", "null")
+
+    @pytest.mark.parametrize("name", ["trace.jsonl", "trace.csv"])
+    def test_trace_rows_explain_each_step(self, generated, tmp_path, capsys,
+                                          name):
+        # every record field is in every row, so a row shows why its
+        # candidate was a descent or a null step
+        _, man = generated
+        trace = tmp_path / name
+        assert main(["solve", str(man), "--trace-out", str(trace)]) == 0
+        rows = read_trace(trace)
+        fields = [f.name for f in dataclasses.fields(solver.IterationRecord)]
+        assert all(list(row) == fields for row in rows)
+        assert {row["step_type"] for row in rows} == {"descent", "null"}
+        for row in rows:
+            f_y, f_z, model = (float(row[f]) for f in ("F_y", "F_z",
+                                                       "model_value"))
+            descent = solver.BETA1 * (f_y - model) <= f_y - f_z
+            assert (row["step_type"] == "descent") == descent, row["k"]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_failed_run_report_and_trace_are_strict_json(
+            self, tmp_path, capsys, monkeypatch, k):
+        # an eigensolver failure at call k: at k = 1 no iteration finished,
+        # so the measures are infinite; the primal objective is NaN either way
+        assert main(["generate", "--n", "12", "--m", "8", "--r", "2",
+                     "--sparsity", "0.3", "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+        man = next(tmp_path.glob("*.json"))
+        capsys.readouterr()
+        real, calls = solver.extreme_eigs, []
+
+        def failing(s, r):
+            calls.append(1)
+            if len(calls) == k:
+                raise EigenConvergenceError("injected", best_residual=1.0)
+            return real(s, r)
+
+        monkeypatch.setattr(solver, "extreme_eigs", failing)
+        trace = tmp_path / "trace.jsonl"
+        assert main(["solve", str(man), "--trace-out", str(trace)]) == 4
+        report = strict_json(capsys.readouterr().out)
+        assert report["objective_primal"] is None
+        assert len(read_trace(trace)) == report["iterations"] == max(k - 2, 0)
+        if k == 1:
+            assert report["delta1"] is None and report["delta5"] is None
 
     def test_csv_trace(self, generated, tmp_path, capsys):
         _, man = generated

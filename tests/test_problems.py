@@ -186,6 +186,9 @@ class TestMaxcut:
         for edge in ((1.5, 2, 1.0), (1, 2.0, 1.0), ("1", 2, 1.0)):
             with pytest.raises(ValueError, match="non-integer vertex label"):
                 GraphInstance(3, [edge])
+        for w in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite weight"):
+                GraphInstance(2, [(1, 2, w)])
 
     def test_numpy_integer_labels_accepted(self):
         g = GraphInstance(np.int64(3), [(np.int64(1), np.int32(3), 1.0)])

@@ -1,8 +1,10 @@
 """What README.md lists agrees with the code: the constants, the bundle-cap
-presets, the command-line flags and the package's names."""
+presets, the command-line flags, the trace's fields and the package's
+names."""
 
 import argparse
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -69,6 +71,15 @@ def test_readme_flags_match_the_parser():
     assert parser_flags("solve") == listed
     assert parser_flags("maxcut") == {**listed, "--sense": None}
     assert "`maxcut` also takes `--sense`" in TEXT
+
+
+def test_readme_trace_fields_match_the_record():
+    # the bullet list that follows the sentence, up to the blank line
+    lead = "`result.trace` holds one `IterationRecord` per iteration"
+    block = TEXT[TEXT.index(lead):].split("\n\n")[0]
+    listed = [name for line in block.splitlines() if line.startswith("- ")
+              for name in re.findall(r"`(\w+)`", line.split(":")[0])]
+    assert listed == [f.name for f in dataclasses.fields(solver.IterationRecord)]
 
 
 def test_readme_names_match_all():

@@ -66,6 +66,12 @@ class TestParams:
         with pytest.raises(ValueError):
             lmax_from_policy(3, 5)
 
+    @pytest.mark.parametrize("value", [None, 7.9, True, "7", np.int64(7)],
+                             ids=["none", "float", "bool", "digits", "numpy-int"])
+    def test_lmax_neither_preset_nor_int_rejected(self, value):
+        with pytest.raises(ValueError, match="one of half, sq, 2sq, 5sq"):
+            SolverParams(l_max=value).validate()
+
 
 class TestPenaltyEval:
     def test_matches_direct_eigendecomposition(self, small_problem):
@@ -231,7 +237,7 @@ class TestSolveEndToEnd:
         problem, _ = small_problem
         res = solve(problem, SolverParams(eps=1e-4, maxiter=300))
         for rec in res.trace:
-            assert rec.delta_pred >= -1e-12
+            assert rec.F_y - rec.model_value >= -1e-12
 
     def test_iteration_limit_status(self, small_problem):
         problem, _ = small_problem
