@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import problems, solver
-from .linalg import SymMatrix, apply_A
+from .linalg import EigenConvergenceError, SymMatrix, apply_A
 
 
 def _error(message) -> int:
@@ -89,19 +89,23 @@ def _scalars(obj) -> dict:
             if set(f.type.split(" | ")) <= SCALAR_TYPES}
 
 
-def _write_trace(records, fh):
-    """Every IterationRecord field, one row per iteration: CSV when the
-    file's name ends in .csv, JSON lines otherwise."""
-    rows = map(_scalars, records)
+def _trace_writer(fh):
+    """A solve callback that writes every IterationRecord field to ``fh`` as
+    each iteration ends, one flushed row: CSV when the file's name ends in
+    .csv, JSON lines otherwise."""
     if fh.name.endswith(".csv"):
         w = csv.DictWriter(fh, [f.name for f in
                                 dataclasses.fields(solver.IterationRecord)])
         w.writeheader()
-        w.writerows(rows)
+        write_row = w.writerow
     else:
-        for row in rows:
-            fh.write(json.dumps(row, allow_nan=False))
-            fh.write("\n")
+        def write_row(row):
+            fh.write(json.dumps(row, allow_nan=False) + "\n")
+
+    def callback(info):
+        write_row(_scalars(info.record))
+        fh.flush()
+    return callback
 
 
 def _load_instance(path: str):
@@ -123,22 +127,20 @@ def _run_solver(args, load) -> int:
         if params.rank is None and params.prior_rank is None:
             params.rank = default_rank
         params.validate()
+        solver.problem_settings(problem, params)
     except ValueError as exc:
         return _error(exc)
     with contextlib.ExitStack() as files:
-        # opened before the solve, so that a bad path costs no solve
+        # opened once the settings are known good, and before the solve, so
+        # that a bad path costs no solve and a bad setting leaves no file
         try:
             trace_fh, out_fh = [
                 files.enter_context(open(path, "w", newline="", encoding="utf-8"))
                 if path else None for path in (args.trace_out, args.out)]
         except OSError as exc:
             return _error(exc)
-        try:
-            result = solver.solve(problem, params)
-        except ValueError as exc:
-            return _error(exc)
-        if trace_fh:
-            _write_trace(result.trace, trace_fh)
+        result = solver.solve(problem, params,
+                              _trace_writer(trace_fh) if trace_fh else None)
         report = json.dumps({**_scalars(result), "instance": _scalars(problem),
                              "params": _scalars(params)},
                             indent=2, allow_nan=False)
@@ -208,7 +210,10 @@ def cmd_check(args) -> int:
             x = SymMatrix.from_dense(x)
         except ValueError as exc:
             return _error(f"solution X: {exc}")
-    _, lam_max, _, _ = solver.penalty_eval(problem, y, 1, rho=1.0)
+    try:
+        _, lam_max, _, _ = solver.penalty_eval(problem, y, 1, rho=1.0)
+    except EigenConvergenceError as exc:
+        return _error(f"eigensolve of S = C - A'y failed: {exc}")
     doc = {"delta4": max(lam_max, 0.0)}
     if x is not None:
         doc["delta1"] = solver.primal_infeasibility(apply_A(problem.op, x),

@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 
 SQRT2 = np.sqrt(2.0)
 
-DENSE_EIG_CUTOFF = 400  # dense eigendecomposition below this dimension
+DENSE_EIG_CUTOFF = 400  # dual slacks up to this order are stored dense
 EIG_TOL = 1e-9
 LANCZOS_MAX_RESTARTS = 300
 
@@ -257,11 +257,13 @@ class ConstraintOperator:
     def from_entries(cls, n: int, m: int, k, rows, cols, vals) -> "ConstraintOperator":
         """Operator whose A_{k+1} has the entry vals at (rows, cols), row >= col.
 
-        Repeated (k, row, col) entries are summed.
+        Repeated (k, row, col) entries are summed, and entries that are
+        then zero are not stored.
         """
         _, _, scale = svec_indices(n)
         pos = svec_position(n, rows, cols)
         avec = sp.csc_matrix((vals * scale[pos], (pos, k)), shape=(tri_dim(n), m))
+        avec.eliminate_zeros()
         return cls(n, m, avec)
 
     @classmethod
@@ -389,27 +391,23 @@ class EigenResult:
     vectors: np.ndarray
 
 
-def _as_operator(s):
-    if sp.issparse(s):
-        return s.tocsr(), s.shape[0]
-    a = np.asarray(s, dtype=np.float64)
-    return a, a.shape[0]
-
-
 def extreme_eigs(s, r: int) -> EigenResult:
     """The r smallest eigenpairs of a symmetric matrix, values ascending.
 
-    For n <= 400 (or nearly full spectra) LAPACK computes just the r wanted
-    pairs of the dense matrix; thick restarted Lanczos (ARPACK) otherwise.
+    The storage picks the solver: LAPACK computes just the r wanted pairs of
+    a dense array, and thick restarted Lanczos (ARPACK) those of a sparse
+    matrix, which is densified for nearly full spectra (r > n - 2).
     Every returned pair satisfies ||S v - lambda v|| <= EIG_TOL * (1 + |lambda|),
     or EigenConvergenceError is raised.
     """
-    mat, n = _as_operator(s)
+    sparse = sp.issparse(s)
+    mat = s.tocsr() if sparse else np.asarray(s, dtype=np.float64)
+    n = mat.shape[0]
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
 
-    if n <= DENSE_EIG_CUTOFF or r > n - 2:
-        dense = mat.toarray() if sp.issparse(mat) else mat
+    if not sparse or r > n - 2:
+        dense = mat.toarray() if sparse else mat
         try:
             vals, vecs = sla.eigh(dense, subset_by_index=[0, r - 1],
                                   driver="evr", check_finite=False)

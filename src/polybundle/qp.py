@@ -11,7 +11,7 @@ followed by ``REFINE_STEPS`` passes of iterative refinement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -35,8 +35,11 @@ class NonConvergence(RuntimeError):
         self.residual = residual
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubproblemData:
+    """The QP's inputs, with its quadratic term ``h``, linear term ``q`` and
+    KKT certificate ``tol`` built once from them."""
+
     B: np.ndarray            # m x (l+1)
     a: np.ndarray            # l+1
     y: np.ndarray            # m, current center
@@ -44,6 +47,9 @@ class SubproblemData:
     t: float                 # step size > 0
     xi: float = 0.0          # regularization >= 0
     rho: float = 1.0         # penalty / trace bound > 0
+    h: np.ndarray = field(init=False, repr=False)    # t B'B + xi I
+    q: np.ndarray = field(init=False, repr=False)    # a - B'(y + t b)
+    tol: float = field(init=False, repr=False)       # QP_TOL_BASE (1 + ||q||_inf)
 
     def __post_init__(self):
         if self.t <= 0:
@@ -52,13 +58,12 @@ class SubproblemData:
             raise ValueError("xi must be nonnegative")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
-
-    def hessian(self) -> np.ndarray:
-        p = self.B.shape[1]
-        return self.t * (self.B.T @ self.B) + self.xi * np.eye(p)
-
-    def linear(self) -> np.ndarray:
-        return self.a - self.B.T @ (self.y + self.t * self.b)
+        h = self.t * (self.B.T @ self.B) + self.xi * np.eye(self.B.shape[1])
+        q = self.a - self.B.T @ (self.y + self.t * self.b)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "tol", QP_TOL_BASE * (
+            1.0 + float(np.abs(q).max(initial=0.0))))
 
 
 @dataclass
@@ -66,7 +71,7 @@ class QpSolution:
     u: np.ndarray
     z: np.ndarray
     kkt_residual: float
-    active_set: np.ndarray   # indices with u_i at the zero bound
+    bound_active: np.ndarray  # mask of the u_i held at the zero bound
     simplex_active: bool
     objective: float
 
@@ -140,12 +145,10 @@ def solve_subproblem(d: SubproblemData,
     constraints to start active; without it every bound starts active.  The
     iterate always starts at the feasible point u = 0.  Raises
     ``NonConvergence`` when the iteration cap is hit or the KKT residual of
-    the result exceeds its certificate ``qp_tolerance``.
+    the result exceeds its certificate ``d.tol``.
     """
-    h = d.hessian()
-    q = d.linear()
+    h, q, tol = d.h, d.q, d.tol
     p = q.size
-    tol = _tolerance(q)
 
     if warm_start is None:
         bound_active = np.ones(p, dtype=bool)
@@ -218,7 +221,7 @@ def solve_subproblem(d: SubproblemData,
     z = d.y + d.t * (d.b - d.B @ u)
     return QpSolution(
         u=u, z=z, kkt_residual=res,
-        active_set=np.flatnonzero(bound_active),
+        bound_active=bound_active,
         simplex_active=simplex_active,
         objective=float(0.5 * u @ (h @ u) + q @ u),
     )
@@ -231,14 +234,11 @@ def kkt_residual(d: SubproblemData, u: np.ndarray) -> float:
     stationarity forces mu = -g_i on every strictly free coordinate.
     """
     u = np.asarray(u, dtype=np.float64)
-    h = d.hessian()
-    q = d.linear()
-    g = h @ u + q
-    tol = _tolerance(q)
+    g = d.h @ u + d.q
     slack = d.rho - u.sum()
     mu = 0.0
-    if slack <= tol * 10 + 1e-12 * d.rho:
-        free = u > tol
+    if slack <= d.tol * 10 + 1e-12 * d.rho:
+        free = u > d.tol
         if free.any():
             mu = max(0.0, float(-g[free].mean()))
     parts = [
@@ -248,13 +248,3 @@ def kkt_residual(d: SubproblemData, u: np.ndarray) -> float:
         float(abs(min(mu, max(slack, 0.0)))),
     ]
     return max(parts)
-
-
-def qp_tolerance(d: SubproblemData) -> float:
-    """Certification threshold of the KKT residual."""
-    return _tolerance(d.linear())
-
-
-def _tolerance(q: np.ndarray) -> float:
-    """QP_TOL_BASE * (1 + ||q||_inf), for the linear term q."""
-    return QP_TOL_BASE * (1.0 + float(np.abs(q).max(initial=0.0)))

@@ -150,7 +150,8 @@ class SolveResult:
 
 
 def dual_slack(problem: SdpProblem, y: np.ndarray):
-    """S = C - A'y, dense for small n, sparse CSR above the dense cutoff."""
+    """S = C - A'y, dense for small n, sparse CSR above the dense cutoff;
+    ``extreme_eigs`` picks its eigensolver from this storage."""
     svals = problem.cvec - problem.op.avec @ y
     return smat_dense(svals) if problem.n <= DENSE_EIG_CUTOFF else smat_csr(svals)
 
@@ -222,13 +223,13 @@ def termination_check(b: np.ndarray, u: np.ndarray, a: np.ndarray,
 
 @dataclass
 class RankPrediction:
-    """State of the rank-prediction phase."""
+    """State of the rank-prediction phase; ``solve`` drops it once the
+    prediction is final."""
 
     prior_rank: int
     predcountmax: int = 10
     r_prev: int = 0
     predcount: int = 0
-    active: bool = True
 
 
 def rank_predict_step(p: np.ndarray, s_eigs_ascending: np.ndarray,
@@ -263,10 +264,7 @@ def rank_predict_step(p: np.ndarray, s_eigs_ascending: np.ndarray,
     else:
         state.predcount = 0
     state.r_prev = r_k
-    if state.predcount > state.predcountmax:
-        state.active = False
-        return True, r_k
-    return False, r_k
+    return state.predcount > state.predcountmax, r_k
 
 
 def recover_primal(state: BundleState, u: np.ndarray) -> SymMatrix:
@@ -287,8 +285,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     """
     params = params or SolverParams()
     params.validate()
-    rho, r_iter = _rho_and_rank(problem, params)
-    l_max = lmax_from_policy(params.l_max, r_iter)
+    rho, r_iter, l_max = problem_settings(problem, params)
     pred = RankPrediction(r_iter) if params.prior_rank is not None else None
     y = np.zeros(problem.m)
 
@@ -320,7 +317,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
             u, z, solved_on = sol.u, sol.z, bundle
             model_z = model_eval(z, a, b_mat, rho, b)
             f_z, lam_max_z, v_new, eigs_z, a_new, b_new = _oracle(
-                problem, support, z, r_iter, rho, pred is not None and pred.active)
+                problem, support, z, r_iter, rho, pred is not None)
             bundle, warm = _update_bundle(bundle, sol, v_new, a_new, b_new,
                                           r_iter, l_max)
 
@@ -347,9 +344,10 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
             if done:
                 status = STATUS_CONVERGED
                 break
-            if pred is not None and pred.active:
+            if pred is not None:
                 finalize, r_pred = rank_predict_step(bundle.P, eigs_z, pred)
                 if finalize:  # restart at the candidate with the predicted rank
+                    pred = None
                     y, f_y, lam_max_y = z, f_z, lam_max_z
                     t = max(0.5 * t, T_MIN)
                     r_iter, l_max = r_pred, lmax_from_policy(params.l_max, r_pred)
@@ -380,12 +378,13 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     )
 
 
-def _rho_and_rank(problem: SdpProblem, params: SolverParams):
-    """Penalty weight and starting rank, from the params or the instance.
+def problem_settings(problem: SdpProblem, params: SolverParams):
+    """Penalty weight, starting rank and bundle cap, from the params or the
+    instance; ValueError when the instance rejects them.
 
     rho defaults to 2*trace+1 for the instance's known primal trace; the rank
     is the prior when one is set (rank prediction), else params.rank or the
-    known rank.
+    known rank, and must lie in [1, n]; the cap must be at least the rank.
     """
     rho = params.rho
     if rho is None:
@@ -402,7 +401,7 @@ def _rho_and_rank(problem: SdpProblem, params: SolverParams):
             raise ValueError("rank not set; supply params.rank or params.prior_rank")
     if not 1 <= r <= problem.n:
         raise ValueError(f"rank must lie in [1, n = {problem.n}], got {r}")
-    return rho, r
+    return rho, r, lmax_from_policy(params.l_max, r)
 
 
 def _oracle(problem: SdpProblem, support: SvecSupport, z: np.ndarray, r: int,
@@ -434,7 +433,6 @@ def _update_bundle(bundle: BundleState, sol, v_new: np.ndarray,
     bundle = bundle_mod.aggregate_and_append(
         bundle, eta, x, v_new, a_new, b_new, p_bar, p_hat, l_max
     )
-    active = np.zeros(sol.u.size, dtype=bool)
-    active[sol.active_set] = True
+    active = sol.bound_active
     warm = np.concatenate([active[:1], active[1 + p_hat], np.zeros(r, dtype=bool)])
     return bundle, warm

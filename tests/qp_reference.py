@@ -85,8 +85,8 @@ def solve_subproblem(d: SubproblemData,
     ``warm_start`` is a boolean mask of bound constraints to start active;
     the iterate always starts at the feasible point u = 0.
     """
-    h = d.hessian()
-    q = d.linear()
+    h = d.h
+    q = d.q
     p = q.size
     scale = 1.0 + float(np.abs(q).max(initial=0.0))
     tol = QP_TOL_BASE * scale
@@ -152,7 +152,7 @@ def solve_subproblem(d: SubproblemData,
     res = kkt_residual(d, u)
     return QpSolution(
         u=u, z=z, kkt_residual=res,
-        active_set=np.flatnonzero(bound_active),
+        bound_active=bound_active,
         simplex_active=simplex_active,
         objective=float(0.5 * u @ (h @ u) + q @ u),
     )

@@ -9,7 +9,7 @@ import pytest
 import polybundle as pb
 from polybundle.bundle import model_eval
 from polybundle.linalg import apply_A, smat, svec
-from polybundle.qp import qp_tolerance, solve_subproblem
+from polybundle.qp import solve_subproblem
 from polybundle.solver import SolverParams, penalty_eval, solve
 
 
@@ -85,9 +85,9 @@ def test_c04_qp_oracle_equivalence():
         d = random_subproblem(rng, m=int(rng.integers(2, 8)),
                               cols=int(rng.integers(1, 8)))
         sol = solve_subproblem(d)
-        want_obj, _ = enumerate_qp(d.hessian(), d.linear(), d.rho)
+        want_obj, _ = enumerate_qp(d.h, d.q, d.rho)
         assert abs(sol.objective - want_obj) <= 1e-9 * (1 + abs(want_obj))
-        assert sol.kkt_residual <= qp_tolerance(d)
+        assert sol.kkt_residual <= d.tol
 
 
 def test_c05_xi_sensitivity_ordering():

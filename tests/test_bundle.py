@@ -91,7 +91,9 @@ def hand_built():
     c = SymMatrix(n, [0, 3, 5], [0, 1, 4], [1.5, -2.0, 0.25])
     op = ConstraintOperator.from_entries(
         n, 2, np.array([0, 0, 1, 1, 1]), np.array([0, 2, 4, 1, 5]),
-        np.array([0, 2, 3, 0, 5]), np.array([1.0, -3.0, 0.5, 2.0, 0.0]))
+        np.array([0, 2, 3, 0, 5]), np.array([1.0, -3.0, 0.5, 2.0, 1.0]))
+    # from_entries stores no zeros, so A_2's entry at (5, 5) is zeroed here
+    op.avec.data[op.avec.indices == svec_position(n, 5, 5)] = 0.0
     return op, svec(c).values
 
 

@@ -273,13 +273,38 @@ class TestSolve:
         assert code in (0, 2)
 
     @pytest.mark.parametrize("flag", ["--rank", "--prior-rank"])
-    def test_rank_above_n_exit_1(self, generated, capsys, flag):
+    def test_rank_above_n_exit_1(self, generated, tmp_path, capsys, flag):
+        # the instance rejects the setting before any output file is made
         _, man = generated
-        code = main(["solve", str(man), flag, "31"])
+        out, trace = tmp_path / "out.json", tmp_path / "trace.jsonl"
+        code = main(["solve", str(man), flag, "31", "--out", str(out),
+                     "--trace-out", str(trace)])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: rank")
+        assert not out.exists() and not trace.exists()
+
+    @pytest.mark.parametrize("name", ["trace.jsonl", "trace.csv"])
+    def test_interrupted_run_leaves_its_rows(self, generated, tmp_path,
+                                             monkeypatch, name):
+        # the trace streams: an interrupt in the oracle of iteration k + 1
+        # (penalty_eval's call k + 2, after the start's) leaves k rows
+        _, man = generated
+        k, real, calls = 4, solver.penalty_eval, []
+
+        def interrupted(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == k + 2:
+                raise KeyboardInterrupt
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "penalty_eval", interrupted)
+        trace = tmp_path / name
+        with pytest.raises(KeyboardInterrupt):
+            main(["solve", str(man), "--trace-out", str(trace)])
+        rows = read_trace(trace)
+        assert [int(row["k"]) for row in rows] == list(range(1, k + 1))
 
     @pytest.mark.parametrize("command", ["solve", "maxcut"])
     @pytest.mark.parametrize("flag", ["--out", "--trace-out"])
@@ -365,6 +390,20 @@ class TestCheck:
         sol.write_text(json.dumps({"y": [1.0, 2.0]}))
         code = main(["check", str(man), str(sol)])
         assert code == 1
+
+    def test_eigensolver_failure_exit_1_without_traceback(self, tmp_path):
+        # both constraints have entry (1, 1), so a finite y overflows S there
+        # to -inf and LAPACK returns no eigenpairs
+        instance = tmp_path / "shared.dat-s"
+        instance.write_text("2\n1\n2\n1.0 1.0\n0 1 1 1 1.0\n1 1 1 1 1.0\n"
+                            "2 1 1 1 1.0\n2 1 2 2 1.0\n")
+        sol = tmp_path / "sol.json"
+        sol.write_text('{"y": [1e308, 1e308]}')
+        proc = run_cli("check", instance, sol)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: eigensolve")
+        assert "Traceback" not in proc.stderr
 
 
 class TestMaxcutCommand:

@@ -228,8 +228,10 @@ class TestSubsetEigensolve:
 
     @pytest.mark.parametrize("n, r", [
         (40, "1"), (40, "n-1"), (40, "n"),
-        # above the cutoff only nearly full spectra take the dense branch
-        (DENSE_EIG_CUTOFF + 1, "n-1"), (DENSE_EIG_CUTOFF + 1, "n"),
+        # a dense array takes the dense branch at any order, also above the
+        # order up to which dual slacks are stored dense
+        (DENSE_EIG_CUTOFF + 1, "1"), (DENSE_EIG_CUTOFF + 1, "n-1"),
+        (DENSE_EIG_CUTOFF + 1, "n"),
     ])
     def test_matches_full_eigh(self, n, r):
         r = {"1": 1, "n-1": n - 1, "n": n}[r]
@@ -242,13 +244,35 @@ class TestSubsetEigensolve:
             v, w = res.vectors[:, i], vecs[:, i]
             assert np.max(np.abs(np.outer(v, v) - np.outer(w, w))) <= 1e-10
 
-    def test_csr_input_below_cutoff(self):
+    @staticmethod
+    def spy_on_arpack(monkeypatch):
+        calls, real = [], linalg.spla.eigsh
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["k"])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(linalg.spla, "eigsh", counted)
+        return calls
+
+    def test_csr_input_takes_arpack(self, monkeypatch):
+        # the storage picks the solver, whatever the order
+        calls = self.spy_on_arpack(monkeypatch)
         a = random_sym(np.random.default_rng(21), 60, density=0.1)
-        dense = extreme_eigs(a, 4)
         res = extreme_eigs(sp.csr_matrix(a), 4)
+        again = extreme_eigs(sp.csr_matrix(a), 4)
+        assert calls == [4, 4]
+        assert np.max(np.abs(res.values - np.linalg.eigvalsh(a)[:4])) <= 1e-10
+        assert np.array_equal(res.values, again.values)
+        assert np.array_equal(res.vectors, again.vectors)
+
+    def test_csr_input_densified_for_nearly_full_spectrum(self, monkeypatch):
+        calls = self.spy_on_arpack(monkeypatch)
+        s = sp.csr_matrix(random_sym(np.random.default_rng(25), 60, density=0.1))
+        dense = extreme_eigs(s.toarray(), 59)
+        res = extreme_eigs(s, 59)
+        assert calls == []
         assert np.array_equal(res.values, dense.values)
         assert np.array_equal(res.vectors, dense.vectors)
-        assert np.max(np.abs(res.values - np.linalg.eigvalsh(a)[:4])) <= 1e-12
 
     def test_residual_check_rejects_wrong_pairs(self, monkeypatch):
         a = separated(np.random.default_rng(22), 30)

@@ -103,9 +103,8 @@ class TestOperatorEntries:
         return problem.op
 
     def test_entries_rebuild_avec_bit_for_bit(self, op):
-        # entries() leaves out stored zeros, as the SDPA writer does; the
-        # generator stores one where the trace-free shift zeroes the only
-        # diagonal entry of a constraint
+        # entries() leaves out stored zeros, as the SDPA writer does, so an
+        # operator given one by hand would not come back bit for bit
         want = op.avec.copy()
         want.eliminate_zeros()
         back = ConstraintOperator.from_entries(op.n, op.m, *op.entries()).avec
@@ -125,16 +124,27 @@ class TestOperatorEntries:
             assert np.array_equal(bits(vals[mine]), bits(want.vals))
 
     def test_generated_avec_checksum(self):
-        # taken before the generator built avec through from_entries; the
-        # draws involve no LAPACK call, so the bits do not depend on the BLAS
+        # taken before the generator built avec through from_entries, with
+        # the 4 stored zeros it then held removed; the draws involve no
+        # LAPACK call, so the bits do not depend on the BLAS
         avec = generate_random_sdp(30, 30, 3, 0.1, 1.0, 7)[0].op.avec
         digest = hashlib.sha256()
         for a in (avec.data.astype("<f8"), avec.indices.astype("<i8"),
                   avec.indptr.astype("<i8")):
             digest.update(a.tobytes())
-        assert avec.nnz == 1380
+        assert avec.nnz == 1376
         assert digest.hexdigest() == \
-            "26598696d63e3e73f65af9b77a2a328a3cdb0c1434f0f297bd1994153e7f6dad"
+            "1fa0da72cb475d9361499a5a59b53505b10c207cb0ca7236097f730b4e74ecb0"
+
+    def test_generated_operator_stores_no_zeros(self):
+        # the trace-free shift can zero the only diagonal entry of a
+        # constraint (4 entries on this instance); from_entries stores no
+        # such entry, so entries() rebuilds the generated avec as it is
+        op = generate_random_sdp(30, 30, 3, 0.1, 1.0, 7)[0].op
+        back = ConstraintOperator.from_entries(op.n, op.m, *op.entries()).avec
+        assert np.array_equal(back.indptr, op.avec.indptr)
+        assert np.array_equal(back.indices, op.avec.indices)
+        assert np.array_equal(bits(back.data), bits(op.avec.data))
 
 
 class TestMaxcut:

@@ -16,7 +16,6 @@ from polybundle.qp import (
     SingularSubproblem,
     SubproblemData,
     kkt_residual,
-    qp_tolerance,
     solve_subproblem,
 )
 from polybundle.solver import STATUS_SUBPROBLEM_FAILURE, SolverParams, solve
@@ -87,12 +86,12 @@ class TestHandExample:
 
     def test_linear_term(self):
         d = self.make(0.0)
-        assert np.allclose(d.linear(), [-1.1, -1.3], atol=1e-15)
+        assert np.allclose(d.q, [-1.1, -1.3], atol=1e-15)
 
     def test_unregularized_solution(self):
         sol = solve_subproblem(self.make(0.0))
         assert np.allclose(sol.u, [0.9, 0.2], atol=1e-12)
-        assert sol.kkt_residual <= qp_tolerance(self.make(0.0))
+        assert sol.kkt_residual <= self.make(0.0).tol
 
     def test_regularized_solution(self):
         # (B'B + 0.1 I) u = (1.1, 1.3) solves to (1.01, 0.33)/1.31
@@ -112,11 +111,11 @@ class TestAgainstEnumeration:
             d = random_subproblem(rng, m=rng.integers(2, 6),
                                   cols=rng.integers(1, 6))
             sol = solve_subproblem(d)
-            want_obj, _ = enumerate_qp(d.hessian(), d.linear(), d.rho)
+            want_obj, _ = enumerate_qp(d.h, d.q, d.rho)
             denom = 1.0 + abs(want_obj)
             assert sol.objective <= want_obj + 1e-9 * denom
             assert abs(sol.objective - want_obj) <= 1e-9 * denom
-            assert sol.kkt_residual <= qp_tolerance(d)
+            assert sol.kkt_residual <= d.tol
 
     def test_simplex_binding(self):
         # strongly negative q drives the mass to the simplex boundary
@@ -127,7 +126,7 @@ class TestAgainstEnumeration:
         sol = solve_subproblem(d)
         assert sol.u.sum() == pytest.approx(2.0, abs=1e-10)
         assert sol.simplex_active
-        assert sol.kkt_residual <= qp_tolerance(d)
+        assert sol.kkt_residual <= d.tol
 
     def test_zero_is_optimal_for_positive_q(self):
         d = SubproblemData(
@@ -145,7 +144,7 @@ class TestWarmStart:
             d = random_subproblem(rng)
             cold = solve_subproblem(d)
             mask = np.zeros(d.a.size, dtype=bool)
-            mask[cold.active_set] = True
+            mask[cold.bound_active] = True
             warm = solve_subproblem(d, warm_start=mask)
             assert np.allclose(warm.u, cold.u, atol=1e-10)
 
@@ -188,7 +187,7 @@ class TestKktResidual:
         d = random_subproblem(rng)
         sol = solve_subproblem(d)
         off = sol.u + 0.05
-        assert kkt_residual(d, off) > 100 * qp_tolerance(d)
+        assert kkt_residual(d, off) > 100 * d.tol
 
     def test_infeasible_point_flagged(self):
         rng = np.random.default_rng(3)
@@ -255,7 +254,7 @@ def test_lapack_reached_only_through_dpotrf_and_dpotrs():
     imports += [(a.name, None) for n in nodes if isinstance(n, ast.Import)
                 for a in n.names]
     assert sorted(imports, key=str) == [
-        ("dataclasses", ["dataclass"]), ("numpy", None),
+        ("dataclasses", ["dataclass", "field"]), ("numpy", None),
         ("scipy.linalg.lapack", ["dpotrf", "dpotrs"])]
     linalg_uses = {n.attr for n in nodes if isinstance(n, ast.Attribute)
                    and isinstance(n.value, ast.Attribute)
@@ -323,7 +322,7 @@ class TestReferenceOracle:
         want, want_sets = run_recording(qp_reference, d, mask)
         got, got_sets = run_recording(qp, d, mask)
         assert got_sets == want_sets
-        if isinstance(want, QpSolution) and want.kkt_residual > qp_tolerance(d):
+        if isinstance(want, QpSolution) and want.kkt_residual > d.tol:
             # the reference returned an uncertified point; the package
             # refuses it and carries the same iterate
             assert isinstance(got, NonConvergence)
@@ -334,7 +333,7 @@ class TestReferenceOracle:
         else:
             assert np.array_equal(got.u, want.u)
             assert np.array_equal(got.z, want.z)
-            assert np.array_equal(got.active_set, want.active_set)
+            assert np.array_equal(got.bound_active, want.bound_active)
             assert got.simplex_active == want.simplex_active
             assert got.objective == want.objective
             assert got.kkt_residual == want.kkt_residual
@@ -362,4 +361,4 @@ class TestReferenceOracle:
         for module in (qp_reference, qp):
             sol = module.solve_subproblem(d)
             assert sol.u[0] > 0.0 and sol.u[1] == 0.0
-            assert sol.active_set.tolist() == [1]
+            assert sol.bound_active.tolist() == [False, True]

@@ -198,7 +198,6 @@ class TestRankPrediction:
                 break
         assert all(r == 2 for _, r in results)
         assert [f for f, _ in results] == [False] * 4 + [True]
-        assert not state.active
 
     def test_count_resets_on_change(self):
         state = RankPrediction(prior_rank=4, predcountmax=10)
