@@ -139,8 +139,16 @@ def _run_solver(args, load) -> int:
                 if path else None for path in (args.trace_out, args.out)]
         except OSError as exc:
             return _error(exc)
-        result = solver.solve(problem, params,
-                              _trace_writer(trace_fh) if trace_fh else None)
+        try:
+            result = solver.solve(problem, params,
+                                  _trace_writer(trace_fh) if trace_fh else None)
+        except BaseException:
+            # an interrupted run keeps its trace rows but leaves no empty
+            # report behind
+            if out_fh is not None:
+                out_fh.close()
+                os.remove(args.out)
+            raise
         report = json.dumps({**_scalars(result), "instance": _scalars(problem),
                              "params": _scalars(params)},
                             indent=2, allow_nan=False)

@@ -7,6 +7,10 @@ with a primal active-set method, and certifies the result through a KKT
 residual.  The candidate point is z = y + t(b - B u).  Each working-set
 system is factored with LAPACK ``dpotrf`` and solved with ``dpotrs``,
 followed by ``REFINE_STEPS`` passes of iterative refinement.
+
+The method may start from any feasible point and working set (``QpStart``),
+such as the previous QP's solution.  Its result is the minimizer of the
+final working set, so a start changes the steps taken, not the answer.
 """
 
 from __future__ import annotations
@@ -64,6 +68,26 @@ class SubproblemData:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "tol", QP_TOL_BASE * (
             1.0 + float(np.abs(q).max(initial=0.0))))
+
+
+@dataclass(frozen=True)
+class QpStart:
+    """A feasible point and the working set to start the active-set method
+    from: every coordinate held at its bound must be 0 there."""
+
+    u: np.ndarray
+    bound_active: np.ndarray  # mask of the u_i that start at the zero bound
+    simplex_active: bool
+
+    def check(self, p: int):
+        """ValueError unless this start fits a QP with p columns."""
+        if self.u.shape != (p,) or self.bound_active.shape != (p,):
+            raise ValueError(f"warm start has {self.u.size} coordinates and "
+                             f"{self.bound_active.size} bounds, expected {p}")
+        if not np.isfinite(self.u).all() or (self.u < 0.0).any():
+            raise ValueError("warm-start point must be finite and nonnegative")
+        if (self.u[self.bound_active.astype(bool)] != 0.0).any():
+            raise ValueError("warm-start point is nonzero on a bound coordinate")
 
 
 @dataclass
@@ -138,27 +162,26 @@ def _eqp_solve(h: np.ndarray, q: np.ndarray, free: np.ndarray,
 
 
 def solve_subproblem(d: SubproblemData,
-                     warm_start: np.ndarray | None = None) -> QpSolution:
+                     warm_start: QpStart | None = None) -> QpSolution:
     """Primal active-set method for the simplex-constrained QP.
 
-    ``warm_start`` is a boolean mask, one entry per column of ``B``, of bound
-    constraints to start active; without it every bound starts active.  The
-    iterate always starts at the feasible point u = 0.  Raises
+    ``warm_start`` is the feasible point and working set to start from;
+    without it the method starts at u = 0 with every bound active.  The
+    result is the minimizer of the final working set, with every free
+    coordinate at exactly 0 moved to the bound set first, so it does not
+    depend on the start that led to that working set.  Raises
     ``NonConvergence`` when the iteration cap is hit or the KKT residual of
     the result exceeds its certificate ``d.tol``.
     """
     h, q, tol = d.h, d.q, d.tol
     p = q.size
 
-    if warm_start is None:
-        bound_active = np.ones(p, dtype=bool)
-    elif warm_start.size == p:
-        bound_active = warm_start.astype(bool)
-    else:
-        raise ValueError(f"warm-start mask has {warm_start.size} entries, "
-                         f"expected {p}")
-    simplex_active = False
-    u = np.zeros(p)
+    start = warm_start if warm_start is not None else QpStart(
+        np.zeros(p), np.ones(p, dtype=bool), False)
+    start.check(p)
+    u = start.u.astype(np.float64)
+    bound_active = start.bound_active.astype(bool)
+    simplex_active = start.simplex_active
     mu = 0.0
 
     max_iters = ITER_CAP_FACTOR * p
@@ -167,8 +190,14 @@ def solve_subproblem(d: SubproblemData,
         u_hat, mu = _eqp_solve(h, q, free, simplex_active, d.rho, d.xi)
         step = u_hat - u
         if np.abs(step).max(initial=0.0) <= 1e-14 * (1.0 + np.abs(u).max(initial=0.0)):
-            # at the working-set minimizer; the most negative multiplier below
-            # -tol leaves the working set (ties to the lowest index)
+            # at the working-set minimizer; a free coordinate at exactly 0
+            # would only change the last bits of the others, so it is bound
+            zero = free & (u_hat == 0.0)
+            if zero.any():
+                bound_active |= zero
+                continue
+            # the most negative multiplier below -tol leaves the working set
+            # (ties to the lowest index)
             g = h @ u + q
             lam = g + (mu if simplex_active else 0.0)
             worst_idx, worst = -1, -tol
@@ -180,6 +209,7 @@ def solve_subproblem(d: SubproblemData,
             if simplex_active and mu < worst:
                 worst, worst_idx = mu, -2
             if worst_idx == -1:
+                u = u_hat
                 break
             if worst_idx == -2:
                 simplex_active = False
@@ -201,6 +231,11 @@ def solve_subproblem(d: SubproblemData,
                 cand = (d.rho - u.sum()) / sd
                 if cand < alpha:
                     alpha, block_bound, block_simplex = cand, -1, True
+        if block_bound >= 0 and u[block_bound] == 0.0:
+            # a zero-length step: every blocking coordinate already at 0
+            # joins the bound set at once
+            bound_active[neg[u.take(neg) == 0.0]] = True
+            continue
         u = u + max(alpha, 0.0) * step
         if block_simplex:
             simplex_active = True

@@ -425,14 +425,20 @@ def _update_bundle(bundle: BundleState, sol, v_new: np.ndarray,
                    a_new: np.ndarray, b_new: np.ndarray, r: int, l_max: int):
     """Aggregate the low-weight columns and append the new block.
 
-    Returns the new bundle and the QP warm start: the previous active set
-    mapped onto the new layout, with the appended columns inactive.
+    Returns the new bundle and the QP warm start: the previous solution
+    mapped onto the new layout, with the aggregated mass on column 0 and the
+    appended columns free at 0.  Aggregation keeps the mass, so the point is
+    feasible; the bound set is the previous one, wherever the point is 0.
     """
     eta, x = float(sol.u[0]), sol.u[1:]
     p_bar, p_hat = select_aggregation(x, bundle.l, r, l_max)
     bundle = bundle_mod.aggregate_and_append(
         bundle, eta, x, v_new, a_new, b_new, p_bar, p_hat, l_max
     )
+    # a free coordinate may end a hair below 0; the start only needs to be
+    # feasible, and the QP's result does not depend on it
+    u0 = np.maximum(np.concatenate([[eta + x[p_bar].sum()], x[p_hat], np.zeros(r)]),
+                    0.0)
     active = sol.bound_active
-    warm = np.concatenate([active[:1], active[1 + p_hat], np.zeros(r, dtype=bool)])
-    return bundle, warm
+    bound = np.concatenate([active[:1], active[1 + p_hat], np.zeros(r, dtype=bool)])
+    return bundle, qp_mod.QpStart(u0, bound & (u0 == 0.0), sol.simplex_active)

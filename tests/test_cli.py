@@ -289,7 +289,8 @@ class TestSolve:
     def test_interrupted_run_leaves_its_rows(self, generated, tmp_path,
                                              monkeypatch, name):
         # the trace streams: an interrupt in the oracle of iteration k + 1
-        # (penalty_eval's call k + 2, after the start's) leaves k rows
+        # (penalty_eval's call k + 2, after the start's) leaves k rows, and
+        # no empty report
         _, man = generated
         k, real, calls = 4, solver.penalty_eval, []
 
@@ -300,11 +301,12 @@ class TestSolve:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(solver, "penalty_eval", interrupted)
-        trace = tmp_path / name
+        trace, out = tmp_path / name, tmp_path / "report.json"
         with pytest.raises(KeyboardInterrupt):
-            main(["solve", str(man), "--trace-out", str(trace)])
+            main(["solve", str(man), "--trace-out", str(trace), "--out", str(out)])
         rows = read_trace(trace)
         assert [int(row["k"]) for row in rows] == list(range(1, k + 1))
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "maxcut"])
     @pytest.mark.parametrize("flag", ["--out", "--trace-out"])

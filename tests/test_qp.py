@@ -13,6 +13,7 @@ from polybundle.problems import generate_random_sdp
 from polybundle.qp import (
     NonConvergence,
     QpSolution,
+    QpStart,
     SingularSubproblem,
     SubproblemData,
     kkt_residual,
@@ -143,10 +144,76 @@ class TestWarmStart:
         for _ in range(20):
             d = random_subproblem(rng)
             cold = solve_subproblem(d)
-            mask = np.zeros(d.a.size, dtype=bool)
-            mask[cold.bound_active] = True
-            warm = solve_subproblem(d, warm_start=mask)
-            assert np.allclose(warm.u, cold.u, atol=1e-10)
+            warm = solve_subproblem(d, warm_start=QpStart(
+                cold.u, cold.bound_active, cold.simplex_active))
+            assert np.array_equal(warm.u, cold.u)
+            assert np.array_equal(warm.bound_active, cold.bound_active)
+            assert warm.simplex_active == cold.simplex_active
+
+    def test_degenerate_block_is_dropped_in_one_step(self, monkeypatch):
+        # every column is free at 0 and pushed below it by the first
+        # working-set solve: one solve on all of them, one on none
+        d = SubproblemData(B=np.zeros((2, 4)), a=np.ones(4), y=np.zeros(2),
+                           b=np.zeros(2), t=1.0, xi=1.0, rho=1.0)
+        sets, inner = [], qp._eqp_solve
+
+        def record(h, q, free, simplex_active, rho, xi):
+            sets.append(np.flatnonzero(free).tolist())
+            return inner(h, q, free, simplex_active, rho, xi)
+
+        monkeypatch.setattr(qp, "_eqp_solve", record)
+        sol = solve_subproblem(d, warm_start=QpStart(
+            np.zeros(4), np.zeros(4, dtype=bool), False))
+        assert sets == [[0, 1, 2, 3], []]
+        assert np.array_equal(sol.u, np.zeros(4)) and sol.bound_active.all()
+
+    def test_free_coordinate_at_zero_is_bound(self):
+        # an empty aggregate (a = 0, B[:, 0] = 0) started free sits at
+        # exactly 0 in every working-set solve; the result is the minimizer
+        # of the working set without it, as from the cold start
+        b_mat = np.array([[0.0, 1.0, 0.5], [0.0, -0.5, 1.0]])
+        d = SubproblemData(B=b_mat, a=np.array([0.0, -1.0, -1.0]),
+                           y=np.zeros(2), b=np.zeros(2), t=1.0, xi=1e-8,
+                           rho=10.0)
+        cold = solve_subproblem(d)
+        warm = solve_subproblem(d, warm_start=QpStart(
+            np.array([0.0, 0.5, 0.5]), np.zeros(3, dtype=bool), False))
+        for sol in (cold, warm):
+            assert sol.bound_active.tolist() == [True, False, False]
+            assert not sol.simplex_active
+        assert np.array_equal(warm.u, cold.u)
+
+
+class TestWarmStartMask:
+    def test_wrong_length_rejected(self):
+        d = random_subproblem(np.random.default_rng(5), cols=4)
+        for u_size, mask_size in ((3, 3), (5, 5), (4, 3), (3, 4)):
+            start = QpStart(np.zeros(u_size), np.ones(mask_size, dtype=bool),
+                            False)
+            with pytest.raises(ValueError, match="expected 4"):
+                solve_subproblem(d, warm_start=start)
+
+    @pytest.mark.parametrize("value", [-1e-300, -1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_point_rejected(self, value):
+        d = random_subproblem(np.random.default_rng(5), cols=4)
+        u = np.array([0.1, value, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            solve_subproblem(d, warm_start=QpStart(
+                u, np.zeros(4, dtype=bool), False))
+
+    def test_nonzero_bound_coordinate_rejected(self):
+        d = random_subproblem(np.random.default_rng(5), cols=4)
+        start = QpStart(np.array([0.1, 0.0, 0.0, 0.0]),
+                        np.ones(4, dtype=bool), False)
+        with pytest.raises(ValueError, match="bound coordinate"):
+            solve_subproblem(d, warm_start=start)
+
+    def test_mask_not_modified(self):
+        d = random_subproblem(np.random.default_rng(6), cols=4)
+        u, mask = np.array([0.1, 0.0, 0.2, 0.0]), np.array([False, True] * 2)
+        solve_subproblem(d, warm_start=QpStart(u, mask, False))
+        assert u.tolist() == [0.1, 0.0, 0.2, 0.0]
+        assert mask.tolist() == [False, True] * 2
 
 
 class TestValidationAndFailure:
@@ -210,20 +277,6 @@ class TestCertificate:
         assert res.status == STATUS_SUBPROBLEM_FAILURE
 
 
-class TestWarmStartMask:
-    def test_wrong_length_rejected(self):
-        d = random_subproblem(np.random.default_rng(5), cols=4)
-        for size in (3, 5):
-            with pytest.raises(ValueError, match="warm-start mask"):
-                solve_subproblem(d, warm_start=np.zeros(size, dtype=bool))
-
-    def test_mask_not_modified(self):
-        d = random_subproblem(np.random.default_rng(6), cols=4)
-        mask = np.zeros(4, dtype=bool)
-        solve_subproblem(d, warm_start=mask)
-        assert not mask.any()
-
-
 class TestFactor:
     INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])
 
@@ -262,30 +315,27 @@ def test_lapack_reached_only_through_dpotrf_and_dpotrs():
     assert linalg_uses == {"LinAlgError"}
 
 
-# -- the reference oracle ---------------------------------------------------
+# -- starts and the reference oracle --------------------------------------
 
 QP_FAILURES = (SingularSubproblem, NonConvergence, np.linalg.LinAlgError)
 
 
-def run_recording(module, d, mask):
-    """``module.solve_subproblem`` on ``d``, with the working sets its
-    ``_eqp_solve`` saw; returns (solution or exception, working sets)."""
-    seen = []
-    inner = module._eqp_solve
-
-    def record(h, q, free, simplex_active, rho, xi):
-        seen.append((np.flatnonzero(free).tolist(), simplex_active))
-        return inner(h, q, free, simplex_active, rho, xi)
-
-    module._eqp_solve = record
+def run(solve, d, start):
+    """``solve(d, warm_start=start)``: the solution, or the QP failure."""
     try:
-        out = module.solve_subproblem(
-            d, warm_start=None if mask is None else mask.copy())
+        return solve(d, warm_start=start)
     except QP_FAILURES as exc:
-        out = exc
-    finally:
-        module._eqp_solve = inner
-    return out, seen
+        return exc
+
+
+def certified(sol, d) -> bool:
+    return isinstance(sol, QpSolution) and sol.kkt_residual <= d.tol
+
+
+def has_tied_columns(d) -> bool:
+    p = d.a.size
+    return any(d.a[i] == d.a[j] and np.array_equal(d.B[:, i], d.B[:, j])
+               for i in range(p) for j in range(i))
 
 
 @st.composite
@@ -311,32 +361,103 @@ def oracle_instances(draw):
     return d, mask
 
 
+def feasible_starts(p, rho):
+    """Strategy for feasible starts of a p-column QP: a nonnegative point
+    with 1'u <= rho (on the simplex when it starts active), whose bound
+    set is any subset of its zeros."""
+    def build(draw_args):
+        values, zeros, bound_bits, on_simplex, fill = draw_args
+        u = np.where(zeros, 0.0, values)
+        total = u.sum()
+        if total > 0.0:
+            u = u * ((rho if on_simplex else fill * rho) / total)
+        simplex = bool(on_simplex and total > 0.0)
+        bound = np.array(bound_bits) & (u == 0.0)
+        return QpStart(u, bound, simplex)
+
+    return st.tuples(
+        st.lists(st.floats(1e-3, 1.0), min_size=p, max_size=p)
+        .map(np.array),
+        st.lists(st.booleans(), min_size=p, max_size=p).map(np.array),
+        st.lists(st.booleans(), min_size=p, max_size=p),
+        st.booleans(), st.floats(0.0, 1.0)).map(build)
+
+
+class TestStartIndependence:
+    """The result is the minimizer of the final working set, so a start
+    can change the path but not the answer."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(oracle_instances().filter(lambda inst: inst[0].xi > 0.0), st.data())
+    def test_warm_matches_cold(self, instance, data):
+        # with xi = 0 a start that frees dependent columns meets a singular
+        # working set the cold path never visits
+        d, _ = instance
+        start = data.draw(feasible_starts(d.a.size, d.rho))
+        cold = run(solve_subproblem, d, None)
+        warm = run(solve_subproblem, d, start)
+        if isinstance(warm, Exception):
+            assert type(warm) is type(cold)
+            return
+        assert certified(warm, d)
+        if (isinstance(cold, QpSolution)
+                and np.array_equal(warm.bound_active, cold.bound_active)
+                and warm.simplex_active == cold.simplex_active):
+            for name in ("u", "z"):
+                assert np.array_equal(getattr(warm, name), getattr(cold, name))
+            assert warm.objective == cold.objective
+            assert warm.kkt_residual == cold.kkt_residual
+
+
 class TestReferenceOracle:
-    """The LAPACK-direct QP reproduces the cho_factor/np.ix_/loop version
-    it replaced bit for bit, working set by working set."""
+    """The package solves the QPs of the cho_factor/np.ix_/loop version it
+    replaced: the same failures, and where both certify their result, the
+    same working set and a solution equal within the certificate.  The path
+    to that working set may differ, since the package drops degenerate
+    blocks at once and binds free coordinates at exactly 0."""
 
     @settings(max_examples=400, deadline=None)
     @given(oracle_instances())
     def test_matches_reference(self, instance):
         d, mask = instance
-        want, want_sets = run_recording(qp_reference, d, mask)
-        got, got_sets = run_recording(qp, d, mask)
-        assert got_sets == want_sets
-        if isinstance(want, QpSolution) and want.kkt_residual > d.tol:
+        want = run(qp_reference.solve_subproblem, d,
+                   None if mask is None else mask.copy())
+        got = run(solve_subproblem, d, None if mask is None else
+                  QpStart(np.zeros(mask.size), mask, False))
+        # the batched drops must not cycle where the reference converges
+        assert not (certified(want, d) and isinstance(got, NonConvergence))
+        if certified(want, d) and certified(got, d):
+            # a KKT residual r <= tol leaves a point within
+            # r (3 rho + (2p + 1) |g|) of the optimum
+            p = d.a.size
+            gmax = max(np.abs(d.h @ sol.u + d.q).max() for sol in (got, want))
+            assert abs(got.objective - want.objective) <= 2 * d.tol * (
+                3 * d.rho + (2 * p + 1) * gmax) + 1e-14 * (
+                1.0 + abs(want.objective))
+            if (np.array_equal(got.bound_active, want.bound_active)
+                    and got.simplex_active == want.simplex_active):
+                # both are the working-set minimizer to within the 1e-14
+                # step test, far inside the certificate
+                du = float(np.abs(got.u - want.u).max())
+                assert du <= d.tol
+                assert np.abs(got.z - want.z).max() <= d.t * (
+                    np.abs(d.B).sum(axis=1).max() * du) + 1e-14 * (
+                    1.0 + np.abs(want.z).max())
+            else:
+                # tied columns leave several working sets optimal within
+                # the certificate; the paths may end at different ones
+                assert has_tied_columns(d)
+        elif d.xi == 0.0 and SingularSubproblem in (type(got), type(want)):
+            # without regularization the singular working sets a path
+            # meets depend on the path: either side may refuse the QP
+            assert certified(got, d) or isinstance(got, SingularSubproblem)
+            assert certified(want, d) or isinstance(want, SingularSubproblem)
+        elif isinstance(want, QpSolution) and not certified(want, d):
             # the reference returned an uncertified point; the package
-            # refuses it and carries the same iterate
+            # refuses it
             assert isinstance(got, NonConvergence)
-            assert np.array_equal(got.u, want.u)
-            assert got.residual == want.kkt_residual
-        elif isinstance(want, Exception):
-            assert type(got) is type(want)
         else:
-            assert np.array_equal(got.u, want.u)
-            assert np.array_equal(got.z, want.z)
-            assert np.array_equal(got.bound_active, want.bound_active)
-            assert got.simplex_active == want.simplex_active
-            assert got.objective == want.objective
-            assert got.kkt_residual == want.kkt_residual
+            assert type(got) is type(want)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))

@@ -10,7 +10,7 @@ from polybundle.linalg import (
     smat_dense,
     svec,
 )
-from polybundle.problems import generate_random_sdp
+from polybundle.problems import GraphInstance, build_maxcut_sdp, generate_random_sdp
 from polybundle.solver import (
     STATUS_CONVERGED,
     STATUS_EIGEN_FAILURE,
@@ -409,6 +409,51 @@ class TestRecoverPrimal:
         cx = float(problem.cvec @ svec(res.X).values)
         obj = res.objective_primal
         assert abs(cx - obj) <= 1e-10 * (1 + abs(obj))
+
+
+def c10_maxcut(n=100, prob=0.06, seed=1):
+    """The c10 Max-Cut smoke instance and its settings."""
+    rng = np.random.default_rng(seed)
+    edges = [(i + 1, j + 1, 1.0) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < prob]
+    problem = build_maxcut_sdp(GraphInstance(n, edges), sense="maximize")
+    return problem, SolverParams(eps=1e-3, maxiter=500, t0=1e-2, l_max="sq",
+                                 rank=int(np.ceil(np.sqrt(2.0 * n))))
+
+
+class TestQpWarmStart:
+    """Each QP starts from the previous solution; its result is the
+    minimizer of its final working set, so the start saves active-set
+    steps without changing the run."""
+
+    @pytest.mark.parametrize("instance", [
+        lambda: (generate_random_sdp(60, 60, 3, 0.05, 1.0, 0)[0], SolverParams()),
+        c10_maxcut,
+    ], ids=["generated", "maxcut"])
+    def test_start_cannot_change_a_run(self, monkeypatch, instance):
+        problem, params = instance()
+        steps, inner = [0], qp._eqp_solve
+
+        def counted(*args):
+            steps[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(qp, "_eqp_solve", counted)
+        warm = solve(problem, params)
+        warm_steps, steps[0] = steps[0], 0
+        real = qp.solve_subproblem
+        monkeypatch.setattr(qp, "solve_subproblem",
+                            lambda data, warm_start=None: real(data))
+        cold = solve(problem, params)
+
+        assert warm.status == cold.status == STATUS_CONVERGED
+        fields = [f for f in vars(warm.trace[0]) if f != "elapsed_secs"]
+        for w, c in zip(warm.trace, cold.trace, strict=True):
+            assert [repr(getattr(w, f)) for f in fields] == \
+                [repr(getattr(c, f)) for f in fields]
+        assert warm.y.tobytes() == cold.y.tobytes()
+        assert warm.u.tobytes() == cold.u.tobytes()
+        assert 2 * warm_steps < steps[0]
 
 
 class TestTrajectories:
