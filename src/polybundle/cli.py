@@ -133,6 +133,7 @@ def _run_solver(args, load) -> int:
     with contextlib.ExitStack() as files:
         # opened once the settings are known good, and before the solve, so
         # that a bad path costs no solve and a bad setting leaves no file
+        out_is_new = bool(args.out) and not os.path.lexists(args.out)
         try:
             trace_fh, out_fh = [
                 files.enter_context(open(path, "w", newline="", encoding="utf-8"))
@@ -143,11 +144,15 @@ def _run_solver(args, load) -> int:
             result = solver.solve(problem, params,
                                   _trace_writer(trace_fh) if trace_fh else None)
         except BaseException:
-            # an interrupted run keeps its trace rows but leaves no empty
-            # report behind
-            if out_fh is not None:
+            # an interrupted run keeps its trace rows and removes the report
+            # file it made, never a file that was there or the trace; the
+            # interrupt, not a failed removal, is what propagates
+            if out_is_new:
                 out_fh.close()
-                os.remove(args.out)
+                with contextlib.suppress(OSError):
+                    if os.path.isfile(args.out) and not (
+                            trace_fh and os.path.samefile(args.out, args.trace_out)):
+                        os.remove(args.out)
             raise
         report = json.dumps({**_scalars(result), "instance": _scalars(problem),
                              "params": _scalars(params)},

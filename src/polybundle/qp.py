@@ -10,7 +10,7 @@ followed by ``REFINE_STEPS`` passes of iterative refinement.
 
 The method may start from any feasible point and working set (``QpStart``),
 such as the previous QP's solution.  Its result is the minimizer of the
-final working set, so a start changes the steps taken, not the answer.
+final working set, so a start that reaches the same set gives the same bits.
 """
 
 from __future__ import annotations
@@ -168,8 +168,8 @@ def solve_subproblem(d: SubproblemData,
     ``warm_start`` is the feasible point and working set to start from;
     without it the method starts at u = 0 with every bound active.  The
     result is the minimizer of the final working set, with every free
-    coordinate at exactly 0 moved to the bound set first, so it does not
-    depend on the start that led to that working set.  Raises
+    coordinate at exactly 0 moved to the bound set first, so every start
+    that ends at that working set gives the same bits.  Raises
     ``NonConvergence`` when the iteration cap is hit or the KKT residual of
     the result exceeds its certificate ``d.tol``.
     """
@@ -231,11 +231,6 @@ def solve_subproblem(d: SubproblemData,
                 cand = (d.rho - u.sum()) / sd
                 if cand < alpha:
                     alpha, block_bound, block_simplex = cand, -1, True
-        if block_bound >= 0 and u[block_bound] == 0.0:
-            # a zero-length step: every blocking coordinate already at 0
-            # joins the bound set at once
-            bound_active[neg[u.take(neg) == 0.0]] = True
-            continue
         u = u + max(alpha, 0.0) * step
         if block_simplex:
             simplex_active = True

@@ -436,7 +436,7 @@ def _update_bundle(bundle: BundleState, sol, v_new: np.ndarray,
         bundle, eta, x, v_new, a_new, b_new, p_bar, p_hat, l_max
     )
     # a free coordinate may end a hair below 0; the start only needs to be
-    # feasible, and the QP's result does not depend on it
+    # feasible, and the QP's result is the minimizer of its final working set
     u0 = np.maximum(np.concatenate([[eta + x[p_bar].sum()], x[p_hat], np.zeros(r)]),
                     0.0)
     active = sol.bound_active

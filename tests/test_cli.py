@@ -285,14 +285,11 @@ class TestSolve:
         assert captured.err.startswith("error: rank")
         assert not out.exists() and not trace.exists()
 
-    @pytest.mark.parametrize("name", ["trace.jsonl", "trace.csv"])
-    def test_interrupted_run_leaves_its_rows(self, generated, tmp_path,
-                                             monkeypatch, name):
-        # the trace streams: an interrupt in the oracle of iteration k + 1
-        # (penalty_eval's call k + 2, after the start's) leaves k rows, and
-        # no empty report
-        _, man = generated
-        k, real, calls = 4, solver.penalty_eval, []
+    @staticmethod
+    def interrupt_oracle(monkeypatch, k):
+        """Raise KeyboardInterrupt in the oracle of iteration k + 1
+        (penalty_eval's call k + 2, after the start's)."""
+        real, calls = solver.penalty_eval, []
 
         def interrupted(*args, **kwargs):
             calls.append(1)
@@ -301,12 +298,58 @@ class TestSolve:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(solver, "penalty_eval", interrupted)
+
+    @pytest.mark.parametrize("name", ["trace.jsonl", "trace.csv"])
+    def test_interrupted_run_leaves_its_rows(self, generated, tmp_path,
+                                             monkeypatch, name):
+        # the trace streams: an interrupt in iteration k + 1 leaves k rows,
+        # and no empty report
+        _, man = generated
+        k = 4
+        self.interrupt_oracle(monkeypatch, k)
         trace, out = tmp_path / name, tmp_path / "report.json"
         with pytest.raises(KeyboardInterrupt):
             main(["solve", str(man), "--trace-out", str(trace), "--out", str(out)])
         rows = read_trace(trace)
         assert [int(row["k"]) for row in rows] == list(range(1, k + 1))
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["existing", "symlink", "trace"])
+    def test_interrupted_run_keeps_files_it_did_not_make(
+            self, generated, tmp_path, monkeypatch, kind):
+        # only a report file the run made itself is removed: not a file that
+        # was there, not a link, and not the trace written to the same path
+        _, man = generated
+        self.interrupt_oracle(monkeypatch, 4)
+        trace, out = tmp_path / "trace.jsonl", tmp_path / "report.json"
+        if kind == "existing":
+            out.write_text("old")
+        elif kind == "symlink":
+            target = tmp_path / "target.json"
+            target.write_text("old")
+            out.symlink_to(target)
+        else:
+            out = trace
+        with pytest.raises(KeyboardInterrupt):
+            main(["solve", str(man), "--trace-out", str(trace), "--out", str(out)])
+        assert out.exists()
+        if kind == "symlink":
+            assert out.is_symlink() and target.exists()
+        if kind == "trace":
+            assert [int(row["k"]) for row in read_trace(trace)] == [1, 2, 3, 4]
+
+    def test_failed_removal_does_not_hide_the_interrupt(
+            self, generated, tmp_path, monkeypatch):
+        _, man = generated
+        self.interrupt_oracle(monkeypatch, 4)
+
+        def refuse(path):
+            raise PermissionError(path)
+
+        monkeypatch.setattr(os, "remove", refuse)
+        out = tmp_path / "report.json"
+        with pytest.raises(KeyboardInterrupt):
+            main(["solve", str(man), "--out", str(out)])
 
     @pytest.mark.parametrize("command", ["solve", "maxcut"])
     @pytest.mark.parametrize("flag", ["--out", "--trace-out"])
