@@ -188,7 +188,7 @@ def cmd_maxcut(args) -> int:
     def load():
         graph = problems.load_gset(args.input)
         problem = problems.build_maxcut_sdp(graph, sense=args.sense)
-        return problem, max(1, int(round(np.sqrt(2.0 * problem.n))))
+        return problem, min(problem.n, math.ceil(math.sqrt(2 * problem.n)))
     return _run_solver(args, load)
 
 
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = add_command("maxcut", help="solve the Max-Cut relaxation of a Gset graph")
     p_mc.add_argument("input")
-    p_mc.add_argument("--sense", choices=("paper", "maximize"), default="paper")
+    p_mc.add_argument("--sense", choices=("paper", "maximize"), default="maximize")
     _add_solver_flags(p_mc)
     p_mc.set_defaults(func=cmd_maxcut)
 

@@ -183,10 +183,10 @@ def generate_random_sdp(n: int, m: int, r: int, sparsity: float, s: float,
     return problem, planted
 
 
-def build_maxcut_sdp(g: GraphInstance, sense: str = "paper") -> SdpProblem:
-    """Max-Cut SDP relaxation: C = L/4 (sense="paper", a minimization of
-    the quarter-Laplacian form) or C = -L/4 (sense="maximize"), with
-    constraints X_ii = 1 so m = n and Tr(X*) = n."""
+def build_maxcut_sdp(g: GraphInstance, sense: str = "maximize") -> SdpProblem:
+    """Max-Cut SDP relaxation with X_ii = 1 (m = n, Tr(X*) = n): C = -L/4
+    (sense="maximize": min <C, X> maximizes the cut) or C = L/4
+    (sense="paper", whose minimum 0 at X = 11' is trivial)."""
     if sense not in ("paper", "maximize"):
         raise ValueError("sense must be 'paper' or 'maximize'")
     n = g.n_vertices

@@ -6,7 +6,9 @@ Solves
 with a primal active-set method, and certifies the result through a KKT
 residual.  The candidate point is z = y + t(b - B u).  Each working-set
 system is factored with LAPACK ``dpotrf`` and solved with ``dpotrs``,
-followed by ``REFINE_STEPS`` passes of iterative refinement.
+followed by ``REFINE_STEPS`` passes of iterative refinement; a system that
+does not factor raises ``np.linalg.LinAlgError``.  The solver passes xi > 0,
+which makes the quadratic term positive definite.
 
 The method may start from any feasible point and working set (``QpStart``),
 such as the previous QP's solution.  Its result is the minimizer of the
@@ -25,12 +27,8 @@ ITER_CAP_FACTOR = 50
 REFINE_STEPS = 2  # iterative-refinement passes per working-set solve
 
 
-class SingularSubproblem(RuntimeError):
-    """Quadratic term numerically singular with xi = 0."""
-
-
 class NonConvergence(RuntimeError):
-    """Active-set iteration cap exceeded, or a KKT residual above its
+    """Active-set iteration cap exceeded, or a KKT residual not within its
     certificate; carries the last iterate and its residual."""
 
     def __init__(self, message: str, u: np.ndarray, residual: float):
@@ -49,7 +47,7 @@ class SubproblemData:
     y: np.ndarray            # m, current center
     b: np.ndarray            # m, right-hand side
     t: float                 # step size > 0
-    xi: float = 0.0          # regularization >= 0
+    xi: float = 0.0          # regularization >= 0; the solver's is > 0
     rho: float = 1.0         # penalty / trace bound > 0
     h: np.ndarray = field(init=False, repr=False)    # t B'B + xi I
     q: np.ndarray = field(init=False, repr=False)    # a - B'(y + t b)
@@ -100,12 +98,10 @@ class QpSolution:
     objective: float
 
 
-def _factor(h: np.ndarray, xi: float) -> np.ndarray:
+def _factor(h: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of h (upper triangle left as it was)."""
     c, info = dpotrf(h, lower=1, clean=0)
     if info > 0:
-        if xi == 0.0:
-            raise SingularSubproblem("t B'B singular and xi = 0; increase xi")
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor is not positive definite")
     return c
@@ -119,7 +115,7 @@ def _solve(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _eqp_solve(h: np.ndarray, q: np.ndarray, free: np.ndarray,
-               simplex_active: bool, rho: float, xi: float):
+               simplex_active: bool, rho: float):
     """Minimizer on the current working set; returns (u_hat, mu).
 
     Iterative refinement counters the ill-conditioning the tiny-xi
@@ -132,7 +128,7 @@ def _eqp_solve(h: np.ndarray, q: np.ndarray, free: np.ndarray,
         return u, 0.0
     hff = h.take(idx, 0).take(idx, 1)
     qf = q.take(idx)
-    c = _factor(hff, xi)
+    c = _factor(hff)
 
     if not simplex_active:
         x = _solve(c, -qf)
@@ -146,7 +142,7 @@ def _eqp_solve(h: np.ndarray, q: np.ndarray, free: np.ndarray,
     h1 = _solve(c, np.ones(idx.size))
     denom = h1.sum()
     if abs(denom) < 1e-300:
-        raise SingularSubproblem("degenerate simplex working set")
+        raise np.linalg.LinAlgError("degenerate simplex working set")
     hq = _solve(c, -qf)
     mu = (hq.sum() - rho) / denom
     x = hq - mu * h1
@@ -171,7 +167,8 @@ def solve_subproblem(d: SubproblemData,
     coordinate at exactly 0 moved to the bound set first, so every start
     that ends at that working set gives the same bits.  Raises
     ``NonConvergence`` when the iteration cap is hit or the KKT residual of
-    the result exceeds its certificate ``d.tol``.
+    the result is not within its certificate ``d.tol`` (a NaN is not), and
+    ``np.linalg.LinAlgError`` when a working-set system does not factor.
     """
     h, q, tol = d.h, d.q, d.tol
     p = q.size
@@ -187,7 +184,7 @@ def solve_subproblem(d: SubproblemData,
     max_iters = ITER_CAP_FACTOR * p
     for _ in range(max_iters):
         free = ~bound_active
-        u_hat, mu = _eqp_solve(h, q, free, simplex_active, d.rho, d.xi)
+        u_hat, mu = _eqp_solve(h, q, free, simplex_active, d.rho)
         step = u_hat - u
         if np.abs(step).max(initial=0.0) <= 1e-14 * (1.0 + np.abs(u).max(initial=0.0)):
             # at the working-set minimizer; a free coordinate at exactly 0
@@ -245,9 +242,9 @@ def solve_subproblem(d: SubproblemData,
 
     u = np.where(np.abs(u) < 1e-300, 0.0, u)
     res = kkt_residual(d, u)
-    if res > tol:
+    if not res <= tol:
         raise NonConvergence(
-            f"KKT residual {res:.3g} above its certificate {tol:.3g}", u, res)
+            f"KKT residual {res:.3g} not within its certificate {tol:.3g}", u, res)
     z = d.y + d.t * (d.b - d.B @ u)
     return QpSolution(
         u=u, z=z, kkt_residual=res,

@@ -79,8 +79,8 @@ class SolverParams:
     def validate(self):
         if not T_MIN <= self.t0 <= T_MAX:
             raise ValueError(f"t0 must lie in [{T_MIN:g}, {T_MAX:g}]")
-        if not 0 <= self.xi < math.inf:
-            raise ValueError("xi must be finite and nonnegative")
+        if not 0 < self.xi < math.inf:
+            raise ValueError("xi must be finite and positive")
         if not 0 < self.eps < math.inf:
             raise ValueError("eps must be finite and positive")
         if self.rho is not None and not 0 < self.rho < math.inf:
@@ -310,8 +310,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                                          xi=params.xi, rho=rho)
             try:
                 sol = qp_mod.solve_subproblem(data, warm_start=warm)
-            except (qp_mod.SingularSubproblem, qp_mod.NonConvergence,
-                    np.linalg.LinAlgError):
+            except (qp_mod.NonConvergence, np.linalg.LinAlgError):
                 status = STATUS_SUBPROBLEM_FAILURE
                 break
             u, z, solved_on = sol.u, sol.z, bundle

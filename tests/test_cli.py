@@ -126,7 +126,7 @@ class TestSolve:
         ("--t0", "nan"), ("--t0", "inf"),
         ("--eps", "nan"), ("--eps", "inf"),
         ("--rho", "nan"), ("--rho", "inf"), ("--rho", "0"),
-        ("--xi", "nan"), ("--xi", "inf"),
+        ("--xi", "nan"), ("--xi", "inf"), ("--xi", "0"),
         ("--time-limit", "nan"), ("--time-limit", "inf"),
         ("--time-limit", "0"), ("--time-limit", "-1"),
     ])
@@ -465,6 +465,17 @@ class TestMaxcutCommand:
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         assert report["status"] == "Converged"
+
+    @pytest.mark.parametrize("n,rank", [(1, 1), (20, 7), (100, 15)])
+    def test_default_sense_and_rank(self, tmp_path, capsys, n, rank):
+        # rank min(n, ceil(sqrt(2n))), as c10 and the benchmark pass it
+        lines = [f"{n} {n - 1}"] + [f"{i} {i + 1} 1" for i in range(1, n)]
+        g = tmp_path / "path.txt"
+        g.write_text("\n".join(lines) + "\n")
+        main(["maxcut", str(g), "--maxiter", "1"])
+        report = json.loads(capsys.readouterr().out)
+        assert report["rank_used"] == rank
+        assert report["instance"]["name"] == f"maxcut-n{n}-maximize"
 
     def test_bad_graph_exit_1(self, tmp_path, capsys):
         g = tmp_path / "bad.txt"

@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never uses, and no function
-assigns a local it never reads.
+"""No module of the package or of its tests imports a name it never uses,
+and no function of the package assigns a local it never reads.
 
 Stand-ins for a linter's unused-import and unused-variable rules.  A name
 bound by an import counts as used when it appears anywhere in the module as
@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "polybundle"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "polybundle"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -56,7 +57,9 @@ def unused_locals(source: str) -> list[str]:
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

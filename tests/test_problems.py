@@ -156,7 +156,7 @@ class TestMaxcut:
 
     def test_triangle(self):
         g = GraphInstance(3, [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)])
-        p = build_maxcut_sdp(g)
+        p = build_maxcut_sdp(g, sense="paper")
         lap = 4.0 * p.C.to_dense()
         assert np.allclose(np.diag(lap), [2.0, 2.0, 2.0])
         off = lap[~np.eye(3, dtype=bool)]
@@ -169,7 +169,7 @@ class TestMaxcut:
                  for i in range(n) for j in range(i + 1, n)
                  if rng.random() < 0.4]
         g = GraphInstance(n, edges)
-        p = build_maxcut_sdp(g)
+        p = build_maxcut_sdp(g, sense="paper")
         assert np.allclose(apply_A(p.op, np.eye(n)), 1.0)
         lap = 4.0 * p.C.to_dense()
         assert np.abs(lap @ np.ones(n)).max() <= 1e-12
@@ -182,6 +182,12 @@ class TestMaxcut:
         pmin = build_maxcut_sdp(g, sense="paper")
         pmax = build_maxcut_sdp(g, sense="maximize")
         assert np.allclose(pmin.C.to_dense(), -pmax.C.to_dense())
+
+    def test_maximize_is_the_default(self):
+        # C = L/4 has the trivial minimum 0 at X = 11'
+        g = GraphInstance(2, [(1, 2, 1.0)])
+        assert np.array_equal(build_maxcut_sdp(g).C.to_dense(),
+                              build_maxcut_sdp(g, sense="maximize").C.to_dense())
 
     def test_graph_validation(self):
         with pytest.raises(ValueError, match="range"):
