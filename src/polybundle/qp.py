@@ -13,6 +13,8 @@ which makes the quadratic term positive definite.
 The method may start from any feasible point and working set (``QpStart``),
 such as the previous QP's solution.  Its result is the minimizer of the
 final working set, so a start that reaches the same set gives the same bits.
+A full step leaves the working set unchanged, so its minimizer is kept and
+the same set is never solved twice in a row.
 """
 
 from __future__ import annotations
@@ -54,12 +56,12 @@ class SubproblemData:
     tol: float = field(init=False, repr=False)       # QP_TOL_BASE (1 + ||q||_inf)
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("step size must be positive")
-        if self.xi < 0:
-            raise ValueError("xi must be nonnegative")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.t < np.inf:
+            raise ValueError("step size must be finite and positive")
+        if not 0 <= self.xi < np.inf:
+            raise ValueError("xi must be finite and nonnegative")
+        if not 0 < self.rho < np.inf:
+            raise ValueError("rho must be finite and positive")
         h = self.t * (self.B.T @ self.B) + self.xi * np.eye(self.B.shape[1])
         q = self.a - self.B.T @ (self.y + self.t * self.b)
         object.__setattr__(self, "h", h)
@@ -76,6 +78,13 @@ class QpStart:
     u: np.ndarray
     bound_active: np.ndarray  # mask of the u_i that start at the zero bound
     simplex_active: bool
+
+    @classmethod
+    def priced(cls, d: SubproblemData, u: np.ndarray, simplex_active: bool):
+        """The start at the feasible point u that holds at the bound every
+        coordinate at 0 whose gradient ``(h u + q)_i`` is nonnegative; the
+        others start free."""
+        return cls(u, (u == 0.0) & (d.h @ u + d.q >= 0.0), simplex_active)
 
     def check(self, p: int):
         """ValueError unless this start fits a QP with p columns."""
@@ -182,13 +191,18 @@ def solve_subproblem(d: SubproblemData,
     mu = 0.0
 
     max_iters = ITER_CAP_FACTOR * p
+    at_minimizer = False  # u is u_hat, the current working set's minimizer
     for _ in range(max_iters):
         free = ~bound_active
-        u_hat, mu = _eqp_solve(h, q, free, simplex_active, d.rho)
-        step = u_hat - u
-        if np.abs(step).max(initial=0.0) <= 1e-14 * (1.0 + np.abs(u).max(initial=0.0)):
+        if not at_minimizer:
+            u_hat, mu = _eqp_solve(h, q, free, simplex_active, d.rho)
+            step = u_hat - u
+            at_minimizer = np.abs(step).max(initial=0.0) <= 1e-14 * (
+                1.0 + np.abs(u).max(initial=0.0))
+        if at_minimizer:
             # at the working-set minimizer; a free coordinate at exactly 0
             # would only change the last bits of the others, so it is bound
+            at_minimizer = False
             zero = free & (u_hat == 0.0)
             if zero.any():
                 bound_active |= zero
@@ -235,7 +249,9 @@ def solve_subproblem(d: SubproblemData,
             u[block_bound] = 0.0
             bound_active[block_bound] = True
         elif alpha >= 1.0:
-            u = u_hat
+            # a full step: the working set is unchanged, and solving it
+            # again would give the same bits
+            u, at_minimizer = u_hat, True
     else:
         res = kkt_residual(d, u)
         raise NonConvergence("active-set iteration cap exceeded", u, res)

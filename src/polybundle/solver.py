@@ -308,8 +308,9 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
             a, b_mat = bundle.a, bundle.B
             data = qp_mod.SubproblemData(B=b_mat, a=a, y=y, b=b, t=t,
                                          xi=params.xi, rho=rho)
+            qp_start = None if warm is None else qp_mod.QpStart.priced(data, *warm)
             try:
-                sol = qp_mod.solve_subproblem(data, warm_start=warm)
+                sol = qp_mod.solve_subproblem(data, warm_start=qp_start)
             except (qp_mod.NonConvergence, np.linalg.LinAlgError):
                 status = STATUS_SUBPROBLEM_FAILURE
                 break
@@ -424,10 +425,11 @@ def _update_bundle(bundle: BundleState, sol, v_new: np.ndarray,
                    a_new: np.ndarray, b_new: np.ndarray, r: int, l_max: int):
     """Aggregate the low-weight columns and append the new block.
 
-    Returns the new bundle and the QP warm start: the previous solution
-    mapped onto the new layout, with the aggregated mass on column 0 and the
-    appended columns free at 0.  Aggregation keeps the mass, so the point is
-    feasible; the bound set is the previous one, wherever the point is 0.
+    Returns the new bundle and the next QP's starting point with its simplex
+    flag: the previous solution mapped onto the new layout, with the
+    aggregated mass on column 0 and the appended columns at 0.  Aggregation
+    keeps the mass, so the point is feasible.  ``QpStart.priced`` picks its
+    bound set once the next QP's data exist.
     """
     eta, x = float(sol.u[0]), sol.u[1:]
     p_bar, p_hat = select_aggregation(x, bundle.l, r, l_max)
@@ -438,6 +440,4 @@ def _update_bundle(bundle: BundleState, sol, v_new: np.ndarray,
     # feasible, and the QP's result is the minimizer of its final working set
     u0 = np.maximum(np.concatenate([[eta + x[p_bar].sum()], x[p_hat], np.zeros(r)]),
                     0.0)
-    active = sol.bound_active
-    bound = np.concatenate([active[:1], active[1 + p_hat], np.zeros(r, dtype=bool)])
-    return bundle, qp_mod.QpStart(u0, bound & (u0 == 0.0), sol.simplex_active)
+    return bundle, (u0, sol.simplex_active)

@@ -200,15 +200,13 @@ class TestWarmStartMask:
 
 class TestValidationAndFailure:
     def test_rejects_bad_scalars(self):
-        with pytest.raises(ValueError):
-            SubproblemData(B=np.eye(2), a=np.zeros(2), y=np.zeros(2),
-                           b=np.zeros(2), t=0.0)
-        with pytest.raises(ValueError):
-            SubproblemData(B=np.eye(2), a=np.zeros(2), y=np.zeros(2),
-                           b=np.zeros(2), t=1.0, xi=-1e-8)
-        with pytest.raises(ValueError):
-            SubproblemData(B=np.eye(2), a=np.zeros(2), y=np.zeros(2),
-                           b=np.zeros(2), t=1.0, rho=0.0)
+        # a NaN passes t <= 0, xi < 0 and rho <= 0; each must be finite
+        for name, bad in [("t", 0.0), ("xi", -1e-8), ("rho", 0.0)]:
+            for value in (bad, np.nan, np.inf):
+                scalars = {"t": 1.0, "xi": 1e-8, "rho": 1.0, name: value}
+                with pytest.raises(ValueError):
+                    SubproblemData(B=np.eye(2), a=np.array([-1.0, -2.0]),
+                                   y=np.zeros(2), b=np.zeros(2), **scalars)
 
     def test_singular_without_regularization(self):
         # B = 0 makes the quadratic term zero; with xi = 0 the working-set
@@ -390,6 +388,45 @@ class TestStartIndependence:
                 assert np.array_equal(getattr(warm, name), getattr(cold, name))
             assert warm.objective == cold.objective
             assert warm.kkt_residual == cold.kkt_residual
+
+
+class TestNoRepeatedSolve:
+    """A full step leaves the working set as it was, so its minimizer is
+    kept, not solved for again."""
+
+    @staticmethod
+    def working_sets(d, start):
+        """The working set of each ``_eqp_solve`` call of one QP."""
+        sets, inner = [], qp._eqp_solve
+
+        def recorded(h, q, free, simplex_active, rho):
+            sets.append((free.tolist(), simplex_active))
+            return inner(h, q, free, simplex_active, rho)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qp, "_eqp_solve", recorded)
+            sol = run(solve_subproblem, d, start)
+        return sets, sol
+
+    def test_full_steps(self):
+        # h = I and q = (-1, -2): index 1 is released, then index 0, and
+        # each time the full step reaches the new set's minimizer
+        d = SubproblemData(B=np.eye(2), a=np.array([-1.0, -2.0]),
+                           y=np.zeros(2), b=np.zeros(2), t=1.0, xi=0.0,
+                           rho=10.0)
+        sets, sol = self.working_sets(d, None)
+        assert sol.u.tolist() == [1.0, 2.0]
+        assert sets == [([False, False], False), ([False, True], False),
+                        ([True, True], False)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(oracle_instances())
+    def test_no_working_set_solved_twice_in_a_row(self, instance):
+        d, mask = instance
+        sets, _ = self.working_sets(d, None if mask is None else
+                                    QpStart(np.zeros(mask.size), mask, False))
+        assert sets
+        assert all(a != b for a, b in zip(sets, sets[1:]))
 
 
 class TestReferenceOracle:
