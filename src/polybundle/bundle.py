@@ -19,10 +19,6 @@ GAMMA1 = 1e-6  # aggregation threshold on a weight while the bundle has room
 GAMMA2 = 1e-7  # aggregation threshold on a weight once the cap forces room
 
 
-class BundleCapError(RuntimeError):
-    """Internal error: an update would exceed the bundle cap."""
-
-
 @dataclass
 class BundleState:
     """Active bundle columns and the model arrays the QP reads.
@@ -82,27 +78,23 @@ def model_eval(y: np.ndarray, a: np.ndarray, b_mat: np.ndarray,
     return float(-(b @ y) + rho * max(float(coeffs.max(initial=0.0)), 0.0))
 
 
-def select_aggregation(x: np.ndarray, l: int, r: int, l_max: int):
+def select_aggregation(x: np.ndarray, r: int, l_max: int):
     """Split bundle indices into (p_bar to aggregate, p_hat to keep).
 
-    When there is room for the r new columns, only weights below GAMMA1 are
-    aggregated; otherwise the below-GAMMA2 weights plus however many smallest
-    weights are needed so that |p_hat| + r <= l_max.  Ties among smallest
-    weights break toward the lower column index.
+    While the x.size columns leave room for the r new ones, only weights
+    below GAMMA1 are aggregated; otherwise the below-GAMMA2 weights plus the
+    smallest weights (ties toward the lower index) so that |p_hat| + r <=
+    l_max.  This split is the one place the bundle cap is kept.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.size != l:
-        raise ValueError("weight vector length must equal bundle count")
     if l_max < r:
         raise ValueError("l_max must be at least the appended rank")
-    if l <= l_max - r:
+    room = l_max - r
+    if x.size <= room:
         mask = x <= GAMMA1
     else:
         mask = x <= GAMMA2
-        forced = l - (l_max - r)
-        order = np.argsort(x, kind="stable")
-        mask = mask.copy()
-        mask[order[:forced]] = True
+        mask[np.argsort(x, kind="stable")[:x.size - room]] = True
     p_bar = np.flatnonzero(mask)
     p_hat = np.flatnonzero(~mask)
     return p_bar, p_hat
@@ -111,7 +103,7 @@ def select_aggregation(x: np.ndarray, l: int, r: int, l_max: int):
 def aggregate_and_append(state: BundleState, eta: float, x: np.ndarray,
                          v_new: np.ndarray, a_new: np.ndarray,
                          b_new: np.ndarray, p_bar: np.ndarray,
-                         p_hat: np.ndarray, l_max: int) -> BundleState:
+                         p_hat: np.ndarray) -> BundleState:
     """Fold the p_bar columns into the aggregate and append the new block."""
     x = np.asarray(x, dtype=np.float64)
     x_bar = x[p_bar]
@@ -131,10 +123,6 @@ def aggregate_and_append(state: BundleState, eta: float, x: np.ndarray,
             w = np.zeros_like(state.W)
 
     p = np.column_stack([state.P[:, p_hat], v_new])
-    if p.shape[1] > l_max:
-        raise BundleCapError(
-            f"bundle count {p.shape[1]} exceeds cap {l_max} after update"
-        )
     a = np.concatenate([[a_bar], state.a[1 + p_hat], np.atleast_1d(a_new)])
     b_mat = np.column_stack([b_bar, state.B[:, 1 + p_hat], b_new])
     return BundleState(P=p, a=a, B=b_mat, W=w)

@@ -126,7 +126,6 @@ def _run_solver(args, load) -> int:
         params = _params_from_args(args)
         if params.rank is None and params.prior_rank is None:
             params.rank = default_rank
-        params.validate()
         solver.problem_settings(problem, params)
     except ValueError as exc:
         return _error(exc)

@@ -398,7 +398,10 @@ def load_manifest(path: str) -> tuple[SdpProblem, dict]:
         inst = os.path.join(os.path.dirname(os.path.abspath(path)), doc["instance"])
         if "\0" in inst:
             raise ValueError("instance file name holds a NUL character")
-        rank = int(doc["r"])
+        rank = doc["r"]
+        if isinstance(rank, bool) or isinstance(rank, float) and rank % 1:
+            raise ValueError(f"r = {rank!r} is not an integer")
+        rank = int(rank)
         trace_x = None if doc.get("trace_X") is None else float(doc["trace_X"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: bad manifest field: {exc}") from exc

@@ -31,12 +31,7 @@ REFINE_STEPS = 2  # iterative-refinement passes per working-set solve
 
 class NonConvergence(RuntimeError):
     """Active-set iteration cap exceeded, or a KKT residual not within its
-    certificate; carries the last iterate and its residual."""
-
-    def __init__(self, message: str, u: np.ndarray, residual: float):
-        super().__init__(message)
-        self.u = u
-        self.residual = residual
+    certificate."""
 
 
 @dataclass(frozen=True)
@@ -86,8 +81,10 @@ class QpStart:
         others start free."""
         return cls(u, (u == 0.0) & (d.h @ u + d.q >= 0.0), simplex_active)
 
-    def check(self, p: int):
-        """ValueError unless this start fits a QP with p columns."""
+    def check(self, d: SubproblemData):
+        """ValueError unless this is a feasible start of the QP d: 1'u <= rho,
+        with equality when the simplex starts active, both within d.tol."""
+        p = d.q.size
         if self.u.shape != (p,) or self.bound_active.shape != (p,):
             raise ValueError(f"warm start has {self.u.size} coordinates and "
                              f"{self.bound_active.size} bounds, expected {p}")
@@ -95,6 +92,10 @@ class QpStart:
             raise ValueError("warm-start point must be finite and nonnegative")
         if (self.u[self.bound_active.astype(bool)] != 0.0).any():
             raise ValueError("warm-start point is nonzero on a bound coordinate")
+        excess = self.u.sum() - d.rho
+        if (abs(excess) if self.simplex_active else excess) > d.tol:
+            raise ValueError(f"warm-start point is off the simplex: "
+                             f"1'u - rho = {excess:.3g}")
 
 
 @dataclass
@@ -184,7 +185,7 @@ def solve_subproblem(d: SubproblemData,
 
     start = warm_start if warm_start is not None else QpStart(
         np.zeros(p), np.ones(p, dtype=bool), False)
-    start.check(p)
+    start.check(d)
     u = start.u.astype(np.float64)
     bound_active = start.bound_active.astype(bool)
     simplex_active = start.simplex_active
@@ -253,14 +254,13 @@ def solve_subproblem(d: SubproblemData,
             # again would give the same bits
             u, at_minimizer = u_hat, True
     else:
-        res = kkt_residual(d, u)
-        raise NonConvergence("active-set iteration cap exceeded", u, res)
+        raise NonConvergence("active-set iteration cap exceeded")
 
     u = np.where(np.abs(u) < 1e-300, 0.0, u)
     res = kkt_residual(d, u)
     if not res <= tol:
         raise NonConvergence(
-            f"KKT residual {res:.3g} not within its certificate {tol:.3g}", u, res)
+            f"KKT residual {res:.3g} not within its certificate {tol:.3g}")
     z = d.y + d.t * (d.b - d.B @ u)
     return QpSolution(
         u=u, z=z, kkt_residual=res,

@@ -8,6 +8,7 @@ adaptive step sizes, optional rank prediction, and relative KKT termination.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -41,21 +42,27 @@ LMAX_PRESETS = {
     "5sq": lambda r: 5 * r * r,
 }
 NULLMAX = 5  # bad null steps in a row before the step size is halved
+PREDCOUNT_MAX = 10  # a predicted rank is final once repeated this many times
 T_MIN, T_MAX = 1e-3, 1.0  # bounds of the step size t
 # descent when F(y) - F(z) >= BETA1 (F(y) - model(z)); t doubles from BETA2
 # on; a null step at BETA3 or below counts as bad
 BETA1, BETA2, BETA3 = 0.05, 0.65, 0.001
 
 
+def _count(name: str, value, alternatives: str = ""):
+    """The integer rule of every count setting: an integral number, numpy
+    integers included, that is not a bool; else a ValueError naming it."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an integer{alternatives}, not {value!r}")
+
+
 def lmax_from_policy(policy, r: int) -> int:
     """Bundle cap from a preset name or an explicit integer."""
     if isinstance(policy, str) and policy in LMAX_PRESETS:
         val = LMAX_PRESETS[policy](r)
-    elif isinstance(policy, int) and not isinstance(policy, bool):
-        val = policy
     else:
-        raise ValueError(f"l_max must be an integer or one of "
-                         f"{', '.join(LMAX_PRESETS)}, not {policy!r}")
+        val = _count("l_max", policy, f" or one of {', '.join(LMAX_PRESETS)}")
     if val < r:
         raise ValueError("l_max must be at least the per-iteration rank")
     return val
@@ -88,8 +95,11 @@ class SolverParams:
         limit = self.time_limit_secs
         if limit is not None and not 0 < limit < math.inf:
             raise ValueError("time_limit_secs must be finite and positive")
-        if self.maxiter < 1:
+        if _count("maxiter", self.maxiter) < 1:
             raise ValueError("maxiter must be at least 1")
+        for name in ("rank", "prior_rank"):
+            if getattr(self, name) is not None:
+                _count(name, getattr(self, name))
         lmax_from_policy(self.l_max, 0)  # raises unless a preset or an int
 
 
@@ -227,7 +237,6 @@ class RankPrediction:
     prediction is final."""
 
     prior_rank: int
-    predcountmax: int = 10
     r_prev: int = 0
     predcount: int = 0
 
@@ -238,7 +247,7 @@ def rank_predict_step(p: np.ndarray, s_eigs_ascending: np.ndarray,
 
     The singular values of the bundle and the bottom eigenvalues of the dual
     slack both develop a gap at the optimal rank; the prediction is the max
-    of the two gap positions, finalized once stable for predcountmax+1
+    of the two gap positions, finalized once stable for PREDCOUNT_MAX + 1
     consecutive iterations.
     """
     r = state.prior_rank
@@ -264,7 +273,7 @@ def rank_predict_step(p: np.ndarray, s_eigs_ascending: np.ndarray,
     else:
         state.predcount = 0
     state.r_prev = r_k
-    return state.predcount > state.predcountmax, r_k
+    return state.predcount > PREDCOUNT_MAX, r_k
 
 
 def recover_primal(state: BundleState, u: np.ndarray) -> SymMatrix:
@@ -284,7 +293,6 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     iteration.
     """
     params = params or SolverParams()
-    params.validate()
     rho, r_iter, l_max = problem_settings(problem, params)
     pred = RankPrediction(r_iter) if params.prior_rank is not None else None
     y = np.zeros(problem.m)
@@ -380,12 +388,13 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
 
 def problem_settings(problem: SdpProblem, params: SolverParams):
     """Penalty weight, starting rank and bundle cap, from the params or the
-    instance; ValueError when the instance rejects them.
+    instance; ValueError when validate() or the instance rejects them.
 
     rho defaults to 2*trace+1 for the instance's known primal trace; the rank
     is the prior when one is set (rank prediction), else params.rank or the
-    known rank, and must lie in [1, n]; the cap must be at least the rank.
+    known rank, and must be an integer in [1, n]; the cap must be at least the rank.
     """
+    params.validate()
     rho = params.rho
     if rho is None:
         if problem.known_trace is None:
@@ -399,7 +408,7 @@ def problem_settings(problem: SdpProblem, params: SolverParams):
         r = params.rank if params.rank is not None else problem.known_rank
         if r is None:
             raise ValueError("rank not set; supply params.rank or params.prior_rank")
-    if not 1 <= r <= problem.n:
+    if not 1 <= _count("rank", r) <= problem.n:
         raise ValueError(f"rank must lie in [1, n = {problem.n}], got {r}")
     return rho, r, lmax_from_policy(params.l_max, r)
 
@@ -432,9 +441,9 @@ def _update_bundle(bundle: BundleState, sol, v_new: np.ndarray,
     bound set once the next QP's data exist.
     """
     eta, x = float(sol.u[0]), sol.u[1:]
-    p_bar, p_hat = select_aggregation(x, bundle.l, r, l_max)
+    p_bar, p_hat = select_aggregation(x, r, l_max)
     bundle = bundle_mod.aggregate_and_append(
-        bundle, eta, x, v_new, a_new, b_new, p_bar, p_hat, l_max
+        bundle, eta, x, v_new, a_new, b_new, p_bar, p_hat
     )
     # a free coordinate may end a hair below 0; the start only needs to be
     # feasible, and the QP's result is the minimizer of its final working set

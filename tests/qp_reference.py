@@ -136,8 +136,7 @@ def solve_subproblem(d: SubproblemData,
         elif alpha >= 1.0:
             u = u_hat
     else:
-        res = kkt_residual(d, u)
-        raise NonConvergence("active-set iteration cap exceeded", u, res)
+        raise NonConvergence("active-set iteration cap exceeded")
 
     u = np.where(np.abs(u) < 1e-300, 0.0, u)
     z = d.y + d.t * (d.b - d.B @ u)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from polybundle.bundle import (
-    BundleCapError,
     BundleState,
     aggregate_and_append,
     model_eval,
@@ -225,31 +224,31 @@ class TestModelEval:
 class TestSelectAggregation:
     def test_roomy_case_thresholds_gamma1(self):
         x = np.array([0.5, 1e-7, 0.3, 1e-9])
-        p_bar, p_hat = select_aggregation(x, l=4, r=2, l_max=10)
+        p_bar, p_hat = select_aggregation(x, r=2, l_max=10)
         assert sorted(p_bar) == [1, 3]
         assert sorted(p_hat) == [0, 2]
 
     def test_tight_case_forces_smallest(self):
         # l = 6, l_max = 7, r = 3: at least 6 - (7 - 3) = 2 must go
         x = np.array([0.5, 0.4, 0.01, 0.02, 0.3, 0.6])
-        p_bar, p_hat = select_aggregation(x, l=6, r=3, l_max=7)
+        p_bar, p_hat = select_aggregation(x, r=3, l_max=7)
         assert sorted(p_bar) == [2, 3]
         assert len(p_hat) + 3 <= 7
 
     def test_tight_case_includes_gamma2(self):
         x = np.array([0.5, 1e-8, 0.4, 0.3, 0.2, 0.1])
-        p_bar, p_hat = select_aggregation(x, l=6, r=3, l_max=7)
+        p_bar, p_hat = select_aggregation(x, r=3, l_max=7)
         assert 1 in p_bar
         assert len(p_bar) >= 2
 
     def test_tie_break_by_lower_index(self):
         x = np.array([0.2, 0.2, 0.2, 0.2])
-        p_bar, _ = select_aggregation(x, l=4, r=2, l_max=5)
+        p_bar, _ = select_aggregation(x, r=2, l_max=5)
         assert sorted(p_bar) == [0]
 
     def test_keep_all_when_roomy_and_heavy(self):
         x = np.array([0.5, 0.4])
-        p_bar, p_hat = select_aggregation(x, l=2, r=2, l_max=10)
+        p_bar, p_hat = select_aggregation(x, r=2, l_max=10)
         assert p_bar.size == 0
         assert sorted(p_hat) == [0, 1]
 
@@ -274,7 +273,7 @@ class TestAggregateAndAppend:
         p_bar = np.array([], dtype=np.int64)
         p_hat = np.arange(3)
         out = aggregate_and_append(state, 0.0, np.array([0.2, 0.3, 0.1]),
-                                   v, a_new, b_new, p_bar, p_hat, l_max=10)
+                                   v, a_new, b_new, p_bar, p_hat)
         assert out.a[0] == 0.0
         assert np.all(out.B[:, 0] == 0.0)
         assert out.l == 5
@@ -288,7 +287,7 @@ class TestAggregateAndAppend:
         p_bar = np.array([1], dtype=np.int64)
         p_hat = np.array([0, 2], dtype=np.int64)
         out = aggregate_and_append(state, 0.5, x, v, a_new, b_new,
-                                   p_bar, p_hat, l_max=10)
+                                   p_bar, p_hat)
         assert out.W is not None
         assert out.a[0] == pytest.approx(np.trace(c @ out.W), abs=1e-10)
         from polybundle.linalg import apply_A
@@ -304,23 +303,13 @@ class TestAggregateAndAppend:
         p_bar = np.array([0], dtype=np.int64)
         p_hat = np.array([1, 2], dtype=np.int64)
         out = aggregate_and_append(state, 0.0, np.array([0.1, 0.2, 0.3]),
-                                   v, a_new, b_new, p_bar, p_hat, l_max=10)
+                                   v, a_new, b_new, p_bar, p_hat)
         assert np.array_equal(out.P[:, :2], state.P[:, [1, 2]])
         assert np.array_equal(out.P[:, 2:], v)
         assert np.array_equal(out.a[1:3], state.a[[2, 3]])
         assert np.array_equal(out.B[:, 1:3], state.B[:, [2, 3]])
         assert np.array_equal(out.a[3:], a_new)
         assert np.array_equal(out.B[:, 3:], b_new)
-
-    def test_cap_violation_raises(self):
-        rng = np.random.default_rng(6)
-        state, op, _, cvec = self.make_state(rng)
-        v, a_new, b_new = self.new_block(rng, op, cvec, 5, 2)
-        p_bar = np.array([], dtype=np.int64)
-        p_hat = np.arange(3)
-        with pytest.raises(BundleCapError):
-            aggregate_and_append(state, 0.0, np.array([0.1, 0.2, 0.3]),
-                                 v, a_new, b_new, p_bar, p_hat, l_max=4)
 
     def test_model_arrays_layout(self):
         # a fresh bundle's model arrays: the empty aggregate, then the columns

@@ -227,7 +227,7 @@ class TestSolve:
         assert len(lines) > 1
 
     @pytest.mark.parametrize("exc", [
-        qp.NonConvergence("active-set iteration cap exceeded", np.zeros(1), 1.0),
+        qp.NonConvergence("active-set iteration cap exceeded"),
         np.linalg.LinAlgError("matrix not positive definite"),
     ], ids=["non-convergence", "lin-alg-error"])
     def test_qp_failure_exit_3(self, generated, capsys, monkeypatch, exc):
@@ -530,8 +530,11 @@ class TestMalformedManifest:
         b'{"instance": 5, "n": 2, "m": 1, "r": 1}',
         b'{"instance": "tiny.dat-s\\u0000", "n": 2, "m": 1, "r": 1}',
         b'["tiny.dat-s", 2, 1, 1]',
+        b'{"instance": "tiny.dat-s", "n": 2, "m": 1, "r": 2.7}',
+        b'{"instance": "tiny.dat-s", "n": 2, "m": 1, "r": true}',
     ], ids=["rank-not-int", "not-utf8", "trace-not-float", "trace-nan",
-            "instance-not-str", "instance-nul", "json-list"])
+            "instance-not-str", "instance-nul", "json-list", "rank-fraction",
+            "rank-bool"])
     def test_solve_exit_1_without_traceback(self, tmp_path, content):
         (tmp_path / "tiny.dat-s").write_bytes(TINY_SDPA)
         path = tmp_path / "bad.json"

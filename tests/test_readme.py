@@ -22,8 +22,8 @@ FLAG_ROW = re.compile(r"^\| `(--[\w-]+)[^`]*` \| (?:`(\w+)`|none:[^|]*) \|$", re
 
 
 def owner(name: str):
-    """The module polybundle.<name>, or the solver class of that name."""
-    return getattr(polybundle, name, None) or getattr(polybundle.solver, name)
+    """The module polybundle.<name>."""
+    return getattr(polybundle, name)
 
 
 def section(heading: str) -> str:
@@ -39,7 +39,7 @@ def test_readme_constants_match_the_code():
     listed = {f"{where}.{name}" for where, name, _ in items}
     assert listed >= {
         "bundle.GAMMA1", "bundle.GAMMA2", "solver.NULLMAX",
-        "RankPrediction.predcountmax", "solver.T_MIN", "solver.T_MAX",
+        "solver.PREDCOUNT_MAX", "solver.T_MIN", "solver.T_MAX",
         "solver.BETA1", "solver.BETA2", "solver.BETA3",
     }
     for where, name, value in items:

@@ -12,6 +12,7 @@ from polybundle.linalg import (
 )
 from polybundle.problems import GraphInstance, build_maxcut_sdp, generate_random_sdp
 from polybundle.solver import (
+    PREDCOUNT_MAX,
     STATUS_CONVERGED,
     STATUS_EIGEN_FAILURE,
     STATUS_ITER_LIMIT,
@@ -66,11 +67,47 @@ class TestParams:
         with pytest.raises(ValueError):
             lmax_from_policy(3, 5)
 
-    @pytest.mark.parametrize("value", [None, 7.9, True, "7", np.int64(7)],
-                             ids=["none", "float", "bool", "digits", "numpy-int"])
+    @pytest.mark.parametrize("value", [None, 7.9, 7.0, True, "7"],
+                             ids=["none", "float", "integral-float", "bool",
+                                  "digits"])
     def test_lmax_neither_preset_nor_int_rejected(self, value):
         with pytest.raises(ValueError, match="one of half, sq, 2sq, 5sq"):
             SolverParams(l_max=value).validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("rank", 2.5), ("rank", 2.0), ("rank", True),
+        ("prior_rank", 3.0), ("prior_rank", False),
+        ("maxiter", 2.5), ("maxiter", True), ("maxiter", None),
+    ])
+    def test_count_not_an_integer_rejected(self, monkeypatch, field, value):
+        # one integer rule for every count, from validate() and from solve
+        # before any eigensolve
+        params = SolverParams(**{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            params.validate()
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigensolve before the settings were checked")
+
+        monkeypatch.setattr(solver, "extreme_eigs", no_eigensolve)
+        problem, _ = generate_random_sdp(30, 30, 2, 0.1, 1.0, 0)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            solve(problem, params)
+
+    def test_instance_rank_not_an_integer_rejected(self):
+        problem, _ = generate_random_sdp(30, 30, 2, 0.1, 1.0, 0)
+        problem.known_rank = 2.5
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            solve(problem, SolverParams())
+
+    @pytest.mark.parametrize("field,value", [
+        ("l_max", np.int64(30)), ("rank", np.int64(2)),
+        ("maxiter", np.int32(300)), ("prior_rank", np.int64(4)),
+    ], ids=["l_max", "rank", "maxiter", "prior_rank"])
+    def test_numpy_integer_counts_run(self, field, value):
+        problem, _ = generate_random_sdp(30, 30, 2, 0.1, 1.0, 0)
+        res = solve(problem, SolverParams(**{field: value}))
+        assert res.status == STATUS_CONVERGED
 
 
 class TestPenaltyEval:
@@ -179,7 +216,7 @@ class TestTermination:
 
 class TestRankPrediction:
     def test_detects_gap_position(self):
-        state = RankPrediction(prior_rank=6, predcountmax=10)
+        state = RankPrediction(prior_rank=6)
         p = np.column_stack([np.eye(8)[:, :3] * 5.0, np.eye(8)[:, 3:5] * 0.1])
         eigs = np.array([0.0, 0.0, 0.0, 4.0, 4.1, 4.2, 4.3])
         finalize, r = rank_predict_step(p, eigs, state)
@@ -187,7 +224,7 @@ class TestRankPrediction:
         assert not finalize
 
     def test_finalizes_after_stable_streak(self):
-        state = RankPrediction(prior_rank=6, predcountmax=3)
+        state = RankPrediction(prior_rank=6)
         p = np.diag([3.0, 3.0, 1e-3, 1e-3, 1e-3, 1e-3])
         eigs = np.array([0.0, 0.0, 5.0, 5.5, 6.0, 6.5, 7.0])
         # first call seeds r_prev; finalize once the count exceeds the cap
@@ -197,10 +234,10 @@ class TestRankPrediction:
             if results[-1][0]:
                 break
         assert all(r == 2 for _, r in results)
-        assert [f for f, _ in results] == [False] * 4 + [True]
+        assert [f for f, _ in results] == [False] * (PREDCOUNT_MAX + 1) + [True]
 
     def test_count_resets_on_change(self):
-        state = RankPrediction(prior_rank=4, predcountmax=10)
+        state = RankPrediction(prior_rank=4)
         p1 = np.diag([3.0, 1e-3, 1e-3, 1e-3])
         p2 = np.diag([3.0, 3.0, 1e-3, 1e-3])
         eigs = np.array([0.0, 5.0, 6.0, 7.0, 8.0])
@@ -253,7 +290,7 @@ class TestSolveEndToEnd:
         assert res.y.shape == (problem.m,) and np.all(np.isfinite(res.y))
 
     @pytest.mark.parametrize("exc", [
-        qp.NonConvergence("active-set iteration cap exceeded", np.zeros(1), 1.0),
+        qp.NonConvergence("active-set iteration cap exceeded"),
         np.linalg.LinAlgError("matrix not positive definite"),
     ], ids=["non-convergence", "lin-alg-error"])
     def test_qp_failure_ends_run_with_status(self, small_problem, monkeypatch, exc):
@@ -485,6 +522,8 @@ class TestTrajectories:
         assert self.steps(res) == \
             "ddddddnddddddddndndnnddndndnnndndnndndnndndnd"
         assert res.trace[-1].F_y == pytest.approx(11.153339589292603, rel=1e-9)
+        # the bundle cap of "half" at r = 3 holds on every iteration and binds
+        assert max(rec.l for rec in res.trace) == 9
 
     def test_rank_prediction(self):
         problem, _ = generate_random_sdp(100, 100, 5, 1e-2, 1.0, 0)
@@ -495,3 +534,11 @@ class TestTrajectories:
         assert res.rank_used == 5
         assert self.steps(res).count("d") == 31
         assert res.trace[-1].F_y == pytest.approx(14.056958630315805, rel=1e-9)
+
+    def test_maxcut(self):
+        problem, params = c10_maxcut()
+        res = solve(problem, params)
+        assert res.status == STATUS_CONVERGED
+        assert res.iterations == 86
+        assert self.steps(res).count("d") == 44
+        assert res.trace[-1].F_y == pytest.approx(250.55393432425674, rel=1e-9)
