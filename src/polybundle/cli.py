@@ -117,15 +117,13 @@ def _load_instance(path: str):
 
 def _run_solver(args, load) -> int:
     """Load, validate the settings, solve, report. ``load()`` returns the
-    problem and the rank used when neither --rank nor --prior-rank is set."""
+    problem; ``solver.problem_settings`` decides what the flags leave unset."""
     try:
-        problem, default_rank = load()
+        problem = load()
     except (OSError, ValueError) as exc:  # ParseError is a ValueError
         return _error(exc)
     try:
         params = _params_from_args(args)
-        if params.rank is None and params.prior_rank is None:
-            params.rank = default_rank
         solver.problem_settings(problem, params)
     except ValueError as exc:
         return _error(exc)
@@ -161,7 +159,7 @@ def _run_solver(args, load) -> int:
 
 
 def cmd_solve(args) -> int:
-    return _run_solver(args, lambda: (_load_instance(args.input), None))
+    return _run_solver(args, lambda: _load_instance(args.input))
 
 
 def cmd_generate(args) -> int:
@@ -184,11 +182,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_maxcut(args) -> int:
-    def load():
-        graph = problems.load_gset(args.input)
-        problem = problems.build_maxcut_sdp(graph, sense=args.sense)
-        return problem, min(problem.n, math.ceil(math.sqrt(2 * problem.n)))
-    return _run_solver(args, load)
+    return _run_solver(args, lambda: problems.build_maxcut_sdp(
+        problems.load_gset(args.input), sense=args.sense))
 
 
 def cmd_check(args) -> int:

@@ -135,9 +135,6 @@ class SymMatrix:
         a[self.cols, self.rows] = self.vals
         return a
 
-    def to_csr(self) -> sp.csr_matrix:
-        return _mirror_csr(self.n, self.rows, self.cols, self.vals)
-
     @property
     def nnz(self) -> int:
         return int(self.vals.size)
@@ -372,15 +369,6 @@ def apply_A(op: ConstraintOperator, x) -> np.ndarray:
     if vec.size != tri_dim(op.n):
         raise ValueError("dimension mismatch in apply_A")
     return op.avec.T @ vec
-
-
-def apply_At(op: ConstraintOperator, y: np.ndarray) -> SymMatrix:
-    """Adjoint A^T y = sum_i y_i A_i as a SymMatrix; for the adjoint and
-    generator tests, not the solver."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.size != op.m:
-        raise ValueError("dimension mismatch in apply_At")
-    return smat(op.avec @ y)
 
 
 @dataclass(frozen=True)

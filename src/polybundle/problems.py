@@ -74,6 +74,15 @@ class PlantedSolution:
 _LABEL_TYPES = (int, np.integer)  # vertex labels; built once, checked per edge
 
 
+class EdgeError(ValueError):
+    """A graph edge that fails a check; ``index`` is its position in the
+    edge list, which ``load_gset`` maps back to the line it was read from."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass
 class GraphInstance:
     """Undirected weighted graph with 1-based vertex labels."""
@@ -85,18 +94,18 @@ class GraphInstance:
         if self.n_vertices < 1:
             raise ValueError(f"{self.n_vertices} vertices; need at least 1")
         seen = set()
-        for i, j, w in self.edges:
+        for k, (i, j, w) in enumerate(self.edges):
             if not (isinstance(i, _LABEL_TYPES) and isinstance(j, _LABEL_TYPES)):
-                raise ValueError(f"edge ({i},{j}) has a non-integer vertex label")
+                raise EdgeError(k, f"edge ({i},{j}) has a non-integer vertex label")
             if not (1 <= i <= self.n_vertices and 1 <= j <= self.n_vertices):
-                raise ValueError(f"edge ({i},{j}) out of range")
+                raise EdgeError(k, f"edge ({i},{j}) out of range")
             if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
+                raise EdgeError(k, f"self-loop at vertex {i}")
             if not math.isfinite(w):
-                raise ValueError(f"non-finite weight on edge ({i},{j})")
+                raise EdgeError(k, f"non-finite weight on edge ({i},{j})")
             key = (min(i, j), max(i, j))
             if key in seen:
-                raise ValueError(f"duplicate edge ({i},{j})")
+                raise EdgeError(k, f"duplicate edge ({i},{j})")
             seen.add(key)
 
 
@@ -252,8 +261,10 @@ def load_gset(path: str) -> GraphInstance:
         )
     try:
         return GraphInstance(n_vertices=header[0], edges=edges)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    except EdgeError as exc:  # the header check above covers the vertex count
+        # the first nonblank line is the header and each later one an edge
+        nonblank = [k for k, raw in enumerate(lines, start=1) if raw.split()]
+        raise ParseError(f"{path}:{nonblank[exc.index + 1]}: {exc}") from exc
 
 
 # SDPA sparse format (.dat-s), single semidefinite block.  Entries are

@@ -390,9 +390,11 @@ def problem_settings(problem: SdpProblem, params: SolverParams):
     """Penalty weight, starting rank and bundle cap, from the params or the
     instance; ValueError when validate() or the instance rejects them.
 
-    rho defaults to 2*trace+1 for the instance's known primal trace; the rank
-    is the prior when one is set (rank prediction), else params.rank or the
-    known rank, and must be an integer in [1, n]; the cap must be at least the rank.
+    rho defaults to 2*trace+1 for the instance's known primal trace.  The rank
+    is the prior when one is set (rank prediction), else params.rank, else the
+    instance's known rank, else min(n, ceil(sqrt(2m))): by the Barvinok-Pataki
+    bound some optimal X has a rank r with r(r+1)/2 <= m.  It must be an
+    integer in [1, n]; the cap must be at least the rank.
     """
     params.validate()
     rho = params.rho
@@ -404,10 +406,12 @@ def problem_settings(problem: SdpProblem, params: SolverParams):
         rho = 2.0 * problem.known_trace + 1.0
     if params.prior_rank is not None:
         r = params.prior_rank
+    elif params.rank is not None:
+        r = params.rank
+    elif problem.known_rank is not None:
+        r = problem.known_rank
     else:
-        r = params.rank if params.rank is not None else problem.known_rank
-        if r is None:
-            raise ValueError("rank not set; supply params.rank or params.prior_rank")
+        r = min(problem.n, math.ceil(math.sqrt(2 * problem.m)))
     if not 1 <= _count("rank", r) <= problem.n:
         raise ValueError(f"rank must lie in [1, n = {problem.n}], got {r}")
     return rho, r, lmax_from_policy(params.l_max, r)

@@ -172,9 +172,10 @@ def test_c10_maxcut_smoke(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     graph = pb.load_gset(str(path))
     problem = pb.build_maxcut_sdp(graph, sense="maximize")
-    r = int(np.ceil(np.sqrt(2.0 * n)))
+    # the solver's default rank, min(n, ceil(sqrt(2m))) = 15 with m = n
     result = solve(problem, SolverParams(eps=1e-3, maxiter=500, t0=1e-2,
-                                         rank=r, l_max="sq"))
+                                         l_max="sq"))
+    assert result.rank_used == 15
     assert result.status == "Converged"
     assert result.iterations <= 500
     assert result.max_delta <= 1e-3

@@ -266,11 +266,13 @@ class TestSolve:
         assert report["status"] == "EigenFailure"
         assert report["iterations"] == k - 2
 
-    def test_solve_raw_sdpa_needs_rank(self, generated, tmp_path, capsys):
+    def test_solve_raw_sdpa_needs_only_rho(self, generated, capsys):
         dat, _ = generated
-        # raw .dat-s has no metadata: rank and rho must come from flags
-        code = main(["solve", str(dat), "--rank", "3", "--rho", "100"])
+        # raw .dat-s has no metadata: rho must come from a flag, while the
+        # rank defaults to min(n, ceil(sqrt(2m))) = 8 at n = m = 30
+        code = main(["solve", str(dat), "--rho", "100"])
         assert code in (0, 2)
+        assert json.loads(capsys.readouterr().out)["rank_used"] == 8
 
     @pytest.mark.parametrize("flag", ["--rank", "--prior-rank"])
     def test_rank_above_n_exit_1(self, generated, tmp_path, capsys, flag):
@@ -468,7 +470,7 @@ class TestMaxcutCommand:
 
     @pytest.mark.parametrize("n,rank", [(1, 1), (20, 7), (100, 15)])
     def test_default_sense_and_rank(self, tmp_path, capsys, n, rank):
-        # rank min(n, ceil(sqrt(2n))), as c10 and the benchmark pass it
+        # the solver's default rank min(n, ceil(sqrt(2m))), with m = n
         lines = [f"{n} {n - 1}"] + [f"{i} {i + 1} 1" for i in range(1, n)]
         g = tmp_path / "path.txt"
         g.write_text("\n".join(lines) + "\n")
@@ -482,6 +484,7 @@ class TestMaxcutCommand:
         g.write_text("2 1\n1 5 1\n")
         code = main(["maxcut", str(g)])
         assert code == 1
+        assert capsys.readouterr().err == f"error: {g}:2: edge (1,5) out of range\n"
 
     @pytest.mark.parametrize("header", ["0 0", "-2 0"])
     def test_graph_without_vertices_names_file_and_line(self, tmp_path, capsys,
@@ -512,10 +515,17 @@ class TestMalformedSdpa:
         b"1\n1\n0\n1.0\n",
         b"1\n1\n2\n1.0\n\xff\n",
     ], ids=["nan-entry", "inf-rhs", "zero-block", "not-utf8"])
-    def test_solve_exit_1_without_traceback(self, tmp_path, content):
+    def test_solve_exit_1_without_traceback(self, tmp_path, capsys, content):
+        # an exception escaping main() fails the test, as a traceback would
         path = tmp_path / "bad.dat-s"
         path.write_bytes(content)
-        proc = run_cli("solve", path, "--rank", "1")
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}")
+
+    def test_process_exit_1_without_traceback(self, tmp_path):
+        path = tmp_path / "bad.dat-s"
+        path.write_bytes(b"1\n1\n2\n1.0\n\xff\n")
+        proc = run_cli("solve", path)
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: {path}")
         assert "Traceback" not in proc.stderr
@@ -535,14 +545,12 @@ class TestMalformedManifest:
     ], ids=["rank-not-int", "not-utf8", "trace-not-float", "trace-nan",
             "instance-not-str", "instance-nul", "json-list", "rank-fraction",
             "rank-bool"])
-    def test_solve_exit_1_without_traceback(self, tmp_path, content):
+    def test_solve_exit_1_without_traceback(self, tmp_path, capsys, content):
         (tmp_path / "tiny.dat-s").write_bytes(TINY_SDPA)
         path = tmp_path / "bad.json"
         path.write_bytes(content)
-        proc = run_cli("solve", path)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith(f"error: {path}")
-        assert "Traceback" not in proc.stderr
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}")
 
 
 class TestMalformedSolution:
@@ -555,15 +563,13 @@ class TestMalformedSolution:
         b'{"y": [1.0], "objective_primal": "x"}',
     ], ids=["y-not-numeric", "json-list", "not-utf8", "y-nan", "X-not-numeric",
             "objective-not-numeric"])
-    def test_check_exit_1_without_traceback(self, tmp_path, content):
+    def test_check_exit_1_without_traceback(self, tmp_path, capsys, content):
         instance = tmp_path / "tiny.dat-s"
         instance.write_bytes(TINY_SDPA)
         path = tmp_path / "sol.json"
         path.write_bytes(content)
-        proc = run_cli("check", instance, path)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ")
-        assert "Traceback" not in proc.stderr
+        assert main(["check", str(instance), str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCheckSolutionValues:

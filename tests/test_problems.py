@@ -13,7 +13,7 @@ from polybundle.linalg import (
     ConstraintOperator,
     SymMatrix,
     apply_A,
-    apply_At,
+    smat,
     svec,
     svec_indices,
     tri_dim,
@@ -44,7 +44,7 @@ class TestGenerator:
     def test_planted_identities(self):
         problem, pl = generate_random_sdp(40, 30, 4, 0.1, 1.0, 11)
         assert np.abs(apply_A(problem.op, pl.X_star) - problem.b).max() <= 1e-10
-        c_want = pl.S_star.to_dense() + apply_At(problem.op, pl.y_star).to_dense()
+        c_want = pl.S_star.to_dense() + smat(problem.op.avec @ pl.y_star).to_dense()
         assert np.abs(problem.C.to_dense() - c_want).max() <= 1e-10
         xs = pl.X_star.to_dense()
         ss = pl.S_star.to_dense()
@@ -248,6 +248,19 @@ class TestGset:
         f = tmp_path / "g.txt"
         f.write_text(header + "\n")
         with pytest.raises(ParseError, match=f"{f}:1: need at least one vertex"):
+            load_gset(str(f))
+
+    @pytest.mark.parametrize("text,line,message", [
+        ("2 1\n1 5 1\n", 2, "out of range"),
+        ("3 2\n1 2 1\n2 2 1\n", 3, "self-loop"),
+        ("3 3\n1 2 1\n2 3 1\n\n2 1 1\n", 5, "duplicate edge"),
+        ("2 1\n1 2 1e400\n", 2, "non-finite weight"),
+    ], ids=["out-of-range", "self-loop", "duplicate", "overflowing-weight"])
+    def test_edge_error_reports_its_line(self, tmp_path, text, line, message):
+        # a duplicate edge is reported at its second occurrence
+        f = tmp_path / "g.txt"
+        f.write_text(text)
+        with pytest.raises(ParseError, match=f"{f}:{line}: .*{message}"):
             load_gset(str(f))
 
 

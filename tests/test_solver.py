@@ -355,15 +355,16 @@ class TestSolveEndToEnd:
         finally:
             problem.known_trace = trace
 
-    def test_rank_required(self, small_problem):
-        problem, _ = small_problem
-        rank = problem.known_rank
+    @pytest.mark.parametrize("n,m,sparsity,rank", [(30, 60, 0.1, 11),
+                                                  (5, 40, 0.5, 5)])
+    def test_rank_defaults_to_the_barvinok_pataki_bound(self, n, m, sparsity,
+                                                         rank):
+        # with no rank given, m sets it: min(n, ceil(sqrt(2m))), capped at n
+        problem, _ = generate_random_sdp(n, m, 2, sparsity, 1.0, 0)
         problem.known_rank = None
-        try:
-            with pytest.raises(ValueError, match="rank"):
-                solve(problem, SolverParams())
-        finally:
-            problem.known_rank = rank
+        res = solve(problem, SolverParams())
+        assert res.status == STATUS_CONVERGED
+        assert res.rank_used == rank
 
     def test_prior_rank_alone_predicts_the_rank(self, small_problem):
         # the prior replaces a rank the run would otherwise need, and the
@@ -443,13 +444,24 @@ class TestRecoverPrimal:
 
 
 def c10_maxcut(n=100, prob=0.06, seed=1):
-    """The c10 Max-Cut smoke instance and its settings."""
+    """The c10 Max-Cut smoke instance and its settings; the rank is the
+    solver's default."""
     rng = np.random.default_rng(seed)
     edges = [(i + 1, j + 1, 1.0) for i in range(n) for j in range(i + 1, n)
              if rng.random() < prob]
     problem = build_maxcut_sdp(GraphInstance(n, edges), sense="maximize")
-    return problem, SolverParams(eps=1e-3, maxiter=500, t0=1e-2, l_max="sq",
-                                 rank=int(np.ceil(np.sqrt(2.0 * n))))
+    return problem, SolverParams(eps=1e-3, maxiter=500, t0=1e-2, l_max="sq")
+
+
+def assert_same_run(a, b):
+    """Status, every trace field but the clock, y and u, bit for bit."""
+    assert a.status == b.status
+    fields = [f for f in vars(a.trace[0]) if f != "elapsed_secs"]
+    for ra, rb in zip(a.trace, b.trace, strict=True):
+        assert [repr(getattr(ra, f)) for f in fields] == \
+            [repr(getattr(rb, f)) for f in fields]
+    assert a.y.tobytes() == b.y.tobytes()
+    assert a.u.tobytes() == b.u.tobytes()
 
 
 class TestQpWarmStart:
@@ -477,13 +489,8 @@ class TestQpWarmStart:
                             lambda data, warm_start=None: real(data))
         cold = solve(problem, params)
 
-        assert warm.status == cold.status == STATUS_CONVERGED
-        fields = [f for f in vars(warm.trace[0]) if f != "elapsed_secs"]
-        for w, c in zip(warm.trace, cold.trace, strict=True):
-            assert [repr(getattr(w, f)) for f in fields] == \
-                [repr(getattr(c, f)) for f in fields]
-        assert warm.y.tobytes() == cold.y.tobytes()
-        assert warm.u.tobytes() == cold.u.tobytes()
+        assert warm.status == STATUS_CONVERGED
+        assert_same_run(warm, cold)
         # the start saves working-set solves: 157 against 701 on the
         # generated instance and 800 against 2,448 on the Max-Cut one
         assert warm_steps < 0.55 * steps[0]
@@ -542,3 +549,8 @@ class TestTrajectories:
         assert res.iterations == 86
         assert self.steps(res).count("d") == 44
         assert res.trace[-1].F_y == pytest.approx(250.55393432425674, rel=1e-9)
+        # the default rank min(n, ceil(sqrt(2m))) is 15 here, m = n = 100;
+        # passing it changes no bit of the run
+        assert res.rank_used == 15
+        params.rank = 15
+        assert_same_run(solve(problem, params), res)
