@@ -55,7 +55,7 @@ def pvec_generate(p: np.ndarray, op: ConstraintOperator, support: SvecSupport):
     a = Pvec' cvec and B = avec' Pvec.  The cost is the support size times l
     to form Pvec plus nnz(avec)*l for B.
     """
-    p = np.atleast_2d(np.asarray(p, dtype=np.float64))
+    p = np.asarray(p, dtype=np.float64)
     if p.ndim != 2:
         raise ValueError("p must be an n x l matrix")
     norms = np.linalg.norm(p, axis=0)

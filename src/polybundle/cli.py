@@ -173,7 +173,7 @@ def cmd_generate(args) -> int:
         manifest_path = stem + ".json"
         problems.write_sdpa(problem, instance_path)
         problems.write_manifest(manifest_path, problem, planted, instance_path,
-                                args.r, args.sparsity, args.s, args.seed)
+                                args.sparsity, args.s, args.seed)
     except (OSError, ValueError) as exc:
         return _error(exc)
     print(instance_path)

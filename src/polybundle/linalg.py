@@ -156,11 +156,6 @@ class SvecVector:
     values: np.ndarray
     raw: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        values = np.atleast_1d(np.asarray(self.values, dtype=np.float64))
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "n", tri_order(values.size))
-
 
 def svec(m: SymMatrix | np.ndarray) -> SvecVector:
     """Column-wise lower-triangle stacking with sqrt(2) on off-diagonals."""
@@ -200,17 +195,13 @@ def smat_dense(values: np.ndarray) -> np.ndarray:
 
 def smat_csr(values: np.ndarray) -> sp.csr_matrix:
     """Sparse n x n matrix (both triangles) from a scaled svec array."""
-    return _mirror_csr(*_svec_entries(np.asarray(values, dtype=np.float64)))
-
-
-def svec_rank_one(p: np.ndarray) -> np.ndarray:
-    """Column i is svec(p_i p_i') for column p_i of the n x l matrix p.
-
-    The bit reference for ``SvecSupport.rank_one`` in ``TestSupportColumns``;
-    no solver code calls it.
-    """
-    rows, cols, scale = svec_indices(p.shape[0])
-    return p[rows, :] * p[cols, :] * scale[:, None]
+    n, rows, cols, vals = _svec_entries(np.asarray(values, dtype=np.float64))
+    off = rows != cols
+    return sp.csr_matrix(
+        (np.concatenate([vals, vals[off]]),
+         (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]))),
+        shape=(n, n),
+    )
 
 
 def _svec_entries(values: np.ndarray, raw: np.ndarray | None = None):
@@ -221,17 +212,6 @@ def _svec_entries(values: np.ndarray, raw: np.ndarray | None = None):
     entries = raw if raw is not None else values / scale
     nz = entries != 0.0
     return n, rows[nz], cols[nz], entries[nz]
-
-
-def _mirror_csr(n: int, rows: np.ndarray, cols: np.ndarray,
-                vals: np.ndarray) -> sp.csr_matrix:
-    """Symmetric CSR matrix from lower-triangle coordinates."""
-    off = rows != cols
-    return sp.csr_matrix(
-        (np.concatenate([vals, vals[off]]),
-         (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]))),
-        shape=(n, n),
-    )
 
 
 @dataclass(frozen=True)
@@ -290,22 +270,6 @@ class ConstraintOperator:
     def constraint_matrix(self, i: int) -> SymMatrix:
         """A_{i+1}; for c08 and ``tests/sdpa_reference.py``, not the solver."""
         return smat(np.asarray(self.avec[:, i].todense()).ravel())
-
-    def norm_estimate(self, iters: int = 100, seed: int = 0) -> float:
-        """Operator norm of A (= largest singular value of avec) by power
-        iteration; for c09's Lipschitz bound, not the solver."""
-        rng = np.random.default_rng(seed)
-        g = self.avec.T @ self.avec  # m x m
-        y = rng.standard_normal(self.m)
-        y /= np.linalg.norm(y)
-        lam = 0.0
-        for _ in range(iters):
-            y2 = g @ y
-            lam = float(np.linalg.norm(y2))
-            if lam == 0.0:
-                return 0.0
-            y = y2 / lam
-        return float(np.sqrt(lam))
 
 
 @dataclass(frozen=True)
@@ -432,8 +396,10 @@ def extreme_eigs(s, r: int) -> EigenResult:
 def _certified(mat, vals: np.ndarray, vecs: np.ndarray) -> EigenResult:
     """The pairs, once each meets the residual bound of ``extreme_eigs``."""
     res = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
-    if not np.all(res <= EIG_TOL * (1.0 + np.abs(vals))):
+    bound = EIG_TOL * (1.0 + np.abs(vals))
+    if not np.all(res <= bound):
+        worst = np.argmax(res / bound)  # a NaN ratio is the first maximum
         raise EigenConvergenceError(
-            "eigenpair residual above tolerance", best_residual=float(res.max())
-        )
+            f"eigenpair residual {res[worst]:.3g} above its bound "
+            f"{bound[worst]:.3g}", best_residual=float(res.max()))
     return EigenResult(vals, vecs)

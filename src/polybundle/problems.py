@@ -368,16 +368,16 @@ def load_sdpa(path: str) -> SdpProblem:
 
 
 def write_manifest(path: str, problem: SdpProblem, planted: PlantedSolution,
-                   instance_file: str, r: int, sparsity: float, s: float,
-                   seed: int):
-    """JSON sidecar for a generated instance, including the planted dual."""
+                   instance_file: str, sparsity: float, s: float, seed: int):
+    """JSON sidecar for a generated instance, including the planted dual;
+    its rank ``r`` is the instance's ``known_rank``."""
     x = planted.X_star
     doc = {
         "name": problem.name,
         "instance": os.path.basename(instance_file),
         "n": problem.n,
         "m": problem.m,
-        "r": r,
+        "r": problem.known_rank,
         "sparsity": sparsity,
         "s": s,
         "seed": seed,

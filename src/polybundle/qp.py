@@ -6,9 +6,11 @@ Solves
 with a primal active-set method, and certifies the result through a KKT
 residual.  The candidate point is z = y + t(b - B u).  Each working-set
 system is factored with LAPACK ``dpotrf`` and solved with ``dpotrs``,
-followed by ``REFINE_STEPS`` passes of iterative refinement; a system that
-does not factor raises ``np.linalg.LinAlgError``.  The solver passes xi > 0,
-which makes the quadratic term positive definite.
+followed by ``REFINE_STEPS`` passes of iterative refinement, one loop for
+working sets with and without the simplex constraint (the multiplier of an
+inactive simplex is 0.0); a system that does not factor raises
+``np.linalg.LinAlgError``.  The solver passes xi > 0, which makes the
+quadratic term positive definite.
 
 The method may start from any feasible point and working set (``QpStart``),
 such as the previous QP's solution.  Its result is the minimizer of the
@@ -126,11 +128,14 @@ def _solve(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _eqp_solve(h: np.ndarray, q: np.ndarray, free: np.ndarray,
                simplex_active: bool, rho: float):
-    """Minimizer on the current working set; returns (u_hat, mu).
+    """Minimizer on the current working set; returns (u_hat, mu), with
+    mu = 0.0 when the simplex constraint is not in the working set.
 
     Iterative refinement counters the ill-conditioning the tiny-xi
     regularization leaves in the working-set system; a bare solve would cap
-    the certifiable KKT residual near 1e-8.
+    the certifiable KKT residual near 1e-8.  One loop refines both kinds of
+    working set: each pass solves for the residual of the stationarity rows,
+    and with the simplex active also corrects mu by block elimination.
     """
     u = np.zeros(q.size)
     idx = free.nonzero()[0]
@@ -139,30 +144,23 @@ def _eqp_solve(h: np.ndarray, q: np.ndarray, free: np.ndarray,
     hff = h.take(idx, 0).take(idx, 1)
     qf = q.take(idx)
     c = _factor(hff)
-
-    if not simplex_active:
-        x = _solve(c, -qf)
-        for _ in range(REFINE_STEPS):
-            r = -qf - hff @ x
-            x = x + _solve(c, r)
-        u[idx] = x
-        return u, 0.0
-
-    # block elimination of the augmented system [H 1; 1' 0][u; mu] = [-q; rho]
-    h1 = _solve(c, np.ones(idx.size))
-    denom = h1.sum()
-    if abs(denom) < 1e-300:
-        raise np.linalg.LinAlgError("degenerate simplex working set")
-    hq = _solve(c, -qf)
-    mu = (hq.sum() - rho) / denom
-    x = hq - mu * h1
+    x, mu = _solve(c, -qf), 0.0
+    if simplex_active:
+        # block elimination of the augmented system [H 1; 1' 0][u; mu] = [-q; rho]
+        h1 = _solve(c, np.ones(idx.size))
+        denom = h1.sum()
+        if abs(denom) < 1e-300:
+            raise np.linalg.LinAlgError("degenerate simplex working set")
+        mu = (x.sum() - rho) / denom
+        x = x - mu * h1
+    # off the simplex mu stays 0.0, and subtracting it is exact
     for _ in range(REFINE_STEPS):
-        r1 = -qf - hff @ x - mu
-        r2 = rho - x.sum()
-        s1 = _solve(c, r1)
-        dmu = (s1.sum() - r2) / denom
-        x = x + s1 - dmu * h1
-        mu = mu + dmu
+        s1 = _solve(c, -qf - hff @ x - mu)
+        if simplex_active:
+            dmu = (s1.sum() - (rho - x.sum())) / denom
+            x, mu = x + s1 - dmu * h1, mu + dmu
+        else:
+            x = x + s1
     u[idx] = x
     return u, float(mu)
 

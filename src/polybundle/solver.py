@@ -153,6 +153,7 @@ class SolveResult:
     trace: list[IterationRecord]
     rank_used: int
     rho: float
+    failure: str | None       # the failed layer's message, on a failure status
 
     @property
     def max_delta(self) -> float:
@@ -304,10 +305,10 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     t, nullcount, warm = params.t0, 0, None
     trace: list[IterationRecord] = []
     deltas = [np.inf] * 4
-    status = STATUS_ITER_LIMIT
-
+    status, failure = STATUS_ITER_LIMIT, None
+    # rank prediction reads the gap after eigenvalue r, so it asks for r + 1
+    n_eigs = r_iter + 1 if pred is not None else r_iter
     try:
-        n_eigs = r_iter + 1 if pred is not None else r_iter
         f_y, lam_max_y, v, _ = penalty_eval(problem, y, r_iter, rho, n_eigs)
         a_new, b_new = pvec_generate(v, problem.op, support)
         bundle = solved_on = BundleState.fresh(v, a_new, b_new, params.materialize_w)
@@ -319,13 +320,13 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
             qp_start = None if warm is None else qp_mod.QpStart.priced(data, *warm)
             try:
                 sol = qp_mod.solve_subproblem(data, warm_start=qp_start)
-            except (qp_mod.NonConvergence, np.linalg.LinAlgError):
-                status = STATUS_SUBPROBLEM_FAILURE
+            except (qp_mod.NonConvergence, np.linalg.LinAlgError) as exc:
+                status, failure = STATUS_SUBPROBLEM_FAILURE, str(exc)
                 break
             u, z, solved_on = sol.u, sol.z, bundle
             model_z = model_eval(z, a, b_mat, rho, b)
             f_z, lam_max_z, v_new, eigs_z, a_new, b_new = _oracle(
-                problem, support, z, r_iter, rho, pred is not None)
+                problem, support, z, r_iter, rho, n_eigs)
             bundle, warm = _update_bundle(bundle, sol, v_new, a_new, b_new,
                                           r_iter, l_max)
 
@@ -359,20 +360,21 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                     y, f_y, lam_max_y = z, f_z, lam_max_z
                     t = max(0.5 * t, T_MIN)
                     r_iter, l_max = r_pred, lmax_from_policy(params.l_max, r_pred)
+                    n_eigs = r_pred
                     bundle = BundleState.fresh(v_new[:, :r_pred], a_new[:r_pred],
                                                b_new[:, :r_pred], params.materialize_w)
                     warm = None
             if params.time_limit_secs is not None and elapsed > params.time_limit_secs:
                 status = STATUS_TIME_LIMIT
                 break
-    except EigenConvergenceError:
+    except EigenConvergenceError as exc:
         # the eigensolve at the start or at a candidate failed; y is the
         # last center and the trace ends with the last full iteration
-        status = STATUS_EIGEN_FAILURE
+        status, failure = STATUS_EIGEN_FAILURE, str(exc)
 
     wall = time.perf_counter() - start
     # u and its primal quantities refer to the bundle u was solved on
-    failed = status in (STATUS_SUBPROBLEM_FAILURE, STATUS_EIGEN_FAILURE)
+    failed = failure is not None
     return SolveResult(
         status=status, y=y, u=u,
         objective_dual=float(b @ y),
@@ -382,7 +384,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
            if params.materialize_w and not failed else None),
         delta1=deltas[0], delta4=deltas[1], delta5=deltas[2],
         delta6=deltas[3], iterations=len(trace), wall_secs=wall, trace=trace,
-        rank_used=r_iter, rho=rho,
+        rank_used=r_iter, rho=rho, failure=failure,
     )
 
 
@@ -418,16 +420,14 @@ def problem_settings(problem: SdpProblem, params: SolverParams):
 
 
 def _oracle(problem: SdpProblem, support: SvecSupport, z: np.ndarray, r: int,
-            rho: float, extra_eig: bool):
+            rho: float, n_eigs: int):
     """Penalty value at the candidate plus the bundle columns of its bottom
     r eigenvectors, rescaled to unit norm.
 
     Returns (F, lam_max, V, eigvals, a, B) as ``penalty_eval`` and
-    ``pvec_generate`` give them; ``extra_eig`` asks for eigenvalue r+1 too,
-    whose gap rank prediction reads.
+    ``pvec_generate`` give them, with the n_eigs smallest eigenvalues.
     """
-    f, lam_max, v, eigs = penalty_eval(problem, z, r, rho,
-                                       r + 1 if extra_eig else r)
+    f, lam_max, v, eigs = penalty_eval(problem, z, r, rho, n_eigs)
     norms = np.linalg.norm(v, axis=0)
     v = v / np.where(norms == 0.0, 1.0, norms)
     a, b_mat = pvec_generate(v, problem.op, support)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from linalg_reference import svec_rank_one
 from polybundle.bundle import (
     BundleState,
     aggregate_and_append,
@@ -14,7 +15,6 @@ from polybundle.linalg import (
     SymMatrix,
     svec,
     svec_indices,
-    svec_rank_one,
     svec_position,
     tri_dim,
 )
@@ -72,6 +72,14 @@ class TestPvecGenerate:
             want_b = [np.trace(m.to_dense() @ outer) for m in mats]
             assert np.allclose(b[:, i], want_b, atol=1e-12)
 
+    @pytest.mark.parametrize("p", [[1.0, 0.0], [1.0, -1.0]])
+    def test_rejects_a_vector(self, p):
+        # a 1-D p is not read as columns of length 1
+        op = ConstraintOperator.from_matrices(2, [SymMatrix.from_dense(np.eye(2))])
+        support = SvecSupport.of(op, svec(np.eye(2)).values)
+        with pytest.raises(ValueError, match="p must be an n x l matrix"):
+            pvec_generate(np.array(p), op, support)
+
     def test_rejects_non_unit_columns(self):
         rng = np.random.default_rng(1)
         op, _, cvec, p, _ = random_setup(rng)
@@ -97,7 +105,8 @@ def hand_built():
 
 
 class TestSupportColumns:
-    """Column generation on the support against the dense svec_rank_one path."""
+    """Column generation on the support against svec_rank_one, the svec of
+    each p_i p_i' by its definition."""
 
     @pytest.fixture(params=["generated", "generated-full", "maxcut",
                             "sdpa-loaded", "hand-built"])

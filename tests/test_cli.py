@@ -95,11 +95,11 @@ class TestSolve:
         assert set(report) == {
             "status", "iterations", "wall_secs", "delta1", "delta4", "delta5",
             "delta6", "objective_primal", "objective_dual", "rank_used", "rho",
-            "instance", "params"}
+            "failure", "instance", "params"}
         assert set(report["instance"]) == {"name", "n", "m", "known_rank",
                                            "known_trace"}
         assert set(report["params"]) == cli.PARAM_FIELDS
-        assert report["status"] == "Converged"
+        assert report["status"] == "Converged" and report["failure"] is None
         assert max(report["delta1"], report["delta4"], report["delta5"],
                    report["delta6"]) <= 1e-4
         assert report["params"]["eps"] == 1e-4
@@ -213,6 +213,7 @@ class TestSolve:
         assert main(["solve", str(man), "--trace-out", str(trace)]) == 4
         report = strict_json(capsys.readouterr().out)
         assert report["objective_primal"] is None
+        assert report["failure"] == "injected"
         assert len(read_trace(trace)) == report["iterations"] == max(k - 2, 0)
         if k == 1:
             assert report["delta1"] is None and report["delta5"] is None
@@ -246,6 +247,7 @@ class TestSolve:
         report = json.loads(capsys.readouterr().out)
         assert code == 3
         assert report["status"] == "SubproblemFailure"
+        assert report["failure"] == str(exc)
         assert report["iterations"] == k - 1
 
     def test_eigen_failure_exit_4(self, generated, capsys, monkeypatch):
@@ -264,6 +266,7 @@ class TestSolve:
         report = json.loads(capsys.readouterr().out)
         assert code == 4
         assert report["status"] == "EigenFailure"
+        assert report["failure"] == "injected"
         assert report["iterations"] == k - 2
 
     def test_solve_raw_sdpa_needs_only_rho(self, generated, capsys):

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from linalg_reference import norm_estimate
 from polybundle import linalg
 from polybundle.linalg import (
     DENSE_EIG_CUTOFF,
@@ -158,7 +161,7 @@ class TestConstraintOperator:
         rng = np.random.default_rng(9)
         op, _ = self.make_op(rng)
         exact = np.linalg.svd(op.avec.toarray(), compute_uv=False)[0]
-        assert op.norm_estimate() == pytest.approx(exact, rel=1e-6)
+        assert norm_estimate(op) == pytest.approx(exact, rel=1e-6)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(10)
@@ -281,6 +284,10 @@ class TestSubsetEigensolve:
         with pytest.raises(EigenConvergenceError) as err:
             extreme_eigs(a, 3)
         assert 1e-7 < err.value.best_residual < 1e-4
+        # the message names the worst pair's residual and its bound
+        named = re.fullmatch(r"eigenpair residual (\S+) above its bound (\S+)",
+                             str(err.value))
+        assert named and float(named[1]) > float(named[2]) >= linalg.EIG_TOL
 
     def test_residual_bound_applies_to_dense_branch(self, monkeypatch):
         a = separated(np.random.default_rng(23), 30)

@@ -328,7 +328,7 @@ class TestManifest:
         inst = str(tmp_path / "inst.dat-s")
         man = str(tmp_path / "inst.json")
         write_sdpa(problem, inst)
-        write_manifest(man, problem, planted, inst, 2, 0.3, 1.0, 33)
+        write_manifest(man, problem, planted, inst, 0.3, 1.0, 33)
         back, doc = load_manifest(man)
         assert back.n == problem.n and back.m == problem.m
         assert back.known_rank == 2

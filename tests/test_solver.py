@@ -306,6 +306,7 @@ class TestSolveEndToEnd:
         monkeypatch.setattr(qp, "solve_subproblem", failing)
         res = solve(problem, SolverParams(eps=1e-14, maxiter=50))
         assert res.status == STATUS_SUBPROBLEM_FAILURE
+        assert res.failure == str(exc)
         assert res.iterations == len(res.trace) == k - 1
         assert np.array_equal(res.y, centers[-1])
         assert np.isnan(res.objective_primal)
@@ -327,6 +328,7 @@ class TestSolveEndToEnd:
         monkeypatch.setattr(solver, "extreme_eigs", failing)
         res = solve(problem, params)
         assert res.status == STATUS_EIGEN_FAILURE
+        assert res.failure == "injected"
         assert res.iterations == len(res.trace) == max(k - 2, 0)
         assert len(calls) == k
         # the center is the one the failed iteration started from: 0, or
@@ -342,6 +344,7 @@ class TestSolveEndToEnd:
         problem.cvec[0] = np.nan
         res = solve(problem, SolverParams(eps=1e-4, maxiter=50))
         assert res.status == STATUS_EIGEN_FAILURE
+        assert res.failure == "LAPACK returned 0 of 2 smallest eigenpairs"
         assert res.iterations == 0 and res.trace == []
         assert np.array_equal(res.y, np.zeros(problem.m))
 
@@ -429,6 +432,21 @@ class TestRecoverPrimal:
         assert d1 <= 1e-4
         evals = np.linalg.eigvalsh(res.X.to_dense())
         assert evals.min() >= -1e-9
+
+    @pytest.mark.parametrize("instance", [
+        lambda: (generate_random_sdp(30, 30, 3, 0.1, 1.0, 0)[0], SolverParams()),
+        # rank prediction restarts the bundle at rank 5 after 15 iterations
+        lambda: (generate_random_sdp(100, 100, 5, 1e-2, 1.0, 0)[0],
+                 SolverParams(prior_rank=10)),
+    ], ids=["planted", "rank-restart"])
+    def test_materialized_aggregate_changes_no_iterate(self, instance):
+        problem, params = instance()
+        implicit = solve(problem, params)
+        params.materialize_w = True
+        materialized = solve(problem, params)
+        assert implicit.status == STATUS_CONVERGED
+        assert implicit.X is None and materialized.X is not None
+        assert_same_run(materialized, implicit)
 
     @pytest.mark.parametrize("maxiter", [14, 15, 16])
     def test_primal_after_rank_restart_matches_objective(self, maxiter):
