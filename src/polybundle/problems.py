@@ -7,6 +7,7 @@ builder, the Gset plain-text graph format, single-block SDPA sparse files
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -279,19 +280,43 @@ _SKIP = re.compile(r'\s*(["*]|$)').match  # blank and comment lines
 
 
 def write_sdpa(problem: SdpProblem, path: str):
-    """Write a single-block SDPA sparse file; roundtrips bit-for-bit."""
+    """Write a single-block SDPA sparse file; roundtrips bit-for-bit.
+
+    A call that does not finish removes the file it was writing: SDPA has no
+    entry count, so a file cut off at a line boundary would load as a smaller
+    problem.
+    """
     c = problem.C
     k, rows, cols, vals = problem.op.entries()
     matno = np.concatenate([np.zeros(c.nnz, dtype=np.int64), k + 1])
     vals = np.concatenate([c.vals, vals])
     # stored lower triangle (row >= col) -> 1-based upper triangle (i <= j)
     i, j = np.concatenate([c.cols, cols]) + 1, np.concatenate([c.rows, rows]) + 1
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write('"single-block SDPA sparse; matno 0 is C of min <C,X>, A(X)=b, X>=0\n'
-                 f"{problem.m}\n1\n{problem.n}\n" + " ".join(map(repr, problem.b.tolist())) + "\n")
-        for s in range(0, vals.size, _CHUNK):
-            chunk = (x[s:s + _CHUNK].tolist() for x in (matno, i, j, vals))
-            fh.write("".join(map("{} 1 {} {} {!r}\n".format, *chunk)))
+    # an entry line is five list slots: "matno 1 ", "i ", "j ", repr(value), "\n"
+    labels = range(max(problem.m, problem.n) + 1)
+    mat_label = np.array([f"{v} 1 " for v in labels], dtype=object)
+    index_label = np.array([f"{v} " for v in labels], dtype=object)
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write('"single-block SDPA sparse; matno 0 is C of min <C,X>, A(X)=b, X>=0\n'
+                     f"{problem.m}\n1\n{problem.n}\n"
+                     + " ".join(map(repr, problem.b.tolist())) + "\n")
+            for s in range(0, vals.size, _CHUNK):
+                v = vals[s:s + _CHUNK].tolist()
+                out = ["\n"] * (5 * len(v))
+                out[0::5] = mat_label[matno[s:s + _CHUNK]].tolist()
+                out[1::5] = index_label[i[s:s + _CHUNK]].tolist()
+                out[2::5] = index_label[j[s:s + _CHUNK]].tolist()
+                out[3::5] = map(repr, v)
+                fh.write("".join(out))
+    except BaseException:
+        # never a device or a directory, and the interrupt, not a failed
+        # removal, is what propagates
+        with contextlib.suppress(OSError):
+            if os.path.isfile(path):
+                os.remove(path)
+        raise
 
 
 def load_sdpa(path: str) -> SdpProblem:
@@ -308,6 +333,9 @@ def load_sdpa(path: str) -> SdpProblem:
             except (ValueError, IndexError) as exc:
                 raise fail(k, f"bad {what}") from exc
         raise ParseError(f"{path}: unexpected end of file")
+
+    def entries(body_lines):
+        return np.loadtxt(body_lines, dtype=_ENTRY, comments=None, ndmin=1)
 
     try:
         with open(path, encoding="utf-8") as fh:
@@ -326,16 +354,25 @@ def load_sdpa(path: str) -> SdpProblem:
                        lambda t: np.array([float(v) for v in t.replace(",", " ").split()]))
             if b.size != m:
                 raise fail(3, f"expected {m} right-hand-side values")
-            parts, step, malformed = [np.zeros(0, dtype=_ENTRY)], _CHUNK, None
-            while chunk := list(itertools.islice(lines, step)):
+            # the body in blocks of lines: a block without a comment character
+            # goes to loadtxt whole, which skips blank lines itself
+            parts, malformed = [np.zeros(0, dtype=_ENTRY)], None
+            while malformed is None and (block := list(itertools.islice(fh, _CHUNK))):
+                text = "".join(block)
+                if '"' in text or '*' in text:
+                    block = list(itertools.filterfalse(_SKIP, block))
+                if not block or text.isspace():
+                    continue
                 try:
-                    parts.append(np.loadtxt(chunk, dtype=_ENTRY, comments=None, ndmin=1))
-                except ValueError:
-                    if step == 1:
-                        malformed = ("malformed entry" if len(chunk[0].split()) == 5
-                                     else "expected 'matno blkno i j value'")
-                        break
-                    lines, step = itertools.chain(chunk, lines), 1  # again line by line
+                    parts.append(entries(block))
+                except ValueError:  # again line by line, up to the first bad line
+                    for line in itertools.filterfalse(_SKIP, block):
+                        try:
+                            parts.append(entries([line]))
+                        except ValueError:
+                            malformed = ("malformed entry" if len(line.split()) == 5
+                                         else "expected 'matno blkno i j value'")
+                            break
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text") from exc
 

@@ -1,6 +1,8 @@
+import builtins
 import hashlib
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sdpa_reference as ref
+from polybundle import problems as problems_module
 from polybundle.linalg import (
     ConstraintOperator,
     SymMatrix,
@@ -321,6 +324,68 @@ class TestSdpaIo:
         p = load_sdpa(str(f))
         assert p.m == 1
 
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, OSError])
+    def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch, exc):
+        # SDPA has no entry count: a file cut off at a line boundary would
+        # load as a smaller problem, so a write that does not finish removes it
+        problem, _ = generate_random_sdp(20, 10, 2, 0.2, 1.0, 21)
+        path = tmp_path / "p.dat-s"
+        path.write_text("an older file\n")
+
+        class CutOff:
+            """The file, with its third write (the second chunk) failing."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *info):
+                self.fh.close()
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 3:
+                    assert path.stat().st_size > 0  # the header and one chunk
+                    raise exc("disk full")
+                self.fh.write(text)
+                self.fh.flush()
+
+        monkeypatch.setattr(problems_module, "_CHUNK", 16)
+        monkeypatch.setattr(problems_module, "open",
+                            lambda *a, **k: CutOff(builtins.open(*a, **k)), raising=False)
+        with pytest.raises(exc):
+            write_sdpa(problem, str(path))
+        assert not path.exists()
+
+    def test_failed_open_leaves_the_path_alone(self, tmp_path):
+        problem, _ = generate_random_sdp(20, 10, 2, 0.2, 1.0, 21)
+        with pytest.raises(IsADirectoryError):
+            write_sdpa(problem, str(tmp_path))
+        assert tmp_path.is_dir()
+
+    def test_block_that_parses_only_line_by_line(self, tmp_path, monkeypatch):
+        # a block that fails whole and then line by line finds no bad line
+        # keeps its entries and the rest of the file
+        problem, _ = generate_random_sdp(20, 10, 2, 0.2, 1.0, 21)
+        path = str(tmp_path / "p.dat-s")
+        write_sdpa(problem, path)
+        real, failed = np.loadtxt, []
+
+        def fails_once_whole(lines, *args, **kwargs):
+            if len(lines) > 1 and not failed:
+                failed.append(len(lines))
+                raise ValueError("spurious")
+            return real(lines, *args, **kwargs)
+
+        monkeypatch.setattr(problems_module, "_CHUNK", 8)
+        monkeypatch.setattr(np, "loadtxt", fails_once_whole)
+        back = load_sdpa(path)
+        assert failed == [8]
+        assert np.array_equal(back.cvec, problem.cvec)
+        assert (back.op.avec != problem.op.avec).nnz == 0
+
 
 class TestManifest:
     def test_roundtrip_with_instance(self, tmp_path):
@@ -585,3 +650,24 @@ class TestSdpaAgainstReference:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.writelines(lines)
             assert_same_outcome(path)
+
+    def test_labels_past_n(self, tmp_path):
+        # m > n: constraint labels run past the largest index label
+        problem, _ = generate_random_sdp(4, 30, 2, 0.5, 1.0, 5)
+        new, old = tmp_path / "new.dat-s", tmp_path / "old.dat-s"
+        write_sdpa(problem, str(new))
+        ref.write_sdpa(problem, str(old))
+        assert new.read_bytes() == old.read_bytes()
+        assert b"\n30 1 " in new.read_bytes()
+        assert isinstance(assert_same_outcome(str(new)), SdpProblem)
+
+
+class TestSdpaAtBlockEdges(TestSdpaAgainstReference):
+    """The differential checks again, parsing and formatting one and three
+    lines at a time: blocks with and without comment lines side by side, and
+    first bad lines and blank lines at block edges."""
+
+    @pytest.fixture(autouse=True, scope="class", params=[1, 3])
+    def small_chunks(self, request):
+        with mock.patch.object(problems_module, "_CHUNK", request.param):
+            yield request.param
