@@ -311,8 +311,8 @@ def write_sdpa(problem: SdpProblem, path: str):
                 out[3::5] = map(repr, v)
                 fh.write("".join(out))
     except BaseException:
-        # never a device or a directory, and the interrupt, not a failed
-        # removal, is what propagates
+        # only a regular file goes, never a device; the interrupt, not a
+        # failed removal, is what propagates
         with contextlib.suppress(OSError):
             if os.path.isfile(path):
                 os.remove(path)
@@ -355,7 +355,8 @@ def load_sdpa(path: str) -> SdpProblem:
             if b.size != m:
                 raise fail(3, f"expected {m} right-hand-side values")
             # the body in blocks of lines: a block without a comment character
-            # goes to loadtxt whole, which skips blank lines itself
+            # goes to loadtxt whole, which skips blank lines but warns on a
+            # block of nothing else
             parts, malformed = [np.zeros(0, dtype=_ENTRY)], None
             while malformed is None and (block := list(itertools.islice(fh, _CHUNK))):
                 text = "".join(block)
