@@ -186,6 +186,15 @@ def cmd_maxcut(args) -> int:
         problems.load_gset(args.input), sense=args.sense))
 
 
+def _floats(value) -> np.ndarray:
+    """A JSON number, or a vector or matrix of them, as a float array; numpy
+    alone would also read a string or a bool as a number."""
+    leaves = np.asarray(value, dtype=object)
+    if leaves.ndim > 2 or not {type(v) for v in leaves.flat} <= {int, float}:
+        raise ValueError("not a JSON number, or a vector or matrix of them")
+    return leaves.astype(np.float64)
+
+
 def cmd_check(args) -> int:
     try:
         problem = _load_instance(args.input)
@@ -193,22 +202,22 @@ def cmd_check(args) -> int:
             sol = json.load(fh)
     except (OSError, problems.ParseError) as exc:
         return _error(exc)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         return _error(f"{args.solution}: invalid JSON: {exc}")
     if not isinstance(sol, dict):
         return _error(f"{args.solution}: solution is not a JSON object")
     try:
-        y = np.asarray(sol.get("y", sol.get("y_star")), dtype=np.float64)
+        y = _floats(sol.get("y", sol.get("y_star")))
         x = sol.get("X")
-        x = None if x is None else np.asarray(x, dtype=np.float64)
+        x = None if x is None else _floats(x)
         au = sol.get("objective_primal", sol.get("planted_objective"))
-        au = None if au is None else float(au)
-    except (TypeError, ValueError) as exc:
+        au = None if au is None else _floats(au)
+    except (ValueError, OverflowError) as exc:
         return _error(f"{args.solution}: non-numeric solution field: {exc}")
     if y.ndim != 1 or y.size != problem.m or not np.all(np.isfinite(y)):
         return _error(f"solution y must be a finite vector of size {problem.m}")
-    if au is not None and not np.isfinite(au):
-        return _error("solution objective must be finite")
+    if au is not None and (au.ndim or not np.isfinite(au)):
+        return _error("solution objective must be a finite number")
     if x is not None:
         n = problem.n
         if x.shape != (n, n) or not np.all(np.isfinite(x)):
@@ -226,7 +235,7 @@ def cmd_check(args) -> int:
         doc["delta1"] = solver.primal_infeasibility(apply_A(problem.op, x),
                                                     problem.b)
     if au is not None:
-        doc["delta5"] = solver.duality_gap(au, float(problem.b @ y))
+        doc["delta5"] = solver.duality_gap(float(au), float(problem.b @ y))
     print(json.dumps({k: _json_value(v) for k, v in doc.items()}, indent=2,
                      allow_nan=False))
     return 0 if max(doc.values()) <= args.eps else 2

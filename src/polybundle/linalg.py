@@ -9,7 +9,7 @@ svec(A) . svec(B) equals the trace inner product <A, B>.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -57,17 +57,6 @@ def svec_indices(n: int):
     for a in (rows, cols, scale):
         a.setflags(write=False)
     return rows, cols, scale
-
-
-@lru_cache(maxsize=64)
-def _flat_indices(n: int):
-    """Flat positions in an n x n array of the svec entries (lower) and of
-    their mirror images (upper); together they cover every position."""
-    rows, cols, _ = svec_indices(n)
-    lower, upper = rows * n + cols, cols * n + rows
-    for a in (lower, upper):
-        a.setflags(write=False)
-    return lower, upper
 
 
 def svec_position(n: int, row: int | np.ndarray, col: int | np.ndarray):
@@ -181,29 +170,6 @@ def smat(v: SvecVector | np.ndarray) -> SymMatrix:
     return SymMatrix(*_svec_entries(values, raw), svec_cache=values.copy())
 
 
-def smat_dense(values: np.ndarray) -> np.ndarray:
-    """Dense n x n matrix from a scaled svec array (fast internal path)."""
-    values = np.asarray(values, dtype=np.float64)
-    n = tri_order(values.size)
-    lower, upper = _flat_indices(n)
-    entries = values / svec_indices(n)[2]
-    a = np.empty(n * n)
-    a[lower] = entries
-    a[upper] = entries
-    return a.reshape(n, n)
-
-
-def smat_csr(values: np.ndarray) -> sp.csr_matrix:
-    """Sparse n x n matrix (both triangles) from a scaled svec array."""
-    n, rows, cols, vals = _svec_entries(np.asarray(values, dtype=np.float64))
-    off = rows != cols
-    return sp.csr_matrix(
-        (np.concatenate([vals, vals[off]]),
-         (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]))),
-        shape=(n, n),
-    )
-
-
 def _svec_entries(values: np.ndarray, raw: np.ndarray | None = None):
     """(n, rows, cols, vals): the nonzero lower-triangle entries of a scaled
     svec array, unscaled exactly through ``raw`` when it is given."""
@@ -278,11 +244,12 @@ class SvecSupport:
     ``rows``, ``cols`` and ``scale`` from ``svec_indices``, with the data
     there: the entries of ``cvec`` and the rows of ``avec``.
 
-    No other position enters <C, X> or A(X).  When the support is every
-    position, the fields are ``svec_indices(n)`` and the problem's own
-    arrays, not copies.
+    No other position enters <C, X>, A(X) or S = C - A'y.  When the support
+    is every position, the fields are ``svec_indices(n)`` and the problem's
+    own arrays, not copies.
     """
 
+    n: int
     rows: np.ndarray
     cols: np.ndarray
     scale: np.ndarray
@@ -296,7 +263,7 @@ class SvecSupport:
         used[op.avec.indices] = True
         rows, cols, scale = svec_indices(op.n)
         if used.all():
-            return cls(rows, cols, scale, cvec, op.avec)
+            return cls(op.n, rows, cols, scale, cvec, op.avec)
         pos = np.flatnonzero(used)
         # renumber the stored rows of avec in order, so each column keeps
         # its entry order and A(X) its summation order
@@ -304,7 +271,32 @@ class SvecSupport:
         avec = sp.csc_matrix(
             (op.avec.data, renumber[op.avec.indices], op.avec.indptr),
             shape=(pos.size, op.m))
-        return cls(rows[pos], cols[pos], scale[pos], cvec[pos], avec)
+        return cls(op.n, rows[pos], cols[pos], scale[pos], cvec[pos], avec)
+
+    @cached_property
+    def _flat(self):
+        """Flat positions of the entries in an n x n array, and of their mirrors."""
+        return self.rows * self.n + self.cols, self.cols * self.n + self.rows
+
+    def slack(self, y: np.ndarray):
+        """S = C - A'y: a dense array up to order DENSE_EIG_CUTOFF, CSR above
+        it, without the exact zeros; ``extreme_eigs`` picks its eigensolver
+        from this storage."""
+        n = self.n
+        vals = (self.cvec - self.avec @ y) / self.scale
+        if n <= DENSE_EIG_CUTOFF:
+            lower, upper = self._flat
+            s = np.zeros(n * n)
+            s[lower] = vals
+            s[upper] = vals
+            return s.reshape(n, n)
+        nz = vals != 0.0
+        rows, cols, vals = self.rows[nz], self.cols[nz], vals[nz]
+        off = rows != cols
+        return sp.csr_matrix(
+            (np.concatenate([vals, vals[off]]),
+             (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]))),
+            shape=(n, n))
 
     def rank_one(self, p: np.ndarray) -> np.ndarray:
         """Column i is svec(p_i p_i') at the support's positions.

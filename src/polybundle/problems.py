@@ -14,11 +14,13 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
     ConstraintOperator,
+    SvecSupport,
     SymMatrix,
     apply_A,
     svec,
@@ -59,6 +61,11 @@ class SdpProblem:
         if not np.all(np.isfinite(self.b)):
             raise ValueError("b must be finite")
         self.cvec = svec(self.C).values
+
+    @cached_property
+    def support(self) -> SvecSupport:
+        """``SvecSupport.of(op, cvec)``, taken on first use."""
+        return SvecSupport.of(self.op, self.cvec)
 
 
 @dataclass
@@ -436,7 +443,7 @@ def load_manifest(path: str) -> tuple[SdpProblem, dict]:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"{path}: invalid JSON manifest") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: manifest is not a JSON object")
@@ -447,11 +454,13 @@ def load_manifest(path: str) -> tuple[SdpProblem, dict]:
         inst = os.path.join(os.path.dirname(os.path.abspath(path)), doc["instance"])
         if "\0" in inst:
             raise ValueError("instance file name holds a NUL character")
-        rank = doc["r"]
-        if isinstance(rank, bool) or isinstance(rank, float) and rank % 1:
+        rank, trace_x = doc["r"], doc.get("trace_X")
+        # int() and float() would also read a string or a bool as a number
+        if isinstance(rank, (str, bool)) or isinstance(rank, float) and rank % 1:
             raise ValueError(f"r = {rank!r} is not an integer")
-        rank = int(rank)
-        trace_x = None if doc.get("trace_X") is None else float(doc["trace_X"])
+        if isinstance(trace_x, (str, bool)):
+            raise ValueError(f"trace_X = {trace_x!r} is not a number")
+        rank, trace_x = int(rank), None if trace_x is None else float(trace_x)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: bad manifest field: {exc}") from exc
     if trace_x is not None and not np.isfinite(trace_x):

@@ -17,15 +17,7 @@ import numpy as np
 from . import bundle as bundle_mod
 from . import qp as qp_mod
 from .bundle import BundleState, model_eval, pvec_generate, select_aggregation
-from .linalg import (
-    DENSE_EIG_CUTOFF,
-    EigenConvergenceError,
-    SvecSupport,
-    SymMatrix,
-    extreme_eigs,
-    smat_csr,
-    smat_dense,
-)
+from .linalg import EigenConvergenceError, SymMatrix, extreme_eigs
 from .problems import SdpProblem
 
 STATUS_CONVERGED = "Converged"
@@ -161,10 +153,8 @@ class SolveResult:
 
 
 def dual_slack(problem: SdpProblem, y: np.ndarray):
-    """S = C - A'y, dense for small n, sparse CSR above the dense cutoff;
-    ``extreme_eigs`` picks its eigensolver from this storage."""
-    svals = problem.cvec - problem.op.avec @ y
-    return smat_dense(svals) if problem.n <= DENSE_EIG_CUTOFF else smat_csr(svals)
+    """S = C - A'y, as ``SvecSupport.slack`` stores it."""
+    return problem.support.slack(y)
 
 
 def penalty_eval(problem: SdpProblem, y: np.ndarray, r: int, rho: float,
@@ -300,7 +290,6 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
 
     b = problem.b
     start = time.perf_counter()
-    support = SvecSupport.of(problem.op, problem.cvec)
     u = np.zeros(1)
     t, nullcount, warm = params.t0, 0, None
     trace: list[IterationRecord] = []
@@ -310,7 +299,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     n_eigs = r_iter + 1 if pred is not None else r_iter
     try:
         f_y, lam_max_y, v, _ = penalty_eval(problem, y, r_iter, rho, n_eigs)
-        a_new, b_new = pvec_generate(v, problem.op, support)
+        a_new, b_new = pvec_generate(v, problem.op, problem.support)
         bundle = solved_on = BundleState.fresh(v, a_new, b_new, params.materialize_w)
         u = np.zeros(1 + bundle.l)
         for k in range(1, params.maxiter + 1):
@@ -326,7 +315,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
             u, z, solved_on = sol.u, sol.z, bundle
             model_z = model_eval(z, a, b_mat, rho, b)
             f_z, lam_max_z, v_new, eigs_z, a_new, b_new = _oracle(
-                problem, support, z, r_iter, rho, n_eigs)
+                problem, z, r_iter, rho, n_eigs)
             bundle, warm = _update_bundle(bundle, sol, v_new, a_new, b_new,
                                           r_iter, l_max)
 
@@ -419,8 +408,7 @@ def problem_settings(problem: SdpProblem, params: SolverParams):
     return rho, r, lmax_from_policy(params.l_max, r)
 
 
-def _oracle(problem: SdpProblem, support: SvecSupport, z: np.ndarray, r: int,
-            rho: float, n_eigs: int):
+def _oracle(problem: SdpProblem, z: np.ndarray, r: int, rho: float, n_eigs: int):
     """Penalty value at the candidate plus the bundle columns of its bottom
     r eigenvectors, rescaled to unit norm.
 
@@ -430,7 +418,7 @@ def _oracle(problem: SdpProblem, support: SvecSupport, z: np.ndarray, r: int,
     f, lam_max, v, eigs = penalty_eval(problem, z, r, rho, n_eigs)
     norms = np.linalg.norm(v, axis=0)
     v = v / np.where(norms == 0.0, 1.0, norms)
-    a, b_mat = pvec_generate(v, problem.op, support)
+    a, b_mat = pvec_generate(v, problem.op, problem.support)
     return f, lam_max, v, eigs, a, b_mat
 
 

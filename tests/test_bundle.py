@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from linalg_reference import svec_rank_one
+from polybundle import linalg
 from polybundle.bundle import (
     BundleState,
     aggregate_and_append,
@@ -104,38 +106,40 @@ def hand_built():
     return op, svec(c).values
 
 
+@pytest.fixture(params=["generated", "generated-full", "maxcut",
+                        "sdpa-loaded", "hand-built"])
+def support_problem(request, tmp_path):
+    """(op, cvec, whether the support is every position)."""
+    if request.param == "hand-built":
+        return (*hand_built(), False)
+    if request.param == "maxcut":
+        rng = np.random.default_rng(4)
+        edges = [(i + 1, j + 1, float(rng.integers(1, 4))) for i in range(30)
+                 for j in range(i + 1, 30) if rng.random() < 0.2]
+        problem = build_maxcut_sdp(GraphInstance(30, edges))
+    elif request.param == "generated-full":
+        problem, _ = generate_random_sdp(30, 25, 3, 0.1, 1.5, 12)
+    else:
+        problem, _ = generate_random_sdp(40, 40, 3, 0.02, 1.0, 1)
+        if request.param == "sdpa-loaded":
+            write_sdpa(problem, str(tmp_path / "p.dat-s"))
+            problem = load_sdpa(str(tmp_path / "p.dat-s"))
+    return problem.op, problem.cvec, request.param == "generated-full"
+
+
 class TestSupportColumns:
     """Column generation on the support against svec_rank_one, the svec of
     each p_i p_i' by its definition."""
-
-    @pytest.fixture(params=["generated", "generated-full", "maxcut",
-                            "sdpa-loaded", "hand-built"])
-    def problem(self, request, tmp_path):
-        """(op, cvec, whether the support is every position)."""
-        if request.param == "hand-built":
-            return (*hand_built(), False)
-        if request.param == "maxcut":
-            rng = np.random.default_rng(4)
-            edges = [(i + 1, j + 1, float(rng.integers(1, 4))) for i in range(30)
-                     for j in range(i + 1, 30) if rng.random() < 0.2]
-            problem = build_maxcut_sdp(GraphInstance(30, edges))
-        elif request.param == "generated-full":
-            problem, _ = generate_random_sdp(30, 25, 3, 0.1, 1.5, 12)
-        else:
-            problem, _ = generate_random_sdp(40, 40, 3, 0.02, 1.0, 1)
-            if request.param == "sdpa-loaded":
-                write_sdpa(problem, str(tmp_path / "p.dat-s"))
-                problem = load_sdpa(str(tmp_path / "p.dat-s"))
-        return problem.op, problem.cvec, request.param == "generated-full"
 
     @staticmethod
     def columns(rng, n, l=4):
         q, _ = np.linalg.qr(rng.standard_normal((n, l)))
         return q
 
-    def test_support_is_every_position_c_or_some_a_i_uses(self, problem):
-        op, cvec, full = problem
+    def test_support_is_every_position_c_or_some_a_i_uses(self, support_problem):
+        op, cvec, full = support_problem
         support = SvecSupport.of(op, cvec)
+        assert support.n == op.n
         # a stored zero counts as used
         stored = np.isin(np.arange(tri_dim(op.n)), op.avec.tocoo().row)
         want = np.flatnonzero((cvec != 0.0) | stored)
@@ -147,8 +151,8 @@ class TestSupportColumns:
         assert np.array_equal(support.cvec, cvec[want])
         assert np.array_equal(support.avec.toarray(), op.avec.toarray()[want])
 
-    def test_matches_dense_pvec_path(self, problem):
-        op, cvec, _ = problem
+    def test_matches_dense_pvec_path(self, support_problem):
+        op, cvec, _ = support_problem
         support = SvecSupport.of(op, cvec)
         pos = svec_position(op.n, support.rows, support.cols)
         rng = np.random.default_rng(7)
@@ -190,6 +194,54 @@ class TestSupportColumns:
         p = np.eye(6)[:, :2]
         with pytest.raises(ValueError, match="another operator"):
             pvec_generate(p, other, SvecSupport.of(op, cvec))
+
+
+class TestSupportSlack:
+    """S = C - A'y on the support: the dense fill against a scatter through
+    two 2-D fancy indexes, and the sparse storage against the CSR of the
+    dense slack, bit for bit."""
+
+    def test_dense_fill_matches_two_index_scatter(self, support_problem):
+        op, cvec, _ = support_problem
+        # exact zeros of both signs in C at positions the A_i use; at y = 0
+        # the -0.0 ones stay in S
+        cvec = cvec.copy()
+        cvec[op.avec.indices[::3]] = 0.0
+        cvec[op.avec.indices[1::3]] = -0.0
+        support = SvecSupport.of(op, cvec)
+        for y in (np.zeros(op.m), np.random.default_rng(5).standard_normal(op.m)):
+            vals = (support.cvec - support.avec @ y) / support.scale
+            want = np.zeros((op.n, op.n))
+            want[support.rows, support.cols] = vals
+            want[support.cols, support.rows] = vals
+            got = support.slack(y)
+            assert got.shape == (op.n, op.n) and got.flags.c_contiguous
+            assert np.array_equal(bits(got), bits(want))
+            if not y.any():
+                assert np.any(np.signbit(got[got == 0.0]))
+
+    def test_sparse_storage_is_the_csr_of_the_dense_slack(self, support_problem,
+                                                          monkeypatch):
+        op, cvec, _ = support_problem
+        support = SvecSupport.of(op, cvec)
+        y = np.random.default_rng(6).standard_normal(op.m)
+        want = sp.csr_matrix(support.slack(y))
+        monkeypatch.setattr(linalg, "DENSE_EIG_CUTOFF", op.n - 1)
+        got = support.slack(y)
+        assert sp.issparse(got) and got.format == "csr" and got.shape == want.shape
+        assert np.array_equal(bits(got.data), bits(want.data))
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.indptr, want.indptr)
+
+    def test_problem_takes_its_support_on_first_use(self, tmp_path):
+        problem, _ = generate_random_sdp(20, 10, 2, 0.1, 1.0, 3)
+        write_sdpa(problem, str(tmp_path / "p.dat-s"))
+        loaded = load_sdpa(str(tmp_path / "p.dat-s"))
+        for p in (problem, loaded):
+            assert "support" not in vars(p)
+            support = p.support
+            assert p.support is support
+            assert np.array_equal(support.rows, SvecSupport.of(p.op, p.cvec).rows)
 
 
 class TestModelEval:

@@ -545,9 +545,15 @@ class TestMalformedManifest:
         b'["tiny.dat-s", 2, 1, 1]',
         b'{"instance": "tiny.dat-s", "n": 2, "m": 1, "r": 2.7}',
         b'{"instance": "tiny.dat-s", "n": 2, "m": 1, "r": true}',
+        b'{"instance": "tiny.dat-s", "n": 2, "m": 1, "r": "1"}',
+        b'{"instance": "tiny.dat-s", "n": 2, "m": 1, "r": 1, "trace_X": true}',
+        b'{"instance": "tiny.dat-s", "n": 2, "m": 1, "r": 1, "trace_X": "1.0"}',
+        b'{"instance": "tiny.dat-s", "n": 2, "m": 1, "r": 1, "x": '
+        + b'[' * 100_000 + b']' * 100_000 + b'}',
     ], ids=["rank-not-int", "not-utf8", "trace-not-float", "trace-nan",
             "instance-not-str", "instance-nul", "json-list", "rank-fraction",
-            "rank-bool"])
+            "rank-bool", "rank-string", "trace-bool", "trace-string",
+            "json-too-deep"])
     def test_solve_exit_1_without_traceback(self, tmp_path, capsys, content):
         (tmp_path / "tiny.dat-s").write_bytes(TINY_SDPA)
         path = tmp_path / "bad.json"
@@ -564,8 +570,19 @@ class TestMalformedSolution:
         b'{"y": [NaN]}',
         b'{"y": [1.0], "X": [["a", "b"], ["c", "d"]]}',
         b'{"y": [1.0], "objective_primal": "x"}',
+        b'{"y": ["1.5"]}',
+        b'{"y": [true]}',
+        b'{"y": [1' + b'0' * 400 + b']}',
+        b'{"y": [1.0], "X": [["1.0", "0"], ["0", "0"]]}',
+        b'{"y": [1.0], "X": [[true, false], [false, false]]}',
+        b'{"y": [1.0], "objective_primal": "0.0"}',
+        b'{"y": [1.0], "objective_primal": false}',
+        b'{"y": ' + b'[' * 60 + b'1.0' + b']' * 60 + b'}',
+        b'{"y": ' + b'[' * 100_000 + b']' * 100_000 + b'}',
     ], ids=["y-not-numeric", "json-list", "not-utf8", "y-nan", "X-not-numeric",
-            "objective-not-numeric"])
+            "objective-not-numeric", "y-number-strings", "y-bool",
+            "y-int-overflow", "X-number-strings", "X-bool", "objective-string",
+            "objective-bool", "y-60-deep", "json-too-deep"])
     def test_check_exit_1_without_traceback(self, tmp_path, capsys, content):
         instance = tmp_path / "tiny.dat-s"
         instance.write_bytes(TINY_SDPA)
@@ -599,8 +616,9 @@ class TestCheckSolutionValues:
         '"X": [[1.0, 5.0], [0.0, 0.0]]',
         '"objective_primal": NaN',
         '"objective_primal": -Infinity',
+        '"objective_primal": [0.0]',
     ], ids=["X-nan", "X-inf", "X-upper-triangular", "objective-nan",
-            "objective-inf"])
+            "objective-inf", "objective-list"])
     def test_bad_value_exit_1(self, tmp_path, capsys, fields):
         code = self.check(tmp_path, f'{{"y": [0.0], {fields}}}')
         assert code == 1

@@ -14,7 +14,6 @@ from polybundle.linalg import (
     apply_A,
     extreme_eigs,
     smat,
-    smat_dense,
     svec,
     svec_indices,
     svec_position,
@@ -120,11 +119,6 @@ class TestSymMatrix:
         m = SymMatrix.from_dense(a)
         assert np.array_equal(m.to_dense(), a)
         assert m.trace() == pytest.approx(np.trace(a), abs=1e-14)
-
-    def test_smat_dense_matches_smat(self):
-        rng = np.random.default_rng(4)
-        v = rng.standard_normal(tri_dim(7))
-        assert np.allclose(smat_dense(v), smat(v).to_dense(), atol=1e-15)
 
 
 class TestConstraintOperator:
@@ -310,19 +304,3 @@ class TestSubsetEigensolve:
         monkeypatch.setattr(linalg.sla, "eigh", failing)
         with pytest.raises(EigenConvergenceError, match="LAPACK"):
             extreme_eigs(np.eye(5), 2)
-
-
-class TestSmatDense:
-    @pytest.mark.parametrize("n", [1, 2, 7, 60])
-    def test_matches_two_index_scatter(self, n):
-        # the scatter through two 2-D fancy indexes that the flat fill replaced
-        values = np.random.default_rng(n).standard_normal(tri_dim(n))
-        values[::5] = 0.0
-        values[1::7] = -0.0
-        rows, cols, scale = svec_indices(n)
-        want = np.zeros((n, n))
-        want[rows, cols] = values / scale
-        want[cols, rows] = values / scale
-        got = smat_dense(values)
-        assert got.shape == (n, n) and got.flags.c_contiguous
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

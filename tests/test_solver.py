@@ -7,7 +7,7 @@ from polybundle.linalg import (
     DENSE_EIG_CUTOFF,
     EigenConvergenceError,
     apply_A,
-    smat_dense,
+    smat,
     svec,
 )
 from polybundle.problems import GraphInstance, build_maxcut_sdp, generate_random_sdp
@@ -136,13 +136,26 @@ class TestPenaltyEval:
 
 
 class TestDualSlack:
-    def test_sparse_path_equals_csr_of_dense_slack(self):
-        n = 450
-        assert n > DENSE_EIG_CUTOFF
-        problem, _ = generate_random_sdp(n, 20, 3, 1e-2, 1.0, 5)
+    """dual_slack against smat of C - A'y over every svec position: dense up
+    to DENSE_EIG_CUTOFF, its CSR above, bit for bit."""
+
+    @pytest.mark.parametrize("instance", [
+        lambda n: generate_random_sdp(n, 20, 3, 1e-2, 1.0, 5)[0],
+        # a partial support: at n = 450, C and the A_i use 2,493 of the
+        # 101,475 positions
+        lambda n: c10_maxcut(n, prob=0.02)[0],
+    ], ids=["planted", "maxcut"])
+    @pytest.mark.parametrize("n", [60, 450])
+    def test_matches_smat(self, instance, n):
+        problem = instance(n)
         y = np.random.default_rng(0).standard_normal(problem.m)
+        want = smat(problem.cvec - problem.op.avec @ y).to_dense()
         s = dual_slack(problem, y)
-        want = sp.csr_matrix(smat_dense(problem.cvec - problem.op.avec @ y))
+        if n <= DENSE_EIG_CUTOFF:
+            assert isinstance(s, np.ndarray) and s.flags.c_contiguous
+            assert np.array_equal(s.view(np.uint64), want.view(np.uint64))
+            return
+        want = sp.csr_matrix(want)
         assert sp.issparse(s) and s.format == "csr" and s.shape == (n, n)
         assert np.array_equal(s.data.view(np.uint64), want.data.view(np.uint64))
         assert np.array_equal(s.indices, want.indices)
