@@ -10,6 +10,7 @@ from polybundle.linalg import (
     DENSE_EIG_CUTOFF,
     ConstraintOperator,
     EigenConvergenceError,
+    SvecSupport,
     SymMatrix,
     apply_A,
     extreme_eigs,
@@ -20,6 +21,17 @@ from polybundle.linalg import (
     tri_dim,
     tri_order,
 )
+
+
+def smat_dense(values):
+    """smat(values) as the dense fill of SvecSupport.slack gives it: every
+    position is in the support (each entry of A_1 is a stored zero) and
+    y = 0, so S = C exactly, signed zeros included."""
+    d = values.size
+    avec = sp.csc_matrix((np.zeros(d), np.arange(d), [0, d]), shape=(d, 1))
+    support = SvecSupport.of(ConstraintOperator(tri_order(d), 1, avec), values)
+    assert support.rows.size == d
+    return support.slack(np.zeros(1))
 
 
 def random_sym(rng, n, density=1.0):
@@ -119,6 +131,11 @@ class TestSymMatrix:
         m = SymMatrix.from_dense(a)
         assert np.array_equal(m.to_dense(), a)
         assert m.trace() == pytest.approx(np.trace(a), abs=1e-14)
+
+    def test_smat_dense_matches_smat(self):
+        rng = np.random.default_rng(4)
+        v = rng.standard_normal(tri_dim(7))
+        assert np.allclose(smat_dense(v), smat(v).to_dense(), atol=1e-15)
 
 
 class TestConstraintOperator:
@@ -304,3 +321,19 @@ class TestSubsetEigensolve:
         monkeypatch.setattr(linalg.sla, "eigh", failing)
         with pytest.raises(EigenConvergenceError, match="LAPACK"):
             extreme_eigs(np.eye(5), 2)
+
+
+class TestSmatDense:
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    def test_matches_two_index_scatter(self, n):
+        # the flat-index fill against a scatter through two 2-D fancy indexes
+        values = np.random.default_rng(n).standard_normal(tri_dim(n))
+        values[::5] = 0.0
+        values[1::7] = -0.0
+        rows, cols, scale = svec_indices(n)
+        want = np.zeros((n, n))
+        want[rows, cols] = values / scale
+        want[cols, rows] = values / scale
+        got = smat_dense(values)
+        assert got.shape == (n, n) and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -139,27 +139,37 @@ class TestDualSlack:
     """dual_slack against smat of C - A'y over every svec position: dense up
     to DENSE_EIG_CUTOFF, its CSR above, bit for bit."""
 
-    @pytest.mark.parametrize("instance", [
-        lambda n: generate_random_sdp(n, 20, 3, 1e-2, 1.0, 5)[0],
+    INSTANCES = {
+        "planted": lambda n: generate_random_sdp(n, 20, 3, 1e-2, 1.0, 5)[0],
         # a partial support: at n = 450, C and the A_i use 2,493 of the
         # 101,475 positions
-        lambda n: c10_maxcut(n, prob=0.02)[0],
-    ], ids=["planted", "maxcut"])
-    @pytest.mark.parametrize("n", [60, 450])
-    def test_matches_smat(self, instance, n):
-        problem = instance(n)
+        "maxcut": lambda n: c10_maxcut(n, prob=0.02)[0],
+    }
+
+    @staticmethod
+    def slack_and_smat(problem):
         y = np.random.default_rng(0).standard_normal(problem.m)
-        want = smat(problem.cvec - problem.op.avec @ y).to_dense()
-        s = dual_slack(problem, y)
-        if n <= DENSE_EIG_CUTOFF:
-            assert isinstance(s, np.ndarray) and s.flags.c_contiguous
-            assert np.array_equal(s.view(np.uint64), want.view(np.uint64))
-            return
-        want = sp.csr_matrix(want)
-        assert sp.issparse(s) and s.format == "csr" and s.shape == (n, n)
-        assert np.array_equal(s.data.view(np.uint64), want.data.view(np.uint64))
-        assert np.array_equal(s.indices, want.indices)
-        assert np.array_equal(s.indptr, want.indptr)
+        return (dual_slack(problem, y),
+                smat(problem.cvec - problem.op.avec @ y).to_dense())
+
+    @pytest.mark.parametrize("instance", sorted(INSTANCES))
+    def test_dense_path_equals_smat(self, instance):
+        n = 60
+        assert n <= DENSE_EIG_CUTOFF
+        s, want = self.slack_and_smat(self.INSTANCES[instance](n))
+        assert isinstance(s, np.ndarray) and s.flags.c_contiguous
+        assert np.array_equal(s.view(np.uint64), want.view(np.uint64))
+
+    def test_sparse_path_equals_csr_of_dense_slack(self):
+        n = 450
+        assert n > DENSE_EIG_CUTOFF
+        for make in self.INSTANCES.values():
+            s, want = self.slack_and_smat(make(n))
+            want = sp.csr_matrix(want)
+            assert sp.issparse(s) and s.format == "csr" and s.shape == (n, n)
+            assert np.array_equal(s.data.view(np.uint64), want.data.view(np.uint64))
+            assert np.array_equal(s.indices, want.indices)
+            assert np.array_equal(s.indptr, want.indptr)
 
 
 class TestDescentDecision:
