@@ -186,15 +186,6 @@ def cmd_maxcut(args) -> int:
         problems.load_gset(args.input), sense=args.sense))
 
 
-def _floats(value) -> np.ndarray:
-    """A JSON number, or a vector or matrix of them, as a float array; numpy
-    alone would also read a string or a bool as a number."""
-    leaves = np.asarray(value, dtype=object)
-    if leaves.ndim > 2 or not {type(v) for v in leaves.flat} <= {int, float}:
-        raise ValueError("not a JSON number, or a vector or matrix of them")
-    return leaves.astype(np.float64)
-
-
 def cmd_check(args) -> int:
     try:
         problem = _load_instance(args.input)
@@ -207,11 +198,11 @@ def cmd_check(args) -> int:
     if not isinstance(sol, dict):
         return _error(f"{args.solution}: solution is not a JSON object")
     try:
-        y = _floats(sol.get("y", sol.get("y_star")))
+        y = problems._floats(sol.get("y", sol.get("y_star")))
         x = sol.get("X")
-        x = None if x is None else _floats(x)
+        x = None if x is None else problems._floats(x)
         au = sol.get("objective_primal", sol.get("planted_objective"))
-        au = None if au is None else _floats(au)
+        au = None if au is None else problems._floats(au)
     except (ValueError, OverflowError) as exc:
         return _error(f"{args.solution}: non-numeric solution field: {exc}")
     if y.ndim != 1 or y.size != problem.m or not np.all(np.isfinite(y)):
@@ -230,7 +221,7 @@ def cmd_check(args) -> int:
         _, lam_max, _, _ = solver.penalty_eval(problem, y, 1, rho=1.0)
     except EigenConvergenceError as exc:
         return _error(f"eigensolve of S = C - A'y failed: {exc}")
-    doc = {"delta4": max(lam_max, 0.0)}
+    doc = {"delta4": solver.dual_infeasibility(lam_max)}
     if x is not None:
         doc["delta1"] = solver.primal_infeasibility(apply_A(problem.op, x),
                                                     problem.b)

@@ -64,6 +64,24 @@ def svec_position(n: int, row: int | np.ndarray, col: int | np.ndarray):
     return col * n - (col * (col - 1)) // 2 + (row - col)
 
 
+def _checked_entries(n: int, rows, cols, vals):
+    """(rows, cols, vals) as int64, int64 and float64 arrays of equal length,
+    with 0 <= col <= row < n and finite values; else a ValueError."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    if not (rows.shape == cols.shape == vals.shape):
+        raise ValueError("rows, cols, vals must have equal length")
+    if rows.size:
+        if rows.min() < 0 or rows.max() >= n or cols.min() < 0:
+            raise ValueError("index out of range")
+        if np.any(rows < cols):
+            raise ValueError("entries must satisfy row >= col")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("non-finite entry")
+    return rows, cols, vals
+
+
 @dataclass(frozen=True)
 class SymMatrix:
     """Sparse symmetric matrix stored as a lower-triangular coordinate list."""
@@ -77,18 +95,7 @@ class SymMatrix:
     svec_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
-        cols = np.asarray(self.cols, dtype=np.int64)
-        vals = np.asarray(self.vals, dtype=np.float64)
-        if not (rows.shape == cols.shape == vals.shape):
-            raise ValueError("rows, cols, vals must have equal length")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= self.n or cols.min() < 0:
-                raise ValueError("index out of range")
-            if np.any(rows < cols):
-                raise ValueError("entries must satisfy row >= col")
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("non-finite entry")
+        rows, cols, vals = _checked_entries(self.n, self.rows, self.cols, self.vals)
         # canonical column-major lower-triangle order; detects duplicates
         key = svec_position(self.n, rows, cols)
         order = np.argsort(key, kind="stable")
@@ -201,8 +208,13 @@ class ConstraintOperator:
         """Operator whose A_{k+1} has the entry vals at (rows, cols), row >= col.
 
         Repeated (k, row, col) entries are summed, and entries that are
-        then zero are not stored.
+        then zero are not stored.  The entries must pass the checks of
+        ``SymMatrix``, and each k must lie in [0, m); else a ValueError.
         """
+        rows, cols, vals = _checked_entries(n, rows, cols, vals)
+        k = np.asarray(k, dtype=np.int64)
+        if k.shape != rows.shape or k.size and not 0 <= k.min() <= k.max() < m:
+            raise ValueError("k must hold one constraint index in [0, m) per entry")
         _, _, scale = svec_indices(n)
         pos = svec_position(n, rows, cols)
         avec = sp.csc_matrix((vals * scale[pos], (pos, k)), shape=(tri_dim(n), m))
@@ -211,6 +223,8 @@ class ConstraintOperator:
 
     @classmethod
     def from_matrices(cls, n: int, mats) -> "ConstraintOperator":
+        """Operator whose A_{i+1} is ``mats[i]`` (a SymMatrix or dense); for
+        ``tests/sdpa_reference.py`` and fixtures in test_bundle and test_linalg."""
         mats = [a if isinstance(a, SymMatrix) else SymMatrix.from_dense(a) for a in mats]
         if any(a.n != n for a in mats):
             raise ValueError("constraint matrix dimension mismatch")

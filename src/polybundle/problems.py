@@ -79,7 +79,26 @@ class PlantedSolution:
     kappa_S: float
 
 
-_LABEL_TYPES = (int, np.integer)  # vertex labels; built once, checked per edge
+def _is_count(value) -> bool:
+    """The integer rule of every count, size and vertex label: an int or a
+    numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _count(name: str, value, alternatives: str = ""):
+    """``value`` if ``_is_count`` holds for it; else a ValueError naming it."""
+    if _is_count(value):
+        return value
+    raise ValueError(f"{name} must be an integer{alternatives}, not {value!r}")
+
+
+def _floats(value) -> np.ndarray:
+    """A JSON number, or a vector or matrix of them, as a float array; numpy
+    alone would also read a string or a bool as a number."""
+    leaves = np.asarray(value, dtype=object)
+    if leaves.ndim > 2 or not {type(v) for v in leaves.flat} <= {int, float}:
+        raise ValueError("not a JSON number, or a vector or matrix of them")
+    return leaves.astype(np.float64)
 
 
 class EdgeError(ValueError):
@@ -99,11 +118,11 @@ class GraphInstance:
     edges: list[tuple[int, int, float]]
 
     def __post_init__(self):
-        if self.n_vertices < 1:
+        if _count("n_vertices", self.n_vertices) < 1:
             raise ValueError(f"{self.n_vertices} vertices; need at least 1")
         seen = set()
         for k, (i, j, w) in enumerate(self.edges):
-            if not (isinstance(i, _LABEL_TYPES) and isinstance(j, _LABEL_TYPES)):
+            if not (_is_count(i) and _is_count(j)):
                 raise EdgeError(k, f"edge ({i},{j}) has a non-integer vertex label")
             if not (1 <= i <= self.n_vertices and 1 <= j <= self.n_vertices):
                 raise EdgeError(k, f"edge ({i},{j}) out of range")
@@ -147,13 +166,13 @@ def generate_random_sdp(n: int, m: int, r: int, sparsity: float, s: float,
     and b = A(X*).  Deterministic in the seed; draw order: G, then each
     A_bar_i in turn, then y*.
     """
-    if not 1 <= r < n:
+    if not 1 <= _count("r", r) < _count("n", n):
         raise ValueError("need 1 <= r < n")
     if not 0 < sparsity <= 1:
         raise ValueError("sparsity must lie in (0, 1]")
     if s <= 0:
         raise ValueError("s must be positive")
-    if m < 1:
+    if _count("m", m) < 1:
         raise ValueError("m must be at least 1")
     rng = np.random.default_rng(seed)
 
@@ -207,28 +226,16 @@ def build_maxcut_sdp(g: GraphInstance, sense: str = "maximize") -> SdpProblem:
     if sense not in ("paper", "maximize"):
         raise ValueError("sense must be 'paper' or 'maximize'")
     n = g.n_vertices
-    deg = np.zeros(n)
-    lrows, lcols, lvals = [], [], []
-    for i, j, w in g.edges:
-        a, b = max(i, j) - 1, min(i, j) - 1
-        lrows.append(a)
-        lcols.append(b)
-        lvals.append(-w)
-        deg[a] += w
-        deg[b] += w
-    lrows.extend(range(n))
-    lcols.extend(range(n))
-    lvals.extend(deg)
-    factor = 0.25 if sense == "paper" else -0.25
-    vals = factor * np.asarray(lvals, dtype=np.float64)
-    keep = vals != 0.0
-    c = SymMatrix(
-        n=n,
-        rows=np.asarray(lrows, dtype=np.int64)[keep],
-        cols=np.asarray(lcols, dtype=np.int64)[keep],
-        vals=vals[keep],
-    )
+    i, j, w = np.array(g.edges, dtype=np.float64).reshape(-1, 3).T
+    lo, hi = (np.minimum(i, j) - 1).astype(np.int64), (np.maximum(i, j) - 1).astype(np.int64)
+    # each vertex adds its weights in edge order, as a loop over the edges would
+    deg = np.bincount(np.stack([hi, lo], axis=1).ravel(), np.repeat(w, 2), minlength=n)
     diag = np.arange(n)
+    factor = 0.25 if sense == "paper" else -0.25
+    vals = factor * np.concatenate([-w, deg])
+    keep = vals != 0.0
+    c = SymMatrix(n=n, rows=np.concatenate([hi, diag])[keep],
+                  cols=np.concatenate([lo, diag])[keep], vals=vals[keep])
     op = ConstraintOperator.from_entries(n, n, diag, diag, diag, np.ones(n))
     return SdpProblem(n=n, m=n, C=c, op=op, b=np.ones(n),
                       name=f"maxcut-n{n}-{sense}", known_trace=float(n))
@@ -454,23 +461,20 @@ def load_manifest(path: str) -> tuple[SdpProblem, dict]:
         inst = os.path.join(os.path.dirname(os.path.abspath(path)), doc["instance"])
         if "\0" in inst:
             raise ValueError("instance file name holds a NUL character")
-        rank, trace_x = doc["r"], doc.get("trace_X")
-        # int() and float() would also read a string or a bool as a number
-        if isinstance(rank, (str, bool)) or isinstance(rank, float) and rank % 1:
-            raise ValueError(f"r = {rank!r} is not an integer")
-        if isinstance(trace_x, (str, bool)):
-            raise ValueError(f"trace_X = {trace_x!r} is not a number")
-        rank, trace_x = int(rank), None if trace_x is None else float(trace_x)
+        n, m, rank = (_count(key, doc[key]) for key in ("n", "m", "r"))
+        trace_x = doc.get("trace_X")
+        if trace_x is not None and (trace_x := _floats(trace_x)).ndim:
+            raise ValueError("trace_X is not a number")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: bad manifest field: {exc}") from exc
     if trace_x is not None and not np.isfinite(trace_x):
         raise ParseError(f"{path}: manifest field 'trace_X' is not finite")
     problem = load_sdpa(inst)
-    if problem.n != doc["n"] or problem.m != doc["m"]:
+    if problem.n != n or problem.m != m:
         raise ParseError(f"{path}: manifest dimensions do not match instance")
     problem.known_rank = rank
     if trace_x is not None:
-        problem.known_trace = trace_x
+        problem.known_trace = float(trace_x)
     if doc.get("name"):
         problem.name = doc["name"]
     return problem, doc

@@ -8,7 +8,6 @@ adaptive step sizes, optional rank prediction, and relative KKT termination.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ from . import bundle as bundle_mod
 from . import qp as qp_mod
 from .bundle import BundleState, model_eval, pvec_generate, select_aggregation
 from .linalg import EigenConvergenceError, SymMatrix, extreme_eigs
-from .problems import SdpProblem
+from .problems import SdpProblem, _count
 
 STATUS_CONVERGED = "Converged"
 STATUS_ITER_LIMIT = "IterLimit"
@@ -39,14 +38,6 @@ T_MIN, T_MAX = 1e-3, 1.0  # bounds of the step size t
 # descent when F(y) - F(z) >= BETA1 (F(y) - model(z)); t doubles from BETA2
 # on; a null step at BETA3 or below counts as bad
 BETA1, BETA2, BETA3 = 0.05, 0.65, 0.001
-
-
-def _count(name: str, value, alternatives: str = ""):
-    """The integer rule of every count setting: an integral number, numpy
-    integers included, that is not a bool; else a ValueError naming it."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{name} must be an integer{alternatives}, not {value!r}")
 
 
 def lmax_from_policy(policy, r: int) -> int:
@@ -201,6 +192,11 @@ def primal_infeasibility(a_x: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a_x - b)) / (1.0 + float(np.linalg.norm(b)))
 
 
+def dual_infeasibility(lam_max: float) -> float:
+    """delta4 = max(lambda_max(A'y - C), 0), never -0.0; NaN stays NaN."""
+    return max(lam_max, 0.0) + 0.0
+
+
 def duality_gap(primal: float, dual: float) -> float:
     """delta5 = |a'u - b'y| / (1 + |a'u| + |b'y|)."""
     return abs(primal - dual) / (1.0 + abs(primal) + abs(dual))
@@ -215,7 +211,7 @@ def termination_check(b: np.ndarray, u: np.ndarray, a: np.ndarray,
     S = C - A'y exactly) and are not computed.
     """
     delta1 = primal_infeasibility(b_mat @ u, b)
-    delta4 = max(-lambda_min_s, 0.0)
+    delta4 = dual_infeasibility(-lambda_min_s)
     delta5 = duality_gap(float(a @ u), float(b @ y))
     delta6 = abs(f_y - model_z) / (1.0 + abs(f_y))
     done = max(delta1, delta4, delta5, delta6) <= eps

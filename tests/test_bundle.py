@@ -298,7 +298,7 @@ class TestSelectAggregation:
 
     def test_tight_case_includes_gamma2(self):
         x = np.array([0.5, 1e-8, 0.4, 0.3, 0.2, 0.1])
-        p_bar, p_hat = select_aggregation(x, r=3, l_max=7)
+        p_bar, _ = select_aggregation(x, r=3, l_max=7)
         assert 1 in p_bar
         assert len(p_bar) >= 2
 

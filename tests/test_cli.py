@@ -31,14 +31,14 @@ def generated(tmp_path_factory):
 
 class TestGenerate:
     def test_writes_instance_and_manifest(self, generated):
-        dat, man = generated
+        _, man = generated
         doc = json.loads(man.read_text())
         assert doc["n"] == 30 and doc["m"] == 30 and doc["r"] == 3
         assert doc["kappa_X"] > 0 and doc["kappa_S"] > 0
         assert "planted_objective" in doc
 
     def test_same_seed_identical_files(self, generated, tmp_path):
-        dat, man = generated
+        dat, _ = generated
         code = main([
             "generate", "--n", "30", "--m", "30", "--r", "3",
             "--sparsity", "0.1", "--s", "1", "--seed", "7",
@@ -550,10 +550,13 @@ class TestMalformedManifest:
         b'{"instance": "tiny.dat-s", "n": 2, "m": 1, "r": 1, "trace_X": "1.0"}',
         b'{"instance": "tiny.dat-s", "n": 2, "m": 1, "r": 1, "x": '
         + b'[' * 100_000 + b']' * 100_000 + b'}',
+        b'{"instance": "tiny.dat-s", "n": 2, "m": 1, "r": 1.0}',
+        b'{"instance": "tiny.dat-s", "n": 2.0, "m": 1, "r": 1}',
+        b'{"instance": "tiny.dat-s", "n": 2, "m": true, "r": 1}',
     ], ids=["rank-not-int", "not-utf8", "trace-not-float", "trace-nan",
             "instance-not-str", "instance-nul", "json-list", "rank-fraction",
             "rank-bool", "rank-string", "trace-bool", "trace-string",
-            "json-too-deep"])
+            "json-too-deep", "rank-integral-float", "n-float", "m-bool"])
     def test_solve_exit_1_without_traceback(self, tmp_path, capsys, content):
         (tmp_path / "tiny.dat-s").write_bytes(TINY_SDPA)
         path = tmp_path / "bad.json"
@@ -609,6 +612,18 @@ class TestCheckSolutionValues:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"delta4": 0.0, "delta1": 0.0, "delta5": 0.0}
+
+    def test_delta4_is_never_negative_zero(self, tmp_path, capsys):
+        # at y = 0, S = C = diag(1, 0) has smallest eigenvalue +0.0, so
+        # lambda_max(A'y - C) is -0.0
+        instance = tmp_path / "c.dat-s"
+        instance.write_bytes(b"1\n1\n2\n1.0\n0 1 1 1 1.0\n1 1 1 1 1.0\n")
+        path = tmp_path / "sol.json"
+        path.write_text('{"y": [0.0]}')
+        assert main(["check", str(instance), str(path)]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out) == {"delta4": 0.0}
+        assert '"delta4": 0.0' in out
 
     @pytest.mark.parametrize("fields", [
         '"X": [[NaN, NaN], [NaN, NaN]]',

@@ -1,5 +1,5 @@
 """No module of the package or of its tests imports a name it never uses,
-and no function of the package assigns a local it never reads.
+and no function there assigns a local it never reads.
 
 Stand-ins for a linter's unused-import and unused-variable rules.  A name
 bound by an import counts as used when it appears anywhere in the module as
@@ -73,7 +73,9 @@ def test_checker_flags_unused_and_honours_all():
     assert unused_imports(source) == ["line 1: dataclass", "line 1: field"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name)
 def test_no_unused_locals(path):
     assert unused_locals(path.read_text(encoding="utf-8")) == []
 

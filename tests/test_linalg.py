@@ -180,6 +180,28 @@ class TestConstraintOperator:
         with pytest.raises(ValueError):
             apply_A(op, np.zeros(tri_dim(5)))
 
+    @pytest.mark.parametrize("k,rows,cols,vals,message", [
+        ([0], [0], [1], [1.0], "entries must satisfy row >= col"),
+        ([0], [3], [0], [1.0], "index out of range"),
+        ([0], [0], [-1], [1.0], "index out of range"),
+        ([0], [0], [0], [np.nan], "non-finite entry"),
+        ([0], [1], [0], [-np.inf], "non-finite entry"),
+        ([0, 0], [0, 1], [0], [1.0, 1.0], "rows, cols, vals must have equal length"),
+        ([0, 0], [0], [0], [1.0], "k must hold one constraint index in"),
+        ([1], [0], [0], [1.0], "k must hold one constraint index in"),
+        ([-1], [0], [0], [1.0], "k must hold one constraint index in"),
+    ], ids=["upper-triangle", "row-n", "negative-col", "nan", "inf",
+            "ragged-entries", "ragged-k", "k-m", "negative-k"])
+    def test_from_entries_rejects_what_symmatrix_rejects(self, k, rows, cols, vals,
+                                                         message):
+        # n = 3, m = 1: the entry (0, 1) would be stored at (2, 0), and a row
+        # of 3 at (1, 1), without these checks
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ConstraintOperator.from_entries(3, 1, k, rows, cols, vals)
+        if not message.startswith("k "):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                SymMatrix(3, rows, cols, vals)
+
 
 class TestExtremeEigs:
     def test_dense_path_smallest(self):
@@ -321,6 +343,30 @@ class TestSubsetEigensolve:
         monkeypatch.setattr(linalg.sla, "eigh", failing)
         with pytest.raises(EigenConvergenceError, match="LAPACK"):
             extreme_eigs(np.eye(5), 2)
+
+    @pytest.mark.parametrize("pairs", ["partial", "empty", "none"])
+    def test_arpack_failure_raises_eigen_error(self, monkeypatch, pairs):
+        # ARPACK hands back the pairs it has; the error reports the worst
+        # residual among them
+        a = random_sym(np.random.default_rng(26), 60, density=0.1)
+        vals, vecs = np.linalg.eigh(a)
+        vecs = vecs[:, :2].copy()
+        vecs[0, 1] += 1e-3  # the second pair is off
+        given = {"partial": (vals[:2], vecs), "empty": (vals[:0], vecs[:, :0]),
+                 "none": (None, None)}[pairs]
+
+        def failing(*args, **kwargs):
+            raise linalg.spla.ArpackNoConvergence("no convergence", *given)
+        monkeypatch.setattr(linalg.spla, "eigsh", failing)
+        with pytest.raises(EigenConvergenceError) as err:
+            extreme_eigs(sp.csr_matrix(a), 3)
+        assert str(err.value) == "Lanczos failed to converge for 3 smallest eigenpairs"
+        if pairs == "partial":
+            want = np.linalg.norm(a @ vecs - vecs * vals[:2], axis=0)
+            assert want[0] < 1e-12 < 1e-4 < want[1]
+            assert err.value.best_residual == pytest.approx(want[1], rel=1e-12)
+        else:
+            assert err.value.best_residual is None
 
 
 class TestSmatDense:

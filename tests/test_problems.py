@@ -1,5 +1,6 @@
 import builtins
 import hashlib
+import json
 import os
 import tempfile
 from unittest import mock
@@ -56,7 +57,7 @@ class TestGenerator:
         assert np.linalg.eigvalsh(ss).min() >= -1e-9
 
     def test_strict_complementarity(self):
-        problem, pl = generate_random_sdp(30, 20, 3, 0.15, 1.0, 5)
+        _, pl = generate_random_sdp(30, 20, 3, 0.15, 1.0, 5)
         assert eigen_rank(pl.X_star.to_dense()) == 3
         assert eigen_rank(pl.S_star.to_dense()) == 27
 
@@ -87,6 +88,37 @@ class TestGenerator:
             generate_random_sdp(5, 5, 2, 0.0, 1.0, 0)
         with pytest.raises(ValueError):
             generate_random_sdp(5, 5, 2, 0.5, -1.0, 0)
+
+    @pytest.mark.parametrize("sizes,name", [
+        ((10.0, 10, 2), "n"), ((10, 10.0, 2), "m"), ((10, 10, 2.0), "r"),
+        ((10, 10, True), "r"), ((10, True, 2), "m"), ((10, "10", 2), "m"),
+    ], ids=["n-float", "m-float", "r-float", "r-bool", "m-bool", "m-string"])
+    def test_sizes_not_integers_rejected(self, sizes, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            generate_random_sdp(*sizes, 0.3, 1.0, 0)
+
+    def test_numpy_integer_sizes_accepted(self):
+        p, _ = generate_random_sdp(np.int64(10), np.int32(8), np.int64(2), 0.3, 1.0, 0)
+        q, _ = generate_random_sdp(10, 8, 2, 0.3, 1.0, 0)
+        assert np.array_equal(p.cvec, q.cvec) and np.array_equal(p.b, q.b)
+
+
+class TestSdpProblem:
+    @pytest.mark.parametrize("change,message", [
+        ({"n": 3}, "dimension mismatch"),
+        ({"C": SymMatrix(3, [], [], [])}, "dimension mismatch"),
+        ({"m": 2}, "m does not match"),
+        ({"b": [1.0, 2.0]}, "m does not match"),
+        ({"b": [np.nan]}, "b must be finite"),
+        ({"b": [-np.inf]}, "b must be finite"),
+    ], ids=["n", "C", "m", "b-size", "b-nan", "b-inf"])
+    def test_inconsistent_data_rejected(self, change, message):
+        op = ConstraintOperator.from_entries(2, 1, *np.zeros((3, 1), dtype=np.int64),
+                                             np.ones(1))
+        data = dict(n=2, m=1, C=SymMatrix(2, [1], [1], [1.0]), op=op, b=[1.0])
+        SdpProblem(**data)
+        with pytest.raises(ValueError, match=message):
+            SdpProblem(**{**data, **change})
 
 
 class TestOperatorEntries:
@@ -202,7 +234,11 @@ class TestMaxcut:
         for n in (0, -2):
             with pytest.raises(ValueError, match="at least 1"):
                 GraphInstance(n, [])
-        for edge in ((1.5, 2, 1.0), (1, 2.0, 1.0), ("1", 2, 1.0)):
+        for n in (2.0, True, "2"):
+            with pytest.raises(ValueError, match="n_vertices must be an integer"):
+                GraphInstance(n, [])
+        for edge in ((1.5, 2, 1.0), (1, 2.0, 1.0), ("1", 2, 1.0), (True, 2, 1.0),
+                     (1, True, 1.0)):
             with pytest.raises(ValueError, match="non-integer vertex label"):
                 GraphInstance(3, [edge])
         for w in (np.nan, np.inf, -np.inf):
@@ -245,6 +281,21 @@ class TestGset:
         f.write_text("")
         with pytest.raises(ParseError, match="empty"):
             load_gset(str(f))
+
+    @pytest.mark.parametrize("text,line,message", [
+        ("2\n1 2 1\n", 1, "expected 'n_vertices n_edges'"),
+        ("2 x\n1 2 1\n", 1, "non-integer header"),
+        ("2 1.0\n1 2 1\n", 1, "non-integer header"),
+        ("2 1\n1 2 x\n", 2, "malformed edge line"),
+        ("2 1\n1 1.5 1\n", 2, "malformed edge line"),
+    ], ids=["header-one-token", "header-not-integer", "header-float",
+            "weight-not-numeric", "label-not-integer"])
+    def test_malformed_line_names_it(self, tmp_path, text, line, message):
+        f = tmp_path / "g.txt"
+        f.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_gset(str(f))
+        assert str(exc.value) == f"{f}:{line}: {message}"
 
     @pytest.mark.parametrize("header", ["0 0", "-2 0", "3 -1"])
     def test_degenerate_header_reports_line_1(self, tmp_path, header):
@@ -415,6 +466,18 @@ class TestManifest:
         with pytest.raises(ParseError, match="JSON"):
             load_manifest(str(man))
 
+    @pytest.mark.parametrize("field", ["n", "m"])
+    def test_dimensions_must_match_instance(self, tmp_path, field):
+        problem, planted = generate_random_sdp(15, 8, 2, 0.3, 1.0, 33)
+        inst, man = tmp_path / "inst.dat-s", tmp_path / "inst.json"
+        write_sdpa(problem, str(inst))
+        write_manifest(str(man), problem, planted, str(inst), 0.3, 1.0, 33)
+        doc = json.loads(man.read_text())
+        doc[field] += 1
+        man.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="dimensions do not match"):
+            load_manifest(str(man))
+
 
 class TestSdpaMalformed:
     """Malformed SDPA input is a ParseError naming the file and line."""
@@ -436,6 +499,22 @@ class TestSdpaMalformed:
         text = '"comment\n1\n1\n2\nnan\n1 1 1 1 1.0\n'
         with pytest.raises(ParseError, match=r"bad\.dat-s:5: non-finite right-hand-side"):
             self.load(tmp_path, text)
+
+    @pytest.mark.parametrize("text,message", [
+        ("x\n1\n2\n1.0\n", ":1: bad constraint count"),
+        ("1\n1.5\n2\n1.0\n", ":2: bad block count"),
+        ('"c\n1\n1\nx\n1.0\n', ":4: bad block size"),
+        ("1\n1\n{}\n1.0\n", ":3: bad block size"),
+        ("1\n1\n* c\n", ": unexpected end of file"),
+        ("1\n1\n2\n1.0 x\n", ":4: bad right-hand-side vector"),
+        ("2\n1\n2\n1.0\n0 1 1 1 1.0\n", ":4: expected 2 right-hand-side values"),
+    ], ids=["count", "block-count", "block-size", "block-size-empty",
+            "end-in-header", "rhs-token", "rhs-too-few"])
+    def test_bad_header(self, tmp_path, text, message):
+        f = tmp_path / "bad.dat-s"
+        f.write_text(text)
+        want = assert_same_outcome(str(f))
+        assert type(want) is ParseError and str(want) == f"{f}{message}"
 
     def test_zero_block_size(self, tmp_path):
         with pytest.raises(ParseError, match=r"bad\.dat-s:3: block size must be positive"):

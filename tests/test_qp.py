@@ -243,6 +243,15 @@ class TestValidationAndFailure:
         with pytest.raises(np.linalg.LinAlgError):
             solve_subproblem(d)
 
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(qp, "ITER_CAP_FACTOR", 0)
+        with pytest.raises(NonConvergence, match="active-set iteration cap exceeded"):
+            solve_subproblem(random_subproblem(np.random.default_rng(5)))
+        problem, _ = generate_random_sdp(10, 10, 2, 0.5, 1.0, 0)
+        res = solve(problem, SolverParams())
+        assert res.status == STATUS_SUBPROBLEM_FAILURE
+        assert res.failure == "active-set iteration cap exceeded"
+
     def test_regularization_rescues_singular(self):
         d = SubproblemData(
             B=np.zeros((2, 2)), a=np.array([-1.0, -1.0]), y=np.zeros(2),

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from polybundle import qp, solver
 from polybundle.linalg import (
@@ -51,6 +54,7 @@ class TestParams:
         ("rho", np.nan), ("rho", np.inf), ("rho", 0.0),
         ("time_limit_secs", np.nan), ("time_limit_secs", np.inf),
         ("time_limit_secs", 0.0), ("time_limit_secs", -1.0),
+        ("maxiter", 0), ("maxiter", -1),
     ])
     def test_non_finite_or_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -181,7 +185,7 @@ class TestDescentDecision:
 
     def test_accept_without_doubling(self):
         # true decrease 0.1 of predicted 1.0: above BETA1, below BETA2
-        accept, t, nc = descent_decision(10.0, 9.9, 9.0, 0.1, 0)
+        accept, t, _ = descent_decision(10.0, 9.9, 9.0, 0.1, 0)
         assert accept
         assert t == pytest.approx(0.1)
 
@@ -221,11 +225,23 @@ class TestTermination:
 
     def test_dual_infeasibility_blocks(self):
         b = np.zeros(1)
-        d1, d4, _, _, done = termination_check(
+        _, d4, _, _, done = termination_check(
             b, np.zeros(1), np.zeros(1), np.zeros((1, 1)), np.zeros(1),
             -0.5, 0.0, 0.0, 1e-4
         )
         assert d4 == 0.5 and not done
+
+    def test_delta4_is_never_negative_zero(self):
+        # lambda_min(S) = +0.0 makes lambda_max(A'y - C) = -0.0
+        _, d4, _, _, done = termination_check(
+            np.zeros(1), np.zeros(1), np.zeros(1), np.zeros((1, 1)), np.zeros(1),
+            0.0, 0.0, 0.0, 1e-4
+        )
+        assert done and math.copysign(1.0, d4) == 1.0
+        assert math.copysign(1.0, solver.dual_infeasibility(-0.0)) == 1.0
+        assert solver.dual_infeasibility(-2.0) == 0.0
+        assert solver.dual_infeasibility(0.5) == 0.5
+        assert math.isnan(solver.dual_infeasibility(math.nan))
 
     def test_relative_scaling(self):
         b = np.array([100.0])
@@ -362,6 +378,18 @@ class TestSolveEndToEnd:
         assert np.isnan(res.objective_primal)
         assert res.X is None
 
+    def test_arpack_failure_ends_run_as_eigen_failure(self, monkeypatch):
+        # above DENSE_EIG_CUTOFF the slack is stored CSR and ARPACK solves it
+        problem, _ = generate_random_sdp(DENSE_EIG_CUTOFF + 1, 5, 2, 0.01, 1.0, 0)
+
+        def failing(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", None, None)
+        monkeypatch.setattr(spla, "eigsh", failing)
+        res = solve(problem, SolverParams(maxiter=5))
+        assert res.status == STATUS_EIGEN_FAILURE
+        assert res.failure == "Lanczos failed to converge for 2 smallest eigenpairs"
+        assert res.iterations == 0 and res.trace == []
+
     def test_non_finite_slack_ends_run_as_eigen_failure(self):
         problem, _ = generate_random_sdp(20, 20, 2, 0.1, 1.0, 3)
         problem.cvec[0] = np.nan
@@ -416,8 +444,6 @@ class TestSolveEndToEnd:
 class TestRecoverPrimal:
     def test_zero_weights_give_zero(self, small_problem):
         problem, _ = small_problem
-        res = solve(problem, SolverParams(eps=1e-4, maxiter=50,
-                                          materialize_w=True))
         from polybundle.bundle import BundleState
         n, m = problem.n, problem.m
         p = np.eye(n)[:, :2]
