@@ -288,6 +288,34 @@ class SvecSupport:
         return cls(op.n, rows[pos], cols[pos], scale[pos], cvec[pos], avec)
 
     @cached_property
+    def identity_coeffs(self) -> np.ndarray | None:
+        """A read-only y_hat with A'y_hat = I to rounding, or None.
+
+        Only the constraints whose stored entries all lie on the diagonal
+        take part; the others get 0.  Each gets <d_i, 1> / <d_i, d_i> for
+        its diagonal d_i, the least-squares solution when no two of them
+        share a diagonal entry, and y_hat is kept only when
+        avec y_hat - svec(I) is zero to rounding.  For Max-Cut it is 1.
+        """
+        diag = self.rows == self.cols
+        if np.count_nonzero(diag) < self.n:
+            return None  # some diagonal entry of I lies outside the support
+        a, m = self.avec, self.avec.shape[1]
+        counts = np.diff(a.indptr)
+        cols = np.repeat(np.arange(m), counts)
+        taking = counts > 0
+        taking[cols[~diag[a.indices]]] = False
+        mine = taking[cols]
+        sums = np.bincount(cols[mine], a.data[mine], minlength=m)
+        squares = np.bincount(cols[mine], a.data[mine] ** 2, minlength=m)
+        y_hat = np.divide(sums, squares, out=np.zeros(m), where=taking)
+        # a few units in the last place of 1; a NaN fails it too
+        if not np.abs(a @ y_hat - diag).max() <= 4.0 * np.finfo(np.float64).eps:
+            return None
+        y_hat.setflags(write=False)
+        return y_hat
+
+    @cached_property
     def _flat(self):
         """Flat positions of the entries in an n x n array, and of their mirrors."""
         return self.rows * self.n + self.cols, self.cols * self.n + self.rows

@@ -174,6 +174,8 @@ def generate_random_sdp(n: int, m: int, r: int, sparsity: float, s: float,
         raise ValueError("s must be positive")
     if _count("m", m) < 1:
         raise ValueError("m must be at least 1")
+    if _count("seed", seed) < 0:
+        raise ValueError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
 
     rows, cols, vals = _sparse_symmetric_lower(rng, n, sparsity)
@@ -244,7 +246,16 @@ def build_maxcut_sdp(g: GraphInstance, sense: str = "maximize") -> SdpProblem:
 def load_gset(path: str) -> GraphInstance:
     """Parse a Gset-style graph file: 'n_vertices n_edges' then edge lines."""
     with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
+        text = fh.read()
+    lines = text.split("\n")
+    # int() and float() also take underscores and non-ASCII digits, which
+    # the SDPA reader rejects: the first nonblank line holding either keeps
+    # its token count, but as tokens neither int() nor float() takes
+    if not text.isascii() or "_" in text:
+        for k, raw in enumerate(lines):
+            if (not raw.isascii() or "_" in raw) and raw.split():
+                lines[k] = " ".join("_" for _ in raw.split())
+                break
     header = None
     edges = []
     for lineno, raw in enumerate(lines, start=1):

@@ -102,6 +102,7 @@ class IterationRecord:
     delta5: float
     delta6: float
     eig_min_S: float          # lambda_min(C - A'z)
+    lower_bound: float | None  # certified bound at the center; None: no known trace
     elapsed_secs: float
 
 
@@ -137,6 +138,8 @@ class SolveResult:
     rank_used: int
     rho: float
     failure: str | None       # the failed layer's message, on a failure status
+    lower_bound: float | None  # at the final center, as in the trace
+    lower_bound_gap: float | None  # (b'y - lower_bound) / (1 + |b'y|)
 
     @property
     def max_delta(self) -> float:
@@ -195,6 +198,18 @@ def primal_infeasibility(a_x: np.ndarray, b: np.ndarray) -> float:
 def dual_infeasibility(lam_max: float) -> float:
     """delta4 = max(lambda_max(A'y - C), 0), never -0.0; NaN stays NaN."""
     return max(lam_max, 0.0) + 0.0
+
+
+def lower_bound(problem: SdpProblem, y: np.ndarray, lam_max: float):
+    """b'y - T max(lambda_max(A'y - C), 0) for the instance's known trace
+    T >= tr X*, at most the optimum; None when no trace is known.
+
+    For any optimal X*, <C, X*> = b'y + <C - A'y, X*>, and the last term is
+    at least lambda_min(C - A'y) tr X*.
+    """
+    if problem.known_trace is None:
+        return None
+    return float(problem.b @ y) - problem.known_trace * max(lam_max, 0.0)
 
 
 def duality_gap(primal: float, dual: float) -> float:
@@ -274,7 +289,14 @@ def recover_primal(state: BundleState, u: np.ndarray) -> SymMatrix:
 
 def solve(problem: SdpProblem, params: SolverParams | None = None,
           callback=None) -> SolveResult:
-    """Run the full bundle method on a standard-form SDP from y = 0.
+    """Run the full bundle method on a standard-form SDP.
+
+    The run starts at y = 0, or, when the instance's data give some y_hat
+    with A'y_hat = I (``SvecSupport.identity_coeffs``), at the dual-feasible
+    center lambda_min(C) y_hat, whose slack C - lambda_min(C) I is PSD and
+    has C's eigenvectors; that is the constant-trace structure of the
+    spectral bundle method (Helmberg & Rendl 2000).  Either start takes one
+    eigensolve, that of C.
 
     ``callback``, if given, receives an ``IterationInfo`` after every
     iteration.
@@ -290,11 +312,17 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     t, nullcount, warm = params.t0, 0, None
     trace: list[IterationRecord] = []
     deltas = [np.inf] * 4
-    status, failure = STATUS_ITER_LIMIT, None
+    status, failure, lam_max_y = STATUS_ITER_LIMIT, None, None
     # rank prediction reads the gap after eigenvalue r, so it asks for r + 1
     n_eigs = r_iter + 1 if pred is not None else r_iter
     try:
         f_y, lam_max_y, v, _ = penalty_eval(problem, y, r_iter, rho, n_eigs)
+        y_hat = problem.support.identity_coeffs
+        if y_hat is not None:
+            # the bundle's cuts are global, so those from C's eigenvectors
+            # serve at the shifted center as well
+            y, lam_max_y = -lam_max_y * y_hat, 0.0
+            f_y = -float(b @ y)
         a_new, b_new = pvec_generate(v, problem.op, problem.support)
         bundle = solved_on = BundleState.fresh(v, a_new, b_new, params.materialize_w)
         u = np.zeros(1 + bundle.l)
@@ -328,7 +356,9 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                 k=k, step_type="descent" if accept else "null", F_y=f_y, F_z=f_z,
                 model_value=model_z, t=t, l=bundle.l, delta1=deltas[0],
                 delta4=deltas[1], delta5=deltas[2], delta6=deltas[3],
-                eig_min_S=-lam_max_z, elapsed_secs=elapsed))
+                eig_min_S=-lam_max_z,
+                lower_bound=lower_bound(problem, y, lam_max_y),
+                elapsed_secs=elapsed))
             if callback is not None:
                 callback(IterationInfo(
                     record=trace[-1], y=data.y, z=z, t=data.t, a_post=bundle.a,
@@ -360,16 +390,19 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     wall = time.perf_counter() - start
     # u and its primal quantities refer to the bundle u was solved on
     failed = failure is not None
+    dual = float(b @ y)
+    bound = None if lam_max_y is None else lower_bound(problem, y, lam_max_y)
     return SolveResult(
         status=status, y=y, u=u,
-        objective_dual=float(b @ y),
+        objective_dual=dual,
         objective_primal=(float("nan") if failed
                           else float(solved_on.a @ u)),
         X=(recover_primal(solved_on, u)
            if params.materialize_w and not failed else None),
         delta1=deltas[0], delta4=deltas[1], delta5=deltas[2],
         delta6=deltas[3], iterations=len(trace), wall_secs=wall, trace=trace,
-        rank_used=r_iter, rho=rho, failure=failure,
+        rank_used=r_iter, rho=rho, failure=failure, lower_bound=bound,
+        lower_bound_gap=None if bound is None else (dual - bound) / (1.0 + abs(dual)),
     )
 
 

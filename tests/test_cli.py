@@ -95,7 +95,7 @@ class TestSolve:
         assert set(report) == {
             "status", "iterations", "wall_secs", "delta1", "delta4", "delta5",
             "delta6", "objective_primal", "objective_dual", "rank_used", "rho",
-            "failure", "instance", "params"}
+            "failure", "lower_bound", "lower_bound_gap", "instance", "params"}
         assert set(report["instance"]) == {"name", "n", "m", "known_rank",
                                            "known_trace"}
         assert set(report["params"]) == cli.PARAM_FIELDS
@@ -470,6 +470,10 @@ class TestMaxcutCommand:
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         assert report["status"] == "Converged"
+        # the certified bound b'y - n max(lambda_max(A'y - C), 0), n = tr X
+        dual, bound = report["objective_dual"], report["lower_bound"]
+        assert bound == dual - n * report["delta4"]
+        assert report["lower_bound_gap"] == (dual - bound) / (1.0 + abs(dual))
 
     @pytest.mark.parametrize("n,rank", [(1, 1), (20, 7), (100, 15)])
     def test_default_sense_and_rank(self, tmp_path, capsys, n, rank):

@@ -97,6 +97,14 @@ class TestGenerator:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             generate_random_sdp(*sizes, 0.3, 1.0, 0)
 
+    @pytest.mark.parametrize("seed,message", [
+        (1.5, "seed must be an integer"), (True, "seed must be an integer"),
+        (None, "seed must be an integer"), (-1, "seed must be nonnegative"),
+    ])
+    def test_seed_checked(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            generate_random_sdp(10, 10, 2, 0.3, 1.0, seed)
+
     def test_numpy_integer_sizes_accepted(self):
         p, _ = generate_random_sdp(np.int64(10), np.int32(8), np.int64(2), 0.3, 1.0, 0)
         q, _ = generate_random_sdp(10, 8, 2, 0.3, 1.0, 0)
@@ -296,6 +304,31 @@ class TestGset:
         with pytest.raises(ParseError) as exc:
             load_gset(str(f))
         assert str(exc.value) == f"{f}:{line}: {message}"
+
+    @pytest.mark.parametrize("text,line,message", [
+        ("2 1\n1 2 1_0\n", 2, "malformed edge line"),
+        ("2 1\n1 2 \u0661\n", 2, "malformed edge line"),
+        ("2 1\n1\u00a02 1\n", 2, "malformed edge line"),
+        ("\u0662 1\n1 2 1\n", 1, "non-integer header"),
+        ("1_0 0\n", 1, "non-integer header"),
+        ("\n\u00a0\n2 1\n1 2 1e_1\n", 4, "malformed edge line"),
+    ], ids=["underscore-weight", "arabic-indic-weight", "no-break-space",
+            "arabic-indic-header", "underscore-header", "after-a-blank-line"])
+    def test_stricter_than_python_number_parsing(self, tmp_path, text, line,
+                                                 message):
+        # int() and float() take underscores and non-ASCII digits; the
+        # SDPA reader does not, and neither does load_gset
+        f = tmp_path / "g.txt"
+        f.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_gset(str(f))
+        assert str(exc.value) == f"{f}:{line}: {message}"
+
+    def test_earlier_error_reported_first(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text("2 1\n1 2\n1 2 1_0\n")
+        with pytest.raises(ParseError, match=f"{f}:2: expected 'i j w'"):
+            load_gset(str(f))
 
     @pytest.mark.parametrize("header", ["0 0", "-2 0", "3 -1"])
     def test_degenerate_header_reports_line_1(self, tmp_path, header):

@@ -8,7 +8,9 @@ import scipy.sparse.linalg as spla
 from polybundle import qp, solver
 from polybundle.linalg import (
     DENSE_EIG_CUTOFF,
+    EIG_TOL,
     EigenConvergenceError,
+    SvecSupport,
     apply_A,
     smat,
     svec,
@@ -609,7 +611,10 @@ class TestTrajectories:
         assert self.steps(res).count("d") == 31
         assert res.trace[-1].F_y == pytest.approx(14.056958630315805, rel=1e-9)
 
-    def test_maxcut(self):
+    def test_maxcut(self, monkeypatch):
+        # the run from y = 0, which an instance without y_hat takes
+        monkeypatch.setattr(SvecSupport, "identity_coeffs",
+                            property(lambda self: None))
         problem, params = c10_maxcut()
         res = solve(problem, params)
         assert res.status == STATUS_CONVERGED
@@ -621,3 +626,92 @@ class TestTrajectories:
         assert res.rank_used == 15
         params.rank = 15
         assert_same_run(solve(problem, params), res)
+
+    def test_maxcut_from_the_feasible_center(self):
+        problem, params = c10_maxcut()
+        res = solve(problem, params)
+        assert res.status == STATUS_CONVERGED
+        assert res.iterations == 61
+        assert self.steps(res).count("d") == 41
+        assert res.trace[-1].F_y == pytest.approx(250.5520121412415, rel=1e-9)
+        params.rank = 15
+        assert_same_run(solve(problem, params), res)
+
+
+class TestFeasibleStart:
+    """When A'y_hat = I, the run starts at lambda_min(C) y_hat, where the
+    slack C - lambda_min(C) I is PSD, for no extra eigensolve."""
+
+    def test_start_is_dual_feasible(self):
+        problem, params = c10_maxcut()
+        params.maxiter = 1
+        infos = []
+        solve(problem, params, infos.append)
+        y0 = infos[0].y
+        c = problem.C.to_dense()
+        lam_c = np.linalg.eigvalsh(c)[0]
+        assert np.allclose(y0, lam_c, rtol=1e-12, atol=0)
+        lam_s = np.linalg.eigvalsh(dual_slack(problem, y0))[0]
+        assert lam_s >= -EIG_TOL * (1.0 + np.linalg.norm(c, 2))
+        assert infos[0].record.F_y == -float(problem.b @ y0)
+
+    def test_no_extra_eigensolve(self, monkeypatch):
+        problem, params = c10_maxcut()
+        calls, real = [], solver.extreme_eigs
+
+        def counted(s, r):
+            calls.append(1)
+            return real(s, r)
+
+        monkeypatch.setattr(solver, "extreme_eigs", counted)
+        res = solve(problem, params)
+        assert len(calls) == res.iterations + 1
+
+    def test_failed_first_eigensolve_ends_at_zero(self, monkeypatch):
+        problem, params = c10_maxcut()
+
+        def failing(s, r):
+            raise EigenConvergenceError("injected")
+
+        monkeypatch.setattr(solver, "extreme_eigs", failing)
+        res = solve(problem, params)
+        assert res.status == STATUS_EIGEN_FAILURE
+        assert res.iterations == 0
+        assert np.array_equal(res.y, np.zeros(problem.m))
+        assert res.lower_bound is None and res.lower_bound_gap is None
+
+    def test_planted_run_unchanged_without_y_hat(self, monkeypatch):
+        problem, _ = generate_random_sdp(50, 50, 3, 0.1, 1.0, 3)
+        assert problem.support.identity_coeffs is None
+        default = solve(problem, SolverParams())
+        monkeypatch.setattr(SvecSupport, "identity_coeffs",
+                            property(lambda self: None))
+        assert_same_run(solve(problem, SolverParams()), default)
+
+
+class TestLowerBound:
+    """lower_bound = b'y - T max(lambda_max(A'y - C), 0) at the center."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_below_the_planted_optimum(self, seed):
+        problem, planted = generate_random_sdp(50, 50, 3, 0.1, 1.0, seed)
+        by_star = float(problem.b @ planted.y_star)
+        res = solve(problem, SolverParams())
+        assert res.status == STATUS_CONVERGED
+        assert all(rec.lower_bound <= by_star for rec in res.trace)
+        assert res.lower_bound == res.trace[-1].lower_bound
+        dual = res.objective_dual
+        assert res.lower_bound == dual - problem.known_trace * res.delta4
+        assert res.lower_bound_gap == (dual - res.lower_bound) / (1.0 + abs(dual))
+        assert 0.0 <= res.lower_bound_gap <= 1e-4
+
+    def test_none_without_a_known_trace(self, small_problem):
+        problem, _ = small_problem
+        trace = problem.known_trace
+        problem.known_trace = None
+        try:
+            res = solve(problem, SolverParams(rho=20.0, maxiter=5))
+        finally:
+            problem.known_trace = trace
+        assert {rec.lower_bound for rec in res.trace} == {None}
+        assert res.lower_bound is None and res.lower_bound_gap is None
