@@ -64,11 +64,19 @@ def svec_position(n: int, row: int | np.ndarray, col: int | np.ndarray):
     return col * n - (col * (col - 1)) // 2 + (row - col)
 
 
+def _index_array(name: str, a) -> np.ndarray:
+    """``a`` as an int64 array: one of an integer dtype (bool is not), or an
+    empty one of any dtype; else a ValueError naming it."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, not {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
 def _checked_entries(n: int, rows, cols, vals):
     """(rows, cols, vals) as int64, int64 and float64 arrays of equal length,
     with 0 <= col <= row < n and finite values; else a ValueError."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    rows, cols = _index_array("rows", rows), _index_array("cols", cols)
     vals = np.asarray(vals, dtype=np.float64)
     if not (rows.shape == cols.shape == vals.shape):
         raise ValueError("rows, cols, vals must have equal length")
@@ -80,6 +88,50 @@ def _checked_entries(n: int, rows, cols, vals):
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite entry")
     return rows, cols, vals
+
+
+def _compressed(dim: int, m: int, k: np.ndarray, pos: np.ndarray,
+                vals: np.ndarray, scale: np.ndarray | None = None) -> sp.csc_matrix:
+    """The dim x m CSC matrix with vals * scale[pos] at (pos, k), built in
+    column order (no scale: vals as they are).
+
+    The entries are sorted stably by (k, pos), which is one linear pass when
+    they already come in that order; repeats are summed in their given
+    order, as a COO matrix's ``sum_duplicates`` does, and entries that are
+    then zero are not stored.
+    """
+    key = k * dim
+    key += pos
+    if np.any(key[1:] < key[:-1]):
+        order = np.argsort(key, kind="stable")
+        key, k, pos, vals = key[order], k[order], pos[order], vals[order]
+        del order
+    repeat = key[1:] == key[:-1]
+    del key
+    if scale is None:
+        data = vals
+    else:  # scaled only now, so that the key and the data are not held at once
+        data = scale[pos]
+        data *= vals
+    if repeat.any():
+        first = np.flatnonzero(np.concatenate(([True], ~repeat)))
+        k, pos, data = k[first], pos[first], np.add.reduceat(data, first)
+    del repeat
+    # scipy's own choice of index type, so that no index array is copied
+    idx = np.int32 if max(dim, m, data.size) <= np.iinfo(np.int32).max else np.int64
+    counts = np.bincount(k, minlength=m)
+    nz = data != 0.0
+    if nz.all():
+        indices = pos.astype(idx)
+    else:  # one array at a time, each copied once
+        counts -= np.bincount(k[~nz], minlength=m)
+        data = data[nz]
+        indices = pos.astype(idx)[nz]
+    indptr = np.zeros(m + 1, dtype=idx)
+    np.cumsum(counts, out=indptr[1:])
+    a = sp.csc_matrix((data, indices, indptr), shape=(dim, m))
+    a.has_canonical_format = True
+    return a
 
 
 @dataclass(frozen=True)
@@ -191,8 +243,8 @@ def _svec_entries(values: np.ndarray, raw: np.ndarray | None = None):
 class ConstraintOperator:
     """The map A(X) = [<A_1,X>, ..., <A_m,X>] in stacked-svec form.
 
-    ``avec`` has shape (n(n+1)/2, m); column i is svec(A_i).  Linear
-    independence of the A_i is assumed, not checked.
+    ``avec`` is a scipy.sparse CSC matrix of shape (n(n+1)/2, m); column i
+    is svec(A_i).  Linear independence of the A_i is assumed, not checked.
     """
 
     n: int
@@ -200,26 +252,37 @@ class ConstraintOperator:
     avec: sp.csc_matrix
 
     def __post_init__(self):
+        if not (sp.issparse(self.avec) and self.avec.format == "csc"):
+            kind = self.avec.format if sp.issparse(self.avec) else type(self.avec).__name__
+            raise ValueError(f"avec must be a scipy.sparse CSC matrix, not {kind}")
         if self.avec.shape != (tri_dim(self.n), self.m):
             raise ValueError("avec shape does not match (n, m)")
 
     @classmethod
-    def from_entries(cls, n: int, m: int, k, rows, cols, vals) -> "ConstraintOperator":
-        """Operator whose A_{k+1} has the entry vals at (rows, cols), row >= col.
+    def from_entries(cls, n: int, m: int, k, pos, vals) -> "ConstraintOperator":
+        """Operator whose A_{k+1} has the entry vals at svec position pos.
 
-        Repeated (k, row, col) entries are summed, and entries that are
-        then zero are not stored.  The entries must pass the checks of
-        ``SymMatrix``, and each k must lie in [0, m); else a ValueError.
+        Built straight into CSC arrays in column order, with no COO matrix:
+        entries already sorted by (k, pos), as the generator and the SDPA
+        reader give them, cost no sort.  Repeated (k, pos) entries are
+        summed, and entries that are then zero are not stored.  k and pos
+        must be integer arrays with each k in [0, m) and each pos in
+        [0, n(n+1)/2), and each value finite; else a ValueError.
         """
-        rows, cols, vals = _checked_entries(n, rows, cols, vals)
-        k = np.asarray(k, dtype=np.int64)
-        if k.shape != rows.shape or k.size and not 0 <= k.min() <= k.max() < m:
+        k, pos = _index_array("k", k), _index_array("pos", pos)
+        vals = np.asarray(vals, dtype=np.float64)
+        dim = tri_dim(n)
+        if pos.shape != vals.shape:
+            raise ValueError("pos, vals must have equal length")
+        if k.shape != pos.shape or k.size and not 0 <= k.min() <= k.max() < m:
             raise ValueError("k must hold one constraint index in [0, m) per entry")
+        if pos.size:
+            if not 0 <= pos.min() <= pos.max() < dim:
+                raise ValueError("index out of range")
+            if not np.all(np.isfinite(vals)):
+                raise ValueError("non-finite entry")
         _, _, scale = svec_indices(n)
-        pos = svec_position(n, rows, cols)
-        avec = sp.csc_matrix((vals * scale[pos], (pos, k)), shape=(tri_dim(n), m))
-        avec.eliminate_zeros()
-        return cls(n, m, avec)
+        return cls(n, m, _compressed(dim, m, k, pos, vals, scale))
 
     @classmethod
     def from_matrices(cls, n: int, mats) -> "ConstraintOperator":
@@ -229,23 +292,37 @@ class ConstraintOperator:
         if any(a.n != n for a in mats):
             raise ValueError("constraint matrix dimension mismatch")
         k = np.repeat(np.arange(len(mats)), [a.nnz for a in mats])
-        rows, cols, vals = (np.concatenate([getattr(a, f) for a in mats])
-                            for f in ("rows", "cols", "vals"))
-        return cls.from_entries(n, len(mats), k, rows, cols, vals)
+        pos = np.concatenate([svec_position(n, a.rows, a.cols) for a in mats])
+        vals = np.concatenate([a.vals for a in mats])
+        return cls.from_entries(n, len(mats), k, pos, vals)
 
-    def entries(self):
-        """(k, rows, cols, vals) with A_{k+1}[rows, cols] = vals, row >= col.
+    @cached_property
+    def _canonical(self) -> sp.csc_matrix:
+        """avec with sorted indices and no repeats: avec itself when it is
+        so, else a copy with its repeats summed in stored order and its
+        zeros left out."""
+        a = self.avec
+        if a.has_canonical_format:
+            return a
+        k = np.repeat(np.arange(self.m), np.diff(a.indptr))
+        return _compressed(a.shape[0], self.m, k, a.indices.astype(np.int64), a.data)
 
-        Sorted by constraint and svec position, repeats summed, values
-        unscaled; entries that are zero after unscaling are left out.
+    def entries(self, start: int = 0, stop: int | None = None):
+        """(k, pos, vals) with A_{k+1} holding vals at svec position pos.
+
+        The stored entries start:stop of avec, read from its CSC arrays in
+        constraint and svec position order, with repeats summed first; there
+        are at most ``avec.nnz`` of them.  The values are unscaled, and those
+        that are then zero are left out.
         """
-        a = self.avec.T.tocoo()
-        a.sum_duplicates()
-        rows, cols, scale = svec_indices(self.n)
-        vals = a.data / scale[a.col]
+        a = self._canonical
+        lo, hi, _ = slice(start, stop).indices(a.nnz)
+        pos = a.indices[lo:hi]
+        k = np.searchsorted(a.indptr, np.arange(lo, hi), side="right") - 1
+        _, _, scale = svec_indices(self.n)
+        vals = a.data[lo:hi] / scale[pos]
         keep = vals != 0.0
-        pos = a.col[keep]
-        return a.row[keep], rows[pos], cols[pos], vals[keep]
+        return k[keep], pos[keep], vals[keep]
 
     def constraint_matrix(self, i: int) -> SymMatrix:
         """A_{i+1}; for c08 and ``tests/sdpa_reference.py``, not the solver."""

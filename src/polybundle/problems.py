@@ -138,7 +138,8 @@ class GraphInstance:
 
 def _sparse_symmetric_lower(rng: np.random.Generator, n: int,
                             density: float, ensure_nonzero: bool = False):
-    """Lower-triangle positions and N(0,1) values at the given density.
+    """svec positions of the lower triangle and N(0,1) values there, at the
+    given density.
 
     Draw order: one Bernoulli mask over the column-major lower triangle,
     then the normal values for the selected entries.
@@ -147,10 +148,8 @@ def _sparse_symmetric_lower(rng: np.random.Generator, n: int,
     mask = rng.random(nt) < density
     if ensure_nonzero and not mask.any():
         mask[rng.integers(nt)] = True
-    idx = np.flatnonzero(mask)
-    vals = rng.standard_normal(idx.size)
-    rows, cols, _ = svec_indices(n)
-    return rows[idx], cols[idx], vals
+    pos = np.flatnonzero(mask)
+    return pos, rng.standard_normal(pos.size)
 
 
 def generate_random_sdp(n: int, m: int, r: int, sparsity: float, s: float,
@@ -164,7 +163,9 @@ def generate_random_sdp(n: int, m: int, r: int, sparsity: float, s: float,
     rank(X*) + rank(S*) = n.  Trace-zero sparse constraint matrices
     A_i = s * A_bar_i and a normal y* complete the data via C = S* + A'y*
     and b = A(X*).  Deterministic in the seed; draw order: G, then each
-    A_bar_i in turn, then y*.
+    A_bar_i in turn, then y*.  Each A_bar_i is kept as its svec positions
+    and values alone, and ``ConstraintOperator.from_entries`` builds the
+    CSC operator from them in column order, with no sort.
     """
     if not 1 <= _count("r", r) < _count("n", n):
         raise ValueError("need 1 <= r < n")
@@ -178,32 +179,46 @@ def generate_random_sdp(n: int, m: int, r: int, sparsity: float, s: float,
         raise ValueError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
 
-    rows, cols, vals = _sparse_symmetric_lower(rng, n, sparsity)
+    rows, cols, _ = svec_indices(n)
+    g_pos, g_vals = _sparse_symmetric_lower(rng, n, sparsity)
+
+    # each A_bar_{k+1} as its svec positions and values only, which come in
+    # (k, position) order, the order from_entries stores them in
+    on_diag = rows == cols
+    positions, values = [], []
+    for _ in range(m):
+        pos, av = _sparse_symmetric_lower(rng, n, sparsity, ensure_nonzero=True)
+        diag = on_diag[pos]
+        ndiag = int(np.count_nonzero(diag))
+        if ndiag > 0:
+            av[diag] -= av[diag].sum() / ndiag
+        positions.append(pos)
+        values.append(s * av)
+    k = np.repeat(np.arange(m), [p.size for p in positions])
+    pos = np.concatenate(positions)
+    del positions
+    vals = np.concatenate(values)
+    del values
+    op = ConstraintOperator.from_entries(n, m, k, pos, vals)
+    del k, pos, vals
+
+    # G's eigenpairs take no draw, so the dense matrices wait until the
+    # operator's entries are gone, and g and evecs go before
+    # SymMatrix.from_dense's n x n temporaries
     g = np.zeros((n, n))
-    g[rows, cols] = vals
-    g[cols, rows] = vals
+    g[rows[g_pos], cols[g_pos]] = g_vals
+    g[cols[g_pos], rows[g_pos]] = g_vals
     evals, evecs = np.linalg.eigh(g)
+    del g
     shifted = s * (evals + abs(evals[0])) + 1.0  # ascending, all >= 1
 
     top = slice(n - r, n)
     rest = slice(0, n - r)
     x_star_dense = (evecs[:, top] * shifted[top]) @ evecs[:, top].T
     s_star_dense = (evecs[:, rest] * shifted[rest]) @ evecs[:, rest].T
+    del evecs
     kappa_x = float(shifted[-1] / shifted[n - r])
     kappa_s = float(shifted[n - r - 1] / shifted[0])
-
-    entries = []  # (k, rows, cols, vals) of each A_{k+1}
-    for k in range(m):
-        ar, ac, av = _sparse_symmetric_lower(rng, n, sparsity,
-                                             ensure_nonzero=True)
-        diag = ar == ac
-        ndiag = int(np.count_nonzero(diag))
-        if ndiag > 0:
-            av[diag] -= av[diag].sum() / ndiag
-        entries.append((np.full(ar.size, k), ar, ac, s * av))
-    k, rows, cols, vals = map(np.concatenate, zip(*entries))
-    del entries  # a second copy of every entry would set the generator's peak memory
-    op = ConstraintOperator.from_entries(n, m, k, rows, cols, vals)
 
     y_star = rng.standard_normal(m)
     s_star = SymMatrix.from_dense(s_star_dense)
@@ -238,7 +253,7 @@ def build_maxcut_sdp(g: GraphInstance, sense: str = "maximize") -> SdpProblem:
     keep = vals != 0.0
     c = SymMatrix(n=n, rows=np.concatenate([hi, diag])[keep],
                   cols=np.concatenate([lo, diag])[keep], vals=vals[keep])
-    op = ConstraintOperator.from_entries(n, n, diag, diag, diag, np.ones(n))
+    op = ConstraintOperator.from_entries(n, n, diag, svec_position(n, diag, diag), np.ones(n))
     return SdpProblem(n=n, m=n, C=c, op=op, b=np.ones(n),
                       name=f"maxcut-n{n}-{sense}", known_trace=float(n))
 
@@ -307,34 +322,41 @@ _SKIP = re.compile(r'\s*(["*]|$)').match  # blank and comment lines
 def write_sdpa(problem: SdpProblem, path: str):
     """Write a single-block SDPA sparse file; roundtrips bit-for-bit.
 
-    A call that does not finish removes the file it was writing: SDPA has no
-    entry count, so a file cut off at a line boundary would load as a smaller
-    problem.
+    C's entries go first, then each A_i's, _CHUNK entry lines at a time:
+    a chunk is formatted from a slice of C's arrays or of avec's, so no
+    more than one chunk of lines is held at once.  A call that does not
+    finish removes the file it was writing: SDPA has no entry count, so a
+    file cut off at a line boundary would load as a smaller problem.
     """
-    c = problem.C
-    k, rows, cols, vals = problem.op.entries()
-    matno = np.concatenate([np.zeros(c.nnz, dtype=np.int64), k + 1])
-    vals = np.concatenate([c.vals, vals])
-    # stored lower triangle (row >= col) -> 1-based upper triangle (i <= j)
-    i, j = np.concatenate([c.cols, cols]) + 1, np.concatenate([c.rows, rows]) + 1
+    c, op = problem.C, problem.op
+    rows, cols, _ = svec_indices(problem.n)
     # an entry line is five list slots: "matno 1 ", "i ", "j ", repr(value), "\n"
     labels = range(max(problem.m, problem.n) + 1)
     mat_label = np.array([f"{v} 1 " for v in labels], dtype=object)
     index_label = np.array([f"{v} " for v in labels], dtype=object)
+
+    def chunk(matno, lower_rows, lower_cols, vals):
+        # stored lower triangle (row >= col) -> 1-based upper triangle (i <= j)
+        v = vals.tolist()
+        out = ["\n"] * (5 * len(v))
+        out[0::5] = mat_label[matno].tolist()
+        out[1::5] = index_label[lower_cols + 1].tolist()
+        out[2::5] = index_label[lower_rows + 1].tolist()
+        out[3::5] = map(repr, v)
+        return "".join(out)
+
     fh = open(path, "w", encoding="utf-8")
     try:
         with fh:
             fh.write('"single-block SDPA sparse; matno 0 is C of min <C,X>, A(X)=b, X>=0\n'
                      f"{problem.m}\n1\n{problem.n}\n"
                      + " ".join(map(repr, problem.b.tolist())) + "\n")
-            for s in range(0, vals.size, _CHUNK):
-                v = vals[s:s + _CHUNK].tolist()
-                out = ["\n"] * (5 * len(v))
-                out[0::5] = mat_label[matno[s:s + _CHUNK]].tolist()
-                out[1::5] = index_label[i[s:s + _CHUNK]].tolist()
-                out[2::5] = index_label[j[s:s + _CHUNK]].tolist()
-                out[3::5] = map(repr, v)
-                fh.write("".join(out))
+            for s in range(0, c.nnz, _CHUNK):
+                e = slice(s, s + _CHUNK)
+                fh.write(chunk(np.zeros_like(c.rows[e]), c.rows[e], c.cols[e], c.vals[e]))
+            for s in range(0, op.avec.nnz, _CHUNK):
+                k, pos, vals = op.entries(s, s + _CHUNK)
+                fh.write(chunk(k + 1, rows[pos], cols[pos], vals))
     except BaseException:
         # only a regular file goes, never a device; the interrupt, not a
         # failed removal, is what propagates
@@ -345,11 +367,20 @@ def write_sdpa(problem: SdpProblem, path: str):
 
 
 def load_sdpa(path: str) -> SdpProblem:
-    """Read any conforming single-block SDPA sparse file (.dat-s)."""
-    def fail(data_line, msg, cls=ParseError):  # data_line counts from 0, comments skipped
+    """Read any conforming single-block SDPA sparse file (.dat-s).
+
+    The body is parsed _CHUNK lines at a time.  Each chunk's entries are
+    checked as they come, and of each entry only its key
+    matno * n(n+1)/2 + svec position (int64) and its value are kept; the
+    duplicate check runs on the sorted keys once the body is read.
+    """
+    def data_line(k):  # (line number, text) of data line k, from 0, comments skipped
         with open(path, encoding="utf-8") as fh:
-            numbered = (no for no, line in enumerate(fh, start=1) if not _SKIP(line))
-            return cls(f"{path}:{next(itertools.islice(numbered, data_line, None))}: {msg}")
+            data = ((no, line) for no, line in enumerate(fh, start=1) if not _SKIP(line))
+            return next(itertools.islice(data, k, None))
+
+    def fail(k, msg, cls=ParseError):
+        return cls(f"{path}:{data_line(k)[0]}: {msg}")
 
     def header(k, what, parse):
         for line in lines:
@@ -361,6 +392,25 @@ def load_sdpa(path: str) -> SdpProblem:
 
     def entries(body_lines):
         return np.loadtxt(body_lines, dtype=_ENTRY, comments=None, ndmin=1)
+
+    def take(parsed):
+        """Check a chunk of entries, note the first failure of each check
+        and of finiteness, and keep the entries' keys and values."""
+        nonlocal count
+        matno, blkno, i, j, val = (parsed[f] for f in _ENTRY.names)
+        row, col = np.maximum(i, j) - 1, np.minimum(i, j) - 1
+        checks = [((matno < 0) | (matno > m), ParseError, "matrix index {} out of range"),
+                  (blkno != 1, UnsupportedFormat, "only block 1 supported"),
+                  ((col < 0) | (row >= n), ParseError, "entry index out of range")]
+        for c, (bad, cls, msg) in enumerate(checks):
+            if c not in failed and bad.any():
+                e = int(np.argmax(bad))
+                failed[c] = (count + e, c, cls, msg.format(matno[e]))
+        if not nonfinite and not np.all(np.isfinite(val)):
+            nonfinite.append(count + int(np.argmin(np.isfinite(val))))
+        keys.append(matno * tri_dim(n) + svec_position(n, row, col))
+        values.append(val.copy())  # not a view that holds the whole record
+        count += parsed.size
 
     try:
         with open(path, encoding="utf-8") as fh:
@@ -382,7 +432,8 @@ def load_sdpa(path: str) -> SdpProblem:
             # the body in blocks of lines: a block without a comment character
             # goes to loadtxt whole, which skips blank lines but warns on a
             # block of nothing else
-            parts, malformed = [np.zeros(0, dtype=_ENTRY)], None
+            keys, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+            failed, nonfinite, count, malformed = {}, [], 0, None
             while malformed is None and (block := list(itertools.islice(fh, _CHUNK))):
                 text = "".join(block)
                 if '"' in text or '*' in text:
@@ -390,44 +441,54 @@ def load_sdpa(path: str) -> SdpProblem:
                 if not block or text.isspace():
                     continue
                 try:
-                    parts.append(entries(block))
+                    parsed = entries(block)
                 except ValueError:  # again line by line, up to the first bad line
+                    parsed = [np.zeros(0, dtype=_ENTRY)]
                     for line in itertools.filterfalse(_SKIP, block):
                         try:
-                            parts.append(entries([line]))
+                            parsed.append(entries([line]))
                         except ValueError:
                             malformed = ("malformed entry" if len(line.split()) == 5
                                          else "expected 'matno blkno i j value'")
                             break
+                    parsed = np.concatenate(parsed)
+                take(parsed)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text") from exc
 
-    matno, blkno, i, j, val = (np.concatenate([p[f] for p in parts]) for f in _ENTRY.names)
-    del parts  # a second copy of every entry would set the reader's peak memory
-    row, col = np.maximum(i, j) - 1, np.minimum(i, j) - 1
-    pos = svec_position(n, row, col)
-    key = matno * tri_dim(n) + pos
-    order = np.argsort(key, kind="stable")
-    bad = np.flatnonzero
-    checks = [(bad((matno < 0) | (matno > m)), ParseError, "matrix index {} out of range"),
-              (bad(blkno != 1), UnsupportedFormat, "only block 1 supported"),
-              (bad((col < 0) | (row >= n)), ParseError, "entry index out of range"),
-              (order[1:][np.diff(key[order]) == 0], ParseError, "duplicate entry ({1},{2})")]
+    key = np.concatenate(keys)
+    del keys
+    val = np.concatenate(values)
+    del values
+    order = None
+    if np.any(key[1:] < key[:-1]):  # entries out of (matno, position) order
+        order = np.argsort(key, kind="stable")
+        key, val = key[order], val[order]
+    # a repeated key is reported at its later line
+    if (repeat := np.flatnonzero(key[1:] == key[:-1]) + 1).size:
+        k = int(repeat[0] if order is None else order[repeat].min())
+        _, _, i, j, _ = entries([data_line(4 + k)[1]])[0]
+        failed[3] = (k, 3, ParseError, f"duplicate entry ({i},{j})")
     # the earliest bad line reports its first failed check; values come last
-    if failed := [(rows.min(), c) for c, (rows, _, _) in enumerate(checks) if rows.size]:
-        k, c = min(failed)
-        raise fail(4 + k, checks[c][2].format(matno[k], i[k], j[k]), checks[c][1])
+    if failed:
+        k, _, cls, msg = min(failed.values())
+        raise fail(4 + k, msg, cls)
     if malformed:  # on the line after the last entry parsed
-        raise fail(4 + matno.size, malformed)
+        raise fail(4 + count, malformed)
     if not np.all(np.isfinite(b)):
         raise fail(3, "non-finite right-hand-side value")
-    if not np.all(np.isfinite(val)):
-        raise fail(4 + int(np.argmin(np.isfinite(val))), "non-finite entry value")
+    if nonfinite:
+        raise fail(4 + nonfinite[0], "non-finite entry value")
 
-    a = matno > 0
-    op = ConstraintOperator.from_entries(n, m, matno[a] - 1, row[a], col[a], val[a])
-    return SdpProblem(n=n, m=m, C=SymMatrix(n=n, rows=row[~a], cols=col[~a], vals=val[~a]),
-                      op=op, b=b, name=os.path.splitext(os.path.basename(path))[0])
+    rows, cols, _ = svec_indices(n)
+    in_c = int(np.searchsorted(key, tri_dim(n)))  # matno 0 sorts first
+    c = SymMatrix(n=n, rows=rows[key[:in_c]], cols=cols[key[:in_c]], vals=val[:in_c])
+    matno, pos = np.divmod(key[in_c:], tri_dim(n))
+    del key
+    matno -= 1
+    op = ConstraintOperator.from_entries(n, m, matno, pos, val[in_c:])
+    return SdpProblem(n=n, m=m, C=c, op=op, b=b,
+                      name=os.path.splitext(os.path.basename(path))[0])
 
 
 def write_manifest(path: str, problem: SdpProblem, planted: PlantedSolution,

@@ -99,8 +99,9 @@ def hand_built():
     n = 6
     c = SymMatrix(n, [0, 3, 5], [0, 1, 4], [1.5, -2.0, 0.25])
     op = ConstraintOperator.from_entries(
-        n, 2, np.array([0, 0, 1, 1, 1]), np.array([0, 2, 4, 1, 5]),
-        np.array([0, 2, 3, 0, 5]), np.array([1.0, -3.0, 0.5, 2.0, 1.0]))
+        n, 2, np.array([0, 0, 1, 1, 1]),
+        svec_position(n, np.array([0, 2, 4, 1, 5]), np.array([0, 2, 3, 0, 5])),
+        np.array([1.0, -3.0, 0.5, 2.0, 1.0]))
     # from_entries stores no zeros, so A_2's entry at (5, 5) is zeroed here
     op.avec.data[op.avec.indices == svec_position(n, 5, 5)] = 0.0
     return op, svec(c).values
@@ -190,7 +191,7 @@ class TestSupportColumns:
     def test_rejects_support_of_another_operator(self):
         op, cvec = hand_built()
         k = np.arange(3)
-        other = ConstraintOperator.from_entries(6, 3, k, k, k, np.ones(3))
+        other = ConstraintOperator.from_entries(6, 3, k, svec_position(6, k, k), np.ones(3))
         p = np.eye(6)[:, :2]
         with pytest.raises(ValueError, match="another operator"):
             pvec_generate(p, other, SvecSupport.of(op, cvec))

@@ -117,6 +117,17 @@ class TestSymMatrix:
         with pytest.raises(ValueError, match="finite"):
             SymMatrix(2, rows=[0], cols=[0], vals=[np.nan])
 
+    @pytest.mark.parametrize("rows,cols,field", [
+        ([2.5], [0.9], "rows"),
+        ([1], [0.0], "cols"),
+        ([True], [0], "rows"),
+        ([np.nan], [0], "rows"),
+    ], ids=["float-rows", "float-cols", "bool-rows", "nan-rows"])
+    def test_takes_integer_indices_only(self, rows, cols, field):
+        # a float index was truncated: rows = 2.5, cols = 0.9 stored (2, 0)
+        with pytest.raises(ValueError, match=f"{field} must hold integers"):
+            SymMatrix(3, rows, cols, [1.0])
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="range"):
             SymMatrix(2, rows=[2], cols=[0], vals=[1.0])
@@ -180,27 +191,54 @@ class TestConstraintOperator:
         with pytest.raises(ValueError):
             apply_A(op, np.zeros(tri_dim(5)))
 
-    @pytest.mark.parametrize("k,rows,cols,vals,message", [
-        ([0], [0], [1], [1.0], "entries must satisfy row >= col"),
-        ([0], [3], [0], [1.0], "index out of range"),
-        ([0], [0], [-1], [1.0], "index out of range"),
-        ([0], [0], [0], [np.nan], "non-finite entry"),
-        ([0], [1], [0], [-np.inf], "non-finite entry"),
-        ([0, 0], [0, 1], [0], [1.0, 1.0], "rows, cols, vals must have equal length"),
-        ([0, 0], [0], [0], [1.0], "k must hold one constraint index in"),
-        ([1], [0], [0], [1.0], "k must hold one constraint index in"),
-        ([-1], [0], [0], [1.0], "k must hold one constraint index in"),
+    @pytest.mark.parametrize("k,rows,cols,pos,vals,message", [
+        ([0], [0], [1], [7], [1.0], "entries must satisfy row >= col"),
+        ([0], [3], [0], [6], [1.0], "index out of range"),
+        ([0], [0], [-1], [-1], [1.0], "index out of range"),
+        ([0], [0], [0], [0], [np.nan], "non-finite entry"),
+        ([0], [1], [0], [1], [-np.inf], "non-finite entry"),
+        ([0, 0], [0, 1], [0], [0], [1.0, 1.0], "must have equal length"),
+        ([0, 0], [0], [0], [0], [1.0], "k must hold one constraint index in"),
+        ([1], [0], [0], [0], [1.0], "k must hold one constraint index in"),
+        ([-1], [0], [0], [0], [1.0], "k must hold one constraint index in"),
     ], ids=["upper-triangle", "row-n", "negative-col", "nan", "inf",
             "ragged-entries", "ragged-k", "k-m", "negative-k"])
-    def test_from_entries_rejects_what_symmatrix_rejects(self, k, rows, cols, vals,
-                                                         message):
-        # n = 3, m = 1: the entry (0, 1) would be stored at (2, 0), and a row
-        # of 3 at (1, 1), without these checks
-        with pytest.raises(ValueError, match=re.escape(message)):
-            ConstraintOperator.from_entries(3, 1, k, rows, cols, vals)
+    def test_from_entries_rejects_what_symmatrix_rejects(self, k, rows, cols, pos,
+                                                         vals, message):
+        # n = 3, m = 1: from_entries takes the svec positions of SymMatrix's
+        # (rows, cols), 0 to 5; an entry above the diagonal has no position,
+        # so one past the triangle stands in for it.  Without these checks
+        # the entry (0, 1) would be stored at (2, 0), and a row of 3 at (1, 1)
+        positional = "index out of range" if message.startswith("entries") else message
+        with pytest.raises(ValueError, match=re.escape(positional)):
+            ConstraintOperator.from_entries(3, 1, k, pos, vals)
         if not message.startswith("k "):
             with pytest.raises(ValueError, match=re.escape(message)):
                 SymMatrix(3, rows, cols, vals)
+
+    @pytest.mark.parametrize("k,pos,field", [
+        ([0], [1.9], "pos"),
+        ([0.7], [0], "k"),
+        ([True], [0], "k"),
+        ([0], [np.nan], "pos"),
+    ], ids=["float-pos", "float-k", "bool-k", "nan-pos"])
+    def test_from_entries_takes_integer_indices_only(self, k, pos, field):
+        # a float index was truncated: k = 0.7 landed in A_1, True in A_2
+        with pytest.raises(ValueError, match=f"{field} must hold integers"):
+            ConstraintOperator.from_entries(3, 2, k, pos, [1.0])
+
+    def test_empty_entries_of_any_dtype(self):
+        op = ConstraintOperator.from_entries(3, 2, [], np.array([], dtype=float), [])
+        assert op.avec.nnz == 0 and op.avec.shape == (6, 2)
+
+    @pytest.mark.parametrize("convert,kind", [
+        (sp.csr_matrix, "csr"), (sp.coo_matrix, "coo"), (lambda a: a.toarray(), "ndarray"),
+    ], ids=["csr", "coo", "dense"])
+    def test_avec_must_be_csc(self, convert, kind):
+        # entries() and SvecSupport read indptr as columns
+        avec = ConstraintOperator.from_entries(3, 2, [0, 1], [0, 2], [1.0, 2.0]).avec
+        with pytest.raises(ValueError, match=f"avec must be a scipy.sparse CSC matrix, not {kind}"):
+            ConstraintOperator(3, 2, convert(avec))
 
 
 class TestExtremeEigs:

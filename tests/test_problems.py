@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -121,7 +122,7 @@ class TestSdpProblem:
         ({"b": [-np.inf]}, "b must be finite"),
     ], ids=["n", "C", "m", "b-size", "b-nan", "b-inf"])
     def test_inconsistent_data_rejected(self, change, message):
-        op = ConstraintOperator.from_entries(2, 1, *np.zeros((3, 1), dtype=np.int64),
+        op = ConstraintOperator.from_entries(2, 1, *np.zeros((2, 1), dtype=np.int64),
                                              np.ones(1))
         data = dict(n=2, m=1, C=SymMatrix(2, [1], [1], [1.0]), op=op, b=[1.0])
         SdpProblem(**data)
@@ -157,27 +158,88 @@ class TestOperatorEntries:
         assert np.array_equal(back.indptr, want.indptr)
 
     def test_entries_are_the_unscaled_lower_triangles(self, op):
-        k, rows, cols, vals = op.entries()
-        assert np.all(rows >= cols) and np.all(vals != 0.0)
+        k, pos, vals = op.entries()
+        rows, cols, _ = svec_indices(op.n)
+        assert np.all(vals != 0.0)
         for i in (0, op.m - 1):
             want = op.constraint_matrix(i)
-            mine = k == i
+            mine = pos[k == i]
             assert np.array_equal(rows[mine], want.rows)
             assert np.array_equal(cols[mine], want.cols)
-            assert np.array_equal(bits(vals[mine]), bits(want.vals))
+            assert np.array_equal(bits(vals[k == i]), bits(want.vals))
 
-    def test_generated_avec_checksum(self):
-        # taken before the generator built avec through from_entries, with
-        # the 4 stored zeros it then held removed; the draws involve no
-        # LAPACK call, so the bits do not depend on the BLAS
-        avec = generate_random_sdp(30, 30, 3, 0.1, 1.0, 7)[0].op.avec
-        digest = hashlib.sha256()
-        for a in (avec.data.astype("<f8"), avec.indices.astype("<i8"),
-                  avec.indptr.astype("<i8")):
-            digest.update(a.tobytes())
-        assert avec.nnz == 1376
-        assert digest.hexdigest() == \
-            "1fa0da72cb475d9361499a5a59b53505b10c207cb0ca7236097f730b4e74ecb0"
+    def test_entries_by_range_are_the_whole(self, op):
+        whole = op.entries()
+        for step in (1, 7, op.avec.nnz):
+            parts = [op.entries(s, s + step) for s in range(0, op.avec.nnz, step)]
+            for got, want in zip(zip(*parts), whole):
+                assert np.array_equal(np.concatenate(got), want)
+
+    def test_entries_of_a_non_canonical_avec(self):
+        # columns out of order, a stored zero and a position stored twice:
+        # entries() reads them as COO's sum_duplicates would, summed in
+        # stored order, on a copy
+        avec = sp.csc_matrix((np.array([3.0, 1.0, 0.0, 2.0, 0.5, 0.25]),
+                              np.array([5, 0, 3, 5, 1, 1]), np.array([0, 4, 6])),
+                             shape=(6, 2))
+        op = ConstraintOperator(3, 2, avec)
+        data = avec.data.copy()
+        a = avec.T.tocoo()
+        a.sum_duplicates()
+        _, _, scale = svec_indices(3)
+        keep = a.data / scale[a.col] != 0.0
+        k, pos, vals = op.entries()
+        assert np.array_equal(k, a.row[keep]) and np.array_equal(pos, a.col[keep])
+        assert np.array_equal(bits(vals), bits(a.data[keep] / scale[a.col[keep]]))
+        assert np.array_equal(avec.data, data) and not avec.has_canonical_format
+
+    @pytest.mark.parametrize("args,digests", [
+        ((30, 30, 3, 0.1, 1.0, 7), {
+            "avec": "1fa0da72cb475d9361499a5a59b53505b10c207cb0ca7236097f730b4e74ecb0"}),
+        ((400, 400, 5, 1e-2, 1.0, 42), {
+            "b": "fed279010d590c89c85913a4c8d1f6f41302ae9eb1c3c5adece73b90dec97f96",
+            "cvec": "8d1582e7917bf59e9cba049ffdbaf2059c4731e0fc1a5003e4dc9df1064d2aff",
+            "avec": "0b0e761dd7b0d024359e55657212c19f9f59087972c01819205109797c112b4e",
+            "y_star": "796d3ea78d336c38636ad8363680e0de6dc353ea31981bcf20bc9f87ed43efd5"}),
+        ((400, 400, 5, 1e-2, 1.0, 1042), {
+            "b": "d578d1fe98adc3763ea6f493117e3f71725b3d719e2c4cb6dea2b1435b8cdce8",
+            "cvec": "828ddb616fddecee6cd1c4aa4c4d3e2b2994213919c193b1b46b5e1de9005387",
+            "avec": "c8a74720c189ae2b69a2fd3aab273fe24246a6c1165a0a70c04d96638605601a",
+            "y_star": "790b10c7cb8ef9ed3b49ef5130a7561aff8909df68e746b9274207ad82ba4bbe"}),
+        ((500, 500, 5, 1e-2, 1.0, 42), {
+            "b": "bdd70c46df41906c9e7105ab9f5446e1f152892bafb298365a9e62f34fa18f33",
+            "cvec": "4b09c4ce29c547945381c75d9fbb566dfb714ce70d5706f42bcf48bb70839ef9",
+            "avec": "49a3a6539ee2d0ef61f16ec12dee9871a7ea01df262aed66335b202483eea02b",
+            "y_star": "30edea8b41c268e5892fe18caea82b8696b94e54acdedfd75f61264787ea30fd"}),
+        ((100, 100, 5, 1e-2, 1.0, 42), {
+            "file": "f5f3ad9ad103c2b4f7f5cca8d3b5f6f6b340ae701e302da3c67e32cee2ca0684"}),
+    ], ids=["n30-seed7", "n400-seed42", "n400-seed1042", "n500-seed42", "n100-seed42-file"])
+    def test_generated_avec_checksum(self, args, digests, tmp_path):
+        # taken before avec was built straight into CSC arrays (n = 30: before
+        # the generator built avec through from_entries, with the 4 stored
+        # zeros it then held removed).  The draws, and so avec and y_star,
+        # involve no LAPACK call; b, cvec and the file's values pass through
+        # eigh and BLAS products, so they hold at one OpenBLAS thread and the
+        # numpy and scipy that CI installs, as the trajectory pins do.  The
+        # n = 400 and 500 instances are the ones the benchmark times
+        problem, planted = generate_random_sdp(*args)
+        avec = problem.op.avec
+        arrays = {"b": [problem.b.astype("<f8")], "cvec": [problem.cvec.astype("<f8")],
+                  "avec": [avec.data.astype("<f8"), avec.indices.astype("<i8"),
+                           avec.indptr.astype("<i8")],
+                  "y_star": [planted.y_star.astype("<f8")]}
+        if "file" in digests:
+            write_sdpa(problem, str(tmp_path / "p.dat-s"))
+            arrays["file"] = [(tmp_path / "p.dat-s").read_bytes()]
+        got = {}
+        for name in digests:
+            digest = hashlib.sha256()
+            for a in arrays[name]:
+                digest.update(a)
+            got[name] = digest.hexdigest()
+        assert got == digests
+        if args[0] == 30:
+            assert avec.nnz == 1376
 
     def test_generated_operator_stores_no_zeros(self):
         # the trace-free shift can zero the only diagonal entry of a
@@ -469,6 +531,44 @@ class TestSdpaIo:
         assert failed == [8]
         assert np.array_equal(back.cvec, problem.cvec)
         assert (back.op.avec != problem.op.avec).nnz == 0
+
+
+class TestPeakMemory:
+    """tracemalloc peaks of the generator, the writer and the reader per
+    stored entry of C and avec, on one mid-size instance (60,311 entries).
+
+    tracemalloc sees numpy's buffers, so the peaks repeat from run to run.
+    Each bound lies between the peak of the COO-built operator and
+    whole-array I/O (generate 90, write 74, load 128 bytes an entry) and
+    that of the column-order build and chunked I/O (59, 30 and 49).
+    """
+
+    ARGS = (200, 200, 5, 1e-2, 1.0, 42)
+
+    @pytest.fixture(scope="class")
+    def instance(self, tmp_path_factory):
+        problem, _ = generate_random_sdp(*self.ARGS)  # fills the svec_indices cache
+        path = str(tmp_path_factory.mktemp("peak") / "p.dat-s")
+        write_sdpa(problem, path)
+        return problem, path
+
+    @pytest.mark.parametrize("operation,bound", [
+        ("generate", 75), ("write", 50), ("load", 90),
+    ])
+    def test_bytes_per_entry(self, instance, operation, bound):
+        problem, path = instance
+        call = {"generate": lambda: generate_random_sdp(*self.ARGS),
+                "write": lambda: write_sdpa(problem, path),
+                "load": lambda: load_sdpa(path)}[operation]
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entries = problem.C.nnz + problem.op.avec.nnz
+        assert peak / entries <= bound
 
 
 class TestManifest:
