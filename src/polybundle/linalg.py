@@ -21,6 +21,7 @@ SQRT2 = np.sqrt(2.0)
 DENSE_EIG_CUTOFF = 400  # dual slacks up to this order are stored dense
 EIG_TOL = 1e-9
 LANCZOS_MAX_RESTARTS = 300
+LSQR_TOL = 1e-14  # atol and btol of the least-squares dual's LSQR
 
 
 class EigenConvergenceError(RuntimeError):
@@ -393,6 +394,22 @@ class SvecSupport:
         return y_hat
 
     @cached_property
+    def least_squares_dual(self) -> np.ndarray | None:
+        """A read-only y_LS = argmin ||C - A'y||_F, or None when it is not
+        finite.
+
+        On the support this is argmin ||cvec - avec y||_2, which LSQR finds
+        from products with avec and its transpose alone: O(nnz) memory and
+        no m x m Gram matrix.  The iteration stops at relative tolerances
+        LSQR_TOL, or after scipy's default of 2m steps.
+        """
+        y = spla.lsqr(self.avec, self.cvec, atol=LSQR_TOL, btol=LSQR_TOL)[0]
+        if not np.all(np.isfinite(y)):
+            return None
+        y.setflags(write=False)
+        return y
+
+    @cached_property
     def _flat(self):
         """Flat positions of the entries in an n x n array, and of their mirrors."""
         return self.rows * self.n + self.cols, self.cols * self.n + self.rows
@@ -400,7 +417,12 @@ class SvecSupport:
     def slack(self, y: np.ndarray):
         """S = C - A'y: a dense array up to order DENSE_EIG_CUTOFF, CSR above
         it, without the exact zeros; ``extreme_eigs`` picks its eigensolver
-        from this storage."""
+        from this storage.
+
+        The dense array is column-major, the transposed view of an exactly
+        symmetric fill, so it holds the same values and LAPACK's copy of it
+        needs no transpose.
+        """
         n = self.n
         vals = (self.cvec - self.avec @ y) / self.scale
         if n <= DENSE_EIG_CUTOFF:
@@ -408,7 +430,7 @@ class SvecSupport:
             s = np.zeros(n * n)
             s[lower] = vals
             s[upper] = vals
-            return s.reshape(n, n)
+            return s.reshape(n, n).T
         nz = vals != 0.0
         rows, cols, vals = self.rows[nz], self.cols[nz], vals[nz]
         off = rows != cols

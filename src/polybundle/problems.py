@@ -162,7 +162,8 @@ def generate_random_sdp(n: int, m: int, r: int, sparsity: float, s: float,
     eigenpairs form X*, the remaining n - r form S*, so <X*, S*> = 0 and
     rank(X*) + rank(S*) = n.  Trace-zero sparse constraint matrices
     A_i = s * A_bar_i and a normal y* complete the data via C = S* + A'y*
-    and b = A(X*).  Deterministic in the seed; draw order: G, then each
+    and b = A(X*).  Deterministic in the seed at a fixed OpenBLAS thread
+    count, since X* and S* come from eigh and gemm; draw order: G, then each
     A_bar_i in turn, then y*.  Each A_bar_i is kept as its svec positions
     and values alone, and ``ConstraintOperator.from_entries`` builds the
     CSC operator from them in column order, with no sort.

@@ -140,10 +140,26 @@ class SolveResult:
     failure: str | None       # the failed layer's message, on a failure status
     lower_bound: float | None  # at the final center, as in the trace
     lower_bound_gap: float | None  # (b'y - lower_bound) / (1 + |b'y|)
+    # the last iteration whose record has the measure above eps; 0: none
+    delta1_last_above_eps: int
+    delta4_last_above_eps: int
+    delta5_last_above_eps: int
+    delta6_last_above_eps: int
 
     @property
     def max_delta(self) -> float:
         return max(self.delta1, self.delta4, self.delta5, self.delta6)
+
+
+def last_above_eps(trace: list[IterationRecord], eps: float) -> dict:
+    """For delta1, delta4, delta5 and delta6, the last iteration whose record
+    has the measure above eps (a NaN counts), or 0 when none has: the
+    latest of the four is the measure that held the run longest."""
+    names = ("delta1", "delta4", "delta5", "delta6")
+    return {f"{name}_last_above_eps":
+            max((rec.k for rec in trace if not getattr(rec, name) <= eps),
+                default=0)
+            for name in names}
 
 
 def dual_slack(problem: SdpProblem, y: np.ndarray):
@@ -291,12 +307,16 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
           callback=None) -> SolveResult:
     """Run the full bundle method on a standard-form SDP.
 
-    The run starts at y = 0, or, when the instance's data give some y_hat
-    with A'y_hat = I (``SvecSupport.identity_coeffs``), at the dual-feasible
+    When the instance's data give some y_hat with A'y_hat = I
+    (``SvecSupport.identity_coeffs``), the run starts at the dual-feasible
     center lambda_min(C) y_hat, whose slack C - lambda_min(C) I is PSD and
     has C's eigenvectors; that is the constant-trace structure of the
-    spectral bundle method (Helmberg & Rendl 2000).  Either start takes one
-    eigensolve, that of C.
+    spectral bundle method (Helmberg & Rendl 2000).  Otherwise it starts at
+    the least-squares dual y_LS = argmin ||C - A'y||_F
+    (``SvecSupport.least_squares_dual``), whose slack is the part of C that
+    A' cannot cancel, and at y = 0 when y_LS is not finite.  Each start takes
+    one eigensolve, of C or of C - A'y_LS; y_LS costs one LSQR solve on
+    avec, O(nnz), cached on the instance's support.
 
     ``callback``, if given, receives an ``IterationInfo`` after every
     iteration.
@@ -304,10 +324,12 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     params = params or SolverParams()
     rho, r_iter, l_max = problem_settings(problem, params)
     pred = RankPrediction(r_iter) if params.prior_rank is not None else None
-    y = np.zeros(problem.m)
 
     b = problem.b
     start = time.perf_counter()
+    y_hat = problem.support.identity_coeffs
+    y = None if y_hat is not None else problem.support.least_squares_dual
+    y = np.zeros(problem.m) if y is None else y.copy()
     u = np.zeros(1)
     t, nullcount, warm = params.t0, 0, None
     trace: list[IterationRecord] = []
@@ -317,7 +339,6 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     n_eigs = r_iter + 1 if pred is not None else r_iter
     try:
         f_y, lam_max_y, v, _ = penalty_eval(problem, y, r_iter, rho, n_eigs)
-        y_hat = problem.support.identity_coeffs
         if y_hat is not None:
             # the bundle's cuts are global, so those from C's eigenvectors
             # serve at the shifted center as well
@@ -403,6 +424,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
         delta6=deltas[3], iterations=len(trace), wall_secs=wall, trace=trace,
         rank_used=r_iter, rho=rho, failure=failure, lower_bound=bound,
         lower_bound_gap=None if bound is None else (dual - bound) / (1.0 + abs(dual)),
+        **last_above_eps(trace, params.eps),
     )
 
 

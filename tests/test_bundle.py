@@ -216,8 +216,11 @@ class TestSupportSlack:
             want[support.rows, support.cols] = vals
             want[support.cols, support.rows] = vals
             got = support.slack(y)
-            assert got.shape == (op.n, op.n) and got.flags.c_contiguous
+            # column-major, and the same bits as the row-major fill: the
+            # fill is exactly symmetric
+            assert got.shape == (op.n, op.n) and got.flags.f_contiguous
             assert np.array_equal(bits(got), bits(want))
+            assert np.array_equal(bits(got), bits(got.T))
             if not y.any():
                 assert np.any(np.signbit(got[got == 0.0]))
 
@@ -243,6 +246,42 @@ class TestSupportSlack:
             support = p.support
             assert p.support is support
             assert np.array_equal(support.rows, SvecSupport.of(p.op, p.cvec).rows)
+
+
+class TestLeastSquaresDual:
+    """y_LS = argmin ||C - A'y||_F from LSQR on the support, against the
+    dense least-squares solve over every svec position."""
+
+    @staticmethod
+    def assert_is_lstsq(support, op, cvec):
+        y = support.least_squares_dual
+        want = np.linalg.lstsq(op.avec.toarray(), cvec, rcond=None)[0]
+        assert np.linalg.norm(y - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_matches_dense_lstsq(self, support_problem):
+        op, cvec, _ = support_problem
+        support = SvecSupport.of(op, cvec)
+        self.assert_is_lstsq(support, op, cvec)
+        y = support.least_squares_dual
+        assert support.least_squares_dual is y and not y.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            y[0] = 1.0
+
+    def test_dependent_constraints_get_the_least_norm_solution(self):
+        # A_3 = A_1 + A_2: lstsq and LSQR from 0 both give the least-norm y
+        rng = np.random.default_rng(8)
+        mats = [rng.standard_normal((5, 5)) for _ in range(2)]
+        mats = [a + a.T for a in mats]
+        op = ConstraintOperator.from_matrices(5, [*mats, mats[0] + mats[1]])
+        c = rng.standard_normal((5, 5))
+        cvec = svec(c + c.T).values
+        self.assert_is_lstsq(SvecSupport.of(op, cvec), op, cvec)
+
+    def test_none_when_not_finite(self, support_problem):
+        op, cvec, _ = support_problem
+        cvec = cvec.copy()
+        cvec[op.avec.indices[0]] = np.nan
+        assert SvecSupport.of(op, cvec).least_squares_dual is None
 
 
 class TestModelEval:

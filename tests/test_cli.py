@@ -95,7 +95,10 @@ class TestSolve:
         assert set(report) == {
             "status", "iterations", "wall_secs", "delta1", "delta4", "delta5",
             "delta6", "objective_primal", "objective_dual", "rank_used", "rho",
-            "failure", "lower_bound", "lower_bound_gap", "instance", "params"}
+            "failure", "lower_bound", "lower_bound_gap",
+            "delta1_last_above_eps", "delta4_last_above_eps",
+            "delta5_last_above_eps", "delta6_last_above_eps", "instance",
+            "params"}
         assert set(report["instance"]) == {"name", "n", "m", "known_rank",
                                            "known_trace"}
         assert set(report["params"]) == cli.PARAM_FIELDS
@@ -103,6 +106,9 @@ class TestSolve:
         assert max(report["delta1"], report["delta4"], report["delta5"],
                    report["delta6"]) <= 1e-4
         assert report["params"]["eps"] == 1e-4
+        # the run ends at the first iteration with every measure at most eps
+        held = [report[f"delta{i}_last_above_eps"] for i in (1, 4, 5, 6)]
+        assert max(held) == report["iterations"] - 1
 
     def test_limit_exit_2(self, generated, capsys):
         _, man = generated

@@ -419,7 +419,7 @@ class TestSmatDense:
         want[rows, cols] = values / scale
         want[cols, rows] = values / scale
         got = smat_dense(values)
-        assert got.shape == (n, n) and got.flags.c_contiguous
+        assert got.shape == (n, n) and got.flags.f_contiguous
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 

@@ -373,6 +373,52 @@ def oracle_instances(draw):
     return d, mask
 
 
+def tied_columns(d) -> bool:
+    """Whether two columns of B are equal and so are their entries of a."""
+    cols = np.vstack([d.B, d.a]).T
+    return np.unique(cols, axis=0).shape[0] < cols.shape[0]
+
+
+def assert_matches_reference(d, mask):
+    """From the start ``mask``, the package fails where the reference fails,
+    and otherwise ends at the reference's final working set with a solution
+    equal within the certificate; with xi = 0 and tied columns, whose
+    minimizer is not unique, only the certified objective is compared."""
+    want = run(qp_reference.solve_subproblem, d,
+               None if mask is None else mask.copy())
+    got = run(solve_subproblem, d, None if mask is None else
+              QpStart(np.zeros(mask.size), mask, False))
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        return
+    if not certified(want, d):
+        # the reference returned an uncertified point; the package
+        # refuses it
+        assert isinstance(got, NonConvergence)
+        return
+    assert not isinstance(got, NonConvergence)
+    assert certified(got, d)
+    if not (d.xi == 0.0 and tied_columns(d)):
+        # the reference's final working set, with the free coordinates it
+        # left at exactly 0 bound, as the package binds them
+        assert np.array_equal(got.bound_active,
+                              want.bound_active | (want.u == 0.0))
+        assert got.simplex_active == want.simplex_active
+        # both are that working set's minimizer, to within the 1e-14 step
+        # test of the reference's summed steps: far inside the certificate
+        du = float(np.abs(got.u - want.u).max())
+        assert du <= d.tol
+        assert np.abs(got.z - want.z).max() <= d.t * (
+            np.abs(d.B).sum(axis=1).max() * du) + 1e-14 * (
+            1.0 + np.abs(want.z).max())
+    # a KKT residual r <= tol leaves a point within
+    # r (3 rho + (2p + 1) |g|) of the optimum
+    p = d.a.size
+    gmax = max(np.abs(d.h @ sol.u + d.q).max() for sol in (got, want))
+    assert abs(got.objective - want.objective) <= 2 * d.tol * (
+        3 * d.rho + (2 * p + 1) * gmax) + 1e-14 * (1.0 + abs(want.objective))
+
+
 def feasible_starts(p, rho):
     """Strategy for feasible starts of a p-column QP: a nonnegative point
     with 1'u <= rho (on the simplex when it starts active), whose bound
@@ -464,45 +510,31 @@ class TestReferenceOracle:
     """The package solves the QPs of the cho_factor/np.ix_/loop version it
     replaced: from the same start it fails where the reference fails, and
     otherwise ends at the reference's final working set with a solution
-    equal within the certificate.  Only the result is compared, since the
-    package binds every free coordinate at exactly 0 before it returns."""
+    equal within the certificate, or, where xi = 0 and tied columns leave
+    the minimizer non-unique, at the same certified objective.  Only the
+    result is compared, since the package binds every free coordinate at
+    exactly 0 before it returns."""
 
     @settings(max_examples=400, deadline=None)
     @given(oracle_instances())
     def test_matches_reference(self, instance):
-        d, mask = instance
-        want = run(qp_reference.solve_subproblem, d,
-                   None if mask is None else mask.copy())
-        got = run(solve_subproblem, d, None if mask is None else
-                  QpStart(np.zeros(mask.size), mask, False))
-        if isinstance(want, Exception):
-            assert type(got) is type(want)
-            return
-        if not certified(want, d):
-            # the reference returned an uncertified point; the package
-            # refuses it
-            assert isinstance(got, NonConvergence)
-            return
-        assert not isinstance(got, NonConvergence)
-        assert certified(got, d)
-        # the reference's final working set, with the free coordinates it
-        # left at exactly 0 bound, as the package binds them
-        assert np.array_equal(got.bound_active,
-                              want.bound_active | (want.u == 0.0))
-        assert got.simplex_active == want.simplex_active
-        # both are that working set's minimizer, to within the 1e-14 step
-        # test of the reference's summed steps: far inside the certificate
-        du = float(np.abs(got.u - want.u).max())
-        assert du <= d.tol
-        assert np.abs(got.z - want.z).max() <= d.t * (
-            np.abs(d.B).sum(axis=1).max() * du) + 1e-14 * (
-            1.0 + np.abs(want.z).max())
-        # a KKT residual r <= tol leaves a point within
-        # r (3 rho + (2p + 1) |g|) of the optimum
-        p = d.a.size
-        gmax = max(np.abs(d.h @ sol.u + d.q).max() for sol in (got, want))
-        assert abs(got.objective - want.objective) <= 2 * d.tol * (
-            3 * d.rho + (2 * p + 1) * gmax) + 1e-14 * (1.0 + abs(want.objective))
+        assert_matches_reference(*instance)
+
+    def test_tied_columns_without_regularization(self):
+        # xi = 0 and column 4 a copy of column 0: the reference splits the
+        # weight over the two columns, the package puts it all on column 0
+        # and binds column 4, and both are certified minimizers
+        rng = np.random.default_rng(1899)
+        b_mat, a = rng.standard_normal((6, 6)), rng.standard_normal(6)
+        b_mat[:, 4], a[4] = b_mat[:, 0], a[0]
+        d = SubproblemData(B=b_mat, a=a, y=rng.standard_normal(6),
+                           b=rng.standard_normal(6),
+                           t=float(rng.uniform(0.05, 2.0)), xi=0.0, rho=5.0)
+        mask = np.array([False, False, True, True, False, False])
+        want = qp_reference.solve_subproblem(d, warm_start=mask.copy())
+        got = solve_subproblem(d, warm_start=QpStart(np.zeros(6), mask, False))
+        assert want.u[4] > 0.0 and got.bound_active[4]
+        assert_matches_reference(d, mask)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))

@@ -1,6 +1,6 @@
 """What README.md lists agrees with the code: the constants, the bundle-cap
-presets, the command-line flags, the trace's fields and the package's
-names."""
+presets, the command-line flags, the result's and the trace's fields and the
+package's names."""
 
 import argparse
 import ast
@@ -73,13 +73,22 @@ def test_readme_flags_match_the_parser():
     assert "`maxcut` also takes `--sense`" in TEXT
 
 
-def test_readme_trace_fields_match_the_record():
-    # the bullet list that follows the sentence, up to the blank line
-    lead = "`result.trace` holds one `IterationRecord` per iteration"
+def listed_fields(lead: str) -> list:
+    """The names before the colon of each item of the bullet list that
+    follows ``lead``, up to the blank line."""
     block = TEXT[TEXT.index(lead):].split("\n\n")[0]
-    listed = [name for line in block.splitlines() if line.startswith("- ")
-              for name in re.findall(r"`(\w+)`", line.split(":")[0])]
+    return [name for item in block.split("\n- ")[1:]
+            for name in re.findall(r"`(\w+)`", item.split(":")[0])]
+
+
+def test_readme_trace_fields_match_the_record():
+    listed = listed_fields("`result.trace` holds one `IterationRecord` per iteration")
     assert listed == [f.name for f in dataclasses.fields(solver.IterationRecord)]
+
+
+def test_readme_result_fields_match_the_result():
+    listed = listed_fields("`solve` returns a `SolveResult`, with these fields")
+    assert listed == [f.name for f in dataclasses.fields(solver.SolveResult)]
 
 
 def test_readme_names_match_all():

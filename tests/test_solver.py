@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -163,7 +164,7 @@ class TestDualSlack:
         n = 60
         assert n <= DENSE_EIG_CUTOFF
         s, want = self.slack_and_smat(self.INSTANCES[instance](n))
-        assert isinstance(s, np.ndarray) and s.flags.c_contiguous
+        assert isinstance(s, np.ndarray) and s.flags.f_contiguous
         assert np.array_equal(s.view(np.uint64), want.view(np.uint64))
 
     def test_sparse_path_equals_csr_of_dense_slack(self):
@@ -354,7 +355,8 @@ class TestSolveEndToEnd:
 
     @pytest.mark.parametrize("k", [1, 2, 6])
     def test_eigen_failure_ends_run_with_status(self, small_problem, monkeypatch, k):
-        # call 1 is the eigensolve at y = 0; call j + 1 is that of iteration j
+        # call 1 is the eigensolve at the start point; call j + 1 is that of
+        # iteration j
         problem, _ = small_problem
         params = SolverParams(eps=1e-14, maxiter=50)
         done = solve(problem, SolverParams(eps=1e-14, maxiter=max(k - 2, 1)))
@@ -372,9 +374,10 @@ class TestSolveEndToEnd:
         assert res.failure == "injected"
         assert res.iterations == len(res.trace) == max(k - 2, 0)
         assert len(calls) == k
-        # the center is the one the failed iteration started from: 0, or
-        # where an undisturbed run stopped after the completed iterations
-        want_y = np.zeros(problem.m) if k <= 2 else done.y
+        # the center is the one the failed iteration started from: the
+        # start point, or where an undisturbed run stopped after the
+        # completed iterations
+        want_y = problem.support.least_squares_dual if k <= 2 else done.y
         assert np.array_equal(res.y, want_y)
         assert [r.F_y for r in res.trace] == [r.F_y for r in done.trace[:k - 2]]
         assert np.isnan(res.objective_primal)
@@ -443,6 +446,34 @@ class TestSolveEndToEnd:
             solve(problem, SolverParams(**{field: problem.n + 1}))
 
 
+class TestLastAboveEps:
+    """Which measure holds the run: for each of delta1, delta4, delta5 and
+    delta6, the last iteration whose record has it above eps, or 0."""
+
+    NAMES = ("delta1", "delta4", "delta5", "delta6")
+
+    @pytest.mark.parametrize("params", [
+        SolverParams(), SolverParams(eps=1e-14, maxiter=5),
+    ], ids=["converged", "iteration-limit"])
+    def test_read_from_the_trace(self, small_problem, params):
+        problem, _ = small_problem
+        res = solve(problem, params)
+        last = [getattr(res, f"{name}_last_above_eps") for name in self.NAMES]
+        for name, k in zip(self.NAMES, last):
+            above = [rec.k for rec in res.trace if getattr(rec, name) > params.eps]
+            assert k == (above[-1] if above else 0), name
+        # a converged run ends at the first record with all four at most eps
+        assert max(last) == res.iterations - (res.status == STATUS_CONVERGED)
+
+    def test_nan_counts_as_above(self):
+        rec = {"delta1": math.nan, "delta4": 0.0, "delta5": 2.0, "delta6": 1.0}
+        trace = [SimpleNamespace(k=k, **rec) for k in (1, 2)]
+        assert solver.last_above_eps(trace, 1.0) == {
+            "delta1_last_above_eps": 2, "delta4_last_above_eps": 0,
+            "delta5_last_above_eps": 2, "delta6_last_above_eps": 0}
+        assert set(solver.last_above_eps([], 1.0).values()) == {0}
+
+
 class TestRecoverPrimal:
     def test_zero_weights_give_zero(self, small_problem):
         problem, _ = small_problem
@@ -486,7 +517,7 @@ class TestRecoverPrimal:
 
     @pytest.mark.parametrize("instance", [
         lambda: (generate_random_sdp(30, 30, 3, 0.1, 1.0, 0)[0], SolverParams()),
-        # rank prediction restarts the bundle at rank 5 after 15 iterations
+        # rank prediction restarts the bundle at rank 5 after 12 iterations
         lambda: (generate_random_sdp(100, 100, 5, 1e-2, 1.0, 0)[0],
                  SolverParams(prior_rank=10)),
     ], ids=["planted", "rank-restart"])
@@ -499,13 +530,14 @@ class TestRecoverPrimal:
         assert implicit.X is None and materialized.X is not None
         assert_same_run(materialized, implicit)
 
-    @pytest.mark.parametrize("maxiter", [14, 15, 16])
+    @pytest.mark.parametrize("maxiter", [11, 12, 13, 14, 15, 16])
     def test_primal_after_rank_restart_matches_objective(self, maxiter):
-        # at maxiter=15 the rank prediction restarts the bundle in the last
+        # at maxiter=12 the rank prediction restarts the bundle in the last
         # iteration; X must still come from the bundle u was solved on
         problem, _ = generate_random_sdp(100, 100, 5, 1e-2, 1.0, 0)
         res = solve(problem, SolverParams(prior_rank=10,
                                           materialize_w=True, maxiter=maxiter))
+        assert res.rank_used == (10 if maxiter < 12 else 5)
         assert res.X is not None
         cx = float(problem.cvec @ svec(res.X).values)
         obj = res.objective_primal
@@ -594,10 +626,10 @@ class TestTrajectories:
         problem, _ = generate_random_sdp(50, 50, 3, 0.1, 1.0, 3)
         res = solve(problem, SolverParams())
         assert res.status == STATUS_CONVERGED
-        assert res.iterations == 45
+        assert res.iterations == 43
         assert self.steps(res) == \
-            "ddddddnddddddddndndnnddndndnnndndnndndnndndnd"
-        assert res.trace[-1].F_y == pytest.approx(11.153339589292603, rel=1e-9)
+            "ddddddnddndnnndddndnnndnndndddnndnndndndndn"
+        assert res.trace[-1].F_y == pytest.approx(11.153335207738667, rel=1e-9)
         # the bundle cap of "half" at r = 3 holds on every iteration and binds
         assert max(rec.l for rec in res.trace) == 9
 
@@ -606,15 +638,16 @@ class TestTrajectories:
         res = solve(problem, SolverParams(prior_rank=10,
                                           maxiter=500))
         assert res.status == STATUS_CONVERGED
-        assert res.iterations == 38
+        assert res.iterations == 46
         assert res.rank_used == 5
-        assert self.steps(res).count("d") == 31
-        assert res.trace[-1].F_y == pytest.approx(14.056958630315805, rel=1e-9)
+        assert self.steps(res).count("d") == 24
+        assert res.trace[-1].F_y == pytest.approx(14.056962294061616, rel=1e-9)
 
     def test_maxcut(self, monkeypatch):
-        # the run from y = 0, which an instance without y_hat takes
-        monkeypatch.setattr(SvecSupport, "identity_coeffs",
-                            property(lambda self: None))
+        # the run from y = 0, which an instance takes without y_hat and
+        # without a finite least-squares dual
+        for name in ("identity_coeffs", "least_squares_dual"):
+            monkeypatch.setattr(SvecSupport, name, property(lambda self: None))
         problem, params = c10_maxcut()
         res = solve(problem, params)
         assert res.status == STATUS_CONVERGED
@@ -687,6 +720,71 @@ class TestFeasibleStart:
         monkeypatch.setattr(SvecSupport, "identity_coeffs",
                             property(lambda self: None))
         assert_same_run(solve(problem, SolverParams()), default)
+
+
+class TestLeastSquaresStart:
+    """Without y_hat, the run starts at y_LS = argmin ||C - A'y||_F, and at
+    y = 0 when y_LS is None, for one eigensolve either way."""
+
+    @staticmethod
+    def first_center(problem):
+        infos = []
+        solve(problem, SolverParams(maxiter=1), infos.append)
+        return infos[0].y
+
+    def test_planted_run_starts_at_the_least_squares_dual(self, small_problem):
+        problem, _ = small_problem
+        y_ls = problem.support.least_squares_dual
+        y0 = self.first_center(problem)
+        assert y0.tobytes() == y_ls.tobytes()
+        assert y0 is not y_ls
+
+    def test_without_it_the_run_starts_at_zero(self, small_problem,
+                                               monkeypatch):
+        problem, _ = small_problem
+        monkeypatch.setattr(SvecSupport, "least_squares_dual",
+                            property(lambda self: None))
+        assert not self.first_center(problem).any()
+
+    def test_maxcut_never_computes_it(self, monkeypatch):
+        def unused(self):
+            raise AssertionError("least-squares dual computed with y_hat known")
+
+        monkeypatch.setattr(SvecSupport, "least_squares_dual", property(unused))
+        problem, params = c10_maxcut()
+        assert solve(problem, params).status == STATUS_CONVERGED
+
+    def test_one_eigensolve_at_the_start(self, small_problem, monkeypatch):
+        problem, _ = small_problem
+        slacks, real = [], solver.extreme_eigs
+
+        def recorded(s, r):
+            slacks.append(np.array(s))
+            return real(s, r)
+
+        monkeypatch.setattr(solver, "extreme_eigs", recorded)
+        res = solve(problem, SolverParams())
+        assert len(slacks) == res.iterations + 1
+        y_ls = problem.support.least_squares_dual
+        assert np.array_equal(slacks[0], dual_slack(problem, y_ls))
+
+    def test_ten_seeds_take_no_more_iterations(self, monkeypatch):
+        # 347 iterations from y_LS against 450 from y = 0 on seeds 0-9
+        runs = {}
+        for start in ("least-squares", "zero"):
+            if start == "zero":
+                monkeypatch.setattr(SvecSupport, "least_squares_dual",
+                                    property(lambda self: None))
+            runs[start] = []
+            for seed in range(10):
+                problem, planted = generate_random_sdp(50, 50, 3, 0.1, 1.0, seed)
+                res = solve(problem, SolverParams())
+                by_star = float(problem.b @ planted.y_star)
+                err = abs(res.objective_dual - by_star) / (1.0 + abs(by_star))
+                # the dual bound of acceptance criterion c02
+                assert res.status == STATUS_CONVERGED and err <= 1e-3, (start, seed)
+                runs[start].append(res.iterations)
+        assert sum(runs["least-squares"]) <= sum(runs["zero"])
 
 
 class TestLowerBound:
