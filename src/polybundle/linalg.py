@@ -246,6 +246,9 @@ class ConstraintOperator:
 
     ``avec`` is a scipy.sparse CSC matrix of shape (n(n+1)/2, m); column i
     is svec(A_i).  Linear independence of the A_i is assumed, not checked.
+    An ``avec`` with unsorted indices or repeats is replaced by a copy in
+    canonical form, its repeats summed in stored order and the zeros that
+    leaves not stored; the caller's matrix is untouched.
     """
 
     n: int
@@ -258,6 +261,11 @@ class ConstraintOperator:
             raise ValueError(f"avec must be a scipy.sparse CSC matrix, not {kind}")
         if self.avec.shape != (tri_dim(self.n), self.m):
             raise ValueError("avec shape does not match (n, m)")
+        a = self.avec
+        if not a.has_canonical_format:
+            k = np.repeat(np.arange(self.m), np.diff(a.indptr))
+            object.__setattr__(self, "avec", _compressed(
+                a.shape[0], self.m, k, a.indices.astype(np.int64), a.data.copy()))
 
     @classmethod
     def from_entries(cls, n: int, m: int, k, pos, vals) -> "ConstraintOperator":
@@ -297,26 +305,15 @@ class ConstraintOperator:
         vals = np.concatenate([a.vals for a in mats])
         return cls.from_entries(n, len(mats), k, pos, vals)
 
-    @cached_property
-    def _canonical(self) -> sp.csc_matrix:
-        """avec with sorted indices and no repeats: avec itself when it is
-        so, else a copy with its repeats summed in stored order and its
-        zeros left out."""
-        a = self.avec
-        if a.has_canonical_format:
-            return a
-        k = np.repeat(np.arange(self.m), np.diff(a.indptr))
-        return _compressed(a.shape[0], self.m, k, a.indices.astype(np.int64), a.data)
-
     def entries(self, start: int = 0, stop: int | None = None):
         """(k, pos, vals) with A_{k+1} holding vals at svec position pos.
 
         The stored entries start:stop of avec, read from its CSC arrays in
-        constraint and svec position order, with repeats summed first; there
-        are at most ``avec.nnz`` of them.  The values are unscaled, and those
-        that are then zero are left out.
+        constraint and svec position order; there are at most ``avec.nnz``
+        of them.  The values are unscaled, and those that are then zero are
+        left out.
         """
-        a = self._canonical
+        a = self.avec
         lo, hi, _ = slice(start, stop).indices(a.nnz)
         pos = a.indices[lo:hi]
         k = np.searchsorted(a.indptr, np.arange(lo, hi), side="right") - 1
@@ -364,34 +361,6 @@ class SvecSupport:
             (op.avec.data, renumber[op.avec.indices], op.avec.indptr),
             shape=(pos.size, op.m))
         return cls(op.n, rows[pos], cols[pos], scale[pos], cvec[pos], avec)
-
-    @cached_property
-    def identity_coeffs(self) -> np.ndarray | None:
-        """A read-only y_hat with A'y_hat = I to rounding, or None.
-
-        Only the constraints whose stored entries all lie on the diagonal
-        take part; the others get 0.  Each gets <d_i, 1> / <d_i, d_i> for
-        its diagonal d_i, the least-squares solution when no two of them
-        share a diagonal entry, and y_hat is kept only when
-        avec y_hat - svec(I) is zero to rounding.  For Max-Cut it is 1.
-        """
-        diag = self.rows == self.cols
-        if np.count_nonzero(diag) < self.n:
-            return None  # some diagonal entry of I lies outside the support
-        a, m = self.avec, self.avec.shape[1]
-        counts = np.diff(a.indptr)
-        cols = np.repeat(np.arange(m), counts)
-        taking = counts > 0
-        taking[cols[~diag[a.indices]]] = False
-        mine = taking[cols]
-        sums = np.bincount(cols[mine], a.data[mine], minlength=m)
-        squares = np.bincount(cols[mine], a.data[mine] ** 2, minlength=m)
-        y_hat = np.divide(sums, squares, out=np.zeros(m), where=taking)
-        # a few units in the last place of 1; a NaN fails it too
-        if not np.abs(a @ y_hat - diag).max() <= 4.0 * np.finfo(np.float64).eps:
-            return None
-        y_hat.setflags(write=False)
-        return y_hat
 
     @cached_property
     def least_squares_dual(self) -> np.ndarray | None:

@@ -172,8 +172,8 @@ def generate_random_sdp(n: int, m: int, r: int, sparsity: float, s: float,
         raise ValueError("need 1 <= r < n")
     if not 0 < sparsity <= 1:
         raise ValueError("sparsity must lie in (0, 1]")
-    if s <= 0:
-        raise ValueError("s must be positive")
+    if not 0 < s < math.inf:
+        raise ValueError("s must be finite and positive")
     if _count("m", m) < 1:
         raise ValueError("m must be at least 1")
     if _count("seed", seed) < 0:

@@ -307,16 +307,12 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
           callback=None) -> SolveResult:
     """Run the full bundle method on a standard-form SDP.
 
-    When the instance's data give some y_hat with A'y_hat = I
-    (``SvecSupport.identity_coeffs``), the run starts at the dual-feasible
-    center lambda_min(C) y_hat, whose slack C - lambda_min(C) I is PSD and
-    has C's eigenvectors; that is the constant-trace structure of the
-    spectral bundle method (Helmberg & Rendl 2000).  Otherwise it starts at
-    the least-squares dual y_LS = argmin ||C - A'y||_F
+    The run starts at the least-squares dual y_LS = argmin ||C - A'y||_F
     (``SvecSupport.least_squares_dual``), whose slack is the part of C that
-    A' cannot cancel, and at y = 0 when y_LS is not finite.  Each start takes
-    one eigensolve, of C or of C - A'y_LS; y_LS costs one LSQR solve on
-    avec, O(nnz), cached on the instance's support.
+    A' cannot cancel, and at y = 0 when y_LS is not finite.  The start takes
+    one eigensolve, at the start point; y_LS costs one LSQR solve on avec,
+    O(nnz), cached on the instance's support.  On Max-Cut y_LS is diag(C)
+    to rounding.
 
     ``callback``, if given, receives an ``IterationInfo`` after every
     iteration.
@@ -327,8 +323,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
 
     b = problem.b
     start = time.perf_counter()
-    y_hat = problem.support.identity_coeffs
-    y = None if y_hat is not None else problem.support.least_squares_dual
+    y = problem.support.least_squares_dual
     y = np.zeros(problem.m) if y is None else y.copy()
     u = np.zeros(1)
     t, nullcount, warm = params.t0, 0, None
@@ -339,11 +334,6 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     n_eigs = r_iter + 1 if pred is not None else r_iter
     try:
         f_y, lam_max_y, v, _ = penalty_eval(problem, y, r_iter, rho, n_eigs)
-        if y_hat is not None:
-            # the bundle's cuts are global, so those from C's eigenvectors
-            # serve at the shifted center as well
-            y, lam_max_y = -lam_max_y * y_hat, 0.0
-            f_y = -float(b @ y)
         a_new, b_new = pvec_generate(v, problem.op, problem.support)
         bundle = solved_on = BundleState.fresh(v, a_new, b_new, params.materialize_w)
         u = np.zeros(1 + bundle.l)

@@ -1,22 +1,30 @@
 """No module of the package or of its tests imports a name it never uses,
-and no function there assigns a local it never reads.
+no function there assigns a local it never reads, and the package defines
+no function or class that nothing names.
 
-Stand-ins for a linter's unused-import and unused-variable rules.  A name
-bound by an import counts as used when it appears anywhere in the module as
-a bare name or the root of an attribute chain, or is listed in ``__all__``.
+Stand-ins for a linter's unused-import, unused-variable and dead-code
+rules.  A name bound by an import counts as used when it appears anywhere in
+the module as a bare name or the root of an attribute chain, or is listed in
+``__all__``.
 A name a function binds (by assignment, a loop, ``with``, ``except ... as``
 or a walrus) counts as read when any code in the function, nested functions
 included, loads it; names starting with ``_`` and names declared ``global``
-or ``nonlocal`` are exempt.
+or ``nonlocal`` are exempt.  A function or class the package defines
+counts as named when its name appears as a whole word in some Python file of
+``src/``, ``tests/`` or ``perfbench/`` more often than it is defined there;
+dunder names are exempt.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "polybundle"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -55,6 +63,21 @@ def unused_locals(source: str) -> list[str]:
         found.update((line, name) for line, name in bound
                      if name not in read | exempt and not name.startswith("_"))
     return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def dead_definitions(package: dict[str, str], elsewhere: str = "") -> list[str]:
+    """The functions and classes defined in ``package`` (file name to
+    source) whose name appears, in the package or in ``elsewhere``, no more
+    often than it is defined; dunder names are exempt."""
+    sites = {}
+    for file, source in package.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not re.fullmatch(r"__\w+__", node.name):
+                sites.setdefault(node.name, []).append(f"{file}:{node.lineno}: {node.name}")
+    words = Counter(re.findall(r"\w+", "\n".join([*package.values(), elsewhere])))
+    return sorted(site for name, found in sites.items()
+                  if words[name] <= len(found) for site in found)
 
 
 @pytest.mark.parametrize(
@@ -101,3 +124,32 @@ def test_local_checker_flags_assigned_but_never_read():
     assert unused_locals(source) == [
         "line 2: b", "line 3: rest", "line 4: i", "line 8: exc",
         "line 14: kept", "line 14: y"]
+
+
+def test_no_dead_definitions():
+    package = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    others = sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.rglob("*.py"))
+    elsewhere = "\n".join(p.read_text(encoding="utf-8") for p in others)
+    assert dead_definitions(package, elsewhere) == []
+
+
+def test_definition_checker_flags_what_nothing_names():
+    package = {
+        "a.py": ("class Kept:\n"
+                 "    def __init__(self):\n"   # dunder: exempt
+                 "        self.n = helper()\n"
+                 "    def orphan_method(self):\n"
+                 "        pass\n"
+                 "def helper():\n"
+                 "    return 1\n"
+                 "class OrphanClass:\n"
+                 "    pass\n"),
+        "b.py": ("def twice():\n"              # defined twice, named nowhere
+                 "    pass\n"
+                 "def outside():\n"
+                 "    def twice():\n"
+                 "        pass\n"),
+    }
+    assert dead_definitions(package, "Kept(); outside()") == [
+        "a.py:4: orphan_method", "a.py:8: OrphanClass",
+        "b.py:1: twice", "b.py:4: twice"]

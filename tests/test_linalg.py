@@ -421,60 +421,3 @@ class TestSmatDense:
         got = smat_dense(values)
         assert got.shape == (n, n) and got.flags.f_contiguous
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-class TestIdentityCoeffs:
-    """y_hat with A'y_hat = I, read from the data alone, or None."""
-
-    @staticmethod
-    def coeffs(n, mats, c=None):
-        op = ConstraintOperator.from_matrices(n, mats)
-        cvec = svec(np.eye(n) if c is None else c).values
-        return SvecSupport.of(op, cvec).identity_coeffs
-
-    def test_maxcut_gets_ones_bit_for_bit(self, tmp_path):
-        from polybundle.problems import (GraphInstance, build_maxcut_sdp,
-                                         load_sdpa, write_sdpa)
-        problem = build_maxcut_sdp(GraphInstance(5, [(1, 2, 1.0), (2, 3, 2.5),
-                                                     (4, 5, -1.0)]))
-        path = str(tmp_path / "maxcut.dat-s")
-        write_sdpa(problem, path)
-        for p in (problem, load_sdpa(path)):
-            y_hat = p.support.identity_coeffs
-            assert y_hat.tobytes() == np.ones(5).tobytes()
-            assert not y_hat.flags.writeable
-
-    def test_trace_constraint_among_off_diagonal_ones(self):
-        # the theta-function layout: tr X = 1 and X_ij = 0 on some edges
-        n = 4
-        edge = np.zeros((n, n))
-        edge[0, 1] = edge[1, 0] = 1.0
-        y_hat = self.coeffs(n, [edge, np.eye(n), np.diag([2.0, 0, 0, 0])])
-        # the third constraint overlaps the second, so the rule does not
-        # find y_hat = (0, 1, 0)
-        assert y_hat is None
-        y_hat = self.coeffs(n, [edge, 3.0 * np.eye(n)])
-        assert np.array_equal(y_hat, [0.0, 1.0 / 3.0])
-
-    def test_scaled_disjoint_diagonals(self):
-        y_hat = self.coeffs(3, [np.diag([2.0, 2.0, 0.0]), np.diag([0, 0, 0.5])])
-        assert np.array_equal(y_hat, [0.5, 2.0])
-
-    @pytest.mark.parametrize("mats", [
-        [np.diag([1.0, -1.0])],             # trace zero: n = sum y_i tr A_i
-        [np.diag([1.0, 0.0])],              # leaves the second entry of I
-        [np.diag([1.0, 2.0])],              # not a multiple of I
-        [np.array([[1.0, 1.0], [1.0, 1.0]])],  # an off-diagonal entry
-    ], ids=["trace-zero", "partial", "not-a-multiple", "off-diagonal"])
-    def test_none_when_the_identity_is_out_of_reach(self, mats):
-        assert self.coeffs(2, mats) is None
-
-    def test_diagonal_outside_the_support(self):
-        # neither C nor any A_i stores the (2, 2) entry
-        c = np.diag([1.0, 1.0, 0.0])
-        assert self.coeffs(3, [np.diag([1.0, 1.0, 0.0])], c) is None
-
-    def test_planted_instances_get_none(self):
-        from polybundle.problems import generate_random_sdp
-        problem, _ = generate_random_sdp(30, 30, 3, 0.5, 1.0, 0)
-        assert problem.support.identity_coeffs is None

@@ -87,8 +87,9 @@ class TestGenerator:
             generate_random_sdp(5, 5, 0, 0.5, 1.0, 0)
         with pytest.raises(ValueError):
             generate_random_sdp(5, 5, 2, 0.0, 1.0, 0)
-        with pytest.raises(ValueError):
-            generate_random_sdp(5, 5, 2, 0.5, -1.0, 0)
+        for s in (-1.0, 0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="s must be finite and positive"):
+                generate_random_sdp(5, 5, 2, 0.5, s, 0)
 
     @pytest.mark.parametrize("sizes,name", [
         ((10.0, 10, 2), "n"), ((10, 10.0, 2), "m"), ((10, 10, 2.0), "r"),
@@ -177,8 +178,8 @@ class TestOperatorEntries:
 
     def test_entries_of_a_non_canonical_avec(self):
         # columns out of order, a stored zero and a position stored twice:
-        # entries() reads them as COO's sum_duplicates would, summed in
-        # stored order, on a copy
+        # the operator holds a canonical copy, which entries() reads as
+        # COO's sum_duplicates would, summed in stored order
         avec = sp.csc_matrix((np.array([3.0, 1.0, 0.0, 2.0, 0.5, 0.25]),
                               np.array([5, 0, 3, 5, 1, 1]), np.array([0, 4, 6])),
                              shape=(6, 2))
@@ -192,6 +193,7 @@ class TestOperatorEntries:
         assert np.array_equal(k, a.row[keep]) and np.array_equal(pos, a.col[keep])
         assert np.array_equal(bits(vals), bits(a.data[keep] / scale[a.col[keep]]))
         assert np.array_equal(avec.data, data) and not avec.has_canonical_format
+        assert op.avec.has_canonical_format
 
     @pytest.mark.parametrize("args,digests", [
         ((30, 30, 3, 0.1, 1.0, 7), {

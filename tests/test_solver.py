@@ -9,7 +9,6 @@ import scipy.sparse.linalg as spla
 from polybundle import qp, solver
 from polybundle.linalg import (
     DENSE_EIG_CUTOFF,
-    EIG_TOL,
     EigenConvergenceError,
     SvecSupport,
     apply_A,
@@ -644,10 +643,10 @@ class TestTrajectories:
         assert res.trace[-1].F_y == pytest.approx(14.056962294061616, rel=1e-9)
 
     def test_maxcut(self, monkeypatch):
-        # the run from y = 0, which an instance takes without y_hat and
-        # without a finite least-squares dual
-        for name in ("identity_coeffs", "least_squares_dual"):
-            monkeypatch.setattr(SvecSupport, name, property(lambda self: None))
+        # the run from y = 0, which an instance takes without a finite
+        # least-squares dual
+        monkeypatch.setattr(SvecSupport, "least_squares_dual",
+                            property(lambda self: None))
         problem, params = c10_maxcut()
         res = solve(problem, params)
         assert res.status == STATUS_CONVERGED
@@ -660,47 +659,62 @@ class TestTrajectories:
         params.rank = 15
         assert_same_run(solve(problem, params), res)
 
-    def test_maxcut_from_the_feasible_center(self):
+    def test_maxcut_from_the_least_squares_dual(self):
         problem, params = c10_maxcut()
         res = solve(problem, params)
         assert res.status == STATUS_CONVERGED
-        assert res.iterations == 61
-        assert self.steps(res).count("d") == 41
-        assert res.trace[-1].F_y == pytest.approx(250.5520121412415, rel=1e-9)
+        assert res.iterations == 60
+        assert self.steps(res).count("d") == 35
+        assert res.trace[-1].F_y == pytest.approx(250.5522203815643, rel=1e-9)
         params.rank = 15
         assert_same_run(solve(problem, params), res)
 
 
-class TestFeasibleStart:
-    """When A'y_hat = I, the run starts at lambda_min(C) y_hat, where the
-    slack C - lambda_min(C) I is PSD, for no extra eigensolve."""
+class TestLeastSquaresStart:
+    """The run starts at y_LS = argmin ||C - A'y||_F, and at y = 0 when
+    y_LS is None, for one eigensolve either way."""
 
-    def test_start_is_dual_feasible(self):
-        problem, params = c10_maxcut()
-        params.maxiter = 1
+    @staticmethod
+    def instances(small_problem):
+        """A planted instance and the c10 Max-Cut one, with settings."""
+        return [(small_problem[0], SolverParams()), c10_maxcut()]
+
+    @staticmethod
+    def first_center(problem):
         infos = []
-        solve(problem, params, infos.append)
-        y0 = infos[0].y
-        c = problem.C.to_dense()
-        lam_c = np.linalg.eigvalsh(c)[0]
-        assert np.allclose(y0, lam_c, rtol=1e-12, atol=0)
-        lam_s = np.linalg.eigvalsh(dual_slack(problem, y0))[0]
-        assert lam_s >= -EIG_TOL * (1.0 + np.linalg.norm(c, 2))
-        assert infos[0].record.F_y == -float(problem.b @ y0)
+        solve(problem, SolverParams(maxiter=1), infos.append)
+        return infos[0].y
 
-    def test_no_extra_eigensolve(self, monkeypatch):
-        problem, params = c10_maxcut()
-        calls, real = [], solver.extreme_eigs
+    def test_planted_run_starts_at_the_least_squares_dual(self, small_problem):
+        for problem, _ in self.instances(small_problem):
+            y_ls = problem.support.least_squares_dual
+            y0 = self.first_center(problem)
+            assert y0.tobytes() == y_ls.tobytes()
+            assert y0 is not y_ls
 
-        def counted(s, r):
-            calls.append(1)
+    def test_without_it_the_run_starts_at_zero(self, small_problem,
+                                               monkeypatch):
+        problem, _ = small_problem
+        monkeypatch.setattr(SvecSupport, "least_squares_dual",
+                            property(lambda self: None))
+        assert not self.first_center(problem).any()
+
+    def test_one_eigensolve_at_the_start(self, small_problem, monkeypatch):
+        slacks, real = [], solver.extreme_eigs
+
+        def recorded(s, r):
+            slacks.append(np.array(s))
             return real(s, r)
 
-        monkeypatch.setattr(solver, "extreme_eigs", counted)
-        res = solve(problem, params)
-        assert len(calls) == res.iterations + 1
+        monkeypatch.setattr(solver, "extreme_eigs", recorded)
+        for problem, params in self.instances(small_problem):
+            slacks.clear()
+            res = solve(problem, params)
+            assert len(slacks) == res.iterations + 1
+            y_ls = problem.support.least_squares_dual
+            assert np.array_equal(slacks[0], dual_slack(problem, y_ls))
 
-    def test_failed_first_eigensolve_ends_at_zero(self, monkeypatch):
+    def test_failed_first_eigensolve_ends_at_the_start(self, monkeypatch):
         problem, params = c10_maxcut()
 
         def failing(s, r):
@@ -710,63 +724,8 @@ class TestFeasibleStart:
         res = solve(problem, params)
         assert res.status == STATUS_EIGEN_FAILURE
         assert res.iterations == 0
-        assert np.array_equal(res.y, np.zeros(problem.m))
+        assert res.y.tobytes() == problem.support.least_squares_dual.tobytes()
         assert res.lower_bound is None and res.lower_bound_gap is None
-
-    def test_planted_run_unchanged_without_y_hat(self, monkeypatch):
-        problem, _ = generate_random_sdp(50, 50, 3, 0.1, 1.0, 3)
-        assert problem.support.identity_coeffs is None
-        default = solve(problem, SolverParams())
-        monkeypatch.setattr(SvecSupport, "identity_coeffs",
-                            property(lambda self: None))
-        assert_same_run(solve(problem, SolverParams()), default)
-
-
-class TestLeastSquaresStart:
-    """Without y_hat, the run starts at y_LS = argmin ||C - A'y||_F, and at
-    y = 0 when y_LS is None, for one eigensolve either way."""
-
-    @staticmethod
-    def first_center(problem):
-        infos = []
-        solve(problem, SolverParams(maxiter=1), infos.append)
-        return infos[0].y
-
-    def test_planted_run_starts_at_the_least_squares_dual(self, small_problem):
-        problem, _ = small_problem
-        y_ls = problem.support.least_squares_dual
-        y0 = self.first_center(problem)
-        assert y0.tobytes() == y_ls.tobytes()
-        assert y0 is not y_ls
-
-    def test_without_it_the_run_starts_at_zero(self, small_problem,
-                                               monkeypatch):
-        problem, _ = small_problem
-        monkeypatch.setattr(SvecSupport, "least_squares_dual",
-                            property(lambda self: None))
-        assert not self.first_center(problem).any()
-
-    def test_maxcut_never_computes_it(self, monkeypatch):
-        def unused(self):
-            raise AssertionError("least-squares dual computed with y_hat known")
-
-        monkeypatch.setattr(SvecSupport, "least_squares_dual", property(unused))
-        problem, params = c10_maxcut()
-        assert solve(problem, params).status == STATUS_CONVERGED
-
-    def test_one_eigensolve_at_the_start(self, small_problem, monkeypatch):
-        problem, _ = small_problem
-        slacks, real = [], solver.extreme_eigs
-
-        def recorded(s, r):
-            slacks.append(np.array(s))
-            return real(s, r)
-
-        monkeypatch.setattr(solver, "extreme_eigs", recorded)
-        res = solve(problem, SolverParams())
-        assert len(slacks) == res.iterations + 1
-        y_ls = problem.support.least_squares_dual
-        assert np.array_equal(slacks[0], dual_slack(problem, y_ls))
 
     def test_ten_seeds_take_no_more_iterations(self, monkeypatch):
         # 347 iterations from y_LS against 450 from y = 0 on seeds 0-9
