@@ -3,7 +3,8 @@
 The model at iteration k is
     F_k(y) = -b'y + max <eta*W + P diag(x) P', A'y - C>
 over eta >= 0, x >= 0, eta + 1'x <= rho.  The aggregate matrix W is carried
-only through its model column (<C, W>, A(W)) unless materialized.
+only through its model column (<C, W>, A(W)), plus its values at the
+support's positions when the solver asks for them, unless materialized.
 """
 
 from __future__ import annotations
@@ -31,29 +32,38 @@ class BundleState:
     a: np.ndarray          # l+1: <C, W>, then <C, p_i p_i'>
     B: np.ndarray          # m x (l+1): A(W), then A(p_i p_i')
     W: np.ndarray | None = None  # optional materialized aggregate (dense n x n)
+    # optional svec(W) at the support's positions, and Pvec[:, i] =
+    # svec(p_i p_i') there for each column i, one contiguous array each
+    w_supp: np.ndarray | None = None
+    pvec: list[np.ndarray] | None = None
 
     @classmethod
     def fresh(cls, p: np.ndarray, a: np.ndarray, b_mat: np.ndarray,
-              materialize_w: bool) -> BundleState:
-        """Bundle of the columns p alone, with an empty aggregate."""
+              materialize_w: bool, pvec: np.ndarray | None = None) -> BundleState:
+        """Bundle of the columns p alone, with an empty aggregate; with the
+        support values of W and of the columns when ``pvec`` is given."""
         n = p.shape[0]
         return cls(P=p, a=np.concatenate([[0.0], a]),
                    B=np.column_stack([np.zeros(b_mat.shape[0]), b_mat]),
-                   W=np.zeros((n, n)) if materialize_w else None)
+                   W=np.zeros((n, n)) if materialize_w else None,
+                   w_supp=None if pvec is None else np.zeros(pvec.shape[0]),
+                   pvec=None if pvec is None else _split(pvec))
 
     @property
     def l(self) -> int:
         return self.P.shape[1]
 
 
-def pvec_generate(p: np.ndarray, op: ConstraintOperator, support: SvecSupport):
+def pvec_generate(p: np.ndarray, op: ConstraintOperator, support: SvecSupport,
+                  keep_pvec: bool = False):
     """Bundle columns of the rank-one matrices p_i p_i' for the columns of p.
 
     ``support`` is ``SvecSupport.of(op, cvec)``, as ``SdpProblem.support`` holds it.
-    Returns (a, B) with a_i = <C, p_i p_i'> and B[:, i] = A(p_i p_i'), both
-    from Pvec[:, i] = svec(p_i p_i') at the support's positions:
-    a = Pvec' cvec and B = avec' Pvec.  The cost is the support size times l
-    to form Pvec plus nnz(avec)*l for B.
+    Returns (a, B, Pvec) with a_i = <C, p_i p_i'> and B[:, i] = A(p_i p_i'),
+    both from Pvec[:, i] = svec(p_i p_i') at the support's positions:
+    a = Pvec' cvec and B = avec' Pvec.  Pvec itself is returned only with
+    ``keep_pvec``, else None.  The cost is the support size times l to form
+    Pvec plus nnz(avec)*l for B.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 2:
@@ -64,7 +74,28 @@ def pvec_generate(p: np.ndarray, op: ConstraintOperator, support: SvecSupport):
     if support.avec.shape[1] != op.m:
         raise ValueError("support was taken from another operator")
     pvec = support.rank_one(p)
-    return pvec.T @ support.cvec, np.asarray(support.avec.T @ pvec)
+    return (pvec.T @ support.cvec, np.asarray(support.avec.T @ pvec),
+            pvec if keep_pvec else None)
+
+
+def support_values(state: BundleState, u: np.ndarray) -> np.ndarray:
+    """svec(X) at the support's positions for the model's
+    X = eta*W + P diag(x) P' with the weights u = (eta, x), from ``w_supp``
+    and the columns of positive weight: a weight a hair below 0, which the
+    QP may leave, counts as 0, so X is a sum of PSD terms."""
+    eta, x = max(float(u[0]), 0.0), u[1:]
+    act = np.flatnonzero(x > 0.0)
+    return eta * state.w_supp + _combine(state.pvec, act, x[act])
+
+
+def _split(pvec: np.ndarray) -> list[np.ndarray]:
+    """The columns of Pvec, each as an array of its own."""
+    return [col.copy() for col in pvec.T]
+
+
+def _combine(cols: list[np.ndarray], idx: np.ndarray, weights: np.ndarray):
+    """sum_k weights[k] * cols[idx[k]]; 0.0 for no columns."""
+    return weights @ np.array([cols[i] for i in idx])
 
 
 def model_eval(y: np.ndarray, a: np.ndarray, b_mat: np.ndarray,
@@ -103,8 +134,12 @@ def select_aggregation(x: np.ndarray, r: int, l_max: int):
 def aggregate_and_append(state: BundleState, eta: float, x: np.ndarray,
                          v_new: np.ndarray, a_new: np.ndarray,
                          b_new: np.ndarray, p_bar: np.ndarray,
-                         p_hat: np.ndarray) -> BundleState:
-    """Fold the p_bar columns into the aggregate and append the new block."""
+                         p_hat: np.ndarray,
+                         pvec_new: np.ndarray | None = None) -> BundleState:
+    """Fold the p_bar columns into the aggregate and append the new block.
+
+    A state that carries support values needs the new block's Pvec.
+    """
     x = np.asarray(x, dtype=np.float64)
     x_bar = x[p_bar]
     mass = eta + x_bar.sum()
@@ -122,7 +157,15 @@ def aggregate_and_append(state: BundleState, eta: float, x: np.ndarray,
         else:
             w = np.zeros_like(state.W)
 
+    w_supp = cols = None
+    if state.w_supp is not None:
+        if mass > 0.0:
+            w_supp = (eta * state.w_supp + _combine(state.pvec, p_bar, x_bar)) / mass
+        else:
+            w_supp = np.zeros_like(state.w_supp)
+        cols = [state.pvec[i] for i in p_hat] + _split(pvec_new)
+
     p = np.column_stack([state.P[:, p_hat], v_new])
     a = np.concatenate([[a_bar], state.a[1 + p_hat], np.atleast_1d(a_new)])
     b_mat = np.column_stack([b_bar, state.B[:, 1 + p_hat], b_new])
-    return BundleState(P=p, a=a, B=b_mat, W=w)
+    return BundleState(P=p, a=a, B=b_mat, W=w, w_supp=w_supp, pvec=cols)

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import bundle as bundle_mod
 from . import qp as qp_mod
-from .bundle import BundleState, model_eval, pvec_generate, select_aggregation
+from .bundle import (BundleState, model_eval, pvec_generate, select_aggregation,
+                     support_values)
 from .linalg import EigenConvergenceError, SymMatrix, extreme_eigs
 from .problems import SdpProblem, _count
 
@@ -126,8 +127,8 @@ class SolveResult:
     y: np.ndarray
     u: np.ndarray
     objective_dual: float
-    objective_primal: float
-    X: SymMatrix | None
+    objective_primal: float   # <C, X> of the primal the last test read
+    X: SymMatrix | None       # that primal, when materialize_w is set
     delta1: float
     delta4: float
     delta5: float
@@ -229,24 +230,83 @@ def lower_bound(problem: SdpProblem, y: np.ndarray, lam_max: float):
 
 
 def duality_gap(primal: float, dual: float) -> float:
-    """delta5 = |a'u - b'y| / (1 + |a'u| + |b'y|)."""
+    """delta5 = |<C, X> - b'y| / (1 + |<C, X>| + |b'y|)."""
     return abs(primal - dual) / (1.0 + abs(primal) + abs(dual))
 
 
-def termination_check(b: np.ndarray, u: np.ndarray, a: np.ndarray,
-                      b_mat: np.ndarray, y: np.ndarray, lambda_min_s: float,
+def termination_check(b: np.ndarray, a_x: np.ndarray, primal: float,
+                      y: np.ndarray, lambda_min_s: float,
                       f_y: float, model_z: float, eps: float):
-    """Relative KKT quantities (delta1, delta4, delta5, delta6, done).
+    """Relative KKT quantities (delta1, delta4, delta5, delta6, done) of the
+    primal given as the pair (A(X), <C, X>) and the center y.
 
     delta2 and delta3 vanish by construction (X >= 0 on the model side and
     S = C - A'y exactly) and are not computed.
     """
-    delta1 = primal_infeasibility(b_mat @ u, b)
+    delta1 = primal_infeasibility(a_x, b)
     delta4 = dual_infeasibility(-lambda_min_s)
-    delta5 = duality_gap(float(a @ u), float(b @ y))
+    delta5 = duality_gap(primal, float(b @ y))
     delta6 = abs(f_y - model_z) / (1.0 + abs(f_y))
     done = max(delta1, delta4, delta5, delta6) <= eps
     return delta1, delta4, delta5, delta6, done
+
+
+def diagonal_targets(problem: SdpProblem):
+    """(idx, d) when A(X) = b fixes X's diagonal alone, as on Max-Cut:
+    constraint i holds X_jj = d_i > 0 at the support index idx_i of
+    position (j, j) (``SvecSupport.diagonal_constraints``); else None."""
+    idx = problem.support.diagonal_constraints
+    if idx is None:
+        return None
+    with np.errstate(all="ignore"):
+        d = problem.b / problem.support.avec.data
+    return (idx, d) if np.all((d > 0.0) & (d < np.inf)) else None
+
+
+def diagonal_scale(problem: SdpProblem, targets, x_diag: np.ndarray):
+    """s with s_j^2 X_jj = d_i at each constrained position j and s_j = 1
+    elsewhere, for X's diagonal ``x_diag`` at those positions; None when
+    some such X_jj is not positive or s is not finite.
+
+    Diag(s) X Diag(s) is PSD when X is, and meets A(X) = b exactly, up to
+    rounding.
+    """
+    idx, d = targets
+    if not np.all(x_diag > 0.0):
+        return None
+    with np.errstate(over="ignore"):
+        root = np.sqrt(d / x_diag)
+    if not np.all(np.isfinite(root)):
+        return None
+    s = np.ones(problem.n)
+    s[problem.support.rows[idx]] = root
+    return s
+
+
+def primal_pair(problem: SdpProblem, targets, state: BundleState,
+                u: np.ndarray):
+    """The primal the termination test reads, for the weights u on the
+    bundle they were solved on: (A(X), <C, X>, s).
+
+    Without targets it is the model's X = eta*W + P diag(x) P', as
+    (B u, a'u, None).  With them (``diagonal_targets``) it is the rescaled
+    X_rep = Diag(s) X Diag(s) of ``diagonal_scale``, formed on the support
+    in O(support * |x > 0|), which is PSD and feasible: on Max-Cut that is
+    D^-1/2 X D^-1/2 for D = Diag(diag X), the Goemans-Williamson
+    normalization.  An iteration whose X has a diagonal entry that is not
+    positive at a constrained position falls back to the model's X.
+    """
+    if targets is not None:
+        support, idx = problem.support, targets[0]
+        x_supp = support_values(state, u)
+        s = diagonal_scale(problem, targets, x_supp[idx])
+        if s is not None:
+            # |X_ij| <= sqrt(X_ii X_jj), so this order never overflows
+            x_rep = x_supp * s[support.rows] * s[support.cols]
+            # A_i has its one entry a_i at idx_i: A(X_rep)_i = a_i X_rep[idx_i]
+            a_x = support.avec.data * x_rep[idx]
+            return a_x, float(support.cvec @ x_rep), s
+    return state.B @ u, float(state.a @ u), None
 
 
 @dataclass
@@ -314,6 +374,15 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     O(nnz), cached on the instance's support.  On Max-Cut y_LS is diag(C)
     to rounding.
 
+    The run stops once delta1, delta4, delta5 and delta6 are all at most
+    eps.  delta1 and delta5 read the primal of ``primal_pair``: the model's
+    X = eta*W + P diag(x) P' for the last QP's weights, or, when A(X) = b
+    fixes X's diagonal alone, as on Max-Cut (``diagonal_targets``), its
+    rescaling to that diagonal (X_rep = D^-1/2 X D^-1/2 on Max-Cut), which
+    is PSD and feasible, so delta1 is rounding and the run ends once y is
+    certified.
+    The result's ``objective_primal`` and ``X`` are that same primal.
+
     ``callback``, if given, receives an ``IterationInfo`` after every
     iteration.
     """
@@ -323,6 +392,8 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
 
     b = problem.b
     start = time.perf_counter()
+    targets = diagonal_targets(problem)
+    keep_pvec = targets is not None
     y = problem.support.least_squares_dual
     y = np.zeros(problem.m) if y is None else y.copy()
     u = np.zeros(1)
@@ -330,12 +401,15 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     trace: list[IterationRecord] = []
     deltas = [np.inf] * 4
     status, failure, lam_max_y = STATUS_ITER_LIMIT, None, None
+    primal, scale = math.nan, None
     # rank prediction reads the gap after eigenvalue r, so it asks for r + 1
     n_eigs = r_iter + 1 if pred is not None else r_iter
     try:
         f_y, lam_max_y, v, _ = penalty_eval(problem, y, r_iter, rho, n_eigs)
-        a_new, b_new = pvec_generate(v, problem.op, problem.support)
-        bundle = solved_on = BundleState.fresh(v, a_new, b_new, params.materialize_w)
+        a_new, b_new, pvec_new = pvec_generate(v, problem.op, problem.support,
+                                               keep_pvec)
+        bundle = solved_on = BundleState.fresh(v, a_new, b_new,
+                                               params.materialize_w, pvec_new)
         u = np.zeros(1 + bundle.l)
         for k in range(1, params.maxiter + 1):
             a, b_mat = bundle.a, bundle.B
@@ -349,10 +423,10 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                 break
             u, z, solved_on = sol.u, sol.z, bundle
             model_z = model_eval(z, a, b_mat, rho, b)
-            f_z, lam_max_z, v_new, eigs_z, a_new, b_new = _oracle(
-                problem, z, r_iter, rho, n_eigs)
+            f_z, lam_max_z, v_new, eigs_z, a_new, b_new, pvec_new = _oracle(
+                problem, z, r_iter, rho, n_eigs, keep_pvec)
             bundle, warm = _update_bundle(bundle, sol, v_new, a_new, b_new,
-                                          r_iter, l_max)
+                                          pvec_new, r_iter, l_max)
 
             # the descent test moves the center; F_y stays the pre-step value
             # for the termination test and the trace
@@ -360,8 +434,9 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                                                     nullcount)
             if accept:
                 y, lam_max_y = z, lam_max_z
-            *deltas, done = termination_check(b, u, a, b_mat, y, -lam_max_y, f_y,
-                                              model_z, params.eps)
+            a_x, primal, scale = primal_pair(problem, targets, solved_on, u)
+            *deltas, done = termination_check(b, a_x, primal, y, -lam_max_y,
+                                              f_y, model_z, params.eps)
             elapsed = time.perf_counter() - start
             trace.append(IterationRecord(
                 k=k, step_type="descent" if accept else "null", F_y=f_y, F_z=f_z,
@@ -387,8 +462,10 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                     t = max(0.5 * t, T_MIN)
                     r_iter, l_max = r_pred, lmax_from_policy(params.l_max, r_pred)
                     n_eigs = r_pred
-                    bundle = BundleState.fresh(v_new[:, :r_pred], a_new[:r_pred],
-                                               b_new[:, :r_pred], params.materialize_w)
+                    bundle = BundleState.fresh(
+                        v_new[:, :r_pred], a_new[:r_pred], b_new[:, :r_pred],
+                        params.materialize_w,
+                        None if pvec_new is None else pvec_new[:, :r_pred])
                     warm = None
             if params.time_limit_secs is not None and elapsed > params.time_limit_secs:
                 status = STATUS_TIME_LIMIT
@@ -399,17 +476,22 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
         status, failure = STATUS_EIGEN_FAILURE, str(exc)
 
     wall = time.perf_counter() - start
-    # u and its primal quantities refer to the bundle u was solved on
+    # u and its primal quantities refer to the bundle u was solved on, and
+    # X to the primal the last termination test read
     failed = failure is not None
+    x_mat = None
+    if params.materialize_w and not failed:
+        x_mat = recover_primal(solved_on, u)
+        if scale is not None:
+            x_mat = SymMatrix(x_mat.n, x_mat.rows, x_mat.cols,
+                              x_mat.vals * (scale[x_mat.rows] * scale[x_mat.cols]))
     dual = float(b @ y)
     bound = None if lam_max_y is None else lower_bound(problem, y, lam_max_y)
     return SolveResult(
         status=status, y=y, u=u,
         objective_dual=dual,
-        objective_primal=(float("nan") if failed
-                          else float(solved_on.a @ u)),
-        X=(recover_primal(solved_on, u)
-           if params.materialize_w and not failed else None),
+        objective_primal=math.nan if failed else primal,
+        X=x_mat,
         delta1=deltas[0], delta4=deltas[1], delta5=deltas[2],
         delta6=deltas[3], iterations=len(trace), wall_secs=wall, trace=trace,
         rank_used=r_iter, rho=rho, failure=failure, lower_bound=bound,
@@ -449,22 +531,24 @@ def problem_settings(problem: SdpProblem, params: SolverParams):
     return rho, r, lmax_from_policy(params.l_max, r)
 
 
-def _oracle(problem: SdpProblem, z: np.ndarray, r: int, rho: float, n_eigs: int):
+def _oracle(problem: SdpProblem, z: np.ndarray, r: int, rho: float, n_eigs: int,
+            keep_pvec: bool):
     """Penalty value at the candidate plus the bundle columns of its bottom
     r eigenvectors, rescaled to unit norm.
 
-    Returns (F, lam_max, V, eigvals, a, B) as ``penalty_eval`` and
+    Returns (F, lam_max, V, eigvals, a, B, Pvec) as ``penalty_eval`` and
     ``pvec_generate`` give them, with the n_eigs smallest eigenvalues.
     """
     f, lam_max, v, eigs = penalty_eval(problem, z, r, rho, n_eigs)
     norms = np.linalg.norm(v, axis=0)
     v = v / np.where(norms == 0.0, 1.0, norms)
-    a, b_mat = pvec_generate(v, problem.op, problem.support)
-    return f, lam_max, v, eigs, a, b_mat
+    return (f, lam_max, v, eigs,
+            *pvec_generate(v, problem.op, problem.support, keep_pvec))
 
 
 def _update_bundle(bundle: BundleState, sol, v_new: np.ndarray,
-                   a_new: np.ndarray, b_new: np.ndarray, r: int, l_max: int):
+                   a_new: np.ndarray, b_new: np.ndarray,
+                   pvec_new: np.ndarray | None, r: int, l_max: int):
     """Aggregate the low-weight columns and append the new block.
 
     Returns the new bundle and the next QP's starting point with its simplex
@@ -476,7 +560,7 @@ def _update_bundle(bundle: BundleState, sol, v_new: np.ndarray,
     eta, x = float(sol.u[0]), sol.u[1:]
     p_bar, p_hat = select_aggregation(x, r, l_max)
     bundle = bundle_mod.aggregate_and_append(
-        bundle, eta, x, v_new, a_new, b_new, p_bar, p_hat
+        bundle, eta, x, v_new, a_new, b_new, p_bar, p_hat, pvec_new
     )
     # a free coordinate may end a hair below 0; the start only needs to be
     # feasible, and the QP's result is the minimizer of its final working set

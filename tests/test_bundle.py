@@ -10,6 +10,7 @@ from polybundle.bundle import (
     model_eval,
     pvec_generate,
     select_aggregation,
+    support_values,
 )
 from polybundle.linalg import (
     ConstraintOperator,
@@ -49,7 +50,7 @@ class TestPvecGenerate:
         op = ConstraintOperator.from_matrices(2, [a1])
         c = np.array([[3.0, -1.0], [-1.0, 5.0]])
         p = np.array([[1.0], [0.0]])
-        a, b = pvec_generate(p, op, SvecSupport.of(op, svec(c).values))
+        a, b, _ = pvec_generate(p, op, SvecSupport.of(op, svec(c).values))
         assert a[0] == pytest.approx(3.0)
         assert b[0, 0] == pytest.approx(2.0)
 
@@ -59,13 +60,13 @@ class TestPvecGenerate:
             2, [SymMatrix.from_dense(np.eye(2))]
         )
         p = np.eye(2)
-        a, _ = pvec_generate(p, op, SvecSupport.of(op, svec(c).values))
+        a, _, _ = pvec_generate(p, op, SvecSupport.of(op, svec(c).values))
         assert np.allclose(a, [4.0, 7.0])
 
     def test_matches_outer_product_oracle(self):
         rng = np.random.default_rng(0)
         op, c, cvec, p, mats = random_setup(rng)
-        a, b = pvec_generate(p, op, SvecSupport.of(op, cvec))
+        a, b, _ = pvec_generate(p, op, SvecSupport.of(op, cvec))
         pvec = svec_rank_one(p)
         for i in range(p.shape[1]):
             outer = np.outer(p[:, i], p[:, i])
@@ -163,7 +164,7 @@ class TestSupportColumns:
             want_a = want_pvec.T @ cvec
             want_b = np.asarray(op.avec.T @ want_pvec)
             assert np.array_equal(bits(support.rank_one(p)), bits(want_pvec[pos]))
-            a, b = pvec_generate(p, op, support)
+            a, b, _ = pvec_generate(p, op, support)
             assert np.array_equal(bits(b), bits(want_b))
             assert np.max(np.abs(a - want_a)) <= 1e-13 * np.max(np.abs(want_a))
 
@@ -176,7 +177,7 @@ class TestSupportColumns:
             (support.rows, support.cols, support.scale), svec_indices(op.n)))
         p = self.columns(np.random.default_rng(8), op.n)
         pvec = svec_rank_one(p)
-        a, b = pvec_generate(p, op, support)
+        a, b, _ = pvec_generate(p, op, support)
         assert np.array_equal(bits(a), bits(pvec.T @ cvec))
         assert np.array_equal(bits(b), bits(op.avec.T @ pvec))
 
@@ -357,14 +358,14 @@ class TestSelectAggregation:
 class TestAggregateAndAppend:
     def make_state(self, rng, n=5, m=4, l=3, with_w=True):
         op, c, cvec, p, _ = random_setup(rng, n=n, m=m, l=l)
-        a, b_mat = pvec_generate(p, op, SvecSupport.of(op, cvec))
+        a, b_mat, _ = pvec_generate(p, op, SvecSupport.of(op, cvec))
         state = BundleState.fresh(p, a, b_mat, materialize_w=with_w)
         return state, op, c, cvec
 
     def new_block(self, rng, op, cvec, n, r):
         v = rng.standard_normal((n, r))
         v /= np.linalg.norm(v, axis=0)
-        a_new, b_new = pvec_generate(v, op, SvecSupport.of(op, cvec))
+        a_new, b_new, _ = pvec_generate(v, op, SvecSupport.of(op, cvec))
         return v, a_new, b_new
 
     def test_zero_mass_zeroes_aggregate(self):
@@ -412,15 +413,53 @@ class TestAggregateAndAppend:
         assert np.array_equal(out.a[3:], a_new)
         assert np.array_equal(out.B[:, 3:], b_new)
 
+    def test_support_values_follow_w(self):
+        # w_supp is svec(W) at the support's positions through two
+        # aggregations, and the kept columns keep their Pvec
+        rng = np.random.default_rng(8)
+        op, _, cvec, p, _ = random_setup(rng, n=5, m=4, l=3)
+        support = SvecSupport.of(op, cvec)
+        a, b_mat, pvec = pvec_generate(p, op, support, keep_pvec=True)
+        assert np.array_equal(pvec, support.rank_one(p))
+        state = BundleState.fresh(p, a, b_mat, True, pvec)
+        assert not state.w_supp.any() and len(state.pvec) == 3
+        for eta, x, p_bar, p_hat in [(0.0, [0.4, 0.05, 0.3], [1], [0, 2]),
+                                     (0.5, [0.1, 0.2, 0.3, 0.4], [0, 3], [1, 2])]:
+            v = rng.standard_normal((5, 2))
+            v /= np.linalg.norm(v, axis=0)
+            a_new, b_new, pvec_new = pvec_generate(v, op, support, keep_pvec=True)
+            kept = [state.pvec[i] for i in p_hat]
+            state = aggregate_and_append(state, eta, np.array(x), v, a_new, b_new,
+                                         np.array(p_bar), np.array(p_hat),
+                                         pvec_new)
+            want = state.W[support.rows, support.cols] * support.scale
+            assert np.allclose(state.w_supp, want, rtol=0, atol=1e-15)
+            assert all(c is k for c, k in zip(state.pvec, kept))
+            assert np.array_equal(np.column_stack(state.pvec[len(kept):]), pvec_new)
+        # no Pvec unless asked for
+        assert pvec_generate(p, op, support)[2] is None
+
+    def test_support_values_skip_weights_below_zero(self):
+        # a weight a hair below 0 counts as 0, so X stays a sum of PSD terms
+        rng = np.random.default_rng(9)
+        op, _, cvec, p, _ = random_setup(rng, n=5, m=4, l=3)
+        support = SvecSupport.of(op, cvec)
+        a, b_mat, pvec = pvec_generate(p, op, support, keep_pvec=True)
+        state = BundleState.fresh(p, a, b_mat, False, pvec)
+        state.w_supp[:] = 1.0
+        x = support_values(state, np.array([-1e-3, 0.5, -1e-3, 0.25]))
+        np.testing.assert_allclose(x, 0.5 * pvec[:, 0] + 0.25 * pvec[:, 2],
+                                   rtol=1e-14, atol=1e-16)
+
     def test_model_arrays_layout(self):
         # a fresh bundle's model arrays: the empty aggregate, then the columns
         rng = np.random.default_rng(7)
         op, _, cvec, p, _ = random_setup(rng, n=5, m=4, l=3)
-        a, b_mat = pvec_generate(p, op, SvecSupport.of(op, cvec))
+        a, b_mat, _ = pvec_generate(p, op, SvecSupport.of(op, cvec))
         state = BundleState.fresh(p, a, b_mat, materialize_w=False)
         assert state.a.shape == (4,)
         assert state.B.shape == (4, 4)
         assert state.a[0] == 0.0 and np.all(state.B[:, 0] == 0.0)
         assert np.array_equal(state.a[1:], a)
         assert np.array_equal(state.B[:, 1:], b_mat)
-        assert state.W is None
+        assert state.W is None and state.w_supp is None and state.pvec is None

@@ -6,16 +6,26 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from polybundle import qp, solver
+from polybundle import bundle, qp, solver
 from polybundle.linalg import (
     DENSE_EIG_CUTOFF,
+    ConstraintOperator,
     EigenConvergenceError,
     SvecSupport,
+    SymMatrix,
     apply_A,
     smat,
     svec,
+    svec_position,
 )
-from polybundle.problems import GraphInstance, build_maxcut_sdp, generate_random_sdp
+from polybundle.problems import (
+    GraphInstance,
+    SdpProblem,
+    build_maxcut_sdp,
+    generate_random_sdp,
+    load_sdpa,
+    write_sdpa,
+)
 from polybundle.solver import (
     PREDCOUNT_MAX,
     STATUS_CONVERGED,
@@ -212,14 +222,14 @@ class TestDescentDecision:
 
 
 class TestTermination:
+    """The measures of a primal given as (A(X), <C, X>) and a center y."""
+
     def test_zero_residuals_converge(self):
         b = np.array([1.0, 2.0])
-        u = np.array([1.0])
-        a = np.array([3.0])
-        b_mat = np.array([[1.0], [2.0]])
+        a_x = np.array([1.0, 2.0])
         y = np.array([1.0, 1.0])
         d1, d4, d5, d6, done = termination_check(
-            b, u, a, b_mat, y, 0.0, -3.0, -3.0, 1e-4
+            b, a_x, 3.0, y, 0.0, -3.0, -3.0, 1e-4
         )
         assert done
         assert d1 == pytest.approx(0.0)
@@ -228,16 +238,14 @@ class TestTermination:
     def test_dual_infeasibility_blocks(self):
         b = np.zeros(1)
         _, d4, _, _, done = termination_check(
-            b, np.zeros(1), np.zeros(1), np.zeros((1, 1)), np.zeros(1),
-            -0.5, 0.0, 0.0, 1e-4
+            b, np.zeros(1), 0.0, np.zeros(1), -0.5, 0.0, 0.0, 1e-4
         )
         assert d4 == 0.5 and not done
 
     def test_delta4_is_never_negative_zero(self):
         # lambda_min(S) = +0.0 makes lambda_max(A'y - C) = -0.0
         _, d4, _, _, done = termination_check(
-            np.zeros(1), np.zeros(1), np.zeros(1), np.zeros((1, 1)), np.zeros(1),
-            0.0, 0.0, 0.0, 1e-4
+            np.zeros(1), np.zeros(1), 0.0, np.zeros(1), 0.0, 0.0, 0.0, 1e-4
         )
         assert done and math.copysign(1.0, d4) == 1.0
         assert math.copysign(1.0, solver.dual_infeasibility(-0.0)) == 1.0
@@ -247,10 +255,8 @@ class TestTermination:
 
     def test_relative_scaling(self):
         b = np.array([100.0])
-        b_mat = np.array([[99.0]])
         d1, _, _, _, _ = termination_check(
-            b, np.ones(1), np.zeros(1), b_mat, np.zeros(1), 0.0, 0.0, 0.0,
-            1e-4
+            b, np.array([99.0]), 0.0, np.zeros(1), 0.0, 0.0, 0.0, 1e-4
         )
         assert d1 == pytest.approx(1.0 / 101.0)
 
@@ -650,9 +656,9 @@ class TestTrajectories:
         problem, params = c10_maxcut()
         res = solve(problem, params)
         assert res.status == STATUS_CONVERGED
-        assert res.iterations == 86
-        assert self.steps(res).count("d") == 44
-        assert res.trace[-1].F_y == pytest.approx(250.55393432425674, rel=1e-9)
+        assert res.iterations == 48
+        assert self.steps(res).count("d") == 29
+        assert res.trace[-1].F_y == pytest.approx(250.69343292562496, rel=1e-9)
         # the default rank min(n, ceil(sqrt(2m))) is 15 here, m = n = 100;
         # passing it changes no bit of the run
         assert res.rank_used == 15
@@ -663,9 +669,9 @@ class TestTrajectories:
         problem, params = c10_maxcut()
         res = solve(problem, params)
         assert res.status == STATUS_CONVERGED
-        assert res.iterations == 60
-        assert self.steps(res).count("d") == 35
-        assert res.trace[-1].F_y == pytest.approx(250.5522203815643, rel=1e-9)
+        assert res.iterations == 31
+        assert self.steps(res).count("d") == 22
+        assert res.trace[-1].F_y == pytest.approx(250.72458308917297, rel=1e-9)
         params.rank = 15
         assert_same_run(solve(problem, params), res)
 
@@ -772,3 +778,178 @@ class TestLowerBound:
             problem.known_trace = trace
         assert {rec.lower_bound for rec in res.trace} == {None}
         assert res.lower_bound is None and res.lower_bound_gap is None
+
+
+def without_diagonal_constraints(monkeypatch):
+    """Hide the Max-Cut structure: the termination test then reads the
+    model's X, as on every instance without it."""
+    monkeypatch.setattr(SvecSupport, "diagonal_constraints",
+                        property(lambda self: None))
+
+
+class TestMaxCutCertificate:
+    """On Max-Cut the termination test reads X_rep = D^-1/2 X D^-1/2 for
+    D = Diag(diag X), which is PSD and meets A(X_rep) = b exactly; the
+    iterates are the model rule's, and only the stop moves."""
+
+    @pytest.mark.parametrize("instance", [
+        c10_maxcut,
+        # the benchmark's Max-Cut graph: seed 1, n = 200, rank 20
+        lambda: c10_maxcut(n=200, prob=0.03, seed=1),
+    ], ids=["c10", "benchmark-graph-1"])
+    def test_stops_on_a_prefix_of_the_model_rule(self, monkeypatch, instance):
+        problem, params = instance()
+        new = solve(problem, params)
+        without_diagonal_constraints(monkeypatch)
+        old = solve(problem, params)
+        assert new.status == old.status == STATUS_CONVERGED
+        k = new.iterations
+        assert k < old.iterations
+        assert TestTrajectories.steps(old)[:k] == TestTrajectories.steps(new)
+        f_y = lambda res, k: np.array([rec.F_y for rec in res.trace[:k]]).tobytes()
+        assert f_y(old, k) == f_y(new, k)
+        dual = old.objective_dual
+        assert abs(new.objective_dual - dual) <= params.eps * (1.0 + abs(dual))
+        # delta1 of X_rep is rounding; the model's held the old run longest
+        assert new.delta1 <= 1e-15
+        assert old.delta1_last_above_eps == old.iterations - 1
+
+    def test_materialized_primal_is_the_certificate(self):
+        problem, params = c10_maxcut()
+        plain = solve(problem, params)
+        params.materialize_w = True
+        res = solve(problem, params)
+        assert_same_run(res, plain)
+        x = res.X.to_dense()
+        assert np.abs(np.diag(x) - 1.0).max() <= 1e-15
+        assert np.linalg.eigvalsh(x)[0] >= -1e-12
+        cx = float(problem.cvec @ svec(res.X).values)
+        assert abs(cx - res.objective_primal) <= 1e-12 * abs(res.objective_primal)
+        # with the center's bound, the optimum lies in [lower_bound, <C, X>]
+        assert res.lower_bound <= res.objective_primal
+
+    @pytest.mark.parametrize("prior_rank,l_max,rank_used", [
+        (None, "sq", 15),
+        # a cap at the rank folds every old column into W, with weight
+        (None, 15, 15),
+        (8, "sq", 6),
+    ], ids=["c10", "cap-at-rank", "rank-restart"])
+    def test_support_values_match_the_dense_primal(self, monkeypatch, prior_rank,
+                                                   l_max, rank_used):
+        problem, params = (c10_maxcut() if prior_rank is None
+                           else c10_maxcut(n=60, prob=0.1, seed=2))
+        params.materialize_w = True
+        params.prior_rank, params.l_max = prior_rank, l_max
+        seen, real = [], solver.primal_pair
+
+        def recorded(problem, targets, state, u):
+            seen.append((state, u.copy()))
+            return real(problem, targets, state, u)
+
+        monkeypatch.setattr(solver, "primal_pair", recorded)
+        res = solve(problem, params)
+        assert res.status == STATUS_CONVERGED and res.rank_used == rank_used
+        assert res.delta1 <= 1e-15
+        support = problem.support
+        for state, u in seen:
+            dense = recover_primal(state, u).to_dense()
+            want = dense[support.rows, support.cols] * support.scale
+            got = bundle.support_values(state, u)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_planted_runs_carry_no_support_values(self, small_problem,
+                                                  monkeypatch):
+        problem, _ = small_problem
+        assert solver.diagonal_targets(problem) is None
+        states, real = [], bundle.aggregate_and_append
+
+        def recorded(state, *args):
+            states.append((state, args[-1]))
+            return real(state, *args)
+
+        monkeypatch.setattr(bundle, "aggregate_and_append", recorded)
+        solve(problem, SolverParams(maxiter=10))
+        assert len(states) == 10
+        for state, pvec_new in states:
+            assert state.w_supp is None and state.pvec is None
+            assert pvec_new is None
+
+    def test_isolated_vertices(self):
+        # X_ii = 0 at an isolated vertex that no bundle column reaches yet;
+        # those iterations fall back to the model's X
+        n, isolated = 100, 10
+        rng = np.random.default_rng(1)
+        edges = [(i + 1, j + 1, 1.0) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.06 and i >= isolated]
+        problem = build_maxcut_sdp(GraphInstance(n, edges), sense="maximize")
+        params = SolverParams(eps=1e-3, maxiter=500, t0=1e-2, l_max="sq",
+                              materialize_w=True)
+        res = solve(problem, params)
+        assert res.status == STATUS_CONVERGED
+        assert res.max_delta <= params.eps
+        assert res.delta1_last_above_eps > 0
+        for rec in res.trace:
+            values = [v for v in vars(rec).values() if isinstance(v, float)]
+            assert np.all(np.isfinite(values)), rec.k
+        assert np.isfinite(res.objective_primal)
+        assert np.all(np.isfinite(res.X.vals))
+
+    def test_scale_of_a_diagonal_that_is_not_positive(self):
+        problem, _ = c10_maxcut(n=4, prob=1.0)
+        targets = solver.diagonal_targets(problem)
+        diag = np.array([4.0, 1.0, 0.25, 1.0])
+        assert solver.diagonal_scale(problem, targets, diag).tolist() == \
+            [0.5, 1.0, 2.0, 1.0]
+        # zero, negative, NaN, and a positive entry whose s overflows
+        for bad in (0.0, -1e-300, math.nan, 1e-320):
+            diag[2] = bad
+            assert solver.diagonal_scale(problem, targets, diag) is None
+
+
+def diagonal_instance(k, rows, cols, vals, b, n=3):
+    """An instance whose A_{k+1} holds vals at (rows, cols)."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    op = ConstraintOperator.from_entries(n, len(b), np.asarray(k),
+                                         svec_position(n, rows, cols), vals)
+    return SdpProblem(n=n, m=len(b), C=SymMatrix.from_dense(np.ones((n, n))),
+                      op=op, b=np.asarray(b, dtype=float))
+
+
+class TestDiagonalTargets:
+    """The structure A_i = a_i e_j e_j' at distinct j with b_i / a_i > 0,
+    detected once per instance and cached on its support."""
+
+    def test_maxcut_and_its_sdpa_round_trip(self, tmp_path):
+        problem, _ = c10_maxcut()
+        path = str(tmp_path / "maxcut.dat-s")
+        write_sdpa(problem, path)
+        for p in (problem, load_sdpa(path)):
+            idx, d = solver.diagonal_targets(p)
+            support = p.support
+            assert np.array_equal(support.rows[idx], np.arange(p.n))
+            assert np.array_equal(support.cols[idx], np.arange(p.n))
+            assert np.all(d == 1.0)
+            assert p.support.diagonal_constraints is idx
+
+    def test_scaled_entries_and_free_diagonal_positions(self):
+        # m < n, constraints out of position order, a_i = 2 and b_i = 4
+        problem = diagonal_instance([0, 1], [2, 0], [2, 0], [2.0, -1.0],
+                                    [4.0, -3.0])
+        idx, d = solver.diagonal_targets(problem)
+        assert problem.support.rows[idx].tolist() == [2, 0]
+        assert d.tolist() == [2.0, 3.0]
+
+    @pytest.mark.parametrize("k,rows,cols,vals,b", [
+        ([0, 0, 1, 2], [0, 1, 1, 2], [0, 1, 1, 2], [1.0] * 4, [1.0] * 3),
+        ([0, 1, 2], [1, 1, 2], [0, 1, 2], [1.0] * 3, [1.0] * 3),
+        ([0, 1, 2], [0, 0, 2], [0, 0, 2], [1.0] * 3, [1.0] * 3),
+        ([0, 1, 2], [0, 1, 2], [0, 1, 2], [1.0] * 3, [1.0, 0.0, 1.0]),
+        ([0, 1, 2], [0, 1, 2], [0, 1, 2], [1.0] * 3, [1.0, -1.0, 1.0]),
+    ], ids=["two-entries", "off-diagonal", "repeated-position", "b-zero",
+            "b-negative"])
+    def test_rejected(self, k, rows, cols, vals, b):
+        problem = diagonal_instance(k, rows, cols, vals, b)
+        assert solver.diagonal_targets(problem) is None
+
+    def test_planted_rejected(self, small_problem):
+        assert small_problem[0].support.diagonal_constraints is None
