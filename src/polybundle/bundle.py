@@ -3,8 +3,9 @@
 The model at iteration k is
     F_k(y) = -b'y + max <eta*W + P diag(x) P', A'y - C>
 over eta >= 0, x >= 0, eta + 1'x <= rho.  The aggregate matrix W is carried
-only through its model column (<C, W>, A(W)), plus its values at the
-support's positions when the solver asks for them, unless materialized.
+only through linear images that one rule folds: its model column
+(<C, W>, A(W)), its values at the support's positions when the solver asks
+for them (the columns' values there are formed from P), and W if materialized.
 """
 
 from __future__ import annotations
@@ -25,45 +26,43 @@ class BundleState:
     """Active bundle columns and the model arrays the QP reads.
 
     Entry and column 0 of (a, B) belong to the aggregate W; entry and column
-    i belong to the bundle column p_i = P[:, i-1].
+    i belong to the bundle column p_i = P[:, i-1].  ``w_supp`` is svec(W) at
+    the positions of ``support``, the instance's ``SvecSupport``, when the
+    state is taken on one; both are None otherwise.
     """
 
     P: np.ndarray          # n x l, unit-norm columns
     a: np.ndarray          # l+1: <C, W>, then <C, p_i p_i'>
     B: np.ndarray          # m x (l+1): A(W), then A(p_i p_i')
     W: np.ndarray | None = None  # optional materialized aggregate (dense n x n)
-    # optional svec(W) at the support's positions, and Pvec[:, i] =
-    # svec(p_i p_i') there for each column i, one contiguous array each
     w_supp: np.ndarray | None = None
-    pvec: list[np.ndarray] | None = None
+    support: SvecSupport | None = None
 
     @classmethod
     def fresh(cls, p: np.ndarray, a: np.ndarray, b_mat: np.ndarray,
-              materialize_w: bool, pvec: np.ndarray | None = None) -> BundleState:
+              materialize_w: bool, support: SvecSupport | None = None) -> BundleState:
         """Bundle of the columns p alone, with an empty aggregate; with the
-        support values of W and of the columns when ``pvec`` is given."""
+        support values of W when ``support`` is given."""
         n = p.shape[0]
         return cls(P=p, a=np.concatenate([[0.0], a]),
                    B=np.column_stack([np.zeros(b_mat.shape[0]), b_mat]),
                    W=np.zeros((n, n)) if materialize_w else None,
-                   w_supp=None if pvec is None else np.zeros(pvec.shape[0]),
-                   pvec=None if pvec is None else _split(pvec))
+                   w_supp=None if support is None else np.zeros(support.rows.size),
+                   support=support)
 
     @property
     def l(self) -> int:
         return self.P.shape[1]
 
 
-def pvec_generate(p: np.ndarray, op: ConstraintOperator, support: SvecSupport,
-                  keep_pvec: bool = False):
+def pvec_generate(p: np.ndarray, op: ConstraintOperator, support: SvecSupport):
     """Bundle columns of the rank-one matrices p_i p_i' for the columns of p.
 
     ``support`` is ``SvecSupport.of(op, cvec)``, as ``SdpProblem.support`` holds it.
-    Returns (a, B, Pvec) with a_i = <C, p_i p_i'> and B[:, i] = A(p_i p_i'),
+    Returns (a, B) with a_i = <C, p_i p_i'> and B[:, i] = A(p_i p_i'),
     both from Pvec[:, i] = svec(p_i p_i') at the support's positions:
-    a = Pvec' cvec and B = avec' Pvec.  Pvec itself is returned only with
-    ``keep_pvec``, else None.  The cost is the support size times l to form
-    Pvec plus nnz(avec)*l for B.
+    a = Pvec' cvec and B = avec' Pvec.  Pvec is not kept.  The cost is the
+    support size times l to form Pvec plus nnz(avec)*l for B.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 2:
@@ -74,8 +73,7 @@ def pvec_generate(p: np.ndarray, op: ConstraintOperator, support: SvecSupport,
     if support.avec.shape[1] != op.m:
         raise ValueError("support was taken from another operator")
     pvec = support.rank_one(p)
-    return (pvec.T @ support.cvec, np.asarray(support.avec.T @ pvec),
-            pvec if keep_pvec else None)
+    return pvec.T @ support.cvec, np.asarray(support.avec.T @ pvec)
 
 
 def support_values(state: BundleState, u: np.ndarray) -> np.ndarray:
@@ -85,17 +83,17 @@ def support_values(state: BundleState, u: np.ndarray) -> np.ndarray:
     QP may leave, counts as 0, so X is a sum of PSD terms."""
     eta, x = max(float(u[0]), 0.0), u[1:]
     act = np.flatnonzero(x > 0.0)
-    return eta * state.w_supp + _combine(state.pvec, act, x[act])
+    return eta * state.w_supp + _combine(state, act, x[act])
 
 
-def _split(pvec: np.ndarray) -> list[np.ndarray]:
-    """The columns of Pvec, each as an array of its own."""
-    return [col.copy() for col in pvec.T]
-
-
-def _combine(cols: list[np.ndarray], idx: np.ndarray, weights: np.ndarray):
-    """sum_k weights[k] * cols[idx[k]]; 0.0 for no columns."""
-    return weights @ np.array([cols[i] for i in idx])
+def _combine(state: BundleState, idx: np.ndarray, weights: np.ndarray):
+    """sum_k weights[k] * svec(p p') at the support for p = state.P[:, idx[k]],
+    from a (k, support) block in C order whose entries are formed as in
+    ``SvecSupport.rank_one``: the bits of a sum over its stacked columns."""
+    s = state.support
+    pt = np.ascontiguousarray(state.P[:, idx].T)
+    block = np.take(pt, s.rows, axis=1) * np.take(pt, s.cols, axis=1) * s.scale
+    return weights @ block
 
 
 def model_eval(y: np.ndarray, a: np.ndarray, b_mat: np.ndarray,
@@ -134,38 +132,29 @@ def select_aggregation(x: np.ndarray, r: int, l_max: int):
 def aggregate_and_append(state: BundleState, eta: float, x: np.ndarray,
                          v_new: np.ndarray, a_new: np.ndarray,
                          b_new: np.ndarray, p_bar: np.ndarray,
-                         p_hat: np.ndarray,
-                         pvec_new: np.ndarray | None = None) -> BundleState:
+                         p_hat: np.ndarray) -> BundleState:
     """Fold the p_bar columns into the aggregate and append the new block.
 
-    A state that carries support values needs the new block's Pvec.
+    Every image of W the state carries is folded by one rule,
+    (eta * image + sum_{i in p_bar} x_i * image(p_i p_i')) / mass for
+    mass = eta + sum x[p_bar], or zeros at mass 0.
     """
     x = np.asarray(x, dtype=np.float64)
     x_bar = x[p_bar]
     mass = eta + x_bar.sum()
-    if mass > 0.0:
-        a_bar = (eta * state.a[0] + state.a[1 + p_bar] @ x_bar) / mass
-        b_bar = (eta * state.B[:, 0] + state.B[:, 1 + p_bar] @ x_bar) / mass
-    else:
-        a_bar, b_bar = 0.0, np.zeros(state.B.shape[0])
 
-    w = None
-    if state.W is not None:
-        if mass > 0.0:
-            pb = state.P[:, p_bar]
-            w = (eta * state.W + (pb * x_bar) @ pb.T) / mass
-        else:
-            w = np.zeros_like(state.W)
+    def fold(image, folded):
+        if image is None:
+            return None
+        return (eta * image + folded()) / mass if mass > 0.0 else np.zeros_like(image)
 
-    w_supp = cols = None
-    if state.w_supp is not None:
-        if mass > 0.0:
-            w_supp = (eta * state.w_supp + _combine(state.pvec, p_bar, x_bar)) / mass
-        else:
-            w_supp = np.zeros_like(state.w_supp)
-        cols = [state.pvec[i] for i in p_hat] + _split(pvec_new)
+    a_bar = fold(state.a[0], lambda: state.a[1 + p_bar] @ x_bar)
+    b_bar = fold(state.B[:, 0], lambda: state.B[:, 1 + p_bar] @ x_bar)
+    w = fold(state.W, lambda: (state.P[:, p_bar] * x_bar) @ state.P[:, p_bar].T)
+    w_supp = fold(state.w_supp, lambda: _combine(state, p_bar, x_bar))
 
     p = np.column_stack([state.P[:, p_hat], v_new])
     a = np.concatenate([[a_bar], state.a[1 + p_hat], np.atleast_1d(a_new)])
     b_mat = np.column_stack([b_bar, state.B[:, 1 + p_hat], b_new])
-    return BundleState(P=p, a=a, B=b_mat, W=w, w_supp=w_supp, pvec=cols)
+    return BundleState(P=p, a=a, B=b_mat, W=w, w_supp=w_supp,
+                       support=state.support)

@@ -379,25 +379,6 @@ class SvecSupport:
         return y
 
     @cached_property
-    def diagonal_constraints(self) -> np.ndarray | None:
-        """A read-only array of each constraint's support index, when every
-        A_i has exactly one stored entry, on the diagonal, at a position of
-        its own (the Max-Cut form A_i = a_i e_j e_j'); else None.
-
-        Such an A(X) reads X's diagonal alone, so rescaling X by a positive
-        diagonal keeps it PSD and can meet any A(X) = b with b_i / a_i > 0.
-        O(m), once per instance.
-        """
-        a = self.avec
-        if np.any(np.diff(a.indptr) != 1):
-            return None
-        idx = a.indices.astype(np.int64)
-        if np.any(self.rows[idx] != self.cols[idx]) or np.unique(idx).size != idx.size:
-            return None
-        idx.setflags(write=False)
-        return idx
-
-    @cached_property
     def _flat(self):
         """Flat positions of the entries in an n x n array, and of their mirrors."""
         return self.rows * self.n + self.cols, self.cols * self.n + self.rows

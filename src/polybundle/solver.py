@@ -252,14 +252,19 @@ def termination_check(b: np.ndarray, a_x: np.ndarray, primal: float,
 
 
 def diagonal_targets(problem: SdpProblem):
-    """(idx, d) when A(X) = b fixes X's diagonal alone, as on Max-Cut:
-    constraint i holds X_jj = d_i > 0 at the support index idx_i of
-    position (j, j) (``SvecSupport.diagonal_constraints``); else None."""
-    idx = problem.support.diagonal_constraints
-    if idx is None:
+    """(idx, d) when A(X) = b fixes X's diagonal alone, as on Max-Cut: every
+    A_i has one stored entry a_i, at a diagonal position (j, j) of its own
+    with support index idx_i, and X_jj = d_i = b_i / a_i is positive and
+    finite; else None.  O(m), once per solve."""
+    support = problem.support
+    a = support.avec
+    if np.any(np.diff(a.indptr) != 1):
+        return None
+    idx = a.indices
+    if np.any(support.rows[idx] != support.cols[idx]) or np.unique(idx).size != idx.size:
         return None
     with np.errstate(all="ignore"):
-        d = problem.b / problem.support.avec.data
+        d = problem.b / a.data
     return (idx, d) if np.all((d > 0.0) & (d < np.inf)) else None
 
 
@@ -393,7 +398,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     b = problem.b
     start = time.perf_counter()
     targets = diagonal_targets(problem)
-    keep_pvec = targets is not None
+    support = None if targets is None else problem.support
     y = problem.support.least_squares_dual
     y = np.zeros(problem.m) if y is None else y.copy()
     u = np.zeros(1)
@@ -406,10 +411,9 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     n_eigs = r_iter + 1 if pred is not None else r_iter
     try:
         f_y, lam_max_y, v, _ = penalty_eval(problem, y, r_iter, rho, n_eigs)
-        a_new, b_new, pvec_new = pvec_generate(v, problem.op, problem.support,
-                                               keep_pvec)
+        a_new, b_new = pvec_generate(v, problem.op, problem.support)
         bundle = solved_on = BundleState.fresh(v, a_new, b_new,
-                                               params.materialize_w, pvec_new)
+                                               params.materialize_w, support)
         u = np.zeros(1 + bundle.l)
         for k in range(1, params.maxiter + 1):
             a, b_mat = bundle.a, bundle.B
@@ -423,10 +427,10 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                 break
             u, z, solved_on = sol.u, sol.z, bundle
             model_z = model_eval(z, a, b_mat, rho, b)
-            f_z, lam_max_z, v_new, eigs_z, a_new, b_new, pvec_new = _oracle(
-                problem, z, r_iter, rho, n_eigs, keep_pvec)
+            f_z, lam_max_z, v_new, eigs_z, a_new, b_new = _oracle(
+                problem, z, r_iter, rho, n_eigs)
             bundle, warm = _update_bundle(bundle, sol, v_new, a_new, b_new,
-                                          pvec_new, r_iter, l_max)
+                                          r_iter, l_max)
 
             # the descent test moves the center; F_y stays the pre-step value
             # for the termination test and the trace
@@ -464,8 +468,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                     n_eigs = r_pred
                     bundle = BundleState.fresh(
                         v_new[:, :r_pred], a_new[:r_pred], b_new[:, :r_pred],
-                        params.materialize_w,
-                        None if pvec_new is None else pvec_new[:, :r_pred])
+                        params.materialize_w, support)
                     warm = None
             if params.time_limit_secs is not None and elapsed > params.time_limit_secs:
                 status = STATUS_TIME_LIMIT
@@ -531,24 +534,21 @@ def problem_settings(problem: SdpProblem, params: SolverParams):
     return rho, r, lmax_from_policy(params.l_max, r)
 
 
-def _oracle(problem: SdpProblem, z: np.ndarray, r: int, rho: float, n_eigs: int,
-            keep_pvec: bool):
+def _oracle(problem: SdpProblem, z: np.ndarray, r: int, rho: float, n_eigs: int):
     """Penalty value at the candidate plus the bundle columns of its bottom
     r eigenvectors, rescaled to unit norm.
 
-    Returns (F, lam_max, V, eigvals, a, B, Pvec) as ``penalty_eval`` and
+    Returns (F, lam_max, V, eigvals, a, B) as ``penalty_eval`` and
     ``pvec_generate`` give them, with the n_eigs smallest eigenvalues.
     """
     f, lam_max, v, eigs = penalty_eval(problem, z, r, rho, n_eigs)
     norms = np.linalg.norm(v, axis=0)
     v = v / np.where(norms == 0.0, 1.0, norms)
-    return (f, lam_max, v, eigs,
-            *pvec_generate(v, problem.op, problem.support, keep_pvec))
+    return (f, lam_max, v, eigs, *pvec_generate(v, problem.op, problem.support))
 
 
 def _update_bundle(bundle: BundleState, sol, v_new: np.ndarray,
-                   a_new: np.ndarray, b_new: np.ndarray,
-                   pvec_new: np.ndarray | None, r: int, l_max: int):
+                   a_new: np.ndarray, b_new: np.ndarray, r: int, l_max: int):
     """Aggregate the low-weight columns and append the new block.
 
     Returns the new bundle and the next QP's starting point with its simplex
@@ -560,7 +560,7 @@ def _update_bundle(bundle: BundleState, sol, v_new: np.ndarray,
     eta, x = float(sol.u[0]), sol.u[1:]
     p_bar, p_hat = select_aggregation(x, r, l_max)
     bundle = bundle_mod.aggregate_and_append(
-        bundle, eta, x, v_new, a_new, b_new, p_bar, p_hat, pvec_new
+        bundle, eta, x, v_new, a_new, b_new, p_bar, p_hat
     )
     # a free coordinate may end a hair below 0; the start only needs to be
     # feasible, and the QP's result is the minimizer of its final working set

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from linalg_reference import svec_rank_one
-from polybundle import linalg
+from polybundle import bundle, linalg, solver
 from polybundle.bundle import (
     BundleState,
     aggregate_and_append,
@@ -50,7 +50,7 @@ class TestPvecGenerate:
         op = ConstraintOperator.from_matrices(2, [a1])
         c = np.array([[3.0, -1.0], [-1.0, 5.0]])
         p = np.array([[1.0], [0.0]])
-        a, b, _ = pvec_generate(p, op, SvecSupport.of(op, svec(c).values))
+        a, b = pvec_generate(p, op, SvecSupport.of(op, svec(c).values))
         assert a[0] == pytest.approx(3.0)
         assert b[0, 0] == pytest.approx(2.0)
 
@@ -60,13 +60,13 @@ class TestPvecGenerate:
             2, [SymMatrix.from_dense(np.eye(2))]
         )
         p = np.eye(2)
-        a, _, _ = pvec_generate(p, op, SvecSupport.of(op, svec(c).values))
+        a, _ = pvec_generate(p, op, SvecSupport.of(op, svec(c).values))
         assert np.allclose(a, [4.0, 7.0])
 
     def test_matches_outer_product_oracle(self):
         rng = np.random.default_rng(0)
         op, c, cvec, p, mats = random_setup(rng)
-        a, b, _ = pvec_generate(p, op, SvecSupport.of(op, cvec))
+        a, b = pvec_generate(p, op, SvecSupport.of(op, cvec))
         pvec = svec_rank_one(p)
         for i in range(p.shape[1]):
             outer = np.outer(p[:, i], p[:, i])
@@ -164,7 +164,7 @@ class TestSupportColumns:
             want_a = want_pvec.T @ cvec
             want_b = np.asarray(op.avec.T @ want_pvec)
             assert np.array_equal(bits(support.rank_one(p)), bits(want_pvec[pos]))
-            a, b, _ = pvec_generate(p, op, support)
+            a, b = pvec_generate(p, op, support)
             assert np.array_equal(bits(b), bits(want_b))
             assert np.max(np.abs(a - want_a)) <= 1e-13 * np.max(np.abs(want_a))
 
@@ -177,7 +177,7 @@ class TestSupportColumns:
             (support.rows, support.cols, support.scale), svec_indices(op.n)))
         p = self.columns(np.random.default_rng(8), op.n)
         pvec = svec_rank_one(p)
-        a, b, _ = pvec_generate(p, op, support)
+        a, b = pvec_generate(p, op, support)
         assert np.array_equal(bits(a), bits(pvec.T @ cvec))
         assert np.array_equal(bits(b), bits(op.avec.T @ pvec))
 
@@ -358,14 +358,14 @@ class TestSelectAggregation:
 class TestAggregateAndAppend:
     def make_state(self, rng, n=5, m=4, l=3, with_w=True):
         op, c, cvec, p, _ = random_setup(rng, n=n, m=m, l=l)
-        a, b_mat, _ = pvec_generate(p, op, SvecSupport.of(op, cvec))
+        a, b_mat = pvec_generate(p, op, SvecSupport.of(op, cvec))
         state = BundleState.fresh(p, a, b_mat, materialize_w=with_w)
         return state, op, c, cvec
 
     def new_block(self, rng, op, cvec, n, r):
         v = rng.standard_normal((n, r))
         v /= np.linalg.norm(v, axis=0)
-        a_new, b_new, _ = pvec_generate(v, op, SvecSupport.of(op, cvec))
+        a_new, b_new = pvec_generate(v, op, SvecSupport.of(op, cvec))
         return v, a_new, b_new
 
     def test_zero_mass_zeroes_aggregate(self):
@@ -415,39 +415,34 @@ class TestAggregateAndAppend:
 
     def test_support_values_follow_w(self):
         # w_supp is svec(W) at the support's positions through two
-        # aggregations, and the kept columns keep their Pvec
+        # aggregations
         rng = np.random.default_rng(8)
         op, _, cvec, p, _ = random_setup(rng, n=5, m=4, l=3)
         support = SvecSupport.of(op, cvec)
-        a, b_mat, pvec = pvec_generate(p, op, support, keep_pvec=True)
-        assert np.array_equal(pvec, support.rank_one(p))
-        state = BundleState.fresh(p, a, b_mat, True, pvec)
-        assert not state.w_supp.any() and len(state.pvec) == 3
+        a, b_mat = pvec_generate(p, op, support)
+        state = BundleState.fresh(p, a, b_mat, True, support)
+        assert not state.w_supp.any() and state.support is support
         for eta, x, p_bar, p_hat in [(0.0, [0.4, 0.05, 0.3], [1], [0, 2]),
                                      (0.5, [0.1, 0.2, 0.3, 0.4], [0, 3], [1, 2])]:
             v = rng.standard_normal((5, 2))
             v /= np.linalg.norm(v, axis=0)
-            a_new, b_new, pvec_new = pvec_generate(v, op, support, keep_pvec=True)
-            kept = [state.pvec[i] for i in p_hat]
+            a_new, b_new = pvec_generate(v, op, support)
             state = aggregate_and_append(state, eta, np.array(x), v, a_new, b_new,
-                                         np.array(p_bar), np.array(p_hat),
-                                         pvec_new)
+                                         np.array(p_bar), np.array(p_hat))
             want = state.W[support.rows, support.cols] * support.scale
             assert np.allclose(state.w_supp, want, rtol=0, atol=1e-15)
-            assert all(c is k for c, k in zip(state.pvec, kept))
-            assert np.array_equal(np.column_stack(state.pvec[len(kept):]), pvec_new)
-        # no Pvec unless asked for
-        assert pvec_generate(p, op, support)[2] is None
+            assert state.support is support
 
     def test_support_values_skip_weights_below_zero(self):
         # a weight a hair below 0 counts as 0, so X stays a sum of PSD terms
         rng = np.random.default_rng(9)
         op, _, cvec, p, _ = random_setup(rng, n=5, m=4, l=3)
         support = SvecSupport.of(op, cvec)
-        a, b_mat, pvec = pvec_generate(p, op, support, keep_pvec=True)
-        state = BundleState.fresh(p, a, b_mat, False, pvec)
+        a, b_mat = pvec_generate(p, op, support)
+        state = BundleState.fresh(p, a, b_mat, False, support)
         state.w_supp[:] = 1.0
         x = support_values(state, np.array([-1e-3, 0.5, -1e-3, 0.25]))
+        pvec = support.rank_one(p)
         np.testing.assert_allclose(x, 0.5 * pvec[:, 0] + 0.25 * pvec[:, 2],
                                    rtol=1e-14, atol=1e-16)
 
@@ -455,11 +450,87 @@ class TestAggregateAndAppend:
         # a fresh bundle's model arrays: the empty aggregate, then the columns
         rng = np.random.default_rng(7)
         op, _, cvec, p, _ = random_setup(rng, n=5, m=4, l=3)
-        a, b_mat, _ = pvec_generate(p, op, SvecSupport.of(op, cvec))
+        a, b_mat = pvec_generate(p, op, SvecSupport.of(op, cvec))
         state = BundleState.fresh(p, a, b_mat, materialize_w=False)
         assert state.a.shape == (4,)
         assert state.B.shape == (4, 4)
         assert state.a[0] == 0.0 and np.all(state.B[:, 0] == 0.0)
         assert np.array_equal(state.a[1:], a)
         assert np.array_equal(state.B[:, 1:], b_mat)
-        assert state.W is None and state.w_supp is None and state.pvec is None
+        assert state.W is None and state.w_supp is None and state.support is None
+
+
+def stored_pvec_sum(state, idx, weights):
+    """The sum over stored Pvec columns, as bundles once kept them: one
+    contiguous svec(p_i p_i') at the support's positions per column."""
+    support = state.support
+    pos = svec_position(state.P.shape[0], support.rows, support.cols)
+    return weights @ np.array([svec_rank_one(state.P)[pos, i] for i in idx])
+
+
+class TestSupportValuesFromP:
+    """The support values formed from the bundle's P have the bits of the
+    same sums over stored Pvec columns."""
+
+    def check(self, state, u):
+        eta, x = max(float(u[0]), 0.0), u[1:]
+        act = np.flatnonzero(x > 0.0)
+        want = eta * state.w_supp + stored_pvec_sum(state, act, x[act])
+        assert np.array_equal(bits(support_values(state, u)), bits(want))
+        for idx in (i for i in (act, act[:1], np.arange(state.l)) if i.size):
+            weights = np.linspace(0.1, 1.0, idx.size)
+            assert np.array_equal(bits(bundle._combine(state, idx, weights)),
+                                  bits(stored_pvec_sum(state, idx, weights)))
+        # no column of positive weight: eta * w_supp alone, and zeros
+        none = np.array([], dtype=np.int64)
+        assert stored_pvec_sum(state, none, np.zeros(0)) == 0.0
+        got = bundle._combine(state, none, np.zeros(0))
+        assert got.shape == state.w_supp.shape and not got.any()
+        zero_x = np.concatenate([u[:1], -np.abs(x)])
+        assert np.array_equal(bits(support_values(state, zero_x)),
+                              bits(eta * state.w_supp + 0.0))
+
+    def test_maxcut_run_with_a_rank_restart(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        n = 60
+        edges = [(i + 1, j + 1, 1.0) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.1]
+        problem = build_maxcut_sdp(GraphInstance(n, edges), sense="maximize")
+        seen, real = [], solver.primal_pair
+
+        def recorded(problem, targets, state, u):
+            seen.append((state, u.copy()))
+            return real(problem, targets, state, u)
+
+        monkeypatch.setattr(solver, "primal_pair", recorded)
+        # a cap of 15 folds columns into W after the restart too
+        params = solver.SolverParams(eps=1e-3, t0=1e-2, l_max=15, prior_rank=8)
+        res = solver.solve(problem, params)
+        assert res.status == solver.STATUS_CONVERGED and res.rank_used == 6
+        # the state the restart starts: its P is a slice of the new block
+        restart = next(k for k, (state, _) in enumerate(seen) if state.l == 6)
+        assert 0 < restart < len(seen) - 1
+        assert not seen[restart][0].P.flags.c_contiguous
+        assert any(state.w_supp.any() for state, _ in seen[restart:])
+        for state, u in seen:
+            assert state.support is problem.support
+            self.check(state, u)
+
+    def test_full_planted_support(self):
+        problem, _ = generate_random_sdp(30, 25, 3, 0.1, 1.5, 12)
+        support = problem.support
+        assert support.rows.size == tri_dim(30)
+        rng = np.random.default_rng(3)
+        p = rng.standard_normal((30, 4))
+        p /= np.linalg.norm(p, axis=0)
+        a, b_mat = pvec_generate(p, problem.op, support)
+        state = BundleState.fresh(p, a, b_mat, False, support)
+        self.check(state, np.array([0.0, 0.3, -1e-12, 0.2, 0.0]))
+        v = rng.standard_normal((30, 3))
+        v /= np.linalg.norm(v, axis=0)
+        a_new, b_new = pvec_generate(v, problem.op, support)
+        state = aggregate_and_append(state, 0.5, np.array([0.1, 0.2, 0.3, 0.4]),
+                                     v, a_new, b_new, np.array([0, 2]),
+                                     np.array([1, 3]))
+        assert state.w_supp.any()
+        self.check(state, np.array([0.7, 0.25, 0.0, 0.1, 0.05, -1e-9]))

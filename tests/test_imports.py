@@ -1,18 +1,21 @@
 """No module of the package or of its tests imports a name it never uses,
-no function there assigns a local it never reads, and the package defines
+no function there assigns a local it never reads, no function of the
+package takes a parameter its body never reads, and the package defines
 no function or class that nothing names.
 
-Stand-ins for a linter's unused-import, unused-variable and dead-code
-rules.  A name bound by an import counts as used when it appears anywhere in
-the module as a bare name or the root of an attribute chain, or is listed in
-``__all__``.
+Stand-ins for a linter's unused-import, unused-variable, unused-argument
+and dead-code rules.  A name bound by an import counts as used when it
+appears anywhere in the module as a bare name or the root of an attribute
+chain, or is listed in ``__all__``.
 A name a function binds (by assignment, a loop, ``with``, ``except ... as``
 or a walrus) counts as read when any code in the function, nested functions
 included, loads it; names starting with ``_`` and names declared ``global``
-or ``nonlocal`` are exempt.  A function or class the package defines
-counts as named when its name appears as a whole word in some Python file of
-``src/``, ``tests/`` or ``perfbench/`` more often than it is defined there;
-dunder names are exempt.
+or ``nonlocal`` are exempt.  A parameter counts as read when its function's
+body loads it, nested functions included; its annotation and default do
+not count, and names starting with ``_`` are exempt.  A function or class
+the package defines counts as named when its name appears as a whole word
+in some Python file of ``src/``, ``tests/`` or ``perfbench/`` more often
+than it is defined there; dunder names are exempt.
 """
 
 import ast
@@ -62,6 +65,22 @@ def unused_locals(source: str) -> list[str]:
                   if isinstance(n, ast.ExceptHandler) and n.name]
         found.update((line, name) for line, name in bound
                      if name not in read | exempt and not name.startswith("_"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def unused_parameters(source: str) -> list[str]:
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        args = fn.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, [args.vararg, args.kwarg])]
+        found += [(fn.lineno, a.arg) for a in params
+                  if a.arg not in read and not a.arg.startswith("_")]
     return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
@@ -124,6 +143,25 @@ def test_local_checker_flags_assigned_but_never_read():
     assert unused_locals(source) == [
         "line 2: b", "line 3: rest", "line 4: i", "line 8: exc",
         "line 14: kept", "line 14: y"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_parameter_checker_flags_what_the_body_never_reads():
+    source = ("def f(a, b: int, _c, *args, d=None, **kw):\n"  # b, args, kw unread
+              "    def inner(e=a):\n"      # e unread; a is read by the default
+              "        return d\n"
+              "    return inner\n"
+              "class K:\n"
+              "    def m(self, x):\n"       # self unread
+              "        return x\n"
+              "g = lambda y, z: y\n")         # z unread
+    assert unused_parameters(source) == [
+        "line 1: args", "line 1: b", "line 1: kw", "line 2: e", "line 6: self",
+        "line 8: z"]
 
 
 def test_no_dead_definitions():

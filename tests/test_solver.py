@@ -780,11 +780,17 @@ class TestLowerBound:
         assert res.lower_bound is None and res.lower_bound_gap is None
 
 
-def without_diagonal_constraints(monkeypatch):
+def held_bytes(state):
+    """Bytes of the arrays a bundle state holds, directly or in a list."""
+    items = [x for v in vars(state).values()
+             for x in (v if isinstance(v, (list, tuple)) else [v])]
+    return sum(x.nbytes for x in items if isinstance(x, np.ndarray))
+
+
+def without_diagonal_targets(monkeypatch):
     """Hide the Max-Cut structure: the termination test then reads the
     model's X, as on every instance without it."""
-    monkeypatch.setattr(SvecSupport, "diagonal_constraints",
-                        property(lambda self: None))
+    monkeypatch.setattr(solver, "diagonal_targets", lambda problem: None)
 
 
 class TestMaxCutCertificate:
@@ -800,7 +806,7 @@ class TestMaxCutCertificate:
     def test_stops_on_a_prefix_of_the_model_rule(self, monkeypatch, instance):
         problem, params = instance()
         new = solve(problem, params)
-        without_diagonal_constraints(monkeypatch)
+        without_diagonal_targets(monkeypatch)
         old = solve(problem, params)
         assert new.status == old.status == STATUS_CONVERGED
         k = new.iterations
@@ -864,15 +870,41 @@ class TestMaxCutCertificate:
         states, real = [], bundle.aggregate_and_append
 
         def recorded(state, *args):
-            states.append((state, args[-1]))
+            states.append(state)
             return real(state, *args)
 
         monkeypatch.setattr(bundle, "aggregate_and_append", recorded)
         solve(problem, SolverParams(maxiter=10))
         assert len(states) == 10
-        for state, pvec_new in states:
-            assert state.w_supp is None and state.pvec is None
-            assert pvec_new is None
+        for state in states:
+            assert state.w_supp is None and state.support is None
+
+    @pytest.mark.parametrize("prior_rank,materialize_w", [(None, False), (8, True)],
+                             ids=["c10", "rank-restart"])
+    def test_state_holds_no_per_column_support_arrays(self, monkeypatch,
+                                                      prior_rank, materialize_w):
+        # the support values of the columns are formed from P when needed,
+        # so a state holds P, a, B, w_supp and W, and no copy per column
+        problem, params = (c10_maxcut() if prior_rank is None
+                           else c10_maxcut(n=60, prob=0.1, seed=2))
+        params.prior_rank, params.materialize_w = prior_rank, materialize_w
+        states, real = [], bundle.aggregate_and_append
+
+        def recorded(state, *args):
+            out = real(state, *args)
+            states.extend([state, out])
+            return out
+
+        monkeypatch.setattr(bundle, "aggregate_and_append", recorded)
+        res = solve(problem, params)
+        assert res.status == STATUS_CONVERGED
+        assert len(states) == 2 * res.iterations
+        for state in states:
+            assert state.w_supp is not None
+            assert (state.W is not None) == materialize_w
+            allowed = sum(x.nbytes for x in (state.P, state.a, state.B, state.w_supp,
+                                              state.W) if x is not None)
+            assert held_bytes(state) <= allowed
 
     def test_isolated_vertices(self):
         # X_ii = 0 at an isolated vertex that no bundle column reaches yet;
@@ -917,7 +949,7 @@ def diagonal_instance(k, rows, cols, vals, b, n=3):
 
 class TestDiagonalTargets:
     """The structure A_i = a_i e_j e_j' at distinct j with b_i / a_i > 0,
-    detected once per instance and cached on its support."""
+    detected once per solve."""
 
     def test_maxcut_and_its_sdpa_round_trip(self, tmp_path):
         problem, _ = c10_maxcut()
@@ -929,7 +961,6 @@ class TestDiagonalTargets:
             assert np.array_equal(support.rows[idx], np.arange(p.n))
             assert np.array_equal(support.cols[idx], np.arange(p.n))
             assert np.all(d == 1.0)
-            assert p.support.diagonal_constraints is idx
 
     def test_scaled_entries_and_free_diagonal_positions(self):
         # m < n, constraints out of position order, a_i = 2 and b_i = 4
@@ -952,4 +983,4 @@ class TestDiagonalTargets:
         assert solver.diagonal_targets(problem) is None
 
     def test_planted_rejected(self, small_problem):
-        assert small_problem[0].support.diagonal_constraints is None
+        assert solver.diagonal_targets(small_problem[0]) is None
