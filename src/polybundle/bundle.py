@@ -2,10 +2,10 @@
 
 The model at iteration k is
     F_k(y) = -b'y + max <eta*W + P diag(x) P', A'y - C>
-over eta >= 0, x >= 0, eta + 1'x <= rho.  The aggregate matrix W is carried
-only through linear images that one rule folds: its model column
-(<C, W>, A(W)), its values at the support's positions when the solver asks
-for them (the columns' values there are formed from P), and W if materialized.
+over eta >= 0, x >= 0, eta + 1'x <= rho.  The aggregate matrix W is never
+formed: it is carried only through linear images that one rule folds, its
+model column (<C, W>, A(W)) and, when the solver asks for them, its values
+at the support's positions (the columns' values there are formed from P).
 """
 
 from __future__ import annotations
@@ -34,19 +34,16 @@ class BundleState:
     P: np.ndarray          # n x l, unit-norm columns
     a: np.ndarray          # l+1: <C, W>, then <C, p_i p_i'>
     B: np.ndarray          # m x (l+1): A(W), then A(p_i p_i')
-    W: np.ndarray | None = None  # optional materialized aggregate (dense n x n)
     w_supp: np.ndarray | None = None
     support: SvecSupport | None = None
 
     @classmethod
     def fresh(cls, p: np.ndarray, a: np.ndarray, b_mat: np.ndarray,
-              materialize_w: bool, support: SvecSupport | None = None) -> BundleState:
-        """Bundle of the columns p alone, with an empty aggregate; with the
-        support values of W when ``support`` is given."""
-        n = p.shape[0]
+              support: SvecSupport | None = None) -> BundleState:
+        """Bundle of the columns p alone, with an empty aggregate W = 0; with
+        its support values when ``support`` is given."""
         return cls(P=p, a=np.concatenate([[0.0], a]),
                    B=np.column_stack([np.zeros(b_mat.shape[0]), b_mat]),
-                   W=np.zeros((n, n)) if materialize_w else None,
                    w_supp=None if support is None else np.zeros(support.rows.size),
                    support=support)
 
@@ -150,11 +147,9 @@ def aggregate_and_append(state: BundleState, eta: float, x: np.ndarray,
 
     a_bar = fold(state.a[0], lambda: state.a[1 + p_bar] @ x_bar)
     b_bar = fold(state.B[:, 0], lambda: state.B[:, 1 + p_bar] @ x_bar)
-    w = fold(state.W, lambda: (state.P[:, p_bar] * x_bar) @ state.P[:, p_bar].T)
     w_supp = fold(state.w_supp, lambda: _combine(state, p_bar, x_bar))
 
     p = np.column_stack([state.P[:, p_hat], v_new])
     a = np.concatenate([[a_bar], state.a[1 + p_hat], np.atleast_1d(a_new)])
     b_mat = np.column_stack([b_bar, state.B[:, 1 + p_hat], b_new])
-    return BundleState(P=p, a=a, B=b_mat, W=w, w_supp=w_supp,
-                       support=state.support)
+    return BundleState(P=p, a=a, B=b_mat, w_supp=w_supp, support=state.support)

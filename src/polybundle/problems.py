@@ -56,8 +56,8 @@ class SdpProblem:
         self.b = np.asarray(self.b, dtype=np.float64)
         if self.C.n != self.n or self.op.n != self.n:
             raise ValueError("dimension mismatch between C and the operator")
-        if self.op.m != self.m or self.b.size != self.m:
-            raise ValueError("m does not match the operator or b")
+        if self.op.m != self.m or self.b.shape != (self.m,):
+            raise ValueError("m does not match the operator or b (a vector of m)")
         if not np.all(np.isfinite(self.b)):
             raise ValueError("b must be finite")
         self.cvec = svec(self.C).values

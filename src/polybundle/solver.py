@@ -17,7 +17,7 @@ from . import bundle as bundle_mod
 from . import qp as qp_mod
 from .bundle import (BundleState, model_eval, pvec_generate, select_aggregation,
                      support_values)
-from .linalg import EigenConvergenceError, SymMatrix, extreme_eigs
+from .linalg import EigenConvergenceError, extreme_eigs
 from .problems import SdpProblem, _count
 
 STATUS_CONVERGED = "Converged"
@@ -65,7 +65,6 @@ class SolverParams:
     maxiter: int = 500
     time_limit_secs: float | None = None
     prior_rank: int | None = None  # set: predict the rank, starting from this one
-    materialize_w: bool = False
 
     def validate(self):
         if not T_MIN <= self.t0 <= T_MAX:
@@ -128,7 +127,6 @@ class SolveResult:
     u: np.ndarray
     objective_dual: float
     objective_primal: float   # <C, X> of the primal the last test read
-    X: SymMatrix | None       # that primal, when materialize_w is set
     delta1: float
     delta4: float
     delta5: float
@@ -291,10 +289,11 @@ def diagonal_scale(problem: SdpProblem, targets, x_diag: np.ndarray):
 def primal_pair(problem: SdpProblem, targets, state: BundleState,
                 u: np.ndarray):
     """The primal the termination test reads, for the weights u on the
-    bundle they were solved on: (A(X), <C, X>, s).
+    bundle they were solved on, as the pair (A(X), <C, X>); X itself is
+    never formed.
 
     Without targets it is the model's X = eta*W + P diag(x) P', as
-    (B u, a'u, None).  With them (``diagonal_targets``) it is the rescaled
+    (B u, a'u).  With them (``diagonal_targets``) it is the rescaled
     X_rep = Diag(s) X Diag(s) of ``diagonal_scale``, formed on the support
     in O(support * |x > 0|), which is PSD and feasible: on Max-Cut that is
     D^-1/2 X D^-1/2 for D = Diag(diag X), the Goemans-Williamson
@@ -310,8 +309,8 @@ def primal_pair(problem: SdpProblem, targets, state: BundleState,
             x_rep = x_supp * s[support.rows] * s[support.cols]
             # A_i has its one entry a_i at idx_i: A(X_rep)_i = a_i X_rep[idx_i]
             a_x = support.avec.data * x_rep[idx]
-            return a_x, float(support.cvec @ x_rep), s
-    return state.B @ u, float(state.a @ u), None
+            return a_x, float(support.cvec @ x_rep)
+    return state.B @ u, float(state.a @ u)
 
 
 @dataclass
@@ -359,15 +358,6 @@ def rank_predict_step(p: np.ndarray, s_eigs_ascending: np.ndarray,
     return state.predcount > PREDCOUNT_MAX, r_k
 
 
-def recover_primal(state: BundleState, u: np.ndarray) -> SymMatrix:
-    """Materialized primal X = eta*W + P diag(x) P' for the weights u."""
-    if state.W is None:
-        raise ValueError("aggregate W not materialized; enable materialize_w")
-    eta, x = float(u[0]), np.asarray(u[1:], dtype=np.float64)
-    xmat = eta * state.W + (state.P * x) @ state.P.T
-    return SymMatrix.from_dense(0.5 * (xmat + xmat.T))
-
-
 def solve(problem: SdpProblem, params: SolverParams | None = None,
           callback=None) -> SolveResult:
     """Run the full bundle method on a standard-form SDP.
@@ -385,8 +375,9 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     fixes X's diagonal alone, as on Max-Cut (``diagonal_targets``), its
     rescaling to that diagonal (X_rep = D^-1/2 X D^-1/2 on Max-Cut), which
     is PSD and feasible, so delta1 is rounding and the run ends once y is
-    certified.
-    The result's ``objective_primal`` and ``X`` are that same primal.
+    certified.  The pair is read right after each QP, on the bundle that QP
+    was solved on.  The result's ``objective_primal`` is that primal's
+    <C, X>; no primal matrix is returned.
 
     ``callback``, if given, receives an ``IterationInfo`` after every
     iteration.
@@ -406,14 +397,13 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     trace: list[IterationRecord] = []
     deltas = [np.inf] * 4
     status, failure, lam_max_y = STATUS_ITER_LIMIT, None, None
-    primal, scale = math.nan, None
+    primal = math.nan
     # rank prediction reads the gap after eigenvalue r, so it asks for r + 1
     n_eigs = r_iter + 1 if pred is not None else r_iter
     try:
         f_y, lam_max_y, v, _ = penalty_eval(problem, y, r_iter, rho, n_eigs)
         a_new, b_new = pvec_generate(v, problem.op, problem.support)
-        bundle = solved_on = BundleState.fresh(v, a_new, b_new,
-                                               params.materialize_w, support)
+        bundle = BundleState.fresh(v, a_new, b_new, support)
         u = np.zeros(1 + bundle.l)
         for k in range(1, params.maxiter + 1):
             a, b_mat = bundle.a, bundle.B
@@ -425,7 +415,8 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
             except (qp_mod.NonConvergence, np.linalg.LinAlgError) as exc:
                 status, failure = STATUS_SUBPROBLEM_FAILURE, str(exc)
                 break
-            u, z, solved_on = sol.u, sol.z, bundle
+            u, z = sol.u, sol.z
+            a_x, primal = primal_pair(problem, targets, bundle, u)
             model_z = model_eval(z, a, b_mat, rho, b)
             f_z, lam_max_z, v_new, eigs_z, a_new, b_new = _oracle(
                 problem, z, r_iter, rho, n_eigs)
@@ -438,7 +429,6 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                                                     nullcount)
             if accept:
                 y, lam_max_y = z, lam_max_z
-            a_x, primal, scale = primal_pair(problem, targets, solved_on, u)
             *deltas, done = termination_check(b, a_x, primal, y, -lam_max_y,
                                               f_y, model_z, params.eps)
             elapsed = time.perf_counter() - start
@@ -466,9 +456,8 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                     t = max(0.5 * t, T_MIN)
                     r_iter, l_max = r_pred, lmax_from_policy(params.l_max, r_pred)
                     n_eigs = r_pred
-                    bundle = BundleState.fresh(
-                        v_new[:, :r_pred], a_new[:r_pred], b_new[:, :r_pred],
-                        params.materialize_w, support)
+                    bundle = BundleState.fresh(v_new[:, :r_pred], a_new[:r_pred],
+                                               b_new[:, :r_pred], support)
                     warm = None
             if params.time_limit_secs is not None and elapsed > params.time_limit_secs:
                 status = STATUS_TIME_LIMIT
@@ -479,22 +468,13 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
         status, failure = STATUS_EIGEN_FAILURE, str(exc)
 
     wall = time.perf_counter() - start
-    # u and its primal quantities refer to the bundle u was solved on, and
-    # X to the primal the last termination test read
     failed = failure is not None
-    x_mat = None
-    if params.materialize_w and not failed:
-        x_mat = recover_primal(solved_on, u)
-        if scale is not None:
-            x_mat = SymMatrix(x_mat.n, x_mat.rows, x_mat.cols,
-                              x_mat.vals * (scale[x_mat.rows] * scale[x_mat.cols]))
     dual = float(b @ y)
     bound = None if lam_max_y is None else lower_bound(problem, y, lam_max_y)
     return SolveResult(
         status=status, y=y, u=u,
         objective_dual=dual,
         objective_primal=math.nan if failed else primal,
-        X=x_mat,
         delta1=deltas[0], delta4=deltas[1], delta5=deltas[2],
         delta6=deltas[3], iterations=len(trace), wall_secs=wall, trace=trace,
         rank_used=r_iter, rho=rho, failure=failure, lower_bound=bound,
@@ -507,20 +487,25 @@ def problem_settings(problem: SdpProblem, params: SolverParams):
     """Penalty weight, starting rank and bundle cap, from the params or the
     instance; ValueError when validate() or the instance rejects them.
 
-    rho defaults to 2*trace+1 for the instance's known primal trace.  The rank
-    is the prior when one is set (rank prediction), else params.rank, else the
-    instance's known rank, else min(n, ceil(sqrt(2m))): by the Barvinok-Pataki
-    bound some optimal X has a rank r with r(r+1)/2 <= m.  It must be an
-    integer in [1, n]; the cap must be at least the rank.
+    The instance's known primal trace, if any, must be finite and at least
+    0: a negative one would certify lower bounds above the optimum.  rho
+    defaults to 2*trace+1 for it.  The rank is the prior when one is set
+    (rank prediction), else params.rank, else the instance's known rank, else
+    min(n, ceil(sqrt(2m))): by the Barvinok-Pataki bound some optimal X has a
+    rank r with r(r+1)/2 <= m.  It must be an integer in [1, n]; the cap must
+    be at least the rank.
     """
     params.validate()
+    trace = problem.known_trace
+    if trace is not None and not 0 <= trace < math.inf:
+        raise ValueError(f"known primal trace must be finite and >= 0, got {trace}")
     rho = params.rho
     if rho is None:
-        if problem.known_trace is None:
+        if trace is None:
             raise ValueError(
                 "rho not set and the instance carries no known primal trace"
             )
-        rho = 2.0 * problem.known_trace + 1.0
+        rho = 2.0 * trace + 1.0
     if params.prior_rank is not None:
         r = params.prior_rank
     elif params.rank is not None:

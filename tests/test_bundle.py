@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from linalg_reference import svec_rank_one
+from linalg_reference import fold_dense, svec_rank_one
 from polybundle import bundle, linalg, solver
 from polybundle.bundle import (
     BundleState,
@@ -16,6 +18,7 @@ from polybundle.linalg import (
     ConstraintOperator,
     SvecSupport,
     SymMatrix,
+    apply_A,
     svec,
     svec_indices,
     svec_position,
@@ -356,10 +359,10 @@ class TestSelectAggregation:
 
 
 class TestAggregateAndAppend:
-    def make_state(self, rng, n=5, m=4, l=3, with_w=True):
+    def make_state(self, rng, n=5, m=4, l=3):
         op, c, cvec, p, _ = random_setup(rng, n=n, m=m, l=l)
         a, b_mat = pvec_generate(p, op, SvecSupport.of(op, cvec))
-        state = BundleState.fresh(p, a, b_mat, materialize_w=with_w)
+        state = BundleState.fresh(p, a, b_mat)
         return state, op, c, cvec
 
     def new_block(self, rng, op, cvec, n, r):
@@ -381,7 +384,8 @@ class TestAggregateAndAppend:
         assert out.l == 5
 
     def test_aggregate_consistency_with_w(self):
-        # after aggregation the model column 0 is (<C, W>, A(W))
+        # after aggregation the model column 0 is (<C, W>, A(W)) for the
+        # dense W that the oracle folds
         rng = np.random.default_rng(4)
         state, op, c, cvec = self.make_state(rng)
         v, a_new, b_new = self.new_block(rng, op, cvec, 5, 2)
@@ -390,13 +394,12 @@ class TestAggregateAndAppend:
         p_hat = np.array([0, 2], dtype=np.int64)
         out = aggregate_and_append(state, 0.5, x, v, a_new, b_new,
                                    p_bar, p_hat)
-        assert out.W is not None
-        assert out.a[0] == pytest.approx(np.trace(c @ out.W), abs=1e-10)
-        from polybundle.linalg import apply_A
-        assert np.allclose(out.B[:, 0], apply_A(op, out.W), atol=1e-10)
-        evals = np.linalg.eigvalsh(out.W)
+        w = fold_dense(np.zeros((5, 5)), state, 0.5, x, p_bar)
+        assert out.a[0] == pytest.approx(np.trace(c @ w), abs=1e-10)
+        assert np.allclose(out.B[:, 0], apply_A(op, w), atol=1e-10)
+        evals = np.linalg.eigvalsh(w)
         assert evals.min() >= -1e-9
-        assert np.trace(out.W) <= 1.0 + 1e-9
+        assert np.trace(w) <= 1.0 + 1e-9
 
     def test_kept_columns_preserved(self):
         rng = np.random.default_rng(5)
@@ -420,16 +423,18 @@ class TestAggregateAndAppend:
         op, _, cvec, p, _ = random_setup(rng, n=5, m=4, l=3)
         support = SvecSupport.of(op, cvec)
         a, b_mat = pvec_generate(p, op, support)
-        state = BundleState.fresh(p, a, b_mat, True, support)
+        state = BundleState.fresh(p, a, b_mat, support)
+        w = np.zeros((5, 5))
         assert not state.w_supp.any() and state.support is support
         for eta, x, p_bar, p_hat in [(0.0, [0.4, 0.05, 0.3], [1], [0, 2]),
                                      (0.5, [0.1, 0.2, 0.3, 0.4], [0, 3], [1, 2])]:
             v = rng.standard_normal((5, 2))
             v /= np.linalg.norm(v, axis=0)
             a_new, b_new = pvec_generate(v, op, support)
+            w = fold_dense(w, state, eta, np.array(x), np.array(p_bar))
             state = aggregate_and_append(state, eta, np.array(x), v, a_new, b_new,
                                          np.array(p_bar), np.array(p_hat))
-            want = state.W[support.rows, support.cols] * support.scale
+            want = w[support.rows, support.cols] * support.scale
             assert np.allclose(state.w_supp, want, rtol=0, atol=1e-15)
             assert state.support is support
 
@@ -439,7 +444,7 @@ class TestAggregateAndAppend:
         op, _, cvec, p, _ = random_setup(rng, n=5, m=4, l=3)
         support = SvecSupport.of(op, cvec)
         a, b_mat = pvec_generate(p, op, support)
-        state = BundleState.fresh(p, a, b_mat, False, support)
+        state = BundleState.fresh(p, a, b_mat, support)
         state.w_supp[:] = 1.0
         x = support_values(state, np.array([-1e-3, 0.5, -1e-3, 0.25]))
         pvec = support.rank_one(p)
@@ -451,13 +456,16 @@ class TestAggregateAndAppend:
         rng = np.random.default_rng(7)
         op, _, cvec, p, _ = random_setup(rng, n=5, m=4, l=3)
         a, b_mat = pvec_generate(p, op, SvecSupport.of(op, cvec))
-        state = BundleState.fresh(p, a, b_mat, materialize_w=False)
+        state = BundleState.fresh(p, a, b_mat)
         assert state.a.shape == (4,)
         assert state.B.shape == (4, 4)
         assert state.a[0] == 0.0 and np.all(state.B[:, 0] == 0.0)
         assert np.array_equal(state.a[1:], a)
         assert np.array_equal(state.B[:, 1:], b_mat)
-        assert state.W is None and state.w_supp is None and state.support is None
+        assert state.w_supp is None and state.support is None
+        # the aggregate is held only through its images, never as a matrix
+        assert [f.name for f in dataclasses.fields(BundleState)] == \
+            ["P", "a", "B", "w_supp", "support"]
 
 
 def stored_pvec_sum(state, idx, weights):
@@ -524,7 +532,7 @@ class TestSupportValuesFromP:
         p = rng.standard_normal((30, 4))
         p /= np.linalg.norm(p, axis=0)
         a, b_mat = pvec_generate(p, problem.op, support)
-        state = BundleState.fresh(p, a, b_mat, False, support)
+        state = BundleState.fresh(p, a, b_mat, support)
         self.check(state, np.array([0.0, 0.3, -1e-12, 0.2, 0.0]))
         v = rng.standard_normal((30, 3))
         v /= np.linalg.norm(v, axis=0)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -382,6 +383,24 @@ class TestSolve:
         assert calls == []
 
 
+    @pytest.mark.parametrize("trace", [-1.0, 0.0], ids=["negative", "zero"])
+    def test_known_trace_below_zero_exit_1(self, generated, tmp_path, capsys,
+                                           trace):
+        dat, man = generated
+        doc = json.loads(man.read_text())
+        doc.update(instance=str(dat.resolve()), trace_X=trace)
+        path, out = tmp_path / "manifest.json", tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        code = main(["solve", str(path), "--maxiter", "2", "--out", str(out)])
+        if trace < 0:
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: known primal trace")
+            assert not out.exists()
+        else:  # a zero trace is a valid bound, and rho = 1
+            assert code == 2
+            assert json.loads(out.read_text())["rho"] == 1.0
+
+
 class TestUsage:
     @pytest.mark.parametrize("args", [
         ["--lmax", "foo"],
@@ -416,6 +435,15 @@ class TestUsage:
         proc = run_cli("solve", "--bogus")
         assert proc.returncode == 1
         assert "error:" in proc.stderr
+
+
+def test_every_setting_has_a_flag():
+    # a setting without a flag is one that no command-line run can change
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command in ("solve", "maxcut"):
+        dests = {a.dest for a in subparsers.choices[command]._actions}
+        assert dests >= cli.PARAM_FIELDS, command
 
 
 class TestCheck:

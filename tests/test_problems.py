@@ -130,6 +130,16 @@ class TestSdpProblem:
         with pytest.raises(ValueError, match=message):
             SdpProblem(**{**data, **change})
 
+    @pytest.mark.parametrize("shape", [(6, 1), (1, 6), (2, 3)])
+    def test_b_not_a_vector_rejected(self, shape):
+        # b holds m = 6 entries but not as a vector of them
+        op = ConstraintOperator.from_entries(3, 6, np.arange(6), np.arange(6),
+                                             np.ones(6))
+        data = dict(n=3, m=6, C=SymMatrix(3, [1], [1], [1.0]), op=op)
+        SdpProblem(**data, b=np.ones(6))
+        with pytest.raises(ValueError, match="m does not match"):
+            SdpProblem(**data, b=np.ones(shape))
+
 
 class TestOperatorEntries:
     """The entry-based constraint builders against the operators they build."""

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from linalg_reference import fold_dense, model_primal
 from polybundle import bundle, qp, solver
 from polybundle.linalg import (
     DENSE_EIG_CUTOFF,
@@ -40,7 +41,6 @@ from polybundle.solver import (
     lmax_from_policy,
     penalty_eval,
     rank_predict_step,
-    recover_primal,
     solve,
     termination_check,
 )
@@ -386,7 +386,6 @@ class TestSolveEndToEnd:
         assert np.array_equal(res.y, want_y)
         assert [r.F_y for r in res.trace] == [r.F_y for r in done.trace[:k - 2]]
         assert np.isnan(res.objective_primal)
-        assert res.X is None
 
     def test_arpack_failure_ends_run_as_eigen_failure(self, monkeypatch):
         # above DENSE_EIG_CUTOFF the slack is stored CSR and ARPACK solves it
@@ -418,6 +417,23 @@ class TestSolveEndToEnd:
                 solve(problem, SolverParams())
         finally:
             problem.known_trace = trace
+
+    @pytest.mark.parametrize("factor", [-1.0, math.nan, math.inf],
+                             ids=["negative", "nan", "inf"])
+    def test_known_trace_must_be_finite_and_nonnegative(self, small_problem,
+                                                        factor):
+        # lower_bound reads the known trace even when rho is given: a
+        # negative one would certify bounds above the optimum
+        problem, _ = small_problem
+        known = problem.known_trace
+        try:
+            problem.known_trace = factor * known
+            with pytest.raises(ValueError, match="known primal trace"):
+                solve(problem, SolverParams(rho=20.0, maxiter=5))
+            problem.known_trace = 0.0
+            assert solver.problem_settings(problem, SolverParams())[0] == 1.0
+        finally:
+            problem.known_trace = known
 
     @pytest.mark.parametrize("n,m,sparsity,rank", [(30, 60, 0.1, 11),
                                                   (5, 40, 0.5, 5)])
@@ -479,45 +495,90 @@ class TestLastAboveEps:
         assert set(solver.last_above_eps([], 1.0).values()) == {0}
 
 
+class DenseAggregate:
+    """The dense aggregate W carried beside a run, as the oracle of the
+    images the bundle holds: every state that ``BundleState.fresh`` makes
+    starts at W = 0, and ``aggregate_and_append`` folds W by ``fold_dense``.
+    Each ``primal_pair`` call is recorded as ``seen``'s (state, u)."""
+
+    def __init__(self, monkeypatch):
+        # id(state) -> (state, W); holding the state keeps its id from reuse
+        self.held, self.seen = {}, []
+        fresh = bundle.BundleState.fresh.__func__
+        aggregate, pair = bundle.aggregate_and_append, solver.primal_pair
+
+        def carried_fresh(cls, p, *args, **kwargs):
+            state = fresh(cls, p, *args, **kwargs)
+            self.held[id(state)] = (state, np.zeros((p.shape[0], p.shape[0])))
+            return state
+
+        def carried_aggregate(state, eta, x, v_new, a_new, b_new, p_bar, p_hat):
+            out = aggregate(state, eta, x, v_new, a_new, b_new, p_bar, p_hat)
+            self.held[id(out)] = (out, fold_dense(self.w(state), state, eta, x,
+                                                  p_bar))
+            return out
+
+        def recorded_pair(problem, targets, state, u):
+            self.seen.append((state, u.copy()))
+            return pair(problem, targets, state, u)
+
+        monkeypatch.setattr(bundle.BundleState, "fresh", classmethod(carried_fresh))
+        monkeypatch.setattr(bundle, "aggregate_and_append", carried_aggregate)
+        monkeypatch.setattr(solver, "primal_pair", recorded_pair)
+
+    def w(self, state) -> np.ndarray:
+        return self.held[id(state)][1]
+
+    def primal(self, problem, state, u) -> SymMatrix:
+        """The X whose (A(X), <C, X>) ``primal_pair`` gives for (state, u):
+        the model's X, rescaled by ``diagonal_scale`` where the termination
+        test rescales it, as on Max-Cut."""
+        x = model_primal(self.w(state), state, u)
+        targets = solver.diagonal_targets(problem)
+        if targets is None:
+            return x
+        diag = bundle.support_values(state, u)[targets[0]]
+        s = solver.diagonal_scale(problem, targets, diag)
+        if s is None:
+            return x
+        return SymMatrix(x.n, x.rows, x.cols, x.vals * (s[x.rows] * s[x.cols]))
+
+    def last_primal(self, problem) -> SymMatrix:
+        """The primal the run's last termination test read."""
+        return self.primal(problem, *self.seen[-1])
+
+
 class TestRecoverPrimal:
+    """The model's primal X = eta*W + P diag(x) P', formed by the tests'
+    oracle from the dense W carried beside a run."""
+
     def test_zero_weights_give_zero(self, small_problem):
         problem, _ = small_problem
-        from polybundle.bundle import BundleState
         n, m = problem.n, problem.m
         p = np.eye(n)[:, :2]
-        state = BundleState.fresh(p, np.zeros(2), np.zeros((m, 2)),
-                                  materialize_w=True)
-        x = recover_primal(state, np.zeros(3))
+        state = bundle.BundleState.fresh(p, np.zeros(2), np.zeros((m, 2)))
+        x = model_primal(np.zeros((n, n)), state, np.zeros(3))
         assert np.all(x.to_dense() == 0.0)
 
     def test_single_column(self):
-        from polybundle.bundle import BundleState
         n = 4
         p = np.zeros((n, 1))
         p[1, 0] = 1.0
-        state = BundleState.fresh(p, np.zeros(1), np.zeros((2, 1)),
-                                  materialize_w=True)
-        x = recover_primal(state, np.array([0.0, 0.7]))
+        state = bundle.BundleState.fresh(p, np.zeros(1), np.zeros((2, 1)))
+        x = model_primal(np.zeros((n, n)), state, np.array([0.0, 0.7]))
         want = 0.7 * np.outer(p[:, 0], p[:, 0])
         assert np.allclose(x.to_dense(), want, atol=1e-15)
 
-    def test_requires_materialized_w(self):
-        from polybundle.bundle import BundleState
-        state = BundleState.fresh(np.ones((2, 1)) / np.sqrt(2), np.zeros(1),
-                                  np.zeros((2, 1)), materialize_w=False)
-        with pytest.raises(ValueError, match="materialize"):
-            recover_primal(state, np.zeros(2))
-
-    def test_converged_primal_matches_delta1(self, small_problem):
+    def test_converged_primal_matches_delta1(self, small_problem, monkeypatch):
         problem, _ = small_problem
-        res = solve(problem, SolverParams(eps=1e-4, maxiter=300,
-                                          materialize_w=True))
+        dense = DenseAggregate(monkeypatch)
+        res = solve(problem, SolverParams(eps=1e-4, maxiter=300))
         assert res.status == STATUS_CONVERGED
-        assert res.X is not None
-        resid = apply_A(problem.op, res.X) - problem.b
+        x = dense.last_primal(problem)
+        resid = apply_A(problem.op, x) - problem.b
         d1 = np.linalg.norm(resid) / (1 + np.linalg.norm(problem.b))
         assert d1 <= 1e-4
-        evals = np.linalg.eigvalsh(res.X.to_dense())
+        evals = np.linalg.eigvalsh(x.to_dense())
         assert evals.min() >= -1e-9
 
     @pytest.mark.parametrize("instance", [
@@ -526,25 +587,26 @@ class TestRecoverPrimal:
         lambda: (generate_random_sdp(100, 100, 5, 1e-2, 1.0, 0)[0],
                  SolverParams(prior_rank=10)),
     ], ids=["planted", "rank-restart"])
-    def test_materialized_aggregate_changes_no_iterate(self, instance):
+    def test_carrying_w_changes_no_iterate(self, monkeypatch, instance):
         problem, params = instance()
-        implicit = solve(problem, params)
-        params.materialize_w = True
-        materialized = solve(problem, params)
-        assert implicit.status == STATUS_CONVERGED
-        assert implicit.X is None and materialized.X is not None
-        assert_same_run(materialized, implicit)
+        plain = solve(problem, params)
+        dense = DenseAggregate(monkeypatch)
+        carried = solve(problem, params)
+        assert plain.status == STATUS_CONVERGED
+        assert len(dense.seen) == carried.iterations
+        assert all(id(state) in dense.held for state, _ in dense.seen)
+        assert_same_run(carried, plain)
 
     @pytest.mark.parametrize("maxiter", [11, 12, 13, 14, 15, 16])
-    def test_primal_after_rank_restart_matches_objective(self, maxiter):
+    def test_primal_after_rank_restart_matches_objective(self, monkeypatch,
+                                                         maxiter):
         # at maxiter=12 the rank prediction restarts the bundle in the last
         # iteration; X must still come from the bundle u was solved on
         problem, _ = generate_random_sdp(100, 100, 5, 1e-2, 1.0, 0)
-        res = solve(problem, SolverParams(prior_rank=10,
-                                          materialize_w=True, maxiter=maxiter))
+        dense = DenseAggregate(monkeypatch)
+        res = solve(problem, SolverParams(prior_rank=10, maxiter=maxiter))
         assert res.rank_used == (10 if maxiter < 12 else 5)
-        assert res.X is not None
-        cx = float(problem.cvec @ svec(res.X).values)
+        cx = float(problem.cvec @ svec(dense.last_primal(problem)).values)
         obj = res.objective_primal
         assert abs(cx - obj) <= 1e-10 * (1 + abs(obj))
 
@@ -820,16 +882,17 @@ class TestMaxCutCertificate:
         assert new.delta1 <= 1e-15
         assert old.delta1_last_above_eps == old.iterations - 1
 
-    def test_materialized_primal_is_the_certificate(self):
+    def test_materialized_primal_is_the_certificate(self, monkeypatch):
         problem, params = c10_maxcut()
         plain = solve(problem, params)
-        params.materialize_w = True
+        dense = DenseAggregate(monkeypatch)
         res = solve(problem, params)
         assert_same_run(res, plain)
-        x = res.X.to_dense()
+        x_rep = dense.last_primal(problem)
+        x = x_rep.to_dense()
         assert np.abs(np.diag(x) - 1.0).max() <= 1e-15
         assert np.linalg.eigvalsh(x)[0] >= -1e-12
-        cx = float(problem.cvec @ svec(res.X).values)
+        cx = float(problem.cvec @ svec(x_rep).values)
         assert abs(cx - res.objective_primal) <= 1e-12 * abs(res.objective_primal)
         # with the center's bound, the optimum lies in [lower_bound, <C, X>]
         assert res.lower_bound <= res.objective_primal
@@ -844,22 +907,15 @@ class TestMaxCutCertificate:
                                                    l_max, rank_used):
         problem, params = (c10_maxcut() if prior_rank is None
                            else c10_maxcut(n=60, prob=0.1, seed=2))
-        params.materialize_w = True
         params.prior_rank, params.l_max = prior_rank, l_max
-        seen, real = [], solver.primal_pair
-
-        def recorded(problem, targets, state, u):
-            seen.append((state, u.copy()))
-            return real(problem, targets, state, u)
-
-        monkeypatch.setattr(solver, "primal_pair", recorded)
+        dense = DenseAggregate(monkeypatch)
         res = solve(problem, params)
         assert res.status == STATUS_CONVERGED and res.rank_used == rank_used
         assert res.delta1 <= 1e-15
         support = problem.support
-        for state, u in seen:
-            dense = recover_primal(state, u).to_dense()
-            want = dense[support.rows, support.cols] * support.scale
+        for state, u in dense.seen:
+            x = model_primal(dense.w(state), state, u).to_dense()
+            want = x[support.rows, support.cols] * support.scale
             got = bundle.support_values(state, u)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -879,15 +935,14 @@ class TestMaxCutCertificate:
         for state in states:
             assert state.w_supp is None and state.support is None
 
-    @pytest.mark.parametrize("prior_rank,materialize_w", [(None, False), (8, True)],
-                             ids=["c10", "rank-restart"])
+    @pytest.mark.parametrize("prior_rank", [None, 8], ids=["c10", "rank-restart"])
     def test_state_holds_no_per_column_support_arrays(self, monkeypatch,
-                                                      prior_rank, materialize_w):
+                                                      prior_rank):
         # the support values of the columns are formed from P when needed,
-        # so a state holds P, a, B, w_supp and W, and no copy per column
+        # so a state holds P, a, B and w_supp, and no copy per column
         problem, params = (c10_maxcut() if prior_rank is None
                            else c10_maxcut(n=60, prob=0.1, seed=2))
-        params.prior_rank, params.materialize_w = prior_rank, materialize_w
+        params.prior_rank = prior_rank
         states, real = [], bundle.aggregate_and_append
 
         def recorded(state, *args):
@@ -901,12 +956,10 @@ class TestMaxCutCertificate:
         assert len(states) == 2 * res.iterations
         for state in states:
             assert state.w_supp is not None
-            assert (state.W is not None) == materialize_w
-            allowed = sum(x.nbytes for x in (state.P, state.a, state.B, state.w_supp,
-                                              state.W) if x is not None)
+            allowed = sum(x.nbytes for x in (state.P, state.a, state.B, state.w_supp))
             assert held_bytes(state) <= allowed
 
-    def test_isolated_vertices(self):
+    def test_isolated_vertices(self, monkeypatch):
         # X_ii = 0 at an isolated vertex that no bundle column reaches yet;
         # those iterations fall back to the model's X
         n, isolated = 100, 10
@@ -914,8 +967,8 @@ class TestMaxCutCertificate:
         edges = [(i + 1, j + 1, 1.0) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < 0.06 and i >= isolated]
         problem = build_maxcut_sdp(GraphInstance(n, edges), sense="maximize")
-        params = SolverParams(eps=1e-3, maxiter=500, t0=1e-2, l_max="sq",
-                              materialize_w=True)
+        params = SolverParams(eps=1e-3, maxiter=500, t0=1e-2, l_max="sq")
+        dense = DenseAggregate(monkeypatch)
         res = solve(problem, params)
         assert res.status == STATUS_CONVERGED
         assert res.max_delta <= params.eps
@@ -924,7 +977,7 @@ class TestMaxCutCertificate:
             values = [v for v in vars(rec).values() if isinstance(v, float)]
             assert np.all(np.isfinite(values)), rec.k
         assert np.isfinite(res.objective_primal)
-        assert np.all(np.isfinite(res.X.vals))
+        assert np.all(np.isfinite(dense.last_primal(problem).vals))
 
     def test_scale_of_a_diagonal_that_is_not_positive(self):
         problem, _ = c10_maxcut(n=4, prob=1.0)
