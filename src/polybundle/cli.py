@@ -151,7 +151,10 @@ def _run_solver(args, load) -> int:
                             trace_fh and os.path.samefile(args.out, args.trace_out)):
                         os.remove(args.out)
             raise
-        report = json.dumps({**_scalars(result), "instance": _scalars(problem),
+        # y as well, so that ``check`` reads the report as a solution file
+        report = json.dumps({**_scalars(result),
+                             "y": [_json_value(v) for v in result.y.tolist()],
+                             "instance": _scalars(problem),
                              "params": _scalars(params)},
                             indent=2, allow_nan=False)
         print(report, file=out_fh)  # stdout without --out

@@ -215,16 +215,17 @@ def dual_infeasibility(lam_max: float) -> float:
     return max(lam_max, 0.0) + 0.0
 
 
-def lower_bound(problem: SdpProblem, y: np.ndarray, lam_max: float):
-    """b'y - T max(lambda_max(A'y - C), 0) for the instance's known trace
-    T >= tr X*, at most the optimum; None when no trace is known.
+def lower_bound(b: np.ndarray, y: np.ndarray, lam_max: float,
+                trace: float | None):
+    """b'y - T max(lambda_max(A'y - C), 0) for a trace T >= tr X*
+    (``primal_trace``), at most the optimum; None when T is None.
 
     For any optimal X*, <C, X*> = b'y + <C - A'y, X*>, and the last term is
     at least lambda_min(C - A'y) tr X*.
     """
-    if problem.known_trace is None:
+    if trace is None:
         return None
-    return float(problem.b @ y) - problem.known_trace * max(lam_max, 0.0)
+    return float(b @ y) - trace * max(lam_max, 0.0)
 
 
 def duality_gap(primal: float, dual: float) -> float:
@@ -264,6 +265,44 @@ def diagonal_targets(problem: SdpProblem):
     with np.errstate(all="ignore"):
         d = problem.b / a.data
     return (idx, d) if np.all((d > 0.0) & (d < np.inf)) else None
+
+
+def identity_dual(problem: SdpProblem, targets, rho: float = math.inf):
+    """(y_hat, T) when ``targets`` fix all n diagonal entries: y_hat_i =
+    1 / a_i gives A'y_hat = I, and every feasible X has tr X = T = b'y_hat
+    (n on Max-Cut, where y_hat = 1); None otherwise, or unless rho > T.
+    O(m).
+
+    With rho > T, F(y + tau*y_hat) = -b'y - tau*T + rho*max(tau -
+    lambda_min(S(y)), 0) is least at tau = lambda_min(S(y)), where S has
+    the eigenvectors of S(y) and lambda_min 0, so F = -b'y there
+    (Helmberg and Rendl 2000).
+    """
+    if targets is None or targets[0].size != problem.n:
+        return None
+    y_hat = 1.0 / problem.support.avec.data
+    trace = float(problem.b @ y_hat)
+    return (y_hat, trace) if rho > trace else None
+
+
+def primal_trace(problem: SdpProblem):
+    """The instance's known primal trace, else the trace T that A(X) = b
+    fixes when it fixes the whole diagonal (``identity_dual``), else None."""
+    if problem.known_trace is not None:
+        return problem.known_trace
+    found = identity_dual(problem, diagonal_targets(problem))
+    return None if found is None else found[1]
+
+
+def line_minimum(b: np.ndarray, y: np.ndarray, f: float, lam_max: float, line):
+    """(y, F, lambda_max(A'y - C)) at the minimizer of F along y +
+    tau*y_hat, for line = (y_hat, T) of ``identity_dual``: tau = -lam_max,
+    with lambda_max 0 and F = -b'y there; the point as given when line is
+    None.  It costs no eigensolve."""
+    if line is None:
+        return y, f, lam_max
+    y = y - lam_max * line[0]
+    return y, -float(b @ y), 0.0
 
 
 def diagonal_scale(problem: SdpProblem, targets, x_diag: np.ndarray):
@@ -369,6 +408,15 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     O(nnz), cached on the instance's support.  On Max-Cut y_LS is diag(C)
     to rounding.
 
+    When A(X) = b fixes the whole diagonal and rho > tr X (``identity_dual``;
+    on Max-Cut y_hat = 1), the start, each candidate a descent step accepts
+    and the rank-prediction restart move along y_hat to the minimizer of F
+    there (``line_minimum``), where lambda_min(S) = 0: every center is dual
+    feasible, and the descent test reads F at that point.  The move costs
+    no eigensolve and no bundle column, since S keeps its eigenvectors.
+    The records keep the QP's candidate: F_z, eig_min_S and the model value
+    are read at z itself.
+
     The run stops once delta1, delta4, delta5 and delta6 are all at most
     eps.  delta1 and delta5 read the primal of ``primal_pair``: the model's
     X = eta*W + P diag(x) P' for the last QP's weights, or, when A(X) = b
@@ -390,6 +438,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     start = time.perf_counter()
     targets = diagonal_targets(problem)
     support = None if targets is None else problem.support
+    line, trace_x = identity_dual(problem, targets, rho), primal_trace(problem)
     y = problem.support.least_squares_dual
     y = np.zeros(problem.m) if y is None else y.copy()
     u = np.zeros(1)
@@ -402,6 +451,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     n_eigs = r_iter + 1 if pred is not None else r_iter
     try:
         f_y, lam_max_y, v, _ = penalty_eval(problem, y, r_iter, rho, n_eigs)
+        y, f_y, lam_max_y = line_minimum(b, y, f_y, lam_max_y, line)
         a_new, b_new = pvec_generate(v, problem.op, problem.support)
         bundle = BundleState.fresh(v, a_new, b_new, support)
         u = np.zeros(1 + bundle.l)
@@ -422,13 +472,15 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                 problem, z, r_iter, rho, n_eigs)
             bundle, warm = _update_bundle(bundle, sol, v_new, a_new, b_new,
                                           r_iter, l_max)
+            # the point a step moves the center to; z itself without a line
+            z_c, f_c, lam_max_c = line_minimum(b, z, f_z, lam_max_z, line)
 
             # the descent test moves the center; F_y stays the pre-step value
             # for the termination test and the trace
-            accept, t, nullcount = descent_decision(f_y, f_z, model_z, t,
+            accept, t, nullcount = descent_decision(f_y, f_c, model_z, t,
                                                     nullcount)
             if accept:
-                y, lam_max_y = z, lam_max_z
+                y, lam_max_y = z_c, lam_max_c
             *deltas, done = termination_check(b, a_x, primal, y, -lam_max_y,
                                               f_y, model_z, params.eps)
             elapsed = time.perf_counter() - start
@@ -437,14 +489,14 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                 model_value=model_z, t=t, l=bundle.l, delta1=deltas[0],
                 delta4=deltas[1], delta5=deltas[2], delta6=deltas[3],
                 eig_min_S=-lam_max_z,
-                lower_bound=lower_bound(problem, y, lam_max_y),
+                lower_bound=lower_bound(b, y, lam_max_y, trace_x),
                 elapsed_secs=elapsed))
             if callback is not None:
                 callback(IterationInfo(
                     record=trace[-1], y=data.y, z=z, t=data.t, a_post=bundle.a,
                     B_post=bundle.B, v_min=v_new[:, 0]))
             if accept:
-                f_y = f_z
+                f_y = f_c
             if done:
                 status = STATUS_CONVERGED
                 break
@@ -452,7 +504,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                 finalize, r_pred = rank_predict_step(bundle.P, eigs_z, pred)
                 if finalize:  # restart at the candidate with the predicted rank
                     pred = None
-                    y, f_y, lam_max_y = z, f_z, lam_max_z
+                    y, f_y, lam_max_y = z_c, f_c, lam_max_c
                     t = max(0.5 * t, T_MIN)
                     r_iter, l_max = r_pred, lmax_from_policy(params.l_max, r_pred)
                     n_eigs = r_pred
@@ -470,7 +522,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     wall = time.perf_counter() - start
     failed = failure is not None
     dual = float(b @ y)
-    bound = None if lam_max_y is None else lower_bound(problem, y, lam_max_y)
+    bound = None if lam_max_y is None else lower_bound(b, y, lam_max_y, trace_x)
     return SolveResult(
         status=status, y=y, u=u,
         objective_dual=dual,
@@ -487,23 +539,25 @@ def problem_settings(problem: SdpProblem, params: SolverParams):
     """Penalty weight, starting rank and bundle cap, from the params or the
     instance; ValueError when validate() or the instance rejects them.
 
-    The instance's known primal trace, if any, must be finite and at least
-    0: a negative one would certify lower bounds above the optimum.  rho
-    defaults to 2*trace+1 for it.  The rank is the prior when one is set
-    (rank prediction), else params.rank, else the instance's known rank, else
-    min(n, ceil(sqrt(2m))): by the Barvinok-Pataki bound some optimal X has a
-    rank r with r(r+1)/2 <= m.  It must be an integer in [1, n]; the cap must
-    be at least the rank.
+    The primal trace (``primal_trace``: the instance's known one, else the
+    one A(X) = b fixes when it fixes the whole diagonal), if any, must be
+    finite and at least 0: a negative one would certify lower bounds above
+    the optimum.  rho defaults to 2*trace+1 for it.  The rank is the prior
+    when one is set (rank prediction), else params.rank, else the
+    instance's known rank, else min(n, ceil(sqrt(2m))): by the
+    Barvinok-Pataki bound some optimal X has a rank r with r(r+1)/2 <= m.
+    It must be an integer in [1, n]; the cap must be at least the rank.
     """
     params.validate()
-    trace = problem.known_trace
+    trace = primal_trace(problem)
     if trace is not None and not 0 <= trace < math.inf:
         raise ValueError(f"known primal trace must be finite and >= 0, got {trace}")
     rho = params.rho
     if rho is None:
         if trace is None:
             raise ValueError(
-                "rho not set and the instance carries no known primal trace"
+                "rho not set and the instance carries no known primal trace "
+                "and does not fix the whole diagonal of X"
             )
         rho = 2.0 * trace + 1.0
     if params.prior_rank is not None:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import polybundle
-from polybundle import cli, qp, solver
+from polybundle import cli, problems, qp, solver
 from polybundle.linalg import EigenConvergenceError
 from polybundle.cli import main
 
@@ -98,8 +98,9 @@ class TestSolve:
             "delta6", "objective_primal", "objective_dual", "rank_used", "rho",
             "failure", "lower_bound", "lower_bound_gap",
             "delta1_last_above_eps", "delta4_last_above_eps",
-            "delta5_last_above_eps", "delta6_last_above_eps", "instance",
-            "params"}
+            "delta5_last_above_eps", "delta6_last_above_eps", "y",
+            "instance", "params"}
+        assert len(report["y"]) == 30
         assert set(report["instance"]) == {"name", "n", "m", "known_rank",
                                            "known_trace"}
         assert set(report["params"]) == cli.PARAM_FIELDS
@@ -534,6 +535,44 @@ class TestMaxcutCommand:
         g.write_text(header + "\n")
         assert main(["maxcut", str(g)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {g}:1: ")
+
+
+@pytest.fixture(scope="module")
+def maxcut_sdpa(tmp_path_factory):
+    """The c10 Max-Cut instance as a raw SDPA file, which carries no trace."""
+    rng = np.random.default_rng(1)
+    n = 100
+    edges = [(i + 1, j + 1, 1.0) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.06]
+    problem = problems.build_maxcut_sdp(problems.GraphInstance(n, edges),
+                                        sense="maximize")
+    path = tmp_path_factory.mktemp("maxcut") / "maxcut.dat-s"
+    problems.write_sdpa(problem, str(path))
+    return path
+
+
+class TestMaxCutSdpa:
+    """A(X) = b fixes the whole diagonal, so every feasible X has tr X =
+    n: rho and the bound need no trace from the file."""
+
+    def test_solves_without_rho(self, maxcut_sdpa, capsys):
+        code = main(["solve", str(maxcut_sdpa), "--eps", "1e-3", "--lmax", "sq"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["status"] == "Converged"
+        assert report["rho"] == 201.0
+        assert report["instance"]["known_trace"] is None
+        assert np.isfinite(report["lower_bound"])
+        assert report["lower_bound"] == report["objective_dual"]
+
+    def test_returned_dual_passes_check(self, maxcut_sdpa, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["solve", str(maxcut_sdpa), "--eps", "1e-3", "--lmax", "sq",
+                     "--out", str(out)]) == 0
+        code = main(["check", str(maxcut_sdpa), str(out), "--eps", "1e-3"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["delta4"] <= 1e-12
+        assert doc["delta5"] <= 1e-3
 
 
 def run_cli(*args):

@@ -632,6 +632,11 @@ def assert_same_run(a, b):
     assert a.u.tobytes() == b.u.tobytes()
 
 
+def dense_slack(problem, y):
+    """C - A'y as a dense array, by smat over every svec position."""
+    return smat(problem.cvec - problem.op.avec @ y).to_dense()
+
+
 class TestQpWarmStart:
     """Each QP starts from the previous solution; its result is the
     minimizer of its final working set, so the start saves active-set
@@ -660,7 +665,7 @@ class TestQpWarmStart:
         assert warm.status == STATUS_CONVERGED
         assert_same_run(warm, cold)
         # the start saves working-set solves: 157 against 701 on the
-        # generated instance and 800 against 2,448 on the Max-Cut one
+        # generated instance and 85 against 171 on the Max-Cut one
         assert warm_steps < 0.55 * steps[0]
 
     def test_start_is_priced(self, monkeypatch):
@@ -712,15 +717,15 @@ class TestTrajectories:
 
     def test_maxcut(self, monkeypatch):
         # the run from y = 0, which an instance takes without a finite
-        # least-squares dual
+        # least-squares dual, moved along y_hat = 1 to lambda_min(S) = 0
         monkeypatch.setattr(SvecSupport, "least_squares_dual",
                             property(lambda self: None))
         problem, params = c10_maxcut()
         res = solve(problem, params)
         assert res.status == STATUS_CONVERGED
-        assert res.iterations == 48
-        assert self.steps(res).count("d") == 29
-        assert res.trace[-1].F_y == pytest.approx(250.69343292562496, rel=1e-9)
+        assert res.iterations == 31
+        assert self.steps(res).count("d") == 26
+        assert res.trace[-1].F_y == pytest.approx(250.70254920293712, rel=1e-9)
         # the default rank min(n, ceil(sqrt(2m))) is 15 here, m = n = 100;
         # passing it changes no bit of the run
         assert res.rank_used == 15
@@ -731,9 +736,9 @@ class TestTrajectories:
         problem, params = c10_maxcut()
         res = solve(problem, params)
         assert res.status == STATUS_CONVERGED
-        assert res.iterations == 31
-        assert self.steps(res).count("d") == 22
-        assert res.trace[-1].F_y == pytest.approx(250.72458308917297, rel=1e-9)
+        assert res.iterations == 17
+        assert self.steps(res).count("d") == 13
+        assert res.trace[-1].F_y == pytest.approx(250.72146721097732, rel=1e-9)
         params.rank = 15
         assert_same_run(solve(problem, params), res)
 
@@ -754,11 +759,23 @@ class TestLeastSquaresStart:
         return infos[0].y
 
     def test_planted_run_starts_at_the_least_squares_dual(self, small_problem):
-        for problem, _ in self.instances(small_problem):
-            y_ls = problem.support.least_squares_dual
-            y0 = self.first_center(problem)
-            assert y0.tobytes() == y_ls.tobytes()
-            assert y0 is not y_ls
+        problem, _ = small_problem
+        y_ls = problem.support.least_squares_dual
+        y0 = self.first_center(problem)
+        assert y0.tobytes() == y_ls.tobytes()
+        assert y0 is not y_ls
+
+    def test_maxcut_run_starts_on_the_line_through_it(self):
+        # y_LS + lambda_min(S(y_LS)) y_hat with y_hat = 1, from the start's
+        # one eigensolve: the slack's eigenvectors, with lambda_min 0
+        problem, params = c10_maxcut()
+        y_ls = problem.support.least_squares_dual
+        rho, rank, _ = solver.problem_settings(problem, params)
+        lam_max = penalty_eval(problem, y_ls, rank, rho)[1]
+        y0 = self.first_center(problem)
+        assert y0.tobytes() == (y_ls - lam_max * np.ones(problem.m)).tobytes()
+        s = dense_slack(problem, y0)
+        assert abs(np.linalg.eigvalsh(s)[0]) <= 1e-12 * (1.0 + np.linalg.norm(s, 2))
 
     def test_without_it_the_run_starts_at_zero(self, small_problem,
                                                monkeypatch):
@@ -851,22 +868,35 @@ def held_bytes(state):
 
 def without_diagonal_targets(monkeypatch):
     """Hide the Max-Cut structure: the termination test then reads the
-    model's X, as on every instance without it."""
+    model's X, and the centers stay off the line along y_hat, as on every
+    instance without it."""
     monkeypatch.setattr(solver, "diagonal_targets", lambda problem: None)
+
+
+def without_the_line(monkeypatch):
+    """Keep each center at the QP's candidate: no move along A'y_hat = I,
+    as on every instance without that direction."""
+    monkeypatch.setattr(solver, "identity_dual",
+                        lambda problem, targets, rho=math.inf: None)
+
+
+MAXCUT_INSTANCES = pytest.mark.parametrize("instance", [
+    c10_maxcut,
+    # the benchmark's Max-Cut graph: seed 1, n = 200, rank 20
+    lambda: c10_maxcut(n=200, prob=0.03, seed=1),
+], ids=["c10", "benchmark-graph-1"])
 
 
 class TestMaxCutCertificate:
     """On Max-Cut the termination test reads X_rep = D^-1/2 X D^-1/2 for
-    D = Diag(diag X), which is PSD and meets A(X_rep) = b exactly; the
-    iterates are the model rule's, and only the stop moves."""
+    D = Diag(diag X), which is PSD and meets A(X_rep) = b exactly; with the
+    centers off the line along y_hat, the iterates are the model rule's,
+    and only the stop moves."""
 
-    @pytest.mark.parametrize("instance", [
-        c10_maxcut,
-        # the benchmark's Max-Cut graph: seed 1, n = 200, rank 20
-        lambda: c10_maxcut(n=200, prob=0.03, seed=1),
-    ], ids=["c10", "benchmark-graph-1"])
+    @MAXCUT_INSTANCES
     def test_stops_on_a_prefix_of_the_model_rule(self, monkeypatch, instance):
         problem, params = instance()
+        without_the_line(monkeypatch)
         new = solve(problem, params)
         without_diagonal_targets(monkeypatch)
         old = solve(problem, params)
@@ -991,6 +1021,95 @@ class TestMaxCutCertificate:
             assert solver.diagonal_scale(problem, targets, diag) is None
 
 
+class TestDualLineSearch:
+    """Where A'y_hat = I (Max-Cut: y_hat = 1), each center moves to the
+    minimizer of F along y_hat, where lambda_min(S) = 0: the center is dual
+    feasible and b'y is a certified bound below the optimum."""
+
+    @MAXCUT_INSTANCES
+    def test_final_center_is_dual_feasible(self, instance):
+        problem, params = instance()
+        res = solve(problem, params)
+        assert res.status == STATUS_CONVERGED and res.max_delta <= params.eps
+        assert {rec.delta4 for rec in res.trace} == {0.0}
+        s = dense_slack(problem, res.y)
+        assert np.linalg.eigvalsh(s)[0] >= -1e-12 * (1.0 + np.linalg.norm(s, 2))
+        assert res.lower_bound == res.objective_dual
+        assert res.lower_bound_gap == 0.0
+
+    @MAXCUT_INSTANCES
+    def test_brackets_hold_the_optimum(self, monkeypatch, instance):
+        # each run brackets the optimum by [lower_bound, objective_primal],
+        # so any two brackets meet; the line's b'y lies below the optimum
+        # and the candidate's above it, so their distance is not bounded by
+        # eps
+        problem, params = instance()
+        new = solve(problem, params)
+        params.eps = 1e-6
+        tight = solve(problem, params)
+        without_the_line(monkeypatch)
+        params.eps = 1e-3
+        old = solve(problem, params)
+        for res in (new, tight, old):
+            assert res.status == STATUS_CONVERGED and res.max_delta <= 1e-3
+        for other in (old, tight):
+            assert new.lower_bound <= other.objective_primal
+            assert other.lower_bound <= new.objective_primal
+
+    def test_records_keep_the_candidate(self):
+        # F_z and eig_min_S are the QP candidate's; a descent step moves the
+        # center to z + eig_min_S y_hat, whose F = -b'y the next F_y reads
+        problem, params = c10_maxcut(n=60, prob=0.1, seed=2)
+        params.prior_rank = 8
+        infos = []
+        res = solve(problem, params, infos.append)
+        assert res.status == STATUS_CONVERGED and res.rank_used == 6
+        for info, nxt in zip(infos, infos[1:]):
+            rec, z = info.record, info.z
+            lam_min = np.linalg.eigvalsh(dense_slack(problem, z))[0]
+            assert abs(rec.eig_min_S - lam_min) <= 1e-10 * (1.0 + abs(lam_min))
+            assert rec.F_z == -float(problem.b @ z) + res.rho * max(-rec.eig_min_S, 0.0)
+            if rec.step_type == "descent":
+                y = z + rec.eig_min_S * np.ones(problem.m)
+                assert nxt.y.tobytes() == y.tobytes()
+                assert nxt.record.F_y == -float(problem.b @ y)
+
+    @pytest.mark.parametrize("prior_rank", [None, 6])
+    def test_planted_runs_keep_every_bit(self, small_problem, monkeypatch,
+                                         prior_rank):
+        problem, _ = small_problem
+        assert solver.identity_dual(problem, solver.diagonal_targets(problem)) is None
+        params = SolverParams(prior_rank=prior_rank)
+        on = solve(problem, params)
+        without_the_line(monkeypatch)
+        assert_same_run(solve(problem, params), on)
+
+    @pytest.mark.parametrize("rho", [50.0, 100.0])
+    def test_rho_at_most_the_trace_keeps_the_candidate(self, monkeypatch, rho):
+        # F along y_hat falls without bound, or is flat, unless rho > T = n
+        problem, params = c10_maxcut()
+        targets = solver.diagonal_targets(problem)
+        assert solver.identity_dual(problem, targets, rho) is None
+        params.rho, params.maxiter = rho, 20
+        on = solve(problem, params)
+        without_the_line(monkeypatch)
+        assert_same_run(solve(problem, params), on)
+
+    def test_sdpa_file_needs_no_rho(self, tmp_path):
+        # every feasible X has tr X = T = n: rho defaults to 2n + 1 and the
+        # bound reads T, with the instance's known trace left unset
+        problem, params = c10_maxcut()
+        path = str(tmp_path / "maxcut.dat-s")
+        write_sdpa(problem, path)
+        loaded = load_sdpa(path)
+        assert loaded.known_trace is None
+        assert solver.problem_settings(loaded, params)[0] == 2.0 * problem.n + 1.0
+        res = solve(loaded, params)
+        assert loaded.known_trace is None
+        assert res.status == STATUS_CONVERGED and res.rho == 201.0
+        assert res.lower_bound == res.objective_dual
+
+
 def diagonal_instance(k, rows, cols, vals, b, n=3):
     """An instance whose A_{k+1} holds vals at (rows, cols)."""
     rows, cols = np.asarray(rows), np.asarray(cols)
@@ -1037,3 +1156,35 @@ class TestDiagonalTargets:
 
     def test_planted_rejected(self, small_problem):
         assert solver.diagonal_targets(small_problem[0]) is None
+
+
+class TestIdentityDual:
+    """y_hat with A'y_hat = I and T = b'y_hat, when the constraints fix the
+    whole diagonal and rho > T."""
+
+    def test_maxcut_and_its_sdpa_round_trip(self, tmp_path):
+        problem, _ = c10_maxcut()
+        path = str(tmp_path / "maxcut.dat-s")
+        write_sdpa(problem, path)
+        for p in (problem, load_sdpa(path)):
+            targets = solver.diagonal_targets(p)
+            y_hat, trace = solver.identity_dual(p, targets)
+            assert np.all(y_hat == 1.0) and trace == 100.0
+            assert solver.identity_dual(p, targets, rho=100.0) is None
+            assert solver.identity_dual(p, targets, rho=100.5)[1] == 100.0
+
+    def test_scaled_entries(self):
+        problem = diagonal_instance([0, 1, 2], [2, 0, 1], [2, 0, 1],
+                                    [2.0, -1.0, 4.0], [4.0, -3.0, 8.0])
+        y_hat, trace = solver.identity_dual(problem,
+                                            solver.diagonal_targets(problem))
+        assert y_hat.tolist() == [0.5, -1.0, 0.25] and trace == 7.0
+        assert np.array_equal(smat(problem.op.avec @ y_hat).to_dense(), np.eye(3))
+        assert solver.primal_trace(problem) == 7.0
+
+    def test_free_diagonal_positions(self):
+        # X_11 is free, so tr X is not fixed
+        problem = diagonal_instance([0, 1], [2, 0], [2, 0], [2.0, -1.0],
+                                    [4.0, -3.0])
+        assert solver.identity_dual(problem, solver.diagonal_targets(problem)) is None
+        assert solver.primal_trace(problem) is None
