@@ -238,9 +238,10 @@ def generate_random_sdp(n: int, m: int, r: int, sparsity: float, s: float,
 
 
 def build_maxcut_sdp(g: GraphInstance, sense: str = "maximize") -> SdpProblem:
-    """Max-Cut SDP relaxation with X_ii = 1 (m = n, Tr(X*) = n): C = -L/4
+    """Max-Cut SDP relaxation with X_ii = 1 (m = n): C = -L/4
     (sense="maximize": min <C, X> maximizes the cut) or C = L/4
-    (sense="paper", whose minimum 0 at X = 11' is trivial)."""
+    (sense="paper", whose minimum 0 at X = 11' is trivial).  It carries no
+    known trace: the solver reads tr X = n from the constraints."""
     if sense not in ("paper", "maximize"):
         raise ValueError("sense must be 'paper' or 'maximize'")
     n = g.n_vertices
@@ -255,8 +256,7 @@ def build_maxcut_sdp(g: GraphInstance, sense: str = "maximize") -> SdpProblem:
     c = SymMatrix(n=n, rows=np.concatenate([hi, diag])[keep],
                   cols=np.concatenate([lo, diag])[keep], vals=vals[keep])
     op = ConstraintOperator.from_entries(n, n, diag, svec_position(n, diag, diag), np.ones(n))
-    return SdpProblem(n=n, m=n, C=c, op=op, b=np.ones(n),
-                      name=f"maxcut-n{n}-{sense}", known_trace=float(n))
+    return SdpProblem(n=n, m=n, C=c, op=op, b=np.ones(n), name=f"maxcut-n{n}-{sense}")
 
 
 def load_gset(path: str) -> GraphInstance:

@@ -251,52 +251,43 @@ def termination_check(b: np.ndarray, a_x: np.ndarray, primal: float,
 
 
 def diagonal_targets(problem: SdpProblem):
-    """(idx, d) when A(X) = b fixes X's diagonal alone, as on Max-Cut: every
-    A_i has one stored entry a_i, at a diagonal position (j, j) of its own
-    with support index idx_i, and X_jj = d_i = b_i / a_i is positive and
-    finite; else None.  O(m), once per solve."""
+    """(idx, d, y_hat, T) when A(X) = b fixes X's whole diagonal, as on
+    Max-Cut: m = n, every A_i has one stored entry a_i, at a diagonal
+    position (j, j) of its own with support index idx_i, X_jj = d_i =
+    b_i / a_i is positive and finite, and so is 1 / a_i; else None.  O(m),
+    once per solve.
+
+    Then y_hat_i = 1 / a_i gives A'y_hat = I, and every feasible X has
+    tr X = T = b'y_hat (n on Max-Cut, where y_hat = 1).  With rho > T,
+    F(y + tau*y_hat) = -b'y - tau*T + rho*max(tau - lambda_min(S(y)), 0)
+    is least at tau = lambda_min(S(y)), where S has the eigenvectors of
+    S(y) and lambda_min 0, so F = -b'y there (Helmberg and Rendl 2000).
+    """
     support = problem.support
     a = support.avec
-    if np.any(np.diff(a.indptr) != 1):
+    if problem.m != problem.n or np.any(np.diff(a.indptr) != 1):
         return None
     idx = a.indices
     if np.any(support.rows[idx] != support.cols[idx]) or np.unique(idx).size != idx.size:
         return None
     with np.errstate(all="ignore"):
-        d = problem.b / a.data
-    return (idx, d) if np.all((d > 0.0) & (d < np.inf)) else None
-
-
-def identity_dual(problem: SdpProblem, targets, rho: float = math.inf):
-    """(y_hat, T) when ``targets`` fix all n diagonal entries: y_hat_i =
-    1 / a_i gives A'y_hat = I, and every feasible X has tr X = T = b'y_hat
-    (n on Max-Cut, where y_hat = 1); None otherwise, or unless rho > T.
-    O(m).
-
-    With rho > T, F(y + tau*y_hat) = -b'y - tau*T + rho*max(tau -
-    lambda_min(S(y)), 0) is least at tau = lambda_min(S(y)), where S has
-    the eigenvectors of S(y) and lambda_min 0, so F = -b'y there
-    (Helmberg and Rendl 2000).
-    """
-    if targets is None or targets[0].size != problem.n:
+        d, y_hat = problem.b / a.data, 1.0 / a.data
+    if not np.all((d > 0.0) & (d < np.inf) & np.isfinite(y_hat)):
         return None
-    y_hat = 1.0 / problem.support.avec.data
-    trace = float(problem.b @ y_hat)
-    return (y_hat, trace) if rho > trace else None
+    return idx, d, y_hat, float(problem.b @ y_hat)
 
 
-def primal_trace(problem: SdpProblem):
+def primal_trace(problem: SdpProblem, targets):
     """The instance's known primal trace, else the trace T that A(X) = b
-    fixes when it fixes the whole diagonal (``identity_dual``), else None."""
+    fixes (``diagonal_targets``), else None."""
     if problem.known_trace is not None:
         return problem.known_trace
-    found = identity_dual(problem, diagonal_targets(problem))
-    return None if found is None else found[1]
+    return None if targets is None else targets[3]
 
 
 def line_minimum(b: np.ndarray, y: np.ndarray, f: float, lam_max: float, line):
     """(y, F, lambda_max(A'y - C)) at the minimizer of F along y +
-    tau*y_hat, for line = (y_hat, T) of ``identity_dual``: tau = -lam_max,
+    tau*y_hat, for line = (y_hat, T) of ``diagonal_targets``: tau = -lam_max,
     with lambda_max 0 and F = -b'y there; the point as given when line is
     None.  It costs no eigensolve."""
     if line is None:
@@ -306,21 +297,21 @@ def line_minimum(b: np.ndarray, y: np.ndarray, f: float, lam_max: float, line):
 
 
 def diagonal_scale(problem: SdpProblem, targets, x_diag: np.ndarray):
-    """s with s_j^2 X_jj = d_i at each constrained position j and s_j = 1
-    elsewhere, for X's diagonal ``x_diag`` at those positions; None when
-    some such X_jj is not positive or s is not finite.
+    """s with s_j^2 X_jj = d_i at the position j that constraint i fixes,
+    for X's diagonal ``x_diag`` in constraint order; None when some X_jj is
+    not positive or s is not finite.
 
     Diag(s) X Diag(s) is PSD when X is, and meets A(X) = b exactly, up to
     rounding.
     """
-    idx, d = targets
+    idx, d = targets[:2]
     if not np.all(x_diag > 0.0):
         return None
     with np.errstate(over="ignore"):
         root = np.sqrt(d / x_diag)
     if not np.all(np.isfinite(root)):
         return None
-    s = np.ones(problem.n)
+    s = np.empty(problem.n)
     s[problem.support.rows[idx]] = root
     return s
 
@@ -337,7 +328,7 @@ def primal_pair(problem: SdpProblem, targets, state: BundleState,
     in O(support * |x > 0|), which is PSD and feasible: on Max-Cut that is
     D^-1/2 X D^-1/2 for D = Diag(diag X), the Goemans-Williamson
     normalization.  An iteration whose X has a diagonal entry that is not
-    positive at a constrained position falls back to the model's X.
+    positive falls back to the model's X.
     """
     if targets is not None:
         support, idx = problem.support, targets[0]
@@ -408,24 +399,24 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     O(nnz), cached on the instance's support.  On Max-Cut y_LS is diag(C)
     to rounding.
 
-    When A(X) = b fixes the whole diagonal and rho > tr X (``identity_dual``;
-    on Max-Cut y_hat = 1), the start, each candidate a descent step accepts
-    and the rank-prediction restart move along y_hat to the minimizer of F
-    there (``line_minimum``), where lambda_min(S) = 0: every center is dual
+    When A(X) = b fixes X's whole diagonal, as on Max-Cut
+    (``diagonal_targets``), two things change.  If rho > tr X (on Max-Cut
+    y_hat = 1), the start, each candidate a descent step accepts and the
+    rank-prediction restart move along y_hat to the minimizer of F there
+    (``line_minimum``), where lambda_min(S) = 0: every center is dual
     feasible, and the descent test reads F at that point.  The move costs
     no eigensolve and no bundle column, since S keeps its eigenvectors.
     The records keep the QP's candidate: F_z, eig_min_S and the model value
-    are read at z itself.
+    are read at z itself.  And the termination test reads X rescaled to
+    that diagonal (X_rep = D^-1/2 X D^-1/2 on Max-Cut), which is PSD and
+    feasible, so delta1 is rounding and the run ends once y is certified.
 
     The run stops once delta1, delta4, delta5 and delta6 are all at most
     eps.  delta1 and delta5 read the primal of ``primal_pair``: the model's
-    X = eta*W + P diag(x) P' for the last QP's weights, or, when A(X) = b
-    fixes X's diagonal alone, as on Max-Cut (``diagonal_targets``), its
-    rescaling to that diagonal (X_rep = D^-1/2 X D^-1/2 on Max-Cut), which
-    is PSD and feasible, so delta1 is rounding and the run ends once y is
-    certified.  The pair is read right after each QP, on the bundle that QP
-    was solved on.  The result's ``objective_primal`` is that primal's
-    <C, X>; no primal matrix is returned.
+    X = eta*W + P diag(x) P' for the last QP's weights, or X_rep.  The pair
+    is read right after each QP, on the bundle that QP was solved on.  The
+    result's ``objective_primal`` is that primal's <C, X>; no primal matrix
+    is returned.
 
     ``callback``, if given, receives an ``IterationInfo`` after every
     iteration.
@@ -438,7 +429,8 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     start = time.perf_counter()
     targets = diagonal_targets(problem)
     support = None if targets is None else problem.support
-    line, trace_x = identity_dual(problem, targets, rho), primal_trace(problem)
+    line = targets[2:] if targets is not None and rho > targets[3] else None
+    trace_x = primal_trace(problem, targets)
     y = problem.support.least_squares_dual
     y = np.zeros(problem.m) if y is None else y.copy()
     u = np.zeros(1)
@@ -540,7 +532,7 @@ def problem_settings(problem: SdpProblem, params: SolverParams):
     instance; ValueError when validate() or the instance rejects them.
 
     The primal trace (``primal_trace``: the instance's known one, else the
-    one A(X) = b fixes when it fixes the whole diagonal), if any, must be
+    one A(X) = b fixes with X's whole diagonal), if any, must be
     finite and at least 0: a negative one would certify lower bounds above
     the optimum.  rho defaults to 2*trace+1 for it.  The rank is the prior
     when one is set (rank prediction), else params.rank, else the
@@ -549,7 +541,7 @@ def problem_settings(problem: SdpProblem, params: SolverParams):
     It must be an integer in [1, n]; the cap must be at least the rank.
     """
     params.validate()
-    trace = primal_trace(problem)
+    trace = primal_trace(problem, diagonal_targets(problem))
     if trace is not None and not 0 <= trace < math.inf:
         raise ValueError(f"known primal trace must be finite and >= 0, got {trace}")
     rho = params.rho

@@ -574,6 +574,28 @@ class TestMaxCutSdpa:
         assert doc["delta4"] <= 1e-12
         assert doc["delta5"] <= 1e-3
 
+    def test_graph_and_its_sdpa_file_report_alike(self, tmp_path, capsys):
+        # the trace comes from the constraints on both routes, so the
+        # builder's instance and the file's run the same
+        rng = np.random.default_rng(1)
+        n = 100
+        edges = [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.06]
+        graph, sdpa = tmp_path / "g.txt", tmp_path / "g.dat-s"
+        graph.write_text("\n".join([f"{n} {len(edges)}"] +
+                                   [f"{i} {j} 1" for i, j in edges]) + "\n")
+        problems.write_sdpa(problems.build_maxcut_sdp(problems.load_gset(str(graph))),
+                            str(sdpa))
+        keys = ("status", "iterations", "rho", "lower_bound", "objective_dual", "y")
+        reports = []
+        for route in (["maxcut", str(graph)], ["solve", str(sdpa)]):
+            assert main([*route, "--eps", "1e-3", "--lmax", "sq"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            reports.append([report["instance"]["known_trace"],
+                            *(report[key] for key in keys)])
+        assert reports[0] == reports[1]
+        assert reports[0][:2] == [None, "Converged"]
+
 
 def run_cli(*args):
     """The CLI in a fresh interpreter, so that a traceback shows on stderr."""

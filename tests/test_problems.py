@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import sdpa_reference as ref
 from polybundle import problems as problems_module
+from polybundle import solver
 from polybundle.linalg import (
     ConstraintOperator,
     SymMatrix,
@@ -292,7 +293,9 @@ class TestMaxcut:
         assert np.abs(lap @ np.ones(n)).max() <= 1e-12
         total_degree = 2.0 * sum(w for _, _, w in edges)
         assert np.trace(lap) == pytest.approx(total_degree)
-        assert p.known_trace == n
+        # the instance carries no trace; the solver reads tr X = n from A
+        assert p.known_trace is None
+        assert solver.primal_trace(p, solver.diagonal_targets(p)) == n
 
     def test_maximize_sense_flips_sign(self):
         g = GraphInstance(2, [(1, 2, 1.0)])

@@ -742,6 +742,21 @@ class TestTrajectories:
         params.rank = 15
         assert_same_run(solve(problem, params), res)
 
+    def test_benchmark_families(self):
+        """The iteration counts of the benchmark's solve families, rebuilt
+        here: Max-Cut graphs 1-10 (n = 200, edge probability 0.03, the
+        default rank 20, l_max "sq", eps 1e-3) and planted seeds 42 and 1042
+        at n = m = 400 (eps 1e-4).  A refactor keeps them; a change that
+        moves the iterates re-pins them and says so in CHANGES.md."""
+        maxcut = [solve(*c10_maxcut(n=200, prob=0.03, seed=k)) for k in range(1, 11)]
+        planted = [solve(generate_random_sdp(400, 400, 5, 1e-2, 1.0, seed)[0],
+                         SolverParams(eps=1e-4, maxiter=300)) for seed in (42, 1042)]
+        assert {res.status for res in maxcut + planted} == {STATUS_CONVERGED}
+        counts = [res.iterations for res in maxcut]
+        assert counts == [24, 25, 18, 26, 28, 22, 21, 30, 22, 21]
+        assert sum(counts) == 237
+        assert [res.iterations for res in planted] == [28, 27]
+
 
 class TestLeastSquaresStart:
     """The run starts at y_LS = argmin ||C - A'y||_F, and at y = 0 when
@@ -876,8 +891,8 @@ def without_diagonal_targets(monkeypatch):
 def without_the_line(monkeypatch):
     """Keep each center at the QP's candidate: no move along A'y_hat = I,
     as on every instance without that direction."""
-    monkeypatch.setattr(solver, "identity_dual",
-                        lambda problem, targets, rho=math.inf: None)
+    monkeypatch.setattr(solver, "line_minimum",
+                        lambda b, y, f, lam_max, line: (y, f, lam_max))
 
 
 MAXCUT_INSTANCES = pytest.mark.parametrize("instance", [
@@ -896,6 +911,8 @@ class TestMaxCutCertificate:
     @MAXCUT_INSTANCES
     def test_stops_on_a_prefix_of_the_model_rule(self, monkeypatch, instance):
         problem, params = instance()
+        # the default 2n + 1, which the hidden structure no longer gives
+        params.rho = 2.0 * problem.n + 1.0
         without_the_line(monkeypatch)
         new = solve(problem, params)
         without_diagonal_targets(monkeypatch)
@@ -1078,7 +1095,7 @@ class TestDualLineSearch:
     def test_planted_runs_keep_every_bit(self, small_problem, monkeypatch,
                                          prior_rank):
         problem, _ = small_problem
-        assert solver.identity_dual(problem, solver.diagonal_targets(problem)) is None
+        assert solver.diagonal_targets(problem) is None
         params = SolverParams(prior_rank=prior_rank)
         on = solve(problem, params)
         without_the_line(monkeypatch)
@@ -1088,12 +1105,19 @@ class TestDualLineSearch:
     def test_rho_at_most_the_trace_keeps_the_candidate(self, monkeypatch, rho):
         # F along y_hat falls without bound, or is flat, unless rho > T = n
         problem, params = c10_maxcut()
-        targets = solver.diagonal_targets(problem)
-        assert solver.identity_dual(problem, targets, rho) is None
+        assert rho <= solver.diagonal_targets(problem)[3] == 100.0
         params.rho, params.maxiter = rho, 20
         on = solve(problem, params)
         without_the_line(monkeypatch)
         assert_same_run(solve(problem, params), on)
+
+    def test_rho_just_above_the_trace_moves_the_center(self, monkeypatch):
+        # any rho > T = n takes the line; the run without it starts off it
+        problem, params = c10_maxcut()
+        params.rho, params.maxiter = 100.5, 5
+        assert {rec.delta4 for rec in solve(problem, params).trace} == {0.0}
+        without_the_line(monkeypatch)
+        assert solve(problem, params).trace[0].delta4 > 0.0
 
     def test_sdpa_file_needs_no_rho(self, tmp_path):
         # every feasible X has tr X = T = n: rho defaults to 2n + 1 and the
@@ -1120,27 +1144,31 @@ def diagonal_instance(k, rows, cols, vals, b, n=3):
 
 
 class TestDiagonalTargets:
-    """The structure A_i = a_i e_j e_j' at distinct j with b_i / a_i > 0,
-    detected once per solve."""
+    """The structure A_i = a_i e_j e_j' at distinct j covering the whole
+    diagonal, with b_i / a_i > 0, detected once per solve."""
 
     def test_maxcut_and_its_sdpa_round_trip(self, tmp_path):
         problem, _ = c10_maxcut()
         path = str(tmp_path / "maxcut.dat-s")
         write_sdpa(problem, path)
         for p in (problem, load_sdpa(path)):
-            idx, d = solver.diagonal_targets(p)
+            idx, d, _, _ = solver.diagonal_targets(p)
             support = p.support
             assert np.array_equal(support.rows[idx], np.arange(p.n))
             assert np.array_equal(support.cols[idx], np.arange(p.n))
             assert np.all(d == 1.0)
 
     def test_scaled_entries_and_free_diagonal_positions(self):
-        # m < n, constraints out of position order, a_i = 2 and b_i = 4
+        # constraints out of position order, a_i = 2, -1, 4 and b_i = 4, -3, 8
+        problem = diagonal_instance([0, 1, 2], [2, 0, 1], [2, 0, 1],
+                                    [2.0, -1.0, 4.0], [4.0, -3.0, 8.0])
+        idx, d, _, _ = solver.diagonal_targets(problem)
+        assert problem.support.rows[idx].tolist() == [2, 0, 1]
+        assert d.tolist() == [2.0, 3.0, 2.0]
+        # the same entries with X_11 free: the diagonal is not fixed
         problem = diagonal_instance([0, 1], [2, 0], [2, 0], [2.0, -1.0],
                                     [4.0, -3.0])
-        idx, d = solver.diagonal_targets(problem)
-        assert problem.support.rows[idx].tolist() == [2, 0]
-        assert d.tolist() == [2.0, 3.0]
+        assert solver.diagonal_targets(problem) is None
 
     @pytest.mark.parametrize("k,rows,cols,vals,b", [
         ([0, 0, 1, 2], [0, 1, 1, 2], [0, 1, 1, 2], [1.0] * 4, [1.0] * 3),
@@ -1148,19 +1176,42 @@ class TestDiagonalTargets:
         ([0, 1, 2], [0, 0, 2], [0, 0, 2], [1.0] * 3, [1.0] * 3),
         ([0, 1, 2], [0, 1, 2], [0, 1, 2], [1.0] * 3, [1.0, 0.0, 1.0]),
         ([0, 1, 2], [0, 1, 2], [0, 1, 2], [1.0] * 3, [1.0, -1.0, 1.0]),
+        # d is finite, but y_hat_0 = 1 / a_0 overflows
+        ([0, 1, 2], [0, 1, 2], [0, 1, 2], [1e-310, 1.0, 1.0], [1e-310, 1.0, 1.0]),
     ], ids=["two-entries", "off-diagonal", "repeated-position", "b-zero",
-            "b-negative"])
+            "b-negative", "subnormal-entry"])
     def test_rejected(self, k, rows, cols, vals, b):
         problem = diagonal_instance(k, rows, cols, vals, b)
         assert solver.diagonal_targets(problem) is None
+        assert solver.primal_trace(problem, None) is None
 
     def test_planted_rejected(self, small_problem):
         assert solver.diagonal_targets(small_problem[0]) is None
 
+    def test_partial_diagonal_takes_the_plain_path(self, monkeypatch):
+        # Max-Cut with the constraints of the last five vertices dropped and
+        # their rows of C made diagonally dominant, so the free block is
+        # bounded: the model's X is read, and no center moves
+        problem, params = c10_maxcut(n=30, prob=0.2, seed=3)
+        n, m = problem.n, problem.n - 5
+        c = problem.C.to_dense()
+        for j in range(m, n):
+            c[j, j] = np.abs(c[j]).sum() + 1.0
+        diag = np.arange(m)
+        op = ConstraintOperator.from_entries(n, m, diag, svec_position(n, diag, diag),
+                                             np.ones(m))
+        partial = SdpProblem(n=n, m=m, C=SymMatrix.from_dense(c), op=op, b=np.ones(m))
+        assert solver.diagonal_targets(partial) is None
+        params.rho = 2.0 * n + 1.0
+        plain = solve(partial, params)
+        assert plain.status == STATUS_CONVERGED
+        without_diagonal_targets(monkeypatch)
+        assert_same_run(solve(partial, params), plain)
+
 
 class TestIdentityDual:
-    """y_hat with A'y_hat = I and T = b'y_hat, when the constraints fix the
-    whole diagonal and rho > T."""
+    """The last two entries of ``diagonal_targets``: y_hat = 1 / a with
+    A'y_hat = I, and T = b'y_hat, tr X of every feasible X."""
 
     def test_maxcut_and_its_sdpa_round_trip(self, tmp_path):
         problem, _ = c10_maxcut()
@@ -1168,23 +1219,24 @@ class TestIdentityDual:
         write_sdpa(problem, path)
         for p in (problem, load_sdpa(path)):
             targets = solver.diagonal_targets(p)
-            y_hat, trace = solver.identity_dual(p, targets)
+            _, _, y_hat, trace = targets
             assert np.all(y_hat == 1.0) and trace == 100.0
-            assert solver.identity_dual(p, targets, rho=100.0) is None
-            assert solver.identity_dual(p, targets, rho=100.5)[1] == 100.0
+            assert p.known_trace is None
+            assert solver.primal_trace(p, targets) == 100.0
 
     def test_scaled_entries(self):
         problem = diagonal_instance([0, 1, 2], [2, 0, 1], [2, 0, 1],
                                     [2.0, -1.0, 4.0], [4.0, -3.0, 8.0])
-        y_hat, trace = solver.identity_dual(problem,
-                                            solver.diagonal_targets(problem))
+        targets = solver.diagonal_targets(problem)
+        _, _, y_hat, trace = targets
         assert y_hat.tolist() == [0.5, -1.0, 0.25] and trace == 7.0
         assert np.array_equal(smat(problem.op.avec @ y_hat).to_dense(), np.eye(3))
-        assert solver.primal_trace(problem) == 7.0
+        assert solver.primal_trace(problem, targets) == 7.0
 
     def test_free_diagonal_positions(self):
         # X_11 is free, so tr X is not fixed
         problem = diagonal_instance([0, 1], [2, 0], [2, 0], [2.0, -1.0],
                                     [4.0, -3.0])
-        assert solver.identity_dual(problem, solver.diagonal_targets(problem)) is None
-        assert solver.primal_trace(problem) is None
+        targets = solver.diagonal_targets(problem)
+        assert targets is None
+        assert solver.primal_trace(problem, targets) is None
