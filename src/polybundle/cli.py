@@ -190,6 +190,8 @@ def cmd_maxcut(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if not 0 < args.eps < math.inf:
+        return _error("eps must be finite and positive")
     try:
         problem = _load_instance(args.input)
         with open(args.solution, encoding="utf-8") as fh:

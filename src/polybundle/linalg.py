@@ -474,13 +474,11 @@ def extreme_eigs(s, r: int) -> EigenResult:
                 f"LAPACK returned {vals.size} of {r} smallest eigenpairs")
         return _certified(dense, vals, vecs)
 
-    ncv = min(max(4 * r, 20), n)
     # a fixed start vector makes repeated calls, and so whole solves, repeat
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
     try:
         vals, vecs = spla.eigsh(
-            mat, k=r, which="SA", ncv=ncv, v0=v0,
-            maxiter=LANCZOS_MAX_RESTARTS * n, tol=0,
+            mat, k=r, which="SA", v0=v0, maxiter=LANCZOS_MAX_RESTARTS * n,
         )
     except spla.ArpackNoConvergence as exc:
         best = None

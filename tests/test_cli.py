@@ -469,6 +469,19 @@ class TestCheck:
         assert code == 2
         assert out["delta4"] > 0
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_eps_not_finite_and_positive_exit_1(self, generated, tmp_path,
+                                                capsys, value):
+        # the rule of SolverParams.validate, applied before either file is
+        # read; with --eps=inf every solution would pass
+        _, man = generated
+        missing = tmp_path / "missing.json"
+        for solution in (man, missing):
+            assert main(["check", str(man), str(solution), f"--eps={value}"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: eps must be finite and positive\n"
+
     def test_dimension_mismatch_exit_1(self, generated, tmp_path, capsys):
         _, man = generated
         sol = tmp_path / "sol.json"

@@ -3,18 +3,22 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ipm_reference import maxcut_hrvw
 from linalg_reference import fold_dense, model_primal
 from polybundle import bundle, qp, solver
 from polybundle.linalg import (
     DENSE_EIG_CUTOFF,
+    EIG_TOL,
     ConstraintOperator,
     EigenConvergenceError,
     SvecSupport,
     SymMatrix,
     apply_A,
+    extreme_eigs,
     smat,
     svec,
     svec_position,
@@ -613,12 +617,36 @@ class TestRecoverPrimal:
 
 def c10_maxcut(n=100, prob=0.06, seed=1):
     """The c10 Max-Cut smoke instance and its settings; the rank is the
-    solver's default."""
+    solver's default.  Each pair i < j is an edge with probability ``prob``,
+    drawn in one call in np.triu_indices order."""
+    rows, cols = np.triu_indices(n, 1)
+    hit = np.random.default_rng(seed).random(rows.size) < prob
+    edges = [(i + 1, j + 1, 1.0) for i, j in zip(rows[hit].tolist(), cols[hit].tolist())]
+    problem = build_maxcut_sdp(GraphInstance(n, edges), sense="maximize")
+    return problem, SolverParams(eps=1e-3, maxiter=500, t0=1e-2, l_max="sq")
+
+
+def test_c10_edges_are_the_double_loop_draw():
+    # one rng.random() per pair in a loop over i < j draws the same edges
+    n, prob, seed = 300, 0.02, 1
     rng = np.random.default_rng(seed)
     edges = [(i + 1, j + 1, 1.0) for i in range(n) for j in range(i + 1, n)
              if rng.random() < prob]
-    problem = build_maxcut_sdp(GraphInstance(n, edges), sense="maximize")
-    return problem, SolverParams(eps=1e-3, maxiter=500, t0=1e-2, l_max="sq")
+    loop = build_maxcut_sdp(GraphInstance(n, edges), sense="maximize")
+    drawn, _ = c10_maxcut(n, prob, seed)
+    for field in ("rows", "cols", "vals"):
+        assert getattr(drawn.C, field).tobytes() == getattr(loop.C, field).tobytes()
+
+
+@pytest.fixture(scope="module")
+def arpack_runs():
+    """c10 n=800 graphs 1-3 (edge probability 0.0125, the default rank 40):
+    (problem, params, result) of runs whose every slack goes to ARPACK."""
+    runs = []
+    for k in (1, 2, 3):
+        problem, params = c10_maxcut(n=800, prob=0.0125, seed=k)
+        runs.append((problem, params, solve(problem, params)))
+    return runs
 
 
 def assert_same_run(a, b):
@@ -756,6 +784,72 @@ class TestTrajectories:
         assert counts == [24, 25, 18, 26, 28, 22, 21, 30, 22, 21]
         assert sum(counts) == 237
         assert [res.iterations for res in planted] == [28, 27]
+
+    def test_arpack_family(self, arpack_runs):
+        """The only trajectory pin above DENSE_EIG_CUTOFF, where every
+        eigensolve is ARPACK's: c10 n=800 graphs 1-3.  A change that moves
+        it re-pins it and says so in CHANGES.md."""
+        counts = [res.iterations for _, _, res in arpack_runs]
+        assert counts == [18, 19, 20]
+        assert sum(counts) == 57
+        for problem, params, res in arpack_runs:
+            assert problem.n > DENSE_EIG_CUTOFF
+            assert res.status == STATUS_CONVERGED and res.rank_used == 40
+            assert res.max_delta <= params.eps
+
+
+class TestArpackAgainstDense:
+    """On the slacks of c10 n=800 graph 1, at y_LS and at the run's final
+    y, ARPACK finds the 40 smallest eigenvalues that dense eigh does: its
+    basis misses no pair of the cluster at 0."""
+
+    def test_smallest_eigenvalues_match_eigh(self, arpack_runs):
+        problem, _, res = arpack_runs[0]
+        refs = []
+        for y in (problem.support.least_squares_dual, res.y):
+            s = dual_slack(problem, y)
+            assert sp.issparse(s)
+            eig = extreme_eigs(s, 40)
+            ref = sla.eigh(s.toarray(), subset_by_index=[0, 39], eigvals_only=True)
+            # each residual certificate puts an eigenvalue within
+            # EIG_TOL (1 + |lambda|) of its value
+            assert np.all(np.abs(eig.values - ref) <= 2 * EIG_TOL * (1.0 + np.abs(ref)))
+            again = extreme_eigs(s, 40)
+            assert again.values.tobytes() == eig.values.tobytes()
+            assert again.vectors.tobytes() == eig.vectors.tobytes()
+            refs.append(ref)
+        # the final slack has a cluster of eigenvalues near 0
+        assert 1 <= np.count_nonzero(refs[1] < 1e-3) <= 4
+
+
+class TestInteriorPointReference:
+    """The optimum p* of the HRVW interior-point method
+    (``ipm_reference.maxcut_hrvw``, relative gap 1e-8), which reads no
+    eigensolve, against a bundle run's certificates: p* lies in
+    [lower_bound, objective_primal], b'y is within eps of it, and no
+    record's lower_bound exceeds it."""
+
+    @pytest.mark.parametrize("instance", ["c10", "benchmark-graph-1",
+                                          "c10-n800-graph-1"])
+    def test_optimum_inside_the_bracket(self, request, instance):
+        if instance == "c10-n800-graph-1":
+            problem, params, res = request.getfixturevalue("arpack_runs")[0]
+        else:
+            problem, params = (c10_maxcut() if instance == "c10"
+                               else c10_maxcut(n=200, prob=0.03, seed=1))
+            res = solve(problem, params)
+        assert res.status == STATUS_CONVERGED
+        c = problem.C.to_dense()
+        x_ipm, y_ipm = maxcut_hrvw(c, problem.b)
+        # b'y_ipm <= p* <= <C, X_ipm>: Z is positive definite, X feasible
+        np.linalg.cholesky(c - np.diag(y_ipm))
+        assert np.abs(np.diag(x_ipm) - problem.b).max() <= 1e-10
+        p_star = float(problem.b @ y_ipm)
+        assert float(np.vdot(c, x_ipm)) - p_star <= 1e-8 * (1.0 + abs(p_star))
+        tol = 1e-8 * abs(p_star)
+        assert res.lower_bound - tol <= p_star <= res.objective_primal + tol
+        assert abs(res.objective_dual - p_star) / (1.0 + abs(p_star)) <= params.eps
+        assert all(rec.lower_bound <= p_star + tol for rec in res.trace)
 
 
 class TestLeastSquaresStart:
