@@ -167,7 +167,8 @@ def _eqp_solve(h: np.ndarray, q: np.ndarray, free: np.ndarray,
 
 def solve_subproblem(d: SubproblemData,
                      warm_start: QpStart | None = None) -> QpSolution:
-    """Primal active-set method for the simplex-constrained QP.
+    """Primal active-set method for the simplex-constrained QP: the bundle
+    subproblem, one per iteration of the solver.
 
     ``warm_start`` is the feasible point and working set to start from;
     without it the method starts at u = 0 with every bound active.  The
@@ -178,6 +179,21 @@ def solve_subproblem(d: SubproblemData,
     the result is not within its certificate ``d.tol`` (a NaN is not), and
     ``np.linalg.LinAlgError`` when a working-set system does not factor.
     """
+    return _active_set(d, warm_start)
+
+
+def solve_least_squares(B: np.ndarray, c: np.ndarray, xi: float, rho: float,
+                        start: tuple[np.ndarray, bool]) -> np.ndarray:
+    """The weights u >= 0, 1'u <= rho that minimize ||B u - c||^2 +
+    xi ||u||^2: the QP above at t = 1, a = 0, y = c and b = 0, by the same
+    method, from the feasible point ``start`` = (u, simplex active) priced
+    as ``QpStart.priced`` does.  Raises as ``solve_subproblem``."""
+    d = SubproblemData(B=B, a=np.zeros(B.shape[1]), y=c, b=np.zeros(c.size),
+                       t=1.0, xi=xi, rho=rho)
+    return _active_set(d, QpStart.priced(d, *start)).u
+
+
+def _active_set(d: SubproblemData, warm_start: QpStart | None) -> QpSolution:
     h, q, tol = d.h, d.q, d.tol
     p = q.size
 

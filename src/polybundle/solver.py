@@ -124,7 +124,7 @@ class IterationInfo:
 class SolveResult:
     status: str
     y: np.ndarray
-    u: np.ndarray
+    u: np.ndarray             # the weights of the primal the last test read
     objective_dual: float
     objective_primal: float   # <C, X> of the primal the last test read
     delta1: float
@@ -233,6 +233,11 @@ def duality_gap(primal: float, dual: float) -> float:
     return abs(primal - dual) / (1.0 + abs(primal) + abs(dual))
 
 
+def model_gap(f_y: float, model_z: float) -> float:
+    """delta6 = |F(y) - model(z)| / (1 + |F(y)|)."""
+    return abs(f_y - model_z) / (1.0 + abs(f_y))
+
+
 def termination_check(b: np.ndarray, a_x: np.ndarray, primal: float,
                       y: np.ndarray, lambda_min_s: float,
                       f_y: float, model_z: float, eps: float):
@@ -245,7 +250,7 @@ def termination_check(b: np.ndarray, a_x: np.ndarray, primal: float,
     delta1 = primal_infeasibility(a_x, b)
     delta4 = dual_infeasibility(-lambda_min_s)
     delta5 = duality_gap(primal, float(b @ y))
-    delta6 = abs(f_y - model_z) / (1.0 + abs(f_y))
+    delta6 = model_gap(f_y, model_z)
     done = max(delta1, delta4, delta5, delta6) <= eps
     return delta1, delta4, delta5, delta6, done
 
@@ -319,8 +324,8 @@ def diagonal_scale(problem: SdpProblem, targets, x_diag: np.ndarray):
 def primal_pair(problem: SdpProblem, targets, state: BundleState,
                 u: np.ndarray):
     """The primal the termination test reads, for the weights u on the
-    bundle they were solved on, as the pair (A(X), <C, X>); X itself is
-    never formed.
+    bundle ``state``, as the pair (A(X), <C, X>); X itself is never
+    formed.
 
     Without targets it is the model's X = eta*W + P diag(x) P', as
     (B u, a'u).  With them (``diagonal_targets``) it is the rescaled
@@ -341,6 +346,29 @@ def primal_pair(problem: SdpProblem, targets, state: BundleState,
             a_x = support.avec.data * x_rep[idx]
             return a_x, float(support.cvec @ x_rep)
     return state.B @ u, float(state.a @ u)
+
+
+def polish_weights(bundle: BundleState, b: np.ndarray, y: np.ndarray,
+                   xi: float, rho: float, warm):
+    """The polished primal's weights: u >= 0, 1'u <= rho on the bundle
+    that minimize ||B u - b||^2 + w^2 (a'u - b'y)^2 for w = (1 + ||b||) /
+    (1 + 2|b'y|), that is (1 + ||b||)^2 (delta1^2 + delta5^2) of the
+    model's X for u, with delta5's denominator read as 1 + 2|b'y|.  A
+    nonnegative least-squares pick over the columns (Lawson and Hanson
+    1974), so X stays in the model's set and PSD.  None when the QP fails.
+
+    It is ``qp.solve_least_squares`` on [B; w a'] and [b; w b'y], with the
+    solver's xi, from ``warm``, ``_update_bundle``'s point, which is the
+    last QP's primal on this bundle.
+    """
+    dual = float(b @ y)
+    w = (1.0 + float(np.linalg.norm(b))) / (1.0 + 2.0 * abs(dual))
+    try:
+        return qp_mod.solve_least_squares(
+            np.vstack([bundle.B, w * bundle.a]), np.append(b, w * dual),
+            xi, rho, warm)
+    except (qp_mod.NonConvergence, np.linalg.LinAlgError):
+        return None
 
 
 @dataclass
@@ -412,11 +440,15 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     feasible, so delta1 is rounding and the run ends once y is certified.
 
     The run stops once delta1, delta4, delta5 and delta6 are all at most
-    eps.  delta1 and delta5 read the primal of ``primal_pair``: the model's
-    X = eta*W + P diag(x) P' for the last QP's weights, or X_rep.  The pair
-    is read right after each QP, on the bundle that QP was solved on.  The
-    result's ``objective_primal`` is that primal's <C, X>; no primal matrix
-    is returned.
+    eps.  delta1 and delta5 read the primal of ``primal_pair``: X_rep on
+    such an instance; elsewhere the model's X = eta*W + P diag(x) P' for
+    the last QP's weights on the bundle it was solved on, except where
+    delta4 and delta6 are within eps, so that the primal decides the stop:
+    there it reads the polished weights on the updated bundle
+    (``polish_weights``), and the last QP's again if the polish QP fails.
+    The polish moves no iterate.  The result's ``u`` and
+    ``objective_primal`` are the weights and the <C, X> of the primal the
+    last test read; no primal matrix is returned.
 
     ``callback``, if given, receives an ``IterationInfo`` after every
     iteration.
@@ -457,11 +489,12 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
             except (qp_mod.NonConvergence, np.linalg.LinAlgError) as exc:
                 status, failure = STATUS_SUBPROBLEM_FAILURE, str(exc)
                 break
-            u, z = sol.u, sol.z
-            a_x, primal = primal_pair(problem, targets, bundle, u)
+            z = sol.z
             model_z = model_eval(z, a, b_mat, rho, b)
             f_z, lam_max_z, v_new, eigs_z, a_new, b_new = _oracle(
                 problem, z, r_iter, rho, n_eigs)
+            # the stop reads the QP's primal on the bundle it was solved on
+            stop_on, u = bundle, sol.u
             bundle, warm = _update_bundle(bundle, sol, v_new, a_new, b_new,
                                           r_iter, l_max)
             # the point a step moves the center to; z itself without a line
@@ -473,6 +506,14 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                                                     nullcount)
             if accept:
                 y, lam_max_y = z_c, lam_max_c
+            # where delta4 and delta6 let the run stop, the stop reads the
+            # polished primal on the updated bundle instead
+            if targets is None and max(dual_infeasibility(lam_max_y),
+                                       model_gap(f_y, model_z)) <= params.eps:
+                polished = polish_weights(bundle, b, y, params.xi, rho, warm)
+                if polished is not None:
+                    stop_on, u = bundle, polished
+            a_x, primal = primal_pair(problem, targets, stop_on, u)
             *deltas, done = termination_check(b, a_x, primal, y, -lam_max_y,
                                               f_y, model_z, params.eps)
             elapsed = time.perf_counter() - start

@@ -16,10 +16,17 @@ not count, and names starting with ``_`` are exempt.  A function or class
 the package defines counts as named when its name appears as a whole word
 in some Python file of ``src/``, ``tests/`` or ``perfbench/`` more often
 than it is defined there; dunder names are exempt.
+
+And a solve loads no solver library beyond what the package needs:
+``scipy.optimize`` stays out, since its import alone adds to every run's
+time and memory.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -191,3 +198,19 @@ def test_definition_checker_flags_what_nothing_names():
     assert dead_definitions(package, "Kept(); outside()") == [
         "a.py:4: orphan_method", "a.py:8: OrphanClass",
         "b.py:1: twice", "b.py:4: twice"]
+
+
+def test_a_solve_does_not_load_scipy_optimize():
+    # the primal polish runs on the package's own active-set QP; importing
+    # scipy.optimize after polybundle raises the peak RSS from 61 to 77 MB
+    # (scipy 1.17.1)
+    code = ("import sys, polybundle as pb\n"
+            "problem, _ = pb.generate_random_sdp(20, 20, 2, 0.1, 1.0, 0)\n"
+            "assert pb.solve(problem).status == 'Converged'\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])})
+    assert out.stdout.strip() == "[]"

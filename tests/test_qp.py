@@ -136,6 +136,23 @@ class TestAgainstEnumeration:
         sol = solve_subproblem(d)
         assert np.allclose(sol.u, 0.0)
 
+    def test_least_squares_from_either_start(self):
+        # ||B u - c||^2 + xi ||u||^2 over the simplex, from the origin and
+        # from a point on the simplex, is the enumerated minimum of
+        # 1/2 u'(B'B + xi I)u - (B'c)'u
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            m, p = rng.integers(2, 7), rng.integers(1, 6)
+            b_mat, c = rng.standard_normal((m, p)), rng.standard_normal(m)
+            xi, rho = 1e-8, rng.uniform(0.5, 5.0)
+            h, q = b_mat.T @ b_mat + xi * np.eye(p), -(b_mat.T @ c)
+            want_obj, _ = enumerate_qp(h, q, rho)
+            denom = 1.0 + abs(want_obj)
+            for start in ((np.zeros(p), False), (np.full(p, rho / p), True)):
+                u = qp.solve_least_squares(b_mat, c, xi, rho, start)
+                assert u.min() >= 0.0 and u.sum() <= rho + 1e-12
+                assert abs(0.5 * u @ (h @ u) + q @ u - want_obj) <= 1e-9 * denom
+
 
 class TestWarmStart:
     def test_same_solution_from_warm_start(self):

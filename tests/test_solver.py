@@ -503,7 +503,10 @@ class DenseAggregate:
     """The dense aggregate W carried beside a run, as the oracle of the
     images the bundle holds: every state that ``BundleState.fresh`` makes
     starts at W = 0, and ``aggregate_and_append`` folds W by ``fold_dense``.
-    Each ``primal_pair`` call is recorded as ``seen``'s (state, u)."""
+    Each ``primal_pair`` call is recorded as ``seen``'s (state, u): the
+    primal an iteration's stop reads, which is the polished weights on the
+    updated bundle where the polish ran, else the last QP's weights on the
+    bundle they were solved on."""
 
     def __init__(self, monkeypatch):
         # id(state) -> (state, W); holding the state keeps its id from reuse
@@ -553,8 +556,8 @@ class DenseAggregate:
 
 
 class TestRecoverPrimal:
-    """The model's primal X = eta*W + P diag(x) P', formed by the tests'
-    oracle from the dense W carried beside a run."""
+    """The model's primal X = eta*W + P diag(x) P' that the stop read,
+    formed by the tests' oracle from the dense W carried beside a run."""
 
     def test_zero_weights_give_zero(self, small_problem):
         problem, _ = small_problem
@@ -576,12 +579,16 @@ class TestRecoverPrimal:
     def test_converged_primal_matches_delta1(self, small_problem, monkeypatch):
         problem, _ = small_problem
         dense = DenseAggregate(monkeypatch)
-        res = solve(problem, SolverParams(eps=1e-4, maxiter=300))
+        infos = []
+        res = solve(problem, SolverParams(eps=1e-4, maxiter=300), infos.append)
         assert res.status == STATUS_CONVERGED
+        # the stop read the polished weights on the updated bundle
+        assert dense.seen[-1][0].B is infos[-1].B_post
         x = dense.last_primal(problem)
         resid = apply_A(problem.op, x) - problem.b
         d1 = np.linalg.norm(resid) / (1 + np.linalg.norm(problem.b))
         assert d1 <= 1e-4
+        assert d1 == pytest.approx(res.delta1, rel=1e-9)
         evals = np.linalg.eigvalsh(x.to_dense())
         assert evals.min() >= -1e-9
 
@@ -605,7 +612,8 @@ class TestRecoverPrimal:
     def test_primal_after_rank_restart_matches_objective(self, monkeypatch,
                                                          maxiter):
         # at maxiter=12 the rank prediction restarts the bundle in the last
-        # iteration; X must still come from the bundle u was solved on
+        # iteration; X must still come from the bundle whose weights the
+        # stop read
         problem, _ = generate_random_sdp(100, 100, 5, 1e-2, 1.0, 0)
         dense = DenseAggregate(monkeypatch)
         res = solve(problem, SolverParams(prior_rank=10, maxiter=maxiter))
@@ -726,10 +734,9 @@ class TestTrajectories:
         problem, _ = generate_random_sdp(50, 50, 3, 0.1, 1.0, 3)
         res = solve(problem, SolverParams())
         assert res.status == STATUS_CONVERGED
-        assert res.iterations == 43
-        assert self.steps(res) == \
-            "ddddddnddndnnndddndnnndnndndddnndnndndndndn"
-        assert res.trace[-1].F_y == pytest.approx(11.153335207738667, rel=1e-9)
+        assert res.iterations == 32
+        assert self.steps(res) == "ddddddnddndnnndddndnnndnndndddnn"
+        assert res.trace[-1].F_y == pytest.approx(11.153452117165667, rel=1e-9)
         # the bundle cap of "half" at r = 3 holds on every iteration and binds
         assert max(rec.l for rec in res.trace) == 9
 
@@ -738,10 +745,10 @@ class TestTrajectories:
         res = solve(problem, SolverParams(prior_rank=10,
                                           maxiter=500))
         assert res.status == STATUS_CONVERGED
-        assert res.iterations == 46
+        assert res.iterations == 44
         assert res.rank_used == 5
-        assert self.steps(res).count("d") == 24
-        assert res.trace[-1].F_y == pytest.approx(14.056962294061616, rel=1e-9)
+        assert self.steps(res).count("d") == 22
+        assert res.trace[-1].F_y == pytest.approx(14.056967154433172, rel=1e-9)
 
     def test_maxcut(self, monkeypatch):
         # the run from y = 0, which an instance takes without a finite
@@ -783,7 +790,7 @@ class TestTrajectories:
         counts = [res.iterations for res in maxcut]
         assert counts == [24, 25, 18, 26, 28, 22, 21, 30, 22, 21]
         assert sum(counts) == 237
-        assert [res.iterations for res in planted] == [28, 27]
+        assert [res.iterations for res in planted] == [20, 19]
 
     def test_arpack_family(self, arpack_runs):
         """The only trajectory pin above DENSE_EIG_CUTOFF, where every
@@ -980,6 +987,12 @@ def without_diagonal_targets(monkeypatch):
     model's X, and the centers stay off the line along y_hat, as on every
     instance without it."""
     monkeypatch.setattr(solver, "diagonal_targets", lambda problem: None)
+
+
+def without_the_polish(monkeypatch):
+    """Run no polish QP: the termination test then reads the model's X for
+    the last QP's weights at every iteration, the model rule."""
+    monkeypatch.setattr(solver, "polish_weights", lambda *args: None)
 
 
 def without_the_line(monkeypatch):
@@ -1226,6 +1239,128 @@ class TestDualLineSearch:
         assert loaded.known_trace is None
         assert res.status == STATUS_CONVERGED and res.rho == 201.0
         assert res.lower_bound == res.objective_dual
+
+
+class TestPrimalPolish:
+    """Without diagonal targets, an iteration whose delta4 and delta6 are
+    within eps reads the polished primal: the weights u >= 0, 1'u <= rho on
+    the updated bundle that minimize ||B u - b||^2 + w^2 (a'u - b'y)^2.
+    The iterates are the model rule's, and only the stop moves."""
+
+    @pytest.mark.parametrize("seed,old_iterations", [(42, 28), (1042, 27)])
+    def test_stops_on_a_prefix_of_the_model_rule(self, monkeypatch, seed,
+                                                 old_iterations):
+        problem, _ = generate_random_sdp(400, 400, 5, 1e-2, 1.0, seed)
+        params = SolverParams(eps=1e-4, maxiter=300)
+        new = solve(problem, params)
+        without_the_polish(monkeypatch)
+        old = solve(problem, params)
+        assert new.status == old.status == STATUS_CONVERGED
+        assert old.iterations == old_iterations
+        k = new.iterations
+        assert k < old.iterations
+        assert TestTrajectories.steps(old)[:k] == TestTrajectories.steps(new)
+        f_y = lambda res, k: np.array([rec.F_y for rec in res.trace[:k]]).tobytes()
+        assert f_y(old, k) == f_y(new, k)
+        dual = old.objective_dual
+        assert abs(new.objective_dual - dual) <= params.eps * (1.0 + abs(dual))
+        # the model's delta1 held the old run to its last iteration
+        assert old.delta1_last_above_eps == old.iterations - 1
+
+    def test_polished_weights_solve_their_least_squares_problem(
+            self, small_problem, monkeypatch):
+        # each polished u is a KKT point of min ||B u - b||^2 + w^2 (a'u -
+        # b'y)^2 + xi ||u||^2 over u >= 0, 1'u <= rho at the center after the
+        # step, built here from that definition, and is at least as good
+        # there as the last QP's primal, from which it starts
+        problem, _ = small_problem
+        params, b = SolverParams(), problem.b
+        qps, seen, infos = [], [], []
+        real, pair = qp.solve_subproblem, solver.primal_pair
+
+        def recorded_qp(data, warm_start=None):
+            sol = real(data, warm_start=warm_start)
+            qps.append((data.B, data.a, sol.u))
+            return sol
+
+        def recorded_pair(problem, targets, state, u):
+            seen.append((state, u))
+            return pair(problem, targets, state, u)
+
+        monkeypatch.setattr(qp, "solve_subproblem", recorded_qp)
+        monkeypatch.setattr(solver, "primal_pair", recorded_pair)
+        res = solve(problem, params, infos.append)
+        assert res.status == STATUS_CONVERGED
+        polished = [k for k in range(1, res.iterations + 1)
+                    if seen[k - 1][0].B is infos[k - 1].B_post]
+        assert polished[-1] == res.iterations and len(polished) >= 2
+        for k in polished:
+            state, u = seen[k - 1]
+            rec = res.trace[k - 1]
+            assert max(rec.delta4, rec.delta6) <= params.eps
+            dual = float(b @ (infos[k].y if k < res.iterations else res.y))
+            w2 = ((1.0 + np.linalg.norm(b)) / (1.0 + 2.0 * abs(dual))) ** 2
+            h = (state.B.T @ state.B + w2 * np.outer(state.a, state.a)
+                 + params.xi * np.eye(u.size))
+            q = -(state.B.T @ b + w2 * dual * state.a)
+            d = SimpleNamespace(h=h, q=q, rho=res.rho,
+                                tol=qp.QP_TOL_BASE * (1.0 + np.abs(q).max()))
+            assert qp.kkt_residual(d, u) <= d.tol
+            lsq = lambda bu, au: np.sum((bu - b) ** 2) + w2 * (au - dual) ** 2
+            b_mat, a, u_qp = qps[k - 1]
+            assert lsq(state.B @ u, state.a @ u) <= \
+                lsq(b_mat @ u_qp, a @ u_qp) + params.xi * u_qp.sum() ** 2
+
+    @pytest.mark.parametrize("exc", [
+        qp.NonConvergence("KKT residual not within its certificate"),
+        np.linalg.LinAlgError("matrix not positive definite"),
+    ], ids=["non-convergence", "lin-alg-error"])
+    def test_a_failed_polish_reads_the_model_pair(self, small_problem,
+                                                  monkeypatch, exc):
+        problem, _ = small_problem
+        plain = solve(problem, SolverParams())
+        # (B, u) of each bundle QP; the iteration of each polish QP
+        qps, polishes, seen = [], [], []
+        real, polish, pair = (qp.solve_subproblem, qp.solve_least_squares,
+                              solver.primal_pair)
+
+        def recorded_qp(data, warm_start=None):
+            sol = real(data, warm_start=warm_start)
+            qps.append((data.B, sol.u))
+            return sol
+
+        def failing(*args):
+            polishes.append(len(qps))
+            if len(polishes) == 1:
+                raise exc
+            return polish(*args)
+
+        def recorded(problem, targets, state, u):
+            seen.append((state, u))
+            return pair(problem, targets, state, u)
+
+        monkeypatch.setattr(qp, "solve_subproblem", recorded_qp)
+        monkeypatch.setattr(qp, "solve_least_squares", failing)
+        monkeypatch.setattr(solver, "primal_pair", recorded)
+        infos = []
+        res = solve(problem, SolverParams(), infos.append)
+        assert res.status == STATUS_CONVERGED
+        k = polishes[0]
+        assert 0 < k < res.iterations == len(seen)
+        # iteration k read (B u, a'u) of its QP, on the bundle it was solved on
+        state, u = seen[k - 1]
+        assert state.B is qps[k - 1][0] and u is qps[k - 1][1]
+        rec = res.trace[k - 1]
+        assert rec.delta1 == solver.primal_infeasibility(state.B @ u, problem.b)
+        # at the center after the step, where iteration k + 1 starts
+        dual = float(problem.b @ infos[k].y)
+        assert rec.delta5 == solver.duality_gap(float(state.a @ u), dual)
+        # the polishes after it read the updated bundle
+        assert all(seen[j - 1][0].B is not qps[j - 1][0] for j in polishes[1:])
+        # the failure moves no iterate
+        n = min(res.iterations, plain.iterations)
+        assert [r.F_y for r in res.trace[:n]] == [r.F_y for r in plain.trace[:n]]
+        assert res.iterations >= plain.iterations
 
 
 def diagonal_instance(k, rows, cols, vals, b, n=3):
