@@ -262,22 +262,18 @@ def build_maxcut_sdp(g: GraphInstance, sense: str = "maximize") -> SdpProblem:
 def load_gset(path: str) -> GraphInstance:
     """Parse a Gset-style graph file: 'n_vertices n_edges' then edge lines."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    # int() and float() also take underscores and non-ASCII digits, which
-    # the SDPA reader rejects: the first nonblank line holding either keeps
-    # its token count, but as tokens neither int() nor float() takes
-    if not text.isascii() or "_" in text:
-        for k, raw in enumerate(lines):
-            if (not raw.isascii() or "_" in raw) and raw.split():
-                lines[k] = " ".join("_" for _ in raw.split())
-                break
+        lines = fh.read().split("\n")
     header = None
     edges = []
     for lineno, raw in enumerate(lines, start=1):
         toks = raw.split()
         if not toks:
             continue
+        if not raw.isascii() or "_" in raw:
+            # int() and float() also take underscores and non-ASCII digits,
+            # which the SDPA reader rejects: the line keeps its token count,
+            # so the count check reads it, but no value check passes
+            toks = ["_"] * len(toks)
         if header is None:
             if len(toks) != 2:
                 raise ParseError(f"{path}:{lineno}: expected 'n_vertices n_edges'")

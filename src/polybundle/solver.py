@@ -124,7 +124,7 @@ class IterationInfo:
 class SolveResult:
     status: str
     y: np.ndarray
-    u: np.ndarray             # the weights of the primal the last test read
+    u: np.ndarray             # the last test's primal weights, on the final bundle
     objective_dual: float
     objective_primal: float   # <C, X> of the primal the last test read
     delta1: float
@@ -263,7 +263,7 @@ def diagonal_targets(problem: SdpProblem):
     once per solve.
 
     Then y_hat_i = 1 / a_i gives A'y_hat = I, and every feasible X has
-    tr X = T = b'y_hat (n on Max-Cut, where y_hat = 1).  With rho > T,
+    tr X = T = b'y_hat (n on Max-Cut, where y_hat = 1).  For rho >= T,
     F(y + tau*y_hat) = -b'y - tau*T + rho*max(tau - lambda_min(S(y)), 0)
     is least at tau = lambda_min(S(y)), where S has the eigenvectors of
     S(y) and lambda_min 0, so F = -b'y there (Helmberg and Rendl 2000).
@@ -292,12 +292,12 @@ def primal_trace(problem: SdpProblem, targets):
 
 def line_minimum(b: np.ndarray, y: np.ndarray, f: float, lam_max: float, line):
     """(y, F, lambda_max(A'y - C)) at the minimizer of F along y +
-    tau*y_hat, for line = (y_hat, T) of ``diagonal_targets``: tau = -lam_max,
+    tau*y_hat, for line = y_hat of ``diagonal_targets``: tau = -lam_max,
     with lambda_max 0 and F = -b'y there; the point as given when line is
     None.  It costs no eigensolve."""
     if line is None:
         return y, f, lam_max
-    y = y - lam_max * line[0]
+    y = y - lam_max * line
     return y, -float(b @ y), 0.0
 
 
@@ -428,25 +428,26 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     to rounding.
 
     When A(X) = b fixes X's whole diagonal, as on Max-Cut
-    (``diagonal_targets``), two things change.  If rho > tr X (on Max-Cut
-    y_hat = 1), the start, each candidate a descent step accepts and the
-    rank-prediction restart move along y_hat to the minimizer of F there
-    (``line_minimum``), where lambda_min(S) = 0: every center is dual
-    feasible, and the descent test reads F at that point.  The move costs
-    no eigensolve and no bundle column, since S keeps its eigenvectors.
+    (``diagonal_targets``), two things change.  The start, each candidate a
+    descent step accepts and the rank-prediction restart move along y_hat
+    (on Max-Cut y_hat = 1) to the minimizer of F there (``line_minimum``),
+    where lambda_min(S) = 0: every center is dual feasible, and the descent
+    test reads F at that point.  The move costs no eigensolve and no
+    bundle column, since S keeps its eigenvectors.
     The records keep the QP's candidate: F_z, eig_min_S and the model value
     are read at z itself.  And the termination test reads X rescaled to
     that diagonal (X_rep = D^-1/2 X D^-1/2 on Max-Cut), which is PSD and
     feasible, so delta1 is rounding and the run ends once y is certified.
 
-    The run stops once delta1, delta4, delta5 and delta6 are all at most
-    eps.  delta1 and delta5 read the primal of ``primal_pair``: X_rep on
-    such an instance; elsewhere the model's X = eta*W + P diag(x) P' for
-    the last QP's weights on the bundle it was solved on, except where
-    delta4 and delta6 are within eps, so that the primal decides the stop:
-    there it reads the polished weights on the updated bundle
-    (``polish_weights``), and the last QP's again if the polish QP fails.
-    The polish moves no iterate.  The result's ``u`` and
+    Each QP starts, priced (``QpStart.priced``), at the weights u of the
+    model's X = eta*W + P diag(x) P' on its bundle: zeros on a fresh one,
+    else the last QP's mapped onto the update (``_update_bundle``).  The
+    run stops once delta1, delta4, delta5 and delta6 are all at most eps.
+    delta1 and delta5 read ``primal_pair`` for u on the updated bundle
+    (X_rep on such an instance).  Elsewhere, where delta4 and delta6 are
+    within eps, so that the primal decides the stop, u is replaced by the
+    polished weights (``polish_weights``) unless the polish QP fails.  The
+    polish moves no iterate.  The result's ``u`` and
     ``objective_primal`` are the weights and the <C, X> of the primal the
     last test read; no primal matrix is returned.
 
@@ -460,13 +461,12 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     b = problem.b
     start = time.perf_counter()
     targets = diagonal_targets(problem)
-    support = None if targets is None else problem.support
-    line = targets[2:] if targets is not None and rho > targets[3] else None
+    support, line = (None, None) if targets is None else (problem.support, targets[2])
     trace_x = primal_trace(problem, targets)
     y = problem.support.least_squares_dual
     y = np.zeros(problem.m) if y is None else y.copy()
     u = np.zeros(1)
-    t, nullcount, warm = params.t0, 0, None
+    t, nullcount = params.t0, 0
     trace: list[IterationRecord] = []
     deltas = [np.inf] * 4
     status, failure, lam_max_y = STATUS_ITER_LIMIT, None, None
@@ -478,14 +478,15 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
         y, f_y, lam_max_y = line_minimum(b, y, f_y, lam_max_y, line)
         a_new, b_new = pvec_generate(v, problem.op, problem.support)
         bundle = BundleState.fresh(v, a_new, b_new, support)
-        u = np.zeros(1 + bundle.l)
+        warm = (np.zeros(1 + bundle.l), False)  # weights, simplex flag
+        u = warm[0]
         for k in range(1, params.maxiter + 1):
             a, b_mat = bundle.a, bundle.B
             data = qp_mod.SubproblemData(B=b_mat, a=a, y=y, b=b, t=t,
                                          xi=params.xi, rho=rho)
-            qp_start = None if warm is None else qp_mod.QpStart.priced(data, *warm)
             try:
-                sol = qp_mod.solve_subproblem(data, warm_start=qp_start)
+                sol = qp_mod.solve_subproblem(
+                    data, warm_start=qp_mod.QpStart.priced(data, *warm))
             except (qp_mod.NonConvergence, np.linalg.LinAlgError) as exc:
                 status, failure = STATUS_SUBPROBLEM_FAILURE, str(exc)
                 break
@@ -493,10 +494,9 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
             model_z = model_eval(z, a, b_mat, rho, b)
             f_z, lam_max_z, v_new, eigs_z, a_new, b_new = _oracle(
                 problem, z, r_iter, rho, n_eigs)
-            # the stop reads the QP's primal on the bundle it was solved on
-            stop_on, u = bundle, sol.u
             bundle, warm = _update_bundle(bundle, sol, v_new, a_new, b_new,
                                           r_iter, l_max)
+            u = warm[0]
             # the point a step moves the center to; z itself without a line
             z_c, f_c, lam_max_c = line_minimum(b, z, f_z, lam_max_z, line)
 
@@ -507,13 +507,13 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
             if accept:
                 y, lam_max_y = z_c, lam_max_c
             # where delta4 and delta6 let the run stop, the stop reads the
-            # polished primal on the updated bundle instead
+            # polished primal instead
             if targets is None and max(dual_infeasibility(lam_max_y),
                                        model_gap(f_y, model_z)) <= params.eps:
                 polished = polish_weights(bundle, b, y, params.xi, rho, warm)
                 if polished is not None:
-                    stop_on, u = bundle, polished
-            a_x, primal = primal_pair(problem, targets, stop_on, u)
+                    u = polished
+            a_x, primal = primal_pair(problem, targets, bundle, u)
             *deltas, done = termination_check(b, a_x, primal, y, -lam_max_y,
                                               f_y, model_z, params.eps)
             elapsed = time.perf_counter() - start
@@ -543,7 +543,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                     n_eigs = r_pred
                     bundle = BundleState.fresh(v_new[:, :r_pred], a_new[:r_pred],
                                                b_new[:, :r_pred], support)
-                    warm = None
+                    warm = (np.zeros(1 + r_pred), False)
             if params.time_limit_secs is not None and elapsed > params.time_limit_secs:
                 status = STATUS_TIME_LIMIT
                 break
@@ -575,14 +575,17 @@ def problem_settings(problem: SdpProblem, params: SolverParams):
     The primal trace (``primal_trace``: the instance's known one, else the
     one A(X) = b fixes with X's whole diagonal), if any, must be
     finite and at least 0: a negative one would certify lower bounds above
-    the optimum.  rho defaults to 2*trace+1 for it.  The rank is the prior
+    the optimum.  rho defaults to 2*trace+1 for it; below the trace that
+    A(X) = b fixes, F falls along y_hat (``diagonal_targets``) without
+    bound, so such a rho is rejected.  The rank is the prior
     when one is set (rank prediction), else params.rank, else the
     instance's known rank, else min(n, ceil(sqrt(2m))): by the
     Barvinok-Pataki bound some optimal X has a rank r with r(r+1)/2 <= m.
     It must be an integer in [1, n]; the cap must be at least the rank.
     """
     params.validate()
-    trace = primal_trace(problem, diagonal_targets(problem))
+    targets = diagonal_targets(problem)
+    trace = primal_trace(problem, targets)
     if trace is not None and not 0 <= trace < math.inf:
         raise ValueError(f"known primal trace must be finite and >= 0, got {trace}")
     rho = params.rho
@@ -593,6 +596,9 @@ def problem_settings(problem: SdpProblem, params: SolverParams):
                 "and does not fix the whole diagonal of X"
             )
         rho = 2.0 * trace + 1.0
+    if targets is not None and rho < targets[3]:
+        raise ValueError(f"rho must be at least the trace {targets[3]:g} that "
+                         f"A(X) = b fixes, got {rho:g}")
     if params.prior_rank is not None:
         r = params.prior_rank
     elif params.rank is not None:

@@ -504,23 +504,30 @@ class TestSupportValuesFromP:
         edges = [(i + 1, j + 1, 1.0) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < 0.1]
         problem = build_maxcut_sdp(GraphInstance(n, edges), sense="maximize")
-        seen, real = [], solver.primal_pair
+        # each QP's (state, weights), and each stop's on the updated state
+        solved, seen = [], []
+        update, real = solver._update_bundle, solver.primal_pair
+
+        def recorded_update(state, sol, *args):
+            solved.append((state, sol.u.copy()))
+            return update(state, sol, *args)
 
         def recorded(problem, targets, state, u):
             seen.append((state, u.copy()))
             return real(problem, targets, state, u)
 
+        monkeypatch.setattr(solver, "_update_bundle", recorded_update)
         monkeypatch.setattr(solver, "primal_pair", recorded)
         # a cap of 15 folds columns into W after the restart too
         params = solver.SolverParams(eps=1e-3, t0=1e-2, l_max=15, prior_rank=8)
         res = solver.solve(problem, params)
         assert res.status == solver.STATUS_CONVERGED and res.rank_used == 6
         # the state the restart starts: its P is a slice of the new block
-        restart = next(k for k, (state, _) in enumerate(seen) if state.l == 6)
-        assert 0 < restart < len(seen) - 1
-        assert not seen[restart][0].P.flags.c_contiguous
+        restart = next(k for k, (state, _) in enumerate(solved) if state.l == 6)
+        assert 0 < restart < len(solved) - 1
+        assert not solved[restart][0].P.flags.c_contiguous
         assert any(state.w_supp.any() for state, _ in seen[restart:])
-        for state, u in seen:
+        for state, u in solved + seen:
             assert state.support is problem.support
             self.check(state, u)
 

@@ -534,6 +534,18 @@ class TestMaxcutCommand:
         assert report["rank_used"] == rank
         assert report["instance"]["name"] == f"maxcut-n{n}-maximize"
 
+    def test_rho_below_the_trace_exit_1(self, tmp_path, capsys):
+        # every feasible X has tr X = n = 20, and F falls without bound
+        # along y_hat = 1 for rho < 20: rejected before the report is opened
+        g, out = tmp_path / "path.txt", tmp_path / "r.json"
+        g.write_text("20 19\n" + "".join(f"{i} {i + 1} 1\n" for i in range(1, 20)))
+        assert main(["maxcut", str(g), "--rho", "19.5", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: rho must be at least the trace 20")
+        main(["maxcut", str(g), "--rho", "20", "--maxiter", "1"])
+        assert json.loads(capsys.readouterr().out)["rho"] == 20.0
+
     def test_bad_graph_exit_1(self, tmp_path, capsys):
         g = tmp_path / "bad.txt"
         g.write_text("2 1\n1 5 1\n")

@@ -98,3 +98,10 @@ def test_readme_names_match_all():
     assert len(names) == len(set(names)) == 20
     assert sorted(names) == sorted(polybundle.__all__)
     assert len(polybundle.__all__) == len(set(polybundle.__all__))
+
+
+def test_readme_python_example_runs(capsys):
+    # the one example users copy: it must still run against the package
+    block = TEXT.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "Converged"

@@ -504,9 +504,9 @@ class DenseAggregate:
     images the bundle holds: every state that ``BundleState.fresh`` makes
     starts at W = 0, and ``aggregate_and_append`` folds W by ``fold_dense``.
     Each ``primal_pair`` call is recorded as ``seen``'s (state, u): the
-    primal an iteration's stop reads, which is the polished weights on the
-    updated bundle where the polish ran, else the last QP's weights on the
-    bundle they were solved on."""
+    primal an iteration's stop reads on the updated bundle, which is the
+    polished weights where the polish ran, else the last QP's weights
+    mapped onto that bundle."""
 
     def __init__(self, monkeypatch):
         # id(state) -> (state, W); holding the state keeps its id from reuse
@@ -700,14 +700,15 @@ class TestQpWarmStart:
 
         assert warm.status == STATUS_CONVERGED
         assert_same_run(warm, cold)
-        # the start saves working-set solves: 157 against 701 on the
-        # generated instance and 85 against 171 on the Max-Cut one
+        # the start saves working-set solves: 107 against 213 on the
+        # generated instance and 84 against 171 on the Max-Cut one
         assert warm_steps < 0.55 * steps[0]
 
     def test_start_is_priced(self, monkeypatch):
         # a coordinate at 0 starts bound only where the gradient keeps it
-        # there, so a new column whose cut the candidate violates starts free
-        problem, params = c10_maxcut()
+        # there, so a new column whose cut the candidate violates starts
+        # free; the first QP and the first after a rank restart start from
+        # zeros, on a fresh bundle
         calls, real = [], qp.solve_subproblem
 
         def recorded(data, warm_start=None):
@@ -715,12 +716,21 @@ class TestQpWarmStart:
             return real(data, warm_start)
 
         monkeypatch.setattr(qp, "solve_subproblem", recorded)
-        assert solve(problem, params).status == STATUS_CONVERGED
-        assert calls[0][1] is None
-        for data, start in calls[1:]:
-            g = data.h @ start.u + data.q
-            assert np.array_equal(start.bound_active,
-                                  (start.u == 0.0) & (g >= 0.0))
+        problem, params = c10_maxcut()
+        restart, restart_params = c10_maxcut(n=60, prob=0.1, seed=2)
+        restart_params.prior_rank = 8
+        planted = generate_random_sdp(30, 30, 3, 0.1, 1.0, 0)[0]
+        for run, fresh in ((lambda: solve(problem, params), 1),
+                           (lambda: solve(restart, restart_params), 2),
+                           (lambda: solve(planted), 1)):
+            calls.clear()
+            assert run().status == STATUS_CONVERGED
+            assert sum(not start.u.any() for _, start in calls) == fresh
+            assert not calls[0][1].u.any()
+            for data, start in calls:
+                g = data.h @ start.u + data.q
+                assert np.array_equal(start.bound_active,
+                                      (start.u == 0.0) & (g >= 0.0))
 
 
 class TestTrajectories:
@@ -781,7 +791,8 @@ class TestTrajectories:
         """The iteration counts of the benchmark's solve families, rebuilt
         here: Max-Cut graphs 1-10 (n = 200, edge probability 0.03, the
         default rank 20, l_max "sq", eps 1e-3) and planted seeds 42 and 1042
-        at n = m = 400 (eps 1e-4).  A refactor keeps them; a change that
+        at n = m = 400 (eps 1e-4): status, iterations, the step of each
+        iteration and the last F_y.  A refactor keeps them; a change that
         moves the iterates re-pins them and says so in CHANGES.md."""
         maxcut = [solve(*c10_maxcut(n=200, prob=0.03, seed=k)) for k in range(1, 11)]
         planted = [solve(generate_random_sdp(400, 400, 5, 1e-2, 1.0, seed)[0],
@@ -791,6 +802,26 @@ class TestTrajectories:
         assert counts == [24, 25, 18, 26, 28, 22, 21, 30, 22, 21]
         assert sum(counts) == 237
         assert [res.iterations for res in planted] == [20, 19]
+        assert [self.steps(res) for res in maxcut + planted] == [
+            "dddddddddndndndndndnddnd",
+            "ddddddddddddnddndddndnddn",
+            "ddddddddddndndnddn",
+            "ddddddddddndnddnddndddnndn",
+            "dddddddndndndnndndndnndnndnd",
+            "ddddddddddnddnddnddndn",
+            "dddddddddnddnddnddnnd",
+            "dddddddddndndndnndndndndnndndn",
+            "dddddddddddddndndnddnd",
+            "dddddddddddndddnddndd",
+            "ndndndndndnndndndnnd",
+            "ndnndddndndnnndnndd",
+        ]
+        assert [res.trace[-1].F_y for res in maxcut + planted] == pytest.approx([
+            484.79693180721665, 487.31673290381156, 520.9987439799386,
+            499.72710272754375, 509.37668530989737, 485.0210594209438,
+            485.85277518567517, 481.04482588512985, 498.857452490598,
+            500.78532978053715, 40.594159655185635, -24.731037863718583,
+        ], rel=1e-9)
 
     def test_arpack_family(self, arpack_runs):
         """The only trajectory pin above DENSE_EIG_CUTOFF, where every
@@ -1208,18 +1239,41 @@ class TestDualLineSearch:
         without_the_line(monkeypatch)
         assert_same_run(solve(problem, params), on)
 
+    @staticmethod
+    def assert_default_iterates(problem, params, rho):
+        """The run at rho has the default's status, steps, F_y, y and
+        primal bit for bit; F_z, the model value and delta6 read rho."""
+        default = solve(problem, params)
+        params.rho = rho
+        res = solve(problem, params)
+        assert res.status == default.status == STATUS_CONVERGED
+        assert TestTrajectories.steps(res) == TestTrajectories.steps(default)
+        assert [rec.F_y for rec in res.trace] == [rec.F_y for rec in default.trace]
+        assert res.y.tobytes() == default.y.tobytes()
+        assert res.objective_primal == default.objective_primal
+
     @pytest.mark.parametrize("rho", [50.0, 100.0])
-    def test_rho_at_most_the_trace_keeps_the_candidate(self, monkeypatch, rho):
-        # F along y_hat falls without bound, or is flat, unless rho > T = n
+    def test_rho_at_most_the_trace_keeps_the_candidate(self, rho):
+        # F along y_hat falls without bound below T = n, so such a rho is
+        # rejected; at rho = T it is flat from its minimizer on, and every
+        # candidate still moves to that minimizer, as at the default 2T + 1
         problem, params = c10_maxcut()
-        assert rho <= solver.diagonal_targets(problem)[3] == 100.0
-        params.rho, params.maxiter = rho, 20
-        on = solve(problem, params)
-        without_the_line(monkeypatch)
-        assert_same_run(solve(problem, params), on)
+        assert solver.diagonal_targets(problem)[3] == 100.0
+        if rho < 100.0:
+            params.rho = rho
+            with pytest.raises(ValueError, match="at least the trace 100"):
+                solve(problem, params)
+        else:
+            self.assert_default_iterates(problem, params, rho)
+
+    def test_rho_at_the_trace_on_the_benchmark_graph(self):
+        # at rho = T = 200 a run that keeps its candidates ends at IterLimit
+        # after 500 iterations; one that takes the line is the default's
+        problem, params = c10_maxcut(n=200, prob=0.03, seed=1)
+        self.assert_default_iterates(problem, params, 200.0)
 
     def test_rho_just_above_the_trace_moves_the_center(self, monkeypatch):
-        # any rho > T = n takes the line; the run without it starts off it
+        # any rho >= T = n takes the line; the run without it starts off it
         problem, params = c10_maxcut()
         params.rho, params.maxiter = 100.5, 5
         assert {rec.delta4 for rec in solve(problem, params).trace} == {0.0}
@@ -1272,30 +1326,30 @@ class TestPrimalPolish:
         # each polished u is a KKT point of min ||B u - b||^2 + w^2 (a'u -
         # b'y)^2 + xi ||u||^2 over u >= 0, 1'u <= rho at the center after the
         # step, built here from that definition, and is at least as good
-        # there as the last QP's primal, from which it starts
+        # there as the last QP's weights mapped onto the updated bundle,
+        # from which it starts
         problem, _ = small_problem
         params, b = SolverParams(), problem.b
-        qps, seen, infos = [], [], []
-        real, pair = qp.solve_subproblem, solver.primal_pair
+        starts, seen, infos = {}, [], []
+        polish, pair = solver.polish_weights, solver.primal_pair
 
-        def recorded_qp(data, warm_start=None):
-            sol = real(data, warm_start=warm_start)
-            qps.append((data.B, data.a, sol.u))
-            return sol
+        def recorded_polish(bundle, b, y, xi, rho, warm):
+            starts[len(infos) + 1] = warm[0]
+            return polish(bundle, b, y, xi, rho, warm)
 
         def recorded_pair(problem, targets, state, u):
             seen.append((state, u))
             return pair(problem, targets, state, u)
 
-        monkeypatch.setattr(qp, "solve_subproblem", recorded_qp)
+        monkeypatch.setattr(solver, "polish_weights", recorded_polish)
         monkeypatch.setattr(solver, "primal_pair", recorded_pair)
         res = solve(problem, params, infos.append)
         assert res.status == STATUS_CONVERGED
-        polished = [k for k in range(1, res.iterations + 1)
-                    if seen[k - 1][0].B is infos[k - 1].B_post]
+        polished = sorted(starts)
         assert polished[-1] == res.iterations and len(polished) >= 2
         for k in polished:
             state, u = seen[k - 1]
+            assert state.B is infos[k - 1].B_post and u is not starts[k]
             rec = res.trace[k - 1]
             assert max(rec.delta4, rec.delta6) <= params.eps
             dual = float(b @ (infos[k].y if k < res.iterations else res.y))
@@ -1306,10 +1360,42 @@ class TestPrimalPolish:
             d = SimpleNamespace(h=h, q=q, rho=res.rho,
                                 tol=qp.QP_TOL_BASE * (1.0 + np.abs(q).max()))
             assert qp.kkt_residual(d, u) <= d.tol
-            lsq = lambda bu, au: np.sum((bu - b) ** 2) + w2 * (au - dual) ** 2
-            b_mat, a, u_qp = qps[k - 1]
-            assert lsq(state.B @ u, state.a @ u) <= \
-                lsq(b_mat @ u_qp, a @ u_qp) + params.xi * u_qp.sum() ** 2
+            lsq = lambda v: (np.sum((state.B @ v - b) ** 2)
+                             + w2 * (state.a @ v - dual) ** 2)
+            assert lsq(u) <= lsq(starts[k]) + params.xi * starts[k].sum() ** 2
+
+    @pytest.mark.parametrize("instance", [
+        lambda: (generate_random_sdp(30, 30, 3, 0.1, 1.0, 0)[0], SolverParams()),
+        c10_maxcut,
+        lambda: (c10_maxcut(n=60, prob=0.1, seed=2)[0],
+                 SolverParams(eps=1e-3, prior_rank=8)),
+    ], ids=["planted", "maxcut", "rank-restart"])
+    def test_every_stop_reads_the_updated_bundle(self, monkeypatch, instance):
+        # the bundle the callback gets as (a_post, B_post), with the last
+        # QP's weights mapped onto it unless a polish replaced them
+        problem, params = instance()
+        updates, seen, infos = [], [], []
+        update, pair = solver._update_bundle, solver.primal_pair
+
+        def recorded_update(*args):
+            updates.append(update(*args))
+            return updates[-1]
+
+        def recorded(problem, targets, state, u):
+            seen.append((state, u))
+            return pair(problem, targets, state, u)
+
+        monkeypatch.setattr(solver, "_update_bundle", recorded_update)
+        monkeypatch.setattr(solver, "primal_pair", recorded)
+        res = solve(problem, params, infos.append)
+        assert res.status == STATUS_CONVERGED
+        assert len(seen) == len(updates) == len(infos) == res.iterations
+        polished = solver.diagonal_targets(problem) is None
+        for (state, u), (bundle_k, warm), info in zip(seen, updates, infos):
+            assert state is bundle_k
+            assert state.B is info.B_post and state.a is info.a_post
+            assert u is warm[0] or polished
+        assert res.u is seen[-1][1]
 
     @pytest.mark.parametrize("exc", [
         qp.NonConvergence("KKT residual not within its certificate"),
@@ -1319,18 +1405,18 @@ class TestPrimalPolish:
                                                   monkeypatch, exc):
         problem, _ = small_problem
         plain = solve(problem, SolverParams())
-        # (B, u) of each bundle QP; the iteration of each polish QP
-        qps, polishes, seen = [], [], []
-        real, polish, pair = (qp.solve_subproblem, qp.solve_least_squares,
-                              solver.primal_pair)
+        # (bundle, (u, simplex)) of each bundle update; the iteration of
+        # each polish QP
+        updates, polishes, seen = [], [], []
+        update, polish, pair = (solver._update_bundle, qp.solve_least_squares,
+                                solver.primal_pair)
 
-        def recorded_qp(data, warm_start=None):
-            sol = real(data, warm_start=warm_start)
-            qps.append((data.B, sol.u))
-            return sol
+        def recorded_update(*args):
+            updates.append(update(*args))
+            return updates[-1]
 
         def failing(*args):
-            polishes.append(len(qps))
+            polishes.append(len(updates))
             if len(polishes) == 1:
                 raise exc
             return polish(*args)
@@ -1339,7 +1425,7 @@ class TestPrimalPolish:
             seen.append((state, u))
             return pair(problem, targets, state, u)
 
-        monkeypatch.setattr(qp, "solve_subproblem", recorded_qp)
+        monkeypatch.setattr(solver, "_update_bundle", recorded_update)
         monkeypatch.setattr(qp, "solve_least_squares", failing)
         monkeypatch.setattr(solver, "primal_pair", recorded)
         infos = []
@@ -1347,16 +1433,19 @@ class TestPrimalPolish:
         assert res.status == STATUS_CONVERGED
         k = polishes[0]
         assert 0 < k < res.iterations == len(seen)
-        # iteration k read (B u, a'u) of its QP, on the bundle it was solved on
+        # iteration k read (B u, a'u) of the QP's weights mapped onto the
+        # updated bundle, from which the polish would have started
         state, u = seen[k - 1]
-        assert state.B is qps[k - 1][0] and u is qps[k - 1][1]
+        assert state is updates[k - 1][0] and u is updates[k - 1][1][0]
         rec = res.trace[k - 1]
         assert rec.delta1 == solver.primal_infeasibility(state.B @ u, problem.b)
         # at the center after the step, where iteration k + 1 starts
         dual = float(problem.b @ infos[k].y)
         assert rec.delta5 == solver.duality_gap(float(state.a @ u), dual)
-        # the polishes after it read the updated bundle
-        assert all(seen[j - 1][0].B is not qps[j - 1][0] for j in polishes[1:])
+        # the polishes after it read their own weights on the same bundle
+        assert all(seen[j - 1][0] is updates[j - 1][0]
+                   and seen[j - 1][1] is not updates[j - 1][1][0]
+                   for j in polishes[1:])
         # the failure moves no iterate
         n = min(res.iterations, plain.iterations)
         assert [r.F_y for r in res.trace[:n]] == [r.F_y for r in plain.trace[:n]]
