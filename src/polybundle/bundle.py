@@ -55,7 +55,7 @@ class BundleState:
 def pvec_generate(p: np.ndarray, op: ConstraintOperator, support: SvecSupport):
     """Bundle columns of the rank-one matrices p_i p_i' for the columns of p.
 
-    ``support`` is ``SvecSupport.of(op, cvec)``, as ``SdpProblem.support`` holds it.
+    ``support`` is ``SvecSupport.of(op, C)``, as ``SdpProblem.support`` holds it.
     Returns (a, B) with a_i = <C, p_i p_i'> and B[:, i] = A(p_i p_i'),
     both from Pvec[:, i] = svec(p_i p_i') at the support's positions:
     a = Pvec' cvec and B = avec' Pvec.  Pvec is not kept.  The cost is the

@@ -186,7 +186,7 @@ def cmd_generate(args) -> int:
 
 def cmd_maxcut(args) -> int:
     return _run_solver(args, lambda: problems.build_maxcut_sdp(
-        problems.load_gset(args.input), sense=args.sense))
+        problems.load_gset(args.input)))
 
 
 def cmd_check(args) -> int:
@@ -264,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = add_command("maxcut", help="solve the Max-Cut relaxation of a Gset graph")
     p_mc.add_argument("input")
-    p_mc.add_argument("--sense", choices=("paper", "maximize"), default="maximize")
     _add_solver_flags(p_mc)
     p_mc.set_defaults(func=cmd_maxcut)
 

@@ -9,7 +9,7 @@ svec(A) . svec(B) equals the trace inner product <A, B>.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -45,18 +45,18 @@ def tri_order(dim: int) -> int:
     return n
 
 
-@lru_cache(maxsize=64)
-def svec_indices(n: int):
-    """(rows, cols, scale) arrays for the svec ordering of order n.
-
-    Entry k of an svec corresponds to matrix position (rows[k], cols[k]) with
-    rows[k] >= cols[k]; scale[k] is sqrt(2) off the diagonal and 1 on it.
-    """
-    rows = np.concatenate([np.arange(j, n) for j in range(n)])
-    cols = np.repeat(np.arange(n), np.arange(n, 0, -1))
-    scale = np.where(rows == cols, 1.0, SQRT2)
-    for a in (rows, cols, scale):
-        a.setflags(write=False)
+def svec_indices(n: int, pos: np.ndarray | None = None):
+    """(rows, cols, scale) at the svec positions ``pos`` of order n (default:
+    all): pos[k] is matrix position (rows[k], cols[k]), rows[k] >= cols[k],
+    and scale[k] is sqrt(2) off the diagonal and 1 on it.  The inverse of
+    svec_position: column j holds the positions from that of (j, j) on."""
+    if pos is None:
+        pos = np.arange(tri_dim(n))
+    diag = svec_position(n, np.arange(n), np.arange(n))
+    cols = np.searchsorted(diag, pos, side="right") - 1
+    rows = pos - diag[cols]  # the offset below the diagonal, for now
+    scale = np.where(rows == 0, 1.0, SQRT2)
+    rows += cols
     return rows, cols, scale
 
 
@@ -92,9 +92,9 @@ def _checked_entries(n: int, rows, cols, vals):
 
 
 def _compressed(dim: int, m: int, k: np.ndarray, pos: np.ndarray,
-                vals: np.ndarray, scale: np.ndarray | None = None) -> sp.csc_matrix:
-    """The dim x m CSC matrix with vals * scale[pos] at (pos, k), built in
-    column order (no scale: vals as they are).
+                vals: np.ndarray, n: int | None = None) -> sp.csc_matrix:
+    """The dim x m CSC matrix with vals at (pos, k), times the scale of
+    ``svec_indices(n, pos)`` when n is given, built in column order.
 
     The entries are sorted stably by (k, pos), which is one linear pass when
     they already come in that order; repeats are summed in their given
@@ -109,10 +109,10 @@ def _compressed(dim: int, m: int, k: np.ndarray, pos: np.ndarray,
         del order
     repeat = key[1:] == key[:-1]
     del key
-    if scale is None:
+    if n is None:
         data = vals
     else:  # scaled only now, so that the key and the data are not held at once
-        data = scale[pos]
+        data = svec_indices(n, pos)[2]
         data *= vals
     if repeat.any():
         first = np.flatnonzero(np.concatenate(([True], ~repeat)))
@@ -290,8 +290,7 @@ class ConstraintOperator:
                 raise ValueError("index out of range")
             if not np.all(np.isfinite(vals)):
                 raise ValueError("non-finite entry")
-        _, _, scale = svec_indices(n)
-        return cls(n, m, _compressed(dim, m, k, pos, vals, scale))
+        return cls(n, m, _compressed(dim, m, k, pos, vals, n))
 
     @classmethod
     def from_matrices(cls, n: int, mats) -> "ConstraintOperator":
@@ -317,8 +316,7 @@ class ConstraintOperator:
         lo, hi, _ = slice(start, stop).indices(a.nnz)
         pos = a.indices[lo:hi]
         k = np.searchsorted(a.indptr, np.arange(lo, hi), side="right") - 1
-        _, _, scale = svec_indices(self.n)
-        vals = a.data[lo:hi] / scale[pos]
+        vals = a.data[lo:hi] / svec_indices(self.n, pos)[2]
         keep = vals != 0.0
         return k[keep], pos[keep], vals[keep]
 
@@ -329,13 +327,13 @@ class ConstraintOperator:
 
 @dataclass(frozen=True)
 class SvecSupport:
-    """The svec positions where C or some A_i has a stored entry, as their
-    ``rows``, ``cols`` and ``scale`` from ``svec_indices``, with the data
-    there: the entries of ``cvec`` and the rows of ``avec``.
+    """The svec positions where C has a nonzero entry or some A_i a stored
+    one, as their ``rows``, ``cols`` and ``scale``, with the data there:
+    svec(C) as ``cvec`` and the rows of ``avec``.
 
-    No other position enters <C, X>, A(X) or S = C - A'y.  When the support
-    is every position, the fields are ``svec_indices(n)`` and the problem's
-    own arrays, not copies.
+    No other position enters <C, X>, A(X) or S = C - A'y.  When C's nonzero
+    entries fill every position, the support holds C's ``rows`` and
+    ``cols`` and the operator's own ``avec``, not copies.
     """
 
     n: int
@@ -346,21 +344,25 @@ class SvecSupport:
     avec: sp.csc_matrix
 
     @classmethod
-    def of(cls, op: ConstraintOperator, cvec: np.ndarray) -> "SvecSupport":
-        cvec = np.asarray(cvec, dtype=np.float64)
-        used = cvec != 0.0
-        used[op.avec.indices] = True
-        rows, cols, scale = svec_indices(op.n)
-        if used.all():
-            return cls(op.n, rows, cols, scale, cvec, op.avec)
-        pos = np.flatnonzero(used)
+    def of(cls, op: ConstraintOperator, c: SymMatrix) -> "SvecSupport":
+        n, a = op.n, op.avec
+        used = c.vals != 0.0
+        if np.count_nonzero(used) == tri_dim(n):
+            scale = np.where(c.rows == c.cols, 1.0, SQRT2)
+            return cls(n, c.rows, c.cols, scale, c.vals * scale, a)
+        cpos = svec_position(n, c.rows, c.cols)
+        used |= np.isin(cpos, a.indices)  # a zero of C there keeps its sign
+        cpos = cpos[used]
+        pos = np.union1d(cpos, a.indices)
+        rows, cols, scale = svec_indices(n, pos)
+        at = np.searchsorted(pos, cpos)
+        cvec = np.zeros(pos.size)
+        cvec[at] = c.vals[used] * scale[at]
         # renumber the stored rows of avec in order, so each column keeps
         # its entry order and A(X) its summation order
-        renumber = np.cumsum(used) - 1
-        avec = sp.csc_matrix(
-            (op.avec.data, renumber[op.avec.indices], op.avec.indptr),
-            shape=(pos.size, op.m))
-        return cls(op.n, rows[pos], cols[pos], scale[pos], cvec[pos], avec)
+        avec = sp.csc_matrix((a.data, np.searchsorted(pos, a.indices), a.indptr),
+                             shape=(pos.size, op.m))
+        return cls(n, rows, cols, scale, cvec, avec)
 
     @cached_property
     def least_squares_dual(self) -> np.ndarray | None:

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -50,7 +50,6 @@ class SdpProblem:
     name: str = ""
     known_trace: float | None = None
     known_rank: int | None = None
-    cvec: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=np.float64)
@@ -60,12 +59,16 @@ class SdpProblem:
             raise ValueError("m does not match the operator or b (a vector of m)")
         if not np.all(np.isfinite(self.b)):
             raise ValueError("b must be finite")
-        self.cvec = svec(self.C).values
+
+    @property
+    def cvec(self) -> np.ndarray:
+        """svec(C), formed on each read: the solver reads the support's."""
+        return svec(self.C).values
 
     @cached_property
     def support(self) -> SvecSupport:
-        """``SvecSupport.of(op, cvec)``, taken on first use."""
-        return SvecSupport.of(self.op, self.cvec)
+        """``SvecSupport.of(op, C)``, taken on first use."""
+        return SvecSupport.of(self.op, self.C)
 
 
 @dataclass
@@ -238,20 +241,18 @@ def generate_random_sdp(n: int, m: int, r: int, sparsity: float, s: float,
 
 
 def build_maxcut_sdp(g: GraphInstance, sense: str = "maximize") -> SdpProblem:
-    """Max-Cut SDP relaxation with X_ii = 1 (m = n): C = -L/4
-    (sense="maximize": min <C, X> maximizes the cut) or C = L/4
-    (sense="paper", whose minimum 0 at X = 11' is trivial).  It carries no
-    known trace: the solver reads tr X = n from the constraints."""
-    if sense not in ("paper", "maximize"):
-        raise ValueError("sense must be 'paper' or 'maximize'")
+    """Max-Cut SDP relaxation with X_ii = 1 (m = n): C = -L/4, so that
+    min <C, X> maximizes the cut; ``sense`` takes "maximize" alone.  It
+    carries no known trace: the solver reads tr X = n from the constraints."""
+    if sense != "maximize":
+        raise ValueError("sense must be 'maximize'")
     n = g.n_vertices
     i, j, w = np.array(g.edges, dtype=np.float64).reshape(-1, 3).T
     lo, hi = (np.minimum(i, j) - 1).astype(np.int64), (np.maximum(i, j) - 1).astype(np.int64)
     # each vertex adds its weights in edge order, as a loop over the edges would
     deg = np.bincount(np.stack([hi, lo], axis=1).ravel(), np.repeat(w, 2), minlength=n)
     diag = np.arange(n)
-    factor = 0.25 if sense == "paper" else -0.25
-    vals = factor * np.concatenate([-w, deg])
+    vals = -0.25 * np.concatenate([-w, deg])
     keep = vals != 0.0
     c = SymMatrix(n=n, rows=np.concatenate([hi, diag])[keep],
                   cols=np.concatenate([lo, diag])[keep], vals=vals[keep])
@@ -326,7 +327,6 @@ def write_sdpa(problem: SdpProblem, path: str):
     file cut off at a line boundary would load as a smaller problem.
     """
     c, op = problem.C, problem.op
-    rows, cols, _ = svec_indices(problem.n)
     # an entry line is five list slots: "matno 1 ", "i ", "j ", repr(value), "\n"
     labels = range(max(problem.m, problem.n) + 1)
     mat_label = np.array([f"{v} 1 " for v in labels], dtype=object)
@@ -353,7 +353,7 @@ def write_sdpa(problem: SdpProblem, path: str):
                 fh.write(chunk(np.zeros_like(c.rows[e]), c.rows[e], c.cols[e], c.vals[e]))
             for s in range(0, op.avec.nnz, _CHUNK):
                 k, pos, vals = op.entries(s, s + _CHUNK)
-                fh.write(chunk(k + 1, rows[pos], cols[pos], vals))
+                fh.write(chunk(k + 1, *svec_indices(problem.n, pos)[:2], vals))
     except BaseException:
         # only a regular file goes, never a device; the interrupt, not a
         # failed removal, is what propagates
@@ -477,9 +477,8 @@ def load_sdpa(path: str) -> SdpProblem:
     if nonfinite:
         raise fail(4 + nonfinite[0], "non-finite entry value")
 
-    rows, cols, _ = svec_indices(n)
     in_c = int(np.searchsorted(key, tri_dim(n)))  # matno 0 sorts first
-    c = SymMatrix(n=n, rows=rows[key[:in_c]], cols=cols[key[:in_c]], vals=val[:in_c])
+    c = SymMatrix(n, *svec_indices(n, key[:in_c])[:2], val[:in_c])
     matno, pos = np.divmod(key[in_c:], tri_dim(n))
     del key
     matno -= 1

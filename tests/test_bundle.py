@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ def random_setup(rng, n=5, m=4, l=3):
     c = (c + c.T) / 2
     p = rng.standard_normal((n, l))
     p /= np.linalg.norm(p, axis=0)
-    return op, c, svec(c).values, p, mats
+    return op, c, SymMatrix.from_dense(c), p, mats
 
 
 class TestPvecGenerate:
@@ -53,7 +54,7 @@ class TestPvecGenerate:
         op = ConstraintOperator.from_matrices(2, [a1])
         c = np.array([[3.0, -1.0], [-1.0, 5.0]])
         p = np.array([[1.0], [0.0]])
-        a, b = pvec_generate(p, op, SvecSupport.of(op, svec(c).values))
+        a, b = pvec_generate(p, op, SvecSupport.of(op, SymMatrix.from_dense(c)))
         assert a[0] == pytest.approx(3.0)
         assert b[0, 0] == pytest.approx(2.0)
 
@@ -63,13 +64,13 @@ class TestPvecGenerate:
             2, [SymMatrix.from_dense(np.eye(2))]
         )
         p = np.eye(2)
-        a, _ = pvec_generate(p, op, SvecSupport.of(op, svec(c).values))
+        a, _ = pvec_generate(p, op, SvecSupport.of(op, SymMatrix.from_dense(c)))
         assert np.allclose(a, [4.0, 7.0])
 
     def test_matches_outer_product_oracle(self):
         rng = np.random.default_rng(0)
-        op, c, cvec, p, mats = random_setup(rng)
-        a, b = pvec_generate(p, op, SvecSupport.of(op, cvec))
+        op, c, c_sym, p, mats = random_setup(rng)
+        a, b = pvec_generate(p, op, SvecSupport.of(op, c_sym))
         pvec = svec_rank_one(p)
         for i in range(p.shape[1]):
             outer = np.outer(p[:, i], p[:, i])
@@ -82,15 +83,15 @@ class TestPvecGenerate:
     def test_rejects_a_vector(self, p):
         # a 1-D p is not read as columns of length 1
         op = ConstraintOperator.from_matrices(2, [SymMatrix.from_dense(np.eye(2))])
-        support = SvecSupport.of(op, svec(np.eye(2)).values)
+        support = SvecSupport.of(op, SymMatrix.from_dense(np.eye(2)))
         with pytest.raises(ValueError, match="p must be an n x l matrix"):
             pvec_generate(np.array(p), op, support)
 
     def test_rejects_non_unit_columns(self):
         rng = np.random.default_rng(1)
-        op, _, cvec, p, _ = random_setup(rng)
+        op, _, c_sym, p, _ = random_setup(rng)
         with pytest.raises(ValueError, match="unit"):
-            pvec_generate(2.0 * p, op, SvecSupport.of(op, cvec))
+            pvec_generate(2.0 * p, op, SvecSupport.of(op, c_sym))
 
 
 def bits(a):
@@ -108,13 +109,13 @@ def hand_built():
         np.array([1.0, -3.0, 0.5, 2.0, 1.0]))
     # from_entries stores no zeros, so A_2's entry at (5, 5) is zeroed here
     op.avec.data[op.avec.indices == svec_position(n, 5, 5)] = 0.0
-    return op, svec(c).values
+    return op, c
 
 
 @pytest.fixture(params=["generated", "generated-full", "maxcut",
                         "sdpa-loaded", "hand-built"])
 def support_problem(request, tmp_path):
-    """(op, cvec, whether the support is every position)."""
+    """(op, C, whether the support is every position)."""
     if request.param == "hand-built":
         return (*hand_built(), False)
     if request.param == "maxcut":
@@ -129,7 +130,7 @@ def support_problem(request, tmp_path):
         if request.param == "sdpa-loaded":
             write_sdpa(problem, str(tmp_path / "p.dat-s"))
             problem = load_sdpa(str(tmp_path / "p.dat-s"))
-    return problem.op, problem.cvec, request.param == "generated-full"
+    return problem.op, problem.C, request.param == "generated-full"
 
 
 class TestSupportColumns:
@@ -142,8 +143,9 @@ class TestSupportColumns:
         return q
 
     def test_support_is_every_position_c_or_some_a_i_uses(self, support_problem):
-        op, cvec, full = support_problem
-        support = SvecSupport.of(op, cvec)
+        op, c, full = support_problem
+        support = SvecSupport.of(op, c)
+        cvec = svec(c).values
         assert support.n == op.n
         # a stored zero counts as used
         stored = np.isin(np.arange(tri_dim(op.n)), op.avec.tocoo().row)
@@ -157,8 +159,9 @@ class TestSupportColumns:
         assert np.array_equal(support.avec.toarray(), op.avec.toarray()[want])
 
     def test_matches_dense_pvec_path(self, support_problem):
-        op, cvec, _ = support_problem
-        support = SvecSupport.of(op, cvec)
+        op, c, _ = support_problem
+        support = SvecSupport.of(op, c)
+        cvec = svec(c).values
         pos = svec_position(op.n, support.rows, support.cols)
         rng = np.random.default_rng(7)
         for _ in range(3):
@@ -173,32 +176,79 @@ class TestSupportColumns:
 
     def test_full_support_uses_the_arrays_as_they_are(self):
         problem, _ = generate_random_sdp(30, 25, 3, 0.1, 1.5, 12)
-        op, cvec = problem.op, problem.cvec
-        support = SvecSupport.of(op, cvec)
-        assert support.avec is op.avec and support.cvec is cvec
-        assert all(mine is full for mine, full in zip(
-            (support.rows, support.cols, support.scale), svec_indices(op.n)))
+        op, c, cvec = problem.op, problem.C, problem.cvec
+        support = SvecSupport.of(op, c)
+        assert support.avec is op.avec
+        assert support.rows is c.rows and support.cols is c.cols
+        assert np.array_equal(support.scale, svec_indices(op.n)[2])
+        assert np.array_equal(bits(support.cvec), bits(cvec))
         p = self.columns(np.random.default_rng(8), op.n)
         pvec = svec_rank_one(p)
         a, b = pvec_generate(p, op, support)
         assert np.array_equal(bits(a), bits(pvec.T @ cvec))
         assert np.array_equal(bits(b), bits(op.avec.T @ pvec))
 
+    # sha256 of each support array, as little-endian int64 or float64, taken
+    # while the support was still cut from the full svec(C) and index tables.
+    # The generated values pass through eigh, so they hold at one OpenBLAS
+    # thread, as the generator's checksums do
+    DIGESTS = {
+        "generated": {
+            "rows": "03e3b77b79d3a2d1fb60a4d4ff8db2787c8135cc782bd405e14d4603a1f1c9c9",
+            "cols": "424aea2b163efc4cd10c96ef745d011e4713a1ccb968d51909a2b14a31b3b92a",
+            "scale": "37db946e8a8dbf72d990501dfe293d51614d3c557a00de466d5a6ed1e55a7d7e",
+            "cvec": "d1ee6794e977dd97a105f8c9158d51f0029eb3e303cf40b63c7182408d64317c",
+            "avec": "2a7ac86f11dd85ed1bbbba2fcd8a0aae51eeecfcadf1b56fa048d3de36193339"},
+        "generated-full": {
+            "rows": "5301d30596da944cec0ef4212eb95b19f52c7ae19af0be4a2305f7728cde7bd0",
+            "cols": "04a88ff37bf9abaa98a4b5a1dc9cb4f750119c8da8c25d3cecec8fae0d9ef7ac",
+            "scale": "7e4fa752a867805cc7e3f80f0d8e3abac15b4e6d348975e54b4bb0ea5184993e",
+            "cvec": "a7ac01a84397e2cca6a2f34a12979fe90561574598ceb1dc85461e1d09d4750a",
+            "avec": "44645e8c83e461a266316a2b29b8be784fa52ae699167f61a96b17dba6c08f4c"},
+        "maxcut": {
+            "rows": "010c913de82cf81567e54b2a3e83bb9c571fe63e42ec3f6529e33e535b9f6cdd",
+            "cols": "b45be7ba7e51e1874e3f9907ba54f6a05d9c9023e7a2e5fa2887aa553881d331",
+            "scale": "e1a642b2bcd8bab41391501e4522f8908669c5d6a9b8b4c4c5248a14c6cbd012",
+            "cvec": "df864b0f7debc4e4c48622144e64c7d8cb2660ecc0b6ba6871f36b2c82a77f65",
+            "avec": "af1f201d7b037587f20304107564b7e39f6cf83d23e26cce1c851edffcc4ee67"},
+        "hand-built": {
+            "rows": "c68e57b2676be5afff1996d7fe939d22ce3829d36133633b9ad3a5f83ab96ecf",
+            "cols": "302e02e1f81b3794d8c77cde8673f6f91d9840c4b0ef2175d152544238cc6bce",
+            "scale": "5bf6cd70fba504a69783f3cfd6abc13c01d88cab308b3604eff0d46f21ee3355",
+            "cvec": "5b16ebf79e97c161cf6a6531922e00589d628c17cf363629573e94ac2c962021",
+            "avec": "aba4aa1e4568f76180e891a4a21d02ef1a6657bed1cb0e723e1ff2f0670ca367"}}
+    DIGESTS["sdpa-loaded"] = DIGESTS["generated"]  # the round trip keeps every bit
+
+    def test_support_arrays_keep_their_bits(self, support_problem, request):
+        op, c, _ = support_problem
+        s = SvecSupport.of(op, c)
+        arrays = {"rows": [s.rows.astype("<i8")], "cols": [s.cols.astype("<i8")],
+                  "scale": [s.scale.astype("<f8")], "cvec": [s.cvec.astype("<f8")],
+                  "avec": [s.avec.data.astype("<f8"), s.avec.indices.astype("<i8"),
+                           s.avec.indptr.astype("<i8")]}
+        got = {}
+        for name, parts in arrays.items():
+            digest = hashlib.sha256()
+            for a in parts:
+                digest.update(a)
+            got[name] = digest.hexdigest()
+        assert got == self.DIGESTS[request.node.callspec.params["support_problem"]]
+
     def test_hand_built_support(self):
-        op, cvec = hand_built()
-        support = SvecSupport.of(op, cvec)
+        op, c = hand_built()
+        support = SvecSupport.of(op, c)
         want = svec_position(6, np.array([0, 1, 2, 3, 4, 5, 5]),
                              np.array([0, 0, 2, 1, 3, 4, 5]))
         got = svec_position(6, support.rows, support.cols)
         assert np.array_equal(got, np.sort(want))
 
     def test_rejects_support_of_another_operator(self):
-        op, cvec = hand_built()
+        op, c = hand_built()
         k = np.arange(3)
         other = ConstraintOperator.from_entries(6, 3, k, svec_position(6, k, k), np.ones(3))
         p = np.eye(6)[:, :2]
         with pytest.raises(ValueError, match="another operator"):
-            pvec_generate(p, other, SvecSupport.of(op, cvec))
+            pvec_generate(p, other, SvecSupport.of(op, c))
 
 
 class TestSupportSlack:
@@ -207,13 +257,16 @@ class TestSupportSlack:
     dense slack, bit for bit."""
 
     def test_dense_fill_matches_two_index_scatter(self, support_problem):
-        op, cvec, _ = support_problem
-        # exact zeros of both signs in C at positions the A_i use; at y = 0
-        # the -0.0 ones stay in S
-        cvec = cvec.copy()
+        op, c, _ = support_problem
+        # exact zeros of both signs stored in C at positions the A_i use; at
+        # y = 0 the -0.0 ones stay in S
+        cvec = svec(c).values
         cvec[op.avec.indices[::3]] = 0.0
         cvec[op.avec.indices[1::3]] = -0.0
-        support = SvecSupport.of(op, cvec)
+        pos = np.union1d(svec_position(op.n, c.rows, c.cols), op.avec.indices)
+        rows, cols, scale = svec_indices(op.n, pos)
+        c = SymMatrix(op.n, rows, cols, cvec[pos] / scale)
+        support = SvecSupport.of(op, c)
         for y in (np.zeros(op.m), np.random.default_rng(5).standard_normal(op.m)):
             vals = (support.cvec - support.avec @ y) / support.scale
             want = np.zeros((op.n, op.n))
@@ -230,8 +283,8 @@ class TestSupportSlack:
 
     def test_sparse_storage_is_the_csr_of_the_dense_slack(self, support_problem,
                                                           monkeypatch):
-        op, cvec, _ = support_problem
-        support = SvecSupport.of(op, cvec)
+        op, c, _ = support_problem
+        support = SvecSupport.of(op, c)
         y = np.random.default_rng(6).standard_normal(op.m)
         want = sp.csr_matrix(support.slack(y))
         monkeypatch.setattr(linalg, "DENSE_EIG_CUTOFF", op.n - 1)
@@ -249,7 +302,7 @@ class TestSupportSlack:
             assert "support" not in vars(p)
             support = p.support
             assert p.support is support
-            assert np.array_equal(support.rows, SvecSupport.of(p.op, p.cvec).rows)
+            assert np.array_equal(support.rows, SvecSupport.of(p.op, p.C).rows)
 
 
 class TestLeastSquaresDual:
@@ -263,9 +316,9 @@ class TestLeastSquaresDual:
         assert np.linalg.norm(y - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_matches_dense_lstsq(self, support_problem):
-        op, cvec, _ = support_problem
-        support = SvecSupport.of(op, cvec)
-        self.assert_is_lstsq(support, op, cvec)
+        op, c, _ = support_problem
+        support = SvecSupport.of(op, c)
+        self.assert_is_lstsq(support, op, svec(c).values)
         y = support.least_squares_dual
         assert support.least_squares_dual is y and not y.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -278,14 +331,15 @@ class TestLeastSquaresDual:
         mats = [a + a.T for a in mats]
         op = ConstraintOperator.from_matrices(5, [*mats, mats[0] + mats[1]])
         c = rng.standard_normal((5, 5))
-        cvec = svec(c + c.T).values
-        self.assert_is_lstsq(SvecSupport.of(op, cvec), op, cvec)
+        c = SymMatrix.from_dense(c + c.T)
+        self.assert_is_lstsq(SvecSupport.of(op, c), op, svec(c).values)
 
     def test_none_when_not_finite(self, support_problem):
-        op, cvec, _ = support_problem
-        cvec = cvec.copy()
-        cvec[op.avec.indices[0]] = np.nan
-        assert SvecSupport.of(op, cvec).least_squares_dual is None
+        op, c, _ = support_problem
+        # C itself must be finite, so the NaN goes into the support's cvec
+        support = SvecSupport.of(op, c)
+        support.cvec[support.avec.indices[0]] = np.nan
+        assert support.least_squares_dual is None
 
 
 class TestModelEval:
@@ -360,21 +414,21 @@ class TestSelectAggregation:
 
 class TestAggregateAndAppend:
     def make_state(self, rng, n=5, m=4, l=3):
-        op, c, cvec, p, _ = random_setup(rng, n=n, m=m, l=l)
-        a, b_mat = pvec_generate(p, op, SvecSupport.of(op, cvec))
+        op, c, c_sym, p, _ = random_setup(rng, n=n, m=m, l=l)
+        a, b_mat = pvec_generate(p, op, SvecSupport.of(op, c_sym))
         state = BundleState.fresh(p, a, b_mat)
-        return state, op, c, cvec
+        return state, op, c, c_sym
 
-    def new_block(self, rng, op, cvec, n, r):
+    def new_block(self, rng, op, c_sym, n, r):
         v = rng.standard_normal((n, r))
         v /= np.linalg.norm(v, axis=0)
-        a_new, b_new = pvec_generate(v, op, SvecSupport.of(op, cvec))
+        a_new, b_new = pvec_generate(v, op, SvecSupport.of(op, c_sym))
         return v, a_new, b_new
 
     def test_zero_mass_zeroes_aggregate(self):
         rng = np.random.default_rng(3)
-        state, op, _, cvec = self.make_state(rng)
-        v, a_new, b_new = self.new_block(rng, op, cvec, 5, 2)
+        state, op, _, c_sym = self.make_state(rng)
+        v, a_new, b_new = self.new_block(rng, op, c_sym, 5, 2)
         p_bar = np.array([], dtype=np.int64)
         p_hat = np.arange(3)
         out = aggregate_and_append(state, 0.0, np.array([0.2, 0.3, 0.1]),
@@ -387,8 +441,8 @@ class TestAggregateAndAppend:
         # after aggregation the model column 0 is (<C, W>, A(W)) for the
         # dense W that the oracle folds
         rng = np.random.default_rng(4)
-        state, op, c, cvec = self.make_state(rng)
-        v, a_new, b_new = self.new_block(rng, op, cvec, 5, 2)
+        state, op, c, c_sym = self.make_state(rng)
+        v, a_new, b_new = self.new_block(rng, op, c_sym, 5, 2)
         x = np.array([0.4, 0.05, 0.3])
         p_bar = np.array([1], dtype=np.int64)
         p_hat = np.array([0, 2], dtype=np.int64)
@@ -403,8 +457,8 @@ class TestAggregateAndAppend:
 
     def test_kept_columns_preserved(self):
         rng = np.random.default_rng(5)
-        state, op, _, cvec = self.make_state(rng)
-        v, a_new, b_new = self.new_block(rng, op, cvec, 5, 2)
+        state, op, _, c_sym = self.make_state(rng)
+        v, a_new, b_new = self.new_block(rng, op, c_sym, 5, 2)
         p_bar = np.array([0], dtype=np.int64)
         p_hat = np.array([1, 2], dtype=np.int64)
         out = aggregate_and_append(state, 0.0, np.array([0.1, 0.2, 0.3]),
@@ -420,8 +474,8 @@ class TestAggregateAndAppend:
         # w_supp is svec(W) at the support's positions through two
         # aggregations
         rng = np.random.default_rng(8)
-        op, _, cvec, p, _ = random_setup(rng, n=5, m=4, l=3)
-        support = SvecSupport.of(op, cvec)
+        op, _, c_sym, p, _ = random_setup(rng, n=5, m=4, l=3)
+        support = SvecSupport.of(op, c_sym)
         a, b_mat = pvec_generate(p, op, support)
         state = BundleState.fresh(p, a, b_mat, support)
         w = np.zeros((5, 5))
@@ -441,8 +495,8 @@ class TestAggregateAndAppend:
     def test_support_values_skip_weights_below_zero(self):
         # a weight a hair below 0 counts as 0, so X stays a sum of PSD terms
         rng = np.random.default_rng(9)
-        op, _, cvec, p, _ = random_setup(rng, n=5, m=4, l=3)
-        support = SvecSupport.of(op, cvec)
+        op, _, c_sym, p, _ = random_setup(rng, n=5, m=4, l=3)
+        support = SvecSupport.of(op, c_sym)
         a, b_mat = pvec_generate(p, op, support)
         state = BundleState.fresh(p, a, b_mat, support)
         state.w_supp[:] = 1.0
@@ -454,8 +508,8 @@ class TestAggregateAndAppend:
     def test_model_arrays_layout(self):
         # a fresh bundle's model arrays: the empty aggregate, then the columns
         rng = np.random.default_rng(7)
-        op, _, cvec, p, _ = random_setup(rng, n=5, m=4, l=3)
-        a, b_mat = pvec_generate(p, op, SvecSupport.of(op, cvec))
+        op, _, c_sym, p, _ = random_setup(rng, n=5, m=4, l=3)
+        a, b_mat = pvec_generate(p, op, SvecSupport.of(op, c_sym))
         state = BundleState.fresh(p, a, b_mat)
         assert state.a.shape == (4,)
         assert state.B.shape == (4, 4)

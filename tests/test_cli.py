@@ -513,8 +513,8 @@ class TestMaxcutCommand:
         lines = [f"{n} {len(edges)}"] + [f"{i} {j} 1" for i, j in edges]
         g = tmp_path / "graph.txt"
         g.write_text("\n".join(lines) + "\n")
-        code = main(["maxcut", str(g), "--sense", "maximize",
-                     "--eps", "1e-3", "--maxiter", "500", "--lmax", "sq"])
+        code = main(["maxcut", str(g), "--eps", "1e-3", "--maxiter", "500",
+                     "--lmax", "sq"])
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         assert report["status"] == "Converged"

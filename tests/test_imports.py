@@ -17,6 +17,10 @@ the package defines counts as named when its name appears as a whole word
 in some Python file of ``src/``, ``tests/`` or ``perfbench/`` more often
 than it is defined there; dunder names are exempt.
 
+The package asks ``svec_indices`` for every position only in the dense
+helpers of ``DENSE_HELPERS``, whose input or output has that length anyway;
+every other path passes the positions it needs, so that it stays O(nnz).
+
 And a solve loads no solver library beyond what the package needs:
 ``scipy.optimize`` stays out, since its import alone adds to every run's
 time and memory.
@@ -89,6 +93,31 @@ def unused_parameters(source: str) -> list[str]:
         found += [(fn.lineno, a.arg) for a in params
                   if a.arg not in read and not a.arg.startswith("_")]
     return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+DENSE_HELPERS = {"from_dense", "svec", "_svec_entries", "generate_random_sdp"}
+
+
+def full_table_calls(source: str) -> list[str]:
+    """The calls of ``svec_indices`` without positions (none given, or None)
+    outside the functions named in DENSE_HELPERS, as the innermost function
+    that makes each."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and "svec_indices" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            pos = node.args[1:] + [k.value for k in node.keywords if k.arg == "pos"]
+            if all(isinstance(p, ast.Constant) and p.value is None for p in pos) \
+                    and owner not in DENSE_HELPERS:
+                found.append(f"line {node.lineno}: {owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
 
 
 def dead_definitions(package: dict[str, str], elsewhere: str = "") -> list[str]:
@@ -169,6 +198,27 @@ def test_parameter_checker_flags_what_the_body_never_reads():
     assert unused_parameters(source) == [
         "line 1: args", "line 1: b", "line 1: kw", "line 2: e", "line 6: self",
         "line 8: z"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_full_index_tables_only_in_dense_helpers(path):
+    assert full_table_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_table_checker_flags_calls_without_positions():
+    source = ("from .linalg import svec_indices\n"
+              "import polybundle.linalg as la\n"
+              "def svec(n):\n"                       # a dense helper: exempt
+              "    return svec_indices(n)\n"
+              "def of(n, pos):\n"
+              "    a = svec_indices(n, pos)\n"
+              "    b = la.svec_indices(n, pos=pos)\n"
+              "    def inner():\n"
+              "        return svec_indices(n, None)\n"  # no positions
+              "    return la.svec_indices(n), a, b, inner\n"
+              "rows = svec_indices(4, pos=None)\n")
+    assert full_table_calls(source) == [
+        "line 9: inner", "line 10: of", "line 11: None"]
 
 
 def test_no_dead_definitions():

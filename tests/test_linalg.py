@@ -24,13 +24,11 @@ from polybundle.linalg import (
 
 
 def smat_dense(values):
-    """smat(values) as the dense fill of SvecSupport.slack gives it: every
-    position is in the support (each entry of A_1 is a stored zero) and
-    y = 0, so S = C exactly, signed zeros included."""
-    d = values.size
-    avec = sp.csc_matrix((np.zeros(d), np.arange(d), [0, d]), shape=(d, 1))
-    support = SvecSupport.of(ConstraintOperator(tri_order(d), 1, avec), values)
-    assert support.rows.size == d
+    """smat(values) as the dense fill of SvecSupport.slack gives it: a
+    support of every position whose cvec is ``values``, and y = 0, so S = C
+    exactly, signed zeros included."""
+    n = tri_order(values.size)
+    support = SvecSupport(n, *svec_indices(n), values, sp.csc_matrix((values.size, 1)))
     return support.slack(np.zeros(1))
 
 
@@ -56,6 +54,18 @@ class TestSvecBasics:
         rows, cols, _ = svec_indices(6)
         pos = svec_position(6, rows, cols)
         assert np.array_equal(pos, np.arange(tri_dim(6)))
+
+    @pytest.mark.parametrize("n", [1, 6, 10_000])
+    def test_indices_at_positions_invert_svec_position(self, n):
+        # any positions, in any order, each diagonal one and its neighbours
+        rng = np.random.default_rng(n)
+        j = np.arange(n)
+        diag = svec_position(n, j, j)
+        pos = np.concatenate([rng.integers(0, tri_dim(n), 50), diag, diag[1:] - 1])
+        rows, cols, scale = svec_indices(n, pos)
+        assert np.all(rows >= cols) and np.all(rows < n)
+        assert np.array_equal(svec_position(n, rows, cols), pos)
+        assert np.array_equal(scale, np.where(rows == cols, 1.0, np.sqrt(2.0)))
 
     def test_identity_svec(self):
         # svec(I_2) = [1, 0, 1]: diagonal kept as-is, off-diagonal scaled

@@ -141,6 +141,16 @@ class TestSdpProblem:
         with pytest.raises(ValueError, match="m does not match"):
             SdpProblem(**data, b=np.ones(shape))
 
+    def test_cvec_is_formed_from_c_on_each_read(self):
+        # svec(C) is derived: a write to one read reaches neither C, nor a
+        # later read, nor the support the solver reads
+        problem, _ = generate_random_sdp(8, 4, 2, 0.3, 1.0, 0)
+        cvec = problem.cvec
+        assert np.array_equal(cvec, svec(problem.C).values)
+        cvec[:] = np.nan
+        assert np.array_equal(problem.cvec, svec(problem.C).values)
+        assert np.all(np.isfinite(problem.support.cvec))
+
 
 class TestOperatorEntries:
     """The entry-based constraint builders against the operators they build."""
@@ -226,7 +236,10 @@ class TestOperatorEntries:
             "y_star": "30edea8b41c268e5892fe18caea82b8696b94e54acdedfd75f61264787ea30fd"}),
         ((100, 100, 5, 1e-2, 1.0, 42), {
             "file": "f5f3ad9ad103c2b4f7f5cca8d3b5f6f6b340ae701e302da3c67e32cee2ca0684"}),
-    ], ids=["n30-seed7", "n400-seed42", "n400-seed1042", "n500-seed42", "n100-seed42-file"])
+        ((40, 40, 3, 0.02, 1.0, 1), {
+            "file": "6f2c21145d809633a5cad9f0a65c57e02cd2e8f49c064e6652badcc9a38754f3"}),
+    ], ids=["n30-seed7", "n400-seed42", "n400-seed1042", "n500-seed42", "n100-seed42-file",
+            "n40-seed1-file"])
     def test_generated_avec_checksum(self, args, digests, tmp_path):
         # taken before avec was built straight into CSC arrays (n = 30: before
         # the generator built avec through from_entries, with the 4 stored
@@ -234,7 +247,9 @@ class TestOperatorEntries:
         # involve no LAPACK call; b, cvec and the file's values pass through
         # eigh and BLAS products, so they hold at one OpenBLAS thread and the
         # numpy and scipy that CI installs, as the trajectory pins do.  The
-        # n = 400 and 500 instances are the ones the benchmark times
+        # n = 400 and 500 instances are the ones the benchmark times; the
+        # n = 40 one has a partial support, whose file was pinned while
+        # positions were still read from full index tables
         problem, planted = generate_random_sdp(*args)
         avec = problem.op.avec
         arrays = {"b": [problem.b.astype("<f8")], "cvec": [problem.cvec.astype("<f8")],
@@ -268,14 +283,14 @@ class TestOperatorEntries:
 class TestMaxcut:
     def test_single_edge_laplacian(self):
         g = GraphInstance(2, [(1, 2, 1.0)])
-        p = build_maxcut_sdp(g, sense="paper")
-        assert np.allclose(4.0 * p.C.to_dense(),
+        p = build_maxcut_sdp(g, sense="maximize")
+        assert np.allclose(-4.0 * p.C.to_dense(),
                            [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_triangle(self):
         g = GraphInstance(3, [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)])
-        p = build_maxcut_sdp(g, sense="paper")
-        lap = 4.0 * p.C.to_dense()
+        p = build_maxcut_sdp(g, sense="maximize")
+        lap = -4.0 * p.C.to_dense()
         assert np.allclose(np.diag(lap), [2.0, 2.0, 2.0])
         off = lap[~np.eye(3, dtype=bool)]
         assert np.allclose(off, -1.0)
@@ -287,9 +302,9 @@ class TestMaxcut:
                  for i in range(n) for j in range(i + 1, n)
                  if rng.random() < 0.4]
         g = GraphInstance(n, edges)
-        p = build_maxcut_sdp(g, sense="paper")
+        p = build_maxcut_sdp(g, sense="maximize")
         assert np.allclose(apply_A(p.op, np.eye(n)), 1.0)
-        lap = 4.0 * p.C.to_dense()
+        lap = -4.0 * p.C.to_dense()
         assert np.abs(lap @ np.ones(n)).max() <= 1e-12
         total_degree = 2.0 * sum(w for _, _, w in edges)
         assert np.trace(lap) == pytest.approx(total_degree)
@@ -297,17 +312,15 @@ class TestMaxcut:
         assert p.known_trace is None
         assert solver.primal_trace(p, solver.diagonal_targets(p)) == n
 
-    def test_maximize_sense_flips_sign(self):
-        g = GraphInstance(2, [(1, 2, 1.0)])
-        pmin = build_maxcut_sdp(g, sense="paper")
-        pmax = build_maxcut_sdp(g, sense="maximize")
-        assert np.allclose(pmin.C.to_dense(), -pmax.C.to_dense())
-
     def test_maximize_is_the_default(self):
-        # C = L/4 has the trivial minimum 0 at X = 11'
         g = GraphInstance(2, [(1, 2, 1.0)])
         assert np.array_equal(build_maxcut_sdp(g).C.to_dense(),
                               build_maxcut_sdp(g, sense="maximize").C.to_dense())
+
+    def test_maximize_is_the_only_sense(self):
+        # C = L/4 would have the trivial minimum 0 at X = 11'
+        with pytest.raises(ValueError, match="maximize"):
+            build_maxcut_sdp(GraphInstance(2, [(1, 2, 1.0)]), sense="paper")
 
     def test_graph_validation(self):
         with pytest.raises(ValueError, match="range"):
@@ -548,6 +561,28 @@ class TestSdpaIo:
         assert (back.op.avec != problem.op.avec).nnz == 0
 
 
+def traced_peak(call) -> int:
+    """The tracemalloc peak of ``call()``, in bytes."""
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def sparse_graph(n: int, seed: int = 1) -> GraphInstance:
+    """The c10 family's graph at edge probability 6/n, drawn row by row: the
+    same edges as one draw per vertex pair, with no n(n-1)/2 array."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for i in range(1, n):
+        edges += [(i, int(j), 1.0)
+                  for j in np.flatnonzero(rng.random(n - i) < 6.0 / n) + i + 1]
+    return GraphInstance(n, edges)
+
+
 class TestPeakMemory:
     """tracemalloc peaks of the generator, the writer and the reader per
     stored entry of C and avec, on one mid-size instance (60,311 entries).
@@ -562,7 +597,7 @@ class TestPeakMemory:
 
     @pytest.fixture(scope="class")
     def instance(self, tmp_path_factory):
-        problem, _ = generate_random_sdp(*self.ARGS)  # fills the svec_indices cache
+        problem, _ = generate_random_sdp(*self.ARGS)
         path = str(tmp_path_factory.mktemp("peak") / "p.dat-s")
         write_sdpa(problem, path)
         return problem, path
@@ -575,15 +610,37 @@ class TestPeakMemory:
         call = {"generate": lambda: generate_random_sdp(*self.ARGS),
                 "write": lambda: write_sdpa(problem, path),
                 "load": lambda: load_sdpa(path)}[operation]
-        assert not tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         entries = problem.C.nnz + problem.op.avec.nnz
-        assert peak / entries <= bound
+        assert traced_peak(call) / entries <= bound
+
+    @pytest.fixture(scope="class")
+    def graphs(self, tmp_path_factory):
+        """The n = 2,000 and 5,000 Max-Cut instances (6,060 and 15,378
+        edges), the latter's graph and its SDPA file."""
+        graph = sparse_graph(5000)
+        small, large = build_maxcut_sdp(sparse_graph(2000)), build_maxcut_sdp(graph)
+        path = str(tmp_path_factory.mktemp("peak") / "g.dat-s")
+        write_sdpa(large, path)
+        return graph, small, large, path
+
+    @pytest.mark.parametrize("operation,bound", [
+        ("build", 150), ("write", 120), ("load", 150), ("solve", 350),
+    ])
+    def test_bytes_per_entry_at_scale(self, graphs, operation, bound):
+        # while the index tables and svec(C) were formed at full length,
+        # build plus support peaked at 24,000 bytes an entry (585 MB at
+        # n = 5,000); from the stored entries alone it peaks at 89 (2.3 MB),
+        # load plus support also at 89, write at 74, and two iterations at
+        # rank 8 on n = 2,000 at 216
+        graph, small, large, path = graphs
+        problem = small if operation == "solve" else large
+        call = {"build": lambda: build_maxcut_sdp(graph).support,
+                "write": lambda: write_sdpa(large, path),
+                "load": lambda: load_sdpa(path).support,
+                "solve": lambda: solver.solve(small, solver.SolverParams(
+                    eps=1e-3, t0=1e-2, l_max="sq", rank=8, maxiter=2))}[operation]
+        entries = problem.C.nnz + problem.op.avec.nnz
+        assert traced_peak(call) / entries <= bound
 
 
 class TestManifest:

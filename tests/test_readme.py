@@ -69,8 +69,7 @@ def test_readme_flags_match_the_parser():
               FLAG_ROW.findall(section("## Command line"))}
     assert "--lmax" in listed and "--out" in listed
     assert parser_flags("solve") == listed
-    assert parser_flags("maxcut") == {**listed, "--sense": None}
-    assert "`maxcut` also takes `--sense`" in TEXT
+    assert parser_flags("maxcut") == listed
 
 
 def listed_fields(lead: str) -> list:

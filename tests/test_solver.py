@@ -405,7 +405,8 @@ class TestSolveEndToEnd:
 
     def test_non_finite_slack_ends_run_as_eigen_failure(self):
         problem, _ = generate_random_sdp(20, 20, 2, 0.1, 1.0, 3)
-        problem.cvec[0] = np.nan
+        # C itself must be finite, so the NaN goes into the support's cvec
+        problem.support.cvec[0] = np.nan
         res = solve(problem, SolverParams(eps=1e-4, maxiter=50))
         assert res.status == STATUS_EIGEN_FAILURE
         assert res.failure == "LAPACK returned 0 of 2 smallest eigenpairs"
