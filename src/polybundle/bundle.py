@@ -44,7 +44,7 @@ class BundleState:
         its support values when ``support`` is given."""
         return cls(P=p, a=np.concatenate([[0.0], a]),
                    B=np.column_stack([np.zeros(b_mat.shape[0]), b_mat]),
-                   w_supp=None if support is None else np.zeros(support.rows.size),
+                   w_supp=None if support is None else np.zeros_like(support.cvec),
                    support=support)
 
     @property
@@ -69,7 +69,9 @@ def pvec_generate(p: np.ndarray, op: ConstraintOperator, support: SvecSupport):
         raise ValueError("bundle columns must be unit-norm")
     if support.avec.shape[1] != op.m:
         raise ValueError("support was taken from another operator")
-    pvec = support.rank_one(p)
+    # a and B read the (support, columns) layout, whose BLAS and
+    # sparsetools kernels fix their bits
+    pvec = np.ascontiguousarray(support.rank_one(p).T)
     return pvec.T @ support.cvec, np.asarray(support.avec.T @ pvec)
 
 
@@ -80,17 +82,7 @@ def support_values(state: BundleState, u: np.ndarray) -> np.ndarray:
     QP may leave, counts as 0, so X is a sum of PSD terms."""
     eta, x = max(float(u[0]), 0.0), u[1:]
     act = np.flatnonzero(x > 0.0)
-    return eta * state.w_supp + _combine(state, act, x[act])
-
-
-def _combine(state: BundleState, idx: np.ndarray, weights: np.ndarray):
-    """sum_k weights[k] * svec(p p') at the support for p = state.P[:, idx[k]],
-    from a (k, support) block in C order whose entries are formed as in
-    ``SvecSupport.rank_one``: the bits of a sum over its stacked columns."""
-    s = state.support
-    pt = np.ascontiguousarray(state.P[:, idx].T)
-    block = np.take(pt, s.rows, axis=1) * np.take(pt, s.cols, axis=1) * s.scale
-    return weights @ block
+    return eta * state.w_supp + x[act] @ state.support.rank_one(state.P[:, act])
 
 
 def model_eval(y: np.ndarray, a: np.ndarray, b_mat: np.ndarray,
@@ -147,7 +139,8 @@ def aggregate_and_append(state: BundleState, eta: float, x: np.ndarray,
 
     a_bar = fold(state.a[0], lambda: state.a[1 + p_bar] @ x_bar)
     b_bar = fold(state.B[:, 0], lambda: state.B[:, 1 + p_bar] @ x_bar)
-    w_supp = fold(state.w_supp, lambda: _combine(state, p_bar, x_bar))
+    w_supp = fold(state.w_supp,
+                  lambda: x_bar @ state.support.rank_one(state.P[:, p_bar]))
 
     p = np.column_stack([state.P[:, p_hat], v_new])
     a = np.concatenate([[a_bar], state.a[1 + p_hat], np.atleast_1d(a_new)])

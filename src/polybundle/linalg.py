@@ -179,6 +179,9 @@ class SymMatrix:
         return cls(*_svec_entries(np.asarray(values, dtype=np.float64)))
 
     def to_dense(self) -> np.ndarray:
+        """The n x n array; for c08, c11 and the oracles of
+        ``tests/test_problems.py``, ``tests/test_linalg.py`` and
+        ``tests/test_solver.py``, not the solver."""
         a = np.zeros((self.n, self.n))
         a[self.rows, self.cols] = self.vals
         a[self.cols, self.rows] = self.vals
@@ -189,6 +192,8 @@ class SymMatrix:
         return int(self.vals.size)
 
     def trace(self) -> float:
+        """The sum of the diagonal entries; for c08 and
+        ``tests/test_problems.py``, not the solver."""
         d = self.rows == self.cols
         return float(self.vals[d].sum())
 
@@ -411,20 +416,14 @@ class SvecSupport:
             shape=(n, n))
 
     def rank_one(self, p: np.ndarray) -> np.ndarray:
-        """Column i is svec(p_i p_i') at the support's positions.
-
-        One column at a time: gathering from a contiguous vector and
-        multiplying in place is two to three times faster than gathering
-        whole rows of p, with the same bits.
-        """
-        out = np.empty((self.rows.size, p.shape[1]))
-        for i, col in enumerate(p.T):
-            col = np.ascontiguousarray(col)
-            entries = col[self.rows]
-            entries *= col[self.cols]
-            entries *= self.scale
-            out[:, i] = entries
-        return out
+        """Row i is svec(p_i p_i') at the support's positions, for the
+        columns p_i of p: a (columns, support) block in C order, gathered
+        from the contiguous transpose of p, whatever p's layout."""
+        pt = np.ascontiguousarray(p.T)
+        block = np.take(pt, self.rows, axis=1)
+        block *= np.take(pt, self.cols, axis=1)
+        block *= self.scale
+        return block
 
 
 def apply_A(op: ConstraintOperator, x) -> np.ndarray:

@@ -533,7 +533,12 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
             if done:
                 status = STATUS_CONVERGED
                 break
-            if pred is not None:
+            if params.time_limit_secs is not None and elapsed > params.time_limit_secs:
+                status = STATUS_TIME_LIMIT
+                break
+            # a restart only where another iteration follows, so the result
+            # reports the bundle its last record and u were taken on
+            if pred is not None and k < params.maxiter:
                 finalize, r_pred = rank_predict_step(bundle.P, eigs_z, pred)
                 if finalize:  # restart at the candidate with the predicted rank
                     pred = None
@@ -544,9 +549,6 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                     bundle = BundleState.fresh(v_new[:, :r_pred], a_new[:r_pred],
                                                b_new[:, :r_pred], support)
                     warm = (np.zeros(1 + r_pred), False)
-            if params.time_limit_secs is not None and elapsed > params.time_limit_secs:
-                status = STATUS_TIME_LIMIT
-                break
     except EigenConvergenceError as exc:
         # the eigensolve at the start or at a candidate failed; y is the
         # last center and the trace ends with the last full iteration

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from linalg_reference import fold_dense, svec_rank_one
-from polybundle import bundle, linalg, solver
+from polybundle import linalg, solver
 from polybundle.bundle import (
     BundleState,
     aggregate_and_append,
@@ -169,10 +169,24 @@ class TestSupportColumns:
             want_pvec = svec_rank_one(p)
             want_a = want_pvec.T @ cvec
             want_b = np.asarray(op.avec.T @ want_pvec)
-            assert np.array_equal(bits(support.rank_one(p)), bits(want_pvec[pos]))
+            block = support.rank_one(p)
+            assert block.flags.c_contiguous
+            assert np.array_equal(bits(block), bits(want_pvec[pos].T))
             a, b = pvec_generate(p, op, support)
             assert np.array_equal(bits(b), bits(want_b))
             assert np.max(np.abs(a - want_a)) <= 1e-13 * np.max(np.abs(want_a))
+
+    def test_block_of_any_layout_has_the_bits_of_its_copy(self, support_problem):
+        # the bundle's support values read slices of P, and the eigensolver
+        # returns F-ordered vectors
+        op, c, _ = support_problem
+        support = SvecSupport.of(op, c)
+        p = np.ascontiguousarray(self.columns(np.random.default_rng(9), op.n, l=6))
+        cases = (p[:, 1:4], np.asfortranarray(p), p[:, [4, 0, 3]])
+        assert not (cases[0].flags.c_contiguous or cases[1].flags.c_contiguous)
+        for q in cases:
+            want = support.rank_one(np.ascontiguousarray(q))
+            assert np.array_equal(bits(support.rank_one(q)), bits(want))
 
     def test_full_support_uses_the_arrays_as_they_are(self):
         problem, _ = generate_random_sdp(30, 25, 3, 0.1, 1.5, 12)
@@ -501,8 +515,8 @@ class TestAggregateAndAppend:
         state = BundleState.fresh(p, a, b_mat, support)
         state.w_supp[:] = 1.0
         x = support_values(state, np.array([-1e-3, 0.5, -1e-3, 0.25]))
-        pvec = support.rank_one(p)
-        np.testing.assert_allclose(x, 0.5 * pvec[:, 0] + 0.25 * pvec[:, 2],
+        block = support.rank_one(p)
+        np.testing.assert_allclose(x, 0.5 * block[0] + 0.25 * block[2],
                                    rtol=1e-14, atol=1e-16)
 
     def test_model_arrays_layout(self):
@@ -541,13 +555,12 @@ class TestSupportValuesFromP:
         assert np.array_equal(bits(support_values(state, u)), bits(want))
         for idx in (i for i in (act, act[:1], np.arange(state.l)) if i.size):
             weights = np.linspace(0.1, 1.0, idx.size)
-            assert np.array_equal(bits(bundle._combine(state, idx, weights)),
-                                  bits(stored_pvec_sum(state, idx, weights)))
-        # no column of positive weight: eta * w_supp alone, and zeros
-        none = np.array([], dtype=np.int64)
-        assert stored_pvec_sum(state, none, np.zeros(0)) == 0.0
-        got = bundle._combine(state, none, np.zeros(0))
-        assert got.shape == state.w_supp.shape and not got.any()
+            only = np.zeros(1 + state.l)
+            only[1 + idx] = weights
+            assert np.array_equal(
+                bits(support_values(state, only)),
+                bits(0.0 * state.w_supp + stored_pvec_sum(state, idx, weights)))
+        # no column of positive weight: eta * w_supp alone
         zero_x = np.concatenate([u[:1], -np.abs(x)])
         assert np.array_equal(bits(support_values(state, zero_x)),
                               bits(eta * state.w_supp + 0.0))

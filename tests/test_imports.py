@@ -20,6 +20,8 @@ than it is defined there; dunder names are exempt.
 The package asks ``svec_indices`` for every position only in the dense
 helpers of ``DENSE_HELPERS``, whose input or output has that length anyway;
 every other path passes the positions it needs, so that it stays O(nnz).
+And no module but ``linalg`` reads a ``scale`` attribute, a support's svec
+scale, so the scale of svec(pp') and of the slack is applied in one module.
 
 And a solve loads no solver library beyond what the package needs:
 ``scipy.optimize`` stays out, since its import alone adds to every run's
@@ -118,6 +120,14 @@ def full_table_calls(source: str) -> list[str]:
 
     visit(ast.parse(source), None)
     return found
+
+
+def scale_reads(source: str) -> list[str]:
+    """The reads of a ``scale`` attribute, by line."""
+    return [f"line {line}" for line in sorted(
+        n.lineno for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and n.attr == "scale"
+        and isinstance(n.ctx, ast.Load))]
 
 
 def dead_definitions(package: dict[str, str], elsewhere: str = "") -> list[str]:
@@ -219,6 +229,22 @@ def test_table_checker_flags_calls_without_positions():
               "rows = svec_indices(4, pos=None)\n")
     assert full_table_calls(source) == [
         "line 9: inner", "line 10: of", "line 11: None"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "linalg.py"],
+    ids=lambda p: p.name)
+def test_svec_scale_is_read_only_in_linalg(path):
+    assert scale_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_scale_checker_flags_reads_of_a_scale():
+    source = ("def f(support, s):\n"
+              "    s.scale = 1.0\n"              # a write, not a read
+              "    x = support.rows * support.scale\n"
+              "    return s.support.scale[0], x\n"
+              "scale = 2.0\n")
+    assert scale_reads(source) == ["line 3", "line 4"]
 
 
 def test_no_dead_definitions():

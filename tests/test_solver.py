@@ -612,16 +612,29 @@ class TestRecoverPrimal:
     @pytest.mark.parametrize("maxiter", [11, 12, 13, 14, 15, 16])
     def test_primal_after_rank_restart_matches_objective(self, monkeypatch,
                                                          maxiter):
-        # at maxiter=12 the rank prediction restarts the bundle in the last
-        # iteration; X must still come from the bundle whose weights the
-        # stop read
+        # the rank prediction finalizes in iteration 12, and the bundle
+        # restarts only when iteration 13 follows: the result reports the
+        # rank and the weights of the bundle its last record was taken on,
+        # and X must come from the bundle whose weights the stop read
         problem, _ = generate_random_sdp(100, 100, 5, 1e-2, 1.0, 0)
         dense = DenseAggregate(monkeypatch)
         res = solve(problem, SolverParams(prior_rank=10, maxiter=maxiter))
-        assert res.rank_used == (10 if maxiter < 12 else 5)
+        assert res.rank_used == (10 if maxiter <= 12 else 5)
+        assert res.u.size == res.trace[-1].l + 1
         cx = float(problem.cvec @ svec(dense.last_primal(problem)).values)
         obj = res.objective_primal
         assert abs(cx - obj) <= 1e-10 * (1 + abs(obj))
+
+    def test_time_limit_stops_before_a_restart(self, monkeypatch):
+        # a prediction that would restart at rank 3 after iteration 1, where
+        # the time limit already ends the run
+        monkeypatch.setattr(solver, "rank_predict_step",
+                            lambda p, eigs, state: (True, 3))
+        problem, _ = generate_random_sdp(30, 30, 3, 0.1, 1.0, 0)
+        res = solve(problem, SolverParams(prior_rank=6, time_limit_secs=1e-9))
+        assert res.status == STATUS_TIME_LIMIT and res.iterations == 1
+        assert res.rank_used == 6
+        assert res.u.size == res.trace[-1].l + 1
 
 
 def c10_maxcut(n=100, prob=0.06, seed=1):
