@@ -167,9 +167,10 @@ def generate_random_sdp(n: int, m: int, r: int, sparsity: float, s: float,
     A_i = s * A_bar_i and a normal y* complete the data via C = S* + A'y*
     and b = A(X*).  Deterministic in the seed at a fixed OpenBLAS thread
     count, since X* and S* come from eigh and gemm; draw order: G, then each
-    A_bar_i in turn, then y*.  Each A_bar_i is kept as its svec positions
-    and values alone, and ``ConstraintOperator.from_entries`` builds the
-    CSC operator from them in column order, with no sort.
+    A_bar_i in turn, drawn again while its trace-free values are all zero,
+    then y*.  Each A_bar_i is kept as its svec positions and values alone,
+    and ``ConstraintOperator.from_entries`` builds the CSC operator from
+    them in column order, with no sort.
     """
     if not 1 <= _count("r", r) < _count("n", n):
         raise ValueError("need 1 <= r < n")
@@ -190,14 +191,14 @@ def generate_random_sdp(n: int, m: int, r: int, sparsity: float, s: float,
     # (k, position) order, the order from_entries stores them in
     on_diag = rows == cols
     positions, values = [], []
-    for _ in range(m):
+    while len(positions) < m:
         pos, av = _sparse_symmetric_lower(rng, n, sparsity, ensure_nonzero=True)
         diag = on_diag[pos]
-        ndiag = int(np.count_nonzero(diag))
-        if ndiag > 0:
-            av[diag] -= av[diag].sum() / ndiag
-        positions.append(pos)
-        values.append(s * av)
+        if diag.any():
+            av[diag] -= av[diag].mean()
+        if av.any():  # a draw the trace-free shift zeroes is drawn again
+            positions.append(pos)
+            values.append(s * av)
     k = np.repeat(np.arange(m), [p.size for p in positions])
     pos = np.concatenate(positions)
     del positions

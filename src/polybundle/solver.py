@@ -83,6 +83,8 @@ class SolverParams:
         for name in ("rank", "prior_rank"):
             if getattr(self, name) is not None:
                 _count(name, getattr(self, name))
+        if self.rank is not None and self.prior_rank is not None:
+            raise ValueError("set rank or prior_rank, not both")
         lmax_from_policy(self.l_max, 0)  # raises unless a preset or an int
 
 
@@ -218,7 +220,7 @@ def dual_infeasibility(lam_max: float) -> float:
 def lower_bound(b: np.ndarray, y: np.ndarray, lam_max: float,
                 trace: float | None):
     """b'y - T max(lambda_max(A'y - C), 0) for a trace T >= tr X*
-    (``primal_trace``), at most the optimum; None when T is None.
+    (``problem_settings``' trace), at most the optimum; None when T is None.
 
     For any optimal X*, <C, X*> = b'y + <C - A'y, X*>, and the last term is
     at least lambda_min(C - A'y) tr X*.
@@ -260,7 +262,7 @@ def diagonal_targets(problem: SdpProblem):
     Max-Cut: m = n, every A_i has one stored entry a_i, at a diagonal
     position (j, j) of its own with support index idx_i, X_jj = d_i =
     b_i / a_i is positive and finite, and so is 1 / a_i; else None.  O(m),
-    once per solve.
+    once per run, by ``problem_settings``.
 
     Then y_hat_i = 1 / a_i gives A'y_hat = I, and every feasible X has
     tr X = T = b'y_hat (n on Max-Cut, where y_hat = 1).  For rho >= T,
@@ -280,14 +282,6 @@ def diagonal_targets(problem: SdpProblem):
     if not np.all((d > 0.0) & (d < np.inf) & np.isfinite(y_hat)):
         return None
     return idx, d, y_hat, float(problem.b @ y_hat)
-
-
-def primal_trace(problem: SdpProblem, targets):
-    """The instance's known primal trace, else the trace T that A(X) = b
-    fixes (``diagonal_targets``), else None."""
-    if problem.known_trace is not None:
-        return problem.known_trace
-    return None if targets is None else targets[3]
 
 
 def line_minimum(b: np.ndarray, y: np.ndarray, f: float, lam_max: float, line):
@@ -427,13 +421,14 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     O(nnz), cached on the instance's support.  On Max-Cut y_LS is diag(C)
     to rounding.
 
-    When A(X) = b fixes X's whole diagonal, as on Max-Cut
-    (``diagonal_targets``), two things change.  The start, each candidate a
-    descent step accepts and the rank-prediction restart move along y_hat
-    (on Max-Cut y_hat = 1) to the minimizer of F there (``line_minimum``),
-    where lambda_min(S) = 0: every center is dual feasible, and the descent
-    test reads F at that point.  The move costs no eigensolve and no
-    bundle column, since S keeps its eigenvectors.
+    When A(X) = b fixes X's whole diagonal, as on Max-Cut (the targets
+    of ``problem_settings``, which also fixes rho, the rank, the cap and
+    the records' primal trace), two things change.  The start, each
+    candidate a descent step accepts and the rank-prediction restart move
+    along y_hat (on Max-Cut y_hat = 1) to the minimizer of F there
+    (``line_minimum``), where lambda_min(S) = 0: every center is dual
+    feasible, and the descent test reads F at that point.  The move costs
+    no eigensolve and no bundle column, since S keeps its eigenvectors.
     The records keep the QP's candidate: F_z, eig_min_S and the model value
     are read at z itself.  And the termination test reads X rescaled to
     that diagonal (X_rep = D^-1/2 X D^-1/2 on Max-Cut), which is PSD and
@@ -455,14 +450,12 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     iteration.
     """
     params = params or SolverParams()
-    rho, r_iter, l_max = problem_settings(problem, params)
+    rho, r_iter, l_max, targets, trace_x = problem_settings(problem, params)
     pred = RankPrediction(r_iter) if params.prior_rank is not None else None
 
     b = problem.b
     start = time.perf_counter()
-    targets = diagonal_targets(problem)
     support, line = (None, None) if targets is None else (problem.support, targets[2])
-    trace_x = primal_trace(problem, targets)
     y = problem.support.least_squares_dual
     y = np.zeros(problem.m) if y is None else y.copy()
     u = np.zeros(1)
@@ -571,23 +564,26 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
 
 
 def problem_settings(problem: SdpProblem, params: SolverParams):
-    """Penalty weight, starting rank and bundle cap, from the params or the
-    instance; ValueError when validate() or the instance rejects them.
+    """Everything a run fixes before it iterates, as (rho, rank, l_max,
+    targets, trace); ValueError when validate() or the instance rejects
+    the settings.  ``solve`` reads all five from here.
 
-    The primal trace (``primal_trace``: the instance's known one, else the
-    one A(X) = b fixes with X's whole diagonal), if any, must be
-    finite and at least 0: a negative one would certify lower bounds above
-    the optimum.  rho defaults to 2*trace+1 for it; below the trace that
-    A(X) = b fixes, F falls along y_hat (``diagonal_targets``) without
-    bound, so such a rho is rejected.  The rank is the prior
-    when one is set (rank prediction), else params.rank, else the
-    instance's known rank, else min(n, ceil(sqrt(2m))): by the
-    Barvinok-Pataki bound some optimal X has a rank r with r(r+1)/2 <= m.
-    It must be an integer in [1, n]; the cap must be at least the rank.
+    targets is ``diagonal_targets``, once per run.  trace is the primal
+    trace T >= tr X* that ``lower_bound`` reads: the instance's known one,
+    else the one A(X) = b fixes with X's whole diagonal (targets[3]), else
+    None.  If any, it must be finite and at least 0: a negative one would
+    certify lower bounds above the optimum.  rho defaults to 2*trace+1 for
+    it; below the trace that A(X) = b fixes, F falls along y_hat without
+    bound, so such a rho is rejected.  The rank is the prior when one is
+    set (rank prediction), else params.rank, else the instance's known
+    rank, else min(n, ceil(sqrt(2m))): by the Barvinok-Pataki bound some
+    optimal X has a rank r with r(r+1)/2 <= m.  It must be an integer in
+    [1, n]; the cap must be at least the rank.
     """
     params.validate()
     targets = diagonal_targets(problem)
-    trace = primal_trace(problem, targets)
+    known = problem.known_trace
+    trace = known if known is not None or targets is None else targets[3]
     if trace is not None and not 0 <= trace < math.inf:
         raise ValueError(f"known primal trace must be finite and >= 0, got {trace}")
     rho = params.rho
@@ -611,7 +607,7 @@ def problem_settings(problem: SdpProblem, params: SolverParams):
         r = min(problem.n, math.ceil(math.sqrt(2 * problem.m)))
     if not 1 <= _count("rank", r) <= problem.n:
         raise ValueError(f"rank must lie in [1, n = {problem.n}], got {r}")
-    return rho, r, lmax_from_policy(params.l_max, r)
+    return rho, r, lmax_from_policy(params.l_max, r), targets, trace
 
 
 def _oracle(problem: SdpProblem, z: np.ndarray, r: int, rho: float, n_eigs: int):

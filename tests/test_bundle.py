@@ -425,6 +425,10 @@ class TestSelectAggregation:
         assert p_bar.size == 0
         assert sorted(p_hat) == [0, 1]
 
+    def test_cap_below_the_rank_rejected(self):
+        with pytest.raises(ValueError, match="l_max must be at least the appended rank"):
+            select_aggregation(np.array([0.5, 0.4]), r=3, l_max=2)
+
 
 class TestAggregateAndAppend:
     def make_state(self, rng, n=5, m=4, l=3):

@@ -285,6 +285,18 @@ class TestSolve:
         assert code in (0, 2)
         assert json.loads(capsys.readouterr().out)["rank_used"] == 8
 
+    def test_rank_with_prior_rank_exit_1(self, generated, tmp_path, capsys):
+        # prediction starts from the prior, so a rank beside it is refused
+        _, man = generated
+        out = tmp_path / "out.json"
+        code = main(["solve", str(man), "--rank", "5", "--prior-rank", "10",
+                     "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: set rank or prior_rank, not both\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--rank", "--prior-rank"])
     def test_rank_above_n_exit_1(self, generated, tmp_path, capsys, flag):
         # the instance rejects the setting before any output file is made
@@ -488,6 +500,28 @@ class TestCheck:
         sol.write_text(json.dumps({"y": [1.0, 2.0]}))
         code = main(["check", str(man), str(sol)])
         assert code == 1
+
+    def test_eigensolve_failure_exit_1(self, tmp_path, capsys):
+        # a finite y of 1e308 entries overflows S = C - A'y
+        problem, _ = problems.generate_random_sdp(10, 10, 2, 0.3, 1.0, 0)
+        instance, sol = tmp_path / "inst.dat-s", tmp_path / "sol.json"
+        problems.write_sdpa(problem, str(instance))
+        sol.write_text(json.dumps({"y": [1e308] * 10}))
+        assert main(["check", str(instance), str(sol)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: eigensolve of S = C - A'y failed: LAPACK "
+                                "returned 0 of 1 smallest eigenpairs\n")
+
+    @pytest.mark.parametrize("missing", ["instance", "solution"])
+    def test_missing_file_exit_1(self, generated, tmp_path, capsys, missing):
+        _, man = generated
+        absent = str(tmp_path / "absent.json")
+        args = [absent, str(man)] if missing == "instance" else [str(man), absent]
+        assert main(["check", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file")
 
     def test_eigensolver_failure_exit_1_without_traceback(self, tmp_path):
         # both constraints have entry (1, 1), so a finite y overflows S there

@@ -42,6 +42,21 @@ def random_sym(rng, n, density=1.0):
     return a
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: SymMatrix.from_dense(np.zeros((2, 3))), "matrix must be square"),
+    (lambda: ConstraintOperator(3, 2, sp.csc_matrix((5, 2))),
+     "avec shape does not match (n, m)"),
+    (lambda: ConstraintOperator.from_matrices(3, [np.eye(3), np.eye(2)]),
+     "constraint matrix dimension mismatch"),
+    (lambda: extreme_eigs(np.eye(3), 0), "need 1 <= r <= n"),
+    (lambda: extreme_eigs(np.eye(3), 4), "need 1 <= r <= n"),
+], ids=["from-dense-not-square", "avec-shape", "from-matrices-order",
+        "eigs-r-zero", "eigs-r-above-n"])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 class TestSvecBasics:
     def test_tri_dim_and_order(self):
         assert tri_dim(1) == 1

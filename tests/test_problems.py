@@ -108,6 +108,17 @@ class TestGenerator:
         with pytest.raises(ValueError, match=message):
             generate_random_sdp(10, 10, 2, 0.3, 1.0, seed)
 
+    def test_every_constraint_is_nonzero_and_trace_free(self):
+        # a draw whose only entry is diagonal is zeroed by the trace-free
+        # shift; at n = 3 and sparsity 0.05 most seeds meet one
+        for seed in range(200):
+            problem, _ = generate_random_sdp(3, 3, 1, 0.05, 1.0, seed)
+            avec = problem.op.avec
+            assert np.all(np.diff(avec.indptr) > 0), seed
+            for i in range(problem.m):
+                assert problem.op.constraint_matrix(i).trace() == pytest.approx(
+                    0.0, abs=1e-15), seed
+
     def test_numpy_integer_sizes_accepted(self):
         p, _ = generate_random_sdp(np.int64(10), np.int32(8), np.int64(2), 0.3, 1.0, 0)
         q, _ = generate_random_sdp(10, 8, 2, 0.3, 1.0, 0)
@@ -310,7 +321,7 @@ class TestMaxcut:
         assert np.trace(lap) == pytest.approx(total_degree)
         # the instance carries no trace; the solver reads tr X = n from A
         assert p.known_trace is None
-        assert solver.primal_trace(p, solver.diagonal_targets(p)) == n
+        assert solver.problem_settings(p, solver.SolverParams())[4] == n
 
     def test_maximize_is_the_default(self):
         g = GraphInstance(2, [(1, 2, 1.0)])
@@ -641,6 +652,25 @@ class TestPeakMemory:
                     eps=1e-3, t0=1e-2, l_max="sq", rank=8, maxiter=2))}[operation]
         entries = problem.C.nnz + problem.op.avec.nnz
         assert traced_peak(call) / entries <= bound
+
+
+def manifest(tmp_path, **fields):
+    """A manifest of a 3 x 3 instance with one constraint, with ``fields``."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"instance": "inst.dat-s", "n": 3, "m": 1,
+                                "r": 1, **fields}))
+    return str(path)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda tmp: generate_random_sdp(10, 0, 2, 0.3, 1.0, 0), ValueError,
+     "m must be at least 1"),
+    (lambda tmp: load_manifest(manifest(tmp, trace_X=[1, 2])), ParseError,
+     "bad manifest field: trace_X is not a number"),
+], ids=["generate-m-zero", "manifest-trace-not-a-number"])
+def test_input_checks_name_the_fault(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)
 
 
 class TestManifest:

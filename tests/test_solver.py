@@ -1,3 +1,4 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -76,6 +77,11 @@ class TestParams:
         with pytest.raises(ValueError, match=field):
             SolverParams(**{field: value}).validate()
 
+    def test_rank_with_prior_rank_rejected(self):
+        # prediction starts from prior_rank, so a rank beside it is not read
+        with pytest.raises(ValueError, match="set rank or prior_rank, not both"):
+            SolverParams(rank=2, prior_rank=6).validate()
+
     def test_lmax_presets(self):
         assert lmax_from_policy("half", 5) == 20
         assert lmax_from_policy("sq", 5) == 25
@@ -145,6 +151,10 @@ class TestPenaltyEval:
             assert f == pytest.approx(want, abs=1e-9)
             assert v.shape == (problem.n, 3)
             assert np.allclose(eigs, evals[:3], atol=1e-10)
+
+    def test_rank_below_one_rejected(self, small_problem):
+        with pytest.raises(ValueError, match="r must be at least 1"):
+            penalty_eval(small_problem[0], np.zeros(small_problem[0].m), 0, 1.0)
 
     def test_zero_at_planted_dual(self, small_problem):
         problem, planted = small_problem
@@ -682,6 +692,22 @@ def assert_same_run(a, b):
     assert a.u.tobytes() == b.u.tobytes()
 
 
+def run_digest(res):
+    """sha256 over the status, every trace field but the clock, and the
+    result's y, u, objective_primal and lower_bound: a run's bits as one
+    value to pin."""
+    h = hashlib.sha256(res.status.encode())
+    fields = [f for f in vars(res.trace[0]) if f != "elapsed_secs"]
+    for rec in res.trace:
+        for f in fields:
+            v = getattr(rec, f)
+            h.update(repr(v).encode() if v is None or isinstance(v, str)
+                     else np.asarray(v).tobytes())
+    for v in (res.y, res.u, res.objective_primal, res.lower_bound):
+        h.update(b"None" if v is None else np.asarray(v, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
 def dense_slack(problem, y):
     """C - A'y as a dense array, by smat over every svec position."""
     return smat(problem.cvec - problem.op.avec @ y).to_dense()
@@ -748,7 +774,9 @@ class TestQpWarmStart:
 
 
 class TestTrajectories:
-    """Pinned runs of the whole loop: status, iterations, steps and F_y."""
+    """Pinned runs of the whole loop: status, iterations, steps and F_y,
+    and on the benchmark's families and rank prediction every bit
+    (``run_digest``)."""
 
     @staticmethod
     def steps(res):
@@ -773,6 +801,8 @@ class TestTrajectories:
         assert res.rank_used == 5
         assert self.steps(res).count("d") == 22
         assert res.trace[-1].F_y == pytest.approx(14.056967154433172, rel=1e-9)
+        assert run_digest(res) == (
+            "32f34d0955f292194d3ea939f5e76d697072da8c0c59673092517b65c0f9bc83")
 
     def test_maxcut(self, monkeypatch):
         # the run from y = 0, which an instance takes without a finite
@@ -806,8 +836,9 @@ class TestTrajectories:
         here: Max-Cut graphs 1-10 (n = 200, edge probability 0.03, the
         default rank 20, l_max "sq", eps 1e-3) and planted seeds 42 and 1042
         at n = m = 400 (eps 1e-4): status, iterations, the step of each
-        iteration and the last F_y.  A refactor keeps them; a change that
-        moves the iterates re-pins them and says so in CHANGES.md."""
+        iteration, the last F_y and each run's digest.  A refactor keeps
+        them; a change that moves the iterates re-pins them and says so in
+        CHANGES.md."""
         maxcut = [solve(*c10_maxcut(n=200, prob=0.03, seed=k)) for k in range(1, 11)]
         planted = [solve(generate_random_sdp(400, 400, 5, 1e-2, 1.0, seed)[0],
                          SolverParams(eps=1e-4, maxiter=300)) for seed in (42, 1042)]
@@ -836,6 +867,21 @@ class TestTrajectories:
             485.85277518567517, 481.04482588512985, 498.857452490598,
             500.78532978053715, 40.594159655185635, -24.731037863718583,
         ], rel=1e-9)
+        # and every record bit for bit, with y, u and the primal and bound
+        assert [run_digest(res) for res in maxcut + planted] == [
+            "6cbfcf47a7a4dc6c65876bb2253675bebae48ca45aded199749864d34fe3cad0",
+            "95346cb75a59cc8003cf20effa5310fea7625296ccd38b2dfc79c10a440858f3",
+            "c92983110a2067ac98ddcce4202057b96c70545225f690d5e5484031ea22ed9c",
+            "6764a4997b9f64b30c87c8394242f0d9df375c30f7dad6728648f266fe1df68d",
+            "3d7ebf3d4754b5d62f380c1bdd528525565c88f4a284e668563869fef9af94ac",
+            "aab1bc1af2307d98d31cc80e72970137aca9f5a777707695f6e0c242dbaaaa31",
+            "95f90feba7bd3294adca592d0a61004719934124b7951acc2ae55352bb54b8e2",
+            "6de38bf4693ae650555894f04ac67ab847eb424f201e984a2244d9315b8ceb52",
+            "11f6f779e185eef4d1e2f4221e803e24910cb06508c8ec250f2cdf6c53537a95",
+            "583ed66e9d60d4e2c7ec2b978136371a422cf4b6a25ed23cf59fb2b6333237d5",
+            "3666b694052ab3bf590ba9983d48262c76915e42230bf7af7ed5c305c0a84ce2",
+            "c5eb8edbb68876ffb21b623a03cbfafc025be2ec341bf88c3466ce56ae80559b",
+        ]
 
     def test_arpack_family(self, arpack_runs):
         """The only trajectory pin above DENSE_EIG_CUTOFF, where every
@@ -848,6 +894,11 @@ class TestTrajectories:
             assert problem.n > DENSE_EIG_CUTOFF
             assert res.status == STATUS_CONVERGED and res.rank_used == 40
             assert res.max_delta <= params.eps
+        assert [run_digest(res) for _, _, res in arpack_runs] == [
+            "1ae154e5bb55d17de61883eb0009350aa8297ef4517844fede1c108c9fd75218",
+            "0f5f2b90a298d1d0ad4d70405418affcbe9617928a62d50df0bf3e2c40cc8c2b",
+            "9cc313184badaf273126db4ae95c919b1ac4c1ec3000ab1fd705ed922d506421",
+        ]
 
 
 class TestArpackAgainstDense:
@@ -931,7 +982,7 @@ class TestLeastSquaresStart:
         # one eigensolve: the slack's eigenvectors, with lambda_min 0
         problem, params = c10_maxcut()
         y_ls = problem.support.least_squares_dual
-        rho, rank, _ = solver.problem_settings(problem, params)
+        rho, rank, *_ = solver.problem_settings(problem, params)
         lam_max = penalty_eval(problem, y_ls, rank, rho)[1]
         y0 = self.first_center(problem)
         assert y0.tobytes() == (y_ls - lam_max * np.ones(problem.m)).tobytes()
@@ -1515,7 +1566,8 @@ class TestDiagonalTargets:
     def test_rejected(self, k, rows, cols, vals, b):
         problem = diagonal_instance(k, rows, cols, vals, b)
         assert solver.diagonal_targets(problem) is None
-        assert solver.primal_trace(problem, None) is None
+        settings = solver.problem_settings(problem, SolverParams(rho=1.0))
+        assert settings[3:] == (None, None)
 
     def test_planted_rejected(self, small_problem):
         assert solver.diagonal_targets(small_problem[0]) is None
@@ -1554,7 +1606,7 @@ class TestIdentityDual:
             _, _, y_hat, trace = targets
             assert np.all(y_hat == 1.0) and trace == 100.0
             assert p.known_trace is None
-            assert solver.primal_trace(p, targets) == 100.0
+            assert solver.problem_settings(p, SolverParams())[4] == 100.0
 
     def test_scaled_entries(self):
         problem = diagonal_instance([0, 1, 2], [2, 0, 1], [2, 0, 1],
@@ -1563,12 +1615,40 @@ class TestIdentityDual:
         _, _, y_hat, trace = targets
         assert y_hat.tolist() == [0.5, -1.0, 0.25] and trace == 7.0
         assert np.array_equal(smat(problem.op.avec @ y_hat).to_dense(), np.eye(3))
-        assert solver.primal_trace(problem, targets) == 7.0
+        assert solver.problem_settings(problem, SolverParams())[4] == 7.0
 
     def test_free_diagonal_positions(self):
         # X_11 is free, so tr X is not fixed
         problem = diagonal_instance([0, 1], [2, 0], [2, 0], [2.0, -1.0],
                                     [4.0, -3.0])
-        targets = solver.diagonal_targets(problem)
-        assert targets is None
-        assert solver.primal_trace(problem, targets) is None
+        assert solver.diagonal_targets(problem) is None
+        settings = solver.problem_settings(problem, SolverParams(rho=1.0))
+        assert settings[3:] == (None, None)
+
+    def test_known_trace_comes_first(self, small_problem):
+        # the instance's known trace wins over the T that A(X) = b fixes,
+        # and a planted instance without one has no trace
+        problem, _ = c10_maxcut()
+        problem.known_trace = 150.0
+        _, _, _, targets, trace = solver.problem_settings(problem, SolverParams())
+        assert targets[3] == 100.0 and trace == 150.0
+        planted, known = small_problem[0], small_problem[0].known_trace
+        planted.known_trace = None
+        try:
+            settings = solver.problem_settings(planted, SolverParams(rho=1.0))
+        finally:
+            planted.known_trace = known
+        assert settings[3:] == (None, None)
+
+    def test_solve_finds_the_targets_once(self, monkeypatch):
+        calls, real = [], solver.diagonal_targets
+
+        def counted(problem):
+            calls.append(problem)
+            return real(problem)
+
+        monkeypatch.setattr(solver, "diagonal_targets", counted)
+        problem, params = c10_maxcut()
+        params.maxiter = 2
+        solve(problem, params)
+        assert len(calls) == 1
