@@ -482,14 +482,12 @@ def extreme_eigs(s, r: int) -> EigenResult:
             mat, k=r, which="SA", v0=v0, maxiter=LANCZOS_MAX_RESTARTS * n,
         )
     except spla.ArpackNoConvergence as exc:
-        best = None
+        msg, best = f"Lanczos failed to converge for {r} smallest eigenpairs", None
         if exc.eigenvalues is not None and exc.eigenvalues.size:
             res = mat @ exc.eigenvectors - exc.eigenvectors * exc.eigenvalues
             best = float(np.linalg.norm(res, axis=0).max())
-        raise EigenConvergenceError(
-            f"Lanczos failed to converge for {r} smallest eigenpairs",
-            best_residual=best,
-        ) from exc
+            msg += f" (best residual {best:.1e})"
+        raise EigenConvergenceError(msg, best_residual=best) from exc
     order = np.argsort(vals)
     return _certified(mat, vals[order], vecs[:, order])
 

@@ -316,6 +316,7 @@ def load_gset(path: str) -> GraphInstance:
 _ENTRY = np.dtype("i8,i8,i8,i8,f8")  # matno blkno i j value
 _CHUNK = 8192  # entry lines formatted or parsed at a time
 _SKIP = re.compile(r'\s*(["*]|$)').match  # blank and comment lines
+_BLANKS = str.maketrans(",(){}", "     ")  # separators a header line may hold
 
 
 def write_sdpa(problem: SdpProblem, path: str):
@@ -367,10 +368,11 @@ def write_sdpa(problem: SdpProblem, path: str):
 def load_sdpa(path: str) -> SdpProblem:
     """Read any conforming single-block SDPA sparse file (.dat-s).
 
-    The body is parsed _CHUNK lines at a time.  Each chunk's entries are
-    checked as they come, and of each entry only its key
-    matno * n(n+1)/2 + svec position (int64) and its value are kept; the
-    duplicate check runs on the sorted keys once the body is read.
+    Each header line reads ",(){}" as blanks, and its numbers parse as the
+    entries' do.  The body is parsed _CHUNK lines at a time, and of each
+    entry only its key matno * n(n+1)/2 + svec position (int64) and its
+    value are kept.  The read stops after the chunk that holds the first bad
+    line; the duplicate check runs on the sorted keys read by then.
     """
     def data_line(k):  # (line number, text) of data line k, from 0, comments skipped
         with open(path, encoding="utf-8") as fh:
@@ -380,59 +382,43 @@ def load_sdpa(path: str) -> SdpProblem:
     def fail(k, msg, cls=ParseError):
         return cls(f"{path}:{data_line(k)[0]}: {msg}")
 
-    def header(k, what, parse):
-        for line in lines:
-            try:
-                return parse(line)
-            except (ValueError, IndexError) as exc:
-                raise fail(k, f"bad {what}") from exc
-        raise ParseError(f"{path}: unexpected end of file")
+    def entries(body_lines, dtype=_ENTRY, usecols=None):
+        return np.loadtxt(body_lines, dtype=dtype, comments=None, usecols=usecols, ndmin=1)
 
-    def entries(body_lines):
-        return np.loadtxt(body_lines, dtype=_ENTRY, comments=None, ndmin=1)
-
-    def take(parsed):
-        """Check a chunk of entries, note the first failure of each check
-        and of finiteness, and keep the entries' keys and values."""
-        nonlocal count
-        matno, blkno, i, j, val = (parsed[f] for f in _ENTRY.names)
-        row, col = np.maximum(i, j) - 1, np.minimum(i, j) - 1
-        checks = [((matno < 0) | (matno > m), ParseError, "matrix index {} out of range"),
-                  (blkno != 1, UnsupportedFormat, "only block 1 supported"),
-                  ((col < 0) | (row >= n), ParseError, "entry index out of range")]
-        for c, (bad, cls, msg) in enumerate(checks):
-            if c not in failed and bad.any():
-                e = int(np.argmax(bad))
-                failed[c] = (count + e, c, cls, msg.format(matno[e]))
-        if not nonfinite and not np.all(np.isfinite(val)):
-            nonfinite.append(count + int(np.argmin(np.isfinite(val))))
-        keys.append(matno * tri_dim(n) + svec_position(n, row, col))
-        values.append(val.copy())  # not a view that holds the whole record
-        count += parsed.size
+    def header(k, what, usecols=0, dtype=np.int64):
+        """The values of header line k, only the first unless usecols is None."""
+        if (line := next(lines, None)) is None:
+            raise ParseError(f"{path}: unexpected end of file")
+        line = line.translate(_BLANKS)
+        try:
+            if line.isspace():  # loadtxt warns on a line of no values
+                raise ValueError("no value")
+            return entries([line], dtype, usecols)
+        except ValueError as exc:
+            raise fail(k, f"bad {what}") from exc
 
     try:
         with open(path, encoding="utf-8") as fh:
             lines = itertools.filterfalse(_SKIP, fh)
-            m = header(0, "constraint count", lambda t: int(t.split()[0]))
+            m = int(header(0, "constraint count")[0])
             if m < 1:
                 raise fail(0, "need at least one constraint")
-            if header(1, "block count", lambda t: int(t.split()[0])) != 1:
+            if header(1, "block count")[0] != 1:
                 raise fail(1, "only single-block files supported", UnsupportedFormat)
-            n = header(2, "block size",
-                       lambda t: int(t.translate(str.maketrans(",(){}", "     ")).split()[0]))
+            n = int(header(2, "block size")[0])
             if n < 1:
                 raise (fail(2, "diagonal blocks not supported", UnsupportedFormat) if n < 0
                        else fail(2, "block size must be positive"))
-            b = header(3, "right-hand-side vector",
-                       lambda t: np.array([float(v) for v in t.replace(",", " ").split()]))
+            b = header(3, "right-hand-side vector", usecols=None, dtype=np.float64)
             if b.size != m:
                 raise fail(3, f"expected {m} right-hand-side values")
             # the body in blocks of lines: a block without a comment character
             # goes to loadtxt whole, which skips blank lines but warns on a
-            # block of nothing else
+            # block of nothing else.  first is (data line, message, class) of
+            # the first bad line, as fail takes them.
             keys, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-            failed, nonfinite, count, malformed = {}, [], 0, None
-            while malformed is None and (block := list(itertools.islice(fh, _CHUNK))):
+            first, nonfinite, count = None, None, 0
+            while first is None and (block := list(itertools.islice(fh, _CHUNK))):
                 text = "".join(block)
                 if '"' in text or '*' in text:
                     block = list(itertools.filterfalse(_SKIP, block))
@@ -446,11 +432,25 @@ def load_sdpa(path: str) -> SdpProblem:
                         try:
                             parsed.append(entries([line]))
                         except ValueError:
-                            malformed = ("malformed entry" if len(line.split()) == 5
-                                         else "expected 'matno blkno i j value'")
+                            first = (4 + count + len(parsed) - 1,
+                                     "malformed entry" if len(line.split()) == 5
+                                     else "expected 'matno blkno i j value'", ParseError)
                             break
                     parsed = np.concatenate(parsed)
-                take(parsed)
+                matno, blkno, i, j, val = (parsed[f] for f in _ENTRY.names)
+                row, col = np.maximum(i, j) - 1, np.minimum(i, j) - 1
+                bad = np.array([(matno < 0) | (matno > m), blkno != 1, (col < 0) | (row >= n)])
+                if bad.any():  # the first bad entry, and its first failed check
+                    e = int(np.argmax(bad.any(axis=0)))
+                    first = (4 + count + e, *[
+                        (f"matrix index {matno[e]} out of range", ParseError),
+                        ("only block 1 supported", UnsupportedFormat),
+                        ("entry index out of range", ParseError)][np.argmax(bad[:, e])])
+                if nonfinite is None and not np.all(np.isfinite(val)):
+                    nonfinite = count + int(np.argmin(np.isfinite(val)))
+                keys.append(matno * tri_dim(n) + svec_position(n, row, col))
+                values.append(val.copy())  # not a view that holds the whole record
+                count += parsed.size
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text") from exc
 
@@ -462,21 +462,19 @@ def load_sdpa(path: str) -> SdpProblem:
     if np.any(key[1:] < key[:-1]):  # entries out of (matno, position) order
         order = np.argsort(key, kind="stable")
         key, val = key[order], val[order]
-    # a repeated key is reported at its later line
+    # a repeated key is reported at its later line, if that comes first
     if (repeat := np.flatnonzero(key[1:] == key[:-1]) + 1).size:
-        k = int(repeat[0] if order is None else order[repeat].min())
-        _, _, i, j, _ = entries([data_line(4 + k)[1]])[0]
-        failed[3] = (k, 3, ParseError, f"duplicate entry ({i},{j})")
-    # the earliest bad line reports its first failed check; values come last
-    if failed:
-        k, _, cls, msg = min(failed.values())
-        raise fail(4 + k, msg, cls)
-    if malformed:  # on the line after the last entry parsed
-        raise fail(4 + count, malformed)
+        k = 4 + int(repeat[0] if order is None else order[repeat].min())
+        if first is None or k < first[0]:
+            _, _, i, j, _ = entries([data_line(k)[1]])[0]
+            first = (k, f"duplicate entry ({i},{j})", ParseError)
+    if first:
+        raise fail(*first)
+    # non-finite values come last, once every line is well formed
     if not np.all(np.isfinite(b)):
         raise fail(3, "non-finite right-hand-side value")
-    if nonfinite:
-        raise fail(4 + nonfinite[0], "non-finite entry value")
+    if nonfinite is not None:
+        raise fail(4 + nonfinite, "non-finite entry value")
 
     in_c = int(np.searchsorted(key, tri_dim(n)))  # matno 0 sorts first
     c = SymMatrix(n, *svec_indices(n, key[:in_c])[:2], val[:in_c])

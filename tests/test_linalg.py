@@ -423,12 +423,15 @@ class TestSubsetEigensolve:
         monkeypatch.setattr(linalg.spla, "eigsh", failing)
         with pytest.raises(EigenConvergenceError) as err:
             extreme_eigs(sp.csr_matrix(a), 3)
-        assert str(err.value) == "Lanczos failed to converge for 3 smallest eigenpairs"
+        message = "Lanczos failed to converge for 3 smallest eigenpairs"
         if pairs == "partial":
             want = np.linalg.norm(a @ vecs - vecs * vals[:2], axis=0)
             assert want[0] < 1e-12 < 1e-4 < want[1]
             assert err.value.best_residual == pytest.approx(want[1], rel=1e-12)
+            # the message names the residual too
+            assert str(err.value) == f"{message} (best residual {want[1]:.1e})"
         else:
+            assert str(err.value) == message
             assert err.value.best_residual is None
 
 

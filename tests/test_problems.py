@@ -479,6 +479,13 @@ class TestSdpaIo:
         assert np.allclose(p.op.constraint_matrix(0).to_dense(), np.eye(2))
         assert p.b[0] == 3.0
 
+    @pytest.mark.parametrize("rhs", ["48 -8 20", "48, -8, 20", "{48, -8, 20}", "(48, -8, 20)"])
+    def test_rhs_separators(self, tmp_path, rhs):
+        # the b line takes the separators the block-size line does
+        f = tmp_path / "b.dat-s"
+        f.write_text(f"3\n1\n2\n{rhs}\n1 1 1 1 1.0\n2 1 2 2 1.0\n3 1 1 2 1.0\n")
+        assert load_sdpa(str(f)).b.tolist() == [48.0, -8.0, 20.0]
+
     def test_lower_triangle_entry_normalized(self, tmp_path):
         f = tmp_path / "t.dat-s"
         f.write_text("1\n1\n2\n1.0\n0 1 2 1 5.0\n1 1 1 1 1.0\n")
@@ -770,6 +777,30 @@ class TestSdpaMalformed:
         assert ref.load_sdpa(str(f)).op.avec.nnz == 1
         with pytest.raises(ParseError, match=r"bad\.dat-s:6: malformed entry"):
             load_sdpa(str(f))
+
+    @pytest.mark.parametrize("head,message", [
+        ("1_0\n1\n2\n" + "1.0 " * 10 + "\n", ":1: bad constraint count"),
+        ("1\n1\n\u0662\n1.0\n", ":3: bad block size"),
+        ("1\n1\n2\n1_0.5\n", ":4: bad right-hand-side vector"),
+    ], ids=["underscore-count", "arabic-indic-block-size", "underscore-rhs"])
+    def test_header_stricter_than_python_number_parsing(self, tmp_path, head, message):
+        # header numbers follow the entry grammar too
+        f = tmp_path / "bad.dat-s"
+        f.write_text(head + "0 1 1 1 1.0\n1 1 1 2 1.0\n", encoding="utf-8")
+        assert ref.load_sdpa(str(f)).op.avec.nnz == 1
+        with pytest.raises(ParseError) as exc:
+            load_sdpa(str(f))
+        assert str(exc.value) == f"{f}{message}"
+
+    def test_first_bad_line_before_undecodable_text(self, tmp_path):
+        # the read stops after the chunk that holds the first bad line, so
+        # the byte that is not UTF-8 is never decoded; it lies past the
+        # first _CHUNK and past the text layer's read-ahead.  The repeats of
+        # line 5 come after the bad line and are not reported either.
+        text = (self.HEAD + "0 1 1 1 1.0\n5 1 1 1 1.0\n" + "0 1 1 1 1.0\n" * 20_000).encode()
+        assert len(text) > 2 * _CHUNK * len(b"0 1 1 1 1.0\n")
+        with pytest.raises(ParseError, match=r"bad\.dat-s:6: matrix index 5 out of range"):
+            self.load(tmp_path, text + b"* caf\xe9\n")
 
     def test_index_beyond_64_bits(self, tmp_path):
         f = tmp_path / "bad.dat-s"
