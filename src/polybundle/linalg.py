@@ -486,7 +486,7 @@ def extreme_eigs(s, r: int) -> EigenResult:
         if exc.eigenvalues is not None and exc.eigenvalues.size:
             res = mat @ exc.eigenvectors - exc.eigenvectors * exc.eigenvalues
             best = float(np.linalg.norm(res, axis=0).max())
-            msg += f" (best residual {best:.1e})"
+            msg += f" (largest residual {best:.1e})"
         raise EigenConvergenceError(msg, best_residual=best) from exc
     order = np.argsort(vals)
     return _certified(mat, vals[order], vecs[:, order])

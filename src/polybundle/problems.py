@@ -13,6 +13,7 @@ import json
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -382,8 +383,8 @@ def load_sdpa(path: str) -> SdpProblem:
     def fail(k, msg, cls=ParseError):
         return cls(f"{path}:{data_line(k)[0]}: {msg}")
 
-    def entries(body_lines, dtype=_ENTRY, usecols=None):
-        return np.loadtxt(body_lines, dtype=dtype, comments=None, usecols=usecols, ndmin=1)
+    def entries(body_lines):
+        return np.loadtxt(body_lines, dtype=_ENTRY, comments=None, ndmin=1)
 
     def header(k, what, usecols=0, dtype=np.int64):
         """The values of header line k, only the first unless usecols is None."""
@@ -393,12 +394,14 @@ def load_sdpa(path: str) -> SdpProblem:
         try:
             if line.isspace():  # loadtxt warns on a line of no values
                 raise ValueError("no value")
-            return entries([line], dtype, usecols)
+            return np.loadtxt([line], dtype=dtype, comments=None, usecols=usecols, ndmin=1)
         except ValueError as exc:
             raise fail(k, f"bad {what}") from exc
 
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            # an older numpy reads "1.5" as the integer 1, with only this warning
+            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
             lines = itertools.filterfalse(_SKIP, fh)
             m = int(header(0, "constraint count")[0])
             if m < 1:
@@ -412,10 +415,9 @@ def load_sdpa(path: str) -> SdpProblem:
             b = header(3, "right-hand-side vector", usecols=None, dtype=np.float64)
             if b.size != m:
                 raise fail(3, f"expected {m} right-hand-side values")
-            # the body in blocks of lines: a block without a comment character
-            # goes to loadtxt whole, which skips blank lines but warns on a
-            # block of nothing else.  first is (data line, message, class) of
-            # the first bad line, as fail takes them.
+            # the body in blocks of lines; loadtxt takes a block without a comment
+            # character whole, and warns only on a block of blank lines.  first
+            # is (data line, message, class) of the first bad line, for fail.
             keys, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
             first, nonfinite, count = None, None, 0
             while first is None and (block := list(itertools.islice(fh, _CHUNK))):
@@ -439,13 +441,13 @@ def load_sdpa(path: str) -> SdpProblem:
                     parsed = np.concatenate(parsed)
                 matno, blkno, i, j, val = (parsed[f] for f in _ENTRY.names)
                 row, col = np.maximum(i, j) - 1, np.minimum(i, j) - 1
-                bad = np.array([(matno < 0) | (matno > m), blkno != 1, (col < 0) | (row >= n)])
-                if bad.any():  # the first bad entry, and its first failed check
-                    e = int(np.argmax(bad.any(axis=0)))
-                    first = (4 + count + e, *[
-                        (f"matrix index {matno[e]} out of range", ParseError),
-                        ("only block 1 supported", UnsupportedFormat),
-                        ("entry index out of range", ParseError)][np.argmax(bad[:, e])])
+                checks = [((matno < 0) | (matno > m), "matrix index {} out of range", ParseError),
+                          (blkno != 1, "only block 1 supported", UnsupportedFormat),
+                          ((col < 0) | (row >= n), "entry index out of range", ParseError)]
+                if (bad := np.any([c[0] for c in checks], axis=0)).any():
+                    e = int(np.argmax(bad))  # the first bad entry, and its first failed check
+                    _, msg, cls = next(c for c in checks if c[0][e])
+                    first = (4 + count + e, msg.format(matno[e]), cls)
                 if nonfinite is None and not np.all(np.isfinite(val)):
                     nonfinite = count + int(np.argmin(np.isfinite(val)))
                 keys.append(matno * tri_dim(n) + svec_position(n, row, col))

@@ -429,7 +429,7 @@ class TestSubsetEigensolve:
             assert want[0] < 1e-12 < 1e-4 < want[1]
             assert err.value.best_residual == pytest.approx(want[1], rel=1e-12)
             # the message names the residual too
-            assert str(err.value) == f"{message} (best residual {want[1]:.1e})"
+            assert str(err.value) == f"{message} (largest residual {want[1]:.1e})"
         else:
             assert str(err.value) == message
             assert err.value.best_residual is None

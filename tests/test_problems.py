@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -790,6 +791,24 @@ class TestSdpaMalformed:
         assert ref.load_sdpa(str(f)).op.avec.nnz == 1
         with pytest.raises(ParseError) as exc:
             load_sdpa(str(f))
+        assert str(exc.value) == f"{f}{message}"
+
+    @pytest.mark.parametrize("text,message", [
+        ("2.5\n1\n2\n1.0 1.0\n0 1 1 1 1.0\n", ":1: bad constraint count"),
+        ("1e1\n1\n2\n" + "1.0 " * 10 + "\n0 1 1 1 1.0\n", ":1: bad constraint count"),
+        ("1\n1.5\n2\n1.0\n0 1 1 1 1.0\n", ":2: bad block count"),
+        ("1\n1\n3.9\n1.0\n0 1 1 1 1.0\n", ":3: bad block size"),
+        (HEAD + "0 1 1 1 1.0\n1.5 1 1 2 1.0\n", ":6: malformed entry"),
+    ], ids=["count", "count-exponent", "block-count", "block-size", "entry-matno"])
+    def test_integer_written_as_float_with_warnings_ignored(self, tmp_path, text, message):
+        # a numpy that reads "1.5" as the integer 1 only warns; the line
+        # still fails when the process ignores warnings
+        f = tmp_path / "bad.dat-s"
+        f.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ParseError) as exc:
+                load_sdpa(str(f))
         assert str(exc.value) == f"{f}{message}"
 
     def test_first_bad_line_before_undecodable_text(self, tmp_path):
