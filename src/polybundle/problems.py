@@ -114,30 +114,66 @@ class EdgeError(ValueError):
         self.index = index
 
 
+_EDGES = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])  # i j w
+
+
+def _edge_array(edges) -> tuple[np.ndarray, EdgeError | None]:
+    """A list of (i, j, w) as an _EDGES array, up to its first edge with a
+    label that is not an integer (``_is_count``) or not an int64, and that
+    edge's EdgeError; the whole list and None if there is no such edge."""
+    error = None
+    for k, (i, j, w) in enumerate(edges):
+        math.isfinite(w)  # a TypeError on a weight that is not a real number
+        if not (_is_count(i) and _is_count(j)):
+            error = EdgeError(k, f"edge ({i},{j}) has a non-integer vertex label")
+        elif not -2**63 <= min(i, j) <= max(i, j) < 2**63:
+            error = EdgeError(k, f"edge ({i},{j}) out of range")
+        if error:
+            edges = edges[:k]
+            break
+    return np.array([tuple(e) for e in edges], dtype=_EDGES), error
+
+
 @dataclass
 class GraphInstance:
-    """Undirected weighted graph with 1-based vertex labels."""
+    """Undirected weighted graph with 1-based vertex labels.
+
+    ``edges`` is an _EDGES array, the (i, j, w) of each edge (int64 labels,
+    float64 weights); a list of (i, j, w) is converted once.  The checks
+    run over the arrays and raise at the first edge that fails one, with
+    the message of its first failed check."""
 
     n_vertices: int
-    edges: list[tuple[int, int, float]]
+    edges: np.ndarray
 
     def __post_init__(self):
         if _count("n_vertices", self.n_vertices) < 1:
             raise ValueError(f"{self.n_vertices} vertices; need at least 1")
-        seen = set()
-        for k, (i, j, w) in enumerate(self.edges):
-            if not (_is_count(i) and _is_count(j)):
-                raise EdgeError(k, f"edge ({i},{j}) has a non-integer vertex label")
-            if not (1 <= i <= self.n_vertices and 1 <= j <= self.n_vertices):
-                raise EdgeError(k, f"edge ({i},{j}) out of range")
-            if i == j:
-                raise EdgeError(k, f"self-loop at vertex {i}")
-            if not math.isfinite(w):
-                raise EdgeError(k, f"non-finite weight on edge ({i},{j})")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise EdgeError(k, f"duplicate edge ({i},{j})")
-            seen.add(key)
+        edges, error = self.edges, None
+        if not (isinstance(edges, np.ndarray) and edges.dtype == _EDGES):
+            edges, error = _edge_array(edges)
+        i, j, w = edges["i"], edges["j"], edges["w"]
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        # an edge repeats one when an earlier edge has its key, the svec
+        # position of its lower-triangle entry; a stable sort puts it later
+        key = svec_position(self.n_vertices, hi - 1, lo - 1)
+        order = np.argsort(key, kind="stable")
+        repeat = np.zeros(key.size, dtype=bool)
+        repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+        checks = [((lo < 1) | (hi > self.n_vertices), "edge ({},{}) out of range"),
+                  (i == j, "self-loop at vertex {}"),
+                  (~np.isfinite(w), "non-finite weight on edge ({},{})"),
+                  (repeat, "duplicate edge ({},{})")]
+        if (bad := np.any([c[0] for c in checks], axis=0)).any():
+            k = int(np.argmax(bad))  # the first bad edge, and its first failed check
+            raise EdgeError(k, next(msg for c, msg in checks if c[k]).format(i[k], j[k]))
+        if error:
+            raise error
+        self.edges = edges
+
+    def __eq__(self, other):
+        return (isinstance(other, GraphInstance) and self.n_vertices == other.n_vertices
+                and np.array_equal(self.edges, other.edges))
 
 
 def _sparse_symmetric_lower(rng: np.random.Generator, n: int,
@@ -249,8 +285,8 @@ def build_maxcut_sdp(g: GraphInstance, sense: str = "maximize") -> SdpProblem:
     if sense != "maximize":
         raise ValueError("sense must be 'maximize'")
     n = g.n_vertices
-    i, j, w = np.array(g.edges, dtype=np.float64).reshape(-1, 3).T
-    lo, hi = (np.minimum(i, j) - 1).astype(np.int64), (np.maximum(i, j) - 1).astype(np.int64)
+    i, j, w = g.edges["i"], g.edges["j"], g.edges["w"]
+    lo, hi = np.minimum(i, j) - 1, np.maximum(i, j) - 1
     # each vertex adds its weights in edge order, as a loop over the edges would
     deg = np.bincount(np.stack([hi, lo], axis=1).ravel(), np.repeat(w, 2), minlength=n)
     diag = np.arange(n)
@@ -262,50 +298,78 @@ def build_maxcut_sdp(g: GraphInstance, sense: str = "maximize") -> SdpProblem:
     return SdpProblem(n=n, m=n, C=c, op=op, b=np.ones(n), name=f"maxcut-n{n}-{sense}")
 
 
-def load_gset(path: str) -> GraphInstance:
-    """Parse a Gset-style graph file: 'n_vertices n_edges' then edge lines."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    header = None
-    edges = []
-    for lineno, raw in enumerate(lines, start=1):
-        toks = raw.split()
-        if not toks:
-            continue
-        if not raw.isascii() or "_" in raw:
-            # int() and float() also take underscores and non-ASCII digits,
-            # which the SDPA reader rejects: the line keeps its token count,
-            # so the count check reads it, but no value check passes
-            toks = ["_"] * len(toks)
-        if header is None:
-            if len(toks) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 'n_vertices n_edges'")
-            try:
-                header = (int(toks[0]), int(toks[1]))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-integer header") from exc
-            if header[0] < 1 or header[1] < 0:
-                raise ParseError(f"{path}:{lineno}: need at least one vertex "
-                                 f"and a nonnegative edge count")
-            continue
-        if len(toks) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 'i j w'")
-        try:
-            edges.append((int(toks[0]), int(toks[1]), float(toks[2])))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: malformed edge line") from exc
-    if header is None:
-        raise ParseError(f"{path}: empty file")
-    if len(edges) != header[1]:
-        raise ParseError(
-            f"{path}: header declares {header[1]} edges, found {len(edges)}"
-        )
+def _numbers(lines: list[str], dtype, usecols=None) -> np.ndarray:
+    """The rows of ``lines`` by ``np.loadtxt``, blank lines skipped: the one
+    number grammar of ``load_sdpa`` and ``load_gset``, which raises a
+    ValueError on a line that breaks it.
+
+    A line that is not blank must be plain ASCII: ``int()`` and ``float()``
+    would take non-ASCII digits, and loadtxt splits at non-ASCII spaces.  An
+    integer written as a float fails under any warning filter."""
+    text = "".join(lines)
+    if not text or text.isspace():  # loadtxt warns on input of no data
+        return np.zeros(0, dtype=dtype)
+    if not text.isascii():
+        raise ValueError("a character that is not plain ASCII")
+    with warnings.catch_warnings():
+        # an older numpy reads "1.5" as the integer 1, with only this warning
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        return np.loadtxt(lines, dtype=dtype, comments=None, usecols=usecols, ndmin=1)
+
+
+def _rows(lines: list[str], dtype) -> tuple[np.ndarray, int | None]:
+    """``_numbers(lines, dtype)`` and None, or, when some line breaks the
+    grammar, the rows of the lines before the first that does and its index
+    in ``lines``: a block that fails as a whole is parsed again line by line."""
     try:
-        return GraphInstance(n_vertices=header[0], edges=edges)
+        return _numbers(lines, dtype), None
+    except ValueError:
+        rows = [np.zeros(0, dtype=dtype)]
+        for k, line in enumerate(lines):
+            try:
+                rows.append(_numbers([line], dtype))
+            except ValueError:
+                return np.concatenate(rows), k
+        return np.concatenate(rows), None
+
+
+def load_gset(path: str) -> GraphInstance:
+    """Parse a Gset-style graph file: 'n_vertices n_edges' then 'i j w' edge
+    lines, all by the grammar of ``_numbers``.  The edge lines go to
+    loadtxt whole, and only a failure looks for the line at fault."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text") from exc
+
+    def fail(k, msg):  # k is the index of the line in lines
+        return ParseError(f"{path}:{k + 1}: {msg}")
+
+    head = next((k for k, line in enumerate(lines) if not line.isspace()), None)
+    if head is None:
+        raise ParseError(f"{path}: empty file")
+    if len(lines[head].split()) != 2:
+        raise fail(head, "expected 'n_vertices n_edges'")
+    try:
+        n, m = _numbers(lines[head:head + 1], np.int64)
+    except ValueError as exc:
+        raise fail(head, "non-integer header") from exc
+    if n < 1 or m < 0:
+        raise fail(head, "need at least one vertex and a nonnegative edge count")
+    edges, bad = _rows(lines[head + 1:], _EDGES)
+    if bad is not None:
+        k = head + 1 + bad
+        raise fail(k, "malformed edge line" if len(lines[k].split()) == 3
+                   else "expected 'i j w'")
+    if edges.size != m:
+        raise ParseError(f"{path}: header declares {m} edges, found {edges.size}")
+    try:
+        return GraphInstance(n_vertices=int(n), edges=edges)
     except EdgeError as exc:  # the header check above covers the vertex count
         # the first nonblank line is the header and each later one an edge
-        nonblank = [k for k, raw in enumerate(lines, start=1) if raw.split()]
-        raise ParseError(f"{path}:{nonblank[exc.index + 1]}: {exc}") from exc
+        nonblank = [k for k, line in enumerate(lines) if not line.isspace()]
+        raise fail(nonblank[exc.index + 1], exc) from exc
 
 
 # SDPA sparse format (.dat-s), single semidefinite block.  Entries are
@@ -369,8 +433,8 @@ def write_sdpa(problem: SdpProblem, path: str):
 def load_sdpa(path: str) -> SdpProblem:
     """Read any conforming single-block SDPA sparse file (.dat-s).
 
-    Each header line reads ",(){}" as blanks, and its numbers parse as the
-    entries' do.  The body is parsed _CHUNK lines at a time, and of each
+    Each header line reads ",(){}" as blanks, and every line parses by the
+    grammar of ``_numbers``, as ``load_gset``'s lines do.  The body is parsed _CHUNK lines at a time, and of each
     entry only its key matno * n(n+1)/2 + svec position (int64) and its
     value are kept.  The read stops after the chunk that holds the first bad
     line; the duplicate check runs on the sorted keys read by then.
@@ -383,25 +447,20 @@ def load_sdpa(path: str) -> SdpProblem:
     def fail(k, msg, cls=ParseError):
         return cls(f"{path}:{data_line(k)[0]}: {msg}")
 
-    def entries(body_lines):
-        return np.loadtxt(body_lines, dtype=_ENTRY, comments=None, ndmin=1)
-
     def header(k, what, usecols=0, dtype=np.int64):
         """The values of header line k, only the first unless usecols is None."""
         if (line := next(lines, None)) is None:
             raise ParseError(f"{path}: unexpected end of file")
-        line = line.translate(_BLANKS)
         try:
-            if line.isspace():  # loadtxt warns on a line of no values
-                raise ValueError("no value")
-            return np.loadtxt([line], dtype=dtype, comments=None, usecols=usecols, ndmin=1)
+            values = _numbers([line.translate(_BLANKS)], dtype, usecols)
         except ValueError as exc:
             raise fail(k, f"bad {what}") from exc
+        if not values.size:  # a line of separators alone
+            raise fail(k, f"bad {what}")
+        return values
 
     try:
-        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
-            # an older numpy reads "1.5" as the integer 1, with only this warning
-            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        with open(path, encoding="utf-8") as fh:
             lines = itertools.filterfalse(_SKIP, fh)
             m = int(header(0, "constraint count")[0])
             if m < 1:
@@ -416,29 +475,19 @@ def load_sdpa(path: str) -> SdpProblem:
             if b.size != m:
                 raise fail(3, f"expected {m} right-hand-side values")
             # the body in blocks of lines; loadtxt takes a block without a comment
-            # character whole, and warns only on a block of blank lines.  first
-            # is (data line, message, class) of the first bad line, for fail.
+            # character whole.  first is (data line, message, class) of the
+            # first bad line, for fail.
             keys, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
             first, nonfinite, count = None, None, 0
             while first is None and (block := list(itertools.islice(fh, _CHUNK))):
                 text = "".join(block)
                 if '"' in text or '*' in text:
                     block = list(itertools.filterfalse(_SKIP, block))
-                if not block or text.isspace():
-                    continue
-                try:
-                    parsed = entries(block)
-                except ValueError:  # again line by line, up to the first bad line
-                    parsed = [np.zeros(0, dtype=_ENTRY)]
-                    for line in itertools.filterfalse(_SKIP, block):
-                        try:
-                            parsed.append(entries([line]))
-                        except ValueError:
-                            first = (4 + count + len(parsed) - 1,
-                                     "malformed entry" if len(line.split()) == 5
-                                     else "expected 'matno blkno i j value'", ParseError)
-                            break
-                    parsed = np.concatenate(parsed)
+                parsed, broken = _rows(block, _ENTRY)
+                if broken is not None:  # each data line before it gave one row
+                    first = (4 + count + parsed.size,
+                             "malformed entry" if len(block[broken].split()) == 5
+                             else "expected 'matno blkno i j value'", ParseError)
                 matno, blkno, i, j, val = (parsed[f] for f in _ENTRY.names)
                 row, col = np.maximum(i, j) - 1, np.minimum(i, j) - 1
                 checks = [((matno < 0) | (matno > m), "matrix index {} out of range", ParseError),
@@ -468,7 +517,7 @@ def load_sdpa(path: str) -> SdpProblem:
     if (repeat := np.flatnonzero(key[1:] == key[:-1]) + 1).size:
         k = 4 + int(repeat[0] if order is None else order[repeat].min())
         if first is None or k < first[0]:
-            _, _, i, j, _ = entries([data_line(k)[1]])[0]
+            _, _, i, j, _ = _numbers([data_line(k)[1]], _ENTRY)[0]
             first = (k, f"duplicate entry ({i},{j})", ParseError)
     if first:
         raise fail(*first)

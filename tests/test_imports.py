@@ -22,6 +22,8 @@ helpers of ``DENSE_HELPERS``, whose input or output has that length anyway;
 every other path passes the positions it needs, so that it stays O(nnz).
 And no module but ``linalg`` reads a ``scale`` attribute, a support's svec
 scale, so the scale of svec(pp') and of the slack is applied in one module.
+``np.loadtxt`` is called from one function of the package alone, the one
+home of the number grammar both file readers parse by.
 
 And a solve loads no solver library beyond what the package needs:
 ``scipy.optimize`` stays out, since its import alone adds to every run's
@@ -100,26 +102,37 @@ def unused_parameters(source: str) -> list[str]:
 DENSE_HELPERS = {"from_dense", "svec", "_svec_entries", "generate_random_sdp"}
 
 
+def calls(source: str, name: str):
+    """(call, innermost function name or None) of each call of ``name``,
+    bare or as an attribute."""
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            yield node, owner
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+
+    return visit(ast.parse(source), None)
+
+
 def full_table_calls(source: str) -> list[str]:
     """The calls of ``svec_indices`` without positions (none given, or None)
     outside the functions named in DENSE_HELPERS, as the innermost function
     that makes each."""
     found = []
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
-        if isinstance(node, ast.Call) and "svec_indices" in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-            pos = node.args[1:] + [k.value for k in node.keywords if k.arg == "pos"]
-            if all(isinstance(p, ast.Constant) and p.value is None for p in pos) \
-                    and owner not in DENSE_HELPERS:
-                found.append(f"line {node.lineno}: {owner}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(ast.parse(source), None)
+    for node, owner in calls(source, "svec_indices"):
+        pos = node.args[1:] + [k.value for k in node.keywords if k.arg == "pos"]
+        if all(isinstance(p, ast.Constant) and p.value is None for p in pos) \
+                and owner not in DENSE_HELPERS:
+            found.append(f"line {node.lineno}: {owner}")
     return found
+
+
+def loadtxt_callers(source: str) -> list[str | None]:
+    """The innermost function around each call of ``loadtxt``."""
+    return [owner for _, owner in calls(source, "loadtxt")]
 
 
 def scale_reads(source: str) -> list[str]:
@@ -229,6 +242,23 @@ def test_table_checker_flags_calls_without_positions():
               "rows = svec_indices(4, pos=None)\n")
     assert full_table_calls(source) == [
         "line 9: inner", "line 10: of", "line 11: None"]
+
+
+def test_loadtxt_called_from_one_function():
+    callers = {(p.name, owner) for p in sorted(PACKAGE.glob("*.py"))
+               for owner in loadtxt_callers(p.read_text(encoding="utf-8"))}
+    assert callers == {("problems.py", "_numbers")}
+
+
+def test_loadtxt_checker_names_each_caller():
+    source = ("import numpy as np\n"
+              "from numpy import loadtxt\n"
+              "def read(lines):\n"
+              "    def inner():\n"
+              "        return np.loadtxt(lines)\n"
+              "    return loadtxt(lines), inner\n"
+              "rows = np.loadtxt([])\n")
+    assert loadtxt_callers(source) == ["inner", "read", None]
 
 
 @pytest.mark.parametrize(

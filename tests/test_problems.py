@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gset_reference as gset_ref
 import sdpa_reference as ref
 from polybundle import problems as problems_module
 from polybundle import solver
@@ -27,6 +28,7 @@ from polybundle.linalg import (
 )
 from polybundle.problems import (
     _CHUNK,
+    EdgeError,
     GraphInstance,
     ParseError,
     SdpProblem,
@@ -354,10 +356,46 @@ class TestMaxcut:
         for w in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="non-finite weight"):
                 GraphInstance(2, [(1, 2, w)])
+        for w in ("1", None):
+            with pytest.raises(TypeError, match="must be real number"):
+                GraphInstance(2, [(1, 2, w)])
 
     def test_numpy_integer_labels_accepted(self):
         g = GraphInstance(np.int64(3), [(np.int64(1), np.int32(3), 1.0)])
         assert build_maxcut_sdp(g).n == 3
+
+    @pytest.mark.parametrize("edges,index,message", [
+        ([(1, 2, 1.0), (1, 5, 1.0), (1.5, 2, 1.0)], 1, "edge (1,5) out of range"),
+        ([(1, 2, 1.0), (5, 5, 1.0)], 1, "edge (5,5) out of range"),
+        ([(1, 2, 1.0), (2, 2, np.nan)], 1, "self-loop at vertex 2"),
+        ([(1, 2, 1.0), (2, 1, np.inf)], 1, "non-finite weight on edge (2,1)"),
+        ([(1, 2, 1.0), (1, 2**70, 1.0), (3, 3, 1.0)], 1, f"edge (1,{2**70}) out of range"),
+        ([(1, 3, 1.0), (3, 3, 1.0), (1, True, 1.0)], 1, "self-loop at vertex 3"),
+        ([(2, 3, 1.0), (1, 2, 1.0), (3, 2, 1.0), (2, 1, 1.0)], 2, "duplicate edge (3,2)"),
+    ], ids=["range-before-label", "range-before-loop", "loop-before-weight", "weight-before-duplicate",
+            "label-beyond-int64", "loop-before-bool-label", "first-repeat"])
+    def test_first_failing_edge_and_check(self, edges, index, message):
+        # the first edge that fails any check, with its first failed check,
+        # as the edge-at-a-time checks found it
+        for graph in (GraphInstance, gset_ref.Graph):
+            with pytest.raises(EdgeError) as exc:
+                graph(3, edges)
+            assert (exc.value.index, str(exc.value)) == (index, message)
+
+    def test_duplicate_reported_at_its_later_edge(self):
+        # a path and then its edges again, last first: only a stable sort
+        # keeps each edge ahead of its repeat
+        path = [(k, k + 1, 1.0) for k in range(1, 2000)]
+        with pytest.raises(EdgeError) as exc:
+            GraphInstance(2000, path + path[::-1])
+        assert (exc.value.index, str(exc.value)) == (1999, "duplicate edge (1999,2000)")
+
+    def test_edges_are_arrays_in_the_given_order(self):
+        g = GraphInstance(4, [(3, 1, 2.5), (2, 4, -1.0), [1, 2, 0.0]])
+        assert g.edges.tolist() == [(3, 1, 2.5), (2, 4, -1.0), (1, 2, 0.0)]
+        assert GraphInstance(4, g.edges).edges is g.edges
+        assert g == GraphInstance(4, [(3, 1, 2.5), (2, 4, -1.0), (1, 2, 0.0)])
+        assert g != GraphInstance(4, [(1, 3, 2.5), (2, 4, -1.0), (1, 2, 0.0)])
 
 
 class TestGset:
@@ -366,7 +404,8 @@ class TestGset:
         f.write_text("2 1\n1 2 1\n")
         g = load_gset(str(f))
         assert g.n_vertices == 2
-        assert g.edges == [(1, 2, 1.0)]
+        assert g.edges.tolist() == [(1, 2, 1.0)]
+        assert [g.edges[f].dtype for f in "ijw"] == [np.int64, np.int64, np.float64]
 
     def test_triangle_file(self, tmp_path):
         f = tmp_path / "g.txt"
@@ -431,6 +470,33 @@ class TestGset:
         f.write_text("2 1\n1 2\n1 2 1_0\n")
         with pytest.raises(ParseError, match=f"{f}:2: expected 'i j w'"):
             load_gset(str(f))
+
+    def test_non_utf8_file(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_bytes(b"2 1\n1 2 1\n\xe9\n")
+        with pytest.raises(ParseError) as exc:
+            load_gset(str(f))
+        assert str(exc.value) == f"{f}: not UTF-8 text"
+
+    def test_no_edges_without_a_warning(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text("\n3 0\n \u00a0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = load_gset(str(f))
+        assert (g.n_vertices, g.edges.size) == (3, 0)
+        assert build_maxcut_sdp(g).C.nnz == 0
+
+    def test_label_beyond_64_bits(self, tmp_path):
+        # int() reads the label, which is then out of range; the number
+        # grammar has no integer past int64, so the line is malformed
+        f = tmp_path / "g.txt"
+        f.write_text("3 1\n1 99999999999999999999 1\n")
+        with pytest.raises(ParseError, match=f"{f}:2: edge .* out of range"):
+            gset_ref.load_gset(str(f))
+        with pytest.raises(ParseError) as exc:
+            load_gset(str(f))
+        assert str(exc.value) == f"{f}:2: malformed edge line"
 
     @pytest.mark.parametrize("header", ["0 0", "-2 0", "3 -1"])
     def test_degenerate_header_reports_line_1(self, tmp_path, header):
@@ -794,6 +860,32 @@ class TestSdpaMalformed:
         assert str(exc.value) == f"{f}{message}"
 
     @pytest.mark.parametrize("text,message", [
+        (HEAD + "0 1 1 1 1.0\n1 1\u00a01 1 1.0\n", ":6: malformed entry"),
+        (HEAD + "0 1 1 1 1.0\n1\u20031 1 2 1.0\n", ":6: malformed entry"),
+        (HEAD + "0 1 1 1 1.0\n1 1 1 2\u30001.0\n", ":6: malformed entry"),
+        ("1\u00a0\n1\n2\n1.0\n0 1 1 1 1.0\n", ":1: bad constraint count"),
+        ("1\n1\n{2\u2003}\n1.0\n0 1 1 1 1.0\n", ":3: bad block size"),
+        ("2\n1\n2\n1.0\u30001.0\n0 1 1 1 1.0\n", ":4: bad right-hand-side vector"),
+    ], ids=["entry-no-break-space", "entry-em-space", "entry-ideographic-space",
+            "count-no-break-space", "block-size-em-space", "rhs-ideographic-space"])
+    def test_non_ascii_separator(self, tmp_path, text, message):
+        # str.split() and loadtxt split at any Unicode space; a data line of
+        # the grammar is plain ASCII
+        f = tmp_path / "bad.dat-s"
+        f.write_text(text, encoding="utf-8")
+        assert isinstance(ref.load_sdpa(str(f)), SdpProblem)
+        with pytest.raises(ParseError) as exc:
+            load_sdpa(str(f))
+        assert str(exc.value) == f"{f}{message}"
+
+    def test_non_ascii_comments_and_blank_lines(self, tmp_path):
+        # comment lines hold free text, and a line of Unicode spaces is blank
+        f = tmp_path / "ok.dat-s"
+        f.write_text('"caf\u00e9\n1\n\u00a0\n1\n* na\u00efve\n2\n1.0\n\u2003\u3000\n'
+                     "0 1 1 1 1.0\n* \u00e9\n\u00a0\n1 1 1 2 1.0\n", encoding="utf-8")
+        assert assert_same_outcome(str(f)).op.avec.nnz == 1
+
+    @pytest.mark.parametrize("text,message", [
         ("2.5\n1\n2\n1.0 1.0\n0 1 1 1 1.0\n", ":1: bad constraint count"),
         ("1e1\n1\n2\n" + "1.0 " * 10 + "\n0 1 1 1 1.0\n", ":1: bad constraint count"),
         ("1\n1.5\n2\n1.0\n0 1 1 1 1.0\n", ":2: bad block count"),
@@ -1035,3 +1127,152 @@ class TestSdpaAtBlockEdges(TestSdpaAgainstReference):
     def small_chunks(self, request):
         with mock.patch.object(problems_module, "_CHUNK", request.param):
             yield request.param
+
+
+# -- differential checks of the Gset path against the line-at-a-time reference
+
+@st.composite
+def gset_lines(draw):
+    """(n, lines) of a valid Gset file: each pair of n vertices an edge or
+    not, in any order and orientation, with integer or float weights."""
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = draw(st.permutations(draw(st.lists(st.sampled_from(pairs), unique=True))
+                                 if pairs else []))
+    lines = [f"{n} {len(edges)}\n"]
+    for i, j in edges:
+        if draw(st.booleans()):
+            i, j = j, i
+        w = draw(st.one_of(st.integers(-3, 3).map(str), finite.map(repr),
+                           st.sampled_from(["-0.0", "1e-320", "+.5", "2.", "1E3"])))
+        lines.append(f"{i} {j} {w}\n")
+    return n, lines
+
+
+def decorate_gset(draw, lines):
+    """Insert blank lines anywhere, Unicode spaces among them, and pad lines
+    with ASCII blanks."""
+    out = []
+    for line in lines:
+        out.extend(draw(st.lists(st.sampled_from(
+            ["\n", "  \t\n", "\u00a0\n", "\u2003 \u3000\n"]), max_size=2)))
+        out.append(draw(st.sampled_from(["", " ", "\t"])) + line)
+    return out
+
+
+def _mutate_gset(draw, n, lines):
+    """One malformed line, bad edge or wrong edge count in a valid file."""
+    k = draw(st.integers(0, len(lines) - 1))
+    toks = lines[k].split()
+    kind = draw(st.sampled_from(["drop", "add", "number", "range", "loop", "duplicate",
+                                 "non-finite", "count", "blank", "separator"]))
+    if kind == "drop":
+        del toks[draw(st.integers(0, len(toks) - 1))]
+    elif kind == "add":
+        toks.insert(draw(st.integers(0, len(toks))), "1")
+    elif kind == "number":
+        toks[draw(st.integers(0, len(toks) - 1))] = draw(st.sampled_from(
+            ["x", "1.5", "1e0", "1_0", "\u0661", "0x1", "--1", "1,0", "2.0", "nan"]))
+    elif kind == "separator":
+        toks = [" ".join(toks[:1]) + "\u00a0" + " ".join(toks[1:])]
+    elif kind == "count":
+        lines = lines[:]
+        lines[0] = f"{n} {int(lines[0].split()[1]) + draw(st.sampled_from([-1, 1]))}\n"
+        return lines
+    elif kind == "blank":
+        return lines[:k] + [draw(st.sampled_from(["\n", "\u00a0\n", " \u00a0\t\n"]))] + lines[k:]
+    elif k == 0:  # the edge kinds below need an edge line
+        return lines
+    elif kind == "range":
+        toks[draw(st.integers(0, 1))] = str(draw(st.sampled_from([0, -1, n + 1, n + 9])))
+    elif kind == "loop":
+        toks[1] = toks[0]
+    elif kind == "non-finite":
+        toks[2] = draw(st.sampled_from(["nan", "inf", "-inf", "1e400", "-Infinity"]))
+    else:  # a repeat of this edge, in either orientation, counted in the header
+        if draw(st.booleans()):
+            toks[0], toks[1] = toks[1], toks[0]
+        at = draw(st.integers(k + 1, len(lines)))
+        lines = lines[:at] + [" ".join(toks) + "\n"] + lines[at:]
+        lines[0] = f"{n} {len(lines) - 1}\n"
+        return lines
+    return lines[:k] + [" ".join(toks) + "\n"] + lines[k + 1:]
+
+
+def assert_same_graph(path):
+    """load_gset and the reference agree on ``path``: the same edges and a
+    bit-identical Max-Cut SDP, or a ParseError of the same text."""
+    want, got = outcome(gset_ref.load_gset, path), outcome(load_gset, path)
+    if isinstance(want, ParseError):
+        assert type(got) is ParseError and str(got) == str(want)
+        return want
+    assert isinstance(got, GraphInstance), got
+    i, j, w = zip(*want.edges) if want.edges else ((), (), ())
+    assert got.n_vertices == want.n_vertices
+    assert got.edges["i"].tolist() == list(i) and got.edges["j"].tolist() == list(j)
+    assert np.array_equal(bits(got.edges["w"]), bits(w))
+    new, old = build_maxcut_sdp(got), gset_ref.build_maxcut_sdp(want)
+    for a, b in [(new.C.rows, old.C.rows), (new.C.cols, old.C.cols),
+                 (bits(new.C.vals), bits(old.C.vals)), (new.op.avec.indices, old.op.avec.indices),
+                 (new.op.avec.indptr, old.op.avec.indptr),
+                 (bits(new.op.avec.data), bits(old.op.avec.data)), (bits(new.b), bits(old.b))]:
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    return got
+
+
+class TestGsetAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=gset_lines(), data=st.data())
+    def test_same_graph_and_same_sdp(self, graph, data):
+        _, lines = graph
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(decorate_gset(data.draw, lines))
+            assert isinstance(assert_same_graph(path), GraphInstance)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=gset_lines(), data=st.data())
+    def test_malformed_file_rejected_alike(self, graph, data):
+        n, lines = graph
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "bad.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(decorate_gset(data.draw, _mutate_gset(data.draw, n, lines)))
+            assert_same_graph(path)
+
+    def test_benchmark_family_graph(self, tmp_path):
+        # the n = 200 graph of the maxcut workload, its edges shuffled
+        rng = np.random.default_rng(1)
+        rows, cols = np.triu_indices(200, 1)
+        hit = np.flatnonzero(rng.random(rows.size) < 0.03)
+        hit = hit[np.random.default_rng(5).permutation(hit.size)]
+        path = tmp_path / "g.txt"
+        path.write_text(f"200 {hit.size}\n" + "".join(
+            f"{cols[k] + 1} {rows[k] + 1} 1\n" for k in hit))
+        assert assert_same_graph(str(path)).edges.size == hit.size
+
+
+@pytest.mark.parametrize("token", [
+    "2", "+2", "02", "-2", "2.0", "2.", "2e0", "0x2", "0_2", "\u0662", "\uff12", "2\u00a0",
+    "1.5", ".5", "5.", "1e3", "1E+3", "-0.0", "1e999", "nan", "-inf", "Infinity",
+    "1_0.5", "1e", "1.5.", "0x1p0", "\u0661.\u0665", "i", "1j",
+])
+def test_one_number_grammar(tmp_path, token):
+    """A token parses in a Gset line exactly when it parses in the same place
+    of an SDPA entry line: as a label where an index stands, and as a weight
+    where the value stands."""
+    def parses(text, load, malformed):
+        path = tmp_path / "f.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            load(str(path))
+        except ParseError as exc:
+            return not str(exc).endswith(malformed)
+        return True
+
+    head = "1\n1\n3\n1.0\n0 1 1 1 1.0\n"
+    for gset, sdpa in [(f"3 1\n1 {token} 1\n", f"{head}1 1 1 {token} 1.0\n"),
+                       (f"3 1\n1 2 {token}\n", f"{head}1 1 1 2 {token}\n")]:
+        assert parses(gset, load_gset, ": malformed edge line") == parses(
+            sdpa, load_sdpa, ": malformed entry"), (gset, sdpa)
