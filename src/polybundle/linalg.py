@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 SQRT2 = np.sqrt(2.0)
 
@@ -91,45 +89,46 @@ def _checked_entries(n: int, rows, cols, vals):
     return rows, cols, vals
 
 
-def _compressed(dim: int, m: int, k: np.ndarray, pos: np.ndarray,
-                vals: np.ndarray, n: int | None = None) -> sp.csc_matrix:
-    """The dim x m CSC matrix with vals at (pos, k), times the scale of
-    ``svec_indices(n, pos)`` when n is given, built in column order.
+def _compressed(dim: int, m: int, key: np.ndarray, vals: np.ndarray,
+                n: int | None = None) -> sp.csc_matrix:
+    """The dim x m CSC matrix with vals[e] at row pos and column k, where
+    key[e] = k * dim + pos (int64), times the svec scale of order n at pos
+    when n is given, built in column order.
 
-    The entries are sorted stably by (k, pos), which is one linear pass when
-    they already come in that order; repeats are summed in their given
-    order, as a COO matrix's ``sum_duplicates`` does, and entries that are
-    then zero are not stored.
+    The entries are sorted stably by key only when they come out of order;
+    repeats are summed in their given order, as a COO matrix's
+    ``sum_duplicates`` does, and entries that are then zero are not stored.
+    ``indptr`` is read from the sorted keys, and the positions and their
+    scale are formed in blocks of at most dim entries, so no full-length
+    table of them is held.  Neither key nor vals is written, and the matrix
+    holds vals itself when n is None and the entries need neither sort nor
+    filter.
     """
-    key = k * dim
-    key += pos
     if np.any(key[1:] < key[:-1]):
         order = np.argsort(key, kind="stable")
-        key, k, pos, vals = key[order], k[order], pos[order], vals[order]
+        key, vals = key[order], vals[order]
         del order
+    # scipy's own choice of index type, so that no index array is copied
+    idx = np.int32 if max(dim, m, key.size) <= np.iinfo(np.int32).max else np.int64
+    indices = np.empty(key.size, dtype=idx)
+    data = vals if n is None else np.empty(key.size)
+    for s in range(0, key.size, max(dim, 1)):  # n = 0 has no positions
+        e = slice(s, s + dim)
+        pos = key[e] % dim
+        indices[e] = pos
+        if n is not None:  # scaled before repeats are summed
+            np.multiply(svec_indices(n, pos)[2], vals[e], out=data[e])
+        del pos
     repeat = key[1:] == key[:-1]
-    del key
-    if n is None:
-        data = vals
-    else:  # scaled only now, so that the key and the data are not held at once
-        data = svec_indices(n, pos)[2]
-        data *= vals
     if repeat.any():
         first = np.flatnonzero(np.concatenate(([True], ~repeat)))
-        k, pos, data = k[first], pos[first], np.add.reduceat(data, first)
+        key, indices, data = key[first], indices[first], np.add.reduceat(data, first)
     del repeat
-    # scipy's own choice of index type, so that no index array is copied
-    idx = np.int32 if max(dim, m, data.size) <= np.iinfo(np.int32).max else np.int64
-    counts = np.bincount(k, minlength=m)
     nz = data != 0.0
-    if nz.all():
-        indices = pos.astype(idx)
-    else:  # one array at a time, each copied once
-        counts -= np.bincount(k[~nz], minlength=m)
-        data = data[nz]
-        indices = pos.astype(idx)[nz]
-    indptr = np.zeros(m + 1, dtype=idx)
-    np.cumsum(counts, out=indptr[1:])
+    if not nz.all():
+        key, indices, data = key[nz], indices[nz], data[nz]
+    del nz
+    indptr = np.searchsorted(key, np.arange(m + 1) * dim).astype(idx)
     a = sp.csc_matrix((data, indices, indptr), shape=(dim, m))
     a.has_canonical_format = True
     return a
@@ -148,16 +147,19 @@ class SymMatrix:
     svec_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        rows, cols, vals = _checked_entries(self.n, self.rows, self.cols, self.vals)
+        entries = _checked_entries(self.n, self.rows, self.cols, self.vals)
         # canonical column-major lower-triangle order; detects duplicates
-        key = svec_position(self.n, rows, cols)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        if key.size and np.any(np.diff(key) == 0):
-            raise ValueError("duplicate (row, col) entry")
-        object.__setattr__(self, "rows", rows[order])
-        object.__setattr__(self, "cols", cols[order])
-        object.__setattr__(self, "vals", vals[order])
+        key = svec_position(self.n, *entries[:2])
+        if np.any(key[1:] <= key[:-1]):
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            if np.any(key[1:] == key[:-1]):
+                raise ValueError("duplicate (row, col) entry")
+            entries = [a[order] for a in entries]
+        else:  # already in order: no sort, but no array the caller holds either
+            entries = [a.copy() for a in entries]
+        for name, a in zip(("rows", "cols", "vals"), entries):
+            object.__setattr__(self, name, a)
 
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "SymMatrix":
@@ -268,20 +270,19 @@ class ConstraintOperator:
             raise ValueError("avec shape does not match (n, m)")
         a = self.avec
         if not a.has_canonical_format:
-            k = np.repeat(np.arange(self.m), np.diff(a.indptr))
+            key = np.repeat(np.arange(self.m) * a.shape[0], np.diff(a.indptr))
+            key += a.indices
             object.__setattr__(self, "avec", _compressed(
-                a.shape[0], self.m, k, a.indices.astype(np.int64), a.data.copy()))
+                a.shape[0], self.m, key, a.data.copy()))
 
     @classmethod
     def from_entries(cls, n: int, m: int, k, pos, vals) -> "ConstraintOperator":
         """Operator whose A_{k+1} has the entry vals at svec position pos.
 
-        Built straight into CSC arrays in column order, with no COO matrix:
-        entries already sorted by (k, pos), as the generator and the SDPA
-        reader give them, cost no sort.  Repeated (k, pos) entries are
-        summed, and entries that are then zero are not stored.  k and pos
-        must be integer arrays with each k in [0, m) and each pos in
-        [0, n(n+1)/2), and each value finite; else a ValueError.
+        The entries' keys ``k * n(n+1)/2 + pos`` are formed once and built
+        as ``from_keys`` builds them.  k and pos must be integer arrays
+        with each k in [0, m) and each pos in [0, n(n+1)/2), and each value
+        finite; else a ValueError.
         """
         k, pos = _index_array("k", k), _index_array("pos", pos)
         vals = np.asarray(vals, dtype=np.float64)
@@ -295,7 +296,32 @@ class ConstraintOperator:
                 raise ValueError("index out of range")
             if not np.all(np.isfinite(vals)):
                 raise ValueError("non-finite entry")
-        return cls(n, m, _compressed(dim, m, k, pos, vals, n))
+        key = k * dim
+        key += pos
+        return cls(n, m, _compressed(dim, m, key, vals, n))
+
+    @classmethod
+    def from_keys(cls, n: int, m: int, key, vals) -> "ConstraintOperator":
+        """Operator whose A_{k+1} has the entry vals[e] at svec position pos,
+        where key[e] = k * n(n+1)/2 + pos: one int64 key per entry.
+
+        Built straight into CSC arrays in column order, with no COO matrix:
+        keys that already rise, as the generator and the SDPA reader give
+        them, cost no sort.  Repeated keys are summed, and entries that are
+        then zero are not stored.  key must be an integer array with each
+        key in [0, m n(n+1)/2), and each value finite; else a ValueError.
+        """
+        key = _index_array("key", key)
+        vals = np.asarray(vals, dtype=np.float64)
+        dim = tri_dim(n)
+        if key.shape != vals.shape:
+            raise ValueError("key, vals must have equal length")
+        if key.size:
+            if not 0 <= key.min() <= key.max() < m * dim:
+                raise ValueError("index out of range")
+            if not np.all(np.isfinite(vals)):
+                raise ValueError("non-finite entry")
+        return cls(n, m, _compressed(dim, m, key, vals, n))
 
     @classmethod
     def from_matrices(cls, n: int, mats) -> "ConstraintOperator":
@@ -304,10 +330,10 @@ class ConstraintOperator:
         mats = [a if isinstance(a, SymMatrix) else SymMatrix.from_dense(a) for a in mats]
         if any(a.n != n for a in mats):
             raise ValueError("constraint matrix dimension mismatch")
-        k = np.repeat(np.arange(len(mats)), [a.nnz for a in mats])
-        pos = np.concatenate([svec_position(n, a.rows, a.cols) for a in mats])
+        key = np.concatenate([k * tri_dim(n) + svec_position(n, a.rows, a.cols)
+                              for k, a in enumerate(mats)])
         vals = np.concatenate([a.vals for a in mats])
-        return cls.from_entries(n, len(mats), k, pos, vals)
+        return cls.from_keys(n, len(mats), key, vals)
 
     def entries(self, start: int = 0, stop: int | None = None):
         """(k, pos, vals) with A_{k+1} holding vals at svec position pos.
@@ -379,6 +405,8 @@ class SvecSupport:
         no m x m Gram matrix.  The iteration stops at relative tolerances
         LSQR_TOL, or after scipy's default of 2m steps.
         """
+        import scipy.sparse.linalg as spla  # loads with the first solve
+
         y = spla.lsqr(self.avec, self.cvec, atol=LSQR_TOL, btol=LSQR_TOL)[0]
         if not np.all(np.isfinite(y)):
             return None
@@ -455,6 +483,9 @@ def extreme_eigs(s, r: int) -> EigenResult:
     Every returned pair satisfies ||S v - lambda v|| <= EIG_TOL * (1 + |lambda|),
     or EigenConvergenceError is raised.
     """
+    import scipy.linalg as sla  # LAPACK and ARPACK load with the first solve
+    import scipy.sparse.linalg as spla
+
     sparse = sp.issparse(s)
     mat = s.tocsr() if sparse else np.asarray(s, dtype=np.float64)
     n = mat.shape[0]

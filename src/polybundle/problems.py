@@ -205,9 +205,9 @@ def generate_random_sdp(n: int, m: int, r: int, sparsity: float, s: float,
     and b = A(X*).  Deterministic in the seed at a fixed OpenBLAS thread
     count, since X* and S* come from eigh and gemm; draw order: G, then each
     A_bar_i in turn, drawn again while its trace-free values are all zero,
-    then y*.  Each A_bar_i is kept as its svec positions and values alone,
-    and ``ConstraintOperator.from_entries`` builds the CSC operator from
-    them in column order, with no sort.
+    then y*.  Each A_bar_i is kept as its keys (i - 1) n(n+1)/2 + svec
+    position and its values alone, and ``ConstraintOperator.from_keys``
+    builds the CSC operator from them in column order, with no sort.
     """
     if not 1 <= _count("r", r) < _count("n", n):
         raise ValueError("need 1 <= r < n")
@@ -221,57 +221,64 @@ def generate_random_sdp(n: int, m: int, r: int, sparsity: float, s: float,
         raise ValueError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
 
-    rows, cols, _ = svec_indices(n)
     g_pos, g_vals = _sparse_symmetric_lower(rng, n, sparsity)
 
-    # each A_bar_{k+1} as its svec positions and values only, which come in
-    # (k, position) order, the order from_entries stores them in
-    on_diag = rows == cols
-    positions, values = [], []
-    while len(positions) < m:
+    # each A_bar_{k+1} as its keys and values only, which rise with k and
+    # the position, the order from_keys stores them in
+    dim = tri_dim(n)
+    on_diag = np.zeros(dim, dtype=bool)
+    on_diag[svec_position(n, np.arange(n), np.arange(n))] = True
+    keys, values = [], []
+    while len(keys) < m:
         pos, av = _sparse_symmetric_lower(rng, n, sparsity, ensure_nonzero=True)
         diag = on_diag[pos]
         if diag.any():
             av[diag] -= av[diag].mean()
         if av.any():  # a draw the trace-free shift zeroes is drawn again
-            positions.append(pos)
-            values.append(s * av)
-    k = np.repeat(np.arange(m), [p.size for p in positions])
-    pos = np.concatenate(positions)
-    del positions
+            av *= s
+            nz = av != 0.0  # the shift zeroes a lone diagonal entry
+            keys.append(pos[nz] + len(keys) * dim)
+            values.append(av[nz])
+    del on_diag
+    key = np.concatenate(keys)
+    del keys
     vals = np.concatenate(values)
     del values
-    op = ConstraintOperator.from_entries(n, m, k, pos, vals)
-    del k, pos, vals
+    op = ConstraintOperator.from_keys(n, m, key, vals)
+    del key, vals
 
     # G's eigenpairs take no draw, so the dense matrices wait until the
-    # operator's entries are gone, and g and evecs go before
-    # SymMatrix.from_dense's n x n temporaries
+    # operator's entries are gone; g, evecs and each planted matrix go as
+    # soon as they are used, before SymMatrix.from_dense's n x n temporaries
     g = np.zeros((n, n))
-    g[rows[g_pos], cols[g_pos]] = g_vals
-    g[cols[g_pos], rows[g_pos]] = g_vals
+    rows, cols, _ = svec_indices(n, g_pos)
+    g[rows, cols] = g_vals
+    g[cols, rows] = g_vals
+    del rows, cols
     evals, evecs = np.linalg.eigh(g)
     del g
     shifted = s * (evals + abs(evals[0])) + 1.0  # ascending, all >= 1
-
-    top = slice(n - r, n)
-    rest = slice(0, n - r)
-    x_star_dense = (evecs[:, top] * shifted[top]) @ evecs[:, top].T
-    s_star_dense = (evecs[:, rest] * shifted[rest]) @ evecs[:, rest].T
-    del evecs
     kappa_x = float(shifted[-1] / shifted[n - r])
     kappa_s = float(shifted[n - r - 1] / shifted[0])
 
+    top = slice(n - r, n)
+    rest = slice(0, n - r)
+    dense = (evecs[:, top] * shifted[top]) @ evecs[:, top].T
+    x_star, known_trace = SymMatrix.from_dense(dense), float(np.trace(dense))
+    del dense
+    dense = (evecs[:, rest] * shifted[rest]) @ evecs[:, rest].T
+    del evecs
+    s_star = SymMatrix.from_dense(dense)
+    del dense
+
     y_star = rng.standard_normal(m)
-    s_star = SymMatrix.from_dense(s_star_dense)
-    x_star = SymMatrix.from_dense(x_star_dense)
     c = SymMatrix.from_svec(svec(s_star).values + op.avec @ y_star)
     b = apply_A(op, x_star)
 
     problem = SdpProblem(
         n=n, m=m, C=c, op=op, b=b,
         name=f"rand-n{n}-m{m}-r{r}-s{s:g}-seed{seed}",
-        known_trace=float(np.trace(x_star_dense)), known_rank=r,
+        known_trace=known_trace, known_rank=r,
     )
     planted = PlantedSolution(X_star=x_star, y_star=y_star, S_star=s_star,
                               kappa_X=kappa_x, kappa_S=kappa_s)
@@ -471,6 +478,9 @@ def load_sdpa(path: str) -> SdpProblem:
             if n < 1:
                 raise (fail(2, "diagonal blocks not supported", UnsupportedFormat) if n < 0
                        else fail(2, "block size must be positive"))
+            dim = tri_dim(n)
+            if (m + 1) * dim > np.iinfo(np.int64).max:
+                raise fail(2, "block size too large: an entry's key overflows int64")
             b = header(3, "right-hand-side vector", usecols=None, dtype=np.float64)
             if b.size != m:
                 raise fail(3, f"expected {m} right-hand-side values")
@@ -499,7 +509,7 @@ def load_sdpa(path: str) -> SdpProblem:
                     first = (4 + count + e, msg.format(matno[e]), cls)
                 if nonfinite is None and not np.all(np.isfinite(val)):
                     nonfinite = count + int(np.argmin(np.isfinite(val)))
-                keys.append(matno * tri_dim(n) + svec_position(n, row, col))
+                keys.append(matno * dim + svec_position(n, row, col))
                 values.append(val.copy())  # not a view that holds the whole record
                 count += parsed.size
     except UnicodeDecodeError as exc:
@@ -527,12 +537,12 @@ def load_sdpa(path: str) -> SdpProblem:
     if nonfinite is not None:
         raise fail(4 + nonfinite, "non-finite entry value")
 
-    in_c = int(np.searchsorted(key, tri_dim(n)))  # matno 0 sorts first
-    c = SymMatrix(n, *svec_indices(n, key[:in_c])[:2], val[:in_c])
-    matno, pos = np.divmod(key[in_c:], tri_dim(n))
-    del key
-    matno -= 1
-    op = ConstraintOperator.from_entries(n, m, matno, pos, val[in_c:])
+    in_c = int(np.searchsorted(key, dim))  # matno 0 sorts first
+    key[in_c:] -= dim  # A_matno is the operator's constraint matno - 1
+    op = ConstraintOperator.from_keys(n, m, key[in_c:], val[in_c:])
+    rows, cols, _ = svec_indices(n, key[:in_c])
+    del key  # before SymMatrix copies C's entries out of val
+    c = SymMatrix(n, rows, cols, val[:in_c])
     return SdpProblem(n=n, m=m, C=c, op=op, b=b,
                       name=os.path.splitext(os.path.basename(path))[0])
 

@@ -24,11 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 QP_TOL_BASE = 1e-10
 ITER_CAP_FACTOR = 50
 REFINE_STEPS = 2  # iterative-refinement passes per working-set solve
+
+dpotrf = dpotrs = None  # LAPACK's, bound by the first factorization
 
 
 class NonConvergence(RuntimeError):
@@ -112,6 +113,9 @@ class QpSolution:
 
 def _factor(h: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of h (upper triangle left as it was)."""
+    global dpotrf, dpotrs
+    if dpotrf is None:  # LAPACK loads with the first solve, not the package
+        from scipy.linalg.lapack import dpotrf, dpotrs
     c, info = dpotrf(h, lower=1, clean=0)
     if info > 0:
         raise np.linalg.LinAlgError(

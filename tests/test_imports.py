@@ -27,7 +27,8 @@ home of the number grammar both file readers parse by.
 
 And a solve loads no solver library beyond what the package needs:
 ``scipy.optimize`` stays out, since its import alone adds to every run's
-time and memory.
+time and memory.  Nor does instance I/O: ``scipy.linalg`` and
+``scipy.sparse.linalg`` load with the first solve, not with the package.
 """
 
 import ast
@@ -320,3 +321,30 @@ def test_a_solve_does_not_load_scipy_optimize():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])})
     assert out.stdout.strip() == "[]"
+
+
+def test_lapack_loads_with_the_first_solve(tmp_path):
+    # generating, writing, reading and building instances calls no LAPACK
+    # routine; the two modules add about 10 MB to the RSS (scipy 1.17.1)
+    code = ("import os, sys, polybundle as pb\n"
+            "def loaded():\n"
+            "    print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg')\n"
+            "                 if m in sys.modules))\n"
+            "problem, _ = pb.generate_random_sdp(20, 20, 2, 0.1, 1.0, 0)\n"
+            "path = os.path.join(sys.argv[1], 'p.dat-s')\n"
+            "pb.write_sdpa(problem, path)\n"
+            "pb.load_sdpa(path)\n"
+            "graph = os.path.join(sys.argv[1], 'g.txt')\n"
+            "with open(graph, 'w') as fh:\n"
+            "    fh.write('3 2\\n1 2 1.0\\n2 3 1.0\\n')\n"
+            "pb.build_maxcut_sdp(pb.load_gset(graph))\n"
+            "loaded()\n"
+            "assert pb.solve(problem).status == 'Converged'\n"
+            "loaded()\n")
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
+        timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])})
+    assert out.stdout.split("\n") == [
+        "[]", "['scipy.linalg', 'scipy.sparse.linalg']", ""]

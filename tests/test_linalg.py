@@ -2,7 +2,9 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from linalg_reference import norm_estimate
 from polybundle import linalg
@@ -255,6 +257,7 @@ class TestConstraintOperator:
     def test_empty_entries_of_any_dtype(self):
         op = ConstraintOperator.from_entries(3, 2, [], np.array([], dtype=float), [])
         assert op.avec.nnz == 0 and op.avec.shape == (6, 2)
+        assert ConstraintOperator.from_entries(0, 1, [], [], []).avec.shape == (0, 1)
 
     @pytest.mark.parametrize("convert,kind", [
         (sp.csr_matrix, "csr"), (sp.coo_matrix, "coo"), (lambda a: a.toarray(), "ndarray"),
@@ -264,6 +267,78 @@ class TestConstraintOperator:
         avec = ConstraintOperator.from_entries(3, 2, [0, 1], [0, 2], [1.0, 2.0]).avec
         with pytest.raises(ValueError, match=f"avec must be a scipy.sparse CSC matrix, not {kind}"):
             ConstraintOperator(3, 2, convert(avec))
+
+
+    @pytest.mark.parametrize("key,vals,message", [
+        ([12], [1.0], "index out of range"),
+        ([-1], [1.0], "index out of range"),
+        ([0], [np.inf], "non-finite entry"),
+        ([0, 1], [1.0], "key, vals must have equal length"),
+        ([0.5], [1.0], "key must hold integers"),
+    ], ids=["key-m-dim", "negative-key", "inf", "ragged", "float-key"])
+    def test_from_keys_rejects(self, key, vals, message):
+        # n = 3, m = 2: the keys k * 6 + pos run from 0 to 11
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ConstraintOperator.from_keys(3, 2, key, vals)
+
+    def test_from_keys_builds_what_from_entries_builds(self):
+        # out of order, with repeats and zeros: the keys are the entries'
+        rng = np.random.default_rng(11)
+        k, pos = rng.integers(0, 3, 200), rng.integers(0, tri_dim(5), 200)
+        vals = rng.integers(-2, 3, 200) / 4.0
+        a = ConstraintOperator.from_entries(5, 3, k, pos, vals).avec
+        b = ConstraintOperator.from_keys(5, 3, k * tri_dim(5) + pos, vals).avec
+        assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
+        assert np.array_equal(a.indices, b.indices) and np.array_equal(a.indptr, b.indptr)
+        assert 0.0 not in a.data and a.has_canonical_format
+
+
+class TestConstructorsOwnTheirArrays:
+    """Writing to the arrays a constructor was given changes nothing it
+    built: entries already in svec order skip the sort, not the copy."""
+
+    ENTRIES = ([0, 1, 2, 2], [0, 0, 1, 2], [1.0, 2.0, 3.0, 4.0])  # svec order
+
+    @staticmethod
+    def unshared(built, given):
+        return not any(np.shares_memory(a, b) for a in built for b in given)
+
+    def given(self, order, index):
+        """The entries as views of longer arrays, as the SDPA reader's C
+        is, in svec order or reversed."""
+        step = 1 if order == "svec" else -1
+        return [np.array(a + a, dtype=d)[:4][::step]
+                for a, d in zip(self.ENTRIES, (index, index, np.float64))]
+
+    @pytest.mark.parametrize("order", ["svec", "reversed"])
+    @pytest.mark.parametrize("index", [np.int64, np.int32])
+    def test_sym_matrix(self, order, index):
+        given = self.given(order, index)
+        m = SymMatrix(3, *given)
+        want = [a.copy() for a in (m.rows, m.cols, m.vals)]
+        for a in given:
+            a[:] = 1
+        for a, b in zip((m.rows, m.cols, m.vals), want):
+            assert np.array_equal(a, b)
+        assert np.array_equal(m.rows, self.ENTRIES[0])  # canonical order
+        assert self.unshared((m.rows, m.cols, m.vals), given)
+
+    @pytest.mark.parametrize("order", ["svec", "reversed"])
+    @pytest.mark.parametrize("by", ["entries", "keys"])
+    def test_constraint_operator(self, order, by):
+        rows, cols, vals = self.given(order, np.int64)
+        k = np.array([0, 1, 1, 1, 0, 0, 0, 0])[:4][::1 if order == "svec" else -1]
+        pos = svec_position(3, rows, cols)
+        given = [k, pos, vals] if by == "entries" else [k * tri_dim(3) + pos, vals]
+        op = (ConstraintOperator.from_entries(3, 2, *given) if by == "entries"
+              else ConstraintOperator.from_keys(3, 2, *given))
+        a = op.avec
+        want = [x.copy() for x in (a.data, a.indices, a.indptr)]
+        for x in given:
+            x[:] = 1
+        for x, y in zip((a.data, a.indices, a.indptr), want):
+            assert np.array_equal(x, y)
+        assert self.unshared((a.data, a.indices, a.indptr), given)
 
 
 class TestExtremeEigs:
@@ -341,12 +416,12 @@ class TestSubsetEigensolve:
 
     @staticmethod
     def spy_on_arpack(monkeypatch):
-        calls, real = [], linalg.spla.eigsh
+        calls, real = [], spla.eigsh
 
         def counted(*args, **kwargs):
             calls.append(kwargs["k"])
             return real(*args, **kwargs)
-        monkeypatch.setattr(linalg.spla, "eigsh", counted)
+        monkeypatch.setattr(spla, "eigsh", counted)
         return calls
 
     def test_csr_input_takes_arpack(self, monkeypatch):
@@ -371,12 +446,12 @@ class TestSubsetEigensolve:
 
     def test_residual_check_rejects_wrong_pairs(self, monkeypatch):
         a = separated(np.random.default_rng(22), 30)
-        real = linalg.sla.eigh
+        real = sla.eigh
 
         def perturbed(*args, **kwargs):
             vals, vecs = real(*args, **kwargs)
             return vals, vecs + 1e-6
-        monkeypatch.setattr(linalg.sla, "eigh", perturbed)
+        monkeypatch.setattr(sla, "eigh", perturbed)
         with pytest.raises(EigenConvergenceError) as err:
             extreme_eigs(a, 3)
         assert 1e-7 < err.value.best_residual < 1e-4
@@ -403,7 +478,7 @@ class TestSubsetEigensolve:
     def test_lapack_failure_raises_eigen_error(self, monkeypatch):
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
-        monkeypatch.setattr(linalg.sla, "eigh", failing)
+        monkeypatch.setattr(sla, "eigh", failing)
         with pytest.raises(EigenConvergenceError, match="LAPACK"):
             extreme_eigs(np.eye(5), 2)
 
@@ -419,8 +494,8 @@ class TestSubsetEigensolve:
                  "none": (None, None)}[pairs]
 
         def failing(*args, **kwargs):
-            raise linalg.spla.ArpackNoConvergence("no convergence", *given)
-        monkeypatch.setattr(linalg.spla, "eigsh", failing)
+            raise spla.ArpackNoConvergence("no convergence", *given)
+        monkeypatch.setattr(spla, "eigsh", failing)
         with pytest.raises(EigenConvergenceError) as err:
             extreme_eigs(sp.csr_matrix(a), 3)
         message = "Lanczos failed to converge for 3 smallest eigenpairs"

@@ -670,15 +670,21 @@ def sparse_graph(n: int, seed: int = 1) -> GraphInstance:
 
 class TestPeakMemory:
     """tracemalloc peaks of the generator, the writer and the reader per
-    stored entry of C and avec, on one mid-size instance (60,311 entries).
+    stored entry of C and avec, on one mid-size instance (60,311 entries)
+    and on the benchmark's n = 500 instance (751,900 entries).
 
     tracemalloc sees numpy's buffers, so the peaks repeat from run to run.
-    Each bound lies between the peak of the COO-built operator and
-    whole-array I/O (generate 90, write 74, load 128 bytes an entry) and
-    that of the column-order build and chunked I/O (59, 30 and 49).
+    At n = 200 each bound lies between the peak of the COO-built operator
+    and whole-array I/O (generate 90, write 74, load 128 bytes an entry)
+    and that of the one-key build and chunked I/O (51, 30 and 50).  At
+    n = 500 the bounds lie between the peaks of a build from two keys, the
+    reader's (matno, position) split and full-length svec tables (generate
+    46, load 48 bytes an entry: 34.5 and 36.0 MB) and those of the one-key
+    build with its positions scaled in blocks (32 and 32: 23.7 and 24.3 MB).
     """
 
     ARGS = (200, 200, 5, 1e-2, 1.0, 42)
+    BENCHMARK_ARGS = (500, 500, 5, 1e-2, 1.0, 42)
 
     @pytest.fixture(scope="class")
     def instance(self, tmp_path_factory):
@@ -699,13 +705,30 @@ class TestPeakMemory:
         assert traced_peak(call) / entries <= bound
 
     @pytest.fixture(scope="class")
+    def benchmark_instance(self, tmp_path_factory):
+        problem, _ = generate_random_sdp(*self.BENCHMARK_ARGS)
+        path = str(tmp_path_factory.mktemp("peak") / "b.dat-s")
+        write_sdpa(problem, path)
+        return problem.C.nnz + problem.op.avec.nnz, path
+
+    @pytest.mark.parametrize("operation,bound", [("generate", 40), ("load", 40)])
+    def test_bytes_per_entry_of_the_benchmark_instance(self, benchmark_instance,
+                                                       operation, bound):
+        entries, path = benchmark_instance
+        call = {"generate": lambda: generate_random_sdp(*self.BENCHMARK_ARGS),
+                "load": lambda: load_sdpa(path)}[operation]
+        assert traced_peak(call) / entries <= bound
+
+    @pytest.fixture(scope="class")
     def graphs(self, tmp_path_factory):
         """The n = 2,000 and 5,000 Max-Cut instances (6,060 and 15,378
-        edges), the latter's graph and its SDPA file."""
+        edges), the latter's graph and its SDPA file.  A first solve loads
+        LAPACK, whose modules are not a solve's memory."""
         graph = sparse_graph(5000)
         small, large = build_maxcut_sdp(sparse_graph(2000)), build_maxcut_sdp(graph)
         path = str(tmp_path_factory.mktemp("peak") / "g.dat-s")
         write_sdpa(large, path)
+        solver.solve(build_maxcut_sdp(sparse_graph(20)), solver.SolverParams(maxiter=2))
         return graph, small, large, path
 
     @pytest.mark.parametrize("operation,bound", [
@@ -828,6 +851,13 @@ class TestSdpaMalformed:
     def test_zero_block_size(self, tmp_path):
         with pytest.raises(ParseError, match=r"bad\.dat-s:3: block size must be positive"):
             self.load(tmp_path, "1\n1\n0\n1.0\n")
+
+    @pytest.mark.parametrize("size", [2**32, 3037000500])
+    def test_block_size_whose_keys_overflow_int64(self, tmp_path, size):
+        # (m + 1) n(n+1)/2 passes 2**63 - 1 by 3,182,474,693 at 3037000500:
+        # the check comes before any key, or any array of n, is formed
+        with pytest.raises(ParseError, match=r"bad\.dat-s:3: block size too large"):
+            self.load(tmp_path, f"1\n1\n{size}\n1.0\n1 1 1 1 2.0\n")
 
     def test_non_utf8_byte(self, tmp_path):
         text = b"1\n1\n2\n1.0\n0 1 1 1 1.0\n* caf\xe9\n"
