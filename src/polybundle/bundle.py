@@ -69,9 +69,9 @@ def pvec_generate(p: np.ndarray, op: ConstraintOperator, support: SvecSupport):
         raise ValueError("bundle columns must be unit-norm")
     if support.avec.shape[1] != op.m:
         raise ValueError("support was taken from another operator")
-    # a and B read the (support, columns) layout, whose BLAS and
-    # sparsetools kernels fix their bits
-    pvec = np.ascontiguousarray(support.rank_one(p).T)
+    # a and B read the (support, columns) layout in C order, whose BLAS
+    # and sparsetools kernels fix their bits
+    pvec = support.rank_one(p)
     return pvec.T @ support.cvec, np.asarray(support.avec.T @ pvec)
 
 
@@ -82,7 +82,7 @@ def support_values(state: BundleState, u: np.ndarray) -> np.ndarray:
     QP may leave, counts as 0, so X is a sum of PSD terms."""
     eta, x = max(float(u[0]), 0.0), u[1:]
     act = np.flatnonzero(x > 0.0)
-    return eta * state.w_supp + x[act] @ state.support.rank_one(state.P[:, act])
+    return eta * state.w_supp + x[act] @ _by_column(state.support, state.P[:, act])
 
 
 def model_eval(y: np.ndarray, a: np.ndarray, b_mat: np.ndarray,
@@ -140,9 +140,15 @@ def aggregate_and_append(state: BundleState, eta: float, x: np.ndarray,
     a_bar = fold(state.a[0], lambda: state.a[1 + p_bar] @ x_bar)
     b_bar = fold(state.B[:, 0], lambda: state.B[:, 1 + p_bar] @ x_bar)
     w_supp = fold(state.w_supp,
-                  lambda: x_bar @ state.support.rank_one(state.P[:, p_bar]))
+                  lambda: x_bar @ _by_column(state.support, state.P[:, p_bar]))
 
     p = np.column_stack([state.P[:, p_hat], v_new])
     a = np.concatenate([[a_bar], state.a[1 + p_hat], np.atleast_1d(a_new)])
     b_mat = np.column_stack([b_bar, state.B[:, 1 + p_hat], b_new])
     return BundleState(P=p, a=a, B=b_mat, w_supp=w_supp, support=state.support)
+
+
+def _by_column(support: SvecSupport, p: np.ndarray) -> np.ndarray:
+    """``support.rank_one(p)`` as a (columns, support) block in C order, the
+    layout whose gemv kernel the weighted sums over it were pinned with."""
+    return np.ascontiguousarray(support.rank_one(p).T)

@@ -46,16 +46,39 @@ def tri_order(dim: int) -> int:
 def svec_indices(n: int, pos: np.ndarray | None = None):
     """(rows, cols, scale) at the svec positions ``pos`` of order n (default:
     all): pos[k] is matrix position (rows[k], cols[k]), rows[k] >= cols[k],
-    and scale[k] is sqrt(2) off the diagonal and 1 on it.  The inverse of
-    svec_position: column j holds the positions from that of (j, j) on."""
-    if pos is None:
-        pos = np.arange(tri_dim(n))
-    diag = svec_position(n, np.arange(n), np.arange(n))
-    cols = np.searchsorted(diag, pos, side="right") - 1
-    rows = pos - diag[cols]  # the offset below the diagonal, for now
-    scale = np.where(rows == 0, 1.0, SQRT2)
-    rows += cols
-    return rows, cols, scale
+    and scale[k] is sqrt(2) off the diagonal and 1 on it.
+
+    The inverse of svec_position in closed form, with no table of order n:
+    counted from the last position, q = n(n+1)/2 - 1 - pos lies in column
+    n - 1 - k for the triangular root k of q, the largest k with
+    k(k+1)/2 <= q, and q - k(k+1)/2 rows above the last row.  The float
+    root (sqrt(8q + 1) - 1) / 2 is never below k, since a correctly rounded
+    sqrt gives back an odd m < 2^33 from the rounded m^2, and it is at most
+    k + 1, so one step down in int64 arithmetic makes it exact while n(n+1)
+    fits in int64 (n <= 3,037,000,499).  The steps work in place, so a
+    call holds about one int64 array beside its results."""
+    pos = np.arange(tri_dim(n)) if pos is None else np.asarray(pos, dtype=np.int64)
+    q = (tri_dim(n) - 1) - pos
+    root = 8.0 * q
+    root += 1.0
+    np.sqrt(root, out=root)
+    root -= 1.0
+    root /= 2.0
+    k = root.astype(np.int64)
+    del root
+    k -= _triangle(k) > q  # k <= n here, so no product overflows
+    q -= _triangle(k)
+    rows = np.subtract(n - 1, q, out=q)
+    cols = np.subtract(n - 1, k, out=k)
+    return rows, cols, np.where(rows == cols, 1.0, SQRT2)
+
+
+def _triangle(k: np.ndarray) -> np.ndarray:
+    """k(k+1)/2 for an int64 array k, in one new array."""
+    t = k + 1
+    t *= k
+    t //= 2
+    return t
 
 
 def svec_position(n: int, row: int | np.ndarray, col: int | np.ndarray):
@@ -97,12 +120,12 @@ def _compressed(dim: int, m: int, key: np.ndarray, vals: np.ndarray,
 
     The entries are sorted stably by key only when they come out of order;
     repeats are summed in their given order, as a COO matrix's
-    ``sum_duplicates`` does, and entries that are then zero are not stored.
-    ``indptr`` is read from the sorted keys, and the positions and their
-    scale are formed in blocks of at most dim entries, so no full-length
-    table of them is held.  Neither key nor vals is written, and the matrix
-    holds vals itself when n is None and the entries need neither sort nor
-    filter.
+    ``sum_duplicates`` does, and entries that are then zero are not stored
+    (``_squeezed``).  ``indptr`` is read from the sorted keys, and the
+    positions and their scale are formed in blocks of max(dim, 8192)
+    entries, so no full-length table of them is held.  Neither key nor
+    vals is written, and the matrix holds vals itself when n is None and
+    the entries need neither sort nor filter.
     """
     if np.any(key[1:] < key[:-1]):
         order = np.argsort(key, kind="stable")
@@ -112,26 +135,54 @@ def _compressed(dim: int, m: int, key: np.ndarray, vals: np.ndarray,
     idx = np.int32 if max(dim, m, key.size) <= np.iinfo(np.int32).max else np.int64
     indices = np.empty(key.size, dtype=idx)
     data = vals if n is None else np.empty(key.size)
-    for s in range(0, key.size, max(dim, 1)):  # n = 0 has no positions
-        e = slice(s, s + dim)
+    # a block costs O(its entries) memory at any n; the floor keeps small
+    # blocks from a Python iteration per entry
+    step = max(dim, 8192)
+    for s in range(0, key.size, step):
+        e = slice(s, s + step)
         pos = key[e] % dim
         indices[e] = pos
         if n is not None:  # scaled before repeats are summed
             np.multiply(svec_indices(n, pos)[2], vals[e], out=data[e])
         del pos
-    repeat = key[1:] == key[:-1]
-    if repeat.any():
-        first = np.flatnonzero(np.concatenate(([True], ~repeat)))
-        key, indices, data = key[first], indices[first], np.add.reduceat(data, first)
-    del repeat
-    nz = data != 0.0
-    if not nz.all():
-        key, indices, data = key[nz], indices[nz], data[nz]
-    del nz
-    indptr = np.searchsorted(key, np.arange(m + 1) * dim).astype(idx)
-    a = sp.csc_matrix((data, indices, indptr), shape=(dim, m))
+    if np.any(key[1:] == key[:-1]) or not data.all():
+        if data is vals:
+            data = vals.copy()
+        indices, data, indptr = _squeezed(m, dim, key, indices, data, step)
+    else:
+        indptr = np.searchsorted(key, np.arange(m + 1) * dim)
+    a = sp.csc_matrix((data, indices, indptr.astype(idx)), shape=(dim, m))
     a.has_canonical_format = True
     return a
+
+
+def _squeezed(m: int, dim: int, key: np.ndarray, indices: np.ndarray,
+              data: np.ndarray, step: int):
+    """(indices, data, indptr) of the entries at the sorted keys ``key``,
+    each run of one key summed in its given order by ``np.add.reduceat``
+    and the sums that are zero dropped.  ``indices`` and ``data`` are
+    compacted in place, in blocks of about ``step`` entries that end with a
+    whole run, so each sum reads the entries a whole-array reduceat would;
+    the results are views of them.  ``key`` is not written, and no
+    full-length copy or mask is held: ``indptr`` is the running count of
+    the kept entries in each column."""
+    count = np.zeros(m + 1, dtype=np.int64)
+    w = s = 0
+    while s < key.size:
+        e = int(np.searchsorted(key, key[min(s + step, key.size) - 1], side="right"))
+        run = key[s:e]
+        first = np.flatnonzero(np.concatenate(([True], run[1:] != run[:-1])))
+        sums = np.add.reduceat(data[s:e], first)
+        kept = sums != 0.0
+        first = first[kept]
+        c = first.size
+        data[w:w + c] = sums[kept]
+        indices[w:w + c] = indices[s + first]
+        if c:
+            cols = run[first] // dim
+            count[1 + cols[0]:2 + cols[-1]] += np.bincount(cols - cols[0])
+        w, s = w + c, e
+    return indices[:w], data[:w], np.cumsum(count)
 
 
 @dataclass(frozen=True)
@@ -444,13 +495,13 @@ class SvecSupport:
             shape=(n, n))
 
     def rank_one(self, p: np.ndarray) -> np.ndarray:
-        """Row i is svec(p_i p_i') at the support's positions, for the
-        columns p_i of p: a (columns, support) block in C order, gathered
-        from the contiguous transpose of p, whatever p's layout."""
-        pt = np.ascontiguousarray(p.T)
-        block = np.take(pt, self.rows, axis=1)
-        block *= np.take(pt, self.cols, axis=1)
-        block *= self.scale
+        """Column i is svec(p_i p_i') at the support's positions, for the
+        columns p_i of p: a (support, columns) block in C order, gathered
+        by rows from a C-ordered copy of p, whatever p's layout."""
+        pc = np.ascontiguousarray(p)
+        block = np.take(pc, self.rows, axis=0)
+        block *= np.take(pc, self.cols, axis=0)
+        block *= self.scale[:, None]
         return block
 
 

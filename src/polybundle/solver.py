@@ -126,7 +126,9 @@ class IterationInfo:
 class SolveResult:
     status: str
     y: np.ndarray
-    u: np.ndarray             # the last test's primal weights, on the final bundle
+    # the last test's primal weights: on the final bundle, then on the past
+    # columns (the last l_max folded into W) where the run keeps them
+    u: np.ndarray
     objective_dual: float
     objective_primal: float   # <C, X> of the primal the last test read
     delta1: float
@@ -316,13 +318,17 @@ def diagonal_scale(problem: SdpProblem, targets, x_diag: np.ndarray):
 
 
 def primal_pair(problem: SdpProblem, targets, state: BundleState,
-                u: np.ndarray):
+                u: np.ndarray, past):
     """The primal the termination test reads, for the weights u on the
-    bundle ``state``, as the pair (A(X), <C, X>); X itself is never
+    bundle ``state`` followed by those on the past columns ``past``
+    (``_update_bundle``), as the pair (A(X), <C, X>); X itself is never
     formed.
 
-    Without targets it is the model's X = eta*W + P diag(x) P', as
-    (B u, a'u).  With them (``diagonal_targets``) it is the rescaled
+    Without targets it is the model's X = eta*W + P diag(x) P' plus the
+    past columns' rank-one matrices at their weights z, as
+    (B u + B_past z, a'u + a_past'z); the past columns enter only where
+    some z is nonzero, so the QP's weights give the bundle's own bits.
+    With targets (``diagonal_targets``) it is the rescaled
     X_rep = Diag(s) X Diag(s) of ``diagonal_scale``, formed on the support
     in O(support * |x > 0|), which is PSD and feasible: on Max-Cut that is
     D^-1/2 X D^-1/2 for D = Diag(diag X), the Goemans-Williamson
@@ -339,28 +345,38 @@ def primal_pair(problem: SdpProblem, targets, state: BundleState,
             # A_i has its one entry a_i at idx_i: A(X_rep)_i = a_i X_rep[idx_i]
             a_x = support.avec.data * x_rep[idx]
             return a_x, float(support.cvec @ x_rep)
-    return state.B @ u, float(state.a @ u)
+    u, z = u[:state.a.size], u[state.a.size:]
+    a_x, primal = state.B @ u, float(state.a @ u)
+    if z.any():
+        a_x += past[1] @ z
+        primal += float(past[0] @ z)
+    return a_x, primal
 
 
-def polish_weights(bundle: BundleState, b: np.ndarray, y: np.ndarray,
-                   xi: float, rho: float, warm):
+def polish_weights(bundle: BundleState, past, b: np.ndarray, y: np.ndarray,
+                   xi: float, rho: float, start):
     """The polished primal's weights: u >= 0, 1'u <= rho on the bundle
-    that minimize ||B u - b||^2 + w^2 (a'u - b'y)^2 for w = (1 + ||b||) /
-    (1 + 2|b'y|), that is (1 + ||b||)^2 (delta1^2 + delta5^2) of the
-    model's X for u, with delta5's denominator read as 1 + 2|b'y|.  A
-    nonnegative least-squares pick over the columns (Lawson and Hanson
-    1974), so X stays in the model's set and PSD.  None when the QP fails.
+    followed by the past columns ``past`` (``_update_bundle``) that
+    minimize ||B u - b||^2 + w^2 (a'u - b'y)^2 for w = (1 + ||b||) /
+    (1 + 2|b'y|), that is (1 + ||b||)^2 (delta1^2 + delta5^2) of
+    ``primal_pair``'s X for u, with delta5's denominator read as
+    1 + 2|b'y|.  A nonnegative least-squares pick over the columns (Lawson
+    and Hanson 1974), so X stays a nonnegative sum of W and rank-one PSD
+    matrices.  None when the QP fails.
 
     It is ``qp.solve_least_squares`` on [B; w a'] and [b; w b'y], with the
-    solver's xi, from ``warm``, ``_update_bundle``'s point, which is the
-    last QP's primal on this bundle.
+    solver's xi, from ``start``, the last polish's weights that
+    ``_update_bundle`` mapped onto these columns, or from u = 0 when None:
+    pricing then frees every column whose weight would lower the residual,
+    which is most of the polished support.
     """
+    a, b_mat = np.append(bundle.a, past[0]), np.hstack([bundle.B, past[1]])
     dual = float(b @ y)
     w = (1.0 + float(np.linalg.norm(b))) / (1.0 + 2.0 * abs(dual))
     try:
         return qp_mod.solve_least_squares(
-            np.vstack([bundle.B, w * bundle.a]), np.append(b, w * dual),
-            xi, rho, warm)
+            np.vstack([b_mat, w * a]), np.append(b, w * dual), xi, rho,
+            (np.zeros(a.size) if start is None else start, False))
     except (qp_mod.NonConvergence, np.linalg.LinAlgError):
         return None
 
@@ -439,12 +455,18 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     else the last QP's mapped onto the update (``_update_bundle``).  The
     run stops once delta1, delta4, delta5 and delta6 are all at most eps.
     delta1 and delta5 read ``primal_pair`` for u on the updated bundle
-    (X_rep on such an instance).  Elsewhere, where delta4 and delta6 are
-    within eps, so that the primal decides the stop, u is replaced by the
-    polished weights (``polish_weights``) unless the polish QP fails.  The
-    polish moves no iterate.  The result's ``u`` and
-    ``objective_primal`` are the weights and the <C, X> of the primal the
-    last test read; no primal matrix is returned.
+    (X_rep on such an instance).  Elsewhere the run also keeps the images
+    (a, B) of the last l_max columns that aggregation folded into W, the
+    past columns, which the stop reads with weight 0 beside the bundle;
+    where delta4 and delta6 are within eps, so that the primal decides the
+    stop, u is replaced by the polished weights on the bundle and the past
+    columns (``polish_weights``) unless the polish QP fails.  That primal
+    is a nonnegative sum of W and rank-one PSD matrices whose A(X) and
+    <C, X> are read from stored images, so delta1 and delta5 stay exact
+    measures.  Neither the past columns nor the polish move an iterate.
+    The result's ``u`` and ``objective_primal`` are the weights (on the
+    final bundle, then on the past columns) and the <C, X> of the primal
+    the last test read; no primal matrix is returned.
 
     ``callback``, if given, receives an ``IterationInfo`` after every
     iteration.
@@ -473,6 +495,10 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
         bundle = BundleState.fresh(v, a_new, b_new, support)
         warm = (np.zeros(1 + bundle.l), False)  # weights, simplex flag
         u = warm[0]
+        # the images (a, B) of the last l_max columns folded into W, which
+        # the stop reads beside the bundle; none where the targets rescale X
+        past = None if targets is not None else (np.zeros(0), np.zeros((problem.m, 0)))
+        polished = None  # the last iteration's polished weights
         for k in range(1, params.maxiter + 1):
             a, b_mat = bundle.a, bundle.B
             data = qp_mod.SubproblemData(B=b_mat, a=a, y=y, b=b, t=t,
@@ -487,9 +513,10 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
             model_z = model_eval(z, a, b_mat, rho, b)
             f_z, lam_max_z, v_new, eigs_z, a_new, b_new = _oracle(
                 problem, z, r_iter, rho, n_eigs)
-            bundle, warm = _update_bundle(bundle, sol, v_new, a_new, b_new,
-                                          r_iter, l_max)
-            u = warm[0]
+            bundle, warm, past, polish_start = _update_bundle(
+                bundle, sol, v_new, a_new, b_new, r_iter, l_max, past, polished)
+            polished = None
+            u = warm[0] if past is None else np.append(warm[0], np.zeros(past[0].size))
             # the point a step moves the center to; z itself without a line
             z_c, f_c, lam_max_c = line_minimum(b, z, f_z, lam_max_z, line)
 
@@ -503,10 +530,11 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
             # polished primal instead
             if targets is None and max(dual_infeasibility(lam_max_y),
                                        model_gap(f_y, model_z)) <= params.eps:
-                polished = polish_weights(bundle, b, y, params.xi, rho, warm)
+                polished = polish_weights(bundle, past, b, y, params.xi, rho,
+                                          polish_start)
                 if polished is not None:
                     u = polished
-            a_x, primal = primal_pair(problem, targets, bundle, u)
+            a_x, primal = primal_pair(problem, targets, bundle, u, past)
             *deltas, done = termination_check(b, a_x, primal, y, -lam_max_y,
                                               f_y, model_z, params.eps)
             elapsed = time.perf_counter() - start
@@ -541,7 +569,8 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                     n_eigs = r_pred
                     bundle = BundleState.fresh(v_new[:, :r_pred], a_new[:r_pred],
                                                b_new[:, :r_pred], support)
-                    warm = (np.zeros(1 + r_pred), False)
+                    warm, polished = (np.zeros(1 + r_pred), False), None
+                    past = _last_columns(past, l_max)
     except EigenConvergenceError as exc:
         # the eigensolve at the start or at a candidate failed; y is the
         # last center and the trace ends with the last full iteration
@@ -624,17 +653,35 @@ def _oracle(problem: SdpProblem, z: np.ndarray, r: int, rho: float, n_eigs: int)
 
 
 def _update_bundle(bundle: BundleState, sol, v_new: np.ndarray,
-                   a_new: np.ndarray, b_new: np.ndarray, r: int, l_max: int):
+                   a_new: np.ndarray, b_new: np.ndarray, r: int, l_max: int,
+                   past, polished):
     """Aggregate the low-weight columns and append the new block.
 
-    Returns the new bundle and the next QP's starting point with its simplex
-    flag: the previous solution mapped onto the new layout, with the
-    aggregated mass on column 0 and the appended columns at 0.  Aggregation
-    keeps the mass, so the point is feasible.  ``QpStart.priced`` picks its
-    bound set once the next QP's data exist.
+    Returns the new bundle, the next QP's starting point with its simplex
+    flag, the past columns and the next polish's start.  The QP's start is
+    the previous solution mapped onto the new layout, with the aggregated
+    mass on column 0 and the appended columns at 0; aggregation keeps the
+    mass, so the point is feasible, and ``QpStart.priced`` picks its bound
+    set once the next QP's data exist.  ``past``, the (a, B) images of the
+    columns folded into W before, gets this update's folded columns
+    appended, and only the last l_max are kept (None stays None).  The
+    polish's start is None unless ``polished``, the weights of the last
+    polish on the old bundle and past columns, is given: then those
+    weights follow their columns, into the past columns for the folded
+    ones, W's stays on column 0, and the new columns start at 0, so the
+    point stays feasible.
     """
     eta, x = float(sol.u[0]), sol.u[1:]
     p_bar, p_hat = select_aggregation(x, r, l_max)
+    if past is not None:
+        past = _last_columns((np.append(past[0], bundle.a[1 + p_bar]),
+                              np.hstack([past[1], bundle.B[:, 1 + p_bar]])), l_max)
+    polish_start = None
+    if polished is not None:  # only where past columns are kept
+        w, l1 = np.maximum(polished, 0.0), bundle.a.size
+        folded = np.append(w[l1:], w[1 + p_bar])
+        polish_start = np.concatenate([w[:1], w[1 + p_hat], np.zeros(r),
+                                       folded[folded.size - past[0].size:]])
     bundle = bundle_mod.aggregate_and_append(
         bundle, eta, x, v_new, a_new, b_new, p_bar, p_hat
     )
@@ -642,4 +689,11 @@ def _update_bundle(bundle: BundleState, sol, v_new: np.ndarray,
     # feasible, and the QP's result is the minimizer of its final working set
     u0 = np.maximum(np.concatenate([[eta + x[p_bar].sum()], x[p_hat], np.zeros(r)]),
                     0.0)
-    return bundle, (u0, sol.simplex_active)
+    return bundle, (u0, sol.simplex_active), past, polish_start
+
+
+def _last_columns(past, count: int):
+    """The last ``count`` columns of the images ``past`` = (a, B), or None."""
+    if past is None:
+        return None
+    return past[0][-count:], past[1][:, -count:]

@@ -171,7 +171,7 @@ class TestSupportColumns:
             want_b = np.asarray(op.avec.T @ want_pvec)
             block = support.rank_one(p)
             assert block.flags.c_contiguous
-            assert np.array_equal(bits(block), bits(want_pvec[pos].T))
+            assert np.array_equal(bits(block), bits(want_pvec[pos]))
             a, b = pvec_generate(p, op, support)
             assert np.array_equal(bits(b), bits(want_b))
             assert np.max(np.abs(a - want_a)) <= 1e-13 * np.max(np.abs(want_a))
@@ -520,7 +520,7 @@ class TestAggregateAndAppend:
         state.w_supp[:] = 1.0
         x = support_values(state, np.array([-1e-3, 0.5, -1e-3, 0.25]))
         block = support.rank_one(p)
-        np.testing.assert_allclose(x, 0.5 * block[0] + 0.25 * block[2],
+        np.testing.assert_allclose(x, 0.5 * block[:, 0] + 0.25 * block[:, 2],
                                    rtol=1e-14, atol=1e-16)
 
     def test_model_arrays_layout(self):
@@ -583,9 +583,9 @@ class TestSupportValuesFromP:
             solved.append((state, sol.u.copy()))
             return update(state, sol, *args)
 
-        def recorded(problem, targets, state, u):
+        def recorded(problem, targets, state, u, past):
             seen.append((state, u.copy()))
-            return real(problem, targets, state, u)
+            return real(problem, targets, state, u, past)
 
         monkeypatch.setattr(solver, "_update_bundle", recorded_update)
         monkeypatch.setattr(solver, "primal_pair", recorded)

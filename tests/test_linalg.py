@@ -6,7 +6,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from linalg_reference import norm_estimate
+from linalg_reference import compressed_by_masks, norm_estimate, svec_indices_by_search
 from polybundle import linalg
 from polybundle.linalg import (
     DENSE_EIG_CUTOFF,
@@ -81,6 +81,35 @@ class TestSvecBasics:
         pos = np.concatenate([rng.integers(0, tri_dim(n), 50), diag, diag[1:] - 1])
         rows, cols, scale = svec_indices(n, pos)
         assert np.all(rows >= cols) and np.all(rows < n)
+        assert np.array_equal(svec_position(n, rows, cols), pos)
+        assert np.array_equal(scale, np.where(rows == cols, 1.0, np.sqrt(2.0)))
+
+    def test_indices_match_the_search_oracle(self):
+        # every position of every order up to 120, and of order 4,000 in
+        # blocks of 8,192 positions
+        def same(n, pos):
+            got, want = svec_indices(n, pos), svec_indices_by_search(n, pos)
+            return all(a.dtype == b.dtype and np.array_equal(a, b)
+                       for a, b in zip(got, want))
+
+        assert all(same(n, np.arange(tri_dim(n))) for n in range(121))
+        n = 4000
+        assert all(same(n, np.arange(s, min(s + 8192, tri_dim(n))))
+                   for s in range(0, tri_dim(n), 8192))
+
+    def test_indices_exact_at_the_largest_order(self):
+        # n(n+1) just fits in int64 here, the largest block the SDPA reader
+        # takes; the float root is one off near each column's ends
+        n = 3_037_000_499
+        dim = tri_dim(n)
+        rng = np.random.default_rng(0)
+        j = np.concatenate([np.arange(3), n - 1 - np.arange(3),
+                            rng.integers(0, n, 2000)])
+        diag = svec_position(n, j, j)
+        pos = np.concatenate([diag, diag[diag > 0] - 1, diag[diag < dim - 1] + 1,
+                              [dim - 1], rng.integers(0, dim, 10_000)])
+        rows, cols, scale = svec_indices(n, pos)
+        assert np.all((0 <= cols) & (cols <= rows) & (rows < n))
         assert np.array_equal(svec_position(n, rows, cols), pos)
         assert np.array_equal(scale, np.where(rows == cols, 1.0, np.sqrt(2.0)))
 
@@ -291,6 +320,26 @@ class TestConstraintOperator:
         assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
         assert np.array_equal(a.indices, b.indices) and np.array_equal(a.indptr, b.indptr)
         assert 0.0 not in a.data and a.has_canonical_format
+
+
+    def test_repeats_and_zeros_across_blocks(self):
+        # n = 130 takes blocks of dim = 8,515 entries; runs of one key about
+        # 9 long (pairwise-summed above 8) straddle each block's end, and
+        # the values cancel to exact zeros in some runs
+        n, m, dim = 130, 3, tri_dim(130)
+        rng = np.random.default_rng(5)
+        key = np.sort(rng.integers(0, m * dim // 8, 30_000)) * 8
+        vals = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 0.1], key.size)
+        assert all(key[j] == key[j - 1] for j in range(dim, key.size, dim))
+        a = ConstraintOperator.from_keys(n, m, key, vals).avec
+        data, indices, indptr = compressed_by_masks(dim, m, key, vals, n)
+        assert np.array_equal(a.data.view(np.int64), data.view(np.int64))
+        assert np.array_equal(a.indices, indices) and np.array_equal(a.indptr, indptr)
+        # out of order, and with the values of the sorted keys only
+        shuffled = rng.permutation(key.size)
+        b = ConstraintOperator.from_keys(n, m, key[shuffled], vals[shuffled]).avec
+        data, *_ = compressed_by_masks(dim, m, key[shuffled], vals[shuffled], n)
+        assert np.array_equal(b.data.view(np.int64), data.view(np.int64))
 
 
 class TestConstructorsOwnTheirArrays:

@@ -514,16 +514,19 @@ class DenseAggregate:
     """The dense aggregate W carried beside a run, as the oracle of the
     images the bundle holds: every state that ``BundleState.fresh`` makes
     starts at W = 0, and ``aggregate_and_append`` folds W by ``fold_dense``.
-    Each ``primal_pair`` call is recorded as ``seen``'s (state, u): the
-    primal an iteration's stop reads on the updated bundle, which is the
-    polished weights where the polish ran, else the last QP's weights
-    mapped onto that bundle."""
+    Each ``primal_pair`` call is recorded as ``seen``'s (state, u, past):
+    the primal an iteration's stop reads on the updated bundle and the past
+    columns, which is the polished weights where the polish ran, else the
+    last QP's weights mapped onto that bundle.  Every column the run
+    generates is kept by its images (a, B) from ``pvec_generate``, so each
+    past column's images name the column they were formed from."""
 
     def __init__(self, monkeypatch):
         # id(state) -> (state, W); holding the state keeps its id from reuse
-        self.held, self.seen = {}, []
+        self.held, self.seen, self.generated = {}, [], {}
         fresh = bundle.BundleState.fresh.__func__
         aggregate, pair = bundle.aggregate_and_append, solver.primal_pair
+        generate = solver.pvec_generate
 
         def carried_fresh(cls, p, *args, **kwargs):
             state = fresh(cls, p, *args, **kwargs)
@@ -536,22 +539,43 @@ class DenseAggregate:
                                                   p_bar))
             return out
 
-        def recorded_pair(problem, targets, state, u):
-            self.seen.append((state, u.copy()))
-            return pair(problem, targets, state, u)
+        def recorded_pair(problem, targets, state, u, past):
+            self.seen.append((state, u.copy(), past))
+            return pair(problem, targets, state, u, past)
+
+        def recorded_generate(p, *args):
+            a, b_mat = generate(p, *args)
+            for i in range(a.size):
+                self.generated[self.key(a[i], b_mat[:, i])] = p[:, i].copy()
+            return a, b_mat
 
         monkeypatch.setattr(bundle.BundleState, "fresh", classmethod(carried_fresh))
         monkeypatch.setattr(bundle, "aggregate_and_append", carried_aggregate)
         monkeypatch.setattr(solver, "primal_pair", recorded_pair)
+        monkeypatch.setattr(solver, "pvec_generate", recorded_generate)
+
+    @staticmethod
+    def key(a, b_col) -> bytes:
+        return np.float64(a).tobytes() + np.ascontiguousarray(b_col).tobytes()
 
     def w(self, state) -> np.ndarray:
         return self.held[id(state)][1]
 
-    def primal(self, problem, state, u) -> SymMatrix:
-        """The X whose (A(X), <C, X>) ``primal_pair`` gives for (state, u):
-        the model's X, rescaled by ``diagonal_scale`` where the termination
-        test rescales it, as on Max-Cut."""
-        x = model_primal(self.w(state), state, u)
+    def past_columns(self, state, past) -> np.ndarray | None:
+        """The n x k generated columns whose images are ``past``'s, in
+        order; None when the run keeps no past columns."""
+        if past is None:
+            return None
+        cols = [self.generated[self.key(past[0][j], past[1][:, j])]
+                for j in range(past[0].size)]
+        return np.array(cols).T.reshape(state.P.shape[0], len(cols))
+
+    def primal(self, problem, state, u, past) -> SymMatrix:
+        """The X whose (A(X), <C, X>) ``primal_pair`` gives for (state, u,
+        past): the model's X with the past columns at their weights,
+        rescaled by ``diagonal_scale`` where the termination test rescales
+        it, as on Max-Cut."""
+        x = model_primal(self.w(state), state, u, self.past_columns(state, past))
         targets = solver.diagonal_targets(problem)
         if targets is None:
             return x
@@ -564,6 +588,13 @@ class DenseAggregate:
     def last_primal(self, problem) -> SymMatrix:
         """The primal the run's last termination test read."""
         return self.primal(problem, *self.seen[-1])
+
+
+def without_the_past(monkeypatch):
+    """Keep no past columns: the stop and the polish read the updated
+    bundle alone, as before the past columns were kept."""
+    monkeypatch.setattr(solver, "_last_columns", lambda past, count: (
+        None if past is None else (past[0][:0], past[1][:, :0])))
 
 
 class TestRecoverPrimal:
@@ -603,6 +634,35 @@ class TestRecoverPrimal:
         evals = np.linalg.eigvalsh(x.to_dense())
         assert evals.min() >= -1e-9
 
+    def test_past_columns_decide_the_stop(self, small_problem, monkeypatch):
+        # this run ends before one that keeps no past columns, on weights
+        # some of which sit on past columns: X rebuilt densely from the
+        # columns the run generated is PSD, and its delta1 and delta5 are
+        # the last record's
+        problem, _ = small_problem
+        dense = DenseAggregate(monkeypatch)
+        res = solve(problem, SolverParams())
+        state, u, past = dense.seen[-1]
+        x = dense.last_primal(problem)
+        without_the_past(monkeypatch)
+        plain = solve(problem, SolverParams())
+        assert res.status == plain.status == STATUS_CONVERGED
+        assert res.iterations < plain.iterations
+        assert past[0].size == solver.lmax_from_policy("half", res.rank_used)
+        assert np.any(u[1 + state.l:] > 0.0) and np.array_equal(res.u, u)
+        evals = np.linalg.eigvalsh(x.to_dense())
+        assert evals[0] >= -1e-12 * evals[-1]
+        rec = res.trace[-1]
+        delta1 = solver.primal_infeasibility(apply_A(problem.op, x), problem.b)
+        assert delta1 == pytest.approx(rec.delta1, rel=1e-12, abs=0)
+        # <C, X> to 1e-12 relative; delta5 is a gap about 1e5 times smaller
+        # than <C, X>, so its own digits past 1e-10 are rounding
+        cx, dual = float(problem.cvec @ svec(x).values), res.objective_dual
+        assert cx == pytest.approx(res.objective_primal, rel=1e-12, abs=0)
+        assert rec.delta5 == solver.duality_gap(res.objective_primal, dual)
+        assert abs(solver.duality_gap(cx, dual) - rec.delta5) <= (
+            1e-12 * abs(cx) / (1.0 + abs(cx) + abs(dual)))
+
     @pytest.mark.parametrize("instance", [
         lambda: (generate_random_sdp(30, 30, 3, 0.1, 1.0, 0)[0], SolverParams()),
         # rank prediction restarts the bundle at rank 5 after 12 iterations
@@ -616,7 +676,7 @@ class TestRecoverPrimal:
         carried = solve(problem, params)
         assert plain.status == STATUS_CONVERGED
         assert len(dense.seen) == carried.iterations
-        assert all(id(state) in dense.held for state, _ in dense.seen)
+        assert all(id(state) in dense.held for state, *_ in dense.seen)
         assert_same_run(carried, plain)
 
     @pytest.mark.parametrize("maxiter", [11, 12, 13, 14, 15, 16])
@@ -630,7 +690,12 @@ class TestRecoverPrimal:
         dense = DenseAggregate(monkeypatch)
         res = solve(problem, SolverParams(prior_rank=10, maxiter=maxiter))
         assert res.rank_used == (10 if maxiter <= 12 else 5)
-        assert res.u.size == res.trace[-1].l + 1
+        # the weights on the bundle, then on the past columns: as many as
+        # the cap of the rank the last record was taken at, 65 at rank 10
+        # and, trimmed by the restart, 20 at rank 5
+        past = dense.seen[-1][2]
+        assert past[0].size == solver.lmax_from_policy("half", res.rank_used)
+        assert res.u.size == res.trace[-1].l + 1 + past[0].size
         cx = float(problem.cvec @ svec(dense.last_primal(problem)).values)
         obj = res.objective_primal
         assert abs(cx - obj) <= 1e-10 * (1 + abs(obj))
@@ -641,10 +706,17 @@ class TestRecoverPrimal:
         monkeypatch.setattr(solver, "rank_predict_step",
                             lambda p, eigs, state: (True, 3))
         problem, _ = generate_random_sdp(30, 30, 3, 0.1, 1.0, 0)
+        seen, pair = [], solver.primal_pair
+
+        def recorded(problem, targets, state, u, past):
+            seen.append(past)
+            return pair(problem, targets, state, u, past)
+
+        monkeypatch.setattr(solver, "primal_pair", recorded)
         res = solve(problem, SolverParams(prior_rank=6, time_limit_secs=1e-9))
         assert res.status == STATUS_TIME_LIMIT and res.iterations == 1
         assert res.rank_used == 6
-        assert res.u.size == res.trace[-1].l + 1
+        assert res.u.size == res.trace[-1].l + 1 + seen[-1][0].size
 
 
 def c10_maxcut(n=100, prob=0.06, seed=1):
@@ -786,9 +858,9 @@ class TestTrajectories:
         problem, _ = generate_random_sdp(50, 50, 3, 0.1, 1.0, 3)
         res = solve(problem, SolverParams())
         assert res.status == STATUS_CONVERGED
-        assert res.iterations == 32
-        assert self.steps(res) == "ddddddnddndnnndddndnnndnndndddnn"
-        assert res.trace[-1].F_y == pytest.approx(11.153452117165667, rel=1e-9)
+        assert res.iterations == 29
+        assert self.steps(res) == "ddddddnddndnnndddndnnndnndndd"
+        assert res.trace[-1].F_y == pytest.approx(11.153703322814273, rel=1e-9)
         # the bundle cap of "half" at r = 3 holds on every iteration and binds
         assert max(rec.l for rec in res.trace) == 9
 
@@ -802,7 +874,7 @@ class TestTrajectories:
         assert self.steps(res).count("d") == 22
         assert res.trace[-1].F_y == pytest.approx(14.056967154433172, rel=1e-9)
         assert run_digest(res) == (
-            "32f34d0955f292194d3ea939f5e76d697072da8c0c59673092517b65c0f9bc83")
+            "842cfd2e0e79cdcdac40276c5225f24950c624539dcb227b4f911496bd5fee99")
 
     def test_maxcut(self, monkeypatch):
         # the run from y = 0, which an instance takes without a finite
@@ -835,18 +907,19 @@ class TestTrajectories:
         """The iteration counts of the benchmark's solve families, rebuilt
         here: Max-Cut graphs 1-10 (n = 200, edge probability 0.03, the
         default rank 20, l_max "sq", eps 1e-3) and planted seeds 42 and 1042
-        at n = m = 400 (eps 1e-4): status, iterations, the step of each
-        iteration, the last F_y and each run's digest.  A refactor keeps
-        them; a change that moves the iterates re-pins them and says so in
-        CHANGES.md."""
+        at n = m = 400 (eps 1e-4), with the held-out planted pair 7 and
+        1007: status, iterations, the step of each iteration, the last F_y
+        and each run's digest.  A refactor keeps them; a change that moves
+        the iterates re-pins them and says so in CHANGES.md."""
         maxcut = [solve(*c10_maxcut(n=200, prob=0.03, seed=k)) for k in range(1, 11)]
         planted = [solve(generate_random_sdp(400, 400, 5, 1e-2, 1.0, seed)[0],
-                         SolverParams(eps=1e-4, maxiter=300)) for seed in (42, 1042)]
+                         SolverParams(eps=1e-4, maxiter=300))
+                   for seed in (42, 1042, 7, 1007)]
         assert {res.status for res in maxcut + planted} == {STATUS_CONVERGED}
         counts = [res.iterations for res in maxcut]
         assert counts == [24, 25, 18, 26, 28, 22, 21, 30, 22, 21]
         assert sum(counts) == 237
-        assert [res.iterations for res in planted] == [20, 19]
+        assert [res.iterations for res in planted] == [16, 19, 16, 15]
         assert [self.steps(res) for res in maxcut + planted] == [
             "dddddddddndndndndndnddnd",
             "ddddddddddddnddndddndnddn",
@@ -858,14 +931,17 @@ class TestTrajectories:
             "dddddddddndndndnndndndndnndndn",
             "dddddddddddddndndnddnd",
             "dddddddddddndddnddndd",
-            "ndndndndndnndndndnnd",
+            "ndndndndndnndndn",
             "ndnndddndndnnndnndd",
+            "ndndndddnddndndn",
+            "ndnddndnndddddd",
         ]
         assert [res.trace[-1].F_y for res in maxcut + planted] == pytest.approx([
             484.79693180721665, 487.31673290381156, 520.9987439799386,
             499.72710272754375, 509.37668530989737, 485.0210594209438,
             485.85277518567517, 481.04482588512985, 498.857452490598,
-            500.78532978053715, 40.594159655185635, -24.731037863718583,
+            500.78532978053715, 40.59475012436755, -24.731037863718583,
+            -102.57043844541359, 13.308657317920776,
         ], rel=1e-9)
         # and every record bit for bit, with y, u and the primal and bound
         assert [run_digest(res) for res in maxcut + planted] == [
@@ -879,8 +955,10 @@ class TestTrajectories:
             "6de38bf4693ae650555894f04ac67ab847eb424f201e984a2244d9315b8ceb52",
             "11f6f779e185eef4d1e2f4221e803e24910cb06508c8ec250f2cdf6c53537a95",
             "583ed66e9d60d4e2c7ec2b978136371a422cf4b6a25ed23cf59fb2b6333237d5",
-            "3666b694052ab3bf590ba9983d48262c76915e42230bf7af7ed5c305c0a84ce2",
-            "c5eb8edbb68876ffb21b623a03cbfafc025be2ec341bf88c3466ce56ae80559b",
+            "9e8a9673ef2e6a57e2e89c82e1db471dff37ad3eb476870690d40c7b3f286aa7",
+            "26f3c5010c1ce8a1a0f14100035e2db5f4cd31a79715682f06eab967356bc71e",
+            "f40e1c16f2af474abd6a77f196fdd23fabae81c9e6b15c3d6f74c6a86c58a24b",
+            "5f391b7c9700204bd88b40d038dab76efc100b86dc4a95288123875db8ca8168",
         ]
 
     def test_arpack_family(self, arpack_runs):
@@ -1163,7 +1241,8 @@ class TestMaxCutCertificate:
         assert res.status == STATUS_CONVERGED and res.rank_used == rank_used
         assert res.delta1 <= 1e-15
         support = problem.support
-        for state, u in dense.seen:
+        for state, u, past in dense.seen:
+            assert past is None
             x = model_primal(dense.w(state), state, u).to_dense()
             want = x[support.rows, support.cols] * support.scale
             got = bundle.support_values(state, u)
@@ -1390,44 +1469,64 @@ class TestPrimalPolish:
             self, small_problem, monkeypatch):
         # each polished u is a KKT point of min ||B u - b||^2 + w^2 (a'u -
         # b'y)^2 + xi ||u||^2 over u >= 0, 1'u <= rho at the center after the
-        # step, built here from that definition, and is at least as good
-        # there as the last QP's weights mapped onto the updated bundle,
-        # from which it starts
+        # step, built here from that definition on the updated bundle
+        # followed by the past columns, and is at least as good there as
+        # the last QP's weights mapped onto the updated bundle, with 0 on
+        # the past columns.  A polish right after another starts from that
+        # one's weights, mapped by the update onto the same columns:
+        # feasible, and better there than u = 0; the others start at u = 0
         problem, _ = small_problem
         params, b = SolverParams(), problem.b
-        starts, seen, infos = {}, [], []
-        polish, pair = solver.polish_weights, solver.primal_pair
+        polished, starts, updates, seen, infos = {}, {}, [], [], []
+        polish, update, pair = (solver.polish_weights, solver._update_bundle,
+                                solver.primal_pair)
 
-        def recorded_polish(bundle, b, y, xi, rho, warm):
-            starts[len(infos) + 1] = warm[0]
-            return polish(bundle, b, y, xi, rho, warm)
+        def recorded_polish(*args):
+            starts[len(infos) + 1] = args[-1]
+            polished[len(infos) + 1] = polish(*args)
+            return polished[len(infos) + 1]
 
-        def recorded_pair(problem, targets, state, u):
-            seen.append((state, u))
-            return pair(problem, targets, state, u)
+        def recorded_update(*args):
+            updates.append(update(*args))
+            return updates[-1]
+
+        def recorded_pair(problem, targets, state, u, past):
+            seen.append((state, u, past))
+            return pair(problem, targets, state, u, past)
 
         monkeypatch.setattr(solver, "polish_weights", recorded_polish)
+        monkeypatch.setattr(solver, "_update_bundle", recorded_update)
         monkeypatch.setattr(solver, "primal_pair", recorded_pair)
         res = solve(problem, params, infos.append)
         assert res.status == STATUS_CONVERGED
-        polished = sorted(starts)
-        assert polished[-1] == res.iterations and len(polished) >= 2
-        for k in polished:
-            state, u = seen[k - 1]
-            assert state.B is infos[k - 1].B_post and u is not starts[k]
+        ks = sorted(polished)
+        assert ks[-1] == res.iterations and len(ks) >= 2
+        for k in ks:
+            state, u, past = seen[k - 1]
+            assert state.B is infos[k - 1].B_post and u is polished[k]
+            assert past is updates[k - 1][2]
             rec = res.trace[k - 1]
             assert max(rec.delta4, rec.delta6) <= params.eps
             dual = float(b @ (infos[k].y if k < res.iterations else res.y))
             w2 = ((1.0 + np.linalg.norm(b)) / (1.0 + 2.0 * abs(dual))) ** 2
-            h = (state.B.T @ state.B + w2 * np.outer(state.a, state.a)
+            a, b_mat = np.append(state.a, past[0]), np.hstack([state.B, past[1]])
+            h = (b_mat.T @ b_mat + w2 * np.outer(a, a)
                  + params.xi * np.eye(u.size))
-            q = -(state.B.T @ b + w2 * dual * state.a)
+            q = -(b_mat.T @ b + w2 * dual * a)
             d = SimpleNamespace(h=h, q=q, rho=res.rho,
                                 tol=qp.QP_TOL_BASE * (1.0 + np.abs(q).max()))
             assert qp.kkt_residual(d, u) <= d.tol
-            lsq = lambda v: (np.sum((state.B @ v - b) ** 2)
-                             + w2 * (state.a @ v - dual) ** 2)
-            assert lsq(u) <= lsq(starts[k]) + params.xi * starts[k].sum() ** 2
+            lsq = lambda v: (np.sum((b_mat @ v - b) ** 2)
+                             + w2 * (a @ v - dual) ** 2)
+            start = np.append(updates[k - 1][1][0], np.zeros(past[0].size))
+            assert lsq(u) <= lsq(start) + params.xi * start.sum() ** 2
+            # the polish's own start
+            assert starts[k] is updates[k - 1][3]
+            assert (starts[k] is None) == (k - 1 not in polished)
+            if starts[k] is not None:
+                assert starts[k].shape == u.shape and np.all(starts[k] >= 0.0)
+                assert starts[k].sum() <= polished[k - 1].sum()
+                assert lsq(starts[k]) < lsq(np.zeros(u.size))
 
     @pytest.mark.parametrize("instance", [
         lambda: (generate_random_sdp(30, 30, 3, 0.1, 1.0, 0)[0], SolverParams()),
@@ -1446,9 +1545,9 @@ class TestPrimalPolish:
             updates.append(update(*args))
             return updates[-1]
 
-        def recorded(problem, targets, state, u):
-            seen.append((state, u))
-            return pair(problem, targets, state, u)
+        def recorded(problem, targets, state, u, past):
+            seen.append((state, u, past))
+            return pair(problem, targets, state, u, past)
 
         monkeypatch.setattr(solver, "_update_bundle", recorded_update)
         monkeypatch.setattr(solver, "primal_pair", recorded)
@@ -1456,10 +1555,16 @@ class TestPrimalPolish:
         assert res.status == STATUS_CONVERGED
         assert len(seen) == len(updates) == len(infos) == res.iterations
         polished = solver.diagonal_targets(problem) is None
-        for (state, u), (bundle_k, warm), info in zip(seen, updates, infos):
-            assert state is bundle_k
+        for (state, u, past), (bundle_k, warm, past_k, _), info in zip(
+                seen, updates, infos):
+            assert state is bundle_k and past is past_k
             assert state.B is info.B_post and state.a is info.a_post
-            assert u is warm[0] or polished
+            # past columns, and with them the polish, only without targets
+            assert (past is not None) == polished
+            if past is None:
+                assert u is warm[0]
+            else:  # on the bundle, then on the past columns
+                assert u.size == warm[0].size + past[0].size
         assert res.u is seen[-1][1]
 
     @pytest.mark.parametrize("exc", [
@@ -1470,9 +1575,9 @@ class TestPrimalPolish:
                                                   monkeypatch, exc):
         problem, _ = small_problem
         plain = solve(problem, SolverParams())
-        # (bundle, (u, simplex)) of each bundle update; the iteration of
-        # each polish QP
-        updates, polishes, seen = [], [], []
+        # (bundle, (u, simplex), past) of each bundle update; the iteration
+        # and the weights of each polish QP
+        updates, polishes, outputs, seen = [], [], [], []
         update, polish, pair = (solver._update_bundle, qp.solve_least_squares,
                                 solver.primal_pair)
 
@@ -1484,11 +1589,12 @@ class TestPrimalPolish:
             polishes.append(len(updates))
             if len(polishes) == 1:
                 raise exc
-            return polish(*args)
+            outputs.append(polish(*args))
+            return outputs[-1]
 
-        def recorded(problem, targets, state, u):
-            seen.append((state, u))
-            return pair(problem, targets, state, u)
+        def recorded(problem, targets, state, u, past):
+            seen.append((state, u, past))
+            return pair(problem, targets, state, u, past)
 
         monkeypatch.setattr(solver, "_update_bundle", recorded_update)
         monkeypatch.setattr(qp, "solve_least_squares", failing)
@@ -1499,18 +1605,19 @@ class TestPrimalPolish:
         k = polishes[0]
         assert 0 < k < res.iterations == len(seen)
         # iteration k read (B u, a'u) of the QP's weights mapped onto the
-        # updated bundle, from which the polish would have started
-        state, u = seen[k - 1]
-        assert state is updates[k - 1][0] and u is updates[k - 1][1][0]
+        # updated bundle, with 0 on the past columns
+        state, u, past = seen[k - 1]
+        assert state is updates[k - 1][0] and past is updates[k - 1][2]
+        qp_u = updates[k - 1][1][0]
+        assert np.array_equal(u, np.append(qp_u, np.zeros(past[0].size)))
         rec = res.trace[k - 1]
-        assert rec.delta1 == solver.primal_infeasibility(state.B @ u, problem.b)
+        assert rec.delta1 == solver.primal_infeasibility(state.B @ qp_u, problem.b)
         # at the center after the step, where iteration k + 1 starts
         dual = float(problem.b @ infos[k].y)
-        assert rec.delta5 == solver.duality_gap(float(state.a @ u), dual)
+        assert rec.delta5 == solver.duality_gap(float(state.a @ qp_u), dual)
         # the polishes after it read their own weights on the same bundle
-        assert all(seen[j - 1][0] is updates[j - 1][0]
-                   and seen[j - 1][1] is not updates[j - 1][1][0]
-                   for j in polishes[1:])
+        assert all(seen[j - 1][0] is updates[j - 1][0] and seen[j - 1][1] is w
+                   for j, w in zip(polishes[1:], outputs, strict=True))
         # the failure moves no iterate
         n = min(res.iterations, plain.iterations)
         assert [r.F_y for r in res.trace[:n]] == [r.F_y for r in plain.trace[:n]]
