@@ -354,7 +354,7 @@ def primal_pair(problem: SdpProblem, targets, state: BundleState,
 
 
 def polish_weights(bundle: BundleState, past, b: np.ndarray, y: np.ndarray,
-                   xi: float, rho: float, start):
+                   xi: float, rho: float):
     """The polished primal's weights: u >= 0, 1'u <= rho on the bundle
     followed by the past columns ``past`` (``_update_bundle``) that
     minimize ||B u - b||^2 + w^2 (a'u - b'y)^2 for w = (1 + ||b||) /
@@ -365,10 +365,8 @@ def polish_weights(bundle: BundleState, past, b: np.ndarray, y: np.ndarray,
     matrices.  None when the QP fails.
 
     It is ``qp.solve_least_squares`` on [B; w a'] and [b; w b'y], with the
-    solver's xi, from ``start``, the last polish's weights that
-    ``_update_bundle`` mapped onto these columns, or from u = 0 when None:
-    pricing then frees every column whose weight would lower the residual,
-    which is most of the polished support.
+    solver's xi, started at u = 0: pricing frees every column whose weight
+    would lower the residual, which is most of the polished support.
     """
     a, b_mat = np.append(bundle.a, past[0]), np.hstack([bundle.B, past[1]])
     dual = float(b @ y)
@@ -376,7 +374,7 @@ def polish_weights(bundle: BundleState, past, b: np.ndarray, y: np.ndarray,
     try:
         return qp_mod.solve_least_squares(
             np.vstack([b_mat, w * a]), np.append(b, w * dual), xi, rho,
-            (np.zeros(a.size) if start is None else start, False))
+            (np.zeros(a.size), False))
     except (qp_mod.NonConvergence, np.linalg.LinAlgError):
         return None
 
@@ -498,7 +496,6 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
         # the images (a, B) of the last l_max columns folded into W, which
         # the stop reads beside the bundle; none where the targets rescale X
         past = None if targets is not None else (np.zeros(0), np.zeros((problem.m, 0)))
-        polished = None  # the last iteration's polished weights
         for k in range(1, params.maxiter + 1):
             a, b_mat = bundle.a, bundle.B
             data = qp_mod.SubproblemData(B=b_mat, a=a, y=y, b=b, t=t,
@@ -513,9 +510,8 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
             model_z = model_eval(z, a, b_mat, rho, b)
             f_z, lam_max_z, v_new, eigs_z, a_new, b_new = _oracle(
                 problem, z, r_iter, rho, n_eigs)
-            bundle, warm, past, polish_start = _update_bundle(
-                bundle, sol, v_new, a_new, b_new, r_iter, l_max, past, polished)
-            polished = None
+            bundle, warm, past = _update_bundle(bundle, sol, v_new, a_new, b_new,
+                                                r_iter, l_max, past)
             u = warm[0] if past is None else np.append(warm[0], np.zeros(past[0].size))
             # the point a step moves the center to; z itself without a line
             z_c, f_c, lam_max_c = line_minimum(b, z, f_z, lam_max_z, line)
@@ -530,8 +526,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
             # polished primal instead
             if targets is None and max(dual_infeasibility(lam_max_y),
                                        model_gap(f_y, model_z)) <= params.eps:
-                polished = polish_weights(bundle, past, b, y, params.xi, rho,
-                                          polish_start)
+                polished = polish_weights(bundle, past, b, y, params.xi, rho)
                 if polished is not None:
                     u = polished
             a_x, primal = primal_pair(problem, targets, bundle, u, past)
@@ -569,7 +564,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                     n_eigs = r_pred
                     bundle = BundleState.fresh(v_new[:, :r_pred], a_new[:r_pred],
                                                b_new[:, :r_pred], support)
-                    warm, polished = (np.zeros(1 + r_pred), False), None
+                    warm = (np.zeros(1 + r_pred), False)
                     past = _last_columns(past, l_max)
     except EigenConvergenceError as exc:
         # the eigensolve at the start or at a candidate failed; y is the
@@ -654,34 +649,23 @@ def _oracle(problem: SdpProblem, z: np.ndarray, r: int, rho: float, n_eigs: int)
 
 def _update_bundle(bundle: BundleState, sol, v_new: np.ndarray,
                    a_new: np.ndarray, b_new: np.ndarray, r: int, l_max: int,
-                   past, polished):
+                   past):
     """Aggregate the low-weight columns and append the new block.
 
     Returns the new bundle, the next QP's starting point with its simplex
-    flag, the past columns and the next polish's start.  The QP's start is
-    the previous solution mapped onto the new layout, with the aggregated
-    mass on column 0 and the appended columns at 0; aggregation keeps the
-    mass, so the point is feasible, and ``QpStart.priced`` picks its bound
-    set once the next QP's data exist.  ``past``, the (a, B) images of the
-    columns folded into W before, gets this update's folded columns
-    appended, and only the last l_max are kept (None stays None).  The
-    polish's start is None unless ``polished``, the weights of the last
-    polish on the old bundle and past columns, is given: then those
-    weights follow their columns, into the past columns for the folded
-    ones, W's stays on column 0, and the new columns start at 0, so the
-    point stays feasible.
+    flag, and the past columns: the previous solution mapped onto the new
+    layout, with the aggregated mass on column 0 and the appended columns
+    at 0, and ``past``, the (a, B) images of the columns folded into W
+    before, with this update's folded columns appended and only the last
+    l_max kept (None stays None).  Aggregation keeps the mass, so the point
+    is feasible.  ``QpStart.priced`` picks its bound set once the next QP's
+    data exist.
     """
     eta, x = float(sol.u[0]), sol.u[1:]
     p_bar, p_hat = select_aggregation(x, r, l_max)
     if past is not None:
         past = _last_columns((np.append(past[0], bundle.a[1 + p_bar]),
                               np.hstack([past[1], bundle.B[:, 1 + p_bar]])), l_max)
-    polish_start = None
-    if polished is not None:  # only where past columns are kept
-        w, l1 = np.maximum(polished, 0.0), bundle.a.size
-        folded = np.append(w[l1:], w[1 + p_bar])
-        polish_start = np.concatenate([w[:1], w[1 + p_hat], np.zeros(r),
-                                       folded[folded.size - past[0].size:]])
     bundle = bundle_mod.aggregate_and_append(
         bundle, eta, x, v_new, a_new, b_new, p_bar, p_hat
     )
@@ -689,7 +673,7 @@ def _update_bundle(bundle: BundleState, sol, v_new: np.ndarray,
     # feasible, and the QP's result is the minimizer of its final working set
     u0 = np.maximum(np.concatenate([[eta + x[p_bar].sum()], x[p_hat], np.zeros(r)]),
                     0.0)
-    return bundle, (u0, sol.simplex_active), past, polish_start
+    return bundle, (u0, sol.simplex_active), past
 
 
 def _last_columns(past, count: int):

@@ -322,15 +322,23 @@ class TestConstraintOperator:
         assert 0.0 not in a.data and a.has_canonical_format
 
 
-    def test_repeats_and_zeros_across_blocks(self):
-        # n = 130 takes blocks of dim = 8,515 entries; runs of one key about
-        # 9 long (pairwise-summed above 8) straddle each block's end, and
-        # the values cancel to exact zeros in some runs
-        n, m, dim = 130, 3, tri_dim(130)
+    @pytest.mark.parametrize("n,m", [(130, 3), (20, 122)],
+                             ids=["block-of-dim", "block-of-8192"])
+    def test_repeats_and_zeros_across_blocks(self, n, m):
+        # runs of one key about 9 long (pairwise-summed above 8) straddle
+        # block ends, and the values cancel to exact zeros in some runs.
+        # n = 130 takes blocks of dim = 8,515 entries, one column each;
+        # n = 20 (dim = 210) takes the floor of 8,192 entries, so one block
+        # spans about 35 columns, with every 7th column left empty
+        dim = tri_dim(n)
+        step = max(dim, 8192)
         rng = np.random.default_rng(5)
         key = np.sort(rng.integers(0, m * dim // 8, 30_000)) * 8
+        key = key[(key // dim) % 7 != 3] if step > dim else key
         vals = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 0.1], key.size)
-        assert all(key[j] == key[j - 1] for j in range(dim, key.size, dim))
+        assert key.size > 3 * step and key[step] == key[step - 1]
+        assert all(key[j] == key[j - 1] for j in range(dim, key.size, dim)
+                   if step == dim)
         a = ConstraintOperator.from_keys(n, m, key, vals).avec
         data, indices, indptr = compressed_by_masks(dim, m, key, vals, n)
         assert np.array_equal(a.data.view(np.int64), data.view(np.int64))

@@ -1472,17 +1472,14 @@ class TestPrimalPolish:
         # step, built here from that definition on the updated bundle
         # followed by the past columns, and is at least as good there as
         # the last QP's weights mapped onto the updated bundle, with 0 on
-        # the past columns.  A polish right after another starts from that
-        # one's weights, mapped by the update onto the same columns:
-        # feasible, and better there than u = 0; the others start at u = 0
+        # the past columns
         problem, _ = small_problem
         params, b = SolverParams(), problem.b
-        polished, starts, updates, seen, infos = {}, {}, [], [], []
+        polished, updates, seen, infos = {}, [], [], []
         polish, update, pair = (solver.polish_weights, solver._update_bundle,
                                 solver.primal_pair)
 
         def recorded_polish(*args):
-            starts[len(infos) + 1] = args[-1]
             polished[len(infos) + 1] = polish(*args)
             return polished[len(infos) + 1]
 
@@ -1520,13 +1517,6 @@ class TestPrimalPolish:
                              + w2 * (a @ v - dual) ** 2)
             start = np.append(updates[k - 1][1][0], np.zeros(past[0].size))
             assert lsq(u) <= lsq(start) + params.xi * start.sum() ** 2
-            # the polish's own start
-            assert starts[k] is updates[k - 1][3]
-            assert (starts[k] is None) == (k - 1 not in polished)
-            if starts[k] is not None:
-                assert starts[k].shape == u.shape and np.all(starts[k] >= 0.0)
-                assert starts[k].sum() <= polished[k - 1].sum()
-                assert lsq(starts[k]) < lsq(np.zeros(u.size))
 
     @pytest.mark.parametrize("instance", [
         lambda: (generate_random_sdp(30, 30, 3, 0.1, 1.0, 0)[0], SolverParams()),
@@ -1555,7 +1545,7 @@ class TestPrimalPolish:
         assert res.status == STATUS_CONVERGED
         assert len(seen) == len(updates) == len(infos) == res.iterations
         polished = solver.diagonal_targets(problem) is None
-        for (state, u, past), (bundle_k, warm, past_k, _), info in zip(
+        for (state, u, past), (bundle_k, warm, past_k), info in zip(
                 seen, updates, infos):
             assert state is bundle_k and past is past_k
             assert state.B is info.B_post and state.a is info.a_post
