@@ -13,6 +13,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools  # the kernels of scipy's sparse products
 
 SQRT2 = np.sqrt(2.0)
 
@@ -20,6 +21,7 @@ DENSE_EIG_CUTOFF = 400  # dual slacks up to this order are stored dense
 EIG_TOL = 1e-9
 LANCZOS_MAX_RESTARTS = 300
 LSQR_TOL = 1e-14  # atol and btol of the least-squares dual's LSQR
+SUPPORT_BLOCK = 8192  # support positions per block of the column images
 
 
 class EigenConvergenceError(RuntimeError):
@@ -494,15 +496,89 @@ class SvecSupport:
              (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]))),
             shape=(n, n))
 
-    def rank_one(self, p: np.ndarray) -> np.ndarray:
-        """Column i is svec(p_i p_i') at the support's positions, for the
-        columns p_i of p: a (support, columns) block in C order, gathered
-        by rows from a C-ordered copy of p, whatever p's layout."""
+    def rank_one(self, p: np.ndarray, lo: int = 0, hi: int | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """Column i is svec(p_i p_i') at the support's positions lo:hi
+        (default: all), for the columns p_i of p: a (positions, columns)
+        block in C order, ``out`` when given, gathered by rows from a
+        C-ordered copy of p, whatever p's layout."""
         pc = np.ascontiguousarray(p)
-        block = np.take(pc, self.rows, axis=0)
-        block *= np.take(pc, self.cols, axis=0)
-        block *= self.scale[:, None]
+        if pc.ndim != 2 or pc.shape[0] != self.n:
+            raise ValueError("p must be an n x l matrix")
+        # every row index is below n, so "clip" never acts; it spares the
+        # buffered copy that the default mode makes of ``out``
+        block = np.take(pc, self.rows[lo:hi], axis=0, out=out, mode="clip")
+        block *= np.take(pc, self.cols[lo:hi], axis=0, mode="clip")
+        # times the scale: sqrt(2) over the whole contiguous block, then the
+        # diagonal rows, whose scale is 1, formed again; the bits of a
+        # product with scale[:, None], at a third of its cost
+        block *= SQRT2
+        diag = self._diagonal
+        diag = diag[np.searchsorted(diag, lo):np.searchsorted(diag, block.shape[0] + lo)]
+        on_diag = np.take(pc, self.rows[diag], axis=0)
+        block[diag - lo] = on_diag * on_diag
         return block
+
+    @cached_property
+    def _diagonal(self) -> np.ndarray:
+        """The support's diagonal positions, the ones whose scale is 1."""
+        return np.flatnonzero(self.rows == self.cols)
+
+    def column_images(self, p: np.ndarray):
+        """(a, B) = (Pvec' cvec, avec' Pvec) for Pvec = ``rank_one(p)``.
+
+        B is summed one block of positions at a time (``_blocks``): each
+        block's rows of Pvec are formed and, while they are in cache,
+        sparsetools' ``csr_matvecs`` (``csr_matvec`` for one column), the
+        kernel of ``avec.T @ Pvec``, adds their share into B.  The kernel
+        adds into its output, so each B[i, j] is summed over the positions
+        of A_i in ascending order, as one product over the whole support
+        sums it, bit for bit.  a is one gemv over the whole of Pvec.
+        """
+        pc = np.ascontiguousarray(p)
+        m, l = self.avec.shape[1], pc.shape[1]
+        pvec = np.empty((self.rows.size, l))
+        b = np.zeros((m, l))
+        # scipy's own dispatch, so that a column keeps its kernel's bits
+        cols = () if l == 1 else (l,)
+        kernel = _sparsetools.csr_matvec if l == 1 else _sparsetools.csr_matvecs
+        for lo, hi, indptr, indices, data in self._blocks:
+            part = self.rank_one(pc, lo, hi, out=pvec[lo:hi])
+            kernel(m, hi - lo, *cols, indptr, indices, data, part.ravel(), b.ravel())
+        return pvec.T @ self.cvec, b
+
+    @cached_property
+    def _blocks(self) -> list[tuple]:
+        """avec' as CSR blocks over runs of SUPPORT_BLOCK consecutive
+        positions, each (lo, hi, indptr, indices, data) with the indices
+        counted from lo; a support of one block keeps avec's own arrays.
+
+        Past one block, the blocks are the row bands of one CSR matrix of
+        the blocks stacked as rows, so their ``indptr`` are views that
+        point into shared ``indices`` and ``data``: each stored entry held
+        once, 12 bytes with int32 indices, and m offsets a block.
+        sparsetools' COO to CSR conversion, a counting sort that keeps the
+        order of each row's entries, builds it in O(nnz + m blocks).
+        """
+        a = self.avec
+        dim, m = a.shape
+        if dim <= SUPPORT_BLOCK:
+            return [(0, dim, a.indptr, a.indices, a.data)]
+        nb = -(-dim // SUPPORT_BLOCK)
+        idx = np.int32 if max(nb * m, a.nnz) < np.iinfo(np.int32).max else np.int64
+        # entry e of A_k in block b goes to row b*m + k, at column pos - lo
+        col = (a.indices // SUPPORT_BLOCK).astype(idx, copy=False)
+        row = np.repeat(np.arange(m, dtype=idx), np.diff(a.indptr))
+        row += col * m
+        col *= -SUPPORT_BLOCK
+        col += a.indices
+        indptr = np.empty(nb * m + 1, dtype=idx)
+        indices, data = np.empty(a.nnz, dtype=idx), np.empty_like(a.data)
+        _sparsetools.coo_tocsr(nb * m, SUPPORT_BLOCK, a.nnz, row, col, a.data,
+                               indptr, indices, data)
+        return [(lo, min(lo + SUPPORT_BLOCK, dim), indptr[b * m:(b + 1) * m + 1],
+                 indices, data)
+                for b, lo in enumerate(range(0, dim, SUPPORT_BLOCK))]
 
 
 def apply_A(op: ConstraintOperator, x) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 
 import numpy as np
@@ -79,9 +80,11 @@ class TestPvecGenerate:
             want_b = [np.trace(m.to_dense() @ outer) for m in mats]
             assert np.allclose(b[:, i], want_b, atol=1e-12)
 
-    @pytest.mark.parametrize("p", [[1.0, 0.0], [1.0, -1.0]])
+    @pytest.mark.parametrize("p", [[1.0, 0.0], [1.0, -1.0], [[1.0]],
+                                   [[1.0], [0.0], [0.0]]])
     def test_rejects_a_vector(self, p):
-        # a 1-D p is not read as columns of length 1
+        # a 1-D p is not read as columns of length 1, nor are columns of
+        # another length than n read at rows they do not have
         op = ConstraintOperator.from_matrices(2, [SymMatrix.from_dense(np.eye(2))])
         support = SvecSupport.of(op, SymMatrix.from_dense(np.eye(2)))
         with pytest.raises(ValueError, match="p must be an n x l matrix"):
@@ -112,6 +115,43 @@ def hand_built():
     return op, c
 
 
+def small_maxcut():
+    """A weighted Max-Cut SDP on 30 vertices, whose support is renumbered:
+    its diagonal constraints leave most positions of C's support unused."""
+    rng = np.random.default_rng(4)
+    edges = [(i + 1, j + 1, float(rng.integers(1, 4))) for i in range(30)
+             for j in range(i + 1, 30) if rng.random() < 0.2]
+    return build_maxcut_sdp(GraphInstance(30, edges))
+
+
+def prefix_problem(n, size):
+    """(op, C) of order n whose support is the svec positions 0..size-1: C
+    is nonzero at each, A_1 stores entries only at positions 0..6 and A_2
+    only at 7..13, A_3 stores none, and A_4 and A_5 each one at every third
+    position."""
+    rng = np.random.default_rng(size)
+    rows, cols, _ = svec_indices(n, np.arange(size))
+    c = SymMatrix(n, rows, cols, rng.uniform(1.0, 2.0, size))
+    pos = [np.arange(7), np.arange(7, 14), np.arange(0), np.arange(0, size, 3),
+           np.arange(1, size, 3)]
+    k = np.concatenate([np.full(q.size, i) for i, q in enumerate(pos)])
+    pos = np.concatenate(pos)
+    return ConstraintOperator.from_entries(n, 5, k, pos, rng.standard_normal(pos.size)), c
+
+
+@functools.cache
+def blocked_problem(case):
+    """(op, C) of a support that the column images cut into blocks."""
+    if case == "planted":
+        problem, _ = generate_random_sdp(400, 400, 5, 1e-2, 1.0, 42)
+    elif case == "maxcut":
+        problem = small_maxcut()
+    else:
+        size = int(case.removeprefix("size-"))
+        return prefix_problem(6 if size < 21 else 181, size)
+    return problem.op, problem.C
+
+
 @pytest.fixture(params=["generated", "generated-full", "maxcut",
                         "sdpa-loaded", "hand-built"])
 def support_problem(request, tmp_path):
@@ -119,10 +159,7 @@ def support_problem(request, tmp_path):
     if request.param == "hand-built":
         return (*hand_built(), False)
     if request.param == "maxcut":
-        rng = np.random.default_rng(4)
-        edges = [(i + 1, j + 1, float(rng.integers(1, 4))) for i in range(30)
-                 for j in range(i + 1, 30) if rng.random() < 0.2]
-        problem = build_maxcut_sdp(GraphInstance(30, edges))
+        problem = small_maxcut()
     elif request.param == "generated-full":
         problem, _ = generate_random_sdp(30, 25, 3, 0.1, 1.5, 12)
     else:
@@ -263,6 +300,30 @@ class TestSupportColumns:
         p = np.eye(6)[:, :2]
         with pytest.raises(ValueError, match="another operator"):
             pvec_generate(p, other, SvecSupport.of(op, c))
+
+    # sizes 14 and 16,384 are whole numbers of blocks of 7 and 8,192, and
+    # 15 and 16,385 one position more; blocks of 1 and 7 hold no entry of
+    # some constraint.  The planted support in blocks of one position
+    # would hold 80,200 tables of m + 1 offsets (128 MB), so it is left out
+    @pytest.mark.parametrize("case,block", [
+        (case, block)
+        for case in ("planted", "size-14", "size-15", "size-16384", "size-16385", "maxcut")
+        for block in (1, 7, 8192, None) if (case, block) != ("planted", 1)])
+    def test_blocked_images_have_the_bits_of_one_product(self, case, block,
+                                                         monkeypatch):
+        op, c = blocked_problem(case)
+        support = SvecSupport.of(op, c)
+        size = support.rows.size
+        monkeypatch.setattr(linalg, "SUPPORT_BLOCK", size if block is None else block)
+        assert len(support._blocks) == -(-size // linalg.SUPPORT_BLOCK)
+        rng = np.random.default_rng(size)
+        for k in (1, 6):  # one column, and r + 1 at the planted rank 5
+            p = self.columns(rng, op.n, l=k)
+            for q in (np.ascontiguousarray(p), np.asfortranarray(p)):
+                pvec = support.rank_one(q)
+                a, b = pvec_generate(q, op, support)
+                assert np.array_equal(bits(a), bits(pvec.T @ support.cvec))
+                assert np.array_equal(bits(b), bits(support.avec.T @ pvec))
 
 
 class TestSupportSlack:

@@ -22,6 +22,9 @@ helpers of ``DENSE_HELPERS``, whose input or output has that length anyway;
 every other path passes the positions it needs, so that it stays O(nnz).
 And no module but ``linalg`` reads a ``scale`` attribute, a support's svec
 scale, so the scale of svec(pp') and of the slack is applied in one module.
+Nor does any other module reach scipy's private ``_sparsetools``, by an
+import or an attribute, so its kernels, whose bits the column images keep,
+have one home.
 ``np.loadtxt`` is called from one function of the package alone, the one
 home of the number grammar both file readers parse by.
 
@@ -142,6 +145,24 @@ def scale_reads(source: str) -> list[str]:
         n.lineno for n in ast.walk(ast.parse(source))
         if isinstance(n, ast.Attribute) and n.attr == "scale"
         and isinstance(n.ctx, ast.Load))]
+
+
+def sparsetools_uses(source: str) -> list[str]:
+    """The imports of ``_sparsetools`` or of names from it, and the reads of
+    a ``_sparsetools`` attribute, by line."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Import):
+            names = [a.name for a in n.names]
+        elif isinstance(n, ast.ImportFrom):
+            names = [f"{n.module}.{a.name}" for a in n.names]
+        elif isinstance(n, ast.Attribute):
+            names = [n.attr]
+        else:
+            continue
+        if any("_sparsetools" in name.split(".") for name in names):
+            found.append(n.lineno)
+    return [f"line {line}" for line in sorted(found)]
 
 
 def dead_definitions(package: dict[str, str], elsewhere: str = "") -> list[str]:
@@ -276,6 +297,24 @@ def test_scale_checker_flags_reads_of_a_scale():
               "    return s.support.scale[0], x\n"
               "scale = 2.0\n")
     assert scale_reads(source) == ["line 3", "line 4"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "linalg.py"],
+    ids=lambda p: p.name)
+def test_sparsetools_is_reached_only_from_linalg(path):
+    assert sparsetools_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_sparsetools_checker_flags_imports_and_attributes():
+    source = ("import scipy.sparse as sp\n"
+              "from scipy.sparse import _sparsetools\n"
+              "import scipy.sparse._sparsetools as st\n"
+              "from scipy.sparse._sparsetools import csr_matvecs\n"
+              "from scipy.sparse import csr_matrix\n"   # public: not flagged
+              "kernel = sp._sparsetools.csr_matvec\n"
+              "_sparsetools = None\n")                    # a local name only
+    assert sparsetools_uses(source) == ["line 2", "line 3", "line 4", "line 6"]
 
 
 def test_no_dead_definitions():

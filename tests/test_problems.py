@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import gset_reference as gset_ref
 import sdpa_reference as ref
+from polybundle import linalg, solver
 from polybundle import problems as problems_module
-from polybundle import solver
 from polybundle.linalg import (
     ConstraintOperator,
     SymMatrix,
@@ -657,6 +657,20 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+def traced_held(call) -> int:
+    """The bytes that ``call()`` allocated and still holds on return, by
+    tracemalloc."""
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        kept = call()
+        held = tracemalloc.get_traced_memory()[0]
+        del kept
+        return held
+    finally:
+        tracemalloc.stop()
+
+
 def sparse_graph(n: int, seed: int = 1) -> GraphInstance:
     """The c10 family's graph at edge probability 6/n, drawn row by row: the
     same edges as one draw per vertex pair, with no n(n-1)/2 array."""
@@ -738,6 +752,30 @@ class TestPeakMemory:
         path = tmp_path / "tiny.dat-s"
         path.write_text("1\n1\n1000000\n1.0\n1 1 1 1 2.0\n")
         assert traced_peak(lambda: load_sdpa(str(path))) <= 1_000_000
+
+    def test_support_blocks_hold_each_entry_once(self):
+        # the column images' blocks of the planted n = 400 support (10
+        # blocks): float64 data and int32 indices, 12 bytes an entry of
+        # avec, and m offsets a block, plus their Python objects
+        problem, _ = generate_random_sdp(400, 400, 5, 1e-2, 1.0, 42)
+        support = problem.support
+        blocks = -(-support.rows.size // linalg.SUPPORT_BLOCK)
+        arrays = 12 * support.avec.nnz + 4 * (blocks * problem.m + 1)
+        assert traced_held(lambda: support._blocks) <= arrays + 1024 * blocks
+
+    def test_one_block_support_holds_no_copy(self):
+        # the benchmark's Max-Cut graph (c10 family, n = 200, edge
+        # probability 0.03, graph seed 1): its 776 positions are one block
+        rows, cols = np.triu_indices(200, 1)
+        hit = np.random.default_rng(1).random(rows.size) < 0.03
+        graph = GraphInstance(200, [(i + 1, j + 1, 1.0) for i, j in
+                                    zip(rows[hit].tolist(), cols[hit].tolist())])
+        support = build_maxcut_sdp(graph, sense="maximize").support
+        assert support.rows.size == 776
+        [(lo, hi, indptr, indices, data)] = support._blocks
+        assert (lo, hi) == (0, 776)
+        avec = support.avec
+        assert indptr is avec.indptr and indices is avec.indices and data is avec.data
 
     @pytest.fixture(scope="class")
     def graphs(self, tmp_path_factory):
