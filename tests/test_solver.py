@@ -780,6 +780,22 @@ def run_digest(res):
     return h.hexdigest()
 
 
+def iterate_digest(res):
+    """sha256 over every trace field but delta1, delta5 and the clock, and
+    the result's y: the iterates' bits, without the values that only the
+    stop reads."""
+    h = hashlib.sha256()
+    fields = [f for f in vars(res.trace[0])
+              if f not in ("delta1", "delta5", "elapsed_secs")]
+    for rec in res.trace:
+        for f in fields:
+            v = getattr(rec, f)
+            h.update(repr(v).encode() if v is None or isinstance(v, str)
+                     else np.asarray(v).tobytes())
+    h.update(res.y.tobytes())
+    return h.hexdigest()
+
+
 def dense_slack(problem, y):
     """C - A'y as a dense array, by smat over every svec position."""
     return smat(problem.cvec - problem.op.avec @ y).to_dense()
@@ -848,7 +864,7 @@ class TestQpWarmStart:
 class TestTrajectories:
     """Pinned runs of the whole loop: status, iterations, steps and F_y,
     and on the benchmark's families and rank prediction every bit
-    (``run_digest``)."""
+    (``run_digest``), the iterates' bits apart (``iterate_digest``)."""
 
     @staticmethod
     def steps(res):
@@ -909,8 +925,9 @@ class TestTrajectories:
         default rank 20, l_max "sq", eps 1e-3) and planted seeds 42 and 1042
         at n = m = 400 (eps 1e-4), with the held-out planted pair 7 and
         1007: status, iterations, the step of each iteration, the last F_y
-        and each run's digest.  A refactor keeps them; a change that moves
-        the iterates re-pins them and says so in CHANGES.md."""
+        and each run's two digests.  A refactor keeps them; a change that
+        moves the iterates re-pins them and says so in CHANGES.md, and one
+        that moves only the stop's values keeps the iterate digests."""
         maxcut = [solve(*c10_maxcut(n=200, prob=0.03, seed=k)) for k in range(1, 11)]
         planted = [solve(generate_random_sdp(400, 400, 5, 1e-2, 1.0, seed)[0],
                          SolverParams(eps=1e-4, maxiter=300))
@@ -960,11 +977,29 @@ class TestTrajectories:
             "f40e1c16f2af474abd6a77f196fdd23fabae81c9e6b15c3d6f74c6a86c58a24b",
             "5f391b7c9700204bd88b40d038dab76efc100b86dc4a95288123875db8ca8168",
         ]
+        # the iterates alone, which a change to the stop's values keeps
+        assert [iterate_digest(res) for res in maxcut + planted] == [
+            "7d2e887f02094af9784c1e043fa1089ea03272b98918d0ed3aa70e871e1e1340",
+            "c6384d792bd0d84f3516bf1270bbd133cb4234e8c51c5c5a28a1eb538b58cf22",
+            "63c4003fd2ac442b3d3703148ad2d46643edd00e7af6a8984e184d06bd7271d2",
+            "10f85694e2a7120612fd24e0e6a06a01ec475f454f37d9e87452a2fe930b5556",
+            "f43a9a260ca72a8c80a631a229f74a0cebc73319de19481dc58b87c84c8b4da4",
+            "410aeaf339925f374fd990f925ec2a8c3d9e296df0d32fd8f1bc424198675501",
+            "ecd0c78f5beca312c01dd7e11b06a635f20b97f6b3a9d144aaf0490337bb92a0",
+            "2787efa37b7fb0f34c27f72a9491b70acc14bac1f74a3de1b177db9d4bb6793d",
+            "17d7cc58a7527db5b0c669a15dbdcca1b79bc2c8cb46bdc17508ed785892adec",
+            "de9725bf369da9c874c8574fbe426d36df8c4f6c5586c95d52bed7ced5b788d9",
+            "a2f52f951a96e35b273fd88de0629d5dafc18c215dc2dac5e0fc15cac83eec8d",
+            "e83d7c1b2c927a932491ce632016ed532a0779d04eefc0e608839ec041860dd8",
+            "90b016e9958413891067d3a7a77b13d730a676fb420c8b0c8e8a44265231e79b",
+            "fc7639370f1baa05040b079db1bda52ceaab8f11f114d65895f6dbb9dd1b8205",
+        ]
 
     def test_arpack_family(self, arpack_runs):
         """The only trajectory pin above DENSE_EIG_CUTOFF, where every
         eigensolve is ARPACK's: c10 n=800 graphs 1-3.  A change that moves
-        it re-pins it and says so in CHANGES.md."""
+        it re-pins it and says so in CHANGES.md; the iterate digests move
+        only with the iterates."""
         counts = [res.iterations for _, _, res in arpack_runs]
         assert counts == [18, 19, 20]
         assert sum(counts) == 57
@@ -976,6 +1011,11 @@ class TestTrajectories:
             "1ae154e5bb55d17de61883eb0009350aa8297ef4517844fede1c108c9fd75218",
             "0f5f2b90a298d1d0ad4d70405418affcbe9617928a62d50df0bf3e2c40cc8c2b",
             "9cc313184badaf273126db4ae95c919b1ac4c1ec3000ab1fd705ed922d506421",
+        ]
+        assert [iterate_digest(res) for _, _, res in arpack_runs] == [
+            "812abf9788f2bdc0b8f3341871a458165ff94f6e2792e016d58e2ec6af658f57",
+            "bc2df04b888f1950561efef9d6aba61dee969bf0c7c2afb52e89287e860c4b3a",
+            "b9f82cd48c2649c415854a67d87b1916f6a874e31a5e0d2d57f2b641c968483a",
         ]
 
 
