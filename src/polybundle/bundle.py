@@ -83,7 +83,7 @@ def support_values(state: BundleState, u: np.ndarray) -> np.ndarray:
     QP may leave, counts as 0, so X is a sum of PSD terms."""
     eta, x = max(float(u[0]), 0.0), u[1:]
     act = np.flatnonzero(x > 0.0)
-    return eta * state.w_supp + x[act] @ _by_column(state.support, state.P[:, act])
+    return eta * state.w_supp + state.support.rank_one(state.P[:, act]) @ x[act]
 
 
 def model_eval(y: np.ndarray, a: np.ndarray, b_mat: np.ndarray,
@@ -141,15 +141,9 @@ def aggregate_and_append(state: BundleState, eta: float, x: np.ndarray,
     a_bar = fold(state.a[0], lambda: state.a[1 + p_bar] @ x_bar)
     b_bar = fold(state.B[:, 0], lambda: state.B[:, 1 + p_bar] @ x_bar)
     w_supp = fold(state.w_supp,
-                  lambda: x_bar @ _by_column(state.support, state.P[:, p_bar]))
+                  lambda: state.support.rank_one(state.P[:, p_bar]) @ x_bar)
 
     p = np.column_stack([state.P[:, p_hat], v_new])
     a = np.concatenate([[a_bar], state.a[1 + p_hat], np.atleast_1d(a_new)])
     b_mat = np.column_stack([b_bar, state.B[:, 1 + p_hat], b_new])
     return BundleState(P=p, a=a, B=b_mat, w_supp=w_supp, support=state.support)
-
-
-def _by_column(support: SvecSupport, p: np.ndarray) -> np.ndarray:
-    """``support.rank_one(p)`` as a (columns, support) block in C order, the
-    layout whose gemv kernel the weighted sums over it were pinned with."""
-    return np.ascontiguousarray(support.rank_one(p).T)

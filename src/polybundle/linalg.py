@@ -529,41 +529,39 @@ class SvecSupport:
 
         B is summed one block of positions at a time (``_blocks``): each
         block's rows of Pvec are formed and, while they are in cache,
-        sparsetools' ``csr_matvecs`` (``csr_matvec`` for one column), the
-        kernel of ``avec.T @ Pvec``, adds their share into B.  The kernel
-        adds into its output, so each B[i, j] is summed over the positions
-        of A_i in ascending order, as one product over the whole support
-        sums it, bit for bit.  a is one gemv over the whole of Pvec.
+        sparsetools' ``csr_matvecs``, the kernel of ``avec.T @ Pvec``, adds
+        their share into B.  The kernel adds into its output, so each
+        B[i, j] is summed over the positions of A_i in ascending order, as
+        one product over the whole support sums it, bit for bit; at one
+        column it adds in the order of ``csr_matvec``, the kernel scipy
+        runs for a vector.  a is one gemv over the whole of Pvec.
         """
         pc = np.ascontiguousarray(p)
         m, l = self.avec.shape[1], pc.shape[1]
         pvec = np.empty((self.rows.size, l))
         b = np.zeros((m, l))
-        # scipy's own dispatch, so that a column keeps its kernel's bits
-        cols = () if l == 1 else (l,)
-        kernel = _sparsetools.csr_matvec if l == 1 else _sparsetools.csr_matvecs
         for lo, hi, indptr, indices, data in self._blocks:
             part = self.rank_one(pc, lo, hi, out=pvec[lo:hi])
-            kernel(m, hi - lo, *cols, indptr, indices, data, part.ravel(), b.ravel())
+            _sparsetools.csr_matvecs(m, hi - lo, l, indptr, indices, data,
+                                     part.ravel(), b.ravel())
         return pvec.T @ self.cvec, b
 
     @cached_property
     def _blocks(self) -> list[tuple]:
         """avec' as CSR blocks over runs of SUPPORT_BLOCK consecutive
         positions, each (lo, hi, indptr, indices, data) with the indices
-        counted from lo; a support of one block keeps avec's own arrays.
+        counted from lo.
 
-        Past one block, the blocks are the row bands of one CSR matrix of
-        the blocks stacked as rows, so their ``indptr`` are views that
-        point into shared ``indices`` and ``data``: each stored entry held
-        once, 12 bytes with int32 indices, and m offsets a block.
-        sparsetools' COO to CSR conversion, a counting sort that keeps the
-        order of each row's entries, builds it in O(nnz + m blocks).
+        The blocks are the row bands of one CSR matrix of the blocks
+        stacked as rows, so their ``indptr`` are views that point into
+        shared ``indices`` and ``data``: each stored entry held once, 12
+        bytes with int32 indices, and m offsets a block.  sparsetools' COO
+        to CSR conversion, a counting sort that keeps the order of each
+        row's entries, builds it in O(nnz + m blocks); a support of one
+        block gets a copy of avec's arrays.
         """
         a = self.avec
         dim, m = a.shape
-        if dim <= SUPPORT_BLOCK:
-            return [(0, dim, a.indptr, a.indices, a.data)]
         nb = -(-dim // SUPPORT_BLOCK)
         idx = np.int32 if max(nb * m, a.nnz) < np.iinfo(np.int32).max else np.int64
         # entry e of A_k in block b goes to row b*m + k, at column pos - lo

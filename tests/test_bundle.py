@@ -602,11 +602,12 @@ class TestAggregateAndAppend:
 
 
 def stored_pvec_sum(state, idx, weights):
-    """The sum over stored Pvec columns, as bundles once kept them: one
-    contiguous svec(p_i p_i') at the support's positions per column."""
+    """The stored Pvec columns idx, svec(p_i p_i') at the support's
+    positions as a (support, columns) block in C order, times the
+    weights."""
     support = state.support
     pos = svec_position(state.P.shape[0], support.rows, support.cols)
-    return weights @ np.array([svec_rank_one(state.P)[pos, i] for i in idx])
+    return np.ascontiguousarray(svec_rank_one(state.P)[pos][:, idx]) @ weights
 
 
 class TestSupportValuesFromP:

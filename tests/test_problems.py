@@ -753,29 +753,31 @@ class TestPeakMemory:
         path.write_text("1\n1\n1000000\n1.0\n1 1 1 1 2.0\n")
         assert traced_peak(lambda: load_sdpa(str(path))) <= 1_000_000
 
-    def test_support_blocks_hold_each_entry_once(self):
+    @pytest.mark.parametrize("instance,size", [("planted", 80_200), ("maxcut", 776)],
+                             ids=["planted", "maxcut"])
+    def test_support_blocks_hold_each_entry_once(self, instance, size):
         # the column images' blocks of the planted n = 400 support (10
-        # blocks): float64 data and int32 indices, 12 bytes an entry of
-        # avec, and m offsets a block, plus their Python objects
-        problem, _ = generate_random_sdp(400, 400, 5, 1e-2, 1.0, 42)
+        # blocks) and of the benchmark's Max-Cut graph (c10 family, n = 200,
+        # edge probability 0.03, graph seed 1; one block): float64 data and
+        # int32 indices, 12 bytes an entry of avec, and m offsets a block,
+        # plus their Python objects
+        if instance == "planted":
+            problem, _ = generate_random_sdp(400, 400, 5, 1e-2, 1.0, 42)
+        else:
+            rows, cols = np.triu_indices(200, 1)
+            hit = np.random.default_rng(1).random(rows.size) < 0.03
+            problem = build_maxcut_sdp(GraphInstance(200, [
+                (i + 1, j + 1, 1.0) for i, j in zip(rows[hit].tolist(),
+                                                    cols[hit].tolist())]),
+                sense="maximize")
         support = problem.support
-        blocks = -(-support.rows.size // linalg.SUPPORT_BLOCK)
+        assert support.rows.size == size
+        # numpy's ufuncs keep small caches from their first call on; a
+        # small instance's blocks take them first
+        build_maxcut_sdp(sparse_graph(20)).support._blocks
+        blocks = -(-size // linalg.SUPPORT_BLOCK)
         arrays = 12 * support.avec.nnz + 4 * (blocks * problem.m + 1)
         assert traced_held(lambda: support._blocks) <= arrays + 1024 * blocks
-
-    def test_one_block_support_holds_no_copy(self):
-        # the benchmark's Max-Cut graph (c10 family, n = 200, edge
-        # probability 0.03, graph seed 1): its 776 positions are one block
-        rows, cols = np.triu_indices(200, 1)
-        hit = np.random.default_rng(1).random(rows.size) < 0.03
-        graph = GraphInstance(200, [(i + 1, j + 1, 1.0) for i, j in
-                                    zip(rows[hit].tolist(), cols[hit].tolist())])
-        support = build_maxcut_sdp(graph, sense="maximize").support
-        assert support.rows.size == 776
-        [(lo, hi, indptr, indices, data)] = support._blocks
-        assert (lo, hi) == (0, 776)
-        avec = support.avec
-        assert indptr is avec.indptr and indices is avec.indices and data is avec.data
 
     @pytest.fixture(scope="class")
     def graphs(self, tmp_path_factory):

@@ -962,16 +962,16 @@ class TestTrajectories:
         ], rel=1e-9)
         # and every record bit for bit, with y, u and the primal and bound
         assert [run_digest(res) for res in maxcut + planted] == [
-            "6cbfcf47a7a4dc6c65876bb2253675bebae48ca45aded199749864d34fe3cad0",
-            "95346cb75a59cc8003cf20effa5310fea7625296ccd38b2dfc79c10a440858f3",
-            "c92983110a2067ac98ddcce4202057b96c70545225f690d5e5484031ea22ed9c",
-            "6764a4997b9f64b30c87c8394242f0d9df375c30f7dad6728648f266fe1df68d",
-            "3d7ebf3d4754b5d62f380c1bdd528525565c88f4a284e668563869fef9af94ac",
-            "aab1bc1af2307d98d31cc80e72970137aca9f5a777707695f6e0c242dbaaaa31",
-            "95f90feba7bd3294adca592d0a61004719934124b7951acc2ae55352bb54b8e2",
-            "6de38bf4693ae650555894f04ac67ab847eb424f201e984a2244d9315b8ceb52",
-            "11f6f779e185eef4d1e2f4221e803e24910cb06508c8ec250f2cdf6c53537a95",
-            "583ed66e9d60d4e2c7ec2b978136371a422cf4b6a25ed23cf59fb2b6333237d5",
+            "e2e2c2e8a6e3378cba1d8d3702d509480c2ace03f4fff0788c0834aa583a9be5",
+            "f650a9c5ff13a3e73fd2984070d162b57dddbbe1f8bb289674fcf2dd1a473355",
+            "a41484305848c5dc80e82534eb479e63a2ebc8ba508ee638b271b93d9f697402",
+            "fd3c07021719edd7f36da539c5499234e99cd6f5deb3a9a4b0684421a70b2dc0",
+            "dfc9f65bdc9a111dc8690460cf6f648e00e69178cd10db65498cb8d6d71cc543",
+            "1aaa0d8eb476be52a6391630183d0bc65b81f2e0db5a1cf4f0671ceaef7ac674",
+            "a04eb8baa07c39f05229bdb048b7e0a2f37d0bb5d5e43fbec7871df2201a81d4",
+            "5d04d5b5608d3085dbeb3589b7780195a00b4bf9675a18303a7020ad0a19f187",
+            "739a90f0fe0da7a529c63d7e2a544ff64bce1d1e45066cdbfcf432db3a6d9679",
+            "3f5557e18ec2a667d4afae28930b7b4a179436f8d2c5196d9d195b803d3f0eb5",
             "9e8a9673ef2e6a57e2e89c82e1db471dff37ad3eb476870690d40c7b3f286aa7",
             "26f3c5010c1ce8a1a0f14100035e2db5f4cd31a79715682f06eab967356bc71e",
             "f40e1c16f2af474abd6a77f196fdd23fabae81c9e6b15c3d6f74c6a86c58a24b",
@@ -1008,9 +1008,9 @@ class TestTrajectories:
             assert res.status == STATUS_CONVERGED and res.rank_used == 40
             assert res.max_delta <= params.eps
         assert [run_digest(res) for _, _, res in arpack_runs] == [
-            "1ae154e5bb55d17de61883eb0009350aa8297ef4517844fede1c108c9fd75218",
-            "0f5f2b90a298d1d0ad4d70405418affcbe9617928a62d50df0bf3e2c40cc8c2b",
-            "9cc313184badaf273126db4ae95c919b1ac4c1ec3000ab1fd705ed922d506421",
+            "3d99606ffff59b7c487adf6eacb08dfede379a9f9ed8857bc79e14744d095f35",
+            "f4dec53774e9acf450ebc866619d23241dedd555cd5eba46066276c061cc588f",
+            "ea854116d89d70e62e60af2be3df847c5cf6e88a699544f51637f0344561900a",
         ]
         assert [iterate_digest(res) for _, _, res in arpack_runs] == [
             "812abf9788f2bdc0b8f3341871a458165ff94f6e2792e016d58e2ec6af658f57",
