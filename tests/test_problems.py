@@ -772,8 +772,8 @@ class TestPeakMemory:
                 sense="maximize")
         support = problem.support
         assert support.rows.size == size
-        # numpy's ufuncs keep small caches from their first call on; a
-        # small instance's blocks take them first
+        # numpy keeps about 1.3 KB of caches from the first calls that build
+        # blocks; a small instance's blocks take them first
         build_maxcut_sdp(sparse_graph(20)).support._blocks
         blocks = -(-size // linalg.SUPPORT_BLOCK)
         arrays = 12 * support.avec.nnz + 4 * (blocks * problem.m + 1)
