@@ -114,21 +114,20 @@ def _checked_entries(n: int, rows, cols, vals):
     return rows, cols, vals
 
 
-def _compressed(dim: int, m: int, key: np.ndarray, vals: np.ndarray,
-                n: int | None = None) -> sp.csc_matrix:
-    """The dim x m CSC matrix with vals[e] at row pos and column k, where
-    key[e] = k * dim + pos (int64), times the svec scale of order n at pos
-    when n is given, built in column order.
+def _compressed(n: int, m: int, key: np.ndarray, vals: np.ndarray) -> sp.csc_matrix:
+    """The n(n+1)/2 x m CSC matrix with vals[e] times the svec scale of
+    order n at row pos and column k, where key[e] = k * n(n+1)/2 + pos
+    (int64), built in column order.
 
-    The entries are sorted stably by key only when they come out of order;
-    repeats are summed in their given order, as a COO matrix's
-    ``sum_duplicates`` does, and entries that are then zero are not stored
-    (``_squeezed``).  ``indptr`` is read from the sorted keys, and the
-    positions and their scale are formed in blocks of max(dim, 8192)
-    entries, so no full-length table of them is held.  Neither key nor
-    vals is written, and the matrix holds vals itself when n is None and
-    the entries need neither sort nor filter.
+    The entries are sorted stably by key only when they come out of order
+    and scaled; repeats are then summed in their given order, as a COO
+    matrix's ``sum_duplicates`` does, and entries that are then zero are
+    not stored (``_squeezed``).  ``indptr`` is read from the sorted keys,
+    and the positions and their scale are formed in blocks of
+    max(dim, 8192) entries, so no full-length table of them is held.
+    Neither key nor vals is written.
     """
+    dim = tri_dim(n)
     if np.any(key[1:] < key[:-1]):
         order = np.argsort(key, kind="stable")
         key, vals = key[order], vals[order]
@@ -136,7 +135,7 @@ def _compressed(dim: int, m: int, key: np.ndarray, vals: np.ndarray,
     # scipy's own choice of index type, so that no index array is copied
     idx = np.int32 if max(dim, m, key.size) <= np.iinfo(np.int32).max else np.int64
     indices = np.empty(key.size, dtype=idx)
-    data = vals if n is None else np.empty(key.size)
+    data = np.empty(key.size)
     # a block costs O(its entries) memory at any n; the floor keeps small
     # blocks from a Python iteration per entry
     step = max(dim, 8192)
@@ -144,12 +143,9 @@ def _compressed(dim: int, m: int, key: np.ndarray, vals: np.ndarray,
         e = slice(s, s + step)
         pos = key[e] % dim
         indices[e] = pos
-        if n is not None:  # scaled before repeats are summed
-            np.multiply(svec_indices(n, pos)[2], vals[e], out=data[e])
+        np.multiply(svec_indices(n, pos)[2], vals[e], out=data[e])
         del pos
     if np.any(key[1:] == key[:-1]) or not data.all():
-        if data is vals:
-            data = vals.copy()
         indices, data, indptr = _squeezed(m, dim, key, indices, data, step)
     else:
         indptr = np.searchsorted(key, np.arange(m + 1) * dim)
@@ -306,9 +302,9 @@ class ConstraintOperator:
 
     ``avec`` is a scipy.sparse CSC matrix of shape (n(n+1)/2, m); column i
     is svec(A_i).  Linear independence of the A_i is assumed, not checked.
-    An ``avec`` with unsorted indices or repeats is replaced by a copy in
-    canonical form, its repeats summed in stored order and the zeros that
-    leaves not stored; the caller's matrix is untouched.
+    An ``avec`` with unsorted indices or repeats is replaced by a canonical
+    copy, by COO's ``sum_duplicates`` (repeats summed in stored order) and
+    ``eliminate_zeros``; the caller's matrix is untouched.
     """
 
     n: int
@@ -321,21 +317,18 @@ class ConstraintOperator:
             raise ValueError(f"avec must be a scipy.sparse CSC matrix, not {kind}")
         if self.avec.shape != (tri_dim(self.n), self.m):
             raise ValueError("avec shape does not match (n, m)")
-        a = self.avec
-        if not a.has_canonical_format:
-            key = np.repeat(np.arange(self.m) * a.shape[0], np.diff(a.indptr))
-            key += a.indices
-            object.__setattr__(self, "avec", _compressed(
-                a.shape[0], self.m, key, a.data.copy()))
+        if not self.avec.has_canonical_format:
+            a = self.avec.tocoo()  # a copy
+            a.sum_duplicates()
+            a.eliminate_zeros()
+            object.__setattr__(self, "avec", a.tocsc())
 
     @classmethod
     def from_entries(cls, n: int, m: int, k, pos, vals) -> "ConstraintOperator":
-        """Operator whose A_{k+1} has the entry vals at svec position pos.
-
-        The entries' keys ``k * n(n+1)/2 + pos`` are formed once and built
-        as ``from_keys`` builds them.  k and pos must be integer arrays
-        with each k in [0, m) and each pos in [0, n(n+1)/2), and each value
-        finite; else a ValueError.
+        """Operator whose A_{k+1} has the entry vals at svec position pos:
+        ``from_keys`` of the keys ``k * n(n+1)/2 + pos``.  k and pos must be
+        integer arrays with each k in [0, m) and each pos in
+        [0, n(n+1)/2), and each value finite; else a ValueError.
         """
         k, pos = _index_array("k", k), _index_array("pos", pos)
         vals = np.asarray(vals, dtype=np.float64)
@@ -344,14 +337,9 @@ class ConstraintOperator:
             raise ValueError("pos, vals must have equal length")
         if k.shape != pos.shape or k.size and not 0 <= k.min() <= k.max() < m:
             raise ValueError("k must hold one constraint index in [0, m) per entry")
-        if pos.size:
-            if not 0 <= pos.min() <= pos.max() < dim:
-                raise ValueError("index out of range")
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("non-finite entry")
-        key = k * dim
-        key += pos
-        return cls(n, m, _compressed(dim, m, key, vals, n))
+        if pos.size and not 0 <= pos.min() <= pos.max() < dim:
+            raise ValueError("index out of range")
+        return cls.from_keys(n, m, k * dim + pos, vals)
 
     @classmethod
     def from_keys(cls, n: int, m: int, key, vals) -> "ConstraintOperator":
@@ -374,7 +362,7 @@ class ConstraintOperator:
                 raise ValueError("index out of range")
             if not np.all(np.isfinite(vals)):
                 raise ValueError("non-finite entry")
-        return cls(n, m, _compressed(dim, m, key, vals, n))
+        return cls(n, m, _compressed(n, m, key, vals))
 
     @classmethod
     def from_matrices(cls, n: int, mats) -> "ConstraintOperator":
@@ -412,8 +400,8 @@ class ConstraintOperator:
 @dataclass(frozen=True)
 class SvecSupport:
     """The svec positions where C has a nonzero entry or some A_i a stored
-    one, as their ``rows``, ``cols`` and ``scale``, with the data there:
-    svec(C) as ``cvec`` and the rows of ``avec``.
+    one, as their ``rows`` and ``cols``, with the data there: svec(C) as
+    ``cvec`` and the rows of ``avec``.
 
     No other position enters <C, X>, A(X) or S = C - A'y.  When C's nonzero
     entries fill every position, the support holds C's ``rows`` and
@@ -423,7 +411,6 @@ class SvecSupport:
     n: int
     rows: np.ndarray
     cols: np.ndarray
-    scale: np.ndarray
     cvec: np.ndarray
     avec: sp.csc_matrix
 
@@ -433,7 +420,7 @@ class SvecSupport:
         used = c.vals != 0.0
         if np.count_nonzero(used) == tri_dim(n):
             scale = np.where(c.rows == c.cols, 1.0, SQRT2)
-            return cls(n, c.rows, c.cols, scale, c.vals * scale, a)
+            return cls(n, c.rows, c.cols, c.vals * scale, a)
         cpos = svec_position(n, c.rows, c.cols)
         used |= np.isin(cpos, a.indices)  # a zero of C there keeps its sign
         cpos = cpos[used]
@@ -446,7 +433,7 @@ class SvecSupport:
         # its entry order and A(X) its summation order
         avec = sp.csc_matrix((a.data, np.searchsorted(pos, a.indices), a.indptr),
                              shape=(pos.size, op.m))
-        return cls(n, rows, cols, scale, cvec, avec)
+        return cls(n, rows, cols, cvec, avec)
 
     @cached_property
     def least_squares_dual(self) -> np.ndarray | None:
@@ -476,12 +463,15 @@ class SvecSupport:
         it, without the exact zeros; ``extreme_eigs`` picks its eigensolver
         from this storage.
 
-        The dense array is column-major, the transposed view of an exactly
-        symmetric fill, so it holds the same values and LAPACK's copy of it
-        needs no transpose.
+        It unscales as ``rank_one`` scales: by sqrt(2), with the diagonal
+        rows copied back.  The dense array is column-major, the transposed
+        view of an exactly symmetric fill, so it holds the same values and
+        LAPACK's copy of it needs no transpose.
         """
         n = self.n
-        vals = (self.cvec - self.avec @ y) / self.scale
+        raw = self.cvec - self.avec @ y
+        vals = raw / SQRT2
+        vals[self._diagonal] = raw[self._diagonal]
         if n <= DENSE_EIG_CUTOFF:
             lower, upper = self._flat
             s = np.zeros(n * n)
@@ -604,9 +594,10 @@ def extreme_eigs(s, r: int) -> EigenResult:
 
     The storage picks the solver: LAPACK computes just the r wanted pairs of
     a dense array, and thick restarted Lanczos (ARPACK) those of a sparse
-    matrix, which is densified for nearly full spectra (r > n - 2).
-    Every returned pair satisfies ||S v - lambda v|| <= EIG_TOL * (1 + |lambda|),
-    or EigenConvergenceError is raised.
+    matrix, which is densified for nearly full spectra (r > n - 2); one
+    with no stored entry has the pairs (0, e_1), ..., (0, e_r).  Every
+    returned pair satisfies ||S v - lambda v|| <= EIG_TOL * (1 + |lambda|),
+    or EigenConvergenceError is raised, as on any LAPACK or ARPACK failure.
     """
     import scipy.linalg as sla  # LAPACK and ARPACK load with the first solve
     import scipy.sparse.linalg as spla
@@ -631,6 +622,8 @@ def extreme_eigs(s, r: int) -> EigenResult:
                 f"LAPACK returned {vals.size} of {r} smallest eigenpairs")
         return _certified(dense, vals, vecs)
 
+    if mat.nnz == 0:  # ARPACK stops on it with its error -9
+        return _certified(mat, np.zeros(r), np.eye(n, r))
     # a fixed start vector makes repeated calls, and so whole solves, repeat
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
     try:
@@ -644,6 +637,9 @@ def extreme_eigs(s, r: int) -> EigenResult:
             best = float(np.linalg.norm(res, axis=0).max())
             msg += f" (largest residual {best:.1e})"
         raise EigenConvergenceError(msg, best_residual=best) from exc
+    except spla.ArpackError as exc:  # a NaN or an inf in S, among others
+        raise EigenConvergenceError(
+            f"Lanczos failed for {r} smallest eigenpairs: {exc}") from exc
     order = np.argsort(vals)
     return _certified(mat, vals[order], vecs[:, order])
 

@@ -96,6 +96,14 @@ def _count(name: str, value, alternatives: str = ""):
     raise ValueError(f"{name} must be an integer{alternatives}, not {value!r}")
 
 
+def _real(name: str, value):
+    """``value`` if it is an int or a float, numpy ones included, not a bool:
+    the rule of every real setting; else a ValueError naming it."""
+    if _is_count(value) or isinstance(value, (float, np.floating)):
+        return value
+    raise ValueError(f"{name} must be a real number, not {value!r}")
+
+
 def _floats(value) -> np.ndarray:
     """A JSON number, or a vector or matrix of them, as a float array; numpy
     alone would also read a string or a bool as a number."""

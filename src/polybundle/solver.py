@@ -18,7 +18,7 @@ from . import qp as qp_mod
 from .bundle import (BundleState, model_eval, pvec_generate, select_aggregation,
                      support_values)
 from .linalg import EigenConvergenceError, extreme_eigs
-from .problems import SdpProblem, _count
+from .problems import SdpProblem, _count, _real
 
 STATUS_CONVERGED = "Converged"
 STATUS_ITER_LIMIT = "IterLimit"
@@ -67,16 +67,16 @@ class SolverParams:
     prior_rank: int | None = None  # set: predict the rank, starting from this one
 
     def validate(self):
-        if not T_MIN <= self.t0 <= T_MAX:
+        if not T_MIN <= _real("t0", self.t0) <= T_MAX:
             raise ValueError(f"t0 must lie in [{T_MIN:g}, {T_MAX:g}]")
-        if not 0 < self.xi < math.inf:
+        if not 0 < _real("xi", self.xi) < math.inf:
             raise ValueError("xi must be finite and positive")
-        if not 0 < self.eps < math.inf:
+        if not 0 < _real("eps", self.eps) < math.inf:
             raise ValueError("eps must be finite and positive")
-        if self.rho is not None and not 0 < self.rho < math.inf:
+        if self.rho is not None and not 0 < _real("rho", self.rho) < math.inf:
             raise ValueError("rho must be finite and positive")
         limit = self.time_limit_secs
-        if limit is not None and not 0 < limit < math.inf:
+        if limit is not None and not 0 < _real("time_limit_secs", limit) < math.inf:
             raise ValueError("time_limit_secs must be finite and positive")
         if _count("maxiter", self.maxiter) < 1:
             raise ValueError("maxiter must be at least 1")
@@ -508,8 +508,11 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                 break
             z = sol.z
             model_z = model_eval(z, a, b_mat, rho, b)
-            f_z, lam_max_z, v_new, eigs_z, a_new, b_new = _oracle(
-                problem, z, r_iter, rho, n_eigs)
+            f_z, lam_max_z, v_new, eigs_z = penalty_eval(problem, z, r_iter, rho, n_eigs)
+            # unit-norm columns; the start's stay as the eigensolver gives them
+            norms = np.linalg.norm(v_new, axis=0)
+            v_new = v_new / np.where(norms == 0.0, 1.0, norms)
+            a_new, b_new = pvec_generate(v_new, problem.op, problem.support)
             bundle, warm, past = _update_bundle(bundle, sol, v_new, a_new, b_new,
                                                 r_iter, l_max, past)
             u = warm[0] if past is None else np.append(warm[0], np.zeros(past[0].size))
@@ -632,19 +635,6 @@ def problem_settings(problem: SdpProblem, params: SolverParams):
     if not 1 <= _count("rank", r) <= problem.n:
         raise ValueError(f"rank must lie in [1, n = {problem.n}], got {r}")
     return rho, r, lmax_from_policy(params.l_max, r), targets, trace
-
-
-def _oracle(problem: SdpProblem, z: np.ndarray, r: int, rho: float, n_eigs: int):
-    """Penalty value at the candidate plus the bundle columns of its bottom
-    r eigenvectors, rescaled to unit norm.
-
-    Returns (F, lam_max, V, eigvals, a, B) as ``penalty_eval`` and
-    ``pvec_generate`` give them, with the n_eigs smallest eigenvalues.
-    """
-    f, lam_max, v, eigs = penalty_eval(problem, z, r, rho, n_eigs)
-    norms = np.linalg.norm(v, axis=0)
-    v = v / np.where(norms == 0.0, 1.0, norms)
-    return (f, lam_max, v, eigs, *pvec_generate(v, problem.op, problem.support))
 
 
 def _update_bundle(bundle: BundleState, sol, v_new: np.ndarray,

@@ -5,8 +5,8 @@ operator, and the dense aggregate W with the model primal it gives.
 
 Kept only for the tests.  ``svec_indices_by_search`` is the oracle of
 ``linalg.svec_indices`` and ``compressed_by_masks`` the bit reference for
-``linalg._compressed``; ``svec_rank_one`` is the bit reference for
-``SvecSupport.rank_one``; ``norm_estimate`` gives acceptance criterion c09
+``linalg._compressed``; ``support_scale`` gives a support's svec scale;
+``svec_rank_one`` is the bit reference for ``SvecSupport.rank_one``; ``norm_estimate`` gives acceptance criterion c09
 its Lipschitz bound; ``fold_dense`` and ``model_primal`` form the n x n
 matrices that the solver carries only through their linear images.
 """
@@ -39,6 +39,12 @@ def compressed_by_masks(dim: int, m: int, key: np.ndarray, vals: np.ndarray,
     key, data = key[first], np.add.reduceat(data, first)
     key, data = key[data != 0.0], data[data != 0.0]
     return data, key % dim, np.searchsorted(key, np.arange(m + 1) * dim)
+
+
+def support_scale(support) -> np.ndarray:
+    """The svec scale at a support's positions: 1 where the row is the
+    column, sqrt(2) elsewhere."""
+    return np.where(support.rows == support.cols, 1.0, np.sqrt(2.0))
 
 
 def svec_rank_one(p: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from linalg_reference import fold_dense, svec_rank_one
+from linalg_reference import fold_dense, support_scale, svec_rank_one
 from polybundle import linalg, solver
 from polybundle.bundle import (
     BundleState,
@@ -191,7 +191,7 @@ class TestSupportColumns:
         rows, cols, scale = svec_indices(op.n)
         assert np.array_equal(support.rows, rows[want])
         assert np.array_equal(support.cols, cols[want])
-        assert np.array_equal(support.scale, scale[want])
+        assert np.array_equal(support_scale(support), scale[want])
         assert np.array_equal(support.cvec, cvec[want])
         assert np.array_equal(support.avec.toarray(), op.avec.toarray()[want])
 
@@ -231,7 +231,7 @@ class TestSupportColumns:
         support = SvecSupport.of(op, c)
         assert support.avec is op.avec
         assert support.rows is c.rows and support.cols is c.cols
-        assert np.array_equal(support.scale, svec_indices(op.n)[2])
+        assert np.array_equal(support_scale(support), svec_indices(op.n)[2])
         assert np.array_equal(bits(support.cvec), bits(cvec))
         p = self.columns(np.random.default_rng(8), op.n)
         pvec = svec_rank_one(p)
@@ -274,7 +274,8 @@ class TestSupportColumns:
         op, c, _ = support_problem
         s = SvecSupport.of(op, c)
         arrays = {"rows": [s.rows.astype("<i8")], "cols": [s.cols.astype("<i8")],
-                  "scale": [s.scale.astype("<f8")], "cvec": [s.cvec.astype("<f8")],
+                  "scale": [support_scale(s).astype("<f8")],
+                  "cvec": [s.cvec.astype("<f8")],
                   "avec": [s.avec.data.astype("<f8"), s.avec.indices.astype("<i8"),
                            s.avec.indptr.astype("<i8")]}
         got = {}
@@ -343,7 +344,7 @@ class TestSupportSlack:
         c = SymMatrix(op.n, rows, cols, cvec[pos] / scale)
         support = SvecSupport.of(op, c)
         for y in (np.zeros(op.m), np.random.default_rng(5).standard_normal(op.m)):
-            vals = (support.cvec - support.avec @ y) / support.scale
+            vals = (support.cvec - support.avec @ y) / support_scale(support)
             want = np.zeros((op.n, op.n))
             want[support.rows, support.cols] = vals
             want[support.cols, support.rows] = vals
@@ -368,6 +369,36 @@ class TestSupportSlack:
         assert np.array_equal(bits(got.data), bits(want.data))
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.indptr, want.indptr)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_support_without_a_diagonal_position(self, storage, monkeypatch):
+        # C and every A_i off the diagonal: every value is divided by
+        # sqrt(2), and no diagonal row is copied back
+        n, m = 7, 3
+        rng = np.random.default_rng(13)
+        rows, cols = np.tril_indices(n, -1)
+        pos = svec_position(n, rows, cols)
+        op = ConstraintOperator.from_entries(n, m, rng.integers(0, m, pos.size), pos,
+                                             rng.standard_normal(pos.size))
+        c = SymMatrix(n, rows[::2], cols[::2], rng.standard_normal(rows[::2].size))
+        support = SvecSupport.of(op, c)
+        assert support._diagonal.size == 0 and support.rows.size == pos.size
+        if storage == "csr":
+            monkeypatch.setattr(linalg, "DENSE_EIG_CUTOFF", n - 1)
+        for y in (np.zeros(m), rng.standard_normal(m)):
+            vals = (support.cvec - support.avec @ y) / support_scale(support)
+            want = np.zeros((n, n))
+            want[support.rows, support.cols] = vals
+            want[support.cols, support.rows] = vals
+            got = support.slack(y)
+            if storage == "dense":
+                assert np.array_equal(bits(got), bits(want))
+                continue
+            want = sp.csr_matrix(want)
+            assert sp.issparse(got) and got.format == "csr"
+            assert np.array_equal(bits(got.data), bits(want.data))
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.indptr, want.indptr)
 
     def test_problem_takes_its_support_on_first_use(self, tmp_path):
         problem, _ = generate_random_sdp(20, 10, 2, 0.1, 1.0, 3)
@@ -567,7 +598,7 @@ class TestAggregateAndAppend:
             w = fold_dense(w, state, eta, np.array(x), np.array(p_bar))
             state = aggregate_and_append(state, eta, np.array(x), v, a_new, b_new,
                                          np.array(p_bar), np.array(p_hat))
-            want = w[support.rows, support.cols] * support.scale
+            want = w[support.rows, support.cols] * support_scale(support)
             assert np.allclose(state.w_supp, want, rtol=0, atol=1e-15)
             assert state.support is support
 

@@ -537,6 +537,20 @@ class TestCheck:
         assert proc.stderr.startswith("error: eigensolve")
         assert "Traceback" not in proc.stderr
 
+    def test_lanczos_failure_exit_1_without_traceback(self, tmp_path):
+        # the same at block size 401, where S is stored CSR: ARPACK stops on
+        # the -inf with its error -9999
+        instance = tmp_path / "shared.dat-s"
+        instance.write_text("2\n1\n401\n1.0 1.0\n0 1 1 1 1.0\n1 1 1 1 1.0\n"
+                            "2 1 1 1 1.0\n2 1 2 2 1.0\n")
+        sol = tmp_path / "sol.json"
+        sol.write_text('{"y": [1e308, 1e308]}')
+        proc = run_cli("check", instance, sol)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: eigensolve")
+        assert "ARPACK error -9999" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestMaxcutCommand:
     def test_small_graph_solves(self, tmp_path, capsys):

@@ -30,7 +30,8 @@ def smat_dense(values):
     support of every position whose cvec is ``values``, and y = 0, so S = C
     exactly, signed zeros included."""
     n = tri_order(values.size)
-    support = SvecSupport(n, *svec_indices(n), values, sp.csc_matrix((values.size, 1)))
+    support = SvecSupport(n, *svec_indices(n)[:2], values,
+                           sp.csc_matrix((values.size, 1)))
     return support.slack(np.zeros(1))
 
 

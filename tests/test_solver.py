@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ipm_reference import maxcut_hrvw
-from linalg_reference import fold_dense, model_primal
+from linalg_reference import fold_dense, model_primal, support_scale
 from polybundle import bundle, qp, solver
 from polybundle.linalg import (
     DENSE_EIG_CUTOFF,
@@ -72,6 +72,9 @@ class TestParams:
         ("time_limit_secs", np.nan), ("time_limit_secs", np.inf),
         ("time_limit_secs", 0.0), ("time_limit_secs", -1.0),
         ("maxiter", 0), ("maxiter", -1),
+        ("t0", True), ("eps", True), ("xi", True), ("rho", True),
+        ("time_limit_secs", True), ("eps", "1e-3"), ("rho", "3"),
+        ("time_limit_secs", [60.0]),
     ])
     def test_non_finite_or_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -422,6 +425,34 @@ class TestSolveEndToEnd:
         assert res.failure == "LAPACK returned 0 of 2 smallest eigenpairs"
         assert res.iterations == 0 and res.trace == []
         assert np.array_equal(res.y, np.zeros(problem.m))
+
+    def test_non_finite_sparse_slack_ends_run_as_eigen_failure(self):
+        # the CSR twin of the test above: ARPACK stops on the NaN with its
+        # error -9999
+        problem, _ = generate_random_sdp(DENSE_EIG_CUTOFF + 1, 5, 2, 0.01, 1.0, 0)
+        problem.support.cvec[0] = np.nan
+        res = solve(problem, SolverParams(eps=1e-4, maxiter=50))
+        assert res.status == STATUS_EIGEN_FAILURE
+        assert res.failure.startswith(
+            "Lanczos failed for 2 smallest eigenpairs: ARPACK error -9999")
+        assert res.iterations == 0 and res.trace == []
+        assert np.array_equal(res.y, np.zeros(problem.m))
+
+    def test_zero_slack_solves_on_both_sides_of_the_cutoff(self):
+        # C = 0, A_1 = I and b = 1, so y_LS = 0 and the start's slack holds
+        # no entry; ARPACK would stop on it with its error -9
+        runs = []
+        for n in (DENSE_EIG_CUTOFF, DENSE_EIG_CUTOFF + 1):
+            d = np.arange(n)
+            op = ConstraintOperator.from_entries(n, 1, np.zeros(n, dtype=np.int64),
+                                                 svec_position(n, d, d), np.ones(n))
+            problem = SdpProblem(n, 1, SymMatrix(n, [], [], []), op, np.ones(1))
+            assert not problem.support.least_squares_dual.any()
+            runs.append(solve(problem, SolverParams(rho=3, rank=3)))
+        dense, sparse = runs
+        assert dense.status == sparse.status == STATUS_CONVERGED
+        assert dense.iterations == sparse.iterations
+        assert dense.objective_dual == sparse.objective_dual
 
     def test_rho_required_without_known_trace(self, small_problem):
         problem, _ = small_problem
@@ -1284,7 +1315,7 @@ class TestMaxCutCertificate:
         for state, u, past in dense.seen:
             assert past is None
             x = model_primal(dense.w(state), state, u).to_dense()
-            want = x[support.rows, support.cols] * support.scale
+            want = x[support.rows, support.cols] * support_scale(support)
             got = bundle.support_values(state, u)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
