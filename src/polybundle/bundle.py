@@ -27,8 +27,8 @@ class BundleState:
 
     Entry and column 0 of (a, B) belong to the aggregate W; entry and column
     i belong to the bundle column p_i = P[:, i-1].  ``w_supp`` is svec(W) at
-    the positions of ``support``, the instance's ``SvecSupport``, when the
-    state is taken on one; both are None otherwise.
+    the positions of ``support``, the ``SvecSupport`` of the solve that made
+    the state, when the state is taken on one; both are None otherwise.
     """
 
     P: np.ndarray          # n x l, unit-norm columns
@@ -55,7 +55,7 @@ class BundleState:
 def pvec_generate(p: np.ndarray, op: ConstraintOperator, support: SvecSupport):
     """Bundle columns of the rank-one matrices p_i p_i' for the columns of p.
 
-    ``support`` is ``SvecSupport.of(op, C)``, as ``SdpProblem.support`` holds it.
+    ``support`` is ``SvecSupport.of(op, C)``, the one a solve takes for its run.
     Returns (a, B) with a_i = <C, p_i p_i'> and B[:, i] = A(p_i p_i'),
     both from Pvec[:, i] = svec(p_i p_i') at the support's positions:
     a = Pvec' cvec and B = avec' Pvec (``SvecSupport.column_images``).

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import problems, solver
-from .linalg import EigenConvergenceError, SymMatrix, apply_A
+from .linalg import EigenConvergenceError, SvecSupport, SymMatrix, apply_A
 
 
 def _error(message) -> int:
@@ -124,7 +124,7 @@ def _run_solver(args, load) -> int:
         return _error(exc)
     try:
         params = _params_from_args(args)
-        solver.problem_settings(problem, params)
+        solver.problem_settings(problem, SvecSupport.of(problem.op, problem.C), params)
     except ValueError as exc:
         return _error(exc)
     with contextlib.ExitStack() as files:
@@ -223,7 +223,8 @@ def cmd_check(args) -> int:
         except ValueError as exc:
             return _error(f"solution X: {exc}")
     try:
-        _, lam_max, _, _ = solver.penalty_eval(problem, y, 1, rho=1.0)
+        support = SvecSupport.of(problem.op, problem.C)
+        _, lam_max, _, _ = solver.penalty_eval(problem, support, y, 1, rho=1.0)
     except EigenConvergenceError as exc:
         return _error(f"eigensolve of S = C - A'y failed: {exc}")
     doc = {"delta4": solver.dual_infeasibility(lam_max)}

@@ -143,7 +143,7 @@ def _compressed(n: int, m: int, key: np.ndarray, vals: np.ndarray) -> sp.csc_mat
         e = slice(s, s + step)
         pos = key[e] % dim
         indices[e] = pos
-        np.multiply(svec_indices(n, pos)[2], vals[e], out=data[e])
+        _svec_scaled(vals[e], svec_indices(n, pos)[2], out=data[e])
         del pos
     if np.any(key[1:] == key[:-1]) or not data.all():
         indices, data, indptr = _squeezed(m, dim, key, indices, data, step)
@@ -152,6 +152,18 @@ def _compressed(n: int, m: int, key: np.ndarray, vals: np.ndarray) -> sp.csc_mat
     a = sp.csc_matrix((data, indices, indptr.astype(idx)), shape=(dim, m))
     a.has_canonical_format = True
     return a
+
+
+def _svec_scaled(vals: np.ndarray, scale: np.ndarray, out=None) -> np.ndarray:
+    """The finite values ``vals`` times their svec scale, or a ValueError
+    when a product overflows: an off-diagonal entry above DBL_MAX/sqrt(2),
+    about 1.27e308, has no finite svec value."""
+    with np.errstate(over="ignore"):
+        out = np.multiply(scale, vals, out=out)
+    if not np.isfinite(out).all():
+        raise ValueError("off-diagonal entry above DBL_MAX/sqrt(2) (about "
+                         "1.27e308): its svec value overflows")
+    return out
 
 
 def _squeezed(m: int, dim: int, key: np.ndarray, indices: np.ndarray,
@@ -241,6 +253,11 @@ class SymMatrix:
     @property
     def nnz(self) -> int:
         return int(self.vals.size)
+
+    def svec_values(self) -> np.ndarray:
+        """The stored entries times their svec scale; ValueError when one
+        overflows (``_svec_scaled``)."""
+        return _svec_scaled(self.vals, np.where(self.rows == self.cols, 1.0, SQRT2))
 
     def trace(self) -> float:
         """The sum of the diagonal entries; for c08 and
@@ -419,16 +436,14 @@ class SvecSupport:
         n, a = op.n, op.avec
         used = c.vals != 0.0
         if np.count_nonzero(used) == tri_dim(n):
-            scale = np.where(c.rows == c.cols, 1.0, SQRT2)
-            return cls(n, c.rows, c.cols, c.vals * scale, a)
+            return cls(n, c.rows, c.cols, c.svec_values(), a)
         cpos = svec_position(n, c.rows, c.cols)
         used |= np.isin(cpos, a.indices)  # a zero of C there keeps its sign
         cpos = cpos[used]
         pos = np.union1d(cpos, a.indices)
-        rows, cols, scale = svec_indices(n, pos)
-        at = np.searchsorted(pos, cpos)
+        rows, cols, _ = svec_indices(n, pos)
         cvec = np.zeros(pos.size)
-        cvec[at] = c.vals[used] * scale[at]
+        cvec[np.searchsorted(pos, cpos)] = c.svec_values()[used]
         # renumber the stored rows of avec in order, so each column keeps
         # its entry order and A(X) its summation order
         avec = sp.csc_matrix((a.data, np.searchsorted(pos, a.indices), a.indptr),
@@ -438,7 +453,7 @@ class SvecSupport:
     @cached_property
     def least_squares_dual(self) -> np.ndarray | None:
         """A read-only y_LS = argmin ||C - A'y||_F, or None when it is not
-        finite.
+        finite; kept on this support, so for the one solve that takes it.
 
         On the support this is argmin ||cvec - avec y||_2, which LSQR finds
         from products with avec and its transpose alone: O(nnz) memory and

@@ -15,13 +15,11 @@ import os
 import re
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
     ConstraintOperator,
-    SvecSupport,
     SymMatrix,
     apply_A,
     svec,
@@ -60,16 +58,12 @@ class SdpProblem:
             raise ValueError("m does not match the operator or b (a vector of m)")
         if not np.all(np.isfinite(self.b)):
             raise ValueError("b must be finite")
+        self.C.svec_values()  # a ValueError when one overflows
 
     @property
     def cvec(self) -> np.ndarray:
         """svec(C), formed on each read: the solver reads the support's."""
         return svec(self.C).values
-
-    @cached_property
-    def support(self) -> SvecSupport:
-        """``SvecSupport.of(op, C)``, taken on first use."""
-        return SvecSupport.of(self.op, self.C)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from . import bundle as bundle_mod
 from . import qp as qp_mod
 from .bundle import (BundleState, model_eval, pvec_generate, select_aggregation,
                      support_values)
-from .linalg import EigenConvergenceError, extreme_eigs
+from .linalg import EigenConvergenceError, SvecSupport, extreme_eigs
 from .problems import SdpProblem, _count, _real
 
 STATUS_CONVERGED = "Converged"
@@ -165,13 +165,13 @@ def last_above_eps(trace: list[IterationRecord], eps: float) -> dict:
             for name in names}
 
 
-def dual_slack(problem: SdpProblem, y: np.ndarray):
+def dual_slack(support: SvecSupport, y: np.ndarray):
     """S = C - A'y, as ``SvecSupport.slack`` stores it."""
-    return problem.support.slack(y)
+    return support.slack(y)
 
 
-def penalty_eval(problem: SdpProblem, y: np.ndarray, r: int, rho: float,
-                 n_eigs: int | None = None):
+def penalty_eval(problem: SdpProblem, support: SvecSupport, y: np.ndarray,
+                 r: int, rho: float, n_eigs: int | None = None):
     """Exact-penalty value and the bottom eigenpairs of the dual slack.
 
     Returns (F, lam_max, V, eigvals) where lam_max = lambda_max(A'y - C),
@@ -181,7 +181,7 @@ def penalty_eval(problem: SdpProblem, y: np.ndarray, r: int, rho: float,
     if r < 1:
         raise ValueError("r must be at least 1")
     k = max(r, n_eigs or r)
-    s = dual_slack(problem, y)
+    s = dual_slack(support, y)
     eig = extreme_eigs(s, min(k, problem.n))
     lam_max = -float(eig.values[0])
     f = -float(problem.b @ y) + rho * max(lam_max, 0.0)
@@ -259,7 +259,7 @@ def termination_check(b: np.ndarray, a_x: np.ndarray, primal: float,
     return delta1, delta4, delta5, delta6, done
 
 
-def diagonal_targets(problem: SdpProblem):
+def diagonal_targets(problem: SdpProblem, support: SvecSupport):
     """(idx, d, y_hat, T) when A(X) = b fixes X's whole diagonal, as on
     Max-Cut: m = n, every A_i has one stored entry a_i, at a diagonal
     position (j, j) of its own with support index idx_i, X_jj = d_i =
@@ -272,7 +272,6 @@ def diagonal_targets(problem: SdpProblem):
     is least at tau = lambda_min(S(y)), where S has the eigenvectors of
     S(y) and lambda_min 0, so F = -b'y there (Helmberg and Rendl 2000).
     """
-    support = problem.support
     a = support.avec
     if problem.m != problem.n or np.any(np.diff(a.indptr) != 1):
         return None
@@ -297,7 +296,7 @@ def line_minimum(b: np.ndarray, y: np.ndarray, f: float, lam_max: float, line):
     return y, -float(b @ y), 0.0
 
 
-def diagonal_scale(problem: SdpProblem, targets, x_diag: np.ndarray):
+def diagonal_scale(support: SvecSupport, targets, x_diag: np.ndarray):
     """s with s_j^2 X_jj = d_i at the position j that constraint i fixes,
     for X's diagonal ``x_diag`` in constraint order; None when some X_jj is
     not positive or s is not finite.
@@ -312,12 +311,12 @@ def diagonal_scale(problem: SdpProblem, targets, x_diag: np.ndarray):
         root = np.sqrt(d / x_diag)
     if not np.all(np.isfinite(root)):
         return None
-    s = np.empty(problem.n)
-    s[problem.support.rows[idx]] = root
+    s = np.empty(support.n)
+    s[support.rows[idx]] = root
     return s
 
 
-def primal_pair(problem: SdpProblem, targets, state: BundleState,
+def primal_pair(support: SvecSupport, targets, state: BundleState,
                 u: np.ndarray, past):
     """The primal the termination test reads, for the weights u on the
     bundle ``state`` followed by those on the past columns ``past``
@@ -336,9 +335,9 @@ def primal_pair(problem: SdpProblem, targets, state: BundleState,
     positive falls back to the model's X.
     """
     if targets is not None:
-        support, idx = problem.support, targets[0]
+        idx = targets[0]
         x_supp = support_values(state, u)
-        s = diagonal_scale(problem, targets, x_supp[idx])
+        s = diagonal_scale(support, targets, x_supp[idx])
         if s is not None:
             # |X_ij| <= sqrt(X_ii X_jj), so this order never overflows
             x_rep = x_supp * s[support.rows] * s[support.cols]
@@ -432,8 +431,9 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     (``SvecSupport.least_squares_dual``), whose slack is the part of C that
     A' cannot cancel, and at y = 0 when y_LS is not finite.  The start takes
     one eigensolve, at the start point; y_LS costs one LSQR solve on avec,
-    O(nnz), cached on the instance's support.  On Max-Cut y_LS is diag(C)
-    to rounding.
+    O(nnz), cached on the run's own ``SvecSupport.of(problem.op, problem.C)``,
+    which goes with the run: a solved instance keeps only its entries.  On
+    Max-Cut y_LS is diag(C) to rounding.
 
     When A(X) = b fixes X's whole diagonal, as on Max-Cut (the targets
     of ``problem_settings``, which also fixes rho, the rank, the cap and
@@ -470,13 +470,14 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     iteration.
     """
     params = params or SolverParams()
-    rho, r_iter, l_max, targets, trace_x = problem_settings(problem, params)
+    support = SvecSupport.of(problem.op, problem.C)
+    rho, r_iter, l_max, targets, trace_x = problem_settings(problem, support, params)
     pred = RankPrediction(r_iter) if params.prior_rank is not None else None
 
     b = problem.b
     start = time.perf_counter()
-    support, line = (None, None) if targets is None else (problem.support, targets[2])
-    y = problem.support.least_squares_dual
+    bundle_support, line = (None, None) if targets is None else (support, targets[2])
+    y = support.least_squares_dual
     y = np.zeros(problem.m) if y is None else y.copy()
     u = np.zeros(1)
     t, nullcount = params.t0, 0
@@ -487,10 +488,10 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     # rank prediction reads the gap after eigenvalue r, so it asks for r + 1
     n_eigs = r_iter + 1 if pred is not None else r_iter
     try:
-        f_y, lam_max_y, v, _ = penalty_eval(problem, y, r_iter, rho, n_eigs)
+        f_y, lam_max_y, v, _ = penalty_eval(problem, support, y, r_iter, rho, n_eigs)
         y, f_y, lam_max_y = line_minimum(b, y, f_y, lam_max_y, line)
-        a_new, b_new = pvec_generate(v, problem.op, problem.support)
-        bundle = BundleState.fresh(v, a_new, b_new, support)
+        a_new, b_new = pvec_generate(v, problem.op, support)
+        bundle = BundleState.fresh(v, a_new, b_new, bundle_support)
         warm = (np.zeros(1 + bundle.l), False)  # weights, simplex flag
         u = warm[0]
         # the images (a, B) of the last l_max columns folded into W, which
@@ -508,11 +509,12 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                 break
             z = sol.z
             model_z = model_eval(z, a, b_mat, rho, b)
-            f_z, lam_max_z, v_new, eigs_z = penalty_eval(problem, z, r_iter, rho, n_eigs)
+            f_z, lam_max_z, v_new, eigs_z = penalty_eval(problem, support, z, r_iter,
+                                                         rho, n_eigs)
             # unit-norm columns; the start's stay as the eigensolver gives them
             norms = np.linalg.norm(v_new, axis=0)
             v_new = v_new / np.where(norms == 0.0, 1.0, norms)
-            a_new, b_new = pvec_generate(v_new, problem.op, problem.support)
+            a_new, b_new = pvec_generate(v_new, problem.op, support)
             bundle, warm, past = _update_bundle(bundle, sol, v_new, a_new, b_new,
                                                 r_iter, l_max, past)
             u = warm[0] if past is None else np.append(warm[0], np.zeros(past[0].size))
@@ -532,7 +534,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                 polished = polish_weights(bundle, past, b, y, params.xi, rho)
                 if polished is not None:
                     u = polished
-            a_x, primal = primal_pair(problem, targets, bundle, u, past)
+            a_x, primal = primal_pair(support, targets, bundle, u, past)
             *deltas, done = termination_check(b, a_x, primal, y, -lam_max_y,
                                               f_y, model_z, params.eps)
             elapsed = time.perf_counter() - start
@@ -566,7 +568,7 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
                     r_iter, l_max = r_pred, lmax_from_policy(params.l_max, r_pred)
                     n_eigs = r_pred
                     bundle = BundleState.fresh(v_new[:, :r_pred], a_new[:r_pred],
-                                               b_new[:, :r_pred], support)
+                                               b_new[:, :r_pred], bundle_support)
                     warm = (np.zeros(1 + r_pred), False)
                     past = _last_columns(past, l_max)
     except EigenConvergenceError as exc:
@@ -590,7 +592,8 @@ def solve(problem: SdpProblem, params: SolverParams | None = None,
     )
 
 
-def problem_settings(problem: SdpProblem, params: SolverParams):
+def problem_settings(problem: SdpProblem, support: SvecSupport,
+                     params: SolverParams):
     """Everything a run fixes before it iterates, as (rho, rank, l_max,
     targets, trace); ValueError when validate() or the instance rejects
     the settings.  ``solve`` reads all five from here.
@@ -608,7 +611,7 @@ def problem_settings(problem: SdpProblem, params: SolverParams):
     [1, n]; the cap must be at least the rank.
     """
     params.validate()
-    targets = diagonal_targets(problem)
+    targets = diagonal_targets(problem, support)
     known = problem.known_trace
     trace = known if known is not None or targets is None else targets[3]
     if trace is not None and not 0 <= trace < math.inf:

@@ -9,7 +9,7 @@ import pytest
 import polybundle as pb
 from linalg_reference import norm_estimate
 from polybundle.bundle import model_eval
-from polybundle.linalg import apply_A, smat, svec
+from polybundle.linalg import SvecSupport, apply_A, smat, svec
 from polybundle.qp import solve_subproblem
 from polybundle.solver import SolverParams, penalty_eval, solve
 
@@ -51,6 +51,7 @@ def test_c03_model_invariant_suite():
     rng = np.random.default_rng(0)
     seen = [0]
     worst = [0.0, 0.0, 0.0]
+    support = SvecSupport.of(problem.op, problem.C)
 
     def audit(info):
         if seen[0] >= 50:
@@ -58,7 +59,7 @@ def test_c03_model_invariant_suite():
         seen[0] += 1
         for _ in range(200):
             y = info.z + rng.standard_normal(problem.m) * rng.uniform(0.1, 3)
-            f_y, _, _, _ = penalty_eval(problem, y, 1, rho)
+            f_y, _, _, _ = penalty_eval(problem, support, y, 1, rho)
             m_post = model_eval(y, info.a_post, info.B_post, rho, problem.b)
             worst[0] = max(worst[0], m_post - f_y)
             if info.record.eig_min_S < 0:
@@ -155,11 +156,12 @@ def test_c09_sampled_lipschitz():
     rho = 2 * problem.known_trace + 1
     lip = np.linalg.norm(problem.b) + rho * norm_estimate(problem.op)
     rng = np.random.default_rng(1)
+    support = SvecSupport.of(problem.op, problem.C)
     for _ in range(100):
         x = rng.standard_normal(problem.m) * rng.uniform(0.1, 5)
         y = rng.standard_normal(problem.m) * rng.uniform(0.1, 5)
-        f_x, _, _, _ = penalty_eval(problem, x, 1, rho)
-        f_y, _, _, _ = penalty_eval(problem, y, 1, rho)
+        f_x, _, _, _ = penalty_eval(problem, support, x, 1, rho)
+        f_y, _, _, _ = penalty_eval(problem, support, y, 1, rho)
         assert abs(f_x - f_y) <= lip * np.linalg.norm(x - y) + 1e-8
 
 

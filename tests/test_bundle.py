@@ -400,16 +400,6 @@ class TestSupportSlack:
             assert np.array_equal(got.indices, want.indices)
             assert np.array_equal(got.indptr, want.indptr)
 
-    def test_problem_takes_its_support_on_first_use(self, tmp_path):
-        problem, _ = generate_random_sdp(20, 10, 2, 0.1, 1.0, 3)
-        write_sdpa(problem, str(tmp_path / "p.dat-s"))
-        loaded = load_sdpa(str(tmp_path / "p.dat-s"))
-        for p in (problem, loaded):
-            assert "support" not in vars(p)
-            support = p.support
-            assert p.support is support
-            assert np.array_equal(support.rows, SvecSupport.of(p.op, p.C).rows)
-
 
 class TestLeastSquaresDual:
     """y_LS = argmin ||C - A'y||_F from LSQR on the support, against the
@@ -676,9 +666,9 @@ class TestSupportValuesFromP:
             solved.append((state, sol.u.copy()))
             return update(state, sol, *args)
 
-        def recorded(problem, targets, state, u, past):
+        def recorded(support, targets, state, u, past):
             seen.append((state, u.copy()))
-            return real(problem, targets, state, u, past)
+            return real(support, targets, state, u, past)
 
         monkeypatch.setattr(solver, "_update_bundle", recorded_update)
         monkeypatch.setattr(solver, "primal_pair", recorded)
@@ -691,13 +681,15 @@ class TestSupportValuesFromP:
         assert 0 < restart < len(solved) - 1
         assert not solved[restart][0].P.flags.c_contiguous
         assert any(state.w_supp.any() for state, _ in seen[restart:])
+        # one support, the run's own, on every state
+        assert isinstance(seen[0][0].support, SvecSupport)
         for state, u in solved + seen:
-            assert state.support is problem.support
+            assert state.support is seen[0][0].support
             self.check(state, u)
 
     def test_full_planted_support(self):
         problem, _ = generate_random_sdp(30, 25, 3, 0.1, 1.5, 12)
-        support = problem.support
+        support = SvecSupport.of(problem.op, problem.C)
         assert support.rows.size == tri_dim(30)
         rng = np.random.default_rng(3)
         p = rng.standard_normal((30, 4))

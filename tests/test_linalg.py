@@ -273,6 +273,16 @@ class TestConstraintOperator:
             with pytest.raises(ValueError, match=re.escape(message)):
                 SymMatrix(3, rows, cols, vals)
 
+    def test_from_entries_rejects_an_overflowing_svec_value(self):
+        # off the diagonal the svec value is sqrt(2) times the entry, so an
+        # entry above DBL_MAX/sqrt(2), about 1.27e308, was stored as inf; a
+        # diagonal entry keeps its own value
+        off = svec_position(3, 1, 0)
+        with pytest.raises(ValueError, match=re.escape("DBL_MAX/sqrt(2) (about 1.27e308)")):
+            ConstraintOperator.from_entries(3, 2, [0, 1], [off, 0], [1.5e308, 1.0])
+        op = ConstraintOperator.from_entries(3, 2, [0, 1], [0, off], [1.5e308, 1.27e308])
+        assert op.avec.data.tolist() == [1.5e308, 1.27e308 * np.sqrt(2.0)]
+
     @pytest.mark.parametrize("k,pos,field", [
         ([0], [1.9], "pos"),
         ([0.7], [0], "k"),

@@ -1,4 +1,5 @@
 import builtins
+import gc
 import hashlib
 import json
 import os
@@ -19,6 +20,7 @@ from polybundle import linalg, solver
 from polybundle import problems as problems_module
 from polybundle.linalg import (
     ConstraintOperator,
+    SvecSupport,
     SymMatrix,
     apply_A,
     smat,
@@ -145,6 +147,27 @@ class TestSdpProblem:
         with pytest.raises(ValueError, match=message):
             SdpProblem(**{**data, **change})
 
+    # an off-diagonal entry above DBL_MAX/sqrt(2), about 1.27e308, has no
+    # finite svec value: C's was accepted and its run ended as EigenFailure,
+    # and A_i's was stored as inf.  A diagonal one keeps its value.
+    OVERFLOW = r"DBL_MAX/sqrt\(2\) \(about 1\.27e308\)"
+
+    def test_overflowing_svec_value_of_c_rejected(self):
+        op = ConstraintOperator.from_entries(2, 1, [0], [0], [1.0])
+        with pytest.raises(ValueError, match=self.OVERFLOW):
+            SdpProblem(2, 1, SymMatrix(2, [1], [0], [1.5e308]), op, [1.0])
+        SdpProblem(2, 1, SymMatrix(2, [1], [1], [1.5e308]), op, [1.0])
+
+    @pytest.mark.parametrize("matno", [0, 1], ids=["C", "A_1"])
+    def test_overflowing_svec_value_in_a_file_rejected(self, tmp_path, matno):
+        path = tmp_path / "big.dat-s"
+        path.write_text(f"1\n1\n2\n1.0\n{matno} 1 2 1 1.5e308\n1 1 2 2 1.0\n")
+        with pytest.raises(ValueError, match=self.OVERFLOW):
+            load_sdpa(str(path))
+        path.write_text(f"1\n1\n2\n1.0\n{matno} 1 1 1 1.5e308\n1 1 2 2 1.0\n")
+        loaded = load_sdpa(str(path))
+        assert 1.5e308 in (loaded.op.avec.data if matno else loaded.C.vals)
+
     @pytest.mark.parametrize("shape", [(6, 1), (1, 6), (2, 3)])
     def test_b_not_a_vector_rejected(self, shape):
         # b holds m = 6 entries but not as a vector of them
@@ -163,7 +186,7 @@ class TestSdpProblem:
         assert np.array_equal(cvec, svec(problem.C).values)
         cvec[:] = np.nan
         assert np.array_equal(problem.cvec, svec(problem.C).values)
-        assert np.all(np.isfinite(problem.support.cvec))
+        assert np.all(np.isfinite(SvecSupport.of(problem.op, problem.C).cvec))
 
 
 class TestOperatorEntries:
@@ -324,7 +347,8 @@ class TestMaxcut:
         assert np.trace(lap) == pytest.approx(total_degree)
         # the instance carries no trace; the solver reads tr X = n from A
         assert p.known_trace is None
-        assert solver.problem_settings(p, solver.SolverParams())[4] == n
+        assert solver.problem_settings(
+            p, SvecSupport.of(p.op, p.C), solver.SolverParams())[4] == n
 
     def test_maximize_is_the_default(self):
         g = GraphInstance(2, [(1, 2, 1.0)])
@@ -671,6 +695,18 @@ def traced_held(call) -> int:
         tracemalloc.stop()
 
 
+def benchmark_problem(instance: str) -> SdpProblem:
+    """The benchmark's planted n = 400 instance (seed 42) or its Max-Cut
+    graph (c10 family, n = 200, edge probability 0.03, graph seed 1)."""
+    if instance == "planted":
+        return generate_random_sdp(400, 400, 5, 1e-2, 1.0, 42)[0]
+    rows, cols = np.triu_indices(200, 1)
+    hit = np.random.default_rng(1).random(rows.size) < 0.03
+    return build_maxcut_sdp(GraphInstance(200, [
+        (i + 1, j + 1, 1.0) for i, j in zip(rows[hit].tolist(), cols[hit].tolist())]),
+        sense="maximize")
+
+
 def sparse_graph(n: int, seed: int = 1) -> GraphInstance:
     """The c10 family's graph at edge probability 6/n, drawn row by row: the
     same edges as one draw per vertex pair, with no n(n-1)/2 array."""
@@ -757,27 +793,44 @@ class TestPeakMemory:
                              ids=["planted", "maxcut"])
     def test_support_blocks_hold_each_entry_once(self, instance, size):
         # the column images' blocks of the planted n = 400 support (10
-        # blocks) and of the benchmark's Max-Cut graph (c10 family, n = 200,
-        # edge probability 0.03, graph seed 1; one block): float64 data and
-        # int32 indices, 12 bytes an entry of avec, and m offsets a block,
-        # plus their Python objects
-        if instance == "planted":
-            problem, _ = generate_random_sdp(400, 400, 5, 1e-2, 1.0, 42)
-        else:
-            rows, cols = np.triu_indices(200, 1)
-            hit = np.random.default_rng(1).random(rows.size) < 0.03
-            problem = build_maxcut_sdp(GraphInstance(200, [
-                (i + 1, j + 1, 1.0) for i, j in zip(rows[hit].tolist(),
-                                                    cols[hit].tolist())]),
-                sense="maximize")
-        support = problem.support
+        # blocks) and of the benchmark's Max-Cut graph (one block): float64
+        # data and int32 indices, 12 bytes an entry of avec, and m offsets a
+        # block, plus their Python objects
+        problem = benchmark_problem(instance)
+        support = SvecSupport.of(problem.op, problem.C)
         assert support.rows.size == size
         # numpy keeps about 1.3 KB of caches from the first calls that build
         # blocks; a small instance's blocks take them first
-        build_maxcut_sdp(sparse_graph(20)).support._blocks
+        small = build_maxcut_sdp(sparse_graph(20))
+        SvecSupport.of(small.op, small.C)._blocks
         blocks = -(-size // linalg.SUPPORT_BLOCK)
         arrays = 12 * support.avec.nnz + 4 * (blocks * problem.m + 1)
         assert traced_held(lambda: support._blocks) <= arrays + 1024 * blocks
+
+    @pytest.mark.parametrize("instance", ["planted", "maxcut"])
+    def test_solve_leaves_its_instance_as_it_found_it(self, instance):
+        # the run's support (svec(C), the column-image blocks and y_LS) goes
+        # with the run: while the instance kept it, a first solve left 5.8 MB
+        # held at planted n = 400 and 44 KB on Max-Cut, against 3-6 KB of
+        # interpreter caches now.  A solve of a small instance of the same
+        # kind first loads LAPACK and numpy's caches.
+        params = {"planted": solver.SolverParams(eps=1e-4, maxiter=300),
+                  "maxcut": solver.SolverParams(eps=1e-3, maxiter=500, t0=1e-2,
+                                                l_max="sq", rank=20)}[instance]
+        solver.solve(generate_random_sdp(20, 20, 2, 0.1, 1.0, 3)[0]
+                     if instance == "planted" else build_maxcut_sdp(sparse_graph(20)),
+                     params)
+        problem = benchmark_problem(instance)
+        before = dict(vars(problem))
+
+        def solved():
+            assert solver.solve(problem, params).status == solver.STATUS_CONVERGED
+            gc.collect()  # the reference cycles a run leaves
+
+        held = traced_held(solved)
+        assert vars(problem).keys() == before.keys()
+        assert all(vars(problem)[key] is value for key, value in before.items())
+        assert held <= 16_384
 
     @pytest.fixture(scope="class")
     def graphs(self, tmp_path_factory):
@@ -802,9 +855,12 @@ class TestPeakMemory:
         # rank 8 on n = 2,000 at 216
         graph, small, large, path = graphs
         problem = small if operation == "solve" else large
-        call = {"build": lambda: build_maxcut_sdp(graph).support,
+        def with_support(problem):
+            return SvecSupport.of(problem.op, problem.C)
+
+        call = {"build": lambda: with_support(build_maxcut_sdp(graph)),
                 "write": lambda: write_sdpa(large, path),
-                "load": lambda: load_sdpa(path).support,
+                "load": lambda: with_support(load_sdpa(path)),
                 "solve": lambda: solver.solve(small, solver.SolverParams(
                     eps=1e-3, t0=1e-2, l_max="sq", rank=8, maxiter=2))}[operation]
         entries = problem.C.nnz + problem.op.avec.nnz

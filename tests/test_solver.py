@@ -56,6 +56,34 @@ def small_problem():
     return generate_random_sdp(30, 30, 3, 0.1, 1.0, 0)
 
 
+def support_of(problem):
+    """The support a solve of ``problem`` takes for its run."""
+    return SvecSupport.of(problem.op, problem.C)
+
+
+def settings_of(problem, params):
+    """``problem_settings`` on the support a solve takes."""
+    return solver.problem_settings(problem, support_of(problem), params)
+
+
+def targets_of(problem):
+    """``diagonal_targets`` on the support a solve takes."""
+    return solver.diagonal_targets(problem, support_of(problem))
+
+
+def with_nan_in_cvec(monkeypatch):
+    """Every support taken from now on holds a NaN at cvec[0]: C itself
+    must be finite."""
+    of = SvecSupport.of
+
+    def nan_support(op, c):
+        support = of(op, c)
+        support.cvec[0] = np.nan
+        return support
+
+    monkeypatch.setattr(SvecSupport, "of", nan_support)
+
+
 class TestParams:
     def test_defaults_valid(self):
         SolverParams().validate()
@@ -144,10 +172,11 @@ class TestPenaltyEval:
         problem, _ = small_problem
         rng = np.random.default_rng(1)
         rho = 2 * problem.known_trace + 1
+        support = support_of(problem)
         for _ in range(10):
             y = rng.standard_normal(problem.m)
-            f, lam_max, v, eigs = penalty_eval(problem, y, 3, rho)
-            s = dual_slack(problem, y)
+            f, lam_max, v, eigs = penalty_eval(problem, support, y, 3, rho)
+            s = dual_slack(support, y)
             evals = np.linalg.eigvalsh(s)
             assert lam_max == pytest.approx(-evals[0], abs=1e-10)
             want = -problem.b @ y + rho * max(-evals[0], 0.0)
@@ -157,12 +186,14 @@ class TestPenaltyEval:
 
     def test_rank_below_one_rejected(self, small_problem):
         with pytest.raises(ValueError, match="r must be at least 1"):
-            penalty_eval(small_problem[0], np.zeros(small_problem[0].m), 0, 1.0)
+            problem = small_problem[0]
+            penalty_eval(problem, support_of(problem), np.zeros(problem.m), 0, 1.0)
 
     def test_zero_at_planted_dual(self, small_problem):
         problem, planted = small_problem
         rho = 2 * problem.known_trace + 1
-        f, lam_max, _, _ = penalty_eval(problem, planted.y_star, 1, rho)
+        f, lam_max, _, _ = penalty_eval(problem, support_of(problem), planted.y_star, 1,
+                                        rho)
         # S* is PSD so the penalty term vanishes exactly at y*
         assert lam_max <= 1e-9
         assert f == pytest.approx(-problem.b @ planted.y_star, abs=1e-8)
@@ -182,7 +213,7 @@ class TestDualSlack:
     @staticmethod
     def slack_and_smat(problem):
         y = np.random.default_rng(0).standard_normal(problem.m)
-        return (dual_slack(problem, y),
+        return (dual_slack(support_of(problem), y),
                 smat(problem.cvec - problem.op.avec @ y).to_dense())
 
     @pytest.mark.parametrize("instance", sorted(INSTANCES))
@@ -399,7 +430,7 @@ class TestSolveEndToEnd:
         # the center is the one the failed iteration started from: the
         # start point, or where an undisturbed run stopped after the
         # completed iterations
-        want_y = problem.support.least_squares_dual if k <= 2 else done.y
+        want_y = support_of(problem).least_squares_dual if k <= 2 else done.y
         assert np.array_equal(res.y, want_y)
         assert [r.F_y for r in res.trace] == [r.F_y for r in done.trace[:k - 2]]
         assert np.isnan(res.objective_primal)
@@ -416,21 +447,20 @@ class TestSolveEndToEnd:
         assert res.failure == "Lanczos failed to converge for 2 smallest eigenpairs"
         assert res.iterations == 0 and res.trace == []
 
-    def test_non_finite_slack_ends_run_as_eigen_failure(self):
+    def test_non_finite_slack_ends_run_as_eigen_failure(self, monkeypatch):
         problem, _ = generate_random_sdp(20, 20, 2, 0.1, 1.0, 3)
-        # C itself must be finite, so the NaN goes into the support's cvec
-        problem.support.cvec[0] = np.nan
+        with_nan_in_cvec(monkeypatch)
         res = solve(problem, SolverParams(eps=1e-4, maxiter=50))
         assert res.status == STATUS_EIGEN_FAILURE
         assert res.failure == "LAPACK returned 0 of 2 smallest eigenpairs"
         assert res.iterations == 0 and res.trace == []
         assert np.array_equal(res.y, np.zeros(problem.m))
 
-    def test_non_finite_sparse_slack_ends_run_as_eigen_failure(self):
+    def test_non_finite_sparse_slack_ends_run_as_eigen_failure(self, monkeypatch):
         # the CSR twin of the test above: ARPACK stops on the NaN with its
         # error -9999
         problem, _ = generate_random_sdp(DENSE_EIG_CUTOFF + 1, 5, 2, 0.01, 1.0, 0)
-        problem.support.cvec[0] = np.nan
+        with_nan_in_cvec(monkeypatch)
         res = solve(problem, SolverParams(eps=1e-4, maxiter=50))
         assert res.status == STATUS_EIGEN_FAILURE
         assert res.failure.startswith(
@@ -447,7 +477,7 @@ class TestSolveEndToEnd:
             op = ConstraintOperator.from_entries(n, 1, np.zeros(n, dtype=np.int64),
                                                  svec_position(n, d, d), np.ones(n))
             problem = SdpProblem(n, 1, SymMatrix(n, [], [], []), op, np.ones(1))
-            assert not problem.support.least_squares_dual.any()
+            assert not support_of(problem).least_squares_dual.any()
             runs.append(solve(problem, SolverParams(rho=3, rank=3)))
         dense, sparse = runs
         assert dense.status == sparse.status == STATUS_CONVERGED
@@ -477,7 +507,7 @@ class TestSolveEndToEnd:
             with pytest.raises(ValueError, match="known primal trace"):
                 solve(problem, SolverParams(rho=20.0, maxiter=5))
             problem.known_trace = 0.0
-            assert solver.problem_settings(problem, SolverParams())[0] == 1.0
+            assert settings_of(problem, SolverParams())[0] == 1.0
         finally:
             problem.known_trace = known
 
@@ -570,9 +600,9 @@ class DenseAggregate:
                                                   p_bar))
             return out
 
-        def recorded_pair(problem, targets, state, u, past):
+        def recorded_pair(support, targets, state, u, past):
             self.seen.append((state, u.copy(), past))
-            return pair(problem, targets, state, u, past)
+            return pair(support, targets, state, u, past)
 
         def recorded_generate(p, *args):
             a, b_mat = generate(p, *args)
@@ -607,11 +637,11 @@ class DenseAggregate:
         rescaled by ``diagonal_scale`` where the termination test rescales
         it, as on Max-Cut."""
         x = model_primal(self.w(state), state, u, self.past_columns(state, past))
-        targets = solver.diagonal_targets(problem)
+        targets = targets_of(problem)
         if targets is None:
             return x
         diag = bundle.support_values(state, u)[targets[0]]
-        s = solver.diagonal_scale(problem, targets, diag)
+        s = solver.diagonal_scale(support_of(problem), targets, diag)
         if s is None:
             return x
         return SymMatrix(x.n, x.rows, x.cols, x.vals * (s[x.rows] * s[x.cols]))
@@ -739,9 +769,9 @@ class TestRecoverPrimal:
         problem, _ = generate_random_sdp(30, 30, 3, 0.1, 1.0, 0)
         seen, pair = [], solver.primal_pair
 
-        def recorded(problem, targets, state, u, past):
+        def recorded(support, targets, state, u, past):
             seen.append(past)
-            return pair(problem, targets, state, u, past)
+            return pair(support, targets, state, u, past)
 
         monkeypatch.setattr(solver, "primal_pair", recorded)
         res = solve(problem, SolverParams(prior_rank=6, time_limit_secs=1e-9))
@@ -1058,8 +1088,9 @@ class TestArpackAgainstDense:
     def test_smallest_eigenvalues_match_eigh(self, arpack_runs):
         problem, _, res = arpack_runs[0]
         refs = []
-        for y in (problem.support.least_squares_dual, res.y):
-            s = dual_slack(problem, y)
+        support = support_of(problem)
+        for y in (support.least_squares_dual, res.y):
+            s = dual_slack(support, y)
             assert sp.issparse(s)
             eig = extreme_eigs(s, 40)
             ref = sla.eigh(s.toarray(), subset_by_index=[0, 39], eigvals_only=True)
@@ -1121,7 +1152,7 @@ class TestLeastSquaresStart:
 
     def test_planted_run_starts_at_the_least_squares_dual(self, small_problem):
         problem, _ = small_problem
-        y_ls = problem.support.least_squares_dual
+        y_ls = support_of(problem).least_squares_dual
         y0 = self.first_center(problem)
         assert y0.tobytes() == y_ls.tobytes()
         assert y0 is not y_ls
@@ -1130,9 +1161,10 @@ class TestLeastSquaresStart:
         # y_LS + lambda_min(S(y_LS)) y_hat with y_hat = 1, from the start's
         # one eigensolve: the slack's eigenvectors, with lambda_min 0
         problem, params = c10_maxcut()
-        y_ls = problem.support.least_squares_dual
-        rho, rank, *_ = solver.problem_settings(problem, params)
-        lam_max = penalty_eval(problem, y_ls, rank, rho)[1]
+        support = support_of(problem)
+        y_ls = support.least_squares_dual
+        rho, rank, *_ = settings_of(problem, params)
+        lam_max = penalty_eval(problem, support, y_ls, rank, rho)[1]
         y0 = self.first_center(problem)
         assert y0.tobytes() == (y_ls - lam_max * np.ones(problem.m)).tobytes()
         s = dense_slack(problem, y0)
@@ -1157,8 +1189,8 @@ class TestLeastSquaresStart:
             slacks.clear()
             res = solve(problem, params)
             assert len(slacks) == res.iterations + 1
-            y_ls = problem.support.least_squares_dual
-            assert np.array_equal(slacks[0], dual_slack(problem, y_ls))
+            support = support_of(problem)
+            assert np.array_equal(slacks[0], dual_slack(support, support.least_squares_dual))
 
     def test_failed_first_eigensolve_ends_at_the_start(self, monkeypatch):
         problem, params = c10_maxcut()
@@ -1170,7 +1202,7 @@ class TestLeastSquaresStart:
         res = solve(problem, params)
         assert res.status == STATUS_EIGEN_FAILURE
         assert res.iterations == 0
-        assert res.y.tobytes() == problem.support.least_squares_dual.tobytes()
+        assert res.y.tobytes() == support_of(problem).least_squares_dual.tobytes()
         assert res.lower_bound is None and res.lower_bound_gap is None
 
     def test_ten_seeds_take_no_more_iterations(self, monkeypatch):
@@ -1231,7 +1263,7 @@ def without_diagonal_targets(monkeypatch):
     """Hide the Max-Cut structure: the termination test then reads the
     model's X, and the centers stay off the line along y_hat, as on every
     instance without it."""
-    monkeypatch.setattr(solver, "diagonal_targets", lambda problem: None)
+    monkeypatch.setattr(solver, "diagonal_targets", lambda problem, support: None)
 
 
 def without_the_polish(monkeypatch):
@@ -1311,7 +1343,7 @@ class TestMaxCutCertificate:
         res = solve(problem, params)
         assert res.status == STATUS_CONVERGED and res.rank_used == rank_used
         assert res.delta1 <= 1e-15
-        support = problem.support
+        support = support_of(problem)
         for state, u, past in dense.seen:
             assert past is None
             x = model_primal(dense.w(state), state, u).to_dense()
@@ -1322,7 +1354,7 @@ class TestMaxCutCertificate:
     def test_planted_runs_carry_no_support_values(self, small_problem,
                                                   monkeypatch):
         problem, _ = small_problem
-        assert solver.diagonal_targets(problem) is None
+        assert targets_of(problem) is None
         states, real = [], bundle.aggregate_and_append
 
         def recorded(state, *args):
@@ -1381,14 +1413,14 @@ class TestMaxCutCertificate:
 
     def test_scale_of_a_diagonal_that_is_not_positive(self):
         problem, _ = c10_maxcut(n=4, prob=1.0)
-        targets = solver.diagonal_targets(problem)
+        targets = targets_of(problem)
         diag = np.array([4.0, 1.0, 0.25, 1.0])
-        assert solver.diagonal_scale(problem, targets, diag).tolist() == \
+        assert solver.diagonal_scale(support_of(problem), targets, diag).tolist() == \
             [0.5, 1.0, 2.0, 1.0]
         # zero, negative, NaN, and a positive entry whose s overflows
         for bad in (0.0, -1e-300, math.nan, 1e-320):
             diag[2] = bad
-            assert solver.diagonal_scale(problem, targets, diag) is None
+            assert solver.diagonal_scale(support_of(problem), targets, diag) is None
 
 
 class TestDualLineSearch:
@@ -1448,7 +1480,7 @@ class TestDualLineSearch:
     def test_planted_runs_keep_every_bit(self, small_problem, monkeypatch,
                                          prior_rank):
         problem, _ = small_problem
-        assert solver.diagonal_targets(problem) is None
+        assert targets_of(problem) is None
         params = SolverParams(prior_rank=prior_rank)
         on = solve(problem, params)
         without_the_line(monkeypatch)
@@ -1473,7 +1505,7 @@ class TestDualLineSearch:
         # rejected; at rho = T it is flat from its minimizer on, and every
         # candidate still moves to that minimizer, as at the default 2T + 1
         problem, params = c10_maxcut()
-        assert solver.diagonal_targets(problem)[3] == 100.0
+        assert targets_of(problem)[3] == 100.0
         if rho < 100.0:
             params.rho = rho
             with pytest.raises(ValueError, match="at least the trace 100"):
@@ -1503,7 +1535,7 @@ class TestDualLineSearch:
         write_sdpa(problem, path)
         loaded = load_sdpa(path)
         assert loaded.known_trace is None
-        assert solver.problem_settings(loaded, params)[0] == 2.0 * problem.n + 1.0
+        assert settings_of(loaded, params)[0] == 2.0 * problem.n + 1.0
         res = solve(loaded, params)
         assert loaded.known_trace is None
         assert res.status == STATUS_CONVERGED and res.rho == 201.0
@@ -1558,9 +1590,9 @@ class TestPrimalPolish:
             updates.append(update(*args))
             return updates[-1]
 
-        def recorded_pair(problem, targets, state, u, past):
+        def recorded_pair(support, targets, state, u, past):
             seen.append((state, u, past))
-            return pair(problem, targets, state, u, past)
+            return pair(support, targets, state, u, past)
 
         monkeypatch.setattr(solver, "polish_weights", recorded_polish)
         monkeypatch.setattr(solver, "_update_bundle", recorded_update)
@@ -1606,16 +1638,16 @@ class TestPrimalPolish:
             updates.append(update(*args))
             return updates[-1]
 
-        def recorded(problem, targets, state, u, past):
+        def recorded(support, targets, state, u, past):
             seen.append((state, u, past))
-            return pair(problem, targets, state, u, past)
+            return pair(support, targets, state, u, past)
 
         monkeypatch.setattr(solver, "_update_bundle", recorded_update)
         monkeypatch.setattr(solver, "primal_pair", recorded)
         res = solve(problem, params, infos.append)
         assert res.status == STATUS_CONVERGED
         assert len(seen) == len(updates) == len(infos) == res.iterations
-        polished = solver.diagonal_targets(problem) is None
+        polished = targets_of(problem) is None
         for (state, u, past), (bundle_k, warm, past_k), info in zip(
                 seen, updates, infos):
             assert state is bundle_k and past is past_k
@@ -1653,9 +1685,9 @@ class TestPrimalPolish:
             outputs.append(polish(*args))
             return outputs[-1]
 
-        def recorded(problem, targets, state, u, past):
+        def recorded(support, targets, state, u, past):
             seen.append((state, u, past))
-            return pair(problem, targets, state, u, past)
+            return pair(support, targets, state, u, past)
 
         monkeypatch.setattr(solver, "_update_bundle", recorded_update)
         monkeypatch.setattr(qp, "solve_least_squares", failing)
@@ -1703,8 +1735,8 @@ class TestDiagonalTargets:
         path = str(tmp_path / "maxcut.dat-s")
         write_sdpa(problem, path)
         for p in (problem, load_sdpa(path)):
-            idx, d, _, _ = solver.diagonal_targets(p)
-            support = p.support
+            support = support_of(p)
+            idx, d, _, _ = solver.diagonal_targets(p, support)
             assert np.array_equal(support.rows[idx], np.arange(p.n))
             assert np.array_equal(support.cols[idx], np.arange(p.n))
             assert np.all(d == 1.0)
@@ -1713,13 +1745,13 @@ class TestDiagonalTargets:
         # constraints out of position order, a_i = 2, -1, 4 and b_i = 4, -3, 8
         problem = diagonal_instance([0, 1, 2], [2, 0, 1], [2, 0, 1],
                                     [2.0, -1.0, 4.0], [4.0, -3.0, 8.0])
-        idx, d, _, _ = solver.diagonal_targets(problem)
-        assert problem.support.rows[idx].tolist() == [2, 0, 1]
+        idx, d, _, _ = targets_of(problem)
+        assert support_of(problem).rows[idx].tolist() == [2, 0, 1]
         assert d.tolist() == [2.0, 3.0, 2.0]
         # the same entries with X_11 free: the diagonal is not fixed
         problem = diagonal_instance([0, 1], [2, 0], [2, 0], [2.0, -1.0],
                                     [4.0, -3.0])
-        assert solver.diagonal_targets(problem) is None
+        assert targets_of(problem) is None
 
     @pytest.mark.parametrize("k,rows,cols,vals,b", [
         ([0, 0, 1, 2], [0, 1, 1, 2], [0, 1, 1, 2], [1.0] * 4, [1.0] * 3),
@@ -1733,12 +1765,12 @@ class TestDiagonalTargets:
             "b-negative", "subnormal-entry"])
     def test_rejected(self, k, rows, cols, vals, b):
         problem = diagonal_instance(k, rows, cols, vals, b)
-        assert solver.diagonal_targets(problem) is None
-        settings = solver.problem_settings(problem, SolverParams(rho=1.0))
+        assert targets_of(problem) is None
+        settings = settings_of(problem, SolverParams(rho=1.0))
         assert settings[3:] == (None, None)
 
     def test_planted_rejected(self, small_problem):
-        assert solver.diagonal_targets(small_problem[0]) is None
+        assert targets_of(small_problem[0]) is None
 
     def test_partial_diagonal_takes_the_plain_path(self, monkeypatch):
         # Max-Cut with the constraints of the last five vertices dropped and
@@ -1753,7 +1785,7 @@ class TestDiagonalTargets:
         op = ConstraintOperator.from_entries(n, m, diag, svec_position(n, diag, diag),
                                              np.ones(m))
         partial = SdpProblem(n=n, m=m, C=SymMatrix.from_dense(c), op=op, b=np.ones(m))
-        assert solver.diagonal_targets(partial) is None
+        assert targets_of(partial) is None
         params.rho = 2.0 * n + 1.0
         plain = solve(partial, params)
         assert plain.status == STATUS_CONVERGED
@@ -1770,27 +1802,27 @@ class TestIdentityDual:
         path = str(tmp_path / "maxcut.dat-s")
         write_sdpa(problem, path)
         for p in (problem, load_sdpa(path)):
-            targets = solver.diagonal_targets(p)
+            targets = targets_of(p)
             _, _, y_hat, trace = targets
             assert np.all(y_hat == 1.0) and trace == 100.0
             assert p.known_trace is None
-            assert solver.problem_settings(p, SolverParams())[4] == 100.0
+            assert settings_of(p, SolverParams())[4] == 100.0
 
     def test_scaled_entries(self):
         problem = diagonal_instance([0, 1, 2], [2, 0, 1], [2, 0, 1],
                                     [2.0, -1.0, 4.0], [4.0, -3.0, 8.0])
-        targets = solver.diagonal_targets(problem)
+        targets = targets_of(problem)
         _, _, y_hat, trace = targets
         assert y_hat.tolist() == [0.5, -1.0, 0.25] and trace == 7.0
         assert np.array_equal(smat(problem.op.avec @ y_hat).to_dense(), np.eye(3))
-        assert solver.problem_settings(problem, SolverParams())[4] == 7.0
+        assert settings_of(problem, SolverParams())[4] == 7.0
 
     def test_free_diagonal_positions(self):
         # X_11 is free, so tr X is not fixed
         problem = diagonal_instance([0, 1], [2, 0], [2, 0], [2.0, -1.0],
                                     [4.0, -3.0])
-        assert solver.diagonal_targets(problem) is None
-        settings = solver.problem_settings(problem, SolverParams(rho=1.0))
+        assert targets_of(problem) is None
+        settings = settings_of(problem, SolverParams(rho=1.0))
         assert settings[3:] == (None, None)
 
     def test_known_trace_comes_first(self, small_problem):
@@ -1798,12 +1830,12 @@ class TestIdentityDual:
         # and a planted instance without one has no trace
         problem, _ = c10_maxcut()
         problem.known_trace = 150.0
-        _, _, _, targets, trace = solver.problem_settings(problem, SolverParams())
+        _, _, _, targets, trace = settings_of(problem, SolverParams())
         assert targets[3] == 100.0 and trace == 150.0
         planted, known = small_problem[0], small_problem[0].known_trace
         planted.known_trace = None
         try:
-            settings = solver.problem_settings(planted, SolverParams(rho=1.0))
+            settings = settings_of(planted, SolverParams(rho=1.0))
         finally:
             planted.known_trace = known
         assert settings[3:] == (None, None)
@@ -1811,9 +1843,9 @@ class TestIdentityDual:
     def test_solve_finds_the_targets_once(self, monkeypatch):
         calls, real = [], solver.diagonal_targets
 
-        def counted(problem):
+        def counted(problem, support):
             calls.append(problem)
-            return real(problem)
+            return real(problem, support)
 
         monkeypatch.setattr(solver, "diagonal_targets", counted)
         problem, params = c10_maxcut()
